@@ -35,10 +35,9 @@
 //!    [`palmed_wire::WireServer`] on a UNIX socket, serve the probe corpus
 //!    through a `PALMED-WIRE v1` request frame, and require bit-identity
 //!    with the in-process predictions plus fingerprint equality through
-//!    the admin health frame — then the same frame again over a loopback
-//!    TCP listener running the epoll front-end with cross-connection
-//!    batching, so every transport × front-end × serve-core combination is
-//!    smoke-proven bit-identical.
+//!    the admin health frame — then the same again over a loopback TCP
+//!    listener, so both transports of the one serve path are smoke-proven
+//!    bit-identical.
 //!
 //! Usage: `cargo run --release -p palmed-bench --bin predict -- \
 //!     [--full] [--blocks N] [--out DIR]`
@@ -455,13 +454,14 @@ fn main() {
         events.len()
     );
 
-    // ---- 9. The wire front-end: the same corpus over a UNIX socket. ----
+    // ---- 9. The wire front-end: the same corpus over UNIX and TCP sockets. ----
     wire_round_trip(&model_path, preset.name(), &corpus_path, &result.ipcs, reference, &out);
 }
 
-/// Serves the probe corpus over a real `PALMED-WIRE v1` UNIX socket and
-/// requires bit-identity with the in-process predictions, plus fingerprint
-/// equality through the admin health frame.
+/// Serves the probe corpus over real `PALMED-WIRE v1` sockets — a UNIX
+/// socket, then loopback TCP — and requires on each bit-identity with the
+/// in-process predictions plus fingerprint equality through the admin
+/// health frame; the UNIX server must unlink its socket on exit.
 #[cfg(target_os = "linux")]
 fn wire_round_trip(
     model_path: &std::path::Path,
@@ -471,137 +471,131 @@ fn wire_round_trip(
     reference: u64,
     out: &std::path::Path,
 ) {
-    use palmed_wire::{Engine, Frame, Limits, WireClient, WireServer};
+    use palmed_wire::{Engine, Limits, WireClient, WireServer};
     use std::sync::Arc;
 
     let registry = Arc::new(ModelRegistry::new());
     registry.load_file(model_path).expect("wire registry reloads the saved artifact");
     let limits = Limits { max_payload: 16 << 20, ..Limits::default() };
+    let corpus_text = std::fs::read_to_string(corpus_path).expect("corpus rereads");
+    let probe = WireProbe { model, corpus_text: &corpus_text, in_process, reference };
+
     let socket = out.join("wire.sock");
     let server = WireServer::bind(&socket, Engine::new(Arc::clone(&registry)), limits)
         .expect("wire server binds");
-    let stop = server.stop_handle();
-    let handle = std::thread::spawn(move || server.run());
-    // The socket is bound before the thread spawns; retry only rides out
-    // accept-queue startup.
-    let mut client = loop {
-        match WireClient::connect(&socket) {
-            Ok(client) => break client,
-            Err(_) => std::thread::yield_now(),
-        }
-    };
-
-    let corpus_text = std::fs::read_to_string(corpus_path).expect("corpus rereads");
-    let start = Instant::now();
-    let reply = client
-        .call(&Frame::Request { req_id: 1, model: model.to_string(), corpus: corpus_text.clone() })
-        .expect("wire round trip");
-    let wire_in = start.elapsed();
-    let rows = match reply {
-        Frame::Response { req_id: 1, rows } => rows,
-        other => {
-            eprintln!("FATAL: wire reply was not the response to request 1: {other:?}");
-            std::process::exit(1);
-        }
-    };
-    let wire_mismatches = in_process
-        .iter()
-        .zip(&rows)
-        .filter(|(a, b)| a.map(f64::to_bits) != b.map(f64::to_bits))
-        .count();
-    if rows.len() != in_process.len() || wire_mismatches > 0 {
-        eprintln!(
-            "FATAL: wire served {} rows with {wire_mismatches} mismatches against \
-             {} in-process predictions",
-            rows.len(),
-            in_process.len()
-        );
-        std::process::exit(1);
-    }
-
-    let health = client
-        .call(&Frame::AdminRequest { req_id: 2, what: "health".to_string() })
-        .expect("admin health round trip");
-    match health {
-        Frame::AdminResponse { req_id: 2, body } => {
-            if !body.contains(&format!("\"fingerprint\":\"{reference:016x}\"")) {
-                eprintln!(
-                    "FATAL: admin health does not carry fingerprint {reference:016x}: {body}"
-                );
-                std::process::exit(1);
-            }
-        }
-        other => {
-            eprintln!("FATAL: admin health reply was not an admin response: {other:?}");
-            std::process::exit(1);
-        }
-    }
-
-    stop.store(true, std::sync::atomic::Ordering::SeqCst);
-    handle.join().expect("wire server thread").expect("wire serve loop");
+    let unix_in = probe.run("UNIX", server, || WireClient::connect(&socket));
     if socket.exists() {
         eprintln!("FATAL: wire server left its socket file behind");
         std::process::exit(1);
     }
 
-    // The same request again over loopback TCP, through the epoll
-    // readiness front-end and the cross-connection shared batcher — the
-    // performance configuration must be bit-identical to the portable one.
-    use palmed_wire::FrontEnd;
-    let tcp_server = WireServer::bind_tcp(
+    let server = WireServer::bind_tcp(
         std::net::SocketAddrV4::new(std::net::Ipv4Addr::LOCALHOST, 0),
         Engine::new(Arc::clone(&registry)),
         limits,
     )
-    .expect("wire server binds a loopback TCP listener")
-    .with_front_end(FrontEnd::Epoll)
-    .with_batching(true);
-    let tcp_addr = tcp_server.tcp_addr().expect("TCP transport reports its bound address");
-    let tcp_stop = tcp_server.stop_handle();
-    let tcp_handle = std::thread::spawn(move || tcp_server.run());
-    let mut tcp_client = loop {
-        match WireClient::connect_tcp(tcp_addr) {
-            Ok(client) => break client,
-            Err(_) => std::thread::yield_now(),
-        }
-    };
-    let start = Instant::now();
-    let tcp_reply = tcp_client
-        .call(&Frame::Request { req_id: 3, model: model.to_string(), corpus: corpus_text })
-        .expect("TCP wire round trip");
-    let tcp_in = start.elapsed();
-    let tcp_rows = match tcp_reply {
-        Frame::Response { req_id: 3, rows } => rows,
-        other => {
-            eprintln!("FATAL: TCP wire reply was not the response to request 3: {other:?}");
-            std::process::exit(1);
-        }
-    };
-    let tcp_mismatches = in_process
-        .iter()
-        .zip(&tcp_rows)
-        .filter(|(a, b)| a.map(f64::to_bits) != b.map(f64::to_bits))
-        .count();
-    if tcp_rows.len() != in_process.len() || tcp_mismatches > 0 {
-        eprintln!(
-            "FATAL: TCP/epoll/batched wire served {} rows with {tcp_mismatches} mismatches \
-             against {} in-process predictions",
-            tcp_rows.len(),
-            in_process.len()
-        );
-        std::process::exit(1);
-    }
-    tcp_stop.store(true, std::sync::atomic::Ordering::SeqCst);
-    tcp_handle.join().expect("TCP wire server thread").expect("TCP wire serve loop");
+    .expect("wire server binds a loopback TCP listener");
+    let tcp_addr = server.tcp_addr().expect("TCP transport reports its bound address");
+    let tcp_in = probe.run("TCP", server, || WireClient::connect_tcp(tcp_addr));
 
     println!(
-        "[9/9] wire round trip over {}: {} blocks served in {wire_in:.2?}, bit-identical \
-         to the in-process predictions; admin health fingerprint {reference:016x}; \
-         server drained and unlinked its socket; TCP {tcp_addr} (epoll front-end, shared \
-         batching) re-served the corpus bit-identically in {tcp_in:.2?}",
-        socket.display(),
-        rows.len()
+        "[9/9] wire round trip: {} blocks served bit-identically to the in-process \
+         predictions over {} in {unix_in:.2?} and over TCP {tcp_addr} in {tcp_in:.2?}; admin \
+         health fingerprint {reference:016x} on both; servers drained, the UNIX socket unlinked",
+        in_process.len(),
+        socket.display()
     );
+}
+
+/// The step-9 checks one wire server must pass.
+#[cfg(target_os = "linux")]
+struct WireProbe<'a> {
+    model: &'a str,
+    corpus_text: &'a str,
+    in_process: &'a [Option<f64>],
+    reference: u64,
+}
+
+#[cfg(target_os = "linux")]
+impl WireProbe<'_> {
+    /// Runs `server`, round-trips the probe corpus and an admin health
+    /// query through a client from `connect`, then stops the server and
+    /// waits for its drain.  Returns the corpus round-trip time.
+    fn run(
+        &self,
+        transport: &str,
+        server: palmed_wire::WireServer,
+        connect: impl Fn() -> std::io::Result<palmed_wire::WireClient>,
+    ) -> std::time::Duration {
+        use palmed_wire::Frame;
+
+        let stop = server.stop_handle();
+        let handle = std::thread::spawn(move || server.run());
+        // The socket is bound before the thread spawns; retry only rides
+        // out accept-queue startup.
+        let mut client = loop {
+            match connect() {
+                Ok(client) => break client,
+                Err(_) => std::thread::yield_now(),
+            }
+        };
+
+        let start = Instant::now();
+        let reply = client
+            .call(&Frame::Request {
+                req_id: 1,
+                model: self.model.to_string(),
+                corpus: self.corpus_text.to_string(),
+            })
+            .expect("wire round trip");
+        let elapsed = start.elapsed();
+        let rows = match reply {
+            Frame::Response { req_id: 1, rows } => rows,
+            other => {
+                eprintln!("FATAL: {transport} wire reply was not the response to request 1: {other:?}");
+                std::process::exit(1);
+            }
+        };
+        let mismatches = self
+            .in_process
+            .iter()
+            .zip(&rows)
+            .filter(|(a, b)| a.map(f64::to_bits) != b.map(f64::to_bits))
+            .count();
+        if rows.len() != self.in_process.len() || mismatches > 0 {
+            eprintln!(
+                "FATAL: {transport} wire served {} rows with {mismatches} mismatches against \
+                 {} in-process predictions",
+                rows.len(),
+                self.in_process.len()
+            );
+            std::process::exit(1);
+        }
+
+        let health = client
+            .call(&Frame::AdminRequest { req_id: 2, what: "health".to_string() })
+            .expect("admin health round trip");
+        let reference = self.reference;
+        match health {
+            Frame::AdminResponse { req_id: 2, body } => {
+                if !body.contains(&format!("\"fingerprint\":\"{reference:016x}\"")) {
+                    eprintln!(
+                        "FATAL: {transport} admin health does not carry fingerprint \
+                         {reference:016x}: {body}"
+                    );
+                    std::process::exit(1);
+                }
+            }
+            other => {
+                eprintln!("FATAL: {transport} admin health reply was not an admin response: {other:?}");
+                std::process::exit(1);
+            }
+        }
+
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        handle.join().expect("wire server thread").expect("wire serve loop");
+        elapsed
+    }
 }
 
 #[cfg(not(target_os = "linux"))]

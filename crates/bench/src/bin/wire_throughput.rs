@@ -1,18 +1,16 @@
-//! Wire-plane throughput bench: req/sec and latency quantiles for every
-//! transport-independent serve configuration, recorded as
-//! `BENCH_wire.json`.
+//! Wire-plane throughput bench: req/sec and server round-time quantile
+//! bounds at several concurrency points, recorded as `BENCH_wire.json`.
 //!
-//! The matrix is serve core × front-end × concurrency over a loopback UNIX
-//! socket: {isolated, shared-batcher} × {poll, epoll} × {1, 4, 16}
-//! clients, each client synchronously round-tripping the same
+//! The matrix is concurrency only — {1, 4, 16} clients over a loopback
+//! UNIX socket against the one serve path (epoll readiness loop plus the
+//! shared batcher), each client synchronously round-tripping the same
 //! `PALMED-CORPUS v1` request.  Two in-process rows pin the floor the wire
-//! numbers are judged against: `parse_and_predict` (what one isolated
-//! request costs without any socket) and `predict_prepared` (the
-//! steady-state predictor alone).  A final pair of scenarios holds 32
-//! *idle* connections open next to one active client and reports
-//! connection pumps per wakeup for poll vs epoll — the poll front-end
-//! re-walks the full fd set every tick, the epoll front-end pumps only
-//! ready connections, and the ratio is the receipt.
+//! numbers are judged against: `parse_and_predict` (a parse plus a
+//! predict per request, the cost of serving without the batcher's corpus
+//! cache) and `predict_prepared` (the steady-state predictor alone).  A
+//! final scenario holds 32 *idle* connections open next to one active
+//! client and reports connection pumps per wakeup — the readiness loop
+//! must pump only the ready connections, not re-walk the idle ones.
 //!
 //! Every scenario's first reply is checked bit-identical to the in-process
 //! predictions, so the numbers can never come from serving wrong rows.
@@ -20,22 +18,24 @@
 //! Output rows (`{"bench", "ns_per_iter"}`, flat like the other
 //! `BENCH_*.json` files):
 //!
-//! * `wire_throughput/<core>_<frontend>/c<N>` — aggregate wall time per
-//!   request at N concurrent clients;
-//! * `wire_latency/<core>_<frontend>/c<N>/p50|p99` — per-request latency
-//!   quantile bounds from the `wire.request_ns` histogram delta;
+//! * `wire_throughput/c<N>` — aggregate wall time per request at N
+//!   concurrent clients;
+//! * `wire_round_bound/c<N>/p50|p99` — log2-bucket upper bounds of the
+//!   server round time (`wire.request_ns`: round start to reply queued),
+//!   *not* client-observed latency;
 //! * `wire_throughput/inprocess/...` — the no-socket floors;
-//! * `wire_frontend/pumps_per_wakeup/poll|epoll` — idle-connection scan
-//!   cost (a ratio, not nanoseconds: connections pumped per wakeup).
+//! * `wire_frontend/pumps_per_wakeup` — idle-connection scan cost (a
+//!   ratio, not nanoseconds: connections pumped per wakeup).
 //!
 //! Usage: `cargo run --release -p palmed-bench --bin wire_throughput -- \
 //!     [--smoke] [--out FILE]`
 //!
-//! `--smoke` runs a reduced matrix in well under a second, asserts the
-//! shared batcher beats isolated serving at 4 clients and that epoll pumps
-//! fewer connections per wakeup than poll under idle load, and writes no
-//! file — it is the CI gate.  The default (full) run writes
-//! `BENCH_wire.json` to the working directory (or `--out`).
+//! `--smoke` runs a reduced matrix in well under a second and writes no
+//! file — it is the CI gate.  It asserts, within the one run, that wall
+//! time per request at 4 clients stays below the in-process
+//! `parse_and_predict` floor, and that the readiness loop pumps fewer than
+//! a quarter of the idle connections per wakeup.  The default (full) run
+//! writes `BENCH_wire.json` to the working directory (or `--out`).
 
 use std::process::ExitCode;
 
@@ -71,7 +71,7 @@ mod linux {
     use palmed_serve::{
         BatchPredictor, Corpus, ModelArtifact, ModelRegistry, PreparedBatch,
     };
-    use palmed_wire::{Engine, Frame, FrontEnd, Limits, WireClient, WireServer};
+    use palmed_wire::{Engine, Frame, Limits, WireClient, WireServer};
     use std::process::ExitCode;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
@@ -153,14 +153,6 @@ mod linux {
         json
     }
 
-    struct Scenario {
-        core: &'static str,
-        batching: bool,
-        frontend: &'static str,
-        front_end: FrontEnd,
-        clients: usize,
-    }
-
     struct Measured {
         ns_per_request: f64,
         p50_ns: u64,
@@ -202,31 +194,24 @@ mod linux {
     /// Runs one wire scenario: a fresh server on a fresh socket, `clients`
     /// synchronous clients each round-tripping `iters` requests.
     fn run_scenario(
-        scenario: &Scenario,
+        clients: usize,
         registry: &Arc<ModelRegistry>,
         corpus: &str,
         iters: usize,
         reference: &Arc<Vec<Option<f64>>>,
     ) -> Measured {
-        let socket = std::env::temp_dir().join(format!(
-            "palmed-wire-bench-{}-{}-{}.sock",
-            scenario.core,
-            scenario.frontend,
-            scenario.clients
-        ));
+        let socket = std::env::temp_dir().join(format!("palmed-wire-bench-c{clients}.sock"));
         std::fs::remove_file(&socket).ok();
         let limits = Limits { max_payload: 16 << 20, ..Limits::default() };
         let server = WireServer::bind(&socket, Engine::new(Arc::clone(registry)), limits)
-            .expect("bench server binds")
-            .with_front_end(scenario.front_end)
-            .with_batching(scenario.batching);
+            .expect("bench server binds");
         let stop = server.stop_handle();
         let server_thread = std::thread::spawn(move || server.run());
 
         let before = request_histogram();
         let start = Instant::now();
         let mut workers = Vec::new();
-        for worker in 0..scenario.clients {
+        for worker in 0..clients {
             let socket = socket.clone();
             let corpus = corpus.to_string();
             let reference = Arc::clone(reference);
@@ -275,7 +260,7 @@ mod linux {
         stop.store(true, Ordering::SeqCst);
         server_thread.join().expect("bench server thread").expect("bench serve loop");
 
-        let total = (scenario.clients * iters) as f64;
+        let total = (clients * iters) as f64;
         let delta = histogram_delta(&before, &after);
         assert_eq!(delta.count, total as u64, "every request lands in wire.request_ns");
         Measured {
@@ -288,19 +273,16 @@ mod linux {
     /// Front-end scan cost: `idle_conns` silent connections plus one
     /// active client; returns connections pumped per wakeup.
     fn run_idle_scan(
-        front_end: FrontEnd,
-        frontend: &'static str,
         registry: &Arc<ModelRegistry>,
         corpus: &str,
         idle_conns: usize,
         iters: usize,
     ) -> f64 {
-        let socket = std::env::temp_dir().join(format!("palmed-wire-bench-idle-{frontend}.sock"));
+        let socket = std::env::temp_dir().join("palmed-wire-bench-idle.sock");
         std::fs::remove_file(&socket).ok();
         let limits = Limits { max_payload: 16 << 20, ..Limits::default() };
         let server = WireServer::bind(&socket, Engine::new(Arc::clone(registry)), limits)
-            .expect("bench server binds")
-            .with_front_end(front_end);
+            .expect("bench server binds");
         let stop = server.stop_handle();
         let server_thread = std::thread::spawn(move || server.run());
 
@@ -397,101 +379,65 @@ mod linux {
         );
 
         // The wire matrix.
-        let mut shared_at_4 = None;
-        let mut isolated_at_4 = None;
+        let mut at_4 = None;
         for &clients in params.clients {
-            for (core, batching) in [("isolated", false), ("shared", true)] {
-                for (frontend, front_end) in [("poll", FrontEnd::Poll), ("epoll", FrontEnd::Epoll)]
-                {
-                    let scenario = Scenario { core, batching, frontend, front_end, clients };
-                    let measured =
-                        run_scenario(&scenario, &registry, &corpus, params.iters, &reference);
-                    println!(
-                        "wire_throughput: {core}/{frontend} c{clients}: {:.0} req/s, \
-                         p50 {:.0}µs, p99 {:.0}µs",
-                        1e9 / measured.ns_per_request,
-                        measured.p50_ns as f64 / 1e3,
-                        measured.p99_ns as f64 / 1e3
-                    );
-                    if clients == 4 && frontend == "epoll" {
-                        if batching {
-                            shared_at_4 = Some(measured.ns_per_request);
-                        } else {
-                            isolated_at_4 = Some(measured.ns_per_request);
-                        }
-                    }
-                    rows.push(Row {
-                        bench: format!("wire_throughput/{core}_{frontend}/c{clients}"),
-                        ns_per_iter: measured.ns_per_request,
-                    });
-                    rows.push(Row {
-                        bench: format!("wire_latency/{core}_{frontend}/c{clients}/p50"),
-                        ns_per_iter: measured.p50_ns as f64,
-                    });
-                    rows.push(Row {
-                        bench: format!("wire_latency/{core}_{frontend}/c{clients}/p99"),
-                        ns_per_iter: measured.p99_ns as f64,
-                    });
-                }
+            let measured = run_scenario(clients, &registry, &corpus, params.iters, &reference);
+            println!(
+                "wire_throughput: c{clients}: {:.0} req/s, round bound p50 {:.0}µs, p99 {:.0}µs",
+                1e9 / measured.ns_per_request,
+                measured.p50_ns as f64 / 1e3,
+                measured.p99_ns as f64 / 1e3
+            );
+            if clients == 4 {
+                at_4 = Some(measured.ns_per_request);
             }
+            rows.push(Row {
+                bench: format!("wire_throughput/c{clients}"),
+                ns_per_iter: measured.ns_per_request,
+            });
+            rows.push(Row {
+                bench: format!("wire_round_bound/c{clients}/p50"),
+                ns_per_iter: measured.p50_ns as f64,
+            });
+            rows.push(Row {
+                bench: format!("wire_round_bound/c{clients}/p99"),
+                ns_per_iter: measured.p99_ns as f64,
+            });
         }
 
-        // Idle-connection scan cost, poll vs epoll.
-        let poll_scan = run_idle_scan(
-            FrontEnd::Poll,
-            "poll",
-            &registry,
-            &corpus,
-            params.idle_conns,
-            params.idle_iters,
-        );
-        let epoll_scan = run_idle_scan(
-            FrontEnd::Epoll,
-            "epoll",
-            &registry,
-            &corpus,
-            params.idle_conns,
-            params.idle_iters,
-        );
+        // Idle-connection scan cost of the readiness loop.
+        let scan = run_idle_scan(&registry, &corpus, params.idle_conns, params.idle_iters);
         println!(
-            "wire_throughput: idle scan ({} idle conns): poll pumps {poll_scan:.1} conns/wakeup, \
-             epoll {epoll_scan:.1}",
+            "wire_throughput: idle scan ({} idle conns): {scan:.1} conns pumped per wakeup",
             params.idle_conns
         );
-        rows.push(Row {
-            bench: "wire_frontend/pumps_per_wakeup/poll".to_string(),
-            ns_per_iter: poll_scan,
-        });
-        rows.push(Row {
-            bench: "wire_frontend/pumps_per_wakeup/epoll".to_string(),
-            ns_per_iter: epoll_scan,
-        });
+        rows.push(Row { bench: "wire_frontend/pumps_per_wakeup".to_string(), ns_per_iter: scan });
 
         if smoke {
-            let (isolated, shared) = (
-                isolated_at_4.expect("isolated c4 ran"),
-                shared_at_4.expect("shared c4 ran"),
-            );
-            if shared >= isolated {
+            let at_4 = at_4.expect("the smoke matrix runs 4 clients");
+            if at_4 >= parse_and_predict_ns {
                 eprintln!(
-                    "wire_throughput: FAIL: shared batching ({shared:.0} ns/req) did not beat \
-                     isolated serving ({isolated:.0} ns/req) at 4 clients"
+                    "wire_throughput: FAIL: {at_4:.0} ns/req over the wire at 4 clients is not \
+                     below the in-process parse_and_predict floor ({parse_and_predict_ns:.0} ns) \
+                     — the shared batcher must not pay a parse per request"
                 );
                 return ExitCode::FAILURE;
             }
-            if epoll_scan >= poll_scan {
+            let scan_cap = params.idle_conns as f64 / 4.0;
+            if scan >= scan_cap {
                 eprintln!(
-                    "wire_throughput: FAIL: epoll pumped {epoll_scan:.1} conns/wakeup under idle \
-                     load, poll {poll_scan:.1} — the ready-list front-end must not re-walk the \
-                     full set"
+                    "wire_throughput: FAIL: the readiness loop pumped {scan:.1} conns/wakeup \
+                     with {} idle connections (cap {scan_cap:.1}) — it must pump only ready \
+                     connections",
+                    params.idle_conns
                 );
                 return ExitCode::FAILURE;
             }
             println!(
-                "wire_throughput: OK (smoke): shared {:.1}x isolated at c4; epoll scans \
-                 {:.1}x fewer conns/wakeup than poll",
-                isolated / shared,
-                poll_scan / epoll_scan
+                "wire_throughput: OK (smoke): c4 wire {:.2}x the parse_and_predict floor; \
+                 {scan:.1} conns/wakeup with {} idle (cap {scan_cap:.0})",
+                at_4 / parse_and_predict_ns,
+                params.idle_conns
             );
         } else {
             std::fs::write(out, render_rows(&rows)).expect("bench output writes");

@@ -1,29 +1,29 @@
 //! Fixed-seed connection-schedule fuzz smoke for the wire plane.
 //!
-//! Runs `--schedules` deterministic connection schedules (default 500)
-//! against a [`palmed_wire::Connection`] behind the scripted
-//! [`palmed_fuzz::conn_fault::FaultyConn`] transport, starting from case
-//! number `--seed` (default 1).  Each schedule registers 1–2 models and
-//! scripts hostile peer behaviour — split and coalesced frames, stalls,
-//! short reads and writes, bursts past the in-flight cap, malformed
-//! frames, registry swaps mid-connection, slow-loris partials, idle gaps,
-//! half-closes and mid-frame disconnects — asserting after every pump
+//! Runs `--schedules` deterministic single-connection schedules (default
+//! 500) and then `--multi` interleaved schedules of 2–4 connections
+//! (default 200), starting from case number `--seed` (default 1).  Every
+//! connection sits behind the scripted
+//! [`palmed_fuzz::conn_fault::FaultyConn`] transport and is served by one
+//! [`palmed_wire::SharedBatcher`], round for round as the socket server
+//! serves it.  Each schedule registers 1–2 models and scripts hostile peer
+//! behaviour — split and coalesced frames, stalls, short reads and writes,
+//! bursts past the in-flight cap, malformed frames, registry swaps between
+//! rounds, slow-loris partials and idle gaps (single-connection only),
+//! half-closes and mid-frame disconnects — asserting after every round
 //! that no panic escapes, every rejection is a structured error frame,
-//! shedding is exact, accepted requests serve bit-identically to the
-//! in-process predictor, and the connection always drains.
+//! shedding is exact, a poisoned or shed connection never disturbs
+//! another, accepted requests serve bit-identically to the in-process
+//! predictor, and every connection drains.  Finally `--decoder-iters`
+//! (default 2000) coverage-guided mutation cases run against
+//! [`palmed_wire::decode_frame`] itself.  Exits non-zero on any violation.
+//! CI runs this on every push.
 //!
-//! It then runs `--multi` interleaved multi-connection schedules (default
-//! 200): 2–4 faulty connections behind one engine and one
-//! [`palmed_wire::SharedBatcher`], asserting that shared-batch serving
-//! stays bit-identical to per-connection serving and that a poisoned or
-//! shed connection never corrupts or stalls another connection's batch
-//! slots — and finally `--decoder-iters` (default 2000) coverage-guided
-//! mutation cases against [`palmed_wire::decode_frame`] itself.  Exits
-//! non-zero on any violation.  CI runs this on every push.
-//!
-//! `--replay <case>` re-executes one deterministic connection schedule
-//! verbosely and exits — the one-liner printed alongside any violation.
+//! `--replay <case>` re-executes one deterministic single-connection
+//! schedule verbosely and exits — the one-liner printed alongside any
+//! single-connection violation.
 
+use palmed_fuzz::wire_fuzz::{run_schedules, Fleet};
 use std::process::ExitCode;
 
 fn parse_flag(args: &[String], flag: &str, default: u32) -> Result<u32, String> {
@@ -44,8 +44,8 @@ fn main() -> ExitCode {
             "usage: fuzz_wire [--schedules N] [--multi K] [--seed S] [--decoder-iters M] \
              [--replay C]"
         );
-        println!("  --schedules N      connection schedules to run (default 500)");
-        println!("  --multi K          multi-connection shared-batcher schedules (default 200)");
+        println!("  --schedules N      single-connection schedules to run (default 500)");
+        println!("  --multi K          multi-connection schedules to run (default 200)");
         println!("  --seed S           first deterministic case number (default 1)");
         println!("  --decoder-iters M  guided frame-decoder mutation cases (default 2000)");
         println!("  --replay C         verbosely re-run one deterministic schedule and exit");
@@ -84,8 +84,8 @@ fn main() -> ExitCode {
     // Schedule panics are caught and reported as violations; keep the
     // output readable.
     std::panic::set_hook(Box::new(|_| {}));
-    let summary = palmed_fuzz::wire_fuzz::run_schedules(schedules, seed);
-    let multi_summary = palmed_fuzz::wire_fuzz::run_multi_schedules(multi, seed);
+    let summary = run_schedules(schedules, seed, Fleet::Single);
+    let multi_summary = run_schedules(multi, seed, Fleet::Multi);
     let decoder = palmed_fuzz::wire_fuzz::run_decoder_guided(decoder_iters, seed);
     let _ = std::panic::take_hook();
 

@@ -43,12 +43,12 @@
 //!   [`FaultyIo`](fault::FaultyIo), asserting after every step that the
 //!   last good generation keeps serving bit-identically, nothing panics,
 //!   and the refresh accounting identity holds (`fuzz_registry` bin).
-//! * [`wire_fuzz`] — whole connection schedules driven through
-//!   [`FaultyConn`](conn_fault::FaultyConn), asserting after every pump
-//!   that the wire plane's state machine sheds exactly, rejects
-//!   structurally, serves bit-identically to the in-process predictor and
-//!   always drains, plus a coverage-guided fuzz of the frame decoder
-//!   itself (`fuzz_wire` bin).
+//! * [`wire_fuzz`] — whole schedules of one or several connections driven
+//!   through [`FaultyConn`](conn_fault::FaultyConn)s and served in shared
+//!   batcher rounds, asserting after every round that the wire plane sheds
+//!   exactly, rejects structurally, isolates poison, serves
+//!   bit-identically to the in-process predictor and always drains, plus a
+//!   coverage-guided fuzz of the frame decoder itself (`fuzz_wire` bin).
 //!
 //! Run the bounded CI smokes with `cargo run -p palmed-fuzz --bin
 //! fuzz_codecs -- --iters 10000`, `cargo run -p palmed-fuzz --bin

@@ -3,45 +3,41 @@
 //!
 //! Where [`crate::registry_fuzz`] scripts hostile *filesystem* histories
 //! under the registry's refresh loop, this harness scripts hostile
-//! *connection* histories under a [`palmed_wire::Connection`]: each case
-//! registers 1–2 models, then drives 6–20 steps of peer behaviour through
-//! a [`FaultyConn`] — requests split across chunks and stalls, bursts
-//! coalesced past the in-flight cap, short and stalled writes, guaranteed
-//! malformed frames, registry swaps and refreshes mid-connection,
-//! slow-loris partial frames, idle gaps, half-closes and mid-frame
-//! disconnects — asserting after every pump the guarantees the connection
-//! documents:
+//! *connection* histories under [`palmed_wire::Connection`]s served by one
+//! [`SharedBatcher`] — the code the socket server runs, round for round
+//! (gather → batch-serve → scatter → flush).  Each case registers 1–2
+//! models and drives one connection ([`Fleet::Single`]) or 2–4 interleaved
+//! ones ([`Fleet::Multi`]) through [`FaultyConn`]s: requests split across
+//! chunks and stalls, bursts coalesced past the in-flight cap, short and
+//! stalled writes, guaranteed malformed frames, application-level errors,
+//! registry swaps and refreshes between rounds, half-closes and mid-frame
+//! disconnects — plus, for a lone connection, slow-loris partial frames and
+//! idle gaps.  After every round it asserts the guarantees the connection
+//! and the batcher document:
 //!
 //! - **no panic escapes** any schedule (panics are caught per schedule and
 //!   reported as violations);
-//! - **every server byte is well-formed**: the outgoing stream re-decodes
-//!   frame by frame, and every rejection the server issues is a structured
-//!   error frame with a kebab-case class (with a byte offset whenever the
-//!   rejection is a framing violation);
+//! - **every server byte is well-formed**: each member's outgoing stream
+//!   re-decodes frame by frame, and every rejection the server issues is a
+//!   structured error frame with a kebab-case class (with a byte offset
+//!   whenever the rejection is a framing violation);
 //! - **accepted requests serve bit-identically** to an in-process
 //!   [`BatchPredictor`] over the fuzzer's own copy of the registered
-//!   artifact — compared on encoded frame bytes, so NaNs and signed zeros
-//!   count;
+//!   artifact, one request at a time — compared on encoded frame bytes, so
+//!   NaNs and signed zeros count;
 //! - **shedding is exact**: a burst of `max_in_flight + k` coalesced
 //!   requests answers precisely the first `max_in_flight` and sheds
 //!   precisely the last `k` with `server-busy`;
+//! - **poison is isolated**: a poisoned or shed member never corrupts or
+//!   stalls another member's batch slots;
 //! - **started responses are pinned**: a [`ModelRegistry::refresh`] or
-//!   hot swap between requests never changes a response already produced;
-//! - **the connection always drains**: at schedule end every expected
-//!   reply has been flushed, in request order, unless the transport was
+//!   hot swap between rounds never changes a response already produced;
+//! - **every connection drains**: at schedule end every expected reply has
+//!   been flushed, in request order, unless the transport was
 //!   hard-disconnected.
 //!
-//! Schedules are pure functions of their case number; re-run one verbosely
-//! with `fuzz_wire --replay <case>`.
-//!
-//! [`run_multi_schedules`] lifts the same invariants to the shared serve
-//! core: 2–4 connections behind one engine and one
-//! [`palmed_wire::SharedBatcher`], pumped in gather → batch-serve →
-//! scatter rounds.  The mirror expectations are still computed with the
-//! *isolated* in-process predictor, so its drain check is literally
-//! "cross-connection batching is bit-identical to per-connection serving"
-//! — plus isolation: a poisoned or shed member never corrupts or stalls
-//! another member's batch slots.
+//! Schedules are pure functions of their case number and fleet; re-run a
+//! single-connection one verbosely with `fuzz_wire --replay <case>`.
 //!
 //! [`run_decoder_guided`] additionally turns the coverage-guided scheduler
 //! idea of [`crate::guided`] on [`palmed_wire::decode_frame`]: a seed
@@ -56,7 +52,9 @@ use palmed_isa::InstructionSet;
 use palmed_serve::checksum::fnv1a64_words;
 use palmed_serve::{BatchPredictor, Corpus, ModelArtifact, ModelRegistry};
 use palmed_wire::frame::{HEADER_LEN, TRAILER_LEN};
-use palmed_wire::{decode_frame, ConnState, Connection, Decoded, Engine, Frame, Limits, MAGIC};
+use palmed_wire::{
+    decode_frame, ConnState, Connection, Decoded, Engine, Frame, Limits, SharedBatcher, MAGIC,
+};
 use proptest::test_runner::TestRng;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -93,6 +91,8 @@ pub struct WireFuzzSummary {
     pub poisons: u64,
     /// Transport faults injected (stalls, short reads/writes, disconnects).
     pub injected_faults: u64,
+    /// Schedule op kinds drawn at least once (`request`, `burst`, …).
+    pub ops: BTreeSet<&'static str>,
     /// Invariant violations (empty on a healthy wire plane).
     pub violations: Vec<WireViolation>,
 }
@@ -134,6 +134,7 @@ struct ScheduleStats {
     sheds: u64,
     poisons: u64,
     injected: u64,
+    ops: BTreeSet<&'static str>,
     violations: Vec<String>,
     /// Verbose per-step trace, populated only under `--replay`.
     trace: Option<Vec<String>>,
@@ -154,472 +155,8 @@ struct SimModel {
     artifact: ModelArtifact,
 }
 
-/// One live schedule: the connection under test plus the mirror that
-/// predicts it.
-struct Sched<'a> {
-    insts: InstructionSet,
-    rng: TestRng,
-    registry: Arc<ModelRegistry>,
-    engine: Engine,
-    models: Vec<SimModel>,
-    limits: Limits,
-    conn: Connection,
-    stream: FaultyConn,
-    now: u64,
-    next_req: u32,
-    /// Expected replies, in feed order; the server must answer exactly
-    /// these, in exactly this order.
-    expects: Vec<(u32, Expect)>,
-    /// Frames re-decoded from [`FaultyConn::outgoing`] so far.
-    received: Vec<Frame>,
-    /// Bytes of `outgoing` already consumed by [`Sched::check_outgoing`].
-    cursor: usize,
-    stats: &'a mut ScheduleStats,
-}
-
-impl<'a> Sched<'a> {
-    fn new(case: u32, stats: &'a mut ScheduleStats) -> Sched<'a> {
-        let insts = inventory();
-        let mut rng = TestRng::for_case(case);
-        let registry = Arc::new(ModelRegistry::new());
-        let mut models = Vec::new();
-        for i in 0..rng.usize_in(1, 2) {
-            let name = format!("wm-{i}");
-            let mut artifact = crate::seed_model(&insts, &mut rng);
-            artifact.machine = name.clone();
-            registry.register(artifact.clone());
-            models.push(SimModel { name, artifact });
-        }
-        let limits = Limits {
-            max_payload: 1 << 16,
-            max_in_flight: rng.usize_in(2, 4),
-            max_write_backlog: 1 << 20,
-            idle_timeout_ticks: 10_000,
-            frame_deadline_ticks: 200,
-        };
-        // Connections are accepted at an arbitrary point of the server's
-        // clock — idle/deadline policies must be relative to the accept
-        // tick, so schedules start anywhere in the first ~day of ticks.
-        let start = rng.usize_in(0, 100_000_000) as u64;
-        stats.note(|| {
-            format!(
-                "schedule: {} models, max_in_flight {}, frame_deadline {} ticks, accept tick {}",
-                models.len(),
-                limits.max_in_flight,
-                limits.frame_deadline_ticks,
-                start
-            )
-        });
-        Sched {
-            insts,
-            rng,
-            engine: Engine::new(Arc::clone(&registry)),
-            registry,
-            models,
-            limits,
-            conn: Connection::new(limits, start),
-            stream: FaultyConn::new(),
-            now: start,
-            next_req: 1,
-            expects: Vec::new(),
-            received: Vec::new(),
-            cursor: 0,
-            stats,
-        }
-    }
-
-    fn violation(&mut self, detail: String) {
-        self.stats.violations.push(detail);
-    }
-
-    /// One pump at the current tick, then re-decode whatever the server
-    /// flushed: every complete outgoing frame must be well-formed.
-    fn pump(&mut self) {
-        self.conn.pump(self.now, &mut self.stream, &self.engine);
-        loop {
-            match decode_frame(&self.stream.outgoing[self.cursor..], u32::MAX) {
-                Ok(Decoded::NeedMore) => return,
-                Ok(Decoded::Frame { consumed, frame }) => {
-                    self.cursor += consumed;
-                    match &frame {
-                        Frame::Request { .. } | Frame::AdminRequest { .. } => {
-                            self.violation(format!(
-                                "server emitted a client-side frame kind: {frame:?}"
-                            ));
-                        }
-                        Frame::Error { class, .. } if class.is_empty() => {
-                            self.violation("server error frame with an empty class".to_string());
-                        }
-                        _ => {}
-                    }
-                    self.received.push(frame);
-                }
-                Err(e) => {
-                    self.violation(format!(
-                        "server output undecodable at byte {}: {} ({})",
-                        self.cursor + e.offset,
-                        e.reason,
-                        e.class
-                    ));
-                    return;
-                }
-            }
-        }
-    }
-
-    fn tick(&mut self, delta: u64) {
-        self.now += delta;
-    }
-
-    /// True when the scripted read side has been fully delivered.
-    fn read_idle(&self) -> bool {
-        self.stream.read_pending() == 0
-    }
-
-    /// Feeds one frame split into 1–3 chunks (with optional stalls between
-    /// them), then pumps until the read script is fully delivered — so by
-    /// return, everything fed has been decoded and served (or rejected).
-    fn feed_and_settle(&mut self, chunks: Vec<Vec<u8>>) {
-        for chunk in chunks {
-            if self.rng.next_f64() < 0.3 {
-                self.stream.push_stall(self.rng.usize_in(1, 2) as u32);
-            }
-            self.stream.push_chunk(chunk);
-            let gap = self.rng.usize_in(1, 5) as u64;
-            self.tick(gap);
-            self.pump();
-        }
-        for _ in 0..16 {
-            if self.read_idle() || self.conn.is_closed() {
-                break;
-            }
-            self.tick(1);
-            self.pump();
-        }
-    }
-
-    /// Splits `bytes` into 1–3 random chunks.
-    fn split(&mut self, bytes: Vec<u8>) -> Vec<Vec<u8>> {
-        let pieces = self.rng.usize_in(1, 3).min(bytes.len().max(1));
-        let mut cuts: Vec<usize> = (1..pieces).map(|_| self.rng.usize_in(1, bytes.len() - 1)).collect();
-        cuts.sort_unstable();
-        cuts.dedup();
-        let mut chunks = Vec::new();
-        let mut start = 0;
-        for cut in cuts {
-            chunks.push(bytes[start..cut].to_vec());
-            start = cut;
-        }
-        chunks.push(bytes[start..].to_vec());
-        chunks
-    }
-
-    /// Clears write faults and pumps until the backlog is flushed.
-    fn flush_all(&mut self) {
-        self.stream.clear_write_faults();
-        for _ in 0..8 {
-            if self.conn.write_backlog() == 0 || self.conn.is_closed() {
-                break;
-            }
-            self.tick(1);
-            self.pump();
-        }
-    }
-
-    /// The bit-identical in-process reference for one request.
-    fn expected_response(&self, at: usize, req_id: u32, corpus_text: &str) -> Vec<u8> {
-        expected_response_for(&self.models[at].artifact, req_id, corpus_text)
-    }
-
-    /// A complete request split across chunks and stalls.
-    fn op_request(&mut self) {
-        let at = self.rng.usize_in(0, self.models.len() - 1);
-        let corpus_text = crate::seed_corpus(&self.insts, &mut self.rng).render(&self.insts);
-        let req_id = self.next_req;
-        self.next_req += 1;
-        let expected = self.expected_response(at, req_id, &corpus_text);
-        let bytes = Frame::Request {
-            req_id,
-            model: self.models[at].name.clone(),
-            corpus: corpus_text,
-        }
-        .encode();
-        let chunks = self.split(bytes);
-        self.stats.requests += 1;
-        self.stats.note(|| {
-            format!("request req {req_id} -> wm-{at} ({} chunks, {} bytes)", chunks.len(),
-                expected.len())
-        });
-        self.expects.push((req_id, Expect::Bytes(expected)));
-        self.feed_and_settle(chunks);
-    }
-
-    /// `max_in_flight + k` requests coalesced into one chunk: the first
-    /// `max_in_flight` must serve, the rest must shed — exactly.
-    fn op_burst(&mut self) {
-        let at = self.rng.usize_in(0, self.models.len() - 1);
-        let corpus_text = crate::seed_corpus(&self.insts, &mut self.rng).render(&self.insts);
-        let cap = self.limits.max_in_flight;
-        let total = cap + self.rng.usize_in(1, 3);
-        let mut chunk = Vec::new();
-        let ids: Vec<u32> = (0..total)
-            .map(|_| {
-                let req_id = self.next_req;
-                self.next_req += 1;
-                chunk.extend_from_slice(
-                    &Frame::Request {
-                        req_id,
-                        model: self.models[at].name.clone(),
-                        corpus: corpus_text.clone(),
-                    }
-                    .encode(),
-                );
-                req_id
-            })
-            .collect();
-        // Shed errors are emitted the moment the over-cap frame decodes —
-        // *before* the queued requests are served — so they come first on
-        // the wire.
-        for &req_id in &ids[cap..] {
-            self.stats.sheds += 1;
-            self.expects.push((
-                req_id,
-                Expect::Error { class: "server-busy".to_string(), offset_required: false },
-            ));
-        }
-        for &req_id in &ids[..cap] {
-            let expected = self.expected_response(at, req_id, &corpus_text);
-            self.expects.push((req_id, Expect::Bytes(expected)));
-        }
-        self.stats.requests += total as u64;
-        self.stats.note(|| format!("burst of {total} coalesced requests (cap {cap})"));
-        self.feed_and_settle(vec![chunk]);
-    }
-
-    /// An admin query: health, obs, or an unknown one.
-    fn op_admin(&mut self) {
-        let req_id = self.next_req;
-        self.next_req += 1;
-        let (what, expect) = match self.rng.usize_in(0, 2) {
-            0 => (
-                "health",
-                Expect::AdminContains(format!("\"name\":\"{}\"", self.models[0].name)),
-            ),
-            1 => ("obs", Expect::AdminContains("{".to_string())),
-            _ => (
-                "bogus",
-                Expect::Error { class: "unknown-admin".to_string(), offset_required: false },
-            ),
-        };
-        self.stats.requests += 1;
-        self.stats.note(|| format!("admin req {req_id}: `{what}`"));
-        self.expects.push((req_id, expect));
-        let bytes = Frame::AdminRequest { req_id, what: what.to_string() }.encode();
-        let chunks = self.split(bytes);
-        self.feed_and_settle(chunks);
-    }
-
-    /// A well-formed frame the engine must reject without poisoning:
-    /// unknown model, headerless corpus, or an unknown instruction.
-    fn op_app_error(&mut self) {
-        let req_id = self.next_req;
-        self.next_req += 1;
-        let good = self.models[0].name.clone();
-        let good_corpus = crate::seed_corpus(&self.insts, &mut self.rng).render(&self.insts);
-        let (model, corpus, class) = match self.rng.usize_in(0, 2) {
-            0 => ("no-such-model".to_string(), good_corpus, "unknown-model"),
-            1 => (good, "not a corpus\n".to_string(), "missing-header"),
-            _ => (good, "PALMED-CORPUS v1\nb0 1 NO-SUCH-INST×1\n".to_string(), "malformed-text"),
-        };
-        self.stats.requests += 1;
-        self.stats.note(|| format!("app-error req {req_id}: expect `{class}`"));
-        self.expects
-            .push((req_id, Expect::Error { class: class.to_string(), offset_required: false }));
-        let bytes = Frame::Request { req_id, model, corpus }.encode();
-        let chunks = self.split(bytes);
-        self.feed_and_settle(chunks);
-        if self.conn.state() != ConnState::Open {
-            self.violation(format!("an application-level `{class}` poisoned the connection"));
-        }
-    }
-
-    /// A registry refresh or hot swap mid-connection.  Already-produced
-    /// responses are pinned — the positional byte-exact matching at drain
-    /// proves the swap never rewrote them.
-    fn op_swap_or_refresh(&mut self) {
-        if self.rng.next_f64() < 0.4 {
-            self.stats.note(|| "registry refresh mid-connection".to_string());
-            let _ = self.registry.refresh();
-        } else {
-            let at = self.rng.usize_in(0, self.models.len() - 1);
-            let name = self.models[at].name.clone();
-            let mut artifact = crate::seed_model(&self.insts, &mut self.rng);
-            artifact.machine = name;
-            self.stats.note(|| format!("hot swap of wm-{at} mid-connection"));
-            self.registry.register(artifact.clone());
-            self.models[at].artifact = artifact;
-        }
-    }
-
-    /// Short and stalled writes from here on (cleared by the next flush).
-    fn op_write_faults(&mut self) {
-        let cap = self.rng.usize_in(1, 16);
-        let stalls = self.rng.usize_in(0, 3) as u32;
-        self.stream.write_cap = Some(cap);
-        self.stream.write_stalls = stalls;
-        self.stats.note(|| format!("write faults: cap {cap} bytes, {stalls} stalls"));
-    }
-
-    /// A frame guaranteed undecodable at a known offset: the connection
-    /// must answer one structured error and poison, never panic.
-    fn op_garbage(&mut self) {
-        let mut bytes = Frame::AdminRequest { req_id: 0, what: "health".to_string() }.encode();
-        let (class, what) = match self.rng.usize_in(0, 3) {
-            0 => {
-                let at = self.rng.usize_in(0, MAGIC.len() - 1);
-                bytes[at] ^= 0x40;
-                ("missing-header", "corrupt magic byte")
-            }
-            1 => {
-                bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&99u32.to_le_bytes());
-                ("unknown-kind", "out-of-range kind")
-            }
-            2 => {
-                let huge = self.limits.max_payload + 1 + self.rng.next_u64() as u32 % 1000;
-                bytes[MAGIC.len() + 4..MAGIC.len() + 8].copy_from_slice(&huge.to_le_bytes());
-                ("frame-too-large", "oversized length declaration")
-            }
-            _ => {
-                let last = bytes.len() - 1;
-                bytes[last] ^= 0x01;
-                ("checksum-mismatch", "corrupt trailer")
-            }
-        };
-        self.stats.poisons += 1;
-        self.stats.note(|| format!("garbage frame ({what}): expect poison with `{class}`"));
-        self.expects
-            .push((0, Expect::Error { class: class.to_string(), offset_required: true }));
-        let chunks = self.split(bytes);
-        self.feed_and_settle(chunks);
-        if matches!(self.conn.state(), ConnState::Open | ConnState::Draining) {
-            self.violation(format!("a {what} did not poison the connection"));
-        }
-    }
-
-    /// A slow-loris partial frame that must hit the receive deadline.
-    fn op_deadline(&mut self) {
-        let bytes = Frame::AdminRequest { req_id: self.next_req, what: "health".to_string() }
-            .encode();
-        let cut = self.rng.usize_in(1, bytes.len() - 1);
-        self.stats.poisons += 1;
-        self.stats.note(|| format!("slow loris: {cut} bytes then silence past the deadline"));
-        self.expects.push((
-            0,
-            Expect::Error { class: "deadline-exceeded".to_string(), offset_required: true },
-        ));
-        self.stream.push_chunk(bytes[..cut].to_vec());
-        self.tick(1);
-        self.pump();
-        let gap = self.limits.frame_deadline_ticks + self.rng.usize_in(1, 50) as u64;
-        self.tick(gap);
-        self.pump();
-        if matches!(self.conn.state(), ConnState::Open | ConnState::Draining) {
-            self.violation("a partial frame outlived the receive deadline".to_string());
-        }
-    }
-
-    /// A quiescent gap past the idle timeout: the connection closes
-    /// silently.
-    fn op_idle_gap(&mut self) {
-        self.flush_all();
-        let mark = self.stream.outgoing.len();
-        self.stats.note(|| "idle gap past the timeout".to_string());
-        let gap = self.limits.idle_timeout_ticks + 1 + self.rng.usize_in(0, 100) as u64;
-        self.tick(gap);
-        self.pump();
-        if !self.conn.is_closed() {
-            self.violation("a quiescent connection outlived the idle timeout".to_string());
-        }
-        if self.stream.outgoing.len() != mark {
-            self.violation("an idle close wrote bytes".to_string());
-        }
-    }
-
-    /// A hard disconnect, optionally mid-frame.  Prior output is flushed
-    /// first so every already-expected reply stays checkable.
-    fn op_disconnect(&mut self) {
-        self.flush_all();
-        if self.rng.next_f64() < 0.7 {
-            let bytes =
-                Frame::AdminRequest { req_id: self.next_req, what: "obs".to_string() }.encode();
-            let cut = self.rng.usize_in(1, bytes.len() - 1);
-            self.stream.push_chunk(bytes[..cut].to_vec());
-            self.stats.note(|| format!("mid-frame disconnect after {cut} bytes"));
-        } else {
-            self.stats.note(|| "disconnect between frames".to_string());
-        }
-        self.stream.push_disconnect();
-        self.tick(1);
-        self.pump();
-        self.tick(1);
-        self.pump();
-        if !self.conn.is_closed() {
-            self.violation("a hard disconnect did not close the connection".to_string());
-        }
-    }
-
-    /// A clean half-close: the peer is done sending; the server drains.
-    fn op_eof(&mut self) {
-        self.stats.note(|| "peer half-close (EOF)".to_string());
-        self.stream.push_eof();
-        self.tick(1);
-        self.pump();
-    }
-
-    /// Drains the connection and matches the server's frames against the
-    /// mirror's expectations, positionally: every reply, in feed order,
-    /// bit-identical where a response was expected.
-    fn finale(&mut self) {
-        self.stream.clear_write_faults();
-        if !self.conn.is_closed() {
-            self.conn.begin_drain();
-        }
-        for _ in 0..50 {
-            if self.conn.is_closed() {
-                break;
-            }
-            self.tick(1);
-            self.pump();
-        }
-        if !self.conn.is_closed() && !self.stream.is_disconnected() {
-            self.violation(format!(
-                "connection failed to drain (state {:?}, backlog {} bytes, {} pending)",
-                self.conn.state(),
-                self.conn.write_backlog(),
-                self.conn.pending_len()
-            ));
-        }
-        if self.stream.is_disconnected() {
-            // Writes after the reset legitimately vanished; only the
-            // no-panic and well-formed-output invariants apply.
-            self.stats.note(|| {
-                format!("drain: transport reset, {} frames checked for form only",
-                    self.received.len())
-            });
-            return;
-        }
-        self.stats.note(|| {
-            format!("drain: {} frames against {} expectations", self.received.len(),
-                self.expects.len())
-        });
-        check_positional("", &self.expects, &self.received, &mut self.stats.violations);
-    }
-}
-
 /// Matches a connection's received frames against its mirror expectations,
-/// positionally — the shared drain check of the single-connection and
-/// multi-connection harnesses.  `label` prefixes each violation (empty for
-/// the single-connection harness, `conn N ` for a batch member).
+/// positionally.  `label` prefixes each violation (`conn N: `).
 fn check_positional(
     label: &str,
     expects: &[(u32, Expect)],
@@ -680,128 +217,16 @@ fn check_positional(
     }
 }
 
-/// Runs one scripted connection schedule.  Deterministic in `case`.
-fn run_schedule(case: u32, stats: &mut ScheduleStats) {
-    let mut s = Sched::new(case, stats);
-    for step in 0..s.rng.usize_in(6, 20) as u32 {
-        let before = s.stats.violations.len();
-        let terminal = match s.rng.usize_in(0, 9) {
-            0..=2 => {
-                s.op_request();
-                false
-            }
-            3 => {
-                s.op_burst();
-                false
-            }
-            4 => {
-                s.op_admin();
-                false
-            }
-            5 => {
-                s.op_app_error();
-                false
-            }
-            6 => {
-                s.op_swap_or_refresh();
-                false
-            }
-            7 => {
-                s.op_write_faults();
-                false
-            }
-            8 => {
-                s.op_garbage();
-                true
-            }
-            _ => {
-                match s.rng.usize_in(0, 3) {
-                    0 => s.op_deadline(),
-                    1 => s.op_idle_gap(),
-                    2 => s.op_disconnect(),
-                    _ => s.op_eof(),
-                }
-                true
-            }
-        };
-        s.stats.steps += 1;
-        for violation in &mut s.stats.violations[before..] {
-            *violation = format!("step {step}: {violation}");
-        }
-        if terminal || s.conn.is_closed() {
-            break;
-        }
-    }
-    let before = s.stats.violations.len();
-    s.finale();
-    for violation in &mut s.stats.violations[before..] {
-        *violation = format!("drain: {violation}");
-    }
-    s.stats.injected = s.stream.injected;
+/// How many connections a schedule drives through the shared batcher.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fleet {
+    /// One connection for 6–20 steps.  Only a lone connection draws the
+    /// slow-loris deadline and the idle gap: their clock jumps would time
+    /// out every bystander too.
+    Single,
+    /// 2–4 connections sharing every round for 8–24 steps.
+    Multi,
 }
-
-/// Runs `n` seeded connection schedules starting at case `seed`.  Panics
-/// inside a schedule are caught and reported as violations.
-pub fn run_schedules(n: u32, seed: u32) -> WireFuzzSummary {
-    let mut summary = WireFuzzSummary::default();
-    for i in 0..n {
-        let case = seed.wrapping_add(i);
-        let mut stats = ScheduleStats::default();
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_schedule(case, &mut stats)));
-        summary.schedules += 1;
-        summary.steps += stats.steps;
-        summary.requests += stats.requests;
-        summary.sheds += stats.sheds;
-        summary.poisons += stats.poisons;
-        summary.injected_faults += stats.injected;
-        for detail in stats.violations {
-            summary.violations.push(WireViolation { case, detail });
-        }
-        if let Err(panic) = outcome {
-            let detail = panic
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            summary
-                .violations
-                .push(WireViolation { case, detail: format!("panic during schedule: {detail}") });
-        }
-    }
-    summary
-}
-
-/// Re-runs one deterministic connection schedule verbosely — the triage
-/// view behind `fuzz_wire --replay <case>`.
-pub fn replay_schedule(case: u32) -> String {
-    use std::fmt::Write;
-    let mut stats = ScheduleStats { trace: Some(Vec::new()), ..ScheduleStats::default() };
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_schedule(case, &mut stats)));
-    let mut out = String::new();
-    let _ = writeln!(out, "replay wire schedule case {case}");
-    for line in stats.trace.as_deref().unwrap_or_default() {
-        let _ = writeln!(out, "  {line}");
-    }
-    let _ = writeln!(
-        out,
-        "  {} steps, {} requests, {} sheds, {} poisons, {} faults injected",
-        stats.steps, stats.requests, stats.sheds, stats.poisons, stats.injected
-    );
-    for violation in &stats.violations {
-        let _ = writeln!(out, "  VIOLATION {violation}");
-    }
-    if outcome.is_err() {
-        let _ = writeln!(out, "  VIOLATION panic during schedule");
-    }
-    if stats.violations.is_empty() && outcome.is_ok() {
-        let _ = writeln!(out, "  OK");
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Multi-connection schedules: several FaultyConns sharing one SharedBatcher.
-// ---------------------------------------------------------------------------
 
 /// The in-process reference bytes for one request against one artifact.
 fn expected_response_for(artifact: &ModelArtifact, req_id: u32, corpus_text: &str) -> Vec<u8> {
@@ -811,30 +236,32 @@ fn expected_response_for(artifact: &ModelArtifact, req_id: u32, corpus_text: &st
     Frame::Response { req_id, rows }.encode()
 }
 
-/// One connection of a multi-connection schedule: its own transport faults,
-/// its own mirror expectations, its own received stream.
+/// One connection of a schedule: its own transport faults, its own mirror
+/// expectations, its own received stream.
 struct Member {
     conn: Connection,
     stream: FaultyConn,
+    /// Expected replies, in feed order; the server must answer exactly
+    /// these, in exactly this order.
     expects: Vec<(u32, Expect)>,
+    /// Frames re-decoded from [`FaultyConn::outgoing`] so far.
     received: Vec<Frame>,
     /// Bytes of `outgoing` already re-decoded.
     cursor: usize,
-    /// Poisoned, timed out, or transport-dead — no further feeding.
+    /// Poisoned, timed out, hung up or transport-dead — no further feeding.
     dead: bool,
 }
 
-/// One live multi-connection schedule: 2–4 members behind a single
-/// [`SharedBatcher`], each round driving the same gather → batch-serve →
-/// scatter → flush protocol the batching [`palmed_wire::sock::WireServer`]
-/// runs.  The mirror expectations are computed with the *isolated*
-/// in-process predictor, so the drain check is literally "shared-batch
-/// serving is bit-identical to per-connection serving".
-struct MultiSched<'a> {
+/// One live schedule: the members behind a single [`SharedBatcher`], each
+/// round driving the gather → batch-serve → scatter → flush protocol the
+/// [`palmed_wire::sock::WireServer`] loop runs, plus the mirror that
+/// predicts every reply with the in-process [`BatchPredictor`].
+struct Sched<'a> {
+    fleet: Fleet,
     insts: InstructionSet,
     rng: TestRng,
     registry: Arc<ModelRegistry>,
-    batcher: palmed_wire::SharedBatcher,
+    batcher: SharedBatcher,
     models: Vec<SimModel>,
     limits: Limits,
     members: Vec<Member>,
@@ -843,8 +270,8 @@ struct MultiSched<'a> {
     stats: &'a mut ScheduleStats,
 }
 
-impl<'a> MultiSched<'a> {
-    fn new(case: u32, stats: &'a mut ScheduleStats) -> MultiSched<'a> {
+impl<'a> Sched<'a> {
+    fn new(case: u32, fleet: Fleet, stats: &'a mut ScheduleStats) -> Sched<'a> {
         let insts = inventory();
         let mut rng = TestRng::for_case(case);
         let registry = Arc::new(ModelRegistry::new());
@@ -863,8 +290,14 @@ impl<'a> MultiSched<'a> {
             idle_timeout_ticks: 10_000,
             frame_deadline_ticks: 200,
         };
+        // Connections are accepted at an arbitrary point of the server's
+        // clock — idle/deadline policies must be relative to the accept
+        // tick, so schedules start anywhere in the first ~day of ticks.
         let start = rng.usize_in(0, 100_000_000) as u64;
-        let count = rng.usize_in(2, 4);
+        let count = match fleet {
+            Fleet::Single => 1,
+            Fleet::Multi => rng.usize_in(2, 4),
+        };
         let members = (0..count)
             .map(|_| Member {
                 conn: Connection::new(limits, start),
@@ -877,15 +310,17 @@ impl<'a> MultiSched<'a> {
             .collect();
         stats.note(|| {
             format!(
-                "multi schedule: {count} connections, {} models, max_in_flight {}, accept tick {}",
+                "schedule: {count} connections, {} models, max_in_flight {}, frame_deadline {} \
+                 ticks, accept tick {start}",
                 models.len(),
                 limits.max_in_flight,
-                start
+                limits.frame_deadline_ticks,
             )
         });
-        MultiSched {
+        Sched {
+            fleet,
             insts,
-            batcher: palmed_wire::SharedBatcher::new(Engine::new(Arc::clone(&registry))),
+            batcher: SharedBatcher::new(Engine::new(Arc::clone(&registry))),
             rng,
             registry,
             models,
@@ -897,10 +332,15 @@ impl<'a> MultiSched<'a> {
         }
     }
 
-    /// One shared round over every member: gather, batch-serve, flush,
-    /// then re-decode whatever each member's server side flushed.
-    fn round(&mut self) {
-        self.now += 1;
+    fn violation(&mut self, detail: String) {
+        self.stats.violations.push(detail);
+    }
+
+    /// Advances the clock by `delta`, runs one shared round over every
+    /// member, then re-decodes whatever each member's server side flushed:
+    /// every complete outgoing frame must be well-formed.
+    fn round(&mut self, delta: u64) {
+        self.now += delta;
         for member in &mut self.members {
             member.conn.pump_gather(self.now, &mut member.stream);
         }
@@ -943,9 +383,10 @@ impl<'a> MultiSched<'a> {
         }
     }
 
-    /// Feeds chunks to member `at`, then rounds until its read script is
-    /// fully delivered and served — every other member keeps being pumped
-    /// through the same rounds, so interleaving comes for free.
+    /// Feeds one frame's chunks to member `at` (with optional stalls
+    /// between them), then rounds until its read script is fully delivered
+    /// and served — every other member keeps being pumped through the same
+    /// rounds, so interleaving comes for free.
     fn feed_and_settle(&mut self, at: usize, chunks: Vec<Vec<u8>>) {
         for chunk in chunks {
             if self.rng.next_f64() < 0.3 {
@@ -953,17 +394,18 @@ impl<'a> MultiSched<'a> {
                 self.members[at].stream.push_stall(stalls);
             }
             self.members[at].stream.push_chunk(chunk);
-            self.round();
+            let gap = self.rng.usize_in(1, 5) as u64;
+            self.round(gap);
         }
         for _ in 0..16 {
             if self.members[at].stream.read_pending() == 0 || self.members[at].conn.is_closed() {
                 break;
             }
-            self.round();
+            self.round(1);
         }
-        // One settling round: requests decoded on the last delivery round
-        // are taken and answered by the next serve.
-        self.round();
+        // One settling round flushes what the last delivery round queued
+        // behind a stalled write.
+        self.round(1);
     }
 
     /// Splits `bytes` into 1–3 random chunks.
@@ -983,8 +425,19 @@ impl<'a> MultiSched<'a> {
         chunks
     }
 
-    /// A complete request on member `at`, mirrored by the isolated
-    /// in-process predictor.
+    /// Clears member `at`'s write faults and rounds until its backlog is
+    /// flushed, so every already-expected reply stays checkable.
+    fn flush_member(&mut self, at: usize) {
+        self.members[at].stream.clear_write_faults();
+        for _ in 0..8 {
+            if self.members[at].conn.write_backlog() == 0 || self.members[at].conn.is_closed() {
+                break;
+            }
+            self.round(1);
+        }
+    }
+
+    /// A complete request on member `at`, split across chunks and stalls.
     fn op_request(&mut self, at: usize) {
         let model = self.rng.usize_in(0, self.models.len() - 1);
         let corpus_text = crate::seed_corpus(&self.insts, &mut self.rng).render(&self.insts);
@@ -999,13 +452,16 @@ impl<'a> MultiSched<'a> {
         .encode();
         let chunks = self.split(bytes);
         self.stats.requests += 1;
-        self.stats.note(|| format!("conn {at}: request req {req_id} -> wm-{model}"));
+        self.stats.note(|| {
+            format!("conn {at}: request req {req_id} -> wm-{model} ({} chunks)", chunks.len())
+        });
         self.members[at].expects.push((req_id, Expect::Bytes(expected)));
         self.feed_and_settle(at, chunks);
     }
 
-    /// A coalesced burst past the cap on member `at`: sheds must be exact
-    /// and must not consume any *other* member's batch slots.
+    /// `max_in_flight + k` requests coalesced into one chunk on member
+    /// `at`: the first `max_in_flight` must serve, the rest must shed —
+    /// exactly, and without consuming any other member's batch slots.
     fn op_burst(&mut self, at: usize) {
         let model = self.rng.usize_in(0, self.models.len() - 1);
         let corpus_text = crate::seed_corpus(&self.insts, &mut self.rng).render(&self.insts);
@@ -1027,6 +483,9 @@ impl<'a> MultiSched<'a> {
                 req_id
             })
             .collect();
+        // Shed errors are emitted the moment the over-cap frame decodes —
+        // *before* the queued requests are served — so they come first on
+        // the wire.
         for &req_id in &ids[cap..] {
             self.stats.sheds += 1;
             self.members[at].expects.push((
@@ -1040,11 +499,11 @@ impl<'a> MultiSched<'a> {
             self.members[at].expects.push((req_id, Expect::Bytes(expected)));
         }
         self.stats.requests += total as u64;
-        self.stats.note(|| format!("conn {at}: burst of {total} (cap {cap})"));
+        self.stats.note(|| format!("conn {at}: burst of {total} coalesced requests (cap {cap})"));
         self.feed_and_settle(at, vec![chunk]);
     }
 
-    /// An admin query on member `at`.
+    /// An admin query on member `at`: health, obs, or an unknown one.
     fn op_admin(&mut self, at: usize) {
         let req_id = self.next_req;
         self.next_req += 1;
@@ -1067,41 +526,36 @@ impl<'a> MultiSched<'a> {
         self.feed_and_settle(at, chunks);
     }
 
-    /// A guaranteed-undecodable frame on member `at`: that member must
-    /// poison; nobody else may notice.
-    fn op_garbage(&mut self, at: usize) {
-        let mut bytes = Frame::AdminRequest { req_id: 0, what: "health".to_string() }.encode();
-        let (class, what) = match self.rng.usize_in(0, 2) {
-            0 => {
-                let i = self.rng.usize_in(0, MAGIC.len() - 1);
-                bytes[i] ^= 0x40;
-                ("missing-header", "corrupt magic byte")
-            }
-            1 => {
-                bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&99u32.to_le_bytes());
-                ("unknown-kind", "out-of-range kind")
-            }
-            _ => {
-                let last = bytes.len() - 1;
-                bytes[last] ^= 0x01;
-                ("checksum-mismatch", "corrupt trailer")
-            }
+    /// A well-formed frame the batcher must reject without poisoning:
+    /// unknown model, headerless corpus, or an unknown instruction.
+    fn op_app_error(&mut self, at: usize) {
+        let req_id = self.next_req;
+        self.next_req += 1;
+        let good = self.models[0].name.clone();
+        let good_corpus = crate::seed_corpus(&self.insts, &mut self.rng).render(&self.insts);
+        let (model, corpus, class) = match self.rng.usize_in(0, 2) {
+            0 => ("no-such-model".to_string(), good_corpus, "unknown-model"),
+            1 => (good, "not a corpus\n".to_string(), "missing-header"),
+            _ => (good, "PALMED-CORPUS v1\nb0 1 NO-SUCH-INST×1\n".to_string(), "malformed-text"),
         };
-        self.stats.poisons += 1;
-        self.stats.note(|| format!("conn {at}: garbage ({what}), expect poison `{class}`"));
+        self.stats.requests += 1;
+        self.stats.note(|| format!("conn {at}: app-error req {req_id}, expect `{class}`"));
         self.members[at]
             .expects
-            .push((0, Expect::Error { class: class.to_string(), offset_required: true }));
+            .push((req_id, Expect::Error { class: class.to_string(), offset_required: false }));
+        let bytes = Frame::Request { req_id, model, corpus }.encode();
         let chunks = self.split(bytes);
         self.feed_and_settle(at, chunks);
-        if matches!(self.members[at].conn.state(), ConnState::Open | ConnState::Draining) {
-            self.stats.violations.push(format!("conn {at}: a {what} did not poison"));
+        if self.members[at].conn.state() != ConnState::Open {
+            self.violation(format!(
+                "conn {at}: an application-level `{class}` poisoned the connection"
+            ));
         }
-        self.members[at].dead = true;
     }
 
-    /// A registry refresh or hot swap between settled rounds — snapshot
-    /// pinning means only *later* requests see the new entry.
+    /// A registry refresh or hot swap between rounds.  Snapshot pinning
+    /// means only *later* requests see the new entry; the positional
+    /// byte-exact matching at drain proves no produced reply was rewritten.
     fn op_swap_or_refresh(&mut self) {
         if self.rng.next_f64() < 0.4 {
             self.stats.note(|| "registry refresh between rounds".to_string());
@@ -1117,7 +571,8 @@ impl<'a> MultiSched<'a> {
         }
     }
 
-    /// Short/stalled writes on member `at` from here on (cleared at drain).
+    /// Short and stalled writes on member `at` from here on (cleared by
+    /// its next flush or the drain).
     fn op_write_faults(&mut self, at: usize) {
         let cap = self.rng.usize_in(1, 16);
         let stalls = self.rng.usize_in(0, 3) as u32;
@@ -1126,28 +581,121 @@ impl<'a> MultiSched<'a> {
         self.stats.note(|| format!("conn {at}: write faults, cap {cap} bytes, {stalls} stalls"));
     }
 
-    /// A hard disconnect or clean half-close on member `at`.
-    fn op_hangup(&mut self, at: usize) {
-        self.members[at].stream.clear_write_faults();
-        for _ in 0..8 {
-            if self.members[at].conn.write_backlog() == 0 || self.members[at].conn.is_closed() {
-                break;
+    /// A frame guaranteed undecodable at a known offset on member `at`:
+    /// that member must answer one structured error and poison, never
+    /// panic; nobody else may notice.
+    fn op_garbage(&mut self, at: usize) {
+        let mut bytes = Frame::AdminRequest { req_id: 0, what: "health".to_string() }.encode();
+        let (class, what) = match self.rng.usize_in(0, 3) {
+            0 => {
+                let i = self.rng.usize_in(0, MAGIC.len() - 1);
+                bytes[i] ^= 0x40;
+                ("missing-header", "corrupt magic byte")
             }
-            self.round();
+            1 => {
+                bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&99u32.to_le_bytes());
+                ("unknown-kind", "out-of-range kind")
+            }
+            2 => {
+                let huge = self.limits.max_payload + 1 + self.rng.next_u64() as u32 % 1000;
+                bytes[MAGIC.len() + 4..MAGIC.len() + 8].copy_from_slice(&huge.to_le_bytes());
+                ("frame-too-large", "oversized length declaration")
+            }
+            _ => {
+                let last = bytes.len() - 1;
+                bytes[last] ^= 0x01;
+                ("checksum-mismatch", "corrupt trailer")
+            }
+        };
+        self.stats.poisons += 1;
+        self.stats.note(|| format!("conn {at}: garbage frame ({what}), expect poison `{class}`"));
+        self.members[at]
+            .expects
+            .push((0, Expect::Error { class: class.to_string(), offset_required: true }));
+        let chunks = self.split(bytes);
+        self.feed_and_settle(at, chunks);
+        if matches!(self.members[at].conn.state(), ConnState::Open | ConnState::Draining) {
+            self.violation(format!("conn {at}: a {what} did not poison the connection"));
         }
-        if self.rng.next_f64() < 0.5 {
-            self.stats.note(|| format!("conn {at}: hard disconnect"));
-            self.members[at].stream.push_disconnect();
-        } else {
-            self.stats.note(|| format!("conn {at}: half-close (EOF)"));
-            self.members[at].stream.push_eof();
-        }
-        self.round();
-        self.round();
         self.members[at].dead = true;
     }
 
-    /// Drains every member and runs the per-member positional check.
+    /// A slow-loris partial frame on member `at` that must hit the receive
+    /// deadline.
+    fn op_deadline(&mut self, at: usize) {
+        let bytes = Frame::AdminRequest { req_id: self.next_req, what: "health".to_string() }
+            .encode();
+        let cut = self.rng.usize_in(1, bytes.len() - 1);
+        self.stats.poisons += 1;
+        self.stats.note(|| {
+            format!("conn {at}: slow loris, {cut} bytes then silence past the deadline")
+        });
+        self.members[at].expects.push((
+            0,
+            Expect::Error { class: "deadline-exceeded".to_string(), offset_required: true },
+        ));
+        self.members[at].stream.push_chunk(bytes[..cut].to_vec());
+        self.round(1);
+        let gap = self.limits.frame_deadline_ticks + self.rng.usize_in(1, 50) as u64;
+        self.round(gap);
+        if matches!(self.members[at].conn.state(), ConnState::Open | ConnState::Draining) {
+            self.violation(format!("conn {at}: a partial frame outlived the receive deadline"));
+        }
+        self.members[at].dead = true;
+    }
+
+    /// A quiescent gap past the idle timeout: member `at` closes silently.
+    fn op_idle_gap(&mut self, at: usize) {
+        self.flush_member(at);
+        let mark = self.members[at].stream.outgoing.len();
+        self.stats.note(|| format!("conn {at}: idle gap past the timeout"));
+        let gap = self.limits.idle_timeout_ticks + 1 + self.rng.usize_in(0, 100) as u64;
+        self.round(gap);
+        if !self.members[at].conn.is_closed() {
+            self.violation(format!("conn {at}: a quiescent connection outlived the idle timeout"));
+        }
+        if self.members[at].stream.outgoing.len() != mark {
+            self.violation(format!("conn {at}: an idle close wrote bytes"));
+        }
+        self.members[at].dead = true;
+    }
+
+    /// A hard disconnect of member `at`, optionally mid-frame.  Prior
+    /// output is flushed first so every already-expected reply stays
+    /// checkable.
+    fn op_disconnect(&mut self, at: usize) {
+        self.flush_member(at);
+        if self.rng.next_f64() < 0.7 {
+            let bytes =
+                Frame::AdminRequest { req_id: self.next_req, what: "obs".to_string() }.encode();
+            let cut = self.rng.usize_in(1, bytes.len() - 1);
+            self.members[at].stream.push_chunk(bytes[..cut].to_vec());
+            self.stats.note(|| format!("conn {at}: mid-frame disconnect after {cut} bytes"));
+        } else {
+            self.stats.note(|| format!("conn {at}: disconnect between frames"));
+        }
+        self.members[at].stream.push_disconnect();
+        self.round(1);
+        self.round(1);
+        if !self.members[at].conn.is_closed() {
+            self.violation(format!("conn {at}: a hard disconnect did not close the connection"));
+        }
+        self.members[at].dead = true;
+    }
+
+    /// A clean half-close of member `at`: the peer is done sending; the
+    /// server drains.
+    fn op_eof(&mut self, at: usize) {
+        self.flush_member(at);
+        self.stats.note(|| format!("conn {at}: peer half-close (EOF)"));
+        self.members[at].stream.push_eof();
+        self.round(1);
+        self.members[at].dead = true;
+    }
+
+    /// Drains every member and matches each one's frames against its
+    /// mirror expectations, positionally: every reply, in feed order,
+    /// bit-identical where a response was expected.
     fn finale(&mut self) {
         for member in &mut self.members {
             member.stream.clear_write_faults();
@@ -1156,14 +704,10 @@ impl<'a> MultiSched<'a> {
             }
         }
         for _ in 0..60 {
-            if self
-                .members
-                .iter()
-                .all(|m| m.conn.is_closed() || m.stream.is_disconnected())
-            {
+            if self.members.iter().all(|m| m.conn.is_closed() || m.stream.is_disconnected()) {
                 break;
             }
-            self.round();
+            self.round(1);
         }
         for (i, member) in self.members.iter().enumerate() {
             if !member.conn.is_closed() && !member.stream.is_disconnected() {
@@ -1175,7 +719,9 @@ impl<'a> MultiSched<'a> {
                 ));
             }
             if member.stream.is_disconnected() {
-                continue; // form-only, as in the single-connection harness
+                // Writes after the reset legitimately vanished; only the
+                // no-panic and well-formed-output invariants apply.
+                continue;
             }
             check_positional(
                 &format!("conn {i}: "),
@@ -1191,23 +737,70 @@ impl<'a> MultiSched<'a> {
     }
 }
 
-/// Runs one multi-connection schedule.  Deterministic in `case`.
-fn run_multi_schedule(case: u32, stats: &mut ScheduleStats) {
-    let mut s = MultiSched::new(case, stats);
-    for step in 0..s.rng.usize_in(8, 24) as u32 {
-        let live: Vec<usize> =
-            (0..s.members.len()).filter(|&i| !s.members[i].dead && !s.members[i].conn.is_closed()).collect();
+/// Runs one scripted schedule.  Deterministic in `case` and `fleet`.
+fn run_schedule(case: u32, fleet: Fleet, stats: &mut ScheduleStats) {
+    let mut s = Sched::new(case, fleet, stats);
+    let steps = match fleet {
+        Fleet::Single => s.rng.usize_in(6, 20),
+        Fleet::Multi => s.rng.usize_in(8, 24),
+    };
+    for step in 0..steps as u32 {
+        let live: Vec<usize> = (0..s.members.len())
+            .filter(|&i| !s.members[i].dead && !s.members[i].conn.is_closed())
+            .collect();
         let Some(&at) = live.get(s.rng.usize_in(0, live.len().max(1) - 1)) else { break };
         let before = s.stats.violations.len();
-        match s.rng.usize_in(0, 9) {
-            0..=3 => s.op_request(at),
-            4 => s.op_burst(at),
-            5 => s.op_admin(at),
-            6 => s.op_swap_or_refresh(),
-            7 => s.op_write_faults(at),
-            8 => s.op_garbage(at),
-            _ => s.op_hangup(at),
-        }
+        let op = match s.rng.usize_in(0, 9) {
+            0..=2 => {
+                s.op_request(at);
+                "request"
+            }
+            3 => {
+                s.op_burst(at);
+                "burst"
+            }
+            4 => {
+                s.op_admin(at);
+                "admin"
+            }
+            5 => {
+                s.op_app_error(at);
+                "app-error"
+            }
+            6 => {
+                s.op_swap_or_refresh();
+                "swap-or-refresh"
+            }
+            7 => {
+                s.op_write_faults(at);
+                "write-faults"
+            }
+            8 => {
+                s.op_garbage(at);
+                "garbage"
+            }
+            // The hang-ups end the member; a lone member may also go
+            // silent until its deadline or idle timeout fires.
+            _ => match s.rng.usize_in(0, if s.fleet == Fleet::Single { 3 } else { 1 }) {
+                0 => {
+                    s.op_disconnect(at);
+                    "disconnect"
+                }
+                1 => {
+                    s.op_eof(at);
+                    "eof"
+                }
+                2 => {
+                    s.op_deadline(at);
+                    "deadline"
+                }
+                _ => {
+                    s.op_idle_gap(at);
+                    "idle-gap"
+                }
+            },
+        };
+        s.stats.ops.insert(op);
         s.stats.steps += 1;
         for violation in &mut s.stats.violations[before..] {
             *violation = format!("step {step}: {violation}");
@@ -1221,23 +814,24 @@ fn run_multi_schedule(case: u32, stats: &mut ScheduleStats) {
     s.stats.injected = s.members.iter().map(|m| m.stream.injected).sum();
 }
 
-/// Runs `n` seeded multi-connection schedules starting at case `seed`:
-/// 2–4 [`FaultyConn`]s behind one engine and one [`palmed_wire::SharedBatcher`],
-/// asserting that shared-batch serving stays bit-identical to isolated
-/// per-connection serving and that a poisoned or shed connection never
-/// corrupts or stalls another connection's batch slots.
-pub fn run_multi_schedules(n: u32, seed: u32) -> WireFuzzSummary {
+/// Runs `n` seeded schedules of `fleet` starting at case `seed`: every
+/// member served through one [`SharedBatcher`], every accepted request
+/// bit-identical to the in-process [`BatchPredictor`], shedding exact, and
+/// a poisoned or shed member never corrupting or stalling another's batch
+/// slots.  Panics inside a schedule are caught and reported as violations.
+pub fn run_schedules(n: u32, seed: u32, fleet: Fleet) -> WireFuzzSummary {
     let mut summary = WireFuzzSummary::default();
     for i in 0..n {
         let case = seed.wrapping_add(i);
         let mut stats = ScheduleStats::default();
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_multi_schedule(case, &mut stats)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_schedule(case, fleet, &mut stats)));
         summary.schedules += 1;
         summary.steps += stats.steps;
         summary.requests += stats.requests;
         summary.sheds += stats.sheds;
         summary.poisons += stats.poisons;
         summary.injected_faults += stats.injected;
+        summary.ops.extend(stats.ops);
         for detail in stats.violations {
             summary.violations.push(WireViolation { case, detail });
         }
@@ -1247,13 +841,41 @@ pub fn run_multi_schedules(n: u32, seed: u32) -> WireFuzzSummary {
                 .cloned()
                 .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
                 .unwrap_or_else(|| "non-string panic payload".to_string());
-            summary.violations.push(WireViolation {
-                case,
-                detail: format!("panic during multi schedule: {detail}"),
-            });
+            summary
+                .violations
+                .push(WireViolation { case, detail: format!("panic during schedule: {detail}") });
         }
     }
     summary
+}
+
+/// Re-runs one deterministic single-connection schedule verbosely — the
+/// triage view behind `fuzz_wire --replay <case>`.
+pub fn replay_schedule(case: u32) -> String {
+    use std::fmt::Write;
+    let mut stats = ScheduleStats { trace: Some(Vec::new()), ..ScheduleStats::default() };
+    let outcome =
+        catch_unwind(AssertUnwindSafe(|| run_schedule(case, Fleet::Single, &mut stats)));
+    let mut out = String::new();
+    let _ = writeln!(out, "replay wire schedule case {case}");
+    for line in stats.trace.as_deref().unwrap_or_default() {
+        let _ = writeln!(out, "  {line}");
+    }
+    let _ = writeln!(
+        out,
+        "  {} steps, {} requests, {} sheds, {} poisons, {} faults injected",
+        stats.steps, stats.requests, stats.sheds, stats.poisons, stats.injected
+    );
+    for violation in &stats.violations {
+        let _ = writeln!(out, "  VIOLATION {violation}");
+    }
+    if outcome.is_err() {
+        let _ = writeln!(out, "  VIOLATION panic during schedule");
+    }
+    if stats.violations.is_empty() && outcome.is_ok() {
+        let _ = writeln!(out, "  OK");
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1453,10 +1075,7 @@ pub fn run_decoder_guided(iters: u32, seed: u32) -> DecoderFuzzSummary {
 mod tests {
     use super::*;
 
-    #[test]
-    fn seeded_wire_schedules_hold_every_invariant() {
-        let summary = run_schedules(60, 1);
-        assert_eq!(summary.schedules, 60);
+    fn assert_every_invariant_held(summary: &WireFuzzSummary) {
         for violation in &summary.violations {
             eprintln!("{violation}");
         }
@@ -1468,45 +1087,52 @@ mod tests {
     }
 
     #[test]
-    fn multi_connection_schedules_hold_every_invariant() {
-        let summary = run_multi_schedules(40, 1);
-        assert_eq!(summary.schedules, 40);
-        for violation in &summary.violations {
-            eprintln!("{violation}");
-        }
-        assert!(
-            summary.violations.is_empty(),
-            "{} violations — shared-batch serving must stay bit-identical to isolated \
-             serving and members must stay isolated",
-            summary.violations.len()
+    fn seeded_wire_schedules_hold_every_invariant() {
+        let summary = run_schedules(60, 1, Fleet::Single);
+        assert_eq!(summary.schedules, 60);
+        assert_every_invariant_held(&summary);
+        let ops: Vec<&str> = summary.ops.iter().copied().collect();
+        assert_eq!(
+            ops,
+            [
+                "admin", "app-error", "burst", "deadline", "disconnect", "eof", "garbage",
+                "idle-gap", "request", "swap-or-refresh", "write-faults"
+            ],
+            "a lone connection draws every op kind"
         );
-        assert!(summary.requests > 0, "schedules must feed requests");
-        assert!(summary.sheds > 0, "schedules must flood members past the in-flight cap");
-        assert!(summary.poisons > 0, "schedules must poison members mid-round");
-        assert!(summary.injected_faults > 0, "schedules must inject transport faults");
     }
 
     #[test]
-    fn multi_connection_schedules_are_deterministic() {
-        let first = run_multi_schedules(6, 42);
-        let second = run_multi_schedules(6, 42);
-        assert_eq!(first.steps, second.steps);
-        assert_eq!(first.requests, second.requests);
-        assert_eq!(first.sheds, second.sheds);
-        assert_eq!(first.poisons, second.poisons);
-        assert_eq!(first.violations.len(), second.violations.len());
+    fn multi_connection_schedules_hold_every_invariant() {
+        let summary = run_schedules(40, 1, Fleet::Multi);
+        assert_eq!(summary.schedules, 40);
+        assert_every_invariant_held(&summary);
+        assert!(
+            !summary.ops.contains("deadline") && !summary.ops.contains("idle-gap"),
+            "clock jumps would time out bystanders, so only a lone connection draws them"
+        );
+        assert!(summary.ops.contains("eof") && summary.ops.contains("disconnect"));
     }
 
-    #[test]
-    fn wire_schedules_are_deterministic() {
-        let first = run_schedules(8, 77);
-        let second = run_schedules(8, 77);
+    fn assert_deterministic(fleet: Fleet, n: u32, seed: u32) {
+        let first = run_schedules(n, seed, fleet);
+        let second = run_schedules(n, seed, fleet);
         assert_eq!(first.steps, second.steps);
         assert_eq!(first.requests, second.requests);
         assert_eq!(first.sheds, second.sheds);
         assert_eq!(first.poisons, second.poisons);
         assert_eq!(first.injected_faults, second.injected_faults);
         assert_eq!(first.violations.len(), second.violations.len());
+    }
+
+    #[test]
+    fn multi_connection_schedules_are_deterministic() {
+        assert_deterministic(Fleet::Multi, 6, 42);
+    }
+
+    #[test]
+    fn wire_schedules_are_deterministic() {
+        assert_deterministic(Fleet::Single, 8, 77);
     }
 
     #[test]

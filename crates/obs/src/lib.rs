@@ -83,14 +83,14 @@
 //! | `wire.timeouts.deadline` | C | partial frames that hit the receive deadline |
 //! | `wire.timeouts.idle` | C | connections closed by the idle timeout |
 //! | `wire.timeouts.write_stall` | C | connections closed because their write backlog made no progress |
-//! | `wire.request_ns` | H | wall time from accepted request to queued reply |
+//! | `wire.request_ns` | H | wall time from the start of the serve round that answered the request to its reply being queued |
 //! | `wire.batch.coalesced_requests` | C | prediction requests answered by a shared-batcher round |
 //! | `wire.batch.distinct_kernels` | C | distinct kernels evaluated across batch serves |
 //! | `wire.batch.snapshot_pins` | C | registry entries pinned (one resolve per model per round) |
 //! | `wire.batch.corpus_cache_hits` | C | request corpora answered from the parse cache |
 //! | `wire.batch.batch_ns` | H | wall time of each entry group's batch serve |
-//! | `wire.frontend.wakeups` | C | front-end readiness wakeups (`poll`/`epoll_wait` returns) |
-//! | `wire.frontend.pumps` | C | connection pumps run — per wakeup, poll walks every fd, epoll only the ready ones |
+//! | `wire.frontend.wakeups` | C | readiness-loop wakeups (`epoll_wait` returns) |
+//! | `wire.frontend.pumps` | C | connection pumps run — the ready ones per wakeup, every one per timeout sweep |
 //! | `eval.machines` | C | campaign machines evaluated |
 //! | `eval.suites` | C | benchmark suites scored |
 //! | `eval.blocks` | C | basic blocks scored across suites |

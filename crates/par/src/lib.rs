@@ -15,10 +15,16 @@
 //!   behaviour is identical on constrained machines.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// Number of worker threads used for a workload of `len` items.
+/// Number of worker threads used for a workload of `len` items.  The core
+/// count is queried once per process: `available_parallelism` reads cgroup
+/// and affinity state on every call, which would otherwise dominate small
+/// inline loops.
 fn thread_count(len: usize) -> usize {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores =
+        *CORES.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
     cores.min(len)
 }
 

@@ -1,10 +1,8 @@
-//! Cross-connection batching: the shared serve core behind the wire
-//! servers.
+//! Cross-connection batching: the serve core behind the wire server.
 //!
-//! The inline path ([`Connection::pump`]) serves each connection's queue
-//! through the [`Engine`] in isolation, so the serve plane's dedup win
-//! applies only *within* one client's pipeline.  [`SharedBatcher`] lifts it
-//! across clients: each server tick becomes a **round** —
+//! [`SharedBatcher`] serves every connection's requests together, so the
+//! serve plane's dedup win applies *across* clients, not just within one
+//! client's pipeline.  Each server tick is a **round** —
 //!
 //! 1. every ready connection runs its I/O front half
 //!    ([`Connection::pump_gather`]): flush, timeouts, read, decode, shed at
@@ -22,22 +20,25 @@
 //! 3. every connection runs its flush back half
 //!    ([`Connection::pump_flush`]).
 //!
-//! # Why the rows are bit-identical to isolated serving
+//! A round over a single connection is how one client is served.
+//!
+//! # Why the rows are bit-identical to in-process prediction
 //!
 //! `BatchPredictor` evaluates each *distinct* kernel independently, with
 //! per-shard scratch; a kernel's predicted IPC does not depend on what else
 //! is in the batch or where shard boundaries fall.  Merging corpora
 //! therefore changes only *how often* a kernel is evaluated (once instead
 //! of once per connection), never *what* it evaluates to — the property the
-//! multi-connection `fuzz_wire` schedules assert byte-for-byte.
+//! `fuzz_wire` schedules assert byte-for-byte against an in-process
+//! [`BatchPredictor`](palmed_serve::BatchPredictor) per request.
 //!
 //! # Snapshot pinning
 //!
 //! A model name is resolved against the registry **once per round**; every
 //! request in the round naming it serves from that pinned immutable
 //! [`RegistryEntry`] `Arc`.  A registry swap or refresh mid-round never
-//! mixes generations within a round, extending the per-request
-//! refresh-immutability invariant of the inline path to the shared one.
+//! mixes generations within a round, and a response once queued is never
+//! rewritten.
 //!
 //! # Isolation
 //!
@@ -46,7 +47,7 @@
 //! scattered strictly per-connection — one member's poison pill can
 //! neither corrupt nor stall another member's batch slots.
 
-use crate::conn::{corpus_error_frame, unknown_model_frame, Connection, Engine};
+use crate::conn::{Connection, Engine};
 use crate::frame::Frame;
 use palmed_serve::checksum::fnv1a64;
 use palmed_serve::corpus::Corpus;
@@ -284,6 +285,26 @@ impl SharedBatcher {
     }
 }
 
+/// The error frame for a request naming no registered model.
+fn unknown_model_frame(req_id: u32, model: &str) -> Frame {
+    Frame::Error {
+        req_id,
+        class: "unknown-model".to_string(),
+        offset: None,
+        message: format!("no model registered under `{model}`"),
+    }
+}
+
+/// The error frame for a corpus the strict parser rejected.
+fn corpus_error_frame(req_id: u32, err: &palmed_serve::CorpusError) -> Frame {
+    Frame::Error {
+        req_id,
+        class: err.class().to_string(),
+        offset: None,
+        message: err.to_string(),
+    }
+}
+
 /// The cache's prefilter hash: length plus FNV over the first and last
 /// KiB of the request text.  Purely a filter — a slot hit is always
 /// confirmed by the byte-exact `text` compare, so sampling can never serve
@@ -344,75 +365,17 @@ fn entry_instructions(model: &ModelEntry) -> &palmed_isa::InstructionSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conn::{Limits, WireStream};
-    use crate::frame::{decode_frame, Decoded};
-    use palmed_core::ConjunctiveMapping;
-    use palmed_isa::{InstId, InstructionSet};
-    use palmed_serve::{ModelArtifact, ModelRegistry};
-    use std::io;
+    use crate::conn::Limits;
+    use crate::testutil::{artifact, batcher, decode_all, expected_rows, pump, request, Loopback};
+    use palmed_serve::ModelRegistry;
 
     const CORPUS_A: &str = "PALMED-CORPUS v1\nb0 1 DIVPS×1\nb1 2 ADDSS×3 DIVPS×1\n";
     const CORPUS_B: &str = "PALMED-CORPUS v1\nb0 1 ADDSS×2\nb1 1 DIVPS×1\nb2 1 JNLE×1\n";
 
-    fn artifact(machine: &str, usage: f64) -> ModelArtifact {
-        let mut mapping = ConjunctiveMapping::with_resources(1);
-        mapping.set_usage(InstId(0), vec![usage]);
-        mapping.set_usage(InstId(2), vec![usage * 2.0]);
-        ModelArtifact::new(machine, "batcher-test", InstructionSet::paper_example(), mapping)
-    }
-
-    fn engine() -> Engine {
-        let registry = ModelRegistry::new();
-        registry.register(artifact("skl", 0.5));
-        Engine::new(Arc::new(registry))
-    }
-
-    #[derive(Default)]
-    struct Loopback {
-        inbox: Vec<u8>,
-        outbox: Vec<u8>,
-    }
-
-    impl WireStream for Loopback {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.inbox.is_empty() {
-                return Err(io::ErrorKind::WouldBlock.into());
-            }
-            let n = buf.len().min(self.inbox.len());
-            buf[..n].copy_from_slice(&self.inbox[..n]);
-            self.inbox.drain(..n);
-            Ok(n)
-        }
-
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.outbox.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-    }
-
-    fn request(req_id: u32, corpus: &str) -> Frame {
-        Frame::Request { req_id, model: "skl".to_string(), corpus: corpus.to_string() }
-    }
-
-    fn decode_all(bytes: &[u8]) -> Vec<Frame> {
-        let mut rest = bytes.to_vec();
-        let mut frames = Vec::new();
-        while !rest.is_empty() {
-            match decode_frame(&rest, u32::MAX).unwrap() {
-                Decoded::Frame { consumed, frame } => {
-                    frames.push(frame);
-                    rest.drain(..consumed);
-                }
-                Decoded::NeedMore => panic!("truncated output"),
-            }
-        }
-        frames
-    }
-
     /// One shared round over `inboxes` (one connection each); returns the
     /// per-connection outbox bytes and the round stats.
     fn shared_round(inboxes: &[Vec<u8>]) -> (Vec<Vec<u8>>, RoundStats) {
-        let mut batcher = SharedBatcher::new(engine());
+        let mut batcher = batcher();
         let mut conns: Vec<(Connection, Loopback)> = inboxes
             .iter()
             .map(|inbox| {
@@ -432,26 +395,17 @@ mod tests {
         (conns.into_iter().map(|(_, stream)| stream.outbox).collect(), stats)
     }
 
-    /// The same inboxes served inline (`Connection::pump`), one isolated
-    /// engine pass per connection — the reference bytes.
-    fn isolated(inboxes: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        let engine = engine();
-        inboxes
-            .iter()
-            .map(|inbox| {
-                let mut conn = Connection::new(Limits::default(), 0);
-                let mut stream = Loopback { inbox: inbox.clone(), ..Loopback::default() };
-                conn.pump(0, &mut stream, &engine);
-                stream.outbox
-            })
-            .collect()
+    /// The encoded reply the in-process `BatchPredictor` gives `req_id`.
+    fn reference(req_id: u32, corpus: &str) -> Vec<u8> {
+        Frame::Response { req_id, rows: expected_rows(corpus) }.encode()
     }
 
     #[test]
-    fn a_shared_round_is_bit_identical_to_isolated_serving() {
+    fn a_shared_round_is_bit_identical_to_in_process_prediction() {
         // Mixed round: duplicate corpora across connections, a distinct
         // corpus, an admin query, an unknown model and a bad corpus — every
-        // reply byte must match what isolated serving produces.
+        // prediction must match the in-process rows byte for byte, and
+        // every reply must land on its own connection in wire order.
         let inboxes = vec![
             {
                 let mut b = request(1, CORPUS_A).encode();
@@ -470,20 +424,25 @@ mod tests {
                     }
                     .encode(),
                 );
-                b.extend_from_slice(
-                    &Frame::Request {
-                        req_id: 5,
-                        model: "skl".to_string(),
-                        corpus: "PALMED-CORPUS v1\nb0 1 NOPE×1\n".to_string(),
-                    }
-                    .encode(),
-                );
+                b.extend_from_slice(&request(5, "PALMED-CORPUS v1\nb0 1 NOPE×1\n").encode());
                 b
             },
         ];
         let (shared, stats) = shared_round(&inboxes);
-        let reference = isolated(&inboxes);
-        assert_eq!(shared, reference, "shared-batch bytes must equal isolated bytes");
+        let mut first = reference(1, CORPUS_A);
+        first.extend_from_slice(&reference(2, CORPUS_B));
+        assert_eq!(shared[0], first, "connection 0 gets both rows, in wire order");
+        assert_eq!(shared[1], reference(7, CORPUS_A));
+        let third_frames = decode_all(&shared[2]);
+        let third: Vec<(u32, &str)> = third_frames
+            .iter()
+            .map(|frame| match frame {
+                Frame::AdminResponse { req_id, .. } => (*req_id, "admin"),
+                Frame::Error { req_id, class, .. } => (*req_id, class.as_str()),
+                other => panic!("unexpected reply on connection 2: {other:?}"),
+            })
+            .collect();
+        assert_eq!(third, [(3, "admin"), (4, "unknown-model"), (5, "malformed-text")]);
         assert_eq!(stats.requests, 6);
         assert_eq!(stats.predictions, 3, "unknown model and bad corpus answer early");
         assert_eq!(stats.coalesced, 3, "all three predictions share one pinned entry");
@@ -508,7 +467,7 @@ mod tests {
 
     #[test]
     fn a_poisoned_member_contributes_nothing_and_stalls_nobody() {
-        let mut batcher = SharedBatcher::new(engine());
+        let mut batcher = batcher();
         let mut poisoned = Connection::new(Limits::default(), 0);
         let mut poisoned_stream = Loopback::default();
         let mut bytes = Frame::AdminRequest { req_id: 9, what: "health".to_string() }.encode();
@@ -548,9 +507,7 @@ mod tests {
             let mut conn = Connection::new(Limits::default(), 0);
             let mut stream =
                 Loopback { inbox: request(1, CORPUS_A).encode(), ..Loopback::default() };
-            conn.pump_gather(0, &mut stream);
-            batcher.serve_round([&mut conn]);
-            conn.pump_flush(0, &mut stream);
+            pump(batcher, 0, &mut conn, &mut stream);
             match &decode_all(&stream.outbox)[..] {
                 [Frame::Response { rows, .. }] => rows.clone(),
                 other => panic!("expected one response, got {other:?}"),

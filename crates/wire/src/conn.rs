@@ -44,8 +44,7 @@
 //! reproducible from a schedule.
 
 use crate::frame::{decode_frame, Decoded, Frame, WireError, HEADER_LEN, TRAILER_LEN};
-use palmed_serve::corpus::Corpus;
-use palmed_serve::registry::{EntryHealth, ModelEntry};
+use palmed_serve::registry::EntryHealth;
 use palmed_serve::ModelRegistry;
 use std::collections::VecDeque;
 use std::io;
@@ -171,30 +170,14 @@ impl Connection {
         }
     }
 
-    /// One service round at logical time `now`: flush pending writes, check
-    /// timeouts, read and decode what the stream has, serve queued
-    /// requests, flush again.  Safe to call in any state (a closed
-    /// connection ignores it) and after any stream error — failures shrink
-    /// the state machine toward [`ConnState::Closed`], never panic.
-    pub fn pump(&mut self, now: u64, stream: &mut dyn WireStream, engine: &Engine) {
-        if self.is_closed() {
-            return;
-        }
-        self.flush(now, stream);
-        self.check_timeouts(now);
-        if self.state == ConnState::Open && self.write_backlog() <= self.limits.max_write_backlog {
-            self.fill(now, stream);
-        }
-        self.serve(engine);
-        self.flush(now, stream);
-        self.finish_if_drained();
-    }
-
-    /// The I/O front half of a shared-batcher round: flush, timeouts, read
-    /// and decode — everything [`Connection::pump`] does *before* serving.
-    /// Decoded requests stay queued for [`Connection::take_requests`]; the
-    /// in-flight cap still sheds here (at decode time), so shedding order
-    /// on the wire is identical to the inline path.
+    /// The I/O front half of a [`SharedBatcher`](crate::SharedBatcher)
+    /// round at logical time `now`: flush pending writes, check timeouts,
+    /// read and decode what the stream has.  Decoded requests stay queued
+    /// for [`Connection::take_requests`]; the in-flight cap sheds here, at
+    /// decode time, so a shed error precedes the replies of the requests
+    /// queued ahead of it.  Safe to call in any state (a closed connection
+    /// ignores it) and after any stream error — failures shrink the state
+    /// machine toward [`ConnState::Closed`], never panic.
     pub fn pump_gather(&mut self, now: u64, stream: &mut dyn WireStream) {
         if self.is_closed() {
             return;
@@ -221,8 +204,7 @@ impl Connection {
     /// Queues one reply produced by a shared serve core.  Callers must
     /// push exactly one reply per frame taken with
     /// [`Connection::take_requests`], in the same order — that is what
-    /// keeps the wire byte-identical to the inline [`Connection::pump`]
-    /// path.
+    /// keeps replies in the connection's wire order.
     pub fn push_reply(&mut self, frame: Frame) {
         if self.is_closed() {
             return;
@@ -384,28 +366,6 @@ impl Connection {
         }
     }
 
-    /// Serves every queued request through the engine, in order.
-    fn serve(&mut self, engine: &Engine) {
-        if self.state == ConnState::Poisoned {
-            // A poisoned connection answers nothing further: the peer's
-            // framing is untrusted from the violation on.
-            self.pending.clear();
-            return;
-        }
-        while let Some(request) = self.pending.pop_front() {
-            let timer = palmed_obs::start_timer();
-            let reply = match request {
-                Frame::Request { req_id, model, corpus } => {
-                    engine.execute(req_id, &model, &corpus)
-                }
-                Frame::AdminRequest { req_id, what } => engine.admin(req_id, &what),
-                other => unreachable!("only requests are queued, got kind {}", other.kind()),
-            };
-            palmed_obs::histogram!("wire.request_ns").record_elapsed(timer);
-            self.send(reply);
-        }
-    }
-
     /// Queues one outbound frame and accounts for it.
     fn send(&mut self, frame: Frame) {
         match &frame {
@@ -466,11 +426,11 @@ impl Connection {
     }
 }
 
-/// The serving engine: resolves requests against a shared
-/// [`ModelRegistry`] and renders admin queries.  Stateless between calls —
-/// every request pins the registry entry `Arc` it serves from, so registry
-/// swaps and refreshes concurrent with a request never mix generations
-/// within one response.
+/// The registry a server answers from, plus the admin queries over it.
+/// Prediction requests are served by the
+/// [`SharedBatcher`](crate::SharedBatcher), which pins one registry entry
+/// `Arc` per model per round, so registry swaps and refreshes concurrent
+/// with a round never mix generations within one response.
 #[derive(Debug, Clone)]
 pub struct Engine {
     registry: Arc<ModelRegistry>,
@@ -487,33 +447,6 @@ impl Engine {
         &self.registry
     }
 
-    /// Serves one prediction request, returning the response or a
-    /// structured error frame.  Never panics on untrusted input: the
-    /// corpus text goes through the strict [`Corpus::parse`] validate pass
-    /// and every rejection keeps its kebab-case class.
-    pub fn execute(&self, req_id: u32, model: &str, corpus_text: &str) -> Frame {
-        let Some(entry) = self.registry.get(model) else {
-            return unknown_model_frame(req_id, model);
-        };
-        // `entry` is an immutable Arc: the instruction set the corpus is
-        // resolved against and the model the batch serves from are the
-        // same generation, regardless of concurrent registry writes.
-        let rows = match entry.model() {
-            ModelEntry::Conjunctive(m) => Corpus::parse(corpus_text, &m.artifact.instructions)
-                .map(|c| m.batch().predict_corpus(&c).ipcs),
-            ModelEntry::ConjunctiveServing(m) => {
-                Corpus::parse(corpus_text, &m.artifact.instructions)
-                    .map(|c| m.batch().predict_corpus(&c).ipcs)
-            }
-            ModelEntry::Disjunctive(m) => Corpus::parse(corpus_text, &m.artifact.instructions)
-                .map(|c| m.batch().predict_corpus(&c).ipcs),
-        };
-        match rows {
-            Ok(rows) => Frame::Response { req_id, rows },
-            Err(e) => corpus_error_frame(req_id, &e),
-        }
-    }
-
     /// Serves one admin query: `"health"` renders
     /// [`ModelRegistry::health`] as JSON, `"obs"` renders the
     /// [`palmed_obs::snapshot`].
@@ -528,29 +461,6 @@ impl Engine {
                 message: format!("unknown admin query `{other}` (expected `health` or `obs`)"),
             },
         }
-    }
-}
-
-/// The error frame for a request naming no registered model.  One
-/// constructor shared by [`Engine::execute`] and the shared batcher, so the
-/// inline and batched serve paths stay byte-identical.
-pub(crate) fn unknown_model_frame(req_id: u32, model: &str) -> Frame {
-    Frame::Error {
-        req_id,
-        class: "unknown-model".to_string(),
-        offset: None,
-        message: format!("no model registered under `{model}`"),
-    }
-}
-
-/// The error frame for a corpus the strict parser rejected (see
-/// [`unknown_model_frame`] for why this is shared).
-pub(crate) fn corpus_error_frame(req_id: u32, err: &palmed_serve::CorpusError) -> Frame {
-    Frame::Error {
-        req_id,
-        class: err.class().to_string(),
-        offset: None,
-        message: err.to_string(),
     }
 }
 

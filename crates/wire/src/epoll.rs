@@ -1,14 +1,13 @@
-//! Raw `epoll(7)` shim for the readiness-driven wire front-end.
+//! Raw `epoll(7)` shim for the wire server's readiness loop.
 //!
 //! Same no-new-crates discipline as the socket shim in [`crate::sock`]:
 //! the three syscalls the readiness loop needs (`epoll_create1`,
 //! `epoll_ctl`, `epoll_wait`) are bound directly, gated to Linux where the
 //! `epoll_event` ABI below is correct.
 //!
-//! The interest list is the point: `poll(2)` re-registers every fd on
-//! every call (the kernel walks the full set per tick), while epoll keeps
-//! the set kernel-side and `epoll_wait` returns only the fds that are
-//! actually ready.  Registration is level-triggered — a connection with
+//! The interest list is the point: epoll keeps the fd set kernel-side and
+//! `epoll_wait` returns only the fds that are actually ready, so a wakeup
+//! costs the ready connections, not every open one.  Registration is level-triggered — a connection with
 //! undecoded bytes or an unread socket buffer keeps reporting ready, so a
 //! server that defers reading under write backpressure is re-woken without
 //! any user-space bookkeeping.  Write interest (`Epoll::modify`) is

@@ -1,7 +1,7 @@
 //! `palmed-wire`: the fault-hardened network front-end of the PALMED
 //! serving plane — the `PALMED-WIRE v1` frame protocol, a per-connection
 //! state machine with deadlines and backpressure, and a single-threaded
-//! UNIX-socket server over both.
+//! socket server over both.
 //!
 //! The in-process serving plane ([`palmed_serve`]) answers a batch of
 //! basic blocks in microseconds; this crate puts that behind a socket
@@ -9,8 +9,8 @@
 //! is robustness-first: the frame codec, the connection lifecycle and the
 //! fault model landed *together with* the fuzzing harness that drives
 //! them (`fuzz_wire` in `palmed-fuzz`), before any performance work.  The
-//! perf layer — cross-connection batching, the `epoll(7)` front-end and
-//! the TCP listener — landed after, under the same fuzzing discipline.
+//! perf layer — cross-connection batching, the `epoll(7)` readiness loop
+//! and the TCP listener — landed after, under the same fuzzing discipline.
 //!
 //! # Layers
 //!
@@ -27,39 +27,35 @@
 //!   timeouts, write backpressure, poison-on-malformed-frame and
 //!   drain-on-shutdown, all over an abstract [`conn::WireStream`] and a
 //!   logical tick clock so every decision replays deterministically.
-//! * [`batcher`] — the shared serve core.  One [`batcher::SharedBatcher`]
-//!   round per tick gathers the decoded requests from *every* open
-//!   connection, coalesces them into prepared batches keyed on a shared
-//!   kernel set, predicts each distinct kernel once, and scatters the rows
-//!   back per connection in wire order (see *Batching model* below).
+//! * [`batcher`] — the serve core.  One [`batcher::SharedBatcher`] round
+//!   per tick gathers the decoded requests from every ready connection,
+//!   coalesces them into prepared batches keyed on a shared kernel set,
+//!   predicts each distinct kernel once, and scatters the rows back per
+//!   connection in wire order (see *Batching model* below).
 //! * [`sock`] (Linux) — the transport.  A `cfg`-gated extern-"C" shim
 //!   (no new crates; the workspace builds offline) binding
-//!   `socket`/`bind`/`listen`/`accept`/`recv`/`send`/`poll`, a blocking
+//!   `socket`/`bind`/`listen`/`accept`/`recv`/`send`, a blocking
 //!   single-threaded [`sock::WireServer`] (UNIX via [`sock::WireServer::bind`]
-//!   or TCP via [`sock::WireServer::bind_tcp`], `poll(2)` or `epoll(7)`
-//!   front-end via [`sock::WireServer::with_front_end`]) and a test
+//!   or TCP via [`sock::WireServer::bind_tcp`]) and a blocking test
 //!   [`sock::WireClient`].
-//! * [`epoll`] (Linux) — the readiness shim behind
-//!   [`sock::FrontEnd::Epoll`]: a kernel-side interest list so each wakeup
-//!   pumps only the connections that are actually ready instead of
-//!   re-walking the full fd set every tick.
+//! * [`epoll`] (Linux) — the readiness shim behind the server loop: a
+//!   kernel-side interest list, so each wakeup pumps only the connections
+//!   that are actually ready.
 //!
 //! # Batching model
 //!
-//! With [`sock::WireServer::with_batching`] enabled, a server tick is a
-//! gather/serve/scatter *round* over every open connection:
+//! A server tick is a gather/serve/scatter *round* over the ready
+//! connections:
 //!
 //! 1. **Gather** — each connection pumps its socket (flush, timeouts,
 //!    fill) and surrenders its decoded, accepted requests.  Admission
 //!    control (`server-busy` shedding, poisoning, deadlines) happens at
-//!    decode time in the connection, so shed ordering is identical to the
-//!    isolated path.
+//!    decode time in the connection.
 //! 2. **Snapshot pinning** — each requested model name is resolved against
 //!    the registry *once per round*; every request in the round for that
 //!    name is served by that pinned entry ([`std::sync::Arc`]-held), so a
 //!    registry swap or refresh mid-batch cannot split a round across model
-//!    generations.  The swap takes effect at the next round — the same
-//!    contract a single connection already had across two pumps.
+//!    generations.  The swap takes effect at the next round.
 //! 3. **Coalesce + serve** — requests pinned to the same entry merge into
 //!    one prepared batch ([`palmed_serve::BatchMerge`]): distinct kernels
 //!    across *all* those requests are interned once and predicted once via
@@ -70,15 +66,14 @@
 //!    connection is never reordered; fairness across connections is
 //!    arrival order within the round).
 //!
-//! The rows are **bit-identical** to isolated serving because the batch
-//! predictor evaluates each distinct kernel independently — merging
-//! corpora changes how often a kernel is predicted (once), never the
-//! arithmetic of its prediction.  The `fuzz_wire` multi-connection
-//! schedules assert exactly this equivalence, plus isolation: a poisoned
-//! or shed connection never corrupts or stalls another connection's slots
-//! in the round.
-//!
-//! # Threat model
+//! The rows are **bit-identical** to predicting each request on its own
+//! in process, because the batch predictor evaluates each distinct kernel
+//! independently — merging corpora changes how often a kernel is
+//! predicted (once), never the arithmetic of its prediction.  The
+//! `fuzz_wire` schedules assert exactly this against an in-process
+//! [`BatchPredictor`](palmed_serve::BatchPredictor), plus isolation: a
+//! poisoned or shed connection never corrupts or stalls another
+//! connection's slots in the round.
 //!
 //! # Threat model
 //!
@@ -99,10 +94,9 @@
 //! `TCP_NODELAY` is the only transport-level difference.  Bind loopback
 //! or firewall accordingly.
 //!
-//! The epoll front-end changes *when* connections are pumped (readiness-
-//! driven plus a periodic timeout sweep) but not *what* happens when they
-//! are: both front-ends drive the same state machine with the same tick
-//! clock, which is why `poll(2)` is kept as the differential reference.
+//! The readiness loop decides *when* connections are pumped (on readiness,
+//! plus a periodic timeout sweep), never *what* happens when they are: the
+//! state machine runs on the same logical tick clock the fuzzer scripts.
 //!
 //! A malformed frame poisons its connection: one error frame goes out,
 //! reading stops, buffered output drains, the socket closes.  The process
@@ -113,18 +107,22 @@
 //! # Proven, not claimed
 //!
 //! The `fuzz_wire` schedule fuzzer (in `palmed-fuzz`) drives this exact
-//! code through scripted connection schedules — split/coalesced frames,
-//! short reads and writes, stalls, mid-frame disconnects, floods past the
-//! in-flight cap, registry swaps mid-connection, shutdown mid-burst —
-//! asserting after every step that no panic escapes, every rejection is
-//! structured, and every accepted request serves bit-identically to the
-//! in-process [`BatchPredictor`](palmed_serve::BatchPredictor).
+//! code — connections served in [`SharedBatcher`] rounds — through
+//! scripted schedules of one or several connections: split/coalesced
+//! frames, short reads and writes, stalls, mid-frame disconnects, floods
+//! past the in-flight cap, registry swaps mid-connection, shutdown
+//! mid-burst — asserting after every step that no panic escapes, every
+//! rejection is structured, and every accepted request serves
+//! bit-identically to the in-process
+//! [`BatchPredictor`](palmed_serve::BatchPredictor).
 
 pub mod batcher;
 pub mod conn;
 pub mod epoll;
 pub mod frame;
 pub mod sock;
+#[cfg(test)]
+mod testutil;
 
 pub use batcher::{RoundStats, SharedBatcher};
 pub use conn::{ConnState, Connection, Engine, Limits, WireStream};
@@ -135,86 +133,20 @@ pub use sock::{FrontEnd, WireClient, WireServer};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use palmed_core::ConjunctiveMapping;
-    use palmed_isa::{InstId, InstructionSet};
-    use palmed_serve::{ModelArtifact, ModelRegistry};
+    use crate::testutil::{
+        artifact, batcher, decode_all, expected_rows, pump, request, Loopback, CORPUS,
+    };
+    use palmed_serve::ModelRegistry;
     use std::io;
     use std::sync::Arc;
 
-    fn artifact(machine: &str, usage: f64) -> ModelArtifact {
-        let mut mapping = ConjunctiveMapping::with_resources(1);
-        mapping.set_usage(InstId(0), vec![usage]);
-        mapping.set_usage(InstId(2), vec![usage * 2.0]);
-        ModelArtifact::new(machine, "wire-test", InstructionSet::paper_example(), mapping)
-    }
-
-    fn engine() -> Engine {
-        let registry = ModelRegistry::new();
-        registry.register(artifact("skl", 0.5));
-        Engine::new(Arc::new(registry))
-    }
-
-    const CORPUS: &str = "PALMED-CORPUS v1\nb0 1 DIVPS×1\nb1 2 ADDSS×3 DIVPS×1\nb2 1 JNLE×1\n";
-
-    /// An in-memory loopback: reads from `inbox`, writes to `outbox`.
-    #[derive(Default)]
-    struct Loopback {
-        inbox: Vec<u8>,
-        outbox: Vec<u8>,
-    }
-
-    impl WireStream for Loopback {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.inbox.is_empty() {
-                return Err(io::ErrorKind::WouldBlock.into());
-            }
-            let n = buf.len().min(self.inbox.len());
-            buf[..n].copy_from_slice(&self.inbox[..n]);
-            self.inbox.drain(..n);
-            Ok(n)
-        }
-
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.outbox.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-    }
-
-    fn decode_all(bytes: &[u8]) -> Vec<Frame> {
-        let mut rest = bytes.to_vec();
-        let mut frames = Vec::new();
-        while !rest.is_empty() {
-            match decode_frame(&rest, u32::MAX).unwrap() {
-                Decoded::Frame { consumed, frame } => {
-                    frames.push(frame);
-                    rest.drain(..consumed);
-                }
-                Decoded::NeedMore => panic!("truncated server output"),
-            }
-        }
-        frames
-    }
-
-    fn expected_rows(corpus_text: &str) -> Vec<Option<f64>> {
-        let art = artifact("skl", 0.5);
-        let corpus =
-            palmed_serve::Corpus::parse(corpus_text, &art.instructions).unwrap();
-        palmed_serve::BatchPredictor::new(art.compile()).predict_corpus(&corpus).ipcs
-    }
-
     #[test]
     fn a_request_serves_bit_identically_to_the_in_process_predictor() {
-        let engine = engine();
+        let mut batcher = batcher();
         let mut conn = Connection::new(Limits::default(), 0);
-        let inbox = Frame::Request {
-            req_id: 42,
-            model: "skl".to_string(),
-            corpus: CORPUS.to_string(),
-        }
-        .encode();
-        let mut stream = Loopback { inbox, ..Loopback::default() };
+        let mut stream = Loopback { inbox: request(42, CORPUS).encode(), ..Loopback::default() };
 
-        conn.pump(0, &mut stream, &engine);
+        pump(&mut batcher, 0, &mut conn, &mut stream);
         let frames = decode_all(&stream.outbox);
         assert_eq!(frames.len(), 1);
         match &frames[0] {
@@ -237,20 +169,15 @@ mod tests {
 
     #[test]
     fn split_and_coalesced_frames_serve_the_same() {
-        let engine = engine();
-        let request = Frame::Request {
-            req_id: 7,
-            model: "skl".to_string(),
-            corpus: CORPUS.to_string(),
-        };
-        let bytes = request.encode();
+        let mut batcher = batcher();
+        let bytes = request(7, CORPUS).encode();
 
         // One byte per pump: the ultimate split-frame schedule.
         let mut conn = Connection::new(Limits::default(), 0);
         let mut stream = Loopback::default();
         for (tick, byte) in bytes.iter().enumerate() {
             stream.inbox.push(*byte);
-            conn.pump(tick as u64, &mut stream, &engine);
+            pump(&mut batcher, tick as u64, &mut conn, &mut stream);
         }
         let split_out = stream.outbox.clone();
 
@@ -259,7 +186,7 @@ mod tests {
         let mut stream = Loopback::default();
         stream.inbox.extend_from_slice(&bytes);
         stream.inbox.extend_from_slice(&bytes);
-        conn.pump(0, &mut stream, &engine);
+        pump(&mut batcher, 0, &mut conn, &mut stream);
         let coalesced = decode_all(&stream.outbox);
 
         assert_eq!(decode_all(&split_out).len(), 1);
@@ -270,7 +197,7 @@ mod tests {
 
     #[test]
     fn unknown_models_and_bad_corpora_answer_structured_errors() {
-        let engine = engine();
+        let mut batcher = batcher();
         let mut conn = Connection::new(Limits::default(), 0);
         let mut stream = Loopback::default();
         stream.inbox.extend_from_slice(
@@ -281,15 +208,10 @@ mod tests {
             }
             .encode(),
         );
-        stream.inbox.extend_from_slice(
-            &Frame::Request {
-                req_id: 2,
-                model: "skl".to_string(),
-                corpus: "PALMED-CORPUS v1\nb0 1 NOPE×1\n".to_string(),
-            }
-            .encode(),
-        );
-        conn.pump(0, &mut stream, &engine);
+        stream
+            .inbox
+            .extend_from_slice(&request(2, "PALMED-CORPUS v1\nb0 1 NOPE×1\n").encode());
+        pump(&mut batcher, 0, &mut conn, &mut stream);
         let frames = decode_all(&stream.outbox);
         assert_eq!(frames.len(), 2);
         match &frames[0] {
@@ -310,7 +232,7 @@ mod tests {
 
     #[test]
     fn a_malformed_frame_poisons_the_connection_with_an_offset() {
-        let engine = engine();
+        let mut batcher = batcher();
         let mut conn = Connection::new(Limits::default(), 0);
         let mut stream = Loopback::default();
         let mut bytes = Frame::AdminRequest { req_id: 1, what: "health".to_string() }.encode();
@@ -322,7 +244,7 @@ mod tests {
             .inbox
             .extend_from_slice(&Frame::AdminRequest { req_id: 2, what: "health".to_string() }.encode());
 
-        conn.pump(0, &mut stream, &engine);
+        pump(&mut batcher, 0, &mut conn, &mut stream);
         let frames = decode_all(&stream.outbox);
         assert_eq!(frames.len(), 1, "exactly the rejection, nothing after the poison");
         match &frames[0] {
@@ -338,7 +260,7 @@ mod tests {
 
     #[test]
     fn flooding_past_the_in_flight_cap_sheds_with_server_busy() {
-        let engine = engine();
+        let mut batcher = batcher();
         let limits = Limits { max_in_flight: 3, ..Limits::default() };
         let mut conn = Connection::new(limits, 0);
         let mut stream = Loopback::default();
@@ -347,7 +269,7 @@ mod tests {
                 &Frame::AdminRequest { req_id, what: "health".to_string() }.encode(),
             );
         }
-        conn.pump(0, &mut stream, &engine);
+        pump(&mut batcher, 0, &mut conn, &mut stream);
         let frames = decode_all(&stream.outbox);
         assert_eq!(frames.len(), 8, "every request is answered, one way or the other");
         let shed: Vec<u32> = frames
@@ -365,17 +287,12 @@ mod tests {
 
     #[test]
     fn oversized_frames_reject_at_the_length_field() {
-        let engine = engine();
+        let mut batcher = batcher();
         let limits = Limits { max_payload: 64, ..Limits::default() };
         let mut conn = Connection::new(limits, 0);
-        let inbox = Frame::Request {
-            req_id: 9,
-            model: "skl".to_string(),
-            corpus: "x".repeat(500),
-        }
-        .encode();
+        let inbox = request(9, &"x".repeat(500)).encode();
         let mut stream = Loopback { inbox, ..Loopback::default() };
-        conn.pump(0, &mut stream, &engine);
+        pump(&mut batcher, 0, &mut conn, &mut stream);
         let frames = decode_all(&stream.outbox);
         assert_eq!(frames.len(), 1);
         match &frames[0] {
@@ -390,17 +307,17 @@ mod tests {
 
     #[test]
     fn partial_frames_hit_the_receive_deadline() {
-        let engine = engine();
+        let mut batcher = batcher();
         let limits = Limits { frame_deadline_ticks: 10, ..Limits::default() };
         let mut conn = Connection::new(limits, 0);
         let mut stream = Loopback::default();
         let bytes = Frame::AdminRequest { req_id: 1, what: "obs".to_string() }.encode();
         stream.inbox = bytes[..5].to_vec(); // slow loris: a few bytes, then silence
-        conn.pump(0, &mut stream, &engine);
+        pump(&mut batcher, 0, &mut conn, &mut stream);
         assert_eq!(conn.state(), ConnState::Open);
-        conn.pump(5, &mut stream, &engine);
+        pump(&mut batcher, 5, &mut conn, &mut stream);
         assert_eq!(conn.state(), ConnState::Open, "deadline not yet passed");
-        conn.pump(11, &mut stream, &engine);
+        pump(&mut batcher, 11, &mut conn, &mut stream);
         let frames = decode_all(&stream.outbox);
         assert_eq!(frames.len(), 1);
         match &frames[0] {
@@ -412,14 +329,14 @@ mod tests {
 
     #[test]
     fn idle_connections_close_cleanly() {
-        let engine = engine();
+        let mut batcher = batcher();
         let limits = Limits { idle_timeout_ticks: 100, ..Limits::default() };
         let mut conn = Connection::new(limits, 0);
         let mut stream = Loopback::default();
-        conn.pump(0, &mut stream, &engine);
-        conn.pump(100, &mut stream, &engine);
+        pump(&mut batcher, 0, &mut conn, &mut stream);
+        pump(&mut batcher, 100, &mut conn, &mut stream);
         assert_eq!(conn.state(), ConnState::Open);
-        conn.pump(101, &mut stream, &engine);
+        pump(&mut batcher, 101, &mut conn, &mut stream);
         assert!(conn.is_closed());
         assert!(stream.outbox.is_empty(), "an idle close sends nothing");
     }
@@ -429,12 +346,12 @@ mod tests {
         // Regression: the idle clock must start at the accept tick — a
         // server up longer than the idle window accepts at a large tick,
         // and its first pump must not judge the new connection idle.
-        let engine = engine();
+        let mut batcher = batcher();
         let limits = Limits { idle_timeout_ticks: 100, ..Limits::default() };
         let mut conn = Connection::new(limits, 50_000);
         let inbox = Frame::AdminRequest { req_id: 1, what: "health".to_string() }.encode();
         let mut stream = Loopback { inbox, ..Loopback::default() };
-        conn.pump(50_001, &mut stream, &engine);
+        pump(&mut batcher, 50_001, &mut conn, &mut stream);
         assert_eq!(conn.state(), ConnState::Open, "a fresh connection is not idle");
         assert_eq!(decode_all(&stream.outbox).len(), 1, "its first request is served");
     }
@@ -465,41 +382,32 @@ mod tests {
         // A full write backlog with no progress must not hold the
         // connection open forever — the stall is bounded by the idle
         // window, measured from the last byte-level progress.
-        let engine = engine();
+        let mut batcher = batcher();
         let limits = Limits { idle_timeout_ticks: 100, ..Limits::default() };
         let mut conn = Connection::new(limits, 0);
         let inbox = Frame::AdminRequest { req_id: 1, what: "health".to_string() }.encode();
         let mut stream = DeafStream { inbox };
-        conn.pump(0, &mut stream, &engine);
+        pump(&mut batcher, 0, &mut conn, &mut stream);
         assert!(conn.write_backlog() > 0, "the response is stuck in the backlog");
-        conn.pump(100, &mut stream, &engine);
+        pump(&mut batcher, 100, &mut conn, &mut stream);
         assert_eq!(conn.state(), ConnState::Open, "stall window not yet passed");
-        conn.pump(101, &mut stream, &engine);
+        pump(&mut batcher, 101, &mut conn, &mut stream);
         assert!(conn.is_closed(), "a stalled reader must not hold the connection");
     }
 
     #[test]
     fn shutdown_drains_in_flight_requests() {
-        let engine = engine();
+        let mut batcher = batcher();
         let mut conn = Connection::new(Limits::default(), 0);
         let mut stream = Loopback::default();
         for req_id in 0..3u32 {
-            stream.inbox.extend_from_slice(
-                &Frame::Request {
-                    req_id,
-                    model: "skl".to_string(),
-                    corpus: CORPUS.to_string(),
-                }
-                .encode(),
-            );
+            stream.inbox.extend_from_slice(&request(req_id, CORPUS).encode());
         }
-        // Receive but do not serve: fill only (no full pump) is not part
-        // of the public surface, so pump once with everything queued and
-        // drain immediately after — the requests decoded in that pump are
-        // served before the close either way.
-        conn.pump(0, &mut stream, &engine);
+        // Gather without serving, then drain: the requests decoded before
+        // the drain began are still served before the close.
+        conn.pump_gather(0, &mut stream);
         conn.begin_drain();
-        conn.pump(1, &mut stream, &engine);
+        pump(&mut batcher, 1, &mut conn, &mut stream);
         let frames = decode_all(&stream.outbox);
         assert_eq!(frames.len(), 3, "every received request is answered before closing");
         for (i, frame) in frames.iter().enumerate() {
@@ -513,12 +421,12 @@ mod tests {
 
     #[test]
     fn admin_health_reports_fingerprints() {
-        let engine = engine();
-        let fp = engine.registry().get("skl").unwrap().fingerprint();
+        let mut batcher = batcher();
+        let fp = batcher.engine().registry().get("skl").unwrap().fingerprint();
         let mut conn = Connection::new(Limits::default(), 0);
         let inbox = Frame::AdminRequest { req_id: 5, what: "health".to_string() }.encode();
         let mut stream = Loopback { inbox, ..Loopback::default() };
-        conn.pump(0, &mut stream, &engine);
+        pump(&mut batcher, 0, &mut conn, &mut stream);
         let frames = decode_all(&stream.outbox);
         match &frames[0] {
             Frame::AdminResponse { req_id, body } => {
@@ -540,22 +448,15 @@ mod tests {
         // served, and the first response must not be rewritten.
         let registry = Arc::new(ModelRegistry::new());
         registry.register(artifact("skl", 0.5));
-        let engine = Engine::new(Arc::clone(&registry));
+        let mut batcher = SharedBatcher::new(Engine::new(Arc::clone(&registry)));
         let mut conn = Connection::new(Limits::default(), 0);
-        let mut stream = Loopback::default();
-        let request = |req_id| Frame::Request {
-            req_id,
-            model: "skl".to_string(),
-            corpus: CORPUS.to_string(),
-        };
-
-        stream.inbox = request(1).encode();
-        conn.pump(0, &mut stream, &engine);
+        let mut stream = Loopback { inbox: request(1, CORPUS).encode(), ..Loopback::default() };
+        pump(&mut batcher, 0, &mut conn, &mut stream);
         let first = stream.outbox.clone();
 
         registry.register(artifact("skl", 0.9)); // hot swap
-        stream.inbox = request(2).encode();
-        conn.pump(1, &mut stream, &engine);
+        stream.inbox = request(2, CORPUS).encode();
+        pump(&mut batcher, 1, &mut conn, &mut stream);
 
         assert_eq!(&stream.outbox[..first.len()], &first[..], "response 1 is immutable");
         let frames = decode_all(&stream.outbox);

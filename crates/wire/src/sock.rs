@@ -3,8 +3,8 @@
 //!
 //! Like the serve crate's `mmap` shim, the socket layer binds the handful
 //! of syscalls it needs directly (`socket`/`bind`/`listen`/`accept`/
-//! `recv`/`send`/`poll`/…) instead of pulling in a crate — the workspace
-//! builds offline.  The raw binding is gated to Linux, where the
+//! `recv`/`send`/…) instead of pulling in a crate — the workspace builds
+//! offline.  The raw binding is gated to Linux, where the
 //! `sockaddr_un`/`sockaddr_in` layouts below are ABI-correct; every other
 //! target simply lacks this module (the frame codec and connection state
 //! machine are platform-independent and fully exercised through in-memory
@@ -14,16 +14,11 @@
 //! [`Connection`] per client, each pumped with non-blocking reads/writes.
 //! Robustness comes from the state machine, not from threads — a stalled,
 //! hostile or half-closed peer costs one poisoned or timed-out connection,
-//! never the process.  Two orthogonal axes are chosen at bind time:
-//!
-//! - **Front-end** ([`FrontEnd`]): `poll(2)` re-walks the full fd set
-//!   every tick (portable fallback and differential reference); `epoll(7)`
-//!   keeps the interest list kernel-side and pumps only ready connections
-//!   (see [`crate::epoll`]).
-//! - **Serve core** ([`WireServer::with_batching`]): isolated
-//!   per-connection serving through the [`Engine`], or cross-connection
-//!   coalescing through one [`SharedBatcher`] round per tick (see
-//!   [`crate::batcher`] for the bit-identity and fairness contract).
+//! never the process.  There is one front-end and one serve core: an
+//! `epoll(7)` readiness loop (see [`crate::epoll`]) pumps the ready
+//! connections, and one [`SharedBatcher`] round per wakeup serves every
+//! request they delivered (see [`crate::batcher`] for the bit-identity and
+//! fairness contract).
 
 #![cfg(target_os = "linux")]
 
@@ -36,8 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Raw Linux syscall bindings: AF_UNIX and AF_INET stream sockets plus
-/// `poll(2)`.
+/// Raw Linux syscall bindings: AF_UNIX and AF_INET stream sockets.
 mod sys {
     use std::ffi::c_void;
     use std::io;
@@ -46,7 +40,6 @@ mod sys {
     pub(super) const AF_UNIX: i32 = 1;
     pub(super) const AF_INET: i32 = 2;
     pub(super) const SOCK_STREAM: i32 = 1;
-    pub(super) const POLLIN: i16 = 0x001;
     const F_SETFL: i32 = 4;
     const O_NONBLOCK: i32 = 0o4000;
     const SOL_SOCKET: i32 = 1;
@@ -74,14 +67,6 @@ mod sys {
         pub(super) sin_zero: [u8; 8],
     }
 
-    /// `struct pollfd`.
-    #[repr(C)]
-    pub(super) struct PollFd {
-        pub(super) fd: i32,
-        pub(super) events: i16,
-        pub(super) revents: i16,
-    }
-
     extern "C" {
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         // Address pointers are `*const c_void`: C's `struct sockaddr *`
@@ -96,8 +81,6 @@ mod sys {
         fn recv(fd: i32, buf: *mut c_void, len: usize, flags: i32) -> isize;
         fn send(fd: i32, buf: *const c_void, len: usize, flags: i32) -> isize;
         fn close(fd: i32) -> i32;
-        // `nfds_t` is C `unsigned long` — 32 bits on 32-bit targets.
-        fn poll(fds: *mut PollFd, nfds: core::ffi::c_ulong, timeout_ms: i32) -> i32;
         fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
         fn unlink(path: *const u8) -> i32;
     }
@@ -137,21 +120,12 @@ mod sys {
         Ok(addr)
     }
 
-    /// A new non-blocking AF_UNIX stream socket.
-    pub(super) fn stream_socket() -> io::Result<Fd> {
+    /// A new stream socket in `domain` ([`AF_UNIX`] or [`AF_INET`]):
+    /// non-blocking for a server listener, blocking for a client (a
+    /// client waits in `recv`/`send` instead of spinning).
+    pub(super) fn stream_socket(domain: i32, nonblocking: bool) -> io::Result<Fd> {
         // SAFETY: plain syscall, no pointers.
-        let fd = check(unsafe { socket(AF_UNIX, SOCK_STREAM, 0) })?;
-        let fd = Fd(fd);
-        set_nonblocking(&fd)?;
-        Ok(fd)
-    }
-
-    /// A new AF_INET stream socket — blocking when asked (a TCP client's
-    /// `connect` would otherwise return `EINPROGRESS`; AF_UNIX connects
-    /// complete immediately and never need this).
-    pub(super) fn tcp_socket(nonblocking: bool) -> io::Result<Fd> {
-        // SAFETY: plain syscall, no pointers.
-        let fd = check(unsafe { socket(AF_INET, SOCK_STREAM, 0) })?;
+        let fd = check(unsafe { socket(domain, SOCK_STREAM, 0) })?;
         let fd = Fd(fd);
         if nonblocking {
             set_nonblocking(&fd)?;
@@ -159,7 +133,7 @@ mod sys {
         Ok(fd)
     }
 
-    pub(super) fn set_nonblocking(fd: &Fd) -> io::Result<()> {
+    fn set_nonblocking(fd: &Fd) -> io::Result<()> {
         // SAFETY: plain syscall on an owned descriptor.
         check(unsafe { fcntl(fd.0, F_SETFL, O_NONBLOCK) })?;
         Ok(())
@@ -277,22 +251,6 @@ mod sys {
         }
     }
 
-    /// Polls `fds` for up to `timeout_ms`; readiness lands in `revents`.
-    pub(super) fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-        // SAFETY: `fds` is a live mutable slice of PollFd of exactly
-        // `fds.len()` entries.
-        let ret =
-            unsafe { poll(fds.as_mut_ptr(), fds.len() as core::ffi::c_ulong, timeout_ms) };
-        if ret < 0 {
-            let err = io::Error::last_os_error();
-            return match err.kind() {
-                io::ErrorKind::Interrupted => Ok(0),
-                _ => Err(err),
-            };
-        }
-        Ok(ret as usize)
-    }
-
     pub(super) fn unlink_path(path: &[u8]) {
         let mut nul = Vec::with_capacity(path.len() + 1);
         nul.extend_from_slice(path);
@@ -318,18 +276,14 @@ impl WireStream for SocketStream<'_> {
     }
 }
 
-/// Which readiness mechanism drives the serve loop (selected at bind time
-/// via [`WireServer::with_front_end`]).
+/// The readiness mechanism behind [`WireServer`].  `epoll(7)` is the only
+/// one: the interest list lives in the kernel and each wakeup pumps only
+/// the connections that are actually ready (plus a periodic
+/// all-connections timeout sweep).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrontEnd {
-    /// `poll(2)`: the full fd set is rebuilt and re-walked every tick.
-    /// The portable fallback, kept as the differential reference for the
-    /// epoll path.
+    /// `epoll(7)` readiness.
     #[default]
-    Poll,
-    /// `epoll(7)`: the interest list lives in the kernel and each wakeup
-    /// pumps only the connections that are actually ready (plus a periodic
-    /// all-connections timeout sweep) — no per-tick full-fd re-walk.
     Epoll,
 }
 
@@ -359,83 +313,6 @@ impl Transport {
     }
 }
 
-/// How connections are served each tick: each on its own through the
-/// [`Engine`] (the isolated baseline), or coalesced through one
-/// [`SharedBatcher`] round (see the [`crate::batcher`] docs).
-enum ServeCore {
-    Isolated(Engine),
-    Shared(Box<SharedBatcher>),
-}
-
-impl ServeCore {
-    fn new(engine: Engine, batching: bool) -> ServeCore {
-        if batching {
-            ServeCore::Shared(Box::new(SharedBatcher::new(engine)))
-        } else {
-            ServeCore::Isolated(engine)
-        }
-    }
-
-    /// Serves one tick over `conns` (the poll front-end's whole table; the
-    /// epoll front-end passes just the ready subset through
-    /// [`ServeCore::pump_tokens`]).
-    fn pump_all(&mut self, now: u64, conns: &mut [(sys::Fd, Connection)]) {
-        match self {
-            ServeCore::Isolated(engine) => {
-                for (fd, conn) in conns.iter_mut() {
-                    conn.pump(now, &mut SocketStream(fd), engine);
-                }
-            }
-            ServeCore::Shared(batcher) => {
-                for (fd, conn) in conns.iter_mut() {
-                    conn.pump_gather(now, &mut SocketStream(fd));
-                }
-                batcher.serve_round(conns.iter_mut().map(|(_, conn)| conn));
-                for (fd, conn) in conns.iter_mut() {
-                    conn.pump_flush(now, &mut SocketStream(fd));
-                }
-            }
-        }
-    }
-
-    /// Serves one tick over the connections named by `tokens` (sorted) in
-    /// an epoll connection table.
-    fn pump_tokens(
-        &mut self,
-        now: u64,
-        conns: &mut std::collections::BTreeMap<u64, EpollSlot>,
-        tokens: &[u64],
-    ) {
-        match self {
-            ServeCore::Isolated(engine) => {
-                for token in tokens {
-                    if let Some(slot) = conns.get_mut(token) {
-                        slot.conn.pump(now, &mut SocketStream(&slot.fd), engine);
-                    }
-                }
-            }
-            ServeCore::Shared(batcher) => {
-                for token in tokens {
-                    if let Some(slot) = conns.get_mut(token) {
-                        slot.conn.pump_gather(now, &mut SocketStream(&slot.fd));
-                    }
-                }
-                batcher.serve_round(
-                    conns
-                        .iter_mut()
-                        .filter(|(token, _)| tokens.binary_search(token).is_ok())
-                        .map(|(_, slot)| &mut slot.conn),
-                );
-                for token in tokens {
-                    if let Some(slot) = conns.get_mut(token) {
-                        slot.conn.pump_flush(now, &mut SocketStream(&slot.fd));
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// One connection in the epoll table.
 struct EpollSlot {
     fd: sys::Fd,
@@ -458,14 +335,11 @@ pub struct WireServer {
     engine: Engine,
     limits: Limits,
     stop: Arc<AtomicBool>,
-    front_end: FrontEnd,
-    batching: bool,
 }
 
 impl WireServer {
     /// Binds a UNIX socket at `path` (unlinking any stale *socket* file
-    /// first) and prepares to serve `engine` under `limits`, with the
-    /// defaults: `poll(2)` front-end, isolated per-connection serving.
+    /// first) and prepares to serve `engine` under `limits`.
     ///
     /// # Errors
     ///
@@ -490,17 +364,9 @@ impl WireServer {
             }
             Err(_) => {}
         }
-        let listener = sys::stream_socket()?;
+        let listener = sys::stream_socket(sys::AF_UNIX, true)?;
         sys::bind_listen(&listener, &raw)?;
-        Ok(WireServer {
-            transport: Transport::Unix { path },
-            listener,
-            engine,
-            limits,
-            stop: Arc::new(AtomicBool::new(false)),
-            front_end: FrontEnd::Poll,
-            batching: false,
-        })
+        Ok(WireServer::new(Transport::Unix { path }, listener, engine, limits))
     }
 
     /// Binds a TCP listener at `addr` (port 0 picks a free port — read it
@@ -522,34 +388,39 @@ impl WireServer {
         engine: Engine,
         limits: Limits,
     ) -> io::Result<WireServer> {
-        let listener = sys::tcp_socket(true)?;
+        let listener = sys::stream_socket(sys::AF_INET, true)?;
         sys::bind_listen_tcp(&listener, addr)?;
         let addr = sys::local_addr_tcp(&listener)?;
-        Ok(WireServer {
-            transport: Transport::Tcp { addr },
-            listener,
-            engine,
-            limits,
-            stop: Arc::new(AtomicBool::new(false)),
-            front_end: FrontEnd::Poll,
-            batching: false,
-        })
+        Ok(WireServer::new(Transport::Tcp { addr }, listener, engine, limits))
     }
 
-    /// Selects the readiness front-end (default [`FrontEnd::Poll`]).
+    fn new(transport: Transport, listener: sys::Fd, engine: Engine, limits: Limits) -> WireServer {
+        WireServer { transport, listener, engine, limits, stop: Arc::new(AtomicBool::new(false)) }
+    }
+
+    /// Identity: [`FrontEnd::Epoll`] is the only front-end.  Kept so the
+    /// `palbench` wire workload, which names its production configuration
+    /// explicitly, still builds.
     #[must_use]
-    pub fn with_front_end(mut self, front_end: FrontEnd) -> WireServer {
-        self.front_end = front_end;
+    pub fn with_front_end(self, _front_end: FrontEnd) -> WireServer {
         self
     }
 
-    /// Enables (or disables) cross-connection batching: requests gathered
-    /// from all connections each tick are served through one
-    /// [`SharedBatcher`] round instead of per-connection [`Engine`] calls.
-    /// The wire bytes per connection are identical either way.
+    /// Identity for `true`: cross-connection batching is the only serve
+    /// core.  Kept so the `palbench` wire workload, which names its
+    /// production configuration explicitly, still builds.
+    ///
+    /// # Panics
+    ///
+    /// On `false`: isolated per-connection serving was removed, and a
+    /// caller asking for it must not silently get batched serving.
     #[must_use]
-    pub fn with_batching(mut self, batching: bool) -> WireServer {
-        self.batching = batching;
+    pub fn with_batching(self, batching: bool) -> WireServer {
+        assert!(
+            batching,
+            "isolated per-connection serving was removed; WireServer always serves through \
+             the shared batcher"
+        );
         self
     }
 
@@ -580,80 +451,26 @@ impl WireServer {
     /// gracefully drains: accepting stops, every connection serves its
     /// already-received requests and flushes before the loop exits.
     ///
+    /// The kernel keeps the interest list; each wakeup pumps the ready
+    /// connections only, through one [`SharedBatcher`] round (gather →
+    /// serve → flush).  `EPOLLOUT` interest tracks write-backlog
+    /// transitions, and a periodic sweep (every 25 ticks) runs the timeout
+    /// checks over the full table.
+    ///
     /// # Errors
     ///
-    /// Propagates `poll(2)`/`epoll(7)` failures; per-connection failures
-    /// never surface here (they shrink that connection's state machine).
+    /// Propagates `epoll(7)` and `accept(2)` failures; per-connection
+    /// failures never surface here (they shrink that connection's state
+    /// machine).
     pub fn run(self) -> io::Result<()> {
-        match self.front_end {
-            FrontEnd::Poll => self.run_poll(),
-            FrontEnd::Epoll => self.run_epoll(),
-        }
-    }
-
-    /// The `poll(2)` loop: one pollfd per connection, rebuilt and re-walked
-    /// every tick.
-    fn run_poll(self) -> io::Result<()> {
-        let WireServer { transport, listener, engine, limits, stop, batching, .. } = self;
-        let mut core = ServeCore::new(engine, batching);
-        let started = Instant::now();
-        let mut conns: Vec<(sys::Fd, Connection)> = Vec::new();
-        let mut draining = false;
-        loop {
-            if !draining && stop.load(Ordering::SeqCst) {
-                draining = true;
-                for (_, conn) in &mut conns {
-                    conn.begin_drain();
-                }
-            }
-            if draining && conns.is_empty() {
-                break;
-            }
-
-            // One pollfd per connection plus (while accepting) the listener.
-            let mut fds: Vec<sys::PollFd> = conns
-                .iter()
-                .map(|(fd, _)| sys::PollFd { fd: fd.0, events: sys::POLLIN, revents: 0 })
-                .collect();
-            if !draining {
-                fds.push(sys::PollFd { fd: listener.0, events: sys::POLLIN, revents: 0 });
-            }
-            sys::poll_fds(&mut fds, 10)?;
-            palmed_obs::counter!("wire.frontend.wakeups").inc();
-
-            // Ticks are wall milliseconds since the server started; every
-            // timeout below is a deterministic function of them.  New
-            // connections are born at the current tick, so their idle
-            // clocks start at accept, not at server start.
-            let now = started.elapsed().as_millis() as u64;
-            if !draining {
-                while let Some(client) = sys::accept_one(&listener)? {
-                    transport.prepare_client(&client);
-                    conns.push((client, Connection::new(limits, now)));
-                }
-            }
-
-            palmed_obs::counter!("wire.frontend.pumps").add(conns.len() as u64);
-            core.pump_all(now, &mut conns);
-            conns.retain(|(_, conn)| !conn.is_closed());
-        }
-        transport.cleanup();
-        Ok(())
-    }
-
-    /// The `epoll(7)` loop: the kernel keeps the interest list; each wakeup
-    /// pumps the ready connections only, `EPOLLOUT` interest tracks write
-    /// backlog transitions, and a periodic sweep (every
-    /// [`EPOLL_SWEEP_TICKS`]) runs the timeout checks over the full table.
-    fn run_epoll(self) -> io::Result<()> {
         use std::collections::BTreeMap;
 
         /// The listener's reserved epoll token; connections count up from 0
         /// and never reach it.
         const LISTENER_TOKEN: u64 = u64::MAX;
 
-        let WireServer { transport, listener, engine, limits, stop, batching, .. } = self;
-        let mut core = ServeCore::new(engine, batching);
+        let WireServer { transport, listener, engine, limits, stop } = self;
+        let mut batcher = SharedBatcher::new(engine);
         let epoll = crate::epoll::Epoll::new()?;
         epoll.add(listener.0, LISTENER_TOKEN, false)?;
         let started = Instant::now();
@@ -675,6 +492,10 @@ impl WireServer {
 
             epoll.wait(10, &mut ready)?;
             palmed_obs::counter!("wire.frontend.wakeups").inc();
+            // Ticks are wall milliseconds since the server started; every
+            // timeout is a deterministic function of them.  New
+            // connections are born at the current tick, so their idle
+            // clocks start at accept, not at server start.
             let now = started.elapsed().as_millis() as u64;
 
             let mut accept_ready = false;
@@ -715,31 +536,31 @@ impl WireServer {
             }
 
             palmed_obs::counter!("wire.frontend.pumps").add(tokens.len() as u64);
-            core.pump_tokens(now, &mut conns, &tokens);
-
             for token in &tokens {
-                let closed = match conns.get_mut(token) {
-                    None => continue,
-                    Some(slot) => {
-                        if slot.conn.is_closed() {
-                            true
-                        } else {
-                            let want = slot.conn.write_backlog() > 0;
-                            if want != slot.write_interest {
-                                epoll.modify(slot.fd.0, *token, want)?;
-                                slot.write_interest = want;
-                            }
-                            false
-                        }
-                    }
-                };
-                if closed {
-                    if let Some(slot) = conns.remove(token) {
-                        // Dropping the fd closes it (removing it from the
-                        // interest list implicitly); the explicit delete
-                        // keeps the kernel set in lockstep.
-                        let _ = epoll.delete(slot.fd.0);
-                    }
+                let slot = conns.get_mut(token).expect("tokens name live connections");
+                slot.conn.pump_gather(now, &mut SocketStream(&slot.fd));
+            }
+            batcher.serve_round(
+                conns
+                    .iter_mut()
+                    .filter(|(token, _)| tokens.binary_search(token).is_ok())
+                    .map(|(_, slot)| &mut slot.conn),
+            );
+            for token in &tokens {
+                let slot = conns.get_mut(token).expect("tokens name live connections");
+                slot.conn.pump_flush(now, &mut SocketStream(&slot.fd));
+                if slot.conn.is_closed() {
+                    // Dropping the fd closes it (removing it from the
+                    // interest list implicitly); the explicit delete keeps
+                    // the kernel set in lockstep.
+                    let _ = epoll.delete(slot.fd.0);
+                    conns.remove(token);
+                    continue;
+                }
+                let want = slot.conn.write_backlog() > 0;
+                if want != slot.write_interest {
+                    epoll.modify(slot.fd.0, *token, want)?;
+                    slot.write_interest = want;
                 }
             }
         }
@@ -748,7 +569,9 @@ impl WireServer {
     }
 }
 
-/// A blocking test/client endpoint: one frame out, one frame back.
+/// A blocking test/client endpoint: one frame out, one frame back.  Its
+/// socket stays in blocking mode, so a waiting client sleeps in the kernel
+/// instead of competing with the server for a core.
 pub struct WireClient {
     fd: sys::Fd,
     /// Bytes received past the last decoded frame.
@@ -764,30 +587,20 @@ impl WireClient {
     /// server — callers retry).
     pub fn connect(path: impl AsRef<Path>) -> io::Result<WireClient> {
         let raw = path_bytes(path.as_ref())?;
-        let fd = sys::stream_socket()?;
-        match sys::connect_to(&fd, &raw) {
-            Ok(()) => {}
-            // Non-blocking connect on AF_UNIX either completes or fails
-            // immediately; EAGAIN means the backlog is full — report it.
-            Err(e) => return Err(e),
-        }
+        let fd = sys::stream_socket(sys::AF_UNIX, false)?;
+        sys::connect_to(&fd, &raw)?;
         Ok(WireClient { fd, buf: Vec::new() })
     }
 
     /// Connects to a TCP wire server at `addr`.
-    ///
-    /// The socket connects in blocking mode (a non-blocking TCP connect
-    /// returns `EINPROGRESS` and would need its own readiness dance) and
-    /// is switched to non-blocking afterwards, matching the UNIX client.
     ///
     /// # Errors
     ///
     /// Propagates connection failures (including a not-yet-listening
     /// server — callers retry).
     pub fn connect_tcp(addr: std::net::SocketAddrV4) -> io::Result<WireClient> {
-        let fd = sys::tcp_socket(false)?;
+        let fd = sys::stream_socket(sys::AF_INET, false)?;
         sys::connect_tcp(&fd, addr)?;
-        sys::set_nonblocking(&fd)?;
         let _ = sys::set_nodelay(&fd);
         Ok(WireClient { fd, buf: Vec::new() })
     }
@@ -803,7 +616,7 @@ impl WireClient {
         self.recv()
     }
 
-    /// Sends one frame, spinning through partial non-blocking writes.
+    /// Sends one frame, blocking until the kernel has taken every byte.
     ///
     /// # Errors
     ///
@@ -832,12 +645,7 @@ impl WireClient {
         while at < bytes.len() {
             match sys::send_bytes(&self.fd, &bytes[at..]) {
                 Ok(n) => at += n,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::Interrupted =>
-                {
-                    std::thread::yield_now();
-                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
@@ -867,12 +675,7 @@ impl WireClient {
                     ))
                 }
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::Interrupted =>
-                {
-                    std::thread::yield_now();
-                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }

@@ -7,7 +7,7 @@ use palmed_core::ConjunctiveMapping;
 use palmed_isa::{InstId, InstructionSet, Microkernel};
 use palmed_serve::{ModelArtifact, ModelEntry, ModelRegistry};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn artifact(usage: f64) -> ModelArtifact {
     let mut mapping = ConjunctiveMapping::with_resources(1);
@@ -53,6 +53,9 @@ fn concurrent_readers_predict_bit_identically_across_swaps() {
     let first_generation = registry.generation();
     let stop = AtomicBool::new(false);
     let observations = AtomicU64::new(0);
+    // Swaps start only once every reader holds its entry, so reads overlap
+    // swaps however the threads are scheduled.
+    let start = Barrier::new(READERS + 1);
 
     std::thread::scope(|scope| {
         for _ in 0..READERS {
@@ -62,7 +65,10 @@ fn concurrent_readers_predict_bit_identically_across_swaps() {
                 // happen underneath.
                 let held = registry.get("hot").expect("installed before readers start");
                 let held_bits = entry_bits(held.model(), &kernel);
-                while !stop.load(Ordering::Relaxed) {
+                start.wait();
+                // At least one observation per reader, even if every swap
+                // lands before this thread is scheduled again.
+                loop {
                     let entry = registry.get("hot").expect("name never disappears");
                     let bits = entry_bits(entry.model(), &kernel);
                     assert!(
@@ -75,10 +81,14 @@ fn concurrent_readers_predict_bit_identically_across_swaps() {
                         "a held generation changed under a reader"
                     );
                     observations.fetch_add(1, Ordering::Relaxed);
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
             });
         }
 
+        start.wait();
         for i in 0..SWAPS {
             let bytes = if i % 2 == 0 { bytes_b.clone() } else { bytes_a.clone() };
             registry.swap_bytes("hot", bytes).expect("swap installs");

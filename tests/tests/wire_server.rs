@@ -14,7 +14,9 @@
 use palmed_core::ConjunctiveMapping;
 use palmed_isa::{InstId, InstructionSet};
 use palmed_serve::{BatchPredictor, Corpus, ModelArtifact, ModelRegistry};
-use palmed_wire::{decode_frame, ConnState, Connection, Decoded, Engine, Frame, Limits, WireStream};
+use palmed_wire::{
+    decode_frame, ConnState, Connection, Decoded, Engine, Frame, Limits, SharedBatcher, WireStream,
+};
 use std::io;
 use std::sync::{Arc, Mutex};
 
@@ -36,6 +38,14 @@ fn engine() -> Engine {
     let registry = ModelRegistry::new();
     registry.register(artifact("skl", 0.5));
     Engine::new(Arc::new(registry))
+}
+
+/// One shared-batcher round over the single connection `conn` — how the
+/// server serves one ready client.
+fn pump(batcher: &mut SharedBatcher, now: u64, conn: &mut Connection, stream: &mut Loopback) {
+    conn.pump_gather(now, stream);
+    batcher.serve_round([&mut *conn]);
+    conn.pump_flush(now, stream);
 }
 
 fn request(req_id: u32) -> Frame {
@@ -97,7 +107,7 @@ fn flooding_past_the_cap_sheds_exactly_and_counts_exactly() {
     palmed_obs::set_enabled(true);
     const CAP: usize = 2;
     const FLOOD: u32 = 10;
-    let engine = engine();
+    let mut batcher = SharedBatcher::new(engine());
     let mut conn = Connection::new(Limits { max_in_flight: CAP, ..Limits::default() }, 0);
     let mut stream = Loopback::default();
     for req_id in 0..FLOOD {
@@ -105,7 +115,7 @@ fn flooding_past_the_cap_sheds_exactly_and_counts_exactly() {
     }
 
     let shed_before = shed_counter();
-    conn.pump(0, &mut stream, &engine);
+    pump(&mut batcher, 0, &mut conn, &mut stream);
     let shed_after = shed_counter();
 
     let frames = decode_all(&stream.outbox);
@@ -147,18 +157,19 @@ fn flooding_past_the_cap_sheds_exactly_and_counts_exactly() {
 fn shutdown_drains_every_received_request_before_closing() {
     palmed_obs::set_enabled(true);
     const IN_FLIGHT: u32 = 4;
-    let engine = engine();
+    let mut batcher = SharedBatcher::new(engine());
     let mut conn = Connection::new(Limits { max_in_flight: 8, ..Limits::default() }, 0);
     let mut stream = Loopback::default();
     for req_id in 0..IN_FLIGHT {
         stream.inbox.extend_from_slice(&request(req_id).encode());
     }
 
-    conn.pump(0, &mut stream, &engine);
+    // Receive without serving, then drain: what was received is served.
+    conn.pump_gather(0, &mut stream);
     conn.begin_drain();
     // New bytes after the drain began must not be accepted.
     stream.inbox.extend_from_slice(&request(99).encode());
-    conn.pump(1, &mut stream, &engine);
+    pump(&mut batcher, 1, &mut conn, &mut stream);
 
     let frames = decode_all(&stream.outbox);
     assert_eq!(frames.len(), IN_FLIGHT as usize, "drain answers exactly what was received");
@@ -349,13 +360,13 @@ fn a_tcp_flood_past_the_cap_sheds_exactly() {
     handle.join().expect("server thread").expect("serve loop");
 }
 
-/// The epoll front-end plus the shared batcher, end to end over TCP: two
-/// concurrent clients must both be served bit-identically, through one
+/// The epoll readiness loop plus the shared batcher, end to end over TCP:
+/// two concurrent clients must both be served bit-identically, through one
 /// readiness loop and one batch round at a time.
 #[cfg(target_os = "linux")]
 #[test]
 fn epoll_with_shared_batching_serves_concurrent_tcp_clients_bit_identically() {
-    use palmed_wire::{FrontEnd, WireClient, WireServer};
+    use palmed_wire::{WireClient, WireServer};
     use std::net::{Ipv4Addr, SocketAddrV4};
 
     palmed_obs::set_enabled(true);
@@ -364,9 +375,7 @@ fn epoll_with_shared_batching_serves_concurrent_tcp_clients_bit_identically() {
         engine(),
         Limits::default(),
     )
-    .expect("bind tcp")
-    .with_front_end(FrontEnd::Epoll)
-    .with_batching(true);
+    .expect("bind tcp");
     let addr = server.tcp_addr().unwrap();
     let stop = server.stop_handle();
     let handle = std::thread::spawn(move || server.run());
