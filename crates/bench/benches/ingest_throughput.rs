@@ -16,11 +16,11 @@
 //! * `ingest_shared_set` — today's `PreparedBatch::from_corpus`: the corpus
 //!   hands its interner over by `Arc`, so ingest is a slot-table copy plus a
 //!   reference-count bump;
-//! * `model_parse_v1` / `model_load_v2b` / `model_load_serving` — the text
-//!   artifact parse vs the binary validate-and-copy load vs the serve-only
-//!   zero-copy load (borrowed view, deferred mapping) of the same inferred
-//!   SKL-like model; the serving case goes through
-//!   `ModelRegistry::load_serving_bytes` (including the handed-over buffer)
+//! * `model_parse_v1` / `model_load_v2b` / `model_swap_v2b` — the text
+//!   artifact parse vs the eager binary decode (dense mapping rebuilt) vs
+//!   the registry's in-place v2b install (validate, retain the bytes,
+//!   defer the mapping) of the same model; the last goes through
+//!   `ModelRegistry::swap_bytes` (including the handed-over buffer)
 //!   because retaining the bytes behind the borrowed view is exactly the
 //!   contract being measured.
 //!
@@ -133,38 +133,14 @@ fn bench_ingest_throughput(c: &mut Criterion) {
     );
     group.finish();
 
-    // Model load: the v1 text parse vs the v2b binary validate-and-copy of
-    // the same inferred model.
+    // Model load of the same inferred model, each way in.
     let artifact = ModelArtifact::new(
         preset.name(),
         preset.description.name.clone(),
         (*preset.instructions).clone(),
         mapping,
     );
-    let text = artifact.render();
-    let bin = artifact.render_v2();
-    assert_eq!(ModelArtifact::parse(&text).unwrap(), ModelArtifact::parse_v2(&bin).unwrap());
-    eprintln!("artifact: v1 text {} bytes, v2b binary {} bytes", text.len(), bin.len());
-
-    let mut group = c.benchmark_group("model_load");
-    group.sample_size(10);
-    group.bench_with_input(BenchmarkId::new("model_parse_v1", text.len()), &text, |b, text| {
-        b.iter(|| ModelArtifact::parse(text).unwrap().instructions.len())
-    });
-    group.bench_with_input(BenchmarkId::new("model_load_v2b", bin.len()), &bin, |b, bin| {
-        b.iter(|| ModelArtifact::parse_bytes(bin).unwrap().instructions.len())
-    });
-    group.bench_with_input(BenchmarkId::new("model_load_serving", bin.len()), &bin, |b, bin| {
-        b.iter(|| {
-            let registry = ModelRegistry::new();
-            // `clone` hands the buffer over for retention — part of the cost.
-            let entry = registry.load_serving_bytes(bin.clone()).unwrap();
-            let serving = entry.serving().unwrap();
-            assert!(!serving.artifact.mapping_ready());
-            serving.artifact.instructions.len()
-        })
-    });
-    group.finish();
+    bench_model_load(c, "model_load", &artifact);
 
     // The scale the v2b format exists for: a paper-sized inventory (the v1
     // text codec's float parsing dominates load there).  The mapping is
@@ -185,17 +161,22 @@ fn bench_ingest_throughput(c: &mut Criterion) {
         large_mapping.set_usage(id, usage);
     }
     let large = ModelArtifact::new("skl-like-large", "synthetic", large_insts, large_mapping);
-    let text = large.render();
-    let bin = large.render_v2();
+    bench_model_load(c, "model_load_large", &large);
+}
+
+/// The three ways to load one model, as one benchmark group.
+fn bench_model_load(c: &mut Criterion, group_name: &str, artifact: &ModelArtifact) {
+    let text = artifact.render();
+    let bin = artifact.render_v2();
     assert_eq!(ModelArtifact::parse(&text).unwrap(), ModelArtifact::parse_v2(&bin).unwrap());
     eprintln!(
-        "large artifact: {} instructions; v1 text {} bytes, v2b binary {} bytes",
-        large.instructions.len(),
+        "{group_name}: {} instructions; v1 text {} bytes, v2b binary {} bytes",
+        artifact.instructions.len(),
         text.len(),
         bin.len()
     );
 
-    let mut group = c.benchmark_group("model_load_large");
+    let mut group = c.benchmark_group(group_name);
     group.sample_size(10);
     group.bench_with_input(BenchmarkId::new("model_parse_v1", text.len()), &text, |b, text| {
         b.iter(|| ModelArtifact::parse(text).unwrap().instructions.len())
@@ -203,14 +184,14 @@ fn bench_ingest_throughput(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("model_load_v2b", bin.len()), &bin, |b, bin| {
         b.iter(|| ModelArtifact::parse_bytes(bin).unwrap().instructions.len())
     });
-    group.bench_with_input(BenchmarkId::new("model_load_serving", bin.len()), &bin, |b, bin| {
+    group.bench_with_input(BenchmarkId::new("model_swap_v2b", bin.len()), &bin, |b, bin| {
         b.iter(|| {
             let registry = ModelRegistry::new();
             // `clone` hands the buffer over for retention — part of the cost.
-            let entry = registry.load_serving_bytes(bin.clone()).unwrap();
-            let serving = entry.serving().unwrap();
-            assert!(!serving.artifact.mapping_ready());
-            serving.artifact.instructions.len()
+            let entry = registry.swap_bytes("model", bin.clone()).unwrap();
+            let served = entry.served().unwrap();
+            assert!(!served.artifact.mapping_ready());
+            served.artifact.instructions.len()
         })
     });
     group.finish();

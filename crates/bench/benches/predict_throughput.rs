@@ -5,7 +5,7 @@
 //!
 //! * `cold_map` — per-call [`ConjunctiveMapping::ipc`]: `BTreeMap` lookups
 //!   per instruction plus a dense sweep over every resource;
-//! * `compiled` — per-call [`CompiledModel::ipc_with`] with a reused scratch
+//! * `compiled` — per-call [`KernelLoad::ipc_with`] with a reused scratch
 //!   buffer: flat CSR rows, no allocation;
 //! * `batched_oneshot` — [`BatchPredictor::predict`]: ingest (hash-dedup of
 //!   the stream's repeated blocks) plus serve, in one call;
@@ -20,7 +20,7 @@
 //! redundancy the batch path exploits.
 //!
 //! [`ConjunctiveMapping::ipc`]: palmed_core::ConjunctiveMapping::ipc
-//! [`CompiledModel::ipc_with`]: palmed_serve::CompiledModel::ipc_with
+//! [`KernelLoad::ipc_with`]: palmed_serve::KernelLoad::ipc_with
 //! [`BatchPredictor::predict`]: palmed_serve::BatchPredictor::predict
 //! [`BatchPredictor::predict_prepared`]: palmed_serve::BatchPredictor::predict_prepared
 //! [`PreparedBatch`]: palmed_serve::PreparedBatch
@@ -30,7 +30,7 @@ use palmed_core::{Palmed, PalmedConfig};
 use palmed_eval::suite::{generate_suite, SuiteConfig, SuiteKind};
 use palmed_isa::{InventoryConfig, Microkernel};
 use palmed_machine::{presets, AnalyticMeasurer, MemoizingMeasurer};
-use palmed_serve::{BatchPredictor, CompiledModel, PreparedBatch};
+use palmed_serve::{BatchPredictor, CompiledModel, KernelLoad, PreparedBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

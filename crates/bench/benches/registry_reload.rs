@@ -3,15 +3,13 @@
 //! A serving process pays the registry three ways: once per model at
 //! start-up (cold load), once per pushed update (generation swap), and on
 //! every request (snapshot lookup).  This bench pins all three on a
-//! paper-sized synthetic inventory, across the load modes:
+//! paper-sized synthetic inventory, for both conjunctive formats:
 //!
-//! * `cold_load_full` — `ModelRegistry::load_file` on a `v2b` artifact:
-//!   validate, copy the CSR arrays, rebuild the dense mapping rows;
-//! * `cold_load_serving` — `ModelRegistry::load_file_serving`: validate
-//!   only, retain the heap buffer, defer the mapping;
-//! * `cold_load_mapped` — `ModelRegistry::load_file_mapped`: the same
-//!   serve-only load with the buffer `mmap(2)`-backed where the platform
-//!   allows, so the artifact bytes are the page cache itself;
+//! * `cold_load_v1` — `ModelRegistry::load_file` on a v1 text artifact:
+//!   parse every decimal, rebuild the rows, compile the CSR arrays;
+//! * `cold_load_v2b` — `ModelRegistry::load_file` on a `v2b` artifact:
+//!   validate only, retain the bytes, serve the arrays in place, defer the
+//!   mapping;
 //! * `generation_swap` — `ModelRegistry::swap_bytes` over a loaded
 //!   registry: validate the new bytes and atomically install the next
 //!   generation (the in-flight-reader guarantee is what's being priced);
@@ -52,57 +50,34 @@ fn bench_registry_reload(c: &mut Criterion) {
     let bin = artifact.render_v2();
     let path = std::env::temp_dir().join("palmed-bench-registry-reload.palmed2");
     std::fs::write(&path, &bin).expect("bench artifact writes");
-    {
-        let probe = ModelRegistry::new();
-        let entry = probe.load_file_mapped(&path).unwrap();
-        eprintln!(
-            "registry artifact: {} instructions, v2b {} bytes; mapped load is {}",
-            artifact.instructions.len(),
-            bin.len(),
-            if entry.serving().unwrap().is_mapped() {
-                "mmap-backed"
-            } else {
-                "heap (in-file arrays misaligned or platform without the shim)"
-            }
-        );
-    }
+    let text_path = std::env::temp_dir().join("palmed-bench-registry-reload.palmed");
+    artifact.save(&text_path).expect("bench text artifact writes");
+    eprintln!(
+        "registry artifact: {} instructions, v2b {} bytes",
+        artifact.instructions.len(),
+        bin.len()
+    );
 
     let mut group = c.benchmark_group("registry_reload");
     group.sample_size(10);
-    group.bench_with_input(BenchmarkId::new("cold_load_full", bin.len()), &path, |b, path| {
+    group.bench_with_input(BenchmarkId::new("cold_load_v1", bin.len()), &text_path, |b, path| {
         b.iter(|| {
             let registry = ModelRegistry::new();
             let entry = registry.load_file(path).unwrap();
-            entry.served().unwrap().compiled.num_entries()
+            entry.served().unwrap().view().num_entries()
         })
     });
-    group.bench_with_input(
-        BenchmarkId::new("cold_load_serving", bin.len()),
-        &path,
-        |b, path| {
-            b.iter(|| {
-                let registry = ModelRegistry::new();
-                let entry = registry.load_file_serving(path).unwrap();
-                assert!(!entry.serving().unwrap().artifact.mapping_ready());
-                entry.generation()
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("cold_load_mapped", bin.len()),
-        &path,
-        |b, path| {
-            b.iter(|| {
-                let registry = ModelRegistry::new();
-                let entry = registry.load_file_mapped(path).unwrap();
-                assert!(!entry.serving().unwrap().artifact.mapping_ready());
-                entry.generation()
-            })
-        },
-    );
+    group.bench_with_input(BenchmarkId::new("cold_load_v2b", bin.len()), &path, |b, path| {
+        b.iter(|| {
+            let registry = ModelRegistry::new();
+            let entry = registry.load_file(path).unwrap();
+            assert!(!entry.served().unwrap().artifact.mapping_ready());
+            entry.generation()
+        })
+    });
 
     let registry = ModelRegistry::new();
-    registry.load_file_serving(&path).unwrap();
+    registry.load_file(&path).unwrap();
     group.bench_with_input(BenchmarkId::new("generation_swap", bin.len()), &bin, |b, bin| {
         b.iter(|| {
             // `clone` hands the buffer over for retention — part of the
@@ -117,6 +92,7 @@ fn bench_registry_reload(c: &mut Criterion) {
     group.finish();
 
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&text_path).ok();
 }
 
 criterion_group!(benches, bench_registry_reload);

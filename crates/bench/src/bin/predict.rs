@@ -5,15 +5,15 @@
 //! 1. infer a conjunctive mapping from cycle measurements only;
 //! 2. save it as a `PALMED-MODEL v1` artifact and reload it through a
 //!    [`ModelRegistry`], verifying the round trip is bit-lossless — then the
-//!    same through the binary v2b form, both as an owned validate-and-copy
-//!    load and as a serve-only zero-copy load (borrowed view over the
-//!    retained bytes, dense mapping deferred);
+//!    same through the binary v2b form, served in place (a view borrowing
+//!    the retained bytes, dense mapping deferred);
 //! 3. generate a basic-block corpus, save it as `PALMED-CORPUS v1` text and
 //!    load it back;
-//! 4. serve the corpus through the deduplicating [`BatchPredictor`] and
+//! 4. serve the corpus through the deduplicating
+//!    [`BatchPredictor`](palmed_serve::BatchPredictor) and
 //!    cross-check every prediction against the in-memory mapping, then
-//!    re-serve it through the borrowed view and require bit-identity with
-//!    the owned path;
+//!    re-serve it through the v2b entry's borrowed view and require
+//!    bit-identity with the compiled v1 entry;
 //! 5. report accuracy against the native machine next to the uops-style
 //!    baseline;
 //! 6. exercise the second model family and the hot-reload plane: persist a
@@ -22,11 +22,10 @@
 //!    bytes under a live reader (old generation keeps serving), and replace
 //!    the artifact file atomically so `refresh()`'s mtime/length poll picks
 //!    it up;
-//! 7. prove determinism across every load mode: the v1 owned load, the
-//!    eager v2b load, the zero-copy heap and mmap'd views and the
-//!    v1-to-v2b migration must all hash to the same prediction
-//!    fingerprint, which the `.fp` sidecar records and the registry
-//!    verifies on load;
+//! 7. prove determinism across every way in: the v1 text load, the v2b
+//!    file load, [`ServedModel::from_v2b`] and the v1-to-v2b migration must
+//!    all hash to the same prediction fingerprint, which the `.fp` sidecar
+//!    records and the registry verifies on load;
 //! 8. assert the `palmed-obs` snapshot (the walk runs with observability
 //!    enabled) covers all three subsystems: trainer counters, serving
 //!    dedup hits and latency histogram, registry install/swap/refresh
@@ -55,8 +54,8 @@ use palmed_eval::suite::{generate_suite, SuiteConfig, SuiteKind};
 use palmed_isa::InventoryConfig;
 use palmed_machine::{presets, AnalyticMeasurer, Measurer, MemoizingMeasurer};
 use palmed_serve::{
-    migrate_v1_to_v2b, read_sidecar, BatchPredictor, Corpus, KernelLoad, ModelArtifact,
-    ModelRegistry, ModelView, PreparedBatch,
+    migrate_v1_to_v2b, read_sidecar, Corpus, KernelLoad, ModelArtifact,
+    ModelRegistry, PreparedBatch, ServedModel,
 };
 use std::path::PathBuf;
 use std::time::Instant;
@@ -112,7 +111,7 @@ fn main() {
     println!("[2/9] saved model artifact to {} ({bytes} bytes)", model_path.display());
     let registry = ModelRegistry::new();
     let entry = registry.load_file(&model_path).expect("artifact reloads with a valid checksum");
-    let served = entry.served().expect("v1 loads install full entries");
+    let served = entry.served().expect("v1 loads install conjunctive entries");
     if served.artifact != artifact {
         eprintln!("FATAL: reloaded artifact differs from the saved one");
         std::process::exit(1);
@@ -120,7 +119,8 @@ fn main() {
     println!("      reloaded through the registry: checksum ok, round trip lossless");
 
     // The binary v2b artifact must carry the same model: save, sniff-load,
-    // compare both the artifact and the verbatim compiled form.
+    // and serve it in place from the retained bytes, never rebuilding the
+    // dense mapping.
     let v2_path = out.join("model.palmed2");
     artifact.save_v2(&v2_path).expect("v2 artifact saves");
     let v2_bytes = std::fs::metadata(&v2_path).map(|m| m.len()).unwrap_or(0);
@@ -131,33 +131,19 @@ fn main() {
     }
     let v2_registry = ModelRegistry::new();
     let v2_entry = v2_registry.load_file(&v2_path).expect("registry sniffs the v2 format");
-    let v2_served = v2_entry.served().expect("v2b loads install full entries");
-    if v2_served.compiled != served.compiled {
-        eprintln!("FATAL: v2 verbatim compiled model differs from the compiled v1 reload");
+    let v2_served = v2_entry.served().expect("v2b loads install conjunctive entries");
+    if v2_served.bytes() != Some(&std::fs::read(&v2_path).expect("v2 file reads")[..]) {
+        eprintln!("FATAL: the v2b entry does not retain the exact file bytes");
+        std::process::exit(1);
+    }
+    if v2_served.artifact.mapping_ready() {
+        eprintln!("FATAL: the v2b load materialised the dense mapping eagerly");
         std::process::exit(1);
     }
     println!(
         "      v2b binary artifact round trip lossless ({v2_bytes} bytes, \
-         {:.0}% of the text form)",
+         {:.0}% of the text form), served in place with the mapping deferred",
         100.0 * v2_bytes as f64 / bytes.max(1) as f64
-    );
-
-    // The serve-only zero-copy path: retain the artifact bytes (mmap'd
-    // straight off the page cache where the platform allows), serve through
-    // the borrowed view, never rebuild the dense mapping.
-    let serve_registry = ModelRegistry::new();
-    let serving_entry =
-        serve_registry.load_file_mapped(&v2_path).expect("serve-only v2b load validates");
-    let serving = serving_entry.serving().expect("serve-only entry");
-    if serving.artifact.mapping_ready() {
-        eprintln!("FATAL: serve-only load materialised the dense mapping eagerly");
-        std::process::exit(1);
-    }
-    println!(
-        "      serve-only load registered `{}` ({} path, {}, mapping deferred)",
-        serving.artifact.machine,
-        if serving.view().is_borrowed() { "zero-copy borrowed" } else { "owned fallback" },
-        if serving.is_mapped() { "mmap-backed" } else { "heap buffer" }
     );
 
     // ---- 3. Corpus to and from disk. ----
@@ -169,7 +155,7 @@ fn main() {
     );
     blocks_to_corpus(&suite).save(&corpus_path, &preset.instructions).expect("corpus saves");
     let entry = registry.get(preset.name()).expect("model is registered");
-    let served = entry.served().expect("full entry");
+    let served = entry.served().expect("conjunctive entry");
     let corpus = Corpus::load(&corpus_path, &served.artifact.instructions)
         .expect("corpus reloads against the artifact's own instruction set");
     println!(
@@ -179,7 +165,7 @@ fn main() {
     );
 
     // ---- 4. Serve the corpus: ingest once, serve repeatedly. ----
-    let batch = BatchPredictor::new(&served.compiled);
+    let batch = served.batch();
     let start = Instant::now();
     let prepared = PreparedBatch::from_corpus(&corpus);
     let ingested_in = start.elapsed();
@@ -216,11 +202,11 @@ fn main() {
         cold.as_secs_f64() / served_in.as_secs_f64()
     );
 
-    // Same corpus through the serve-only borrowed view: every prediction
-    // must be bit-identical to the owned compiled path, and the dense
-    // mapping must still not have been rebuilt.
+    // Same corpus through the v2b entry's borrowed view: every prediction
+    // must be bit-identical to the compiled v1 entry, and the dense mapping
+    // must still not have been rebuilt.
     let start = Instant::now();
-    let borrowed_result = serving.batch().predict_prepared(&prepared);
+    let borrowed_result = v2_served.batch().predict_prepared(&prepared);
     let borrowed_in = start.elapsed();
     let borrowed_mismatches = result
         .ipcs
@@ -230,16 +216,16 @@ fn main() {
         .count();
     if borrowed_mismatches > 0 {
         eprintln!(
-            "FATAL: {borrowed_mismatches} borrowed-view predictions differ from the owned path"
+            "FATAL: {borrowed_mismatches} borrowed-view predictions differ from the v1 entry"
         );
         std::process::exit(1);
     }
-    if serving.artifact.mapping_ready() {
+    if v2_served.artifact.mapping_ready() {
         eprintln!("FATAL: serving the borrowed view forced the dense mapping rebuild");
         std::process::exit(1);
     }
     println!(
-        "      serve-only borrowed view bit-identical to the owned path \
+        "      v2b borrowed view bit-identical to the compiled v1 entry \
          ({} blocks in {:.2?}; mapping still deferred)",
         borrowed_result.ipcs.len(),
         borrowed_in
@@ -249,7 +235,7 @@ fn main() {
     let native = AnalyticMeasurer::new(preset.mapping_arc());
     let eval_blocks = corpus_to_blocks(&corpus);
     let native_ipcs: Vec<f64> = eval_blocks.iter().map(|b| native.ipc(&b.kernel)).collect();
-    let palmed = evaluate_tool(&served.compiled, &eval_blocks, &native_ipcs);
+    let palmed = evaluate_tool(&served.view(), &eval_blocks, &native_ipcs);
     let uops = palmed_baselines::UopsStylePredictor::new(preset.mapping_arc());
     let uops_metrics = evaluate_tool(&uops, &eval_blocks, &native_ipcs);
     println!("[5/9] accuracy vs the native machine:");
@@ -298,16 +284,17 @@ fn main() {
 
     // (b) Hot swap under a live reader: install retrained bytes under the
     // same name; the held entry keeps serving the old generation.
-    let old_entry = serve_registry.get(preset.name()).expect("serving entry registered");
+    let swap_registry = ModelRegistry::new();
+    let old_entry = swap_registry.register(artifact.clone());
     let mut retrained = artifact.clone();
     retrained.source = format!("{}-retrained", retrained.source);
-    let swapped = serve_registry
+    let swapped = swap_registry
         .swap_bytes(preset.name(), retrained.render_v2())
         .expect("hot swap installs a new generation");
     assert!(swapped.generation() > old_entry.generation(), "swap must bump the generation");
-    assert!(swapped.serving().is_some(), "a v2b swap over a serve-only entry stays serve-only");
+    assert!(swapped.served().is_some_and(|m| m.bytes().is_some()), "a v2b swap serves its bytes");
     let old_still_serves = old_entry
-        .serving()
+        .served()
         .expect("old generation entry")
         .batch()
         .predict_prepared(&prepared);
@@ -341,7 +328,7 @@ fn main() {
     }
     let refreshed = v2_registry.get(preset.name()).expect("still registered");
     assert_eq!(
-        refreshed.served().expect("full entry").artifact.source,
+        refreshed.served().expect("conjunctive entry").artifact.source,
         retrained.source,
         "refresh must serve the replaced file"
     );
@@ -352,25 +339,21 @@ fn main() {
         retrained.source
     );
 
-    // ---- 7. Determinism fingerprints across every load mode. ----
+    // ---- 7. Determinism fingerprints across every way in. ----
     // The same model must hash to the same prediction fingerprint no matter
-    // how it was loaded: owned from v1 text, eagerly decoded from v2b,
-    // served zero-copy from a heap buffer or an mmap'd file, or migrated
-    // from v1 to v2b.  The `.fp` sidecar pins that value on disk and the
-    // registry re-verifies it on every load.
+    // how it was loaded: compiled from v1 text, served in place from a v2b
+    // file or buffer, or migrated from v1 to v2b.  The `.fp` sidecar pins
+    // that value on disk and the registry re-verifies it on every load.
     let n = artifact.instructions.len();
     let reference = artifact.fingerprint();
-    let v2_render = artifact.render_v2();
-    let heap_view =
-        ModelView::parse_v2(&v2_render).expect("rendered v2b parses as a zero-copy view");
+    let from_v2b = ServedModel::from_v2b(artifact.render_v2()).expect("rendered v2b validates");
     let migrated = migrate_v1_to_v2b(artifact.render().as_bytes()).expect("v1 render migrates");
-    let migrated_view = ModelView::parse_v2(&migrated).expect("migrated bytes parse as a view");
+    let migrated = ServedModel::from_v2b(migrated).expect("migrated bytes validate");
     let modes = [
-        ("v1 owned", served.compiled.fingerprint(n)),
-        ("v2b eager", v2_served.compiled.fingerprint(n)),
-        ("zero-copy heap view", heap_view.fingerprint(n)),
-        ("zero-copy mapped view", serving.view().fingerprint(n)),
-        ("v1->v2b migration", migrated_view.fingerprint(n)),
+        ("v1 text load", served.view().fingerprint(n)),
+        ("v2b file load", v2_served.view().fingerprint(n)),
+        ("from_v2b", from_v2b.view().fingerprint(n)),
+        ("v1->v2b migration", migrated.view().fingerprint(n)),
     ];
     for (mode, fingerprint) in modes {
         if fingerprint != reference {
@@ -387,7 +370,7 @@ fn main() {
     let sidecar = read_sidecar(&fp_path).expect("sidecar reads back");
     let verified_registry = ModelRegistry::new();
     let verified = verified_registry
-        .load_file_serving(&fp_path)
+        .load_file(&fp_path)
         .expect("sidecar-verified load admits the matching model");
     if recorded != reference || sidecar != Some(reference) || verified.fingerprint() != reference {
         eprintln!(
@@ -398,7 +381,7 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "[7/9] determinism fingerprint {reference:016x} identical across {} load modes; \
+        "[7/9] determinism fingerprint {reference:016x} identical across {} ways in; \
          sidecar recorded and registry-verified at {}",
         modes.len(),
         fp_path.display()

@@ -69,7 +69,7 @@ mod linux {
     use palmed_core::ConjunctiveMapping;
     use palmed_isa::{InstId, InstructionSet};
     use palmed_serve::{
-        BatchPredictor, Corpus, ModelArtifact, ModelRegistry, PreparedBatch,
+        Corpus, ModelArtifact, ModelRegistry, PreparedBatch,
     };
     use palmed_wire::{Engine, Frame, Limits, WireClient, WireServer};
     use std::process::ExitCode;
@@ -339,9 +339,9 @@ mod linux {
         // The in-process floors — and the reference rows every wire reply
         // is checked against.
         let entry = registry.get(MODEL).expect("bench model registered");
-        let served = entry.served().expect("register installs a full entry");
+        let served = entry.served().expect("register installs a conjunctive entry");
         let instructions = &served.artifact.instructions;
-        let batch = BatchPredictor::new(&served.compiled);
+        let batch = served.batch();
         let parsed = Corpus::parse(&corpus, instructions).expect("bench corpus parses");
         let prepared = PreparedBatch::from_corpus(&parsed);
         let reference = Arc::new(batch.predict_prepared(&prepared).ipcs);

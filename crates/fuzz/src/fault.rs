@@ -16,10 +16,7 @@
 //!   whose first N reads observe a half-written prefix *while the mtime
 //!   keeps advancing*, exactly like watching `cp` mid-copy;
 //! - **mtime flapping** — [`Fault::MtimeFlap`] and
-//!   [`FaultyIo::flap_mtime`] touch the file without changing bytes;
-//! - **mmap failure** — the trait's default [`ArtifactIo::open_buf`] serves
-//!   every mapped open from the heap, permanently exercising the
-//!   registry's mmap-fallback path.
+//!   [`FaultyIo::flap_mtime`] touch the file without changing bytes.
 //!
 //! Time is a logical tick counter (mtime = `UNIX_EPOCH + tick` seconds), so
 //! schedules are immune to wall-clock jitter.
@@ -265,8 +262,6 @@ impl ArtifactIo for FaultyIo {
         }
         Ok(out)
     }
-    // No `open_buf` override: every mapped open takes the trait's default
-    // heap path, permanently exercising the registry's mmap fallback.
 }
 
 #[cfg(test)]
@@ -354,13 +349,4 @@ mod tests {
         assert_eq!(io.stat(&path).unwrap(), flapped);
     }
 
-    #[test]
-    fn mapped_opens_fall_back_to_heap() {
-        let io = FaultyIo::new();
-        let path = p("mapped.bin");
-        io.write(&path, vec![3, 1, 4]);
-        let buf = io.open_buf(&path).unwrap();
-        assert!(!buf.is_mapped(), "simulated files can never be mmapped");
-        assert_eq!(buf.as_slice(), &[3, 1, 4]);
-    }
 }

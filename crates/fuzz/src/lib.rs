@@ -11,7 +11,7 @@
 //! 3. **Canonical accept.**  An accepted buffer re-encodes bit-identically
 //!    (binary formats are canonical) or reaches a one-step fixed point
 //!    (text formats, whose comments/whitespace are not preserved), and the
-//!    zero-copy view agrees with the eager decoder — accept/reject and
+//!    in-place v2b view agrees with the eager decoder — accept/reject and
 //!    [fingerprint](palmed_serve::model_fingerprint) alike.
 //!
 //! This crate checks those invariants the way an attacker would probe them:
@@ -21,7 +21,7 @@
 //! shuffles, CSR pointer permutation, section splices, truncation,
 //! extension, trailer re-hash after body edits — and feeds the result to
 //! **every** decoder entry point ([`ModelArtifact::parse_bytes`],
-//! [`ModelView::parse_v2`], [`DisjArtifact::parse`], [`Corpus::parse`],
+//! [`ServedModel::from_v2b`], [`DisjArtifact::parse`], [`Corpus::parse`],
 //! [`migrate_v1_to_v2b`]), not just the format's own.  Everything is
 //! deterministic: case `n` replays the same bytes forever (the RNG is the
 //! vendored proptest engine's), so any finding becomes a regression test by
@@ -60,7 +60,7 @@ use palmed_isa::{InstId, InstructionSet, InventoryConfig, Microkernel};
 use palmed_serve::checksum::{fnv1a64, fnv1a64_words};
 use palmed_serve::{
     migrate_v1_to_v2b, ArtifactError, Corpus, DisjArtifact, KernelLoad, ModelArtifact, ModelKind,
-    ModelView,
+    ServedModel,
 };
 use proptest::test_runner::TestRng;
 use std::collections::BTreeSet;
@@ -712,25 +712,25 @@ pub fn check_all(
         report(detail);
     }
 
-    // 2. The zero-copy v2b view must agree with the eager decoder.
+    // 2. The in-place v2b load must agree with the eager decoder.
     if kind == ModelKind::ConjunctiveV2b {
-        if let Some(detail) = guard("view", || match ModelView::parse_v2(bytes) {
-            Ok(view) => {
+        if let Some(detail) = guard("view", || match ServedModel::from_v2b(bytes.to_vec()) {
+            Ok(served) => {
                 outcome.accepted += 1;
                 outcome.accepts.push("view");
                 match &parsed_conjunctive {
-                    None => Some("zero-copy view accepts what parse_bytes rejects".into()),
+                    None => Some("in-place view accepts what parse_bytes rejects".into()),
                     Some(artifact) => {
                         let n = artifact.instructions.len();
                         let eager = artifact.compile().fingerprint(n);
-                        (view.fingerprint(n) != eager)
+                        (served.view().fingerprint(n) != eager)
                             .then(|| "view and eager load fingerprint differently".into())
                     }
                 }
             }
             Err(error) => {
                 if parsed_conjunctive.is_some() {
-                    return Some("zero-copy view rejects what parse_bytes accepts".into());
+                    return Some("in-place view rejects what parse_bytes accepts".into());
                 }
                 tally_rejection(outcome, "view", &error)
             }

@@ -4,7 +4,7 @@
 //! harness fuzzes the [`ModelRegistry`] *refresh loop* with corrupted
 //! **filesystems**: each case seeds a [`FaultyIo`]
 //! with 1–3 artifact files, loads them into a registry (conjunctive and
-//! disjunctive, across the Full/Serving/Mapped load modes, optionally under
+//! disjunctive, in v1 text and v2b binary form, optionally under
 //! a signing key), then scripts 8–30 steps of hostile filesystem history —
 //! good rewrites, corrupt rewrites, torn replaces, mismatched and
 //! wrong-key sidecars, deletions, mtime flaps, armed transient stat/read
@@ -13,8 +13,8 @@
 //! invariants the registry documents:
 //!
 //! - **last good generation keeps serving**: every entry resolves after
-//!   every step, its fingerprint is the last *verified* body's, and
-//!   serve-only entries serve those bytes bit-identically;
+//!   every step, its fingerprint is the last *verified* body's, and v2b
+//!   entries retain exactly those bytes;
 //! - **no reload without verification**: a name appears in
 //!   [`RefreshOutcome::reloaded`] only when the settled on-disk body is
 //!   valid *and* its sidecar (if any) verifies under the registry's key;
@@ -51,14 +51,6 @@ enum Wire {
     V2b,
 }
 
-/// How the entry was loaded (decides which serving-identity check applies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Full,
-    Serving,
-    Mapped,
-}
-
 /// The fuzzer's mirror of one sidecar file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SidecarState {
@@ -82,15 +74,14 @@ struct SimEntry {
     path: PathBuf,
     family: Family,
     wire: Wire,
-    mode: Mode,
     /// Settled on-disk body when it decodes: `(fingerprint, bytes)`.
     /// `None` after a corrupting write or a deletion.
     target: Option<(u64, Vec<u8>)>,
     sidecar: SidecarState,
     /// Fingerprint of the last body the registry verified and installed.
     good_fp: u64,
-    /// Bytes of that body — the bit-identity reference for serve-only
-    /// entries.
+    /// Bytes of that body — the bit-identity reference for the bytes a v2b
+    /// entry retains.
     good_bytes: Vec<u8>,
 }
 
@@ -298,16 +289,16 @@ fn check_step(
                 sim.good_fp
             ));
         }
-        if matches!(sim.mode, Mode::Serving | Mode::Mapped) {
-            match entry.serving() {
-                Some(serving) if serving.bytes() == sim.good_bytes => {}
-                Some(_) => stats.violations.push(format!(
-                    "`{}` serve-only bytes differ from the last good body",
+        if sim.wire == Wire::V2b {
+            match entry.served().map(|served| served.bytes()) {
+                Some(Some(bytes)) if bytes == sim.good_bytes => {}
+                Some(Some(_)) => stats.violations.push(format!(
+                    "`{}` retained bytes differ from the last good body",
                     sim.name
                 )),
-                None => stats
+                _ => stats
                     .violations
-                    .push(format!("`{}` lost its serve-only shape", sim.name)),
+                    .push(format!("`{}` no longer serves its retained v2b bytes", sim.name)),
             }
         }
     }
@@ -374,19 +365,19 @@ fn run_schedule(case: u32, stats: &mut ScheduleStats) {
         format!("schedule: {}", if keyed { "signing key armed" } else { "unkeyed registry" })
     });
 
-    // Seed 1–3 watched entries across families, wire formats and modes.
+    // Seed 1–3 watched entries across families and wire formats.
     let mut entries: Vec<SimEntry> = Vec::new();
     for i in 0..rng.usize_in(1, 3) {
         let name = format!("sim-{i}");
         let path = PathBuf::from(format!("/sim/{case}/model-{i}"));
         let family = if rng.next_f64() < 0.5 { Family::Conjunctive } else { Family::Disjunctive };
-        let (wire, mode) = match family {
-            Family::Disjunctive => (Wire::V1, Mode::Full),
+        // Three in four conjunctive entries are v2b: their retained bytes
+        // get the extra bit-identity check after every step.
+        let wire = match family {
+            Family::Disjunctive => Wire::V1,
             Family::Conjunctive => match rng.usize_in(0, 3) {
-                0 => (Wire::V1, Mode::Full),
-                1 => (Wire::V2b, Mode::Full),
-                2 => (Wire::V2b, Mode::Serving),
-                _ => (Wire::V2b, Mode::Mapped),
+                0 => Wire::V1,
+                _ => Wire::V2b,
             },
         };
         let (fp, bytes) = fresh_body(&name, family, wire, &insts, &mut rng);
@@ -405,24 +396,18 @@ fn run_schedule(case: u32, stats: &mut ScheduleStats) {
             path,
             family,
             wire,
-            mode,
             target: Some((fp, bytes.clone())),
             sidecar,
             good_fp: fp,
             good_bytes: bytes,
         };
         write_sidecar_state(&io, &sim, key.as_deref());
-        let loaded = match mode {
-            Mode::Full => registry.load_file(&sim.path),
-            Mode::Serving => registry.load_file_serving(&sim.path),
-            Mode::Mapped => registry.load_file_mapped(&sim.path),
-        };
-        match loaded {
+        match registry.load_file(&sim.path) {
             Ok(entry) if entry.fingerprint() == fp && entry.name() == name => {
                 stats.note(|| {
                     format!(
-                        "seed `{name}`: {:?}/{:?}/{:?} sidecar {:?}, fingerprint {fp:016x}",
-                        sim.family, sim.wire, sim.mode, sim.sidecar
+                        "seed `{name}`: {:?}/{:?} sidecar {:?}, fingerprint {fp:016x}",
+                        sim.family, sim.wire, sim.sidecar
                     )
                 });
                 entries.push(sim);

@@ -3,9 +3,8 @@
 //! global named registry, plus a lightweight span/event layer draining
 //! per-thread ring buffers into a structured JSONL log.
 //!
-//! Hand-rolled under the same offline discipline as `palmed-par` and the
-//! serve crate's mmap shim: no external crates, `std` atomics and locks
-//! only.
+//! Hand-rolled under the same offline discipline as `palmed-par`: no
+//! external crates, `std` atomics and locks only.
 //!
 //! # Gating
 //!

@@ -22,7 +22,7 @@
 //!   every preceding byte.  Truncation, bit rot and hand edits that forget to
 //!   re-hash are rejected at load time instead of silently mis-predicting.
 
-use crate::binfmt::{ArtifactBytes, RawIndex};
+use crate::binfmt::ArtifactBytes;
 use crate::codec::ModelKind;
 use crate::compiled::CompiledModel;
 use palmed_core::ConjunctiveMapping;
@@ -34,7 +34,8 @@ use std::sync::{Mutex, OnceLock};
 /// The lazily materialised mapping of a [`ModelArtifact`].
 ///
 /// Most artifacts are born with their mapping (inference, v1 parse, eager
-/// v2b parse) and the cell is pre-filled.  Serve-only v2b loads instead
+/// v2b parse) and the cell is pre-filled.  Served v2b loads
+/// ([`ServedModel::from_v2b`](crate::ServedModel::from_v2b)) instead
 /// retain the validated artifact bytes and defer the dense row rebuild —
 /// the dominant cost of a v2b load, and work the serving path never reads —
 /// until the first explicit [`ModelArtifact::mapping`] access, which pays it
@@ -44,16 +45,9 @@ struct MappingCell {
     /// Rebuild source for deferred cells; `None` when the cell was born
     /// materialised — and taken (releasing the byte buffer's refcount) the
     /// moment the rebuild runs, so a materialised artifact does not pin the
-    /// artifact bytes for the rest of its life.
-    deferred: Mutex<Option<DeferredMapping>>,
-}
-
-/// The validated bytes a deferred mapping rebuilds from.  Shares the
-/// artifact buffer with the registry's serving entry — retaining it costs
-/// one `Arc`, not a copy.
-struct DeferredMapping {
-    bytes: ArtifactBytes,
-    index: RawIndex,
+    /// artifact bytes for the rest of its life.  The bytes are shared with
+    /// the served registry entry, so retaining them costs one `Arc`.
+    deferred: Mutex<Option<ArtifactBytes>>,
 }
 
 impl MappingCell {
@@ -61,11 +55,8 @@ impl MappingCell {
         MappingCell { cell: OnceLock::from(mapping), deferred: Mutex::new(None) }
     }
 
-    fn deferred(bytes: ArtifactBytes, index: RawIndex) -> Self {
-        MappingCell {
-            cell: OnceLock::new(),
-            deferred: Mutex::new(Some(DeferredMapping { bytes, index })),
-        }
+    fn deferred(bytes: ArtifactBytes) -> Self {
+        MappingCell { cell: OnceLock::new(), deferred: Mutex::new(Some(bytes)) }
     }
 
     fn get(&self) -> &ConjunctiveMapping {
@@ -73,17 +64,17 @@ impl MappingCell {
         let mapping = self.cell.get_or_init(|| {
             initialised_here = true;
             // `get_or_init` runs the closure exactly once.  The rebuild
-            // state is only *read* here (an `Arc` bump + index clone), not
-            // taken: concurrent `Clone`s racing the rebuild must still find
-            // it — they see an unfilled cell and need the state to stay
-            // deferred themselves.
-            let (bytes, index) = {
-                let guard =
-                    self.deferred.lock().expect("rebuild never panics on validated bytes");
-                let deferred = guard.as_ref().expect("unfilled cells carry rebuild state");
-                (deferred.bytes.clone(), deferred.index.clone())
-            };
-            index.rebuild_mapping(bytes.as_slice())
+            // state is only *read* here (an `Arc` bump), not taken:
+            // concurrent `Clone`s racing the rebuild must still find it —
+            // they see an unfilled cell and need the state to stay deferred
+            // themselves.
+            let bytes = self
+                .deferred
+                .lock()
+                .expect("rebuild never panics on validated bytes")
+                .clone()
+                .expect("unfilled cells carry rebuild state");
+            bytes.index().rebuild_mapping(bytes.as_slice())
         });
         if initialised_here {
             // The rows exist now; drop this cell's hold on the artifact
@@ -108,9 +99,7 @@ impl Clone for MappingCell {
         }
         let guard = self.deferred.lock().expect("rebuild never panics on validated bytes");
         match guard.as_ref() {
-            Some(deferred) => {
-                MappingCell::deferred(deferred.bytes.clone(), deferred.index.clone())
-            }
+            Some(bytes) => MappingCell::deferred(bytes.clone()),
             // A concurrent `mapping()` call finished between the two checks:
             // the rebuild state is only released *after* the cell fills, and
             // the mutex orders that release before this observation.
@@ -132,7 +121,7 @@ impl fmt::Debug for MappingCell {
 
 /// A persistable inferred model: provenance, instruction set and mapping.
 ///
-/// The mapping may be lazily materialised (serve-only binary loads defer the
+/// The mapping may be lazily materialised (served binary loads defer the
 /// dense row rebuild); access it through [`ModelArtifact::mapping`].
 /// Equality, rendering and compilation force materialisation — only the
 /// serving path, which reads none of them, stays rebuild-free.
@@ -367,31 +356,32 @@ impl ModelArtifact {
         }
     }
 
-    /// Assembles a serve-only artifact whose mapping rebuild is deferred to
-    /// the first [`ModelArtifact::mapping`] access.  The bytes and index must
-    /// come from a successful [`crate::binfmt::validate`] run — the
-    /// validator's `slots <= instructions` check is what keeps the artifact
-    /// self-describing without re-walking the rows here.
-    pub(crate) fn deferred(
-        machine: String,
-        source: String,
-        instructions: InstructionSet,
-        bytes: ArtifactBytes,
-        index: RawIndex,
-    ) -> Self {
-        ModelArtifact { machine, source, instructions, mapping: MappingCell::deferred(bytes, index) }
+    /// Assembles a served v2b artifact whose mapping rebuild is deferred to
+    /// the first [`ModelArtifact::mapping`] access.  The bytes must come
+    /// from a successful [`crate::binfmt::validate`] run that also produced
+    /// `instructions` — the validator's `slots <= instructions` check is
+    /// what keeps the artifact self-describing without re-walking the rows
+    /// here.
+    pub(crate) fn deferred(instructions: InstructionSet, bytes: ArtifactBytes) -> Self {
+        let (index, slice) = (bytes.index(), bytes.as_slice());
+        ModelArtifact {
+            machine: index.machine(slice).to_string(),
+            source: index.source(slice).to_string(),
+            instructions,
+            mapping: MappingCell::deferred(bytes),
+        }
     }
 
     /// The inferred conjunctive resource mapping.
     ///
-    /// Serve-only loads defer the dense row rebuild; the first call pays it
+    /// Served v2b loads defer the dense row rebuild; the first call pays it
     /// once and every later call returns the cached rows.
     pub fn mapping(&self) -> &ConjunctiveMapping {
         self.mapping.get()
     }
 
-    /// True when the mapping is materialised — `false` for a serve-only load
-    /// that has not yet paid the dense rebuild.
+    /// True when the mapping is materialised — `false` for a served v2b
+    /// load that has not yet paid the dense rebuild.
     pub fn mapping_ready(&self) -> bool {
         self.mapping.is_ready()
     }
@@ -630,24 +620,10 @@ impl ModelArtifact {
     /// [`ArtifactError::WrongKind`] (load those through
     /// [`DisjArtifact`](crate::DisjArtifact) or the registry).
     pub fn parse_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        Self::parse_any(bytes).map(|(artifact, _)| artifact)
-    }
-
-    /// Format-sniffing parse that also surfaces the verbatim
-    /// [`CompiledModel`] a binary artifact carries (v1 callers compile from
-    /// the mapping instead).
-    pub(crate) fn parse_any(
-        bytes: &[u8],
-    ) -> Result<(Self, Option<CompiledModel>), ArtifactError> {
         match ModelKind::sniff(bytes) {
-            ModelKind::ConjunctiveV2b => {
-                let (artifact, compiled) = crate::binfmt::decode(bytes)?;
-                Ok((artifact, Some(compiled)))
-            }
+            ModelKind::ConjunctiveV2b => Self::parse_v2(bytes),
             ModelKind::ConjunctiveV1 => {
-                let text =
-                    std::str::from_utf8(bytes).map_err(|_| ArtifactError::MissingHeader)?;
-                Ok((Self::parse(text)?, None))
+                Self::parse(std::str::from_utf8(bytes).map_err(|_| ArtifactError::MissingHeader)?)
             }
             found => {
                 Err(ArtifactError::WrongKind { expected: ModelKind::ConjunctiveV1, found })
@@ -689,8 +665,8 @@ impl ModelArtifact {
     /// The artifact's determinism fingerprint: a canonical FNV-1a-64 hash
     /// over the compiled model's predictions on the pinned probe corpus (see
     /// [`model_fingerprint`](crate::fingerprint::model_fingerprint)).  Every
-    /// load mode of the same model — owned, borrowed, memory-mapped,
-    /// migrated — produces the same value.
+    /// way of loading the same model — v1 text, v2b bytes, migrated —
+    /// produces the same value.
     pub fn fingerprint(&self) -> u64 {
         use crate::compiled::KernelLoad;
         self.compile().fingerprint(self.instructions.len())
@@ -765,6 +741,7 @@ pub(crate) mod tests_support {
 mod tests {
     use super::tests_support::example;
     use super::*;
+    use crate::compiled::KernelLoad;
     use palmed_isa::Microkernel;
 
     #[test]

@@ -20,10 +20,9 @@
 //!   what-if query against the same workload.
 //!
 //! [`BatchPredictor`] is generic over [`KernelLoad`], so the same engine
-//! serves an owned [`CompiledModel`], a borrowed
-//! [`CompiledModelRef`](crate::CompiledModelRef) over retained artifact
-//! bytes, or the [`ModelView`](crate::ModelView) a serve-only load hands
-//! out.  [`BatchPredictor::predict`] chains ingest and serve for one-shot
+//! serves an owned [`CompiledModel`], the
+//! [`CompiledModelRef`](crate::CompiledModelRef) view a
+//! [`ServedModel`](crate::ServedModel) lends, or a disjunctive model.  [`BatchPredictor::predict`] chains ingest and serve for one-shot
 //! use, deduplicating by reference so distinct kernels are never cloned.
 
 use crate::compiled::{CompiledModel, KernelLoad};
@@ -225,8 +224,8 @@ impl BatchScatter {
     }
 }
 
-/// A sharded batch front-end over any [`KernelLoad`] model — owned,
-/// borrowed, or a [`ModelView`](crate::ModelView).
+/// A sharded batch front-end over any [`KernelLoad`] model — owned or a
+/// borrowed [`CompiledModelRef`](crate::CompiledModelRef) view.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPredictor<M = CompiledModel> {
     model: M,

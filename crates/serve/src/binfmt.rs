@@ -9,14 +9,15 @@
 //! * [`validate`] walks the buffer once, checks the checksum and every
 //!   structural invariant, and returns a [`RawIndex`] — the byte ranges of
 //!   the CSR arrays plus the instruction inventory.  Nothing is copied.
-//! * Materialisation is then a choice per caller: [`RawIndex::to_compiled`]
-//!   copies the arrays into an owned [`CompiledModel`] (the classic
-//!   validate-and-copy load), [`RawIndex::view`] borrows them in place as a
-//!   [`CompiledModelRef`] (the zero-copy serving load), and
-//!   [`RawIndex::rebuild_mapping`] re-derives the dense
+//! * Materialisation is then a choice per caller: [`ArtifactBytes::view`]
+//!   borrows the arrays in place as a [`CompiledModelRef`] (the serving
+//!   load, over bytes re-based so the arrays are aligned),
+//!   [`RawIndex::to_compiled`] copies them into an owned [`CompiledModel`]
+//!   (big-endian targets, where the little-endian runs cannot be borrowed),
+//!   and [`RawIndex::rebuild_mapping`] re-derives the dense
 //!   [`ConjunctiveMapping`] rows (exactly inverting what
 //!   [`CompiledModel::compile`] does, so a v1↔v2 round trip is
-//!   bit-identical) — which serve-only loads defer until first access.
+//!   bit-identical) — which served loads defer until first access.
 //!
 //! The byte-level plumbing (magic + FNV trailer, length-prefixed sections,
 //! the offset-tagged [`Cursor`]) is the shared machinery of
@@ -44,7 +45,6 @@ use crate::codec::{
     V2B_MAGIC,
 };
 use crate::compiled::{CompiledModel, CompiledModelRef};
-use crate::mmap::FileBuf;
 use palmed_core::ConjunctiveMapping;
 use palmed_isa::{InstId, InstructionSet};
 use std::ops::Range;
@@ -63,7 +63,7 @@ impl ArtifactCodec for V2bCodec {
     }
 
     fn decode(bytes: &[u8]) -> Result<ModelArtifact, ArtifactError> {
-        decode(bytes).map(|(artifact, _)| artifact)
+        decode(bytes)
     }
 }
 
@@ -87,7 +87,7 @@ pub(crate) fn encode(artifact: &ModelArtifact) -> Vec<u8> {
     }
 
     push_u32(&mut out, mapped.len() as u32);
-    out.extend(mapped.iter().map(|&m| m as u8));
+    out.extend_from_slice(mapped);
     for &p in row_ptr {
         push_u32(&mut out, p);
     }
@@ -130,8 +130,8 @@ pub(crate) struct Validated {
 /// Walks a v2b artifact once, verifying the checksum and every structural
 /// invariant, without copying any CSR array or rebuilding any dense row.
 ///
-/// This is the single validator behind every v2b load path — owned, borrowed
-/// and serve-only — so corruption, truncation and crafted structural
+/// This is the single validator behind every v2b load path — served, eager
+/// and migrated — so corruption, truncation and crafted structural
 /// violations are rejected identically everywhere.
 pub(crate) fn validate(bytes: &[u8]) -> Result<Validated, ArtifactError> {
     let body = crate::codec::verify_for::<V2bCodec>(bytes)?;
@@ -237,18 +237,15 @@ impl RawIndex {
     }
 
     /// Copies the CSR arrays out of the buffer into an owned
-    /// [`CompiledModel`] — the classic validate-and-copy load, and the
-    /// fallback behind [`CompiledModelRef::to_owned`].
+    /// [`CompiledModel`] — the serving load on big-endian targets, where
+    /// the little-endian runs cannot be borrowed in place.
     pub(crate) fn to_compiled(&self, bytes: &[u8]) -> CompiledModel {
-        let mapped: Vec<bool> = bytes[self.mapped.clone()].iter().map(|&b| b != 0).collect();
-        let row_ptr: Vec<u32> = bytes[self.row_ptr.clone()]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect();
-        let cols: Vec<u32> = bytes[self.cols.clone()]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect();
+        let words = |range: &Range<usize>| -> Vec<u32> {
+            bytes[range.clone()]
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+                .collect()
+        };
         let vals: Vec<f64> = bytes[self.vals.clone()]
             .chunks_exact(8)
             .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
@@ -256,51 +253,22 @@ impl RawIndex {
         CompiledModel::from_raw_parts(
             self.machine(bytes).to_string(),
             self.resource_names.iter().map(|r| self.str(bytes, r).to_string()).collect(),
-            mapped,
-            row_ptr,
-            cols,
+            bytes[self.mapped.clone()].to_vec(),
+            words(&self.row_ptr),
+            words(&self.cols),
             vals,
         )
     }
 
-    /// Borrows the CSR arrays in place as a [`CompiledModelRef`], or `None`
-    /// when the buffer cannot back an aligned `u32` view (the integer arrays
-    /// land on unaligned offsets, or the target is big-endian — v2b arrays
-    /// are little-endian runs).  `vals` needs no alignment: the view reads
-    /// `f64` bit patterns bytewise.
-    pub(crate) fn view<'a>(&self, bytes: &'a [u8]) -> Option<CompiledModelRef<'a>> {
-        if cfg!(target_endian = "big") {
-            return None;
-        }
-        // SAFETY: every bit pattern is a valid u32; `align_to` returns the
-        // longest aligned middle, so empty prefixes prove the whole range
-        // reinterprets in place.  Endianness is checked above.
-        let (rp_head, row_ptr, rp_tail) =
-            unsafe { bytes[self.row_ptr.clone()].align_to::<u32>() };
-        let (c_head, cols, c_tail) = unsafe { bytes[self.cols.clone()].align_to::<u32>() };
-        if !rp_head.is_empty() || !rp_tail.is_empty() || !c_head.is_empty() || !c_tail.is_empty() {
-            return None;
-        }
-        Some(CompiledModelRef::from_parts(
-            self.machine(bytes),
-            self.resource_names.iter().map(|r| self.str(bytes, r)).collect(),
-            &bytes[self.mapped.clone()],
-            row_ptr,
-            cols,
-            &bytes[self.vals.clone()],
-        ))
-    }
-
-    /// Byte offset the `row_ptr` array starts at — what buffer alignment is
-    /// decided against.
-    pub(crate) fn row_ptr_offset(&self) -> usize {
-        self.row_ptr.start
+    /// Name of resource `r`, borrowed from the buffer.
+    pub(crate) fn resource_name<'a>(&self, bytes: &'a [u8], r: usize) -> &'a str {
+        self.str(bytes, &self.resource_names[r])
     }
 
     /// Rebuilds the dense [`ConjunctiveMapping`] rows by scattering the
     /// sparse entries over zeros (the inverse of [`CompiledModel::compile`]).
     /// This is the expensive half of a v2b load that the serving path never
-    /// needs — serve-only loads defer it until first explicit access.
+    /// needs — served loads defer it until first explicit access.
     pub(crate) fn rebuild_mapping(&self, bytes: &[u8]) -> ConjunctiveMapping {
         let n_resources = self.resource_names.len();
         let mut rows: Vec<(InstId, Vec<f64>)> = Vec::with_capacity(self.slots.min(1 << 20));
@@ -326,115 +294,120 @@ impl RawIndex {
     }
 }
 
-/// Owned or mapped artifact bytes whose CSR integer arrays are guaranteed to
-/// sit on aligned offsets, shareable between a serve-only registry entry and
-/// the deferred mapping state of its artifact.
+/// A little-endian machine word a validated v2b array can be borrowed as.
+/// Every bit pattern is a valid value of both implementors.
+trait Word: Sized {}
+impl Word for u32 {}
+impl Word for f64 {}
+
+/// Reinterprets an aligned little-endian byte run as a slice of words.
+fn cast<T: Word>(bytes: &[u8]) -> &[T] {
+    assert!(
+        cfg!(target_endian = "little")
+            && (bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<T>())
+            && bytes.len().is_multiple_of(std::mem::size_of::<T>()),
+        "ArtifactBytes aligns every CSR array (little-endian targets only)"
+    );
+    // SAFETY: the pointer is aligned for `T` and the length is a whole
+    // number of words (both checked above); `Word` types accept every bit
+    // pattern and the byte order matches (checked above); the result
+    // borrows `bytes`, so it cannot outlive the buffer.
+    unsafe {
+        std::slice::from_raw_parts(bytes.as_ptr().cast::<T>(), bytes.len() / std::mem::size_of::<T>())
+    }
+}
+
+/// Validated, heap-owned artifact bytes whose CSR arrays sit on aligned
+/// offsets, together with their [`RawIndex`]; shared (one `Arc`) between a
+/// served registry entry and the deferred mapping state of its artifact.
 ///
 /// `std::fs::read` hands back a buffer whose base alignment is allocator
-/// luck and whose array offsets depend on name lengths, so roughly 3 in 4
-/// artifacts would land misaligned and fall off the zero-copy path.
-/// [`ArtifactBytes::aligned`] fixes that once at load time: when the arrays
-/// are misaligned it re-bases the payload with a leading shift (one memcpy —
-/// still no per-array copies, no rebuild), after which [`RawIndex::view`] is
-/// guaranteed to succeed on little-endian targets.
-/// [`ArtifactBytes::from_file`] goes one step further and serves straight
-/// from an `mmap(2)`-backed buffer (page-aligned base, so only the in-file
-/// array offset decides), copying to an aligned heap buffer only when it
-/// must.
+/// luck and whose array offsets depend on name lengths.
+/// [`ArtifactBytes::aligned`] fixes that once at load time: when `vals` is
+/// not 8-aligned it re-bases the payload with a leading shift (one memcpy).
+/// Every array between `row_ptr` and `vals` is a whole number of 4-byte
+/// words, so an 8-aligned `vals` also 4-aligns `row_ptr` and `cols`, and
+/// [`ArtifactBytes::view`] can borrow all three as plain slices.
 #[derive(Clone)]
-pub(crate) struct ArtifactBytes {
-    backing: Backing,
+pub(crate) struct ArtifactBytes(Arc<Retained>);
+
+struct Retained {
+    buf: Vec<u8>,
+    /// Offset of the artifact's first byte inside `buf` (non-zero only when
+    /// the payload was re-based for alignment).
+    start: usize,
+    index: RawIndex,
 }
 
 /// Summarised `Debug` — a retained artifact is hundreds of kilobytes, and
-/// this type is reachable from `Debug` on every serving registry entry.
+/// this type is reachable from `Debug` on every served registry entry.
 impl std::fmt::Debug for ArtifactBytes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.backing {
-            Backing::Heap { start, .. } => {
-                write!(f, "ArtifactBytes::Heap({} bytes, start {start})", self.as_slice().len())
-            }
-            Backing::Mapped(_) => {
-                write!(f, "ArtifactBytes::Mapped({} bytes)", self.as_slice().len())
-            }
-        }
+        write!(f, "ArtifactBytes({} bytes, start {})", self.as_slice().len(), self.0.start)
     }
-}
-
-#[derive(Clone)]
-enum Backing {
-    Heap {
-        buf: Arc<Vec<u8>>,
-        /// Offset of the artifact's first byte inside `buf` (non-zero only
-        /// when the payload was re-based for alignment).
-        start: usize,
-    },
-    /// A read-only file mapping (see [`crate::mmap`]); zero heap bytes.
-    Mapped(Arc<FileBuf>),
 }
 
 impl ArtifactBytes {
-    /// Wraps raw artifact bytes, re-basing them if the validated index says
-    /// the `u32` arrays would otherwise be unaligned.
-    pub(crate) fn aligned(bytes: Vec<u8>, index: &RawIndex) -> ArtifactBytes {
-        let misalignment = (bytes.as_ptr() as usize + index.row_ptr_offset()) % 4;
-        if misalignment == 0 {
-            return ArtifactBytes { backing: Backing::Heap { buf: Arc::new(bytes), start: 0 } };
-        }
-        let mut buf = vec![0u8; bytes.len() + 4];
-        let start = (4 - (buf.as_ptr() as usize + index.row_ptr_offset()) % 4) % 4;
-        buf[start..start + bytes.len()].copy_from_slice(&bytes);
-        buf.truncate(start + bytes.len());
-        ArtifactBytes { backing: Backing::Heap { buf: Arc::new(buf), start } }
-    }
-
-    /// Wraps a whole-file buffer, serving straight from the mapping when the
-    /// arrays are aligned in it and copying to an aligned heap buffer
-    /// otherwise (also the path for heap-read fallbacks).
-    pub(crate) fn from_file(buf: FileBuf, index: &RawIndex) -> ArtifactBytes {
-        let aligned_in_place =
-            (buf.as_slice().as_ptr() as usize + index.row_ptr_offset()).is_multiple_of(4);
-        if buf.is_mapped() && aligned_in_place {
-            return ArtifactBytes { backing: Backing::Mapped(Arc::new(buf)) };
-        }
-        let bytes = match buf {
-            FileBuf::Heap(bytes) => bytes,
-            #[cfg(all(unix, target_pointer_width = "64"))]
-            mapped => mapped.as_slice().to_vec(),
+    /// Takes ownership of validated artifact bytes, re-basing them if `vals`
+    /// would otherwise sit on an offset that is not 8-aligned.
+    pub(crate) fn aligned(bytes: Vec<u8>, index: RawIndex) -> ArtifactBytes {
+        let shift = |base: *const u8| (8 - (base as usize + index.vals.start) % 8) % 8;
+        let (buf, start) = if shift(bytes.as_ptr()) == 0 {
+            (bytes, 0)
+        } else {
+            let mut buf = vec![0u8; bytes.len() + 8];
+            let start = shift(buf.as_ptr());
+            buf[start..start + bytes.len()].copy_from_slice(&bytes);
+            buf.truncate(start + bytes.len());
+            (buf, start)
         };
-        ArtifactBytes::aligned(bytes, index)
+        ArtifactBytes(Arc::new(Retained { buf, start, index }))
     }
 
-    /// True when the bytes are served straight from a file mapping.
-    pub(crate) fn is_mapped(&self) -> bool {
-        matches!(self.backing, Backing::Mapped(_))
-    }
-
-    /// The artifact bytes.  The heap block or mapping behind the `Arc` never
-    /// moves, so the alignment established at construction holds for the
-    /// lifetime of every clone.
+    /// The artifact bytes.  The heap block behind the `Arc` never moves, so
+    /// the alignment established at construction holds for the lifetime of
+    /// every clone.
     pub(crate) fn as_slice(&self) -> &[u8] {
-        match &self.backing {
-            Backing::Heap { buf, start } => &buf[*start..],
-            Backing::Mapped(buf) => buf.as_slice(),
-        }
+        &self.0.buf[self.0.start..]
+    }
+
+    /// The validated byte ranges of the artifact.
+    pub(crate) fn index(&self) -> &RawIndex {
+        &self.0.index
+    }
+
+    /// Borrows the CSR arrays in place as a [`CompiledModelRef`].  Allocates
+    /// nothing: the resource count is all the hot loop needs, and names are
+    /// read on request through [`RawIndex::resource_name`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on big-endian targets, where the little-endian runs cannot be
+    /// borrowed (serve them through [`RawIndex::to_compiled`] instead).
+    pub(crate) fn view(&self) -> CompiledModelRef<'_> {
+        let (index, bytes) = (self.index(), self.as_slice());
+        CompiledModelRef::from_parts(
+            index.machine(bytes),
+            index.resource_names.len(),
+            &bytes[index.mapped.clone()],
+            cast(&bytes[index.row_ptr.clone()]),
+            cast(&bytes[index.cols.clone()]),
+            cast(&bytes[index.vals.clone()]),
+        )
     }
 }
 
-/// Parses and verifies a v2b artifact, returning both the self-describing
-/// artifact (dense mapping rebuilt eagerly) and the compiled model copied
-/// verbatim from the stored arrays.
-pub(crate) fn decode(bytes: &[u8]) -> Result<(ModelArtifact, CompiledModel), ArtifactError> {
+/// Parses and verifies a v2b artifact into the self-describing artifact,
+/// dense mapping rebuilt eagerly.
+pub(crate) fn decode(bytes: &[u8]) -> Result<ModelArtifact, ArtifactError> {
     let Validated { instructions, index } = validate(bytes)?;
     let mapping = index.rebuild_mapping(bytes);
-    let compiled = index.to_compiled(bytes);
-    let artifact = ModelArtifact::new(
+    Ok(ModelArtifact::new(
         index.machine(bytes).to_string(),
         index.source(bytes).to_string(),
         instructions,
         mapping,
-    );
-    Ok((artifact, compiled))
+    ))
 }
 
 #[cfg(test)]
@@ -490,12 +463,12 @@ mod tests {
             let pad = (4 - base % 4) % 4 + shift;
             backing[pad..pad + bin.len()].copy_from_slice(&bin);
             let slice = backing[pad..pad + bin.len()].to_vec();
-            let aligned = ArtifactBytes::aligned(slice, &index);
+            let aligned = ArtifactBytes::aligned(slice, index.clone());
             assert_eq!(aligned.as_slice(), &bin[..]);
-            assert!(
-                index.view(aligned.as_slice()).is_some() || cfg!(target_endian = "big"),
-                "aligned bytes must back a borrowed view (shift {shift})"
-            );
+            if cfg!(target_endian = "little") {
+                let view = aligned.view();
+                assert_eq!(view.num_entries(), 5, "aligned bytes back a view (shift {shift})");
+            }
         }
     }
 

@@ -49,7 +49,7 @@ pub enum ModelKind {
     /// interchange/debug form).
     ConjunctiveV1,
     /// Conjunctive resource mapping, `PALMED-MODEL v2b` binary (the fast
-    /// load path; the only form with a zero-copy serving mode).
+    /// load path, served in place from the retained bytes).
     ConjunctiveV2b,
     /// Disjunctive port mapping (port sets + inverse throughputs),
     /// `PALMED-DISJ v1` binary — the family PMEvo-style baselines persist.

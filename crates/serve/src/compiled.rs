@@ -1,6 +1,4 @@
-//! The compiled predictor: a [`ConjunctiveMapping`] flattened for serving —
-//! owned ([`CompiledModel`]) or borrowed straight from artifact bytes
-//! ([`CompiledModelRef`]).
+//! The compiled predictor: a [`ConjunctiveMapping`] flattened for serving.
 //!
 //! [`ConjunctiveMapping`] stores usage rows in a `BTreeMap` keyed by
 //! [`InstId`] — ideal while the inference pipeline is still inserting and
@@ -12,25 +10,23 @@
 //! dense.  Prediction walks two flat arrays and writes into a caller-provided
 //! scratch buffer — no allocation, no pointer chasing.
 //!
-//! [`CompiledModelRef`] is the same arena *without the copies*: a
-//! validate-once view whose `row_ptr`/`cols` slices alias the raw `v2b`
-//! artifact bytes and whose usage values are read as `f64` bit patterns in
-//! place.  Both implement [`KernelLoad`], the allocation-free serving
-//! interface the batch engine is generic over; [`ModelView`] holds whichever
-//! of the two a load produced (borrowed when the buffer alignment allows it,
-//! owned otherwise).
+//! [`CompiledModelRef`] is the one serving view of that arena: plain `&[u32]`
+//! / `&[f64]` slices, borrowed either from a [`CompiledModel`]'s own arrays
+//! or in place from retained `v2b` artifact bytes (see
+//! [`ServedModel`](crate::ServedModel)).  It holds the single CSR hot loop;
+//! everything else — the owned model's [`KernelLoad`] and
+//! [`ThroughputPredictor`] impls included — delegates to it.  [`KernelLoad`]
+//! is the allocation-free serving interface the batch engine is generic
+//! over.
 //!
 //! The arithmetic performs the same additions in the same order as the
 //! `BTreeMap` path (kernels iterate in instruction order in both, and
 //! skipping an exact `+ 0.0` cannot change a finite non-negative
-//! accumulator), so compiled predictions — owned and borrowed alike — are
-//! **bit-identical** to [`ConjunctiveMapping::ipc`] — asserted by the
-//! round-trip property tests.
+//! accumulator), so compiled predictions are **bit-identical** to
+//! [`ConjunctiveMapping::ipc`] — asserted by the round-trip property tests.
 
-use crate::artifact::ArtifactError;
 use palmed_core::{ConjunctiveMapping, ResourceId, ThroughputPredictor};
 use palmed_isa::{InstId, Microkernel};
-use std::borrow::Cow;
 use std::cell::RefCell;
 
 thread_local! {
@@ -47,9 +43,10 @@ thread_local! {
 pub struct CompiledModel {
     name: String,
     resource_names: Vec<String>,
-    /// Whether the instruction at a given index has a row (an all-zero row
-    /// still counts as mapped, exactly like the `BTreeMap` representation).
-    mapped: Vec<bool>,
+    /// Per-slot "has a row" flag, 0 or 1 (an all-zero row still counts as
+    /// mapped, exactly like the `BTreeMap` representation).  One byte per
+    /// slot, the same layout the `v2b` artifact stores.
+    mapped: Vec<u8>,
     /// CSR row boundaries, one entry per instruction index plus a sentinel.
     row_ptr: Vec<u32>,
     /// Resource index of every non-zero usage entry.
@@ -62,14 +59,14 @@ impl CompiledModel {
     /// Flattens `mapping` into its compiled form under a display name.
     pub fn compile(name: impl Into<String>, mapping: &ConjunctiveMapping) -> Self {
         let num_rows = mapping.instructions().last().map_or(0, |i| i.index() + 1);
-        let mut mapped = vec![false; num_rows];
+        let mut mapped = vec![0u8; num_rows];
         let mut row_ptr = Vec::with_capacity(num_rows + 1);
         let mut cols = Vec::new();
         let mut vals = Vec::new();
         row_ptr.push(0u32);
         for (index, is_mapped) in mapped.iter_mut().enumerate() {
             if let Some(usage) = mapping.usage_vector(InstId(index as u32)) {
-                *is_mapped = true;
+                *is_mapped = 1;
                 for (r, &value) in usage.iter().enumerate() {
                     if value != 0.0 {
                         cols.push(r as u32);
@@ -90,15 +87,15 @@ impl CompiledModel {
     }
 
     /// Rebuilds a compiled model from already-validated raw CSR arrays (the
-    /// binary artifact codec's verbatim load path).  Callers must uphold the
-    /// [`CompiledModel::compile`] invariants: `row_ptr` has `mapped.len() + 1`
-    /// monotone entries ending at `cols.len()`, `cols` are ascending within a
-    /// row and index into `resource_names`, and unmapped slots have empty
-    /// rows.
+    /// binary artifact codec's copy path on big-endian targets).  Callers
+    /// must uphold the [`CompiledModel::compile`] invariants: `mapped` holds
+    /// 0/1 flags, `row_ptr` has `mapped.len() + 1` monotone entries ending
+    /// at `cols.len()`, `cols` are ascending within a row and index into
+    /// `resource_names`, and unmapped slots have empty rows.
     pub(crate) fn from_raw_parts(
         name: String,
         resource_names: Vec<String>,
-        mapped: Vec<bool>,
+        mapped: Vec<u8>,
         row_ptr: Vec<u32>,
         cols: Vec<u32>,
         vals: Vec<f64>,
@@ -111,8 +108,21 @@ impl CompiledModel {
 
     /// The raw CSR arrays `(mapped, row_ptr, cols, vals)`, for verbatim
     /// binary serialisation.
-    pub(crate) fn raw_parts(&self) -> (&[bool], &[u32], &[u32], &[f64]) {
+    pub(crate) fn raw_parts(&self) -> (&[u8], &[u32], &[u32], &[f64]) {
         (&self.mapped, &self.row_ptr, &self.cols, &self.vals)
+    }
+
+    /// The serving view of the arrays — what every prediction runs through.
+    #[inline]
+    pub fn view(&self) -> CompiledModelRef<'_> {
+        CompiledModelRef::from_parts(
+            &self.name,
+            self.resource_names.len(),
+            &self.mapped,
+            &self.row_ptr,
+            &self.cols,
+            &self.vals,
+        )
     }
 
     /// Number of abstract resources.
@@ -122,7 +132,7 @@ impl CompiledModel {
 
     /// Number of mapped instructions.
     pub fn num_instructions(&self) -> usize {
-        self.mapped.iter().filter(|&&m| m).count()
+        self.view().num_instructions()
     }
 
     /// Number of non-zero `(instruction, resource)` usage entries.
@@ -135,74 +145,21 @@ impl CompiledModel {
         &self.resource_names[r.index()]
     }
 
-    /// A scratch buffer sized for this model, for the `_with` entry points.
-    pub fn scratch(&self) -> Vec<f64> {
-        vec![0.0; self.num_resources()]
-    }
-
     /// Sparse usage row of an instruction: `(resource index, usage)` pairs in
     /// ascending resource order.  Empty for unmapped instructions.
     pub fn row(&self, inst: InstId) -> impl Iterator<Item = (u32, f64)> + '_ {
-        let range = if inst.index() + 1 < self.row_ptr.len() {
-            self.row_ptr[inst.index()] as usize..self.row_ptr[inst.index() + 1] as usize
-        } else {
-            0..0
-        };
-        self.cols[range.clone()].iter().copied().zip(self.vals[range].iter().copied())
+        self.view().row(inst)
+    }
+}
+
+impl KernelLoad for CompiledModel {
+    fn num_resources(&self) -> usize {
+        self.resource_names.len()
     }
 
-    /// Writes the per-resource load of one kernel iteration into `scratch`
-    /// (cleared and resized as needed).  Allocation-free once the buffer has
-    /// the right capacity.
-    pub fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) {
-        scratch.clear();
-        scratch.resize(self.num_resources(), 0.0);
-        for &(inst, count) in kernel.as_slice() {
-            let index = inst.index();
-            if index >= self.mapped.len() {
-                continue;
-            }
-            let (start, end) = (self.row_ptr[index] as usize, self.row_ptr[index + 1] as usize);
-            let count = count as f64;
-            for (col, val) in self.cols[start..end].iter().zip(&self.vals[start..end]) {
-                scratch[*col as usize] += count * val;
-            }
-        }
-    }
-
-    /// Execution time `t(K)` of one loop iteration (Def. IV.2).
-    pub fn execution_time_with(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) -> f64 {
-        self.load_into(kernel, scratch);
-        scratch.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Throughput (IPC) of a microkernel (Def. IV.3), bit-identical to
-    /// [`ConjunctiveMapping::ipc`].
-    pub fn ipc_with(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) -> Option<f64> {
-        let t = self.execution_time_with(kernel, scratch);
-        if t <= 0.0 {
-            None
-        } else {
-            Some(kernel.total_instructions() as f64 / t)
-        }
-    }
-
-    /// The resource that bottlenecks `kernel`, together with its load.
-    pub fn bottleneck_with(
-        &self,
-        kernel: &Microkernel,
-        scratch: &mut Vec<f64>,
-    ) -> Option<(ResourceId, f64)> {
-        self.load_into(kernel, scratch);
-        let (idx, &max) = scratch
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))?;
-        if max > 0.0 {
-            Some((ResourceId(idx as u32), max))
-        } else {
-            None
-        }
+    #[inline]
+    fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) {
+        self.view().load_into(kernel, scratch)
     }
 }
 
@@ -212,26 +169,20 @@ impl ThroughputPredictor for CompiledModel {
     }
 
     fn supports(&self, inst: InstId) -> bool {
-        self.mapped.get(inst.index()).copied().unwrap_or(false)
+        self.view().supports(inst)
     }
 
-    /// Trait-object entry point, backed by a thread-local scratch buffer so
-    /// it stays allocation-free per call.  Explicit hot paths should still
-    /// prefer [`CompiledModel::ipc_with`] or a [`BatchPredictor`] (see
-    /// [`crate::batch`]).
-    ///
-    /// [`BatchPredictor`]: crate::BatchPredictor
     fn predict_ipc(&self, kernel: &Microkernel) -> Option<f64> {
-        LOAD_SCRATCH.with_borrow_mut(|scratch| self.ipc_with(kernel, scratch))
+        self.view().predict_ipc(kernel)
     }
 }
 
-/// The allocation-free CSR serving interface, shared by the owned
-/// [`CompiledModel`], the borrowed [`CompiledModelRef`] and the
-/// [`ModelView`] that wraps whichever a load produced.  The batch engine
+/// The allocation-free CSR serving interface, shared by the conjunctive
+/// [`CompiledModel`] / [`CompiledModelRef`] and the disjunctive
+/// [`CompiledDisjModel`](crate::CompiledDisjModel).  The batch engine
 /// ([`BatchPredictor`](crate::BatchPredictor)) is generic over it, so the
-/// whole post-inference data plane serves owned and borrowed models through
-/// one code path.
+/// whole post-inference data plane serves every model family through one
+/// code path.
 ///
 /// The provided combinators reproduce the exact arithmetic of
 /// [`ConjunctiveMapping::ipc`] and friends, so any implementor whose
@@ -289,20 +240,10 @@ pub trait KernelLoad {
     /// The model's determinism fingerprint over the pinned probe corpus for
     /// `num_slots` instruction slots (use the artifact's instruction-set
     /// length).  Any two implementors that predict bit-identically — owned,
-    /// borrowed, memory-mapped, migrated — fingerprint identically; see
+    /// borrowed from artifact bytes, migrated — fingerprint identically; see
     /// [`model_fingerprint`](crate::fingerprint::model_fingerprint).
     fn fingerprint(&self, num_slots: usize) -> u64 {
         crate::fingerprint::model_fingerprint(self, num_slots)
-    }
-}
-
-impl KernelLoad for CompiledModel {
-    fn num_resources(&self) -> usize {
-        CompiledModel::num_resources(self)
-    }
-
-    fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) {
-        CompiledModel::load_into(self, kernel, scratch)
     }
 }
 
@@ -316,58 +257,45 @@ impl<M: KernelLoad + ?Sized> KernelLoad for &M {
     }
 }
 
-/// A compiled model borrowed straight from validated `PALMED-MODEL v2b`
-/// artifact bytes — the zero-copy serving load.
+/// The serving view of a compiled conjunctive model: the CSR arrays as
+/// plain borrowed slices, from a [`CompiledModel`] ([`CompiledModel::view`])
+/// or in place from validated `v2b` artifact bytes
+/// ([`ServedModel::view`](crate::ServedModel::view)).
 ///
-/// The CSR structure is identical to [`CompiledModel`]'s, but nothing is
-/// copied: `row_ptr` and `cols` are aligned little-endian `u32` slices
-/// aliasing the buffer, usage values are read as `f64` bit patterns in
-/// place, and names borrow the buffer's UTF-8.  Construction goes through
-/// [`ModelView::parse_v2`] (standalone buffers) or
-/// [`ModelRegistry::load_file_serving`](crate::ModelRegistry::load_file_serving)
-/// (a registry entry that retains the bytes); both validate exactly once —
-/// checksum, structure, value ranges — so every accessor here is
-/// panic-free on the ranges the validator pinned.
-///
-/// Predictions are bit-identical to the owned path: the hot loop performs
-/// the same additions in the same order, only the loads come from the
-/// artifact bytes instead of copied arrays.
-#[derive(Debug, Clone, PartialEq)]
+/// Building one allocates nothing — a name, a resource count and five slice
+/// headers — so a serving loop can take a fresh view per round.  Resource
+/// names stay with the owner ([`CompiledModel::resource_name`],
+/// [`ServedModel::resource_name`](crate::ServedModel::resource_name)).
+#[derive(Debug, Clone, Copy)]
 pub struct CompiledModelRef<'a> {
     name: &'a str,
-    resource_names: Vec<&'a str>,
-    /// Per-slot "has a row" flags, one byte each (0 or 1), aliasing the
-    /// artifact's flag bytes directly.
+    num_resources: usize,
+    /// Per-slot "has a row" flags, 0 or 1.
     mapped: &'a [u8],
     /// CSR row boundaries, one entry per instruction index plus a sentinel.
     row_ptr: &'a [u32],
     /// Resource index of every non-zero usage entry.
     cols: &'a [u32],
-    /// Usage values as raw little-endian `f64` bit patterns, 8 bytes per
-    /// entry — read bytewise, so no alignment requirement.
-    vals: &'a [u8],
+    /// Usage value of every non-zero usage entry.
+    vals: &'a [f64],
 }
 
 impl<'a> CompiledModelRef<'a> {
-    /// Assembles a view from already-validated parts (the binary codec's
-    /// alignment-checked load path).
+    /// Assembles a view from arrays that uphold the
+    /// [`CompiledModel::compile`] invariants.
+    #[inline]
     pub(crate) fn from_parts(
         name: &'a str,
-        resource_names: Vec<&'a str>,
+        num_resources: usize,
         mapped: &'a [u8],
         row_ptr: &'a [u32],
         cols: &'a [u32],
-        vals: &'a [u8],
+        vals: &'a [f64],
     ) -> Self {
         debug_assert_eq!(row_ptr.len(), mapped.len() + 1);
-        debug_assert_eq!(vals.len(), cols.len() * 8);
+        debug_assert_eq!(cols.len(), vals.len());
         debug_assert_eq!(row_ptr.last().copied(), Some(cols.len() as u32));
-        CompiledModelRef { name, resource_names, mapped, row_ptr, cols, vals }
-    }
-
-    /// Display name of the model (the machine token).
-    pub fn name(&self) -> &'a str {
-        self.name
+        CompiledModelRef { name, num_resources, mapped, row_ptr, cols, vals }
     }
 
     /// Number of mapped instructions.
@@ -377,58 +305,31 @@ impl<'a> CompiledModelRef<'a> {
 
     /// Number of non-zero `(instruction, resource)` usage entries.
     pub fn num_entries(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Name of a resource.
-    pub fn resource_name(&self, r: ResourceId) -> &'a str {
-        self.resource_names[r.index()]
-    }
-
-    /// The usage value of entry `e`, decoded from its stored bit pattern.
-    #[inline]
-    fn val(&self, e: usize) -> f64 {
-        f64::from_bits(u64::from_le_bytes(
-            self.vals[8 * e..8 * e + 8].try_into().expect("8 bytes per value"),
-        ))
+        self.vals.len()
     }
 
     /// Sparse usage row of an instruction: `(resource index, usage)` pairs in
     /// ascending resource order.  Empty for unmapped instructions.
-    pub fn row(&self, inst: InstId) -> impl Iterator<Item = (u32, f64)> + '_ {
+    pub fn row(self, inst: InstId) -> impl Iterator<Item = (u32, f64)> + 'a {
         let range = if inst.index() + 1 < self.row_ptr.len() {
             self.row_ptr[inst.index()] as usize..self.row_ptr[inst.index() + 1] as usize
         } else {
             0..0
         };
-        range.clone().map(move |e| (self.cols[e], self.val(e)))
-    }
-
-    /// Copies the borrowed arrays into an owned [`CompiledModel`] — the
-    /// escape hatch when the view must outlive its buffer (and what the
-    /// parse entry points fall back to on misaligned input).
-    pub fn to_owned(&self) -> CompiledModel {
-        CompiledModel::from_raw_parts(
-            self.name.to_string(),
-            self.resource_names.iter().map(|n| n.to_string()).collect(),
-            self.mapped.iter().map(|&m| m != 0).collect(),
-            self.row_ptr.to_vec(),
-            self.cols.to_vec(),
-            (0..self.cols.len()).map(|e| self.val(e)).collect(),
-        )
+        self.cols[range.clone()].iter().copied().zip(self.vals[range].iter().copied())
     }
 }
 
 impl KernelLoad for CompiledModelRef<'_> {
     fn num_resources(&self) -> usize {
-        self.resource_names.len()
+        self.num_resources
     }
 
-    /// The same hot loop as [`CompiledModel::load_into`], bit for bit — only
-    /// the usage values are decoded from their stored bit patterns in place.
+    /// The CSR hot loop — the only one in the crate.
+    #[inline]
     fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) {
         scratch.clear();
-        scratch.resize(self.resource_names.len(), 0.0);
+        scratch.resize(self.num_resources, 0.0);
         for &(inst, count) in kernel.as_slice() {
             let index = inst.index();
             if index >= self.mapped.len() {
@@ -436,8 +337,8 @@ impl KernelLoad for CompiledModelRef<'_> {
             }
             let (start, end) = (self.row_ptr[index] as usize, self.row_ptr[index + 1] as usize);
             let count = count as f64;
-            for e in start..end {
-                scratch[self.cols[e] as usize] += count * self.val(e);
+            for (col, val) in self.cols[start..end].iter().zip(&self.vals[start..end]) {
+                scratch[*col as usize] += count * val;
             }
         }
     }
@@ -449,98 +350,17 @@ impl ThroughputPredictor for CompiledModelRef<'_> {
     }
 
     fn supports(&self, inst: InstId) -> bool {
-        self.mapped.get(inst.index()).copied().unwrap_or(0) != 0
+        self.mapped.get(inst.index()).is_some_and(|&m| m != 0)
     }
 
-    /// Trait-object entry point, backed by the same thread-local scratch
-    /// buffer as the owned model, so it stays allocation-free per call.
+    /// Trait-object entry point, backed by a thread-local scratch buffer so
+    /// it stays allocation-free per call.  Explicit hot paths should still
+    /// prefer [`KernelLoad::ipc_with`] or a [`BatchPredictor`] (see
+    /// [`crate::batch`]).
+    ///
+    /// [`BatchPredictor`]: crate::BatchPredictor
     fn predict_ipc(&self, kernel: &Microkernel) -> Option<f64> {
         LOAD_SCRATCH.with_borrow_mut(|scratch| self.ipc_with(kernel, scratch))
-    }
-}
-
-/// The result of a v2b serving load: a zero-copy [`CompiledModelRef`] when
-/// the buffer can back one, an owned [`CompiledModel`] otherwise (unaligned
-/// integer arrays, or a big-endian target).  Either way it serves through
-/// the same [`KernelLoad`] interface with bit-identical predictions.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ModelView<'a> {
-    /// Zero-copy view borrowing the artifact bytes.
-    Borrowed(CompiledModelRef<'a>),
-    /// Owned fallback (a misaligned buffer forced the copy).
-    Owned(Cow<'a, CompiledModel>),
-}
-
-impl<'a> ModelView<'a> {
-    /// Validates a `PALMED-MODEL v2b` buffer and returns the best available
-    /// view of its compiled model: borrowed when the buffer's integer arrays
-    /// are aligned (and the target is little-endian), an owned copy
-    /// otherwise.  One validation pass either way — corruption, truncation
-    /// and structural violations are rejected exactly like
-    /// [`ModelArtifact::parse_v2`](crate::ModelArtifact::parse_v2).
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ArtifactError`] on any layout violation, truncation or
-    /// checksum mismatch; never panics on untrusted input.
-    pub fn parse_v2(bytes: &'a [u8]) -> Result<ModelView<'a>, ArtifactError> {
-        let validated = crate::binfmt::validate(bytes)?;
-        Ok(match validated.index.view(bytes) {
-            Some(view) => ModelView::Borrowed(view),
-            None => ModelView::Owned(Cow::Owned(validated.index.to_compiled(bytes))),
-        })
-    }
-
-    /// True when the view borrows the artifact bytes (the zero-copy path).
-    pub fn is_borrowed(&self) -> bool {
-        matches!(self, ModelView::Borrowed(_))
-    }
-
-    /// Extracts an owned model, copying the arrays only if still borrowed.
-    pub fn into_owned(self) -> CompiledModel {
-        match self {
-            ModelView::Borrowed(view) => view.to_owned(),
-            ModelView::Owned(model) => model.into_owned(),
-        }
-    }
-}
-
-impl KernelLoad for ModelView<'_> {
-    fn num_resources(&self) -> usize {
-        match self {
-            ModelView::Borrowed(view) => KernelLoad::num_resources(view),
-            ModelView::Owned(model) => model.num_resources(),
-        }
-    }
-
-    fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) {
-        match self {
-            ModelView::Borrowed(view) => view.load_into(kernel, scratch),
-            ModelView::Owned(model) => model.load_into(kernel, scratch),
-        }
-    }
-}
-
-impl ThroughputPredictor for ModelView<'_> {
-    fn name(&self) -> &str {
-        match self {
-            ModelView::Borrowed(view) => view.name,
-            ModelView::Owned(model) => ThroughputPredictor::name(model.as_ref()),
-        }
-    }
-
-    fn supports(&self, inst: InstId) -> bool {
-        match self {
-            ModelView::Borrowed(view) => ThroughputPredictor::supports(view, inst),
-            ModelView::Owned(model) => ThroughputPredictor::supports(model.as_ref(), inst),
-        }
-    }
-
-    fn predict_ipc(&self, kernel: &Microkernel) -> Option<f64> {
-        match self {
-            ModelView::Borrowed(view) => view.predict_ipc(kernel),
-            ModelView::Owned(model) => model.predict_ipc(kernel),
-        }
     }
 }
 

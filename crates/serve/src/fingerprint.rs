@@ -3,11 +3,11 @@
 //! The codecs' checksums prove the **bytes** arrived intact; they say nothing
 //! about whether two differently-encoded artifacts — a v1 text file and its
 //! v2b migration, an owned [`CompiledModel`](crate::CompiledModel) and a
-//! zero-copy [`ModelView`](crate::ModelView) over mapped bytes — are the
-//! *same model*.  A fingerprint closes that gap: it is an FNV-1a-64 hash over
+//! [`ServedModel`](crate::ServedModel) borrowing retained v2b bytes — are
+//! the *same model*.  A fingerprint closes that gap: it is an FNV-1a-64 hash over
 //! the bit patterns of the model's IPC predictions on a pinned, deterministic
 //! probe corpus, so any two loads that predict bit-identically fingerprint
-//! identically, across load modes, formats, refactors and replicas.
+//! identically, across formats, backings, refactors and replicas.
 //!
 //! Fingerprints are recorded in a **sidecar** file next to saved artifacts
 //! (`model.palmed2` → `model.palmed2.fp`, see [`sidecar_path`]) and verified
@@ -25,8 +25,10 @@
 //! rejects v2 sidecars whose tag does not verify
 //! ([`ArtifactError::SignatureMismatch`]) through the same
 //! quarantine-feeding reload path as any other structured failure.  Unkeyed
-//! v1 sidecars stay accepted (fingerprint-only), and a v2 sidecar read
-//! without a configured key degrades to fingerprint-only verification.
+//! v1 sidecars stay accepted (fingerprint-only) unless the registry
+//! [requires signed sidecars](crate::ModelRegistry::require_signed), and a
+//! v2 sidecar read without a configured key degrades to fingerprint-only
+//! verification.
 //!
 //! The probe corpus ([`probe_corpus`]) is **pinned**: its construction is
 //! part of the fingerprint's definition, and changing it invalidates every
@@ -66,8 +68,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// The pinned probe corpus for a model with `num_slots` instruction slots
-/// (use the artifact's instruction-set length; all load modes of one model
-/// agree on it).
+/// (use the artifact's instruction-set length; every load of one model
+/// agrees on it).
 ///
 /// The corpus exercises the prediction surface deterministically: the empty
 /// kernel, every single-instruction kernel over the first slots, a fixed set
@@ -109,7 +111,7 @@ pub fn probe_corpus(num_slots: usize) -> Vec<Microkernel> {
 /// instructions) hash as `u64::MAX`, a NaN bit pattern no real IPC produces.
 ///
 /// Two models fingerprint identically iff they predict bit-identically on
-/// the probe corpus — which, for the serving plane's load modes, the codec
+/// the probe corpus — which, for the serving plane's ways in, the codec
 /// round-trip tests extend to *all* kernels.
 pub fn model_fingerprint<M: KernelLoad + ?Sized>(model: &M, num_slots: usize) -> u64 {
     let mut buffer = Vec::with_capacity(8 * (PROBE_MIXES + num_slots.min(12) + 4));
@@ -354,9 +356,9 @@ mod tests {
         let bytes = artifact.render_v2();
         let from_v2 = crate::ModelArtifact::parse_v2(&bytes).unwrap();
         assert_eq!(from_v2.fingerprint(), expected);
-        // Zero-copy view over the same bytes.
-        let view = crate::ModelView::parse_v2(&bytes).unwrap();
-        assert_eq!(view.fingerprint(n), expected);
+        // Served in place from the same bytes.
+        let served = crate::ServedModel::from_v2b(bytes).unwrap();
+        assert_eq!(served.view().fingerprint(n), expected);
         // A different model fingerprints differently.
         let mut other = artifact.clone();
         other.machine = "other".into();

@@ -13,10 +13,11 @@
 //!   parsers — no serde; loading sniffs the format from the first bytes.
 //! * [`compiled`] — [`CompiledModel`]: the mapping flattened into a CSR-style
 //!   arena (one flat `(resource, usage)` row slice per instruction, dense
-//!   resource indices) predicting IPC allocation-free through a
-//!   caller-provided scratch buffer; [`CompiledModelRef`], the same arena
-//!   borrowed zero-copy from v2b artifact bytes; and [`KernelLoad`], the
-//!   serving interface both implement.  Predictions are **bit-identical** to
+//!   resource indices); [`CompiledModelRef`], the allocation-free view that
+//!   holds the one CSR hot loop, over a compiled model's arrays or borrowed
+//!   in place from v2b artifact bytes; and [`KernelLoad`], the serving
+//!   interface, predicting through a caller-provided scratch buffer.
+//!   Predictions are **bit-identical** to
 //!   [`ConjunctiveMapping::ipc`](palmed_core::ConjunctiveMapping::ipc).
 //! * [`batch`] — [`BatchPredictor`]: dedupes identical microkernels into a
 //!   reusable [`PreparedBatch`] backed by a shared
@@ -46,34 +47,34 @@
 //!   file-watch semantics without OS APIs.  Old generations stay valid
 //!   until their last holder drops.
 //!
-//! # Load modes
+//! # Serving representations
 //!
-//! Two model families, four ways to load them, ordered by how much work
-//! start-up does:
+//! One conjunctive entry shape, [`ServedModel`], with two backings for its
+//! CSR arrays, plus the disjunctive family:
 //!
-//! | mode | family | entry points | cost at load |
-//! |------|--------|--------------|--------------|
-//! | **v1 text** (interchange/debug) | conjunctive | [`ModelArtifact::parse`], [`ModelRegistry::load_file`] | parse every decimal, rebuild rows, compile |
-//! | **v2b owned** (validate-and-copy) | conjunctive | [`ModelArtifact::parse_v2`], [`ModelRegistry::load_file`] | validate, copy CSR arrays, rebuild dense rows |
-//! | **v2b serve-only** (zero-copy) | conjunctive | [`ModelRegistry::load_file_serving`], [`ModelRegistry::load_file_mapped`] (`mmap(2)`-backed), [`ModelView::parse_v2`] | validate only |
-//! | **disj** (eager) | disjunctive | [`DisjArtifact::parse`], [`ModelRegistry::load_file`] | validate, copy µOP rows (disjunctive models are tiny) |
+//! | input | entry points | backing | cost at load |
+//! |-------|--------------|---------|--------------|
+//! | in-memory artifact, **v1 text** | [`ModelRegistry::register`], [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`], [`ServedModel::from_artifact`] | owned [`CompiledModel`] | (parse every decimal, rebuild rows,) compile |
+//! | **v2b** bytes | [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`], [`ServedModel::from_v2b`] | retained artifact bytes, aligned once | validate only |
+//! | **disj** | [`ModelRegistry::register_disj`], [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`] | owned [`CompiledDisjModel`] | validate, copy µOP rows (disjunctive models are tiny) |
 //!
-//! Every stat, read and mapped open behind these modes goes through the
-//! [`ArtifactIo`] seam ([`io`]): [`RealIo`] (the default) forwards to
-//! `std::fs` and the `mmap(2)` shim, while [`ModelRegistry::with_io`]
-//! accepts any other backend — the deterministic fault injector in
-//! `palmed-fuzz` scripts short reads, transient errors, torn snapshots and
-//! mtime flapping through it to fuzz the whole refresh loop.
-//!
-//! The serve-only load is O(validate): the artifact bytes are retained and
-//! predictions run through a borrowed [`CompiledModelRef`] aliasing them (an
-//! owned copy is the automatic fallback when the buffer cannot back an
-//! aligned view).  The artifact's dense
-//! [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping) — which the
-//! serving path never reads — is **lazy**: [`ModelArtifact::mapping`]
+//! Both conjunctive backings lend the same allocation-free
+//! [`CompiledModelRef`] ([`ServedModel::view`]), so there is one hot loop
+//! and every way in predicts bit-identically.  For v2b input the retained
+//! bytes are re-based once so the `u32`/`f64` arrays are aligned, and the
+//! view borrows them as plain slices (big-endian targets copy them into an
+//! owned model instead).  The artifact's dense
+//! [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping) — which serving
+//! never reads — is **lazy** for v2b input: [`ModelArtifact::mapping`]
 //! rebuilds it from the retained bytes on first access and caches it;
 //! [`ModelArtifact::mapping_ready`] tells whether that has happened.
-//! All modes of a family predict bit-identically.
+//!
+//! Every stat and read behind these loads goes through the [`ArtifactIo`]
+//! seam ([`io`]): [`RealIo`] (the default) forwards to `std::fs`, while
+//! [`ModelRegistry::with_io`] accepts any other backend — the deterministic
+//! fault injector in `palmed-fuzz` scripts short reads, transient errors,
+//! torn snapshots and mtime flapping through it to fuzz the whole refresh
+//! loop.
 //!
 //! # Versions and migration
 //!
@@ -120,8 +121,9 @@
 //! # Model artifact format (`PALMED-MODEL v2b`)
 //!
 //! Length-prefixed little-endian binary; the same model as v1, laid out so a
-//! load is a validate-and-copy of the [`CompiledModel`] CSR arrays (every
-//! `f64` is its raw bit pattern — no float parsing, no re-derivation).  A
+//! load is one validate pass after which the [`CompiledModel`] CSR arrays
+//! are served in place (every `f64` is its raw bit pattern — no float
+//! parsing, no re-derivation).  A
 //! v1↔v2 round trip reproduces the artifact bit for bit.  Strings are a
 //! `u32` byte length followed by UTF-8; class/extension codes index
 //! [`ExecClass::ALL`](palmed_isa::ExecClass::ALL) /
@@ -181,8 +183,8 @@
 //!   [`KernelLoad::fingerprint`]) pin *which* model is served — recorded in
 //!   a `.fp` sidecar at save time
 //!   ([`ModelArtifact::save_v2_with_fingerprint`]) and verified by the
-//!   registry at load and refresh time; all load modes of one model —
-//!   owned, borrowed, memory-mapped, migrated — fingerprint identically.
+//!   registry at load and refresh time; every way of installing one model —
+//!   registered, v1 text, v2b bytes, migrated — fingerprints identically.
 //!   But an unkeyed fingerprint is determinism evidence, not a signature.
 //!   **Signed sidecars** ([`ModelArtifact::save_v2_with_signed_fingerprint`],
 //!   [`write_signed_sidecar`]) add the missing key: the v2 sidecar carries
@@ -191,9 +193,11 @@
 //!   sidecar whose tag does not verify
 //!   ([`ArtifactError::SignatureMismatch`]) — a structured failure that
 //!   feeds the same backoff/quarantine machinery as any other load error.
-//!   Unkeyed v1 sidecars still verify under a keyed registry (adopting a
-//!   key must not poison existing deployments); refuse-unsigned is a policy
-//!   for a future layer, not this one.
+//!   Unkeyed v1 sidecars still verify under a keyed registry by default
+//!   (adopting a key must not poison existing deployments); the strict
+//!   policy, [`ModelRegistry::require_signed`], refuses a missing or
+//!   unkeyed sidecar with [`ArtifactError::UnsignedArtifact`] once keys are
+//!   configured.
 //! * **Key handling is the deployment's problem.**  The key is held in
 //!   process memory (no zeroization), compared tag-fold-constant-time
 //!   ([`sign::verify_tag`]) but otherwise without side-channel hardening,
@@ -207,9 +211,9 @@
 //!   exponentially and eventually quarantine the source
 //!   ([`ModelRegistry::health`], [`ModelRegistry::readmit`]) while the last
 //!   good generation keeps serving.  Writers should still replace artifacts
-//!   by atomic rename — especially for memory-mapped entries, which pin the
-//!   original inode.  The whole loop — stat, read, map, retry, back off,
-//!   quarantine, readmit — is driven through the [`ArtifactIo`] seam, so
+//!   by atomic rename, so no reader ever sees a half-written file.  The
+//!   whole loop — stat, read, retry, back off, quarantine, readmit — is
+//!   driven through the [`ArtifactIo`] seam, so
 //!   the `fuzz_registry` harness in `crates/fuzz` replays thousands of
 //!   scripted fault schedules against it and asserts the last good
 //!   generation serves bit-identically after every step.
@@ -295,22 +299,21 @@ pub mod corpus;
 pub mod disj;
 pub mod fingerprint;
 pub mod io;
-mod mmap;
 pub mod registry;
 pub mod sign;
 
 pub use artifact::{ArtifactError, ModelArtifact};
 pub use batch::{BatchMerge, BatchPredictor, BatchResult, BatchScatter, PreparedBatch};
 pub use codec::{migrate_v1_to_v2b, ModelKind};
-pub use compiled::{CompiledModel, CompiledModelRef, KernelLoad, ModelView};
+pub use compiled::{CompiledModel, CompiledModelRef, KernelLoad};
 pub use corpus::{Corpus, CorpusBlock, CorpusError};
 pub use disj::{CompiledDisjModel, DisjArtifact, DisjUop};
 pub use fingerprint::{
     model_fingerprint, probe_corpus, read_sidecar, read_sidecar_with, sidecar_path, write_sidecar,
     write_signed_sidecar, Sidecar,
 };
-pub use io::{ArtifactIo, FileMeta, IoBuf, RealIo};
+pub use io::{ArtifactIo, FileMeta, RealIo};
 pub use registry::{
-    EntryHealth, LoadMode, ModelEntry, ModelRegistry, RefreshOutcome, RefreshStatus,
-    RegistryEntry, RegistrySnapshot, ServedDisjModel, ServedModel, ServingModel,
+    EntryHealth, ModelEntry, ModelRegistry, RefreshOutcome, RefreshStatus, RegistryEntry,
+    RegistrySnapshot, ServedDisjModel, ServedModel,
 };

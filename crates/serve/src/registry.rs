@@ -7,13 +7,14 @@
 //! [`ModelRegistry`] is built for that shape:
 //!
 //! * **Polymorphic entries.**  Every entry is a [`RegistryEntry`] tagging a
-//!   [`ModelKind`] (family + format, reported per entry) around one of three
-//!   model payloads: a full conjunctive [`ServedModel`] (artifact + owned
-//!   compiled form), a zero-copy conjunctive [`ServingModel`] (retained
-//!   `v2b` bytes — heap or `mmap(2)`-backed — served through a borrowed
-//!   view), or a disjunctive [`ServedDisjModel`] (a PMEvo-style port
-//!   mapping, loaded from a `PALMED-DISJ v1` artifact instead of re-evolved
-//!   per campaign).  [`ModelRegistry::load_file`] sniffs the format.
+//!   [`ModelKind`] (family + format, reported per entry) around one of two
+//!   model payloads: a conjunctive [`ServedModel`] (the artifact plus its
+//!   CSR arrays — compiled for in-memory and v1 text installs, borrowed in
+//!   place from the retained bytes for `v2b` ones) or a disjunctive
+//!   [`ServedDisjModel`] (a PMEvo-style port mapping, loaded from a
+//!   `PALMED-DISJ v1` artifact instead of re-evolved per campaign).
+//!   [`ModelRegistry::load_file`] and [`ModelRegistry::swap_bytes`] sniff
+//!   the format.
 //! * **Atomic generation swap.**  The registry state is one immutable
 //!   snapshot behind `RwLock<Arc<_>>`: readers take the lock only long
 //!   enough to clone an `Arc` ([`ModelRegistry::snapshot`] /
@@ -44,13 +45,14 @@
 //!   docs for the full migration matrix.
 
 use crate::artifact::{ArtifactError, ModelArtifact};
-use crate::batch::BatchPredictor;
+use crate::batch::{BatchPredictor, BatchResult, PreparedBatch};
 use crate::binfmt::{self, ArtifactBytes};
 use crate::codec::ModelKind;
-use crate::compiled::{CompiledModel, CompiledModelRef, ModelView};
+use crate::compiled::{CompiledModel, CompiledModelRef, KernelLoad};
 use crate::disj::{CompiledDisjModel, DisjArtifact};
 use crate::io::{ArtifactIo, RealIo};
-use std::borrow::Cow;
+use palmed_core::ResourceId;
+use palmed_isa::InstructionSet;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,129 +73,89 @@ pub const MAX_BACKOFF_POLLS: u32 = 16;
 /// [`ArtifactError::TornRead`].
 const TORN_READ_RETRIES: u32 = 3;
 
-/// A registered full conjunctive model: the artifact plus its compiled form.
-#[derive(Debug, Clone, PartialEq)]
+/// A registered conjunctive model: the artifact plus the CSR arrays it
+/// serves from, behind one allocation-free [`CompiledModelRef`] view.
+///
+/// Where the arrays live depends on what was installed.  In-memory
+/// artifacts ([`ServedModel::from_artifact`], v1 text) are compiled into an
+/// owned [`CompiledModel`].  `v2b` bytes ([`ServedModel::from_v2b`]) are
+/// validated once and retained, re-based so the arrays are aligned, and the
+/// view borrows them in place; the artifact's dense mapping stays deferred
+/// until the first [`ModelArtifact::mapping`] access rebuilds it from the
+/// same bytes.  (On big-endian targets the little-endian arrays are copied
+/// into an owned model instead.)  Predictions are bit-identical either way.
+#[derive(Debug, Clone)]
 pub struct ServedModel {
-    /// The self-describing artifact (instruction set, mapping, provenance).
+    /// The self-describing artifact (instruction set, mapping, provenance);
+    /// its mapping may be deferred.
     pub artifact: ModelArtifact,
-    /// The compiled predictor built from the artifact.
-    pub compiled: CompiledModel,
+    backing: Backing,
+}
+
+/// Where a [`ServedModel`]'s CSR arrays live.
+#[derive(Debug, Clone)]
+enum Backing {
+    Owned(CompiledModel),
+    Bytes(ArtifactBytes),
 }
 
 impl ServedModel {
     /// Compiles an artifact into a servable entry.
     pub fn from_artifact(artifact: ModelArtifact) -> Self {
         let compiled = artifact.compile();
-        ServedModel { artifact, compiled }
+        ServedModel { artifact, backing: Backing::Owned(compiled) }
     }
 
-    /// Pairs an artifact with an already-built compiled form (the binary
-    /// artifact codec hands the CSR arrays over verbatim, skipping the
-    /// compile step).
-    pub fn from_parts(artifact: ModelArtifact, compiled: CompiledModel) -> Self {
-        ServedModel { artifact, compiled }
-    }
-
-    /// A batch predictor over the compiled model.
-    pub fn batch(&self) -> BatchPredictor<&CompiledModel> {
-        BatchPredictor::new(&self.compiled)
-    }
-}
-
-/// A serve-only registry entry: the validated `v2b` artifact bytes, served
-/// zero-copy through a borrowed [`CompiledModelRef`].
-///
-/// The artifact's instruction set is materialised (corpus loading needs the
-/// name index) but its dense mapping stays deferred — the first
-/// [`ModelArtifact::mapping`] access rebuilds it from the retained bytes.
-/// The retained buffer is either heap-owned (re-based once if needed so the
-/// integer arrays are aligned) or an `mmap(2)` of the artifact file
-/// ([`ModelRegistry::load_file_mapped`]); either way the borrowed view is
-/// available for the lifetime of the entry on little-endian targets, and an
-/// owned model is materialised as a fallback elsewhere.
-#[derive(Debug, Clone)]
-pub struct ServingModel {
-    /// The self-describing artifact; its mapping stays deferred until first
-    /// explicit access.
-    pub artifact: ModelArtifact,
-    bytes: ArtifactBytes,
-    index: binfmt::RawIndex,
-    /// Owned model for targets where a borrowed view cannot exist (big
-    /// endian); `None` on the zero-copy path.
-    fallback: Option<CompiledModel>,
-}
-
-impl ServingModel {
-    fn from_bytes(raw: Vec<u8>) -> Result<Self, ArtifactError> {
-        let validated = binfmt::validate(&raw)?;
-        let bytes = ArtifactBytes::aligned(raw, &validated.index);
-        Ok(Self::assemble(bytes, validated))
-    }
-
-    /// Serve-only load straight from a file through the registry's
-    /// [`ArtifactIo`]: `mmap(2)`-backed where the backend provides a
-    /// mapping, a heap read everywhere else (including every fault
-    /// injector).
-    fn from_file(io: &dyn ArtifactIo, path: &Path) -> Result<Self, ArtifactError> {
-        let buf = io.open_buf(path)?;
-        let validated = binfmt::validate(buf.as_slice())?;
-        let bytes = ArtifactBytes::from_file(buf.into_inner(), &validated.index);
-        Ok(Self::assemble(bytes, validated))
-    }
-
-    fn assemble(bytes: ArtifactBytes, validated: binfmt::Validated) -> Self {
-        let binfmt::Validated { instructions, index } = validated;
-        let slice = bytes.as_slice();
-        let artifact = ModelArtifact::deferred(
-            index.machine(slice).to_string(),
-            index.source(slice).to_string(),
-            instructions,
-            bytes.clone(),
-            index.clone(),
-        );
-        let fallback = match index.view(slice) {
-            Some(_) => None,
-            None => Some(index.to_compiled(slice)),
+    /// Validates a `PALMED-MODEL v2b` buffer and serves it in place: the
+    /// bytes are retained (copied once only to align the arrays), nothing
+    /// is compiled, and the dense mapping rebuild is deferred.  Start-up
+    /// cost is O(validate).
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`ArtifactError`] on any layout violation, truncation or
+    /// checksum mismatch, exactly like
+    /// [`ModelArtifact::parse_v2`]; never panics on untrusted input.
+    pub fn from_v2b(raw: Vec<u8>) -> Result<Self, ArtifactError> {
+        let binfmt::Validated { instructions, index } = binfmt::validate(&raw)?;
+        let bytes = ArtifactBytes::aligned(raw, index);
+        let backing = if cfg!(target_endian = "little") {
+            Backing::Bytes(bytes.clone())
+        } else {
+            Backing::Owned(bytes.index().to_compiled(bytes.as_slice()))
         };
-        ServingModel { artifact, bytes, index, fallback }
+        let artifact = ModelArtifact::deferred(instructions, bytes);
+        Ok(ServedModel { artifact, backing })
     }
 
-    /// The model view this entry serves through: borrowed from the retained
-    /// bytes wherever the target allows it, the owned fallback otherwise.
-    /// Predictions are bit-identical either way.
-    pub fn view(&self) -> ModelView<'_> {
-        match &self.fallback {
-            Some(model) => ModelView::Owned(Cow::Borrowed(model)),
-            // The buffer was aligned at load time and its backing block
-            // never moves, so the borrowed view remains constructible.
-            None => ModelView::Borrowed(
-                self.index.view(self.bytes.as_slice()).expect("buffer aligned at load"),
-            ),
+    /// The serving view.  Allocates nothing, so it is cheap to take per
+    /// request or per batch round.
+    pub fn view(&self) -> CompiledModelRef<'_> {
+        match &self.backing {
+            Backing::Owned(model) => model.view(),
+            Backing::Bytes(bytes) => bytes.view(),
         }
     }
 
-    /// The borrowed zero-copy view, when the target backs one.
-    pub fn borrowed(&self) -> Option<CompiledModelRef<'_>> {
-        match &self.fallback {
-            Some(_) => None,
-            None => self.index.view(self.bytes.as_slice()),
-        }
-    }
-
-    /// A batch predictor serving through [`ServingModel::view`].
-    pub fn batch(&self) -> BatchPredictor<ModelView<'_>> {
+    /// A batch predictor over [`ServedModel::view`].
+    pub fn batch(&self) -> BatchPredictor<CompiledModelRef<'_>> {
         BatchPredictor::new(self.view())
     }
 
-    /// The raw artifact bytes this entry retains.
-    pub fn bytes(&self) -> &[u8] {
-        self.bytes.as_slice()
+    /// Name of a resource.
+    pub fn resource_name(&self, r: ResourceId) -> &str {
+        match &self.backing {
+            Backing::Owned(model) => model.resource_name(r),
+            Backing::Bytes(bytes) => bytes.index().resource_name(bytes.as_slice(), r.index()),
+        }
     }
 
-    /// True when the retained bytes are served straight from a file mapping
-    /// (zero heap copies of the artifact).
-    pub fn is_mapped(&self) -> bool {
-        self.bytes.is_mapped()
+    /// The retained `v2b` artifact bytes, when the entry serves from them.
+    pub fn bytes(&self) -> Option<&[u8]> {
+        match &self.backing {
+            Backing::Owned(_) => None,
+            Backing::Bytes(bytes) => Some(bytes.as_slice()),
+        }
     }
 }
 
@@ -221,27 +183,42 @@ impl ServedDisjModel {
     }
 }
 
-/// The model payload of one registry entry: one of the three load shapes.
+/// The model payload of one registry entry, one variant per family.
 #[derive(Debug)]
 pub enum ModelEntry {
-    /// Full conjunctive entry (artifact + owned compiled form).
+    /// Conjunctive entry (artifact + CSR arrays, owned or retained bytes).
     Conjunctive(ServedModel),
-    /// Serve-only conjunctive entry (retained `v2b` bytes, borrowed view).
-    ConjunctiveServing(ServingModel),
     /// Disjunctive entry (artifact + compiled port-mapping form).
     Disjunctive(ServedDisjModel),
 }
 
-/// How a file-backed entry is (re)loaded — what [`ModelRegistry::refresh`]
-/// replays when the file changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadMode {
-    /// Eager load: full conjunctive or disjunctive entry, format sniffed.
-    Full,
-    /// Serve-only `v2b` load into a heap buffer.
-    Serving,
-    /// Serve-only `v2b` load, `mmap(2)`-backed where possible.
-    Mapped,
+impl ModelEntry {
+    /// The instruction set the model's kernels index into.
+    pub fn instructions(&self) -> &InstructionSet {
+        match self {
+            ModelEntry::Conjunctive(m) => &m.artifact.instructions,
+            ModelEntry::Disjunctive(m) => &m.artifact.instructions,
+        }
+    }
+
+    /// Serves a prepared batch through whichever family the entry holds.
+    pub fn predict_prepared(&self, batch: &PreparedBatch) -> BatchResult {
+        match self {
+            ModelEntry::Conjunctive(m) => m.batch().predict_prepared(batch),
+            ModelEntry::Disjunctive(m) => m.batch().predict_prepared(batch),
+        }
+    }
+
+    /// The determinism fingerprint over the artifact's instruction count —
+    /// so every way of loading one model agrees (see
+    /// [`model_fingerprint`](crate::fingerprint::model_fingerprint)).
+    fn fingerprint(&self) -> u64 {
+        let slots = self.instructions().len();
+        match self {
+            ModelEntry::Conjunctive(m) => m.view().fingerprint(slots),
+            ModelEntry::Disjunctive(m) => m.compiled.fingerprint(slots),
+        }
+    }
 }
 
 /// The source file a registry entry watches: path plus the metadata
@@ -249,7 +226,6 @@ pub enum LoadMode {
 #[derive(Debug, Clone)]
 struct SourceFile {
     path: PathBuf,
-    mode: LoadMode,
     mtime: Option<SystemTime>,
     len: u64,
 }
@@ -258,11 +234,10 @@ impl SourceFile {
     /// Stats `path` *before* the load reads it, so a concurrent rewrite
     /// between stat and read is re-observed (and re-loaded) by the next
     /// [`ModelRegistry::refresh`] rather than missed.
-    fn observe(io: &dyn ArtifactIo, path: &Path, mode: LoadMode) -> SourceFile {
+    fn observe(io: &dyn ArtifactIo, path: &Path) -> SourceFile {
         let meta = io.stat(path).ok();
         SourceFile {
             path: path.to_path_buf(),
-            mode,
             mtime: meta.as_ref().and_then(|m| m.mtime),
             len: meta.map_or(0, |m| m.len),
         }
@@ -316,7 +291,7 @@ impl RegistryEntry {
     /// the model's predictions on the pinned probe corpus (see
     /// [`model_fingerprint`](crate::fingerprint::model_fingerprint)).  Two
     /// entries serving the same model report the same value regardless of
-    /// format or load mode.
+    /// format or how they were installed.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
@@ -326,28 +301,15 @@ impl RegistryEntry {
         self.source.as_ref().map(|s| s.path.as_path())
     }
 
-    /// The load mode a refresh would replay, when file-loaded.
-    pub fn load_mode(&self) -> Option<LoadMode> {
-        self.source.as_ref().map(|s| s.mode)
-    }
-
     /// The model payload.
     pub fn model(&self) -> &ModelEntry {
         &self.model
     }
 
-    /// The full conjunctive model, when this entry holds one.
+    /// The conjunctive model, when this entry holds one.
     pub fn served(&self) -> Option<&ServedModel> {
         match &self.model {
             ModelEntry::Conjunctive(model) => Some(model),
-            _ => None,
-        }
-    }
-
-    /// The serve-only conjunctive model, when this entry holds one.
-    pub fn serving(&self) -> Option<&ServingModel> {
-        match &self.model {
-            ModelEntry::ConjunctiveServing(model) => Some(model),
             _ => None,
         }
     }
@@ -532,7 +494,7 @@ pub struct ModelRegistry {
     /// read-modify-write sections, never across the snapshot `RwLock` or
     /// any filesystem call.
     health: Mutex<BTreeMap<String, HealthState>>,
-    /// Every stat/read/mapped-open the registry performs goes through this
+    /// Every stat and read the registry performs goes through this
     /// seam — [`RealIo`] in production, a scripted fault injector under
     /// test (see [`ModelRegistry::with_io`]).
     io: Arc<dyn ArtifactIo>,
@@ -597,7 +559,9 @@ impl ModelRegistry {
     /// every file load whose sidecar is v2 must carry a tag that verifies
     /// ([`ArtifactError::SignatureMismatch`] otherwise — a structured
     /// reject feeding the same backoff/quarantine path as any other reload
-    /// failure).  Unkeyed v1 sidecars remain accepted either way, and
+    /// failure).  Unkeyed v1 sidecars (and missing ones) are accepted with
+    /// fingerprint-only verification unless [`ModelRegistry::require_signed`]
+    /// is on, which refuses them with [`ArtifactError::UnsignedArtifact`];
     /// without a key a v2 sidecar degrades to fingerprint-only
     /// verification.  Takes effect on the next load; already-installed
     /// entries are not re-verified.  One-key convenience wrapper around
@@ -694,7 +658,7 @@ impl ModelRegistry {
         source: Option<SourceFile>,
         model: ModelEntry,
     ) -> Arc<RegistryEntry> {
-        let fingerprint = entry_fingerprint(&model);
+        let fingerprint = model.fingerprint();
         self.install_with(name, kind, source, model, fingerprint)
     }
 
@@ -769,74 +733,42 @@ impl ModelRegistry {
         )
     }
 
-    /// Builds the eager (mode-`Full`) model entry for a buffer, sniffing
-    /// the kind: conjunctive artifacts become full [`ServedModel`]s (v2b
-    /// hands its compiled form over verbatim), disjunctive artifacts become
-    /// [`ServedDisjModel`]s.
-    fn eager_entry(bytes: &[u8]) -> Result<(String, ModelKind, ModelEntry), ArtifactError> {
-        let kind = ModelKind::sniff(bytes);
-        match kind {
-            ModelKind::ConjunctiveV1 | ModelKind::ConjunctiveV2b => {
-                let (artifact, compiled) = ModelArtifact::parse_any(bytes)?;
-                let served = match compiled {
-                    Some(compiled) => ServedModel::from_parts(artifact, compiled),
-                    None => ServedModel::from_artifact(artifact),
-                };
-                Ok((served.artifact.machine.clone(), kind, ModelEntry::Conjunctive(served)))
-            }
-            ModelKind::DisjunctiveV1 => {
-                let artifact = DisjArtifact::parse(bytes)?;
-                let name = artifact.machine.clone();
-                Ok((name, kind, ModelEntry::Disjunctive(ServedDisjModel::from_artifact(artifact))))
-            }
-        }
+    /// Builds the model entry for a buffer, sniffing the kind: `v2b` bytes
+    /// are served in place ([`ServedModel::from_v2b`]), v1 text is parsed
+    /// and compiled, and `PALMED-DISJ v1` becomes a [`ServedDisjModel`].
+    /// Returns the machine name stored in the artifact with the entry.
+    fn decode_entry(bytes: Vec<u8>) -> Result<(String, ModelKind, ModelEntry), ArtifactError> {
+        let kind = ModelKind::sniff(&bytes);
+        let model = match kind {
+            ModelKind::ConjunctiveV2b => ModelEntry::Conjunctive(ServedModel::from_v2b(bytes)?),
+            ModelKind::ConjunctiveV1 => ModelEntry::Conjunctive(ServedModel::from_artifact(
+                ModelArtifact::parse_bytes(&bytes)?,
+            )),
+            ModelKind::DisjunctiveV1 => ModelEntry::Disjunctive(ServedDisjModel::from_artifact(
+                DisjArtifact::parse(&bytes)?,
+            )),
+        };
+        let name = match &model {
+            ModelEntry::Conjunctive(m) => m.artifact.machine.clone(),
+            ModelEntry::Disjunctive(m) => m.artifact.machine.clone(),
+        };
+        Ok((name, kind, model))
     }
 
-    /// Loads a model entry from a file in the given mode — the shared core
-    /// of first loads and refresh reloads.  The read is *stable* (re-stat
-    /// after reading, retry on mismatch — see [`read_stable_with`]), the
-    /// payload's fingerprint is computed, and when a `.fp` sidecar exists
-    /// next to the file it must verify: a signed v2 sidecar's HMAC tag
-    /// against the configured key ([`ArtifactError::SignatureMismatch`]),
-    /// then the recorded fingerprint against the model's predictions
+    /// Loads a model entry from a file — the shared core of first loads and
+    /// refresh reloads.  The read is *stable* (re-stat after reading, retry
+    /// on mismatch — see [`read_stable_with`]), the payload's fingerprint
+    /// is computed, and when a `.fp` sidecar exists next to the file it
+    /// must verify: a signed v2 sidecar's HMAC tag against the configured
+    /// key ([`ArtifactError::SignatureMismatch`]), then the recorded
+    /// fingerprint against the model's predictions
     /// ([`ArtifactError::FingerprintMismatch`]) — a model that decodes but
     /// is not the one that was deployed never installs.
-    fn load_path(&self, path: &Path, mode: LoadMode) -> Result<Loaded, ArtifactError> {
+    fn load_path(&self, path: &Path) -> Result<Loaded, ArtifactError> {
         let io = self.io.as_ref();
-        let (source, name, kind, model) = match mode {
-            LoadMode::Full => {
-                let (source, bytes) = read_stable(io, path, mode)?;
-                let (name, kind, model) = Self::eager_entry(&bytes)?;
-                (source, name, kind, model)
-            }
-            LoadMode::Serving => {
-                let (source, bytes) = read_stable(io, path, mode)?;
-                let serving = ServingModel::from_bytes(bytes)?;
-                let name = serving.artifact.machine.clone();
-                (source, name, ModelKind::ConjunctiveV2b, ModelEntry::ConjunctiveServing(serving))
-            }
-            LoadMode::Mapped => {
-                // A mapping has no byte snapshot to length-check; stability
-                // is stat-before == stat-after around the validate pass.
-                // (Writers must replace mapped artifacts by atomic rename
-                // anyway — an in-place rewrite mutates a live mapping.)
-                let mut stable = None;
-                for _ in 0..TORN_READ_RETRIES {
-                    let before = SourceFile::observe(io, path, mode);
-                    let serving = ServingModel::from_file(io, path)?;
-                    let after = SourceFile::observe(io, path, mode);
-                    if before.mtime == after.mtime && before.len == after.len {
-                        stable = Some((before, serving));
-                        break;
-                    }
-                }
-                let (source, serving) = stable
-                    .ok_or_else(|| ArtifactError::TornRead { path: path.to_path_buf() })?;
-                let name = serving.artifact.machine.clone();
-                (source, name, ModelKind::ConjunctiveV2b, ModelEntry::ConjunctiveServing(serving))
-            }
-        };
-        let fingerprint = entry_fingerprint(&model);
+        let (source, bytes) = read_stable(io, path)?;
+        let (name, kind, model) = Self::decode_entry(bytes)?;
+        let fingerprint = model.fingerprint();
         let sidecar = crate::fingerprint::read_sidecar_with(io, path)?;
         let keys = self.signing_keys.lock().expect("signing key lock").clone();
         if self.require_signed.load(Ordering::Relaxed)
@@ -868,96 +800,30 @@ impl ModelRegistry {
     /// Loads, verifies and registers an artifact file under the machine
     /// name stored in the file.  The format is sniffed from the first
     /// bytes: v1 text artifacts are compiled after parsing, v2b binary
-    /// artifacts hand their compiled CSR arrays over verbatim, and
-    /// `PALMED-DISJ v1` artifacts become disjunctive entries.  The entry
-    /// records the file's mtime/length, so [`ModelRegistry::refresh`] picks
-    /// up later rewrites.
+    /// artifacts are validated and served in place with their dense mapping
+    /// deferred ([`ServedModel::from_v2b`]), and `PALMED-DISJ v1` artifacts
+    /// become disjunctive entries.  The entry records the file's
+    /// mtime/length, so [`ModelRegistry::refresh`] picks up later rewrites.
     ///
     /// # Errors
     ///
     /// Propagates I/O and codec failures; the registry is left unchanged on
     /// error.
     pub fn load_file(&self, path: impl AsRef<Path>) -> Result<Arc<RegistryEntry>, ArtifactError> {
-        Ok(self.install_loaded(self.load_path(path.as_ref(), LoadMode::Full)?))
-    }
-
-    /// Loads a `v2b` artifact file as a serve-only entry: the bytes are
-    /// validated once and retained, predictions go through the borrowed
-    /// [`CompiledModelRef`] view, and the artifact's dense mapping rebuild
-    /// is deferred until first explicit access.  Start-up cost is
-    /// O(validate) — no CSR array copies, no dense row scatter.
-    ///
-    /// v1 text artifacts have no zero-copy form; loading one here fails
-    /// with [`ArtifactError::MissingHeader`] (use
-    /// [`ModelRegistry::load_file`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and v2b validation failures; the registry is left
-    /// unchanged on error.
-    pub fn load_file_serving(
-        &self,
-        path: impl AsRef<Path>,
-    ) -> Result<Arc<RegistryEntry>, ArtifactError> {
-        Ok(self.install_loaded(self.load_path(path.as_ref(), LoadMode::Serving)?))
-    }
-
-    /// [`ModelRegistry::load_file_serving`] through `mmap(2)` where the
-    /// platform provides it (64-bit Unix; read-to-heap everywhere else):
-    /// the retained "buffer" is the page cache, so a serve-only load copies
-    /// no artifact byte at all unless the in-file array alignment forces a
-    /// one-time re-base.  Check [`ServingModel::is_mapped`] on the entry.
-    ///
-    /// Replace watched files atomically (write + `rename`) — an in-place
-    /// rewrite would mutate bytes under a live mapping (see the crate's
-    /// private `mmap` module docs).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and v2b validation failures; the registry is left
-    /// unchanged on error.
-    pub fn load_file_mapped(
-        &self,
-        path: impl AsRef<Path>,
-    ) -> Result<Arc<RegistryEntry>, ArtifactError> {
-        Ok(self.install_loaded(self.load_path(path.as_ref(), LoadMode::Mapped)?))
-    }
-
-    /// [`ModelRegistry::load_file_serving`] over an in-memory buffer (e.g. a
-    /// network front-end handing over a fetched artifact).  Takes ownership:
-    /// the buffer *is* the model storage.
-    ///
-    /// # Errors
-    ///
-    /// Propagates v2b validation failures; the registry is left unchanged on
-    /// error.
-    pub fn load_serving_bytes(
-        &self,
-        bytes: Vec<u8>,
-    ) -> Result<Arc<RegistryEntry>, ArtifactError> {
-        let serving = ServingModel::from_bytes(bytes)?;
-        let name = serving.artifact.machine.clone();
-        Ok(self.install(
-            name,
-            ModelKind::ConjunctiveV2b,
-            None,
-            ModelEntry::ConjunctiveServing(serving),
-        ))
+        Ok(self.install_loaded(self.load_path(path.as_ref())?))
     }
 
     /// Hot-swaps the model under `name` from an in-memory buffer, installing
     /// a new generation without blocking in-flight readers (they keep their
     /// snapshot; the old entry stays valid until the last `Arc` drops).
     ///
-    /// The installed shape follows the sniffed format alone — `v2b` buffers
-    /// install serve-only (the natural hot-swap shape: validate-only,
-    /// zero-copy; use [`ModelRegistry::load_file`] for an eager conjunctive
-    /// entry), v1 text installs a full entry, `PALMED-DISJ v1` a
-    /// disjunctive one — so the decision never reads the current entry and
-    /// all decoding runs before the brief snapshot-swap lock.  The new
-    /// entry is keyed under `name` regardless of the machine name inside
-    /// the buffer, and no source file is watched afterwards (the bytes came
-    /// from the caller, not disk).
+    /// The buffer decodes exactly like a [`ModelRegistry::load_file`] body
+    /// (format sniffed; `v2b` served in place, v1 text compiled,
+    /// `PALMED-DISJ v1` disjunctive), so the decision never reads the
+    /// current entry and all decoding runs before the brief snapshot-swap
+    /// lock.  The new entry is keyed under `name` regardless of the machine
+    /// name inside the buffer, and no source file is watched afterwards
+    /// (the bytes came from the caller, not disk).
     ///
     /// # Errors
     ///
@@ -967,24 +833,15 @@ impl ModelRegistry {
         name: impl Into<String>,
         bytes: Vec<u8>,
     ) -> Result<Arc<RegistryEntry>, ArtifactError> {
-        let (kind, model) = match ModelKind::sniff(&bytes) {
-            ModelKind::ConjunctiveV2b => {
-                let serving = ServingModel::from_bytes(bytes)?;
-                (ModelKind::ConjunctiveV2b, ModelEntry::ConjunctiveServing(serving))
-            }
-            _ => {
-                let (_, kind, model) = Self::eager_entry(&bytes)?;
-                (kind, model)
-            }
-        };
+        let (_, kind, model) = Self::decode_entry(bytes)?;
         let entry = self.install(name.into(), kind, None, model);
         palmed_obs::counter!("serve.registry.swaps").inc();
         palmed_obs::event!("registry.swap", key = entry.name(), generation = entry.generation());
         Ok(entry)
     }
 
-    /// Reloads a file-backed entry from its recorded source path, in its
-    /// original load mode, keeping its registry name.  This is the forced
+    /// Reloads a file-backed entry from its recorded source path, keeping
+    /// its registry name.  This is the forced
     /// version of what [`ModelRegistry::refresh`] does on change detection.
     ///
     /// # Errors
@@ -1001,7 +858,7 @@ impl ModelRegistry {
             .source
             .as_ref()
             .ok_or_else(|| not_found(name, "entry has no source file"))?;
-        let loaded = self.load_path(&source.path, source.mode)?;
+        let loaded = self.load_path(&source.path)?;
         let reloaded = self.try_write(|entries, generation| {
             // Only replace the exact generation the reload decision was
             // made against; a concurrent swap or load is fresher than the
@@ -1274,30 +1131,14 @@ struct Loaded {
     model: ModelEntry,
 }
 
-/// The determinism fingerprint of an entry's payload, over the artifact's
-/// instruction count — so every load mode of one model agrees (see
-/// [`model_fingerprint`](crate::fingerprint::model_fingerprint)).
-fn entry_fingerprint(model: &ModelEntry) -> u64 {
-    use crate::compiled::KernelLoad;
-    match model {
-        ModelEntry::Conjunctive(m) => m.compiled.fingerprint(m.artifact.instructions.len()),
-        ModelEntry::ConjunctiveServing(m) => m.view().fingerprint(m.artifact.instructions.len()),
-        ModelEntry::Disjunctive(m) => m.compiled.fingerprint(m.artifact.instructions.len()),
-    }
-}
-
 /// Reads a watched file *stably*: stat, read, re-stat, and accept only when
 /// the metadata did not move under the read and the byte count matches the
 /// observed length.  A concurrent non-atomic writer makes the stats (or
 /// lengths) disagree; the read is retried up to [`TORN_READ_RETRIES`] times
 /// and then rejected as [`ArtifactError::TornRead`] — possibly-interleaved
 /// bytes are discarded even if they happen to validate.
-fn read_stable(
-    io: &dyn ArtifactIo,
-    path: &Path,
-    mode: LoadMode,
-) -> Result<(SourceFile, Vec<u8>), ArtifactError> {
-    read_stable_with(io, path, mode, |path| Ok(io.read(path)?))
+fn read_stable(io: &dyn ArtifactIo, path: &Path) -> Result<(SourceFile, Vec<u8>), ArtifactError> {
+    read_stable_with(io, path, |path| Ok(io.read(path)?))
 }
 
 /// [`read_stable`] over an injectable reader (unit tests race the reader
@@ -1306,13 +1147,12 @@ fn read_stable(
 fn read_stable_with(
     io: &dyn ArtifactIo,
     path: &Path,
-    mode: LoadMode,
     mut read: impl FnMut(&Path) -> Result<Vec<u8>, ArtifactError>,
 ) -> Result<(SourceFile, Vec<u8>), ArtifactError> {
     for attempt in 1..=TORN_READ_RETRIES {
-        let before = SourceFile::observe(io, path, mode);
+        let before = SourceFile::observe(io, path);
         let bytes = read(path)?;
-        let after = SourceFile::observe(io, path, mode);
+        let after = SourceFile::observe(io, path);
         if before.mtime == after.mtime
             && before.len == after.len
             && bytes.len() as u64 == before.len
@@ -1343,13 +1183,7 @@ mod tests {
     }
 
     fn ipc_of(entry: &RegistryEntry, k: &Microkernel) -> Option<f64> {
-        match entry.model() {
-            ModelEntry::Conjunctive(m) => m.batch().predict(std::slice::from_ref(k)).ipcs[0],
-            ModelEntry::ConjunctiveServing(m) => {
-                m.batch().predict(std::slice::from_ref(k)).ipcs[0]
-            }
-            ModelEntry::Disjunctive(m) => m.batch().predict(std::slice::from_ref(k)).ipcs[0],
-        }
+        entry.model().predict_prepared(&PreparedBatch::from_kernels([k])).ipcs[0]
     }
 
     #[test]
@@ -1365,7 +1199,7 @@ mod tests {
         let skl = registry.get("skl").unwrap();
         assert_eq!(skl.kind(), ModelKind::ConjunctiveV1);
         assert_eq!(skl.name(), "skl");
-        assert_eq!(skl.served().unwrap().compiled.num_instructions(), 1);
+        assert_eq!(skl.served().unwrap().view().num_instructions(), 1);
         assert!(registry.get("m1").is_none());
     }
 
@@ -1398,9 +1232,12 @@ mod tests {
         registry.load_file(&v1).unwrap();
         let served = registry.load_file(&v2).unwrap();
         let disj = registry.load_file(&dj).unwrap();
-        // The verbatim binary load equals what compiling the artifact yields.
+        // The in-place binary load serves the arrays compiling yields.
         let bin = served.served().unwrap();
-        assert_eq!(bin.compiled, bin.artifact.compile());
+        let compiled = bin.artifact.compile();
+        let view = bin.view();
+        assert_eq!(view.num_entries(), compiled.num_entries());
+        assert_eq!(view.row(InstId(2)).collect::<Vec<_>>(), compiled.row(InstId(2)).collect::<Vec<_>>());
         assert_eq!(served.kind(), ModelKind::ConjunctiveV2b);
         assert_eq!(registry.get("text-machine").unwrap().kind(), ModelKind::ConjunctiveV1);
         assert_eq!(disj.kind(), ModelKind::DisjunctiveV1);
@@ -1425,7 +1262,6 @@ mod tests {
         let served = registry.load_file(&path).unwrap();
         assert_eq!(served.served().unwrap().artifact.machine, "disk-machine");
         assert_eq!(served.source_path(), Some(path.as_path()));
-        assert_eq!(served.load_mode(), Some(LoadMode::Full));
         std::fs::remove_file(&path).ok();
         assert!(registry.get("disk-machine").is_some());
         assert!(registry.load_file(&path).is_err());
@@ -1438,74 +1274,78 @@ mod tests {
         let original = artifact("lazy-machine", 0.5);
         original.save_v2(&path).unwrap();
         let registry = ModelRegistry::new();
-        let entry = registry.load_file_serving(&path).unwrap();
+        let entry = registry.load_file(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        let serving = entry.serving().unwrap();
-        assert!(!serving.artifact.mapping_ready(), "serve-only load must not rebuild rows");
-        assert_eq!(serving.artifact.machine, "lazy-machine");
-        assert_eq!(serving.artifact.source, "test");
+        let served = entry.served().unwrap();
+        assert!(!served.artifact.mapping_ready(), "a v2b load must not rebuild rows");
+        assert_eq!(served.artifact.machine, "lazy-machine");
+        assert_eq!(served.artifact.source, "test");
         if cfg!(target_endian = "little") {
-            assert!(serving.view().is_borrowed());
-            assert!(serving.borrowed().is_some());
+            assert!(served.bytes().is_some(), "a v2b load serves the retained bytes");
         }
 
         // Predictions through the borrowed view are bit-identical to the
         // owned compiled model, without ever materialising the mapping.
         let k = Microkernel::pair(InstId(2), 3, InstId(0), 1);
         let owned = original.compile();
-        let view = serving.view();
+        let view = served.view();
         let mut scratch = view.scratch();
         let mut owned_scratch = owned.scratch();
         assert_eq!(
             view.ipc_with(&k, &mut scratch).map(f64::to_bits),
             owned.ipc_with(&k, &mut owned_scratch).map(f64::to_bits)
         );
-        assert!(!serving.artifact.mapping_ready());
+        assert!(!served.artifact.mapping_ready());
 
         // First explicit access pays the rebuild once; the result matches
         // the eager artifact exactly.
-        assert_eq!(serving.artifact.mapping(), original.mapping());
-        assert!(serving.artifact.mapping_ready());
-        assert_eq!(serving.artifact, original);
+        assert_eq!(served.artifact.mapping(), original.mapping());
+        assert!(served.artifact.mapping_ready());
+        assert_eq!(served.artifact, original);
     }
 
     #[test]
     fn mapped_load_serves_bit_identically_to_the_heap_load() {
+        // The retained-bytes backing of a v2b load against the owned arrays
+        // compiling the same artifact on the heap yields.
         let path = std::env::temp_dir().join("palmed-serve-registry-mapped.palmed2");
         let original = artifact("mapped-machine", 0.5);
         original.save_v2(&path).unwrap();
         let registry = ModelRegistry::new();
-        let entry = registry.load_file_mapped(&path).unwrap();
-        let serving = entry.serving().unwrap();
-        assert_eq!(entry.load_mode(), Some(LoadMode::Mapped));
-        assert!(!serving.artifact.mapping_ready());
+        let entry = registry.load_file(&path).unwrap();
+        let served = entry.served().unwrap();
+        assert_eq!(entry.kind(), ModelKind::ConjunctiveV2b);
+        assert!(!served.artifact.mapping_ready());
         let k = Microkernel::pair(InstId(2), 2, InstId(3), 1);
         let owned = original.compile();
-        let view = serving.view();
+        let view = served.view();
         let mut scratch = view.scratch();
         let mut owned_scratch = owned.scratch();
         assert_eq!(
             view.ipc_with(&k, &mut scratch).map(f64::to_bits),
             owned.ipc_with(&k, &mut owned_scratch).map(f64::to_bits)
         );
-        // The mapping (when the platform provides one) pins the inode; the
-        // entry keeps serving after the directory entry is gone.
+        // The entry owns its bytes; it keeps serving after the file is gone.
         std::fs::remove_file(&path).ok();
-        assert!(serving.bytes().starts_with(b"PALMED-MODEL v2b\n"));
+        if cfg!(target_endian = "little") {
+            assert!(served.bytes().unwrap().starts_with(b"PALMED-MODEL v2b\n"));
+        }
+        assert_eq!(
+            ipc_of(&entry, &k).map(f64::to_bits),
+            owned.ipc_with(&k, &mut owned_scratch).map(f64::to_bits)
+        );
     }
 
     #[test]
     fn serve_only_load_rejects_v1_text_and_corruption() {
         let registry = ModelRegistry::new();
         let text = artifact("t", 0.5).render().into_bytes();
-        assert!(matches!(
-            registry.load_serving_bytes(text),
-            Err(ArtifactError::MissingHeader)
-        ));
+        assert!(matches!(ServedModel::from_v2b(text), Err(ArtifactError::MissingHeader)));
         let mut bin = artifact("t", 0.5).render_v2();
         let mid = bin.len() / 2;
         bin[mid] ^= 0x10;
-        assert!(registry.load_serving_bytes(bin).is_err());
+        assert!(ServedModel::from_v2b(bin.clone()).is_err());
+        assert!(registry.swap_bytes("t", bin).is_err());
         assert!(registry.is_empty(), "failed loads must not disturb the registry");
         assert_eq!(registry.generation(), 0, "failed loads must not burn generations");
     }
@@ -1513,14 +1353,15 @@ mod tests {
     #[test]
     fn swap_bytes_installs_a_new_generation_under_the_same_name() {
         let registry = ModelRegistry::new();
-        registry.load_serving_bytes(artifact("hot", 0.5).render_v2()).unwrap();
+        registry.swap_bytes("hot", artifact("hot", 0.5).render_v2()).unwrap();
         let old = registry.get("hot").unwrap();
         let swapped =
             registry.swap_bytes("hot", artifact("hot", 0.25).render_v2()).unwrap();
         assert_eq!(registry.len(), 1);
         assert!(swapped.generation() > old.generation());
-        // A v2b swap over a serve-only entry stays serve-only.
-        assert!(swapped.serving().is_some());
+        // A v2b swap serves the retained bytes with the mapping deferred.
+        assert!(swapped.served().unwrap().bytes().is_some());
+        assert!(!swapped.served().unwrap().artifact.mapping_ready());
         let k = Microkernel::single(InstId(2));
         assert!((ipc_of(&swapped, &k).unwrap() - 4.0).abs() < 1e-12);
         assert!((ipc_of(&old, &k).unwrap() - 2.0).abs() < 1e-12, "old generation stays valid");
@@ -1543,7 +1384,7 @@ mod tests {
         artifact("watched", 0.5).save_v2(&watched).unwrap();
         artifact("stable", 0.5).save(&stable).unwrap();
         let registry = ModelRegistry::new();
-        registry.load_file_serving(&watched).unwrap();
+        registry.load_file(&watched).unwrap();
         registry.load_file(&stable).unwrap();
         registry.register(artifact("memory-only", 1.0));
         let quiet = registry.refresh();
@@ -1560,7 +1401,7 @@ mod tests {
         assert!(outcome.errors.is_empty());
         let after = registry.get("watched").unwrap();
         assert!(after.generation() > before.generation());
-        assert_eq!(after.serving().unwrap().artifact.source, "retrained-model");
+        assert_eq!(after.served().unwrap().artifact.source, "retrained-model");
         let k = Microkernel::single(InstId(2));
         assert!((ipc_of(&after, &k).unwrap() - 4.0).abs() < 1e-12);
         assert!((ipc_of(&before, &k).unwrap() - 2.0).abs() < 1e-12);
@@ -1613,7 +1454,7 @@ mod tests {
         artifact("watched-health", 0.5).save_v2(&watched).unwrap();
         let registry = ModelRegistry::new();
         registry.register(artifact("memory-health", 1.0));
-        registry.load_file_serving(&watched).unwrap();
+        registry.load_file(&watched).unwrap();
 
         // Fresh installs report the default healthy state.
         let health = registry.health();
@@ -1659,7 +1500,7 @@ mod tests {
         // Restoring the file and readmitting recovers immediately.
         artifact("watched-health", 0.25).save_v2(&watched).unwrap();
         let readmitted = registry.readmit("watched-health").unwrap();
-        assert!(readmitted.serving().is_some());
+        assert!(readmitted.served().is_some());
         let entry = registry
             .health()
             .into_iter()
@@ -1679,7 +1520,7 @@ mod tests {
         // A reader that rewrites the file once mid-read: first attempt is
         // torn, the retry succeeds.
         let mut first = true;
-        let (source, bytes) = read_stable_with(&RealIo, &path, LoadMode::Full, |p| {
+        let (source, bytes) = read_stable_with(&RealIo, &path, |p| {
             let bytes = std::fs::read(p)?;
             if first {
                 first = false;
@@ -1693,7 +1534,7 @@ mod tests {
 
         // A writer racing every read exhausts the retries.
         let mut flip = false;
-        let torn = read_stable_with(&RealIo, &path, LoadMode::Full, |p| {
+        let torn = read_stable_with(&RealIo, &path, |p| {
             let bytes = std::fs::read(p)?;
             flip = !flip;
             std::fs::write(p, if flip { &b"aaaa"[..] } else { &b"bbbbbb"[..] }).unwrap();
@@ -1707,7 +1548,7 @@ mod tests {
         // Read errors propagate as-is, without retrying into TornRead.
         let missing = dir.join("palmed-serve-registry-torn-missing.bin");
         assert!(matches!(
-            read_stable_with(&RealIo, &missing, LoadMode::Full, |p| Ok(std::fs::read(p)?)),
+            read_stable_with(&RealIo, &missing, |p| Ok(std::fs::read(p)?)),
             Err(ArtifactError::Io(_))
         ));
         std::fs::remove_file(&path).ok();
@@ -1722,7 +1563,7 @@ mod tests {
         let registry = ModelRegistry::new();
 
         // Matching sidecar: loads fine, fingerprint is recorded on the entry.
-        let entry = registry.load_file_serving(&path).unwrap();
+        let entry = registry.load_file(&path).unwrap();
         assert_eq!(entry.fingerprint(), recorded);
         assert_eq!(entry.fingerprint(), original.fingerprint());
 
@@ -1753,7 +1594,7 @@ mod tests {
         let path = dir.join("palmed-serve-registry-quarantine-unit.palmed2");
         artifact("q-machine", 0.5).save_v2(&path).unwrap();
         let registry = ModelRegistry::new();
-        let good = registry.load_file_serving(&path).unwrap();
+        let good = registry.load_file(&path).unwrap();
         std::fs::write(&path, b"not a model").unwrap();
 
         // Poll until quarantined: exactly QUARANTINE_AFTER real attempts,

@@ -7,11 +7,9 @@
 //! ([`crate::fingerprint`]) closes that gap with an HMAC-SHA256 tag, and
 //! this module provides the two primitives it needs.
 //!
-//! Hand-rolled for the same reason as the crate-private `mmap` shim: the
-//! workspace builds
-//! offline, so no crates — the implementation is the FIPS 180-4 compression
-//! function plus the RFC 2104 HMAC construction, pinned against the
-//! published test vectors below.  It processes a few dozen bytes per
+//! Hand-rolled because the workspace builds offline, so no crates — the
+//! implementation is the FIPS 180-4 compression function plus the RFC 2104
+//! HMAC construction, pinned against the published test vectors below.  It processes a few dozen bytes per
 //! sidecar verification; throughput is irrelevant here.
 //!
 //! **This is not a general-purpose crypto library.**  No effort is made at

@@ -51,7 +51,7 @@ use crate::conn::{Connection, Engine};
 use crate::frame::Frame;
 use palmed_serve::checksum::fnv1a64;
 use palmed_serve::corpus::Corpus;
-use palmed_serve::registry::{ModelEntry, RegistryEntry};
+use palmed_serve::registry::RegistryEntry;
 use palmed_serve::{BatchMerge, BatchResult, PreparedBatch};
 use std::sync::Arc;
 
@@ -257,7 +257,7 @@ impl SharedBatcher {
         let generation = group.entry.generation();
         let corpus = match self.cache.get(model, generation, hash, corpus_text) {
             Some(corpus) => corpus,
-            None => match Corpus::parse(corpus_text, entry_instructions(group.entry.model())) {
+            None => match Corpus::parse(corpus_text, group.entry.model().instructions()) {
                 Ok(corpus) => {
                     let corpus = Arc::new(corpus);
                     self.cache.insert(
@@ -329,7 +329,7 @@ fn serve_group(group: &EntryGroup) -> (BatchResult, Vec<(usize, usize)>) {
     if let [corpus] = group.corpora.as_slice() {
         let batch = PreparedBatch::from_corpus(corpus);
         let len = batch.len();
-        (predict_entry(&group.entry, &batch), vec![(0, len)])
+        (group.entry.model().predict_prepared(&batch), vec![(0, len)])
     } else {
         let mut merge = BatchMerge::new();
         let mut ranges = Vec::with_capacity(group.corpora.len());
@@ -340,25 +340,7 @@ fn serve_group(group: &EntryGroup) -> (BatchResult, Vec<(usize, usize)>) {
             at += corpus.len();
         }
         let (batch, _) = merge.finish();
-        (predict_entry(&group.entry, &batch), ranges)
-    }
-}
-
-/// One `predict_prepared` dispatch over the entry's model family.
-fn predict_entry(entry: &RegistryEntry, batch: &PreparedBatch) -> BatchResult {
-    match entry.model() {
-        ModelEntry::Conjunctive(m) => m.batch().predict_prepared(batch),
-        ModelEntry::ConjunctiveServing(m) => m.batch().predict_prepared(batch),
-        ModelEntry::Disjunctive(m) => m.batch().predict_prepared(batch),
-    }
-}
-
-/// The instruction set requests against this entry parse with.
-fn entry_instructions(model: &ModelEntry) -> &palmed_isa::InstructionSet {
-    match model {
-        ModelEntry::Conjunctive(m) => &m.artifact.instructions,
-        ModelEntry::ConjunctiveServing(m) => &m.artifact.instructions,
-        ModelEntry::Disjunctive(m) => &m.artifact.instructions,
+        (group.entry.model().predict_prepared(&batch), ranges)
     }
 }
 

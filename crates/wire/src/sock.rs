@@ -1,10 +1,9 @@
 //! Blocking single-threaded `PALMED-WIRE v1` server (and test client) over
 //! UNIX-domain or TCP sockets.
 //!
-//! Like the serve crate's `mmap` shim, the socket layer binds the handful
-//! of syscalls it needs directly (`socket`/`bind`/`listen`/`accept`/
-//! `recv`/`send`/…) instead of pulling in a crate — the workspace builds
-//! offline.  The raw binding is gated to Linux, where the
+//! The socket layer binds the handful of syscalls it needs directly
+//! (`socket`/`bind`/`listen`/`accept`/`recv`/`send`/…) instead of pulling
+//! in a crate — the workspace builds offline.  The raw binding is gated to Linux, where the
 //! `sockaddr_un`/`sockaddr_in` layouts below are ABI-correct; every other
 //! target simply lacks this module (the frame codec and connection state
 //! machine are platform-independent and fully exercised through in-memory

@@ -41,7 +41,7 @@ fn main() {
     registry.load_file(&model_path).expect("checksum verifies, artifact parses");
     println!("registry serves: {:?}", registry.names());
     let entry = registry.get(machine.name()).expect("registered under its machine name");
-    let served = entry.served().expect("full conjunctive entry");
+    let served = entry.served().expect("conjunctive entry");
     assert_eq!(served.artifact, artifact, "round trip is lossless");
 
     // 4. A workload corpus: weighted basic blocks in a text file.  Names are
@@ -77,23 +77,22 @@ fn main() {
         }
     }
 
-    // 6. The zero-copy serving mode: save the binary v2b artifact and load
-    //    it serve-only — the registry retains the bytes, predictions run
-    //    through a borrowed view aliasing them, and the dense mapping is
-    //    never rebuilt unless something explicitly asks for it.
+    // 6. The binary v2b artifact: the registry validates the bytes once and
+    //    retains them, predictions run through a view borrowing the arrays
+    //    in place, and the dense mapping is never rebuilt unless something
+    //    explicitly asks for it.
     let v2_path = dir.join("model.palmed2");
     artifact.save_v2(&v2_path).expect("v2b artifact saves");
-    let zero_copy = ModelRegistry::new();
-    let serving_entry = zero_copy.load_file_serving(&v2_path).expect("serve-only load validates");
-    let serving = serving_entry.serving().expect("serve-only entry");
-    let borrowed = serving.batch().predict_prepared(&prepared);
-    assert!(!serving.artifact.mapping_ready(), "serving never rebuilds the dense rows");
+    let binary = ModelRegistry::new();
+    let v2_entry = binary.load_file(&v2_path).expect("v2b load validates");
+    let v2_served = v2_entry.served().expect("conjunctive entry");
+    let borrowed = v2_served.batch().predict_prepared(&prepared);
+    assert!(!v2_served.artifact.mapping_ready(), "serving never rebuilds the dense rows");
     for (a, b) in result.ipcs.iter().zip(&borrowed.ipcs) {
         assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "borrowed == owned, bit for bit");
     }
     println!(
-        "serve-only reload: {} path, {} blocks re-served bit-identically, mapping deferred",
-        if serving.view().is_borrowed() { "zero-copy" } else { "owned-fallback" },
+        "v2b reload: {} blocks re-served bit-identically from the retained bytes, mapping deferred",
         borrowed.ipcs.len()
     );
 }

@@ -31,9 +31,7 @@ pub fn rng(seed: u64) -> StdRng {
 pub mod incident {
     use palmed_core::ConjunctiveMapping;
     use palmed_isa::{InstId, InstructionSet, Microkernel};
-    use palmed_serve::{
-        sidecar_path, ModelArtifact, ModelEntry, ModelRegistry, RefreshOutcome,
-    };
+    use palmed_serve::{sidecar_path, ModelArtifact, ModelRegistry, PreparedBatch, RefreshOutcome};
     use std::path::PathBuf;
 
     /// A model artifact saved to a scratch file (with its fingerprint
@@ -88,17 +86,7 @@ pub mod incident {
         /// `kernel` — the "serving never degrades" witness.
         pub fn served_bits(&self, registry: &ModelRegistry, kernel: &Microkernel) -> u64 {
             let entry = registry.get(&self.name).expect("entry never disappears");
-            let ipcs = match entry.model() {
-                ModelEntry::Conjunctive(m) => {
-                    m.batch().predict(std::slice::from_ref(kernel)).ipcs
-                }
-                ModelEntry::ConjunctiveServing(m) => {
-                    m.batch().predict(std::slice::from_ref(kernel)).ipcs
-                }
-                ModelEntry::Disjunctive(m) => {
-                    m.batch().predict(std::slice::from_ref(kernel)).ipcs
-                }
-            };
+            let ipcs = entry.model().predict_prepared(&PreparedBatch::from_kernels([kernel])).ipcs;
             ipcs[0].expect("probe kernel is covered").to_bits()
         }
     }

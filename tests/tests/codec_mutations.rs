@@ -13,7 +13,7 @@ use palmed_fuzz::{run_case, run_many, Format};
 use palmed_isa::{InstId, InstructionSet, Microkernel};
 use palmed_serve::checksum::{fnv1a64, fnv1a64_words};
 use palmed_serve::{
-    migrate_v1_to_v2b, ArtifactError, Corpus, DisjArtifact, ModelArtifact, ModelView,
+    migrate_v1_to_v2b, ArtifactError, Corpus, DisjArtifact, ModelArtifact, ServedModel,
 };
 
 fn v2b_artifact() -> ModelArtifact {
@@ -92,8 +92,9 @@ fn v2b_truncation_at_every_boundary_is_rejected() {
             .err()
             .unwrap_or_else(|| panic!("truncation at {cut} was accepted"));
         assert!(!error.to_string().is_empty(), "truncation at {cut} renders empty");
-        // The zero-copy view must agree.
-        assert!(ModelView::parse_v2(&bytes[..cut]).is_err(), "view accepted truncation at {cut}");
+        // The served in-place load must agree.
+        let served = ServedModel::from_v2b(bytes[..cut].to_vec());
+        assert!(served.is_err(), "from_v2b accepted truncation at {cut}");
     }
 }
 

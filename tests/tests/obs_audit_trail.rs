@@ -42,7 +42,7 @@ fn corrupt_then_restore_leaves_a_complete_structured_audit_trail() {
 
     // Load, corrupt, poll to quarantine, restore, readmit.
     let registry = ModelRegistry::new();
-    registry.load_file_serving(&watched.path).unwrap();
+    registry.load_file(&watched.path).unwrap();
     watched.corrupt();
     let polls = poll_until_quarantined(&registry, NAME, |_, _| {}).polls;
     let quiet_polls = 2u32;

@@ -40,7 +40,7 @@ fn readmit_on_unknown_entry_errs_and_leaves_no_phantom_health_row() {
 fn readmit_on_a_memory_only_entry_errs_without_touching_its_health() {
     let registry = ModelRegistry::new();
     let bytes = artifact("memory-only", 0.5).render_v2();
-    registry.load_serving_bytes(bytes).unwrap();
+    registry.swap_bytes("memory-only", bytes).unwrap();
 
     // No source file is watched, so there is nothing to readmit from.
     assert!(registry.readmit("memory-only").is_err());
@@ -99,22 +99,21 @@ fn a_file_restored_mid_backoff_recovers_and_resets_the_failure_counter() {
 }
 
 #[test]
-fn mapped_loads_fall_back_to_heap_when_the_io_cannot_mmap() {
+fn v2b_loads_through_the_io_seam_serve_the_exact_on_disk_bytes() {
     let (io, registry) = faulty_registry();
-    let art = artifact("heap-fallback", 0.5);
-    let path = Path::new("/sim/heap-fallback.palmed2");
+    let art = artifact("in-place", 0.5);
+    let path = Path::new("/sim/in-place.palmed2");
     io.write(path, art.render_v2());
 
-    // FaultyIo does not implement `open_buf`, so the mapped load takes the
-    // default read-to-heap path — and must behave identically to a file
-    // mapping.
-    let entry = registry.load_file_mapped(path).unwrap();
-    assert_eq!(entry.name(), "heap-fallback");
+    // Every byte comes through `ArtifactIo::read`; the entry retains it and
+    // serves the arrays in place.
+    let entry = registry.load_file(path).unwrap();
+    assert_eq!(entry.name(), "in-place");
     assert_eq!(entry.fingerprint(), art.fingerprint());
     assert_eq!(
-        entry.serving().expect("mapped entries are serve-only").bytes(),
-        io.contents(path).unwrap(),
-        "the heap fallback serves the exact on-disk bytes"
+        entry.served().expect("v2b loads are conjunctive").bytes(),
+        Some(&io.contents(path).unwrap()[..]),
+        "the entry serves the exact on-disk bytes"
     );
 }
 
@@ -124,7 +123,7 @@ fn transient_and_torn_faults_never_degrade_serving_and_always_recover() {
     let first = artifact("faulted", 0.5);
     let path = Path::new("/sim/faulted.palmed2");
     io.write(path, first.render_v2());
-    let entry = registry.load_file_serving(path).unwrap();
+    let entry = registry.load_file(path).unwrap();
     assert_eq!(entry.fingerprint(), first.fingerprint());
 
     // A good rewrite behind a transient read fault: the poll fails once,
@@ -174,8 +173,8 @@ fn transient_and_torn_faults_never_degrade_serving_and_always_recover() {
         );
     }
     assert_eq!(
-        registry.get("faulted").unwrap().serving().unwrap().bytes(),
-        io.contents(path).unwrap(),
+        registry.get("faulted").unwrap().served().unwrap().bytes(),
+        Some(&io.contents(path).unwrap()[..]),
         "the settled body serves bit-identically"
     );
     assert!(io.injected() > 0, "the schedule actually injected faults");

@@ -5,7 +5,7 @@
 
 use palmed_core::ConjunctiveMapping;
 use palmed_isa::{InstId, InstructionSet, Microkernel};
-use palmed_serve::{ModelArtifact, ModelEntry, ModelRegistry};
+use palmed_serve::{KernelLoad, ModelArtifact, ModelEntry, ModelRegistry, PreparedBatch};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -23,13 +23,7 @@ fn expected_bits(artifact: &ModelArtifact, kernel: &Microkernel) -> u64 {
 }
 
 fn entry_bits(entry: &ModelEntry, kernel: &Microkernel) -> u64 {
-    let ipcs = match entry {
-        ModelEntry::Conjunctive(m) => m.batch().predict(std::slice::from_ref(kernel)).ipcs,
-        ModelEntry::ConjunctiveServing(m) => {
-            m.batch().predict(std::slice::from_ref(kernel)).ipcs
-        }
-        ModelEntry::Disjunctive(m) => m.batch().predict(std::slice::from_ref(kernel)).ipcs,
-    };
+    let ipcs = entry.predict_prepared(&PreparedBatch::from_kernels([kernel])).ipcs;
     ipcs[0].expect("probe kernel is covered").to_bits()
 }
 
@@ -49,7 +43,7 @@ fn concurrent_readers_predict_bit_identically_across_swaps() {
     let (bytes_a, bytes_b) = (model_a.render_v2(), model_b.render_v2());
 
     let registry = Arc::new(ModelRegistry::new());
-    registry.load_serving_bytes(bytes_a.clone()).unwrap();
+    registry.swap_bytes("hot", bytes_a.clone()).unwrap();
     let first_generation = registry.generation();
     let stop = AtomicBool::new(false);
     let observations = AtomicU64::new(0);
@@ -113,7 +107,7 @@ fn old_generation_stays_valid_until_dropped() {
     let kernel = Microkernel::single(InstId(2));
     let original = artifact(0.5);
     let registry = ModelRegistry::new();
-    registry.load_serving_bytes(original.render_v2()).unwrap();
+    registry.swap_bytes("hot", original.render_v2()).unwrap();
     let held = registry.get("hot").unwrap();
 
     for i in 0..50 {
@@ -122,9 +116,10 @@ fn old_generation_stays_valid_until_dropped() {
     registry.remove("hot");
     assert!(registry.get("hot").is_none());
 
-    let serving = held.serving().expect("serve-only entry");
+    let served = held.served().expect("conjunctive entry");
+    assert!(served.bytes().is_some(), "a v2b swap serves the retained bytes");
     assert_eq!(entry_bits(held.model(), &kernel), expected_bits(&original, &kernel));
     // The retained bytes are intact too: the deferred dense mapping still
     // rebuilds from them, bit-identical to the original.
-    assert_eq!(serving.artifact.mapping(), original.mapping());
+    assert_eq!(served.artifact.mapping(), original.mapping());
 }

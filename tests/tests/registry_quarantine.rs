@@ -24,7 +24,7 @@ fn corruption_never_degrades_serving_and_readmit_restores_the_fingerprint() {
     );
 
     let registry = ModelRegistry::new();
-    let entry = registry.load_file_serving(&watched.path).unwrap();
+    let entry = registry.load_file(&watched.path).unwrap();
     assert_eq!(
         entry.fingerprint(),
         watched.recorded_fp,

@@ -6,7 +6,7 @@ use palmed_core::{Palmed, PalmedConfig};
 use palmed_integration_tests::artifact_prop::{build_artifact, inventory, MAX_RESOURCES};
 use palmed_isa::{InstId, Microkernel};
 use palmed_machine::{presets, AnalyticMeasurer, MemoizingMeasurer};
-use palmed_serve::{ArtifactError, BatchPredictor, CompiledModel, ModelArtifact};
+use palmed_serve::{ArtifactError, BatchPredictor, CompiledModel, KernelLoad, ModelArtifact};
 use proptest::prelude::*;
 
 proptest! {

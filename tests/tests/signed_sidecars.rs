@@ -36,7 +36,7 @@ fn a_keyed_registry_round_trips_a_signed_sidecar() {
 
     let registry = ModelRegistry::new();
     registry.set_signing_key(Some(KEY.to_vec()));
-    let entry = registry.load_file_serving(&watched.path).unwrap();
+    let entry = registry.load_file(&watched.path).unwrap();
     assert_eq!(
         entry.fingerprint(),
         watched.recorded_fp,
@@ -56,7 +56,7 @@ fn a_wrong_key_sidecar_is_rejected_as_a_signature_mismatch() {
 
     let registry = ModelRegistry::new();
     registry.set_signing_key(Some(KEY.to_vec()));
-    let error = registry.load_file_serving(&watched.path).unwrap_err();
+    let error = registry.load_file(&watched.path).unwrap_err();
     assert_eq!(error.class(), "signature-mismatch");
     assert!(registry.is_empty(), "a forged artifact never installs");
 }
@@ -66,7 +66,7 @@ fn a_forged_redeploy_feeds_the_backoff_and_quarantine_ladder() {
     let watched = signed_watched("signed-forge", "palmed-it-signed-forge.palmed2", KEY);
     let registry = ModelRegistry::new();
     registry.set_signing_key(Some(KEY.to_vec()));
-    let entry = registry.load_file_serving(&watched.path).unwrap();
+    let entry = registry.load_file(&watched.path).unwrap();
     let pinned = entry.generation();
 
     // An attacker without the key replaces the body and signs the matching
@@ -114,7 +114,7 @@ fn key_rotation_admits_old_key_sidecars_until_the_key_is_retired() {
     // artifacts — so the old-key sidecar still admits.
     let registry = ModelRegistry::new();
     registry.set_signing_keys(vec![NEW_KEY.to_vec(), KEY.to_vec()]);
-    let entry = registry.load_file_serving(&watched.path).unwrap();
+    let entry = registry.load_file(&watched.path).unwrap();
     assert_eq!(
         entry.fingerprint(),
         watched.recorded_fp,
@@ -125,7 +125,7 @@ fn key_rotation_admits_old_key_sidecars_until_the_key_is_retired() {
     // failure, classified exactly like a forged tag.
     let strict = ModelRegistry::new();
     strict.set_signing_keys(vec![NEW_KEY.to_vec()]);
-    let error = strict.load_file_serving(&watched.path).unwrap_err();
+    let error = strict.load_file(&watched.path).unwrap_err();
     assert_eq!(
         error.class(),
         "signature-mismatch",
@@ -135,7 +135,7 @@ fn key_rotation_admits_old_key_sidecars_until_the_key_is_retired() {
 
     // Re-signing under the new primary closes the rotation.
     write_signed_sidecar(&watched.path, watched.recorded_fp, NEW_KEY).unwrap();
-    let entry = strict.load_file_serving(&watched.path).unwrap();
+    let entry = strict.load_file(&watched.path).unwrap();
     assert_eq!(entry.fingerprint(), watched.recorded_fp);
 }
 
@@ -146,7 +146,7 @@ fn a_keyed_registry_still_accepts_an_unkeyed_v1_sidecar() {
 
     let registry = ModelRegistry::new();
     registry.set_signing_key(Some(KEY.to_vec()));
-    let entry = registry.load_file_serving(&watched.path).unwrap();
+    let entry = registry.load_file(&watched.path).unwrap();
     assert_eq!(
         entry.fingerprint(),
         watched.recorded_fp,
@@ -159,7 +159,7 @@ fn an_unkeyed_registry_accepts_a_signed_v2_sidecar() {
     let watched = signed_watched("signed-unkeyed", "palmed-it-signed-unkeyed.palmed2", KEY);
 
     let registry = ModelRegistry::new();
-    let entry = registry.load_file_serving(&watched.path).unwrap();
+    let entry = registry.load_file(&watched.path).unwrap();
     assert_eq!(
         entry.fingerprint(),
         watched.recorded_fp,
@@ -174,7 +174,7 @@ fn a_strict_registry_refuses_missing_and_unkeyed_sidecars() {
     let unkeyed = WatchedArtifact::save("strict-inert", "palmed-it-strict-inert.palmed2", 0.5);
     let inert = ModelRegistry::new();
     inert.require_signed(true);
-    let entry = inert.load_file_serving(&unkeyed.path).unwrap();
+    let entry = inert.load_file(&unkeyed.path).unwrap();
     assert_eq!(
         entry.fingerprint(),
         unkeyed.recorded_fp,
@@ -185,7 +185,7 @@ fn a_strict_registry_refuses_missing_and_unkeyed_sidecars() {
     let strict = ModelRegistry::new();
     strict.set_signing_key(Some(KEY.to_vec()));
     strict.require_signed(true);
-    let error = strict.load_file_serving(&unkeyed.path).unwrap_err();
+    let error = strict.load_file(&unkeyed.path).unwrap_err();
     assert_eq!(error.class(), "unsigned-artifact");
     assert!(strict.is_empty(), "an unsigned artifact never installs under strict policy");
 
@@ -193,19 +193,19 @@ fn a_strict_registry_refuses_missing_and_unkeyed_sidecars() {
     // less about provenance than an unkeyed one.
     let orphan = signed_watched("strict-orphan", "palmed-it-strict-orphan.palmed2", KEY);
     std::fs::remove_file(palmed_serve::sidecar_path(&orphan.path)).unwrap();
-    let error = strict.load_file_serving(&orphan.path).unwrap_err();
+    let error = strict.load_file(&orphan.path).unwrap_err();
     assert_eq!(error.class(), "unsigned-artifact");
     assert!(strict.is_empty());
 
     // A correctly signed v2 sidecar satisfies the policy.
     let signed = signed_watched("strict-ok", "palmed-it-strict-ok.palmed2", KEY);
-    let entry = strict.load_file_serving(&signed.path).unwrap();
+    let entry = strict.load_file(&signed.path).unwrap();
     assert_eq!(entry.fingerprint(), signed.recorded_fp);
 
     // Turning the policy back off restores the compatibility contract:
     // the unkeyed v1 sidecar admits again.
     strict.require_signed(false);
-    let entry = strict.load_file_serving(&unkeyed.path).unwrap();
+    let entry = strict.load_file(&unkeyed.path).unwrap();
     assert_eq!(entry.fingerprint(), unkeyed.recorded_fp);
 }
 
@@ -215,7 +215,7 @@ fn an_unsigned_redeploy_feeds_the_backoff_and_quarantine_ladder() {
     let registry = ModelRegistry::new();
     registry.set_signing_key(Some(KEY.to_vec()));
     registry.require_signed(true);
-    let entry = registry.load_file_serving(&watched.path).unwrap();
+    let entry = registry.load_file(&watched.path).unwrap();
     let pinned = entry.generation();
 
     // A deployer without the signing pipeline pushes a new body with the

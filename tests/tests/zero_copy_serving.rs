@@ -1,15 +1,15 @@
-//! Properties of the zero-copy serving path: the borrowed
-//! [`CompiledModelRef`] view over raw `v2b` artifact bytes must be
-//! observably identical to the owned [`CompiledModel`] — bit-identical
-//! predictions on random inferred-shaped mappings, an owned fallback that
-//! kicks in on misaligned buffers without changing a single bit, and the
-//! same rejection behaviour for every truncation and byte flip, since both
-//! paths share one validator.
+//! Properties of the in-place serving path: a [`ServedModel`] built from
+//! raw `v2b` artifact bytes borrows its CSR arrays straight from the
+//! retained buffer, and that view must be observably identical to the owned
+//! [`CompiledModel`](palmed_serve::CompiledModel) — bit-identical
+//! predictions on random inferred-shaped mappings whatever offset the
+//! arrays land at, and the same rejection behaviour for every truncation
+//! and byte flip, since every v2b load shares one validator.
 
 use palmed_core::ThroughputPredictor;
 use palmed_integration_tests::artifact_prop::{build_artifact, inventory, MAX_RESOURCES};
 use palmed_isa::{InstId, InstructionSet, Microkernel};
-use palmed_serve::{KernelLoad, ModelRegistry, ModelView, PreparedBatch};
+use palmed_serve::{KernelLoad, ModelRegistry, PreparedBatch, ServedModel};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -21,17 +21,6 @@ fn kernels_from(raw: &[Vec<(u32, u32)>], insts: &InstructionSet) -> Vec<Microker
             )
         })
         .collect()
-}
-
-/// Places `bin` inside an 8-aligned backing store at an exact byte shift and
-/// returns the backing plus the payload range, so the *address* of the
-/// parsed slice — what the borrowed view's alignment check sees — is
-/// deterministic.
-fn at_shift(bin: &[u8], shift: usize) -> (Vec<u8>, std::ops::Range<usize>) {
-    let mut backing = vec![0u8; bin.len() + 16];
-    let pad = (8 - backing.as_ptr() as usize % 8) % 8 + shift;
-    backing[pad..pad + bin.len()].copy_from_slice(bin);
-    (backing, pad..pad + bin.len())
 }
 
 proptest! {
@@ -50,20 +39,21 @@ proptest! {
         ),
     ) {
         let insts = inventory();
-        let artifact = build_artifact(num_resources, &rows, &insts);
-        let bin = artifact.render_v2();
+        let mut artifact = build_artifact(num_resources, &rows, &insts);
         let owned = artifact.compile();
-
-        // Parse the same bytes at every alignment shift: exactly one of the
-        // four can back the borrowed view (on little-endian targets), the
-        // rest must transparently fall back to an owned copy — and all of
-        // them must predict bit-identically to the compiled artifact.
         let kernels = kernels_from(&raw_kernels, &insts);
-        let mut borrowed_seen = 0usize;
-        for shift in 0..4usize {
-            let (backing, range) = at_shift(&bin, shift);
-            let view = ModelView::parse_v2(&backing[range]).expect("valid artifact parses");
-            borrowed_seen += view.is_borrowed() as usize;
+
+        // Machine names of 1..=8 bytes move every array by one byte each
+        // time, so the arrays land at every offset mod 8 in the file; the
+        // retained bytes must serve all of them in place, bit-identically
+        // to the compiled artifact.
+        for name_len in 1..=8usize {
+            artifact.machine = "m".repeat(name_len);
+            let bin = artifact.render_v2();
+            let served = ServedModel::from_v2b(bin.clone()).expect("valid artifact parses");
+            prop_assert_eq!(served.bytes(), Some(&bin[..]));
+            let view = served.view();
+            let owned = owned.view();
             let mut scratch = view.scratch();
             let mut owned_scratch = owned.scratch();
             for kernel in &kernels {
@@ -84,26 +74,16 @@ proptest! {
                     view.predict_ipc(kernel).map(f64::to_bits),
                     owned.predict_ipc(kernel).map(f64::to_bits)
                 );
-            }
-            // A borrowed view copies out into an equal owned model.
-            if let ModelView::Borrowed(ref r) = view {
-                prop_assert_eq!(&r.to_owned(), &owned);
-                for kernel in &kernels {
-                    for (inst, _) in kernel.iter() {
-                        prop_assert_eq!(
-                            ThroughputPredictor::supports(r, inst),
-                            ThroughputPredictor::supports(&owned, inst)
-                        );
-                    }
+                for (inst, _) in kernel.iter() {
+                    prop_assert_eq!(view.supports(inst), owned.supports(inst));
+                    prop_assert_eq!(
+                        view.row(inst).collect::<Vec<_>>(),
+                        owned.row(inst).collect::<Vec<_>>()
+                    );
                 }
-            } else {
-                prop_assert_eq!(&view.clone().into_owned(), &owned);
             }
-        }
-        if cfg!(target_endian = "little") {
-            // The u32 arrays sit at one offset mod 4, so exactly one shift
-            // aligns them; the misaligned-buffer fallback covers the rest.
-            prop_assert_eq!(borrowed_seen, 1);
+            prop_assert_eq!(view.num_entries(), owned.num_entries());
+            prop_assert_eq!(view.num_instructions(), owned.num_instructions());
         }
     }
 
@@ -125,13 +105,13 @@ proptest! {
         let target = ((position * bin.len() as f64) as usize).min(bin.len() - 1);
         let mut corrupted = bin.clone();
         corrupted[target] ^= flip;
-        prop_assert!(ModelView::parse_v2(&corrupted).is_err());
+        prop_assert!(ServedModel::from_v2b(corrupted).is_err());
         // So is truncation at an arbitrary proportional cut — and through
-        // the serve-only registry load, which must stay untouched on error.
+        // a registry swap, which must leave the registry untouched on error.
         let cut = ((position * bin.len() as f64) as usize).min(bin.len() - 1);
-        prop_assert!(ModelView::parse_v2(&bin[..cut]).is_err());
+        prop_assert!(ServedModel::from_v2b(bin[..cut].to_vec()).is_err());
         let registry = ModelRegistry::new();
-        prop_assert!(registry.load_serving_bytes(bin[..cut].to_vec()).is_err());
+        prop_assert!(registry.swap_bytes("cut", bin[..cut].to_vec()).is_err());
         prop_assert!(registry.is_empty());
     }
 
@@ -152,8 +132,8 @@ proptest! {
         let bin = artifact.render_v2();
 
         let registry = ModelRegistry::new();
-        let entry = registry.load_serving_bytes(bin).expect("serve-only load validates");
-        let serving = entry.serving().expect("v2b serve-only loads install serving entries");
+        let entry = registry.swap_bytes("lazy", bin).expect("v2b swap validates");
+        let serving = entry.served().expect("v2b swaps install conjunctive entries");
         prop_assert!(!serving.artifact.mapping_ready());
         prop_assert_eq!(&serving.artifact.machine, &artifact.machine);
         prop_assert_eq!(&serving.artifact.instructions, &artifact.instructions);
@@ -185,11 +165,11 @@ fn borrowed_validator_rejects_every_truncation_length() {
     let bin = artifact.render_v2();
     for cut in 0..bin.len() {
         assert!(
-            ModelView::parse_v2(&bin[..cut]).is_err(),
-            "truncation at byte {cut} must not parse through the borrowed validator"
+            ServedModel::from_v2b(bin[..cut].to_vec()).is_err(),
+            "truncation at byte {cut} must not parse through the served load"
         );
     }
-    assert!(ModelView::parse_v2(&bin).is_ok());
+    assert!(ServedModel::from_v2b(bin).is_ok());
 }
 
 #[test]
