@@ -4,9 +4,8 @@
 //! on a fresh valid seed plus 1–3 mutations — it re-discovers the same
 //! shallow rejections forever.  This module keeps a **seed queue** of
 //! mutants that proved *interesting* — they produced a first-seen rejection
-//! class, a first-seen `(class, offset bucket)` coverage pair
-//! ([`crate::offset_bucket`]), or landed in the top decile of case times
-//! (the slowest-case signal the `--stats` report surfaces) — and spends
+//! class or a first-seen `(class, offset bucket)` coverage pair
+//! ([`crate::offset_bucket`]), or every decoder accepted them — and spends
 //! most of its budget stacking further mutations onto queued entries
 //! instead of starting over.  Selection is **energy-biased**: a queued
 //! entry whose rejection class is rare (per the `fuzz.reject.<class>`
@@ -14,9 +13,10 @@
 //! otherwise) is picked proportionally more often, so the scheduler digs
 //! where the codecs have been probed least.
 //!
-//! Everything stays deterministic for a given `(iters, seed)` except the
-//! timing admissions; any queued entry replays exactly — it records its
-//! origin case and full mutation trail, and carries the literal bytes.
+//! Everything stays deterministic for a given `(iters, seed)`: admission
+//! never looks at case times, which only feed the `--stats` report.  Any
+//! queued entry replays exactly — it records its origin case and full
+//! mutation trail, and carries the literal bytes.
 //! Violating cases are automatically **minimized** ([`minimize_with`])
 //! before they are reported, so a finding arrives as the smallest byte
 //! string that still trips the invariant.
@@ -55,7 +55,7 @@ pub struct QueueEntry {
     pub bytes: Vec<u8>,
     /// Full mutation trail from the valid seed to these bytes.
     pub mutations: Vec<String>,
-    /// Why the entry was admitted (`new-class:…`, `new-pair:…`, `slow`).
+    /// Why the entry was admitted (`new-class:…`, `new-pair:…`, `accepted`).
     pub why: String,
     /// Rejection class that admitted it, when coverage-admitted — the
     /// energy-bias key.
@@ -327,8 +327,6 @@ pub fn run_guided(iters: u32, seed: u32) -> GuidedSummary {
     let mut result = GuidedSummary::default();
     let mut queue: Vec<QueueEntry> = Vec::new();
     let mut local_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut times: Vec<u64> = Vec::new();
-    let mut slow_threshold = u64::MAX;
     let warmup = (iters / 8).max(1);
 
     for i in 0..iters {
@@ -428,7 +426,7 @@ pub fn run_guided(iters: u32, seed: u32) -> GuidedSummary {
         }
 
         // Admission: first-seen class, first-seen coverage pair, or a
-        // top-decile case time.
+        // mutant every decoder accepted.
         let mut why: Option<(String, Option<&'static str>)> = None;
         for record in &outcome.rejections {
             let pair = coverage_key(record);
@@ -453,15 +451,6 @@ pub fn run_guided(iters: u32, seed: u32) -> GuidedSummary {
             // lineage can have — the next mutation lands a *fresh* first
             // error instead of re-tripping an existing one.
             why = Some(("accepted".to_string(), None));
-        }
-        if why.is_none() && times.len() >= 64 && ns >= slow_threshold {
-            why = Some(("slow".to_string(), None));
-        }
-        times.push(ns);
-        if times.len().is_multiple_of(64) {
-            let mut sorted = times.clone();
-            let at = sorted.len() * 9 / 10;
-            slow_threshold = *sorted.select_nth_unstable(at).1;
         }
 
         result.summary.note_case_time(format, origin_case, ns);

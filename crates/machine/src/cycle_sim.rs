@@ -14,15 +14,25 @@
 //! 1. **Fetch/decode**: up to `front_end.instructions_per_cycle` instructions
 //!    are taken from the kernel body (repeated round-robin) and their µOPs
 //!    are placed in the scheduler window, as long as there is room.
-//! 2. **Dispatch**: every port picks, among ready µOPs that list it, the one
-//!    that entered the window first (oldest-first), unless the port is still
-//!    busy with a previous non-pipelined µOP.
+//! 2. **Dispatch**: every port that is not still busy with a previous
+//!    non-pipelined µOP takes, among the waiting µOPs that list it, the one
+//!    that entered the window first (oldest-first).
+//!
+//! The window is kept as one FIFO of sequence numbers per µOP *class*: a
+//! distinct `(port mask, busy cycles)` pair of the kernel.  µOPs of one class
+//! are interchangeable to every port, and fetch hands out sequence numbers in
+//! increasing order, so each FIFO stays sorted and its head is the class's
+//! oldest µOP.  The oldest µOP a port can take is therefore the smallest
+//! head among the classes whose mask contains the port — the very µOP a scan
+//! of the whole window would pick — at a cost of one comparison per class
+//! instead of one per window entry.
 //!
 //! There are no dependencies and no memory system — microkernels are
 //! dependency-free and L1-resident by construction (Sec. III-A of the paper).
 
 use crate::disjunctive::DisjunctiveMapping;
 use palmed_isa::Microkernel;
+use std::collections::VecDeque;
 
 /// Configuration of the cycle-level simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,15 +47,6 @@ impl Default for SimulationConfig {
     fn default() -> Self {
         SimulationConfig { warmup_cycles: 200, measured_cycles: 2_000 }
     }
-}
-
-/// One µOP instance waiting in the scheduler window.
-#[derive(Debug, Clone, Copy)]
-struct PendingUop {
-    /// Index of the µOP kind in the flattened kernel body.
-    kind: usize,
-    /// Sequence number used for oldest-first scheduling.
-    sequence: u64,
 }
 
 /// Result of a simulation run.
@@ -74,23 +75,37 @@ pub fn simulate_ipc(
     let fe_insts = machine.front_end.instructions_per_cycle;
     let fe_uops = machine.front_end.uops_per_cycle;
 
-    // Flatten the kernel body: one entry per instruction instance, each with
-    // its µOP kinds.  µOP kinds are stored once in `uop_ports`.
-    let mut body: Vec<Vec<usize>> = Vec::new(); // per instruction: µOP kind indices
-    let mut uop_ports: Vec<(u32, f64)> = Vec::new(); // port mask, busy cycles
+    // Flatten the kernel body.  `classes` holds the distinct (port mask,
+    // busy cycles) pairs; `uop_classes` the class of every µOP of every
+    // distinct instruction, back to back; `body` one range into it per
+    // instruction instance.
+    let mut classes: Vec<(u32, u64)> = Vec::new();
+    let mut uop_classes: Vec<usize> = Vec::new();
+    let mut body: Vec<(usize, usize)> = Vec::new();
     for (inst, count) in kernel.iter() {
-        let mut kinds = Vec::new();
+        let start = uop_classes.len();
         for u in mapping.uops(inst) {
-            let kind = uop_ports.len();
-            uop_ports.push((u.ports.mask(), u.inverse_throughput));
-            kinds.push(kind);
+            let class = (u.ports.mask(), u.inverse_throughput.ceil() as u64);
+            let index = match classes.iter().position(|&c| c == class) {
+                Some(index) => index,
+                None => {
+                    classes.push(class);
+                    classes.len() - 1
+                }
+            };
+            uop_classes.push(index);
         }
-        for _ in 0..count {
-            body.push(kinds.clone());
-        }
+        body.extend(std::iter::repeat_n((start, uop_classes.len()), count as usize));
     }
+    // The classes each port can take µOPs from.
+    let port_classes: Vec<Vec<usize>> = (0..num_ports)
+        .map(|port| (0..classes.len()).filter(|&c| classes[c].0 & (1 << port) != 0).collect())
+        .collect();
 
-    let mut pending: Vec<PendingUop> = Vec::new();
+    // One FIFO of waiting µOPs' sequence numbers per class.
+    let mut queues: Vec<VecDeque<u64>> =
+        classes.iter().map(|_| VecDeque::with_capacity(window)).collect();
+    let mut pending = 0usize;
     let mut port_busy_until = vec![0u64; num_ports];
     let mut next_instruction = 0usize; // index into body (wraps)
     let mut sequence = 0u64;
@@ -98,7 +113,6 @@ pub fn simulate_ipc(
     let mut fetch_credit = 0.0f64;
     let mut uop_credit = 0.0f64;
 
-    let mut retired_instructions = 0u64;
     let mut measured_instructions = 0u64;
     // An instruction is "retired" for IPC purposes when fetched; since there
     // are no dependencies, every fetched instruction completes a bounded
@@ -112,59 +126,55 @@ pub fn simulate_ipc(
             uop_credit = (uop_credit + fe_uops).min(fe_uops * 2.0);
         }
         loop {
-            let kinds = &body[next_instruction];
-            let uop_cost = kinds.len() as f64;
+            let (start, end) = body[next_instruction];
+            let uops = end - start;
+            let uop_cost = uops as f64;
             if fetch_credit < 1.0 {
                 break;
             }
             if fe_uops.is_finite() && uop_credit < uop_cost {
                 break;
             }
-            if pending.len() + kinds.len() > window {
+            if pending + uops > window {
                 break;
             }
-            for &kind in kinds {
-                pending.push(PendingUop { kind, sequence });
+            for &class in &uop_classes[start..end] {
+                queues[class].push_back(sequence);
                 sequence += 1;
             }
+            pending += uops;
             fetch_credit -= 1.0;
             if fe_uops.is_finite() {
                 uop_credit -= uop_cost;
             }
             next_instruction = (next_instruction + 1) % body.len();
-            retired_instructions += 1;
             if cycle >= config.warmup_cycles {
                 measured_instructions += 1;
             }
         }
 
-        // Dispatch: each free port takes the oldest compatible pending µOP.
-        for (port, busy_until) in port_busy_until.iter_mut().enumerate().take(num_ports) {
+        // Dispatch: each free port takes the oldest µOP among the heads of
+        // its classes' FIFOs.
+        for (busy_until, port_classes) in port_busy_until.iter_mut().zip(&port_classes) {
             if *busy_until > cycle {
                 continue;
             }
-            let mut chosen: Option<usize> = None;
-            for (idx, p) in pending.iter().enumerate() {
-                let (mask, _) = uop_ports[p.kind];
-                if mask & (1 << port) != 0 {
-                    match chosen {
-                        None => chosen = Some(idx),
-                        Some(c) if pending[idx].sequence < pending[c].sequence => {
-                            chosen = Some(idx)
-                        }
-                        _ => {}
+            let mut oldest: Option<(u64, usize)> = None;
+            for &class in port_classes {
+                if let Some(&seq) = queues[class].front() {
+                    if oldest.is_none_or(|(s, _)| seq < s) {
+                        oldest = Some((seq, class));
                     }
                 }
             }
-            if let Some(idx) = chosen {
-                let uop = pending.swap_remove(idx);
-                let (_, busy) = uop_ports[uop.kind];
-                *busy_until = cycle + busy.ceil() as u64;
+            if let Some((_, class)) = oldest {
+                queues[class].pop_front();
+                pending -= 1;
+                *busy_until = cycle + classes[class].1;
             }
         }
     }
 
-    let _ = retired_instructions;
     let cycles = config.measured_cycles.max(1);
     SimulationResult {
         ipc: measured_instructions as f64 / cycles as f64,
@@ -178,9 +188,168 @@ mod tests {
     use super::*;
     use crate::disjunctive::{FrontEnd, MachineDescription};
     use crate::port::{MicroOp, PortSet};
+    use crate::presets::{self, PresetMachine};
     use crate::throughput;
-    use palmed_isa::{ExecClass, InstDesc, InstructionSet};
+    use palmed_isa::{ExecClass, InstDesc, InstId, InstructionSet, InventoryConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::Arc;
+
+    /// One µOP instance waiting in the scheduler window of
+    /// [`simulate_ipc_window_scan`].
+    #[derive(Debug, Clone, Copy)]
+    struct PendingUop {
+        /// Index of the µOP kind in the flattened kernel body.
+        kind: usize,
+        /// Sequence number used for oldest-first scheduling.
+        sequence: u64,
+    }
+
+    /// The reference simulator: the same model as [`simulate_ipc`], with a
+    /// scheduler window that every free port scans in full for the oldest
+    /// compatible µOP.  The per-class FIFOs must reproduce it bit for bit.
+    fn simulate_ipc_window_scan(
+        mapping: &DisjunctiveMapping,
+        kernel: &Microkernel,
+        config: &SimulationConfig,
+    ) -> SimulationResult {
+        if kernel.is_empty() {
+            return SimulationResult { ipc: 0.0, instructions_retired: 0, cycles: 0 };
+        }
+        let machine = mapping.machine();
+        let num_ports = machine.num_ports;
+        let window = machine.scheduler_window.max(1);
+        let fe_insts = machine.front_end.instructions_per_cycle;
+        let fe_uops = machine.front_end.uops_per_cycle;
+
+        // Flatten the kernel body: one entry per instruction instance, each with
+        // its µOP kinds.  µOP kinds are stored once in `uop_ports`.
+        let mut body: Vec<Vec<usize>> = Vec::new(); // per instruction: µOP kind indices
+        let mut uop_ports: Vec<(u32, f64)> = Vec::new(); // port mask, busy cycles
+        for (inst, count) in kernel.iter() {
+            let mut kinds = Vec::new();
+            for u in mapping.uops(inst) {
+                let kind = uop_ports.len();
+                uop_ports.push((u.ports.mask(), u.inverse_throughput));
+                kinds.push(kind);
+            }
+            for _ in 0..count {
+                body.push(kinds.clone());
+            }
+        }
+
+        let mut pending: Vec<PendingUop> = Vec::new();
+        let mut port_busy_until = vec![0u64; num_ports];
+        let mut next_instruction = 0usize; // index into body (wraps)
+        let mut sequence = 0u64;
+        // Fractional front-end credit accumulators support non-integer widths.
+        let mut fetch_credit = 0.0f64;
+        let mut uop_credit = 0.0f64;
+
+        let mut measured_instructions = 0u64;
+        // An instruction is "retired" for IPC purposes when fetched; since there
+        // are no dependencies, every fetched instruction completes a bounded
+        // number of cycles later, so in steady state fetch rate == retire rate.
+        let total_cycles = config.warmup_cycles + config.measured_cycles;
+
+        for cycle in 0..total_cycles {
+            // Fetch.
+            fetch_credit = (fetch_credit + fe_insts).min(fe_insts.max(1.0) * 2.0);
+            if fe_uops.is_finite() {
+                uop_credit = (uop_credit + fe_uops).min(fe_uops * 2.0);
+            }
+            loop {
+                let kinds = &body[next_instruction];
+                let uop_cost = kinds.len() as f64;
+                if fetch_credit < 1.0 {
+                    break;
+                }
+                if fe_uops.is_finite() && uop_credit < uop_cost {
+                    break;
+                }
+                if pending.len() + kinds.len() > window {
+                    break;
+                }
+                for &kind in kinds {
+                    pending.push(PendingUop { kind, sequence });
+                    sequence += 1;
+                }
+                fetch_credit -= 1.0;
+                if fe_uops.is_finite() {
+                    uop_credit -= uop_cost;
+                }
+                next_instruction = (next_instruction + 1) % body.len();
+                if cycle >= config.warmup_cycles {
+                    measured_instructions += 1;
+                }
+            }
+
+            // Dispatch: each free port takes the oldest compatible pending µOP.
+            for (port, busy_until) in port_busy_until.iter_mut().enumerate().take(num_ports) {
+                if *busy_until > cycle {
+                    continue;
+                }
+                let mut chosen: Option<usize> = None;
+                for (idx, p) in pending.iter().enumerate() {
+                    let (mask, _) = uop_ports[p.kind];
+                    if mask & (1 << port) != 0 {
+                        match chosen {
+                            None => chosen = Some(idx),
+                            Some(c) if pending[idx].sequence < pending[c].sequence => {
+                                chosen = Some(idx)
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+                if let Some(idx) = chosen {
+                    let uop = pending.swap_remove(idx);
+                    let (_, busy) = uop_ports[uop.kind];
+                    *busy_until = cycle + busy.ceil() as u64;
+                }
+            }
+        }
+
+        let cycles = config.measured_cycles.max(1);
+        SimulationResult {
+            ipc: measured_instructions as f64 / cycles as f64,
+            instructions_retired: measured_instructions,
+            cycles,
+        }
+    }
+
+    /// The differential configurations: the Quick campaign's, and an odd
+    /// split that ends the warm-up and the measurement mid-pattern.
+    const DIFF_CONFIGS: [SimulationConfig; 2] = [
+        SimulationConfig { warmup_cycles: 100, measured_cycles: 1_000 },
+        SimulationConfig { warmup_cycles: 7, measured_cycles: 313 },
+    ];
+
+    /// Asserts that the FIFO simulator and the window-scan reference agree
+    /// bit for bit on `kernel` under every differential configuration.
+    fn assert_matches_window_scan(mapping: &DisjunctiveMapping, kernel: &Microkernel) {
+        for config in &DIFF_CONFIGS {
+            let fifo = simulate_ipc(mapping, kernel, config);
+            let scan = simulate_ipc_window_scan(mapping, kernel, config);
+            assert_eq!(
+                fifo.ipc.to_bits(),
+                scan.ipc.to_bits(),
+                "ipc {} vs {} on {kernel} under {config:?}",
+                fifo.ipc,
+                scan.ipc
+            );
+            assert_eq!(
+                fifo.instructions_retired, scan.instructions_retired,
+                "retired instructions differ on {kernel} under {config:?}"
+            );
+            assert_eq!(fifo.cycles, scan.cycles);
+        }
+    }
+
+    /// The first instruction of `class` in the preset's inventory.
+    fn of_class(preset: &PresetMachine, class: ExecClass) -> InstId {
+        preset.instructions.ids_with_class(class)[0]
+    }
 
     fn machine_and_insts() -> (DisjunctiveMapping, Arc<InstructionSet>) {
         let insts = Arc::new(InstructionSet::from_descs([
@@ -208,6 +377,9 @@ mod tests {
         );
         (Arc::new(m).bind(Arc::clone(&insts)), insts)
     }
+
+    /// Random kernels per preset in the differential test.
+    const RANDOM_KERNELS: usize = 250;
 
     #[test]
     fn empty_kernel_gives_zero() {
@@ -266,5 +438,79 @@ mod tests {
         let k = Microkernel::from_counts([(add, 2), (st, 2), (bsr, 1)]);
         let r = simulate_ipc(&map, &k, &SimulationConfig::default());
         assert!(r.ipc <= 4.0 + 1e-9);
+    }
+
+    #[test]
+    fn fifo_dispatch_matches_window_scan_on_random_kernels() {
+        let inventory = InventoryConfig::small();
+        for (preset, seed) in [(presets::skl_sp(&inventory), 1), (presets::zen1(&inventory), 2)] {
+            let mapping = preset.mapping();
+            let ids: Vec<InstId> = preset.instructions.ids().collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..RANDOM_KERNELS {
+                let distinct = rng.gen_range(1..=6usize);
+                let kernel = Microkernel::from_counts(
+                    (0..distinct)
+                        .map(|_| (ids[rng.gen_range(0..ids.len())], rng.gen_range(1..=5u32))),
+                );
+                assert_matches_window_scan(&mapping, &kernel);
+            }
+        }
+    }
+
+    #[test]
+    fn fifo_dispatch_matches_window_scan_on_hand_built_kernels() {
+        let inventory = InventoryConfig::small();
+        let skl = presets::skl_sp(&inventory);
+        let zen = presets::zen1(&inventory);
+        let skl_map = skl.mapping();
+        let zen_map = zen.mapping();
+
+        // One mask, two busy times: IntDiv holds p0 for 6 cycles, FpDivSse
+        // for 3, so they are two classes competing for the same port.
+        let idiv = of_class(&skl, ExecClass::IntDiv);
+        let fdiv = of_class(&skl, ExecClass::FpDivSse);
+        let alu = of_class(&skl, ExecClass::IntAlu);
+        assert_eq!(skl_map.uops(idiv)[0].ports, skl_map.uops(fdiv)[0].ports);
+        assert_ne!(
+            skl_map.uops(idiv)[0].inverse_throughput,
+            skl_map.uops(fdiv)[0].inverse_throughput
+        );
+        for kernel in [
+            Microkernel::pair(idiv, 1, fdiv, 1),
+            Microkernel::pair(idiv, 2, fdiv, 3),
+            Microkernel::from_counts([(idiv, 1), (fdiv, 2), (alu, 4)]),
+        ] {
+            assert_matches_window_scan(&skl_map, &kernel);
+        }
+
+        // Single-port kernels: fetch outruns dispatch until the window is
+        // full, and from then on fetch waits for every dispatched µOP.
+        let restricted = of_class(&skl, ExecClass::IntAluRestricted);
+        for kernel in [Microkernel::single(idiv).scaled(4), Microkernel::single(restricted)] {
+            let scan = simulate_ipc_window_scan(&skl_map, &kernel, &DIFF_CONFIGS[0]);
+            assert!(scan.ipc <= 1.0, "one port bounds the IPC of {kernel}");
+            assert_matches_window_scan(&skl_map, &kernel);
+        }
+
+        // Multi-µOP instructions, alone and mixed with their ports' users.
+        let store = of_class(&skl, ExecClass::Store);
+        assert!(skl_map.uops(store).len() > 1);
+        for kernel in [
+            Microkernel::single(store),
+            Microkernel::from_counts([(store, 2), (alu, 3), (idiv, 1)]),
+        ] {
+            assert_matches_window_scan(&skl_map, &kernel);
+        }
+        let vec_store = of_class(&zen, ExecClass::VecStore);
+        let zen_store = of_class(&zen, ExecClass::Store);
+        let zen_alu = of_class(&zen, ExecClass::IntAlu);
+        assert!(zen_map.uops(vec_store).len() > 1);
+        for kernel in [
+            Microkernel::single(vec_store).scaled(3),
+            Microkernel::from_counts([(vec_store, 2), (zen_store, 1), (zen_alu, 5)]),
+        ] {
+            assert_matches_window_scan(&zen_map, &kernel);
+        }
     }
 }

@@ -5,7 +5,12 @@
 use palmed_core::{Palmed, PalmedConfig, ThroughputPredictor};
 use palmed_integration_tests::{random_kernel, rng};
 use palmed_isa::{InstId, InventoryConfig};
-use palmed_machine::{presets, AnalyticMeasurer, MeasurementNoise, Measurer, MemoizingMeasurer};
+use palmed_machine::{
+    presets, AnalyticMeasurer, BackendKind, BackendMeasurer, MeasurementNoise, Measurer,
+    MemoizingMeasurer, SimulationConfig,
+};
+use palmed_serve::fingerprint::model_fingerprint;
+use palmed_serve::CompiledModel;
 use palmed_stats::weighted_rms_relative_error;
 
 fn accuracy_on_random_mixes(preset: &palmed_machine::presets::PresetMachine, seed: u64) -> (f64, f64) {
@@ -92,4 +97,24 @@ fn mapping_report_is_consistent_with_the_result() {
     assert_eq!(result.report.instructions_mapped, result.mapping.num_instructions());
     assert_eq!(result.report.resources_found, result.mapping.num_resources());
     assert!(result.report.benchmarks_generated >= measurer.distinct_kernels() / 2);
+}
+
+#[test]
+fn simulated_training_reproduces_the_pinned_mapping() {
+    // The evaluation configuration on skl-sp-like with the small inventory,
+    // measured through the cycle simulator at the Quick settings with the
+    // campaign's realistic noise.  The microbenchmark count and the mapping
+    // fingerprint are pinned, so a change in what the simulator measures
+    // shows up end to end.
+    let preset = presets::skl_sp(&InventoryConfig::small());
+    let measurer = MemoizingMeasurer::new(BackendMeasurer::new(
+        BackendKind::Simulation(SimulationConfig { warmup_cycles: 100, measured_cycles: 1_000 }),
+        preset.mapping_arc(),
+        MeasurementNoise::realistic(2022),
+    ));
+    let result = Palmed::new(PalmedConfig::evaluation()).infer(&measurer);
+    assert_eq!(measurer.distinct_kernels(), 5040);
+    let model = CompiledModel::compile("pinned", &result.mapping);
+    let fingerprint = model_fingerprint(&model, preset.instructions.len());
+    assert_eq!(fingerprint, 0x3113_e41f_2060_8b48, "mapping fingerprint {fingerprint:#018x}");
 }
