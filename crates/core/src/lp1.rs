@@ -16,19 +16,20 @@
 //!
 //! with the objective of minimising the number of resources.
 //!
-//! Two solution strategies are provided:
+//! Two solvers are provided, and [`discover_shape`] picks one by size:
 //!
 //! * [`shape_via_ilp`] — the faithful ILP (binary `ρ_{i,r}`, big-M encodings
-//!   of the existential constraints), exact but exponential; practical for
-//!   small basic sets only.
+//!   of the existential constraints), exact but exponential.  It runs for
+//!   basic sets of at most [`ILP_SIZE_LIMIT`] instructions.
 //! * [`shape_via_cliques`] — a constructive algorithm that produces the same
 //!   family of shapes in polynomial time: one private resource per very
 //!   basic instruction, plus one shared resource per maximal clique of the
-//!   "not disjoint" graph, closed under the same enrichment loop.  This is
-//!   the scalable path used by the default pipeline (see DESIGN.md for the
-//!   substitution rationale).
+//!   "not disjoint" graph, closed under the same enrichment loop.  It runs
+//!   for larger basic sets, and whenever the ILP fails or finds no resource,
+//!   because the ILP's branch and bound grows exponentially with the basic
+//!   set while the cliques encode the same constraints.
 //!
-//! Both strategies finish with the paper's enrichment loop: for every
+//! Both solvers finish with the paper's enrichment loop: for every
 //! discovered resource, a benchmark combining all its users (weighted by
 //! their IPC) is generated, measured and fed back until no new benchmark
 //! appears.
@@ -41,27 +42,15 @@ use palmed_lp::{MilpOptions, Problem, Sense, SimplexOptions};
 use palmed_machine::Measurer;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Strategy used to find the mapping shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShapeStrategy {
-    /// Choose automatically: ILP for very small basic sets, cliques otherwise.
-    #[default]
-    Auto,
-    /// Always use the integer program (exact, exponential).
-    Ilp,
-    /// Always use the constructive clique-based algorithm (scalable).
-    Constructive,
-}
+/// Basic sets of at most this many instructions get their shape from the
+/// exact ILP; larger ones from the constructive clique search.
+pub const ILP_SIZE_LIMIT: usize = 3;
 
 /// Configuration of the shape-discovery phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShapeConfig {
-    /// Strategy selection.
-    pub strategy: ShapeStrategy,
     /// Upper bound on the number of abstract resources the ILP may use.
     pub max_resources: usize,
-    /// Basic sets up to this size use the ILP when the strategy is `Auto`.
-    pub ilp_size_limit: usize,
     /// Relative tolerance when testing disjointness / saturation.
     pub tolerance: f64,
     /// Maximum number of enrichment iterations.
@@ -75,9 +64,7 @@ pub struct ShapeConfig {
 impl Default for ShapeConfig {
     fn default() -> Self {
         ShapeConfig {
-            strategy: ShapeStrategy::Auto,
             max_resources: 12,
-            ilp_size_limit: 3,
             tolerance: 0.05,
             max_enrichment_rounds: 4,
             coefficient_tolerance: 0.05,
@@ -409,19 +396,16 @@ pub fn shape_via_cliques<M: Measurer>(
     shape
 }
 
-/// Dispatches on the configured strategy.
+/// Finds the shape with the ILP for basic sets of at most
+/// [`ILP_SIZE_LIMIT`] instructions, and with the clique search otherwise or
+/// when the ILP yields no usable shape.
 pub fn discover_shape<M: Measurer>(
     measurer: &M,
     campaign: &QuadraticCampaign,
     selection: &Selection,
     config: &ShapeConfig,
 ) -> ShapeMapping {
-    let use_ilp = match config.strategy {
-        ShapeStrategy::Ilp => true,
-        ShapeStrategy::Constructive => false,
-        ShapeStrategy::Auto => selection.basic.len() <= config.ilp_size_limit,
-    };
-    if use_ilp {
+    if selection.basic.len() <= ILP_SIZE_LIMIT {
         match shape_via_ilp(measurer, campaign, selection, config) {
             Ok(shape) if shape.num_resources > 0 => return shape,
             _ => {}
@@ -581,7 +565,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "exact ILP shape search takes ~1 minute under the branch-and-bound node budget; the constructive strategy is the default path and is covered by the other tests"]
     fn ilp_shape_on_a_tiny_machine_matches_structure() {
         // Toy machine: ADD on {0,1}, BSR on {1}, IMUL on {0}.  Expected
         // resources: private(BSR), private(IMUL) and a shared one for ADD
@@ -599,7 +582,7 @@ mod tests {
             &ids,
             &SelectionConfig { target_count: 3, ..SelectionConfig::default() },
         );
-        let config = ShapeConfig { strategy: ShapeStrategy::Ilp, max_resources: 5, ..ShapeConfig::default() };
+        let config = ShapeConfig { max_resources: 5, ..ShapeConfig::default() };
         let shape = shape_via_ilp(&measurer, &campaign, &sel, &config).expect("ILP solvable");
         // Under a finite branch-and-bound budget the incumbent may not be the
         // minimum-resource shape, but it must be a *valid* shape: every basic
@@ -623,7 +606,7 @@ mod tests {
     #[test]
     fn auto_strategy_falls_back_to_cliques_for_larger_sets() {
         let (measurer, campaign, sel, _) = paper_setup();
-        // 5 basic instructions > ilp_size_limit of 4 -> constructive path.
+        // 5 basic instructions > ILP_SIZE_LIMIT of 3 -> constructive path.
         let shape = discover_shape(&measurer, &campaign, &sel, &ShapeConfig::default());
         assert!(shape.num_resources > 0);
     }

@@ -307,11 +307,6 @@ fn name_resources<M: Measurer>(mapping: &mut ConjunctiveMapping, measurer: &M) {
     }
 }
 
-/// Convenience helper: infers a mapping and returns the predictor directly.
-pub fn infer_predictor<M: Measurer + Sync>(measurer: &M, config: PalmedConfig) -> PalmedPredictor {
-    Palmed::new(config).infer(measurer).predictor()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

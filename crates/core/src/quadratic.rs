@@ -52,8 +52,8 @@ pub struct QuadraticCampaign {
     singles: HashMap<InstId, f64>,
     /// IPC of the `aabb` benchmark for every benchmarked (unordered) pair.
     pairs: HashMap<(InstId, InstId), f64>,
-    /// The kernels actually generated (for reuse by LP1 and statistics).
-    kernels: Vec<(Microkernel, f64)>,
+    /// Number of benchmarks generated (singles plus measured pairs).
+    num_benchmarks: usize,
     config: QuadraticConfig,
 }
 
@@ -75,34 +75,33 @@ impl QuadraticCampaign {
         let mut campaign = QuadraticCampaign { config, ..Default::default() };
 
         // Individual IPCs and the low-IPC filter.
-        let single_kernels: Vec<Microkernel> =
-            instructions.iter().map(|&a| Microkernel::single(a)).collect();
-        let single_ipcs = par_map(&single_kernels, |kernel| measurer.ipc(kernel));
+        let single_ipcs = par_map(instructions, |&a| measurer.ipc(&Microkernel::single(a)));
         let mut usable = Vec::new();
-        for ((&a, kernel), ipc) in instructions.iter().zip(single_kernels).zip(single_ipcs) {
+        for (&a, ipc) in instructions.iter().zip(single_ipcs) {
             campaign.singles.insert(a, ipc);
-            campaign.kernels.push((kernel, ipc));
+            campaign.num_benchmarks += 1;
             if ipc >= config.min_ipc {
                 usable.push(a);
             }
         }
 
-        // Pair benchmarks: enumerate in deterministic order, measure in
-        // parallel, then record sequentially.
-        let mut pair_jobs: Vec<(InstId, InstId, Microkernel)> = Vec::new();
+        // Pair benchmarks: enumerate in deterministic order, build and
+        // measure in parallel, then record sequentially.  A kernel is a
+        // sorted multiset, so `pair_kernel(lo, hi)` equals `pair_kernel(a, b)`.
+        let mut pair_jobs: Vec<(InstId, InstId)> = Vec::new();
         for (i, &a) in usable.iter().enumerate() {
             for &b in &usable[i + 1..] {
                 let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                if !compatible(lo, hi) {
-                    continue;
+                if compatible(lo, hi) {
+                    pair_jobs.push((lo, hi));
                 }
-                pair_jobs.push((lo, hi, campaign.pair_kernel(a, b)));
             }
         }
-        let pair_ipcs = par_map(&pair_jobs, |(_, _, kernel)| measurer.ipc(kernel));
-        for ((lo, hi, kernel), ipc) in pair_jobs.into_iter().zip(pair_ipcs) {
+        let pair_ipcs =
+            par_map(&pair_jobs, |&(lo, hi)| measurer.ipc(&campaign.pair_kernel(lo, hi)));
+        for ((lo, hi), ipc) in pair_jobs.into_iter().zip(pair_ipcs) {
             campaign.pairs.insert((lo, hi), ipc);
-            campaign.kernels.push((kernel, ipc));
+            campaign.num_benchmarks += 1;
         }
         campaign
     }
@@ -133,30 +132,6 @@ impl QuadraticCampaign {
     pub fn pair_ipc(&self, a: InstId, b: InstId) -> Option<f64> {
         let key = if a <= b { (a, b) } else { (b, a) };
         self.pairs.get(&key).copied()
-    }
-
-    /// Instructions whose individual IPC passed the low-IPC filter.
-    pub fn usable_instructions(&self) -> Vec<InstId> {
-        let mut v: Vec<InstId> = self
-            .singles
-            .iter()
-            .filter(|&(_, &ipc)| ipc >= self.config.min_ipc)
-            .map(|(&i, _)| i)
-            .collect();
-        v.sort();
-        v
-    }
-
-    /// Instructions rejected by the low-IPC filter.
-    pub fn low_ipc_instructions(&self) -> Vec<InstId> {
-        let mut v: Vec<InstId> = self
-            .singles
-            .iter()
-            .filter(|&(_, &ipc)| ipc < self.config.min_ipc)
-            .map(|(&i, _)| i)
-            .collect();
-        v.sort();
-        v
     }
 
     /// The campaign's IPC feature vector of an instruction: its pair IPC
@@ -192,14 +167,9 @@ impl QuadraticCampaign {
         (iab - expected).abs() <= tolerance * expected
     }
 
-    /// All generated kernels with their measured IPC.
-    pub fn kernels(&self) -> &[(Microkernel, f64)] {
-        &self.kernels
-    }
-
     /// Number of benchmarks generated by the campaign.
     pub fn num_benchmarks(&self) -> usize {
-        self.kernels.len()
+        self.num_benchmarks
     }
 
     /// The configuration the campaign ran with.
@@ -291,9 +261,11 @@ mod tests {
         let add = preset.instructions.find("ADD").unwrap();
         let config = QuadraticConfig { min_ipc: 0.5, ..QuadraticConfig::default() };
         let c = QuadraticCampaign::run(&measurer, &[idiv, add], config, |_, _| true);
-        assert_eq!(c.low_ipc_instructions(), vec![idiv]);
-        assert_eq!(c.usable_instructions(), vec![add]);
-        // No pair benchmark was generated (only one usable instruction).
+        // Both singles are measured, IDIV falls below the threshold, so no
+        // pair benchmark is generated (only one usable instruction).
+        assert!(c.single_ipc(idiv).unwrap() < config.min_ipc);
+        assert!(c.single_ipc(add).unwrap() >= config.min_ipc);
+        assert!(c.pair_ipc(idiv, add).is_none());
         assert_eq!(c.num_benchmarks(), 2);
     }
 }

@@ -21,7 +21,7 @@
 
 use crate::quadratic::QuadraticCampaign;
 use palmed_isa::InstId;
-use palmed_stats::{hierarchical_clusters, Linkage};
+use palmed_stats::hierarchical_clusters;
 use std::collections::BTreeSet;
 
 /// Configuration of the basic-instruction selection.
@@ -67,16 +67,6 @@ pub struct Selection {
     pub low_ipc: Vec<InstId>,
 }
 
-impl Selection {
-    /// The equivalence class a representative stands for, if any.
-    pub fn class_of(&self, representative: InstId) -> Option<&[InstId]> {
-        self.representatives
-            .iter()
-            .position(|&r| r == representative)
-            .map(|idx| self.classes[idx].as_slice())
-    }
-}
-
 /// Runs Algorithm 1 on the results of a quadratic campaign restricted to
 /// `candidates` (typically the instructions of one ISA extension).
 pub fn select_basic_instructions(
@@ -103,7 +93,7 @@ pub fn select_basic_instructions(
     // pair-benchmark feature vectors.
     let features: Vec<Vec<f64>> =
         filtered.iter().map(|&a| campaign.feature_vector(a, &filtered)).collect();
-    let assignment = hierarchical_clusters(&features, config.cluster_epsilon, Linkage::Complete);
+    let assignment = hierarchical_clusters(&features, config.cluster_epsilon);
     let num_classes = assignment.iter().copied().max().map_or(0, |m| m + 1);
     let mut classes: Vec<Vec<InstId>> = vec![Vec::new(); num_classes];
     for (idx, &inst) in filtered.iter().enumerate() {
@@ -167,9 +157,8 @@ pub fn select_basic_instructions(
     if very_basic.len() < config.target_count {
         // Linearise the ≼greedier pre-order by the average pair IPC: an
         // instruction that dominates another point-wise also has a larger
-        // average, so sorting by the average respects the pre-order.
-        let mut rest: Vec<InstId> =
-            representatives.iter().copied().filter(|r| !very_basic.contains(r)).collect();
+        // average, so sorting by the average respects the pre-order.  Each
+        // score is computed once, outside the comparator.
         let score = |a: InstId| -> f64 {
             let v = campaign.feature_vector(a, &representatives);
             if v.is_empty() {
@@ -178,10 +167,16 @@ pub fn select_basic_instructions(
                 v.iter().sum::<f64>() / v.len() as f64
             }
         };
-        rest.sort_by(|&a, &b| {
-            score(b).partial_cmp(&score(a)).expect("finite scores").then(a.cmp(&b))
+        let mut rest: Vec<(f64, InstId)> = representatives
+            .iter()
+            .copied()
+            .filter(|r| !very_basic.contains(r))
+            .map(|a| (score(a), a))
+            .collect();
+        rest.sort_by(|&(sa, a), &(sb, b)| {
+            sb.partial_cmp(&sa).expect("finite scores").then(a.cmp(&b))
         });
-        for a in rest {
+        for (_, a) in rest {
             if very_basic.len() + most_greedy.len() >= config.target_count {
                 break;
             }

@@ -20,10 +20,10 @@ use crate::suite::{generate_suite, SuiteConfig, SuiteKind};
 use palmed_baselines::{
     IacaLikePredictor, McaLikePredictor, PmEvo, PmEvoConfig, PmEvoPredictor, UopsStylePredictor,
 };
-use palmed_core::{MappingReport, Palmed, PalmedConfig, PalmedPredictor, ThroughputPredictor};
+use palmed_core::{MappingReport, Palmed, PalmedConfig, ThroughputPredictor};
 use palmed_isa::{ExecClass, InstId, InstructionSet, InventoryConfig};
 use palmed_machine::{
-    presets::PresetMachine, AnalyticMeasurer, BackendKind, BackendMeasurer, MeasurementNoise,
+    presets::PresetMachine, BackendKind, BackendMeasurer, MeasurementNoise,
     Measurer, MemoizingMeasurer, SimulationConfig,
 };
 use palmed_par::par_map;
@@ -332,18 +332,10 @@ pub fn pmevo_artifact_for(
     )
 }
 
-/// Convenience: returns the Palmed predictor and the ground-truth measurer of
-/// a preset, for examples that only need a single machine.
-pub fn infer_palmed_for(preset: &PresetMachine, config: PalmedConfig) -> (PalmedPredictor, AnalyticMeasurer) {
-    let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
-    let result = Palmed::new(config).infer(&measurer);
-    (result.predictor(), AnalyticMeasurer::new(preset.mapping_arc()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use palmed_machine::presets;
+    use palmed_machine::{presets, AnalyticMeasurer};
 
     #[test]
     fn small_campaign_on_skl_produces_sensible_results() {

@@ -24,6 +24,15 @@ use std::fmt;
 /// multiplicities to integers with a 5 % error budget;
 /// [`Microkernel::from_proportions`] implements that rounding.
 ///
+/// On real hardware the paper times each kernel as an assembly loop built by
+/// three rules: **no dependencies** (destination registers rotate through a
+/// pool, so no instance reads a register a nearby instance wrote),
+/// **L1-resident memory accesses** (loads and stores hit a small scratch
+/// buffer, rotating over a few cache lines) and **unrolling** (the body is
+/// repeated enough times per iteration that the loop branch is negligible).
+/// The measurers of `palmed-machine` model that loop directly from the
+/// multiset, so no assembly is generated here.
+///
 /// Internally the multiset is a flat vector of `(instruction, multiplicity)`
 /// pairs, sorted by instruction id with strictly positive multiplicities —
 /// kernels are tiny (a handful of distinct instructions), so a sorted vector

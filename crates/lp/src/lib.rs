@@ -20,8 +20,9 @@
 //! * [`milp`] — a depth-first branch-and-bound mixed-integer solver layered
 //!   on the simplex relaxation.  Child nodes tighten variable *bounds* (not
 //!   rows) and warm-start from the parent basis.
-//! * [`minimax`] — helpers that linearise `min`/`max` objectives, which the
-//!   Palmed formulations use pervasively (resource loads are maxima).
+//! * [`minimax`] — the two big-M linearisations the Palmed formulations
+//!   use: an exact `max` (LP2's saturation, resource loads are maxima) and
+//!   "some expression is zero" (LP1's existential shape constraints).
 //!
 //! The solver is exact (up to floating-point tolerance) and geared towards
 //! the problem sizes Palmed generates: tens to a few hundred variables and

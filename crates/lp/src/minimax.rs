@@ -4,53 +4,14 @@
 //! microkernel is the *maximum* load over all abstract resources, and the
 //! LP1/LP2 constraints use both `min ... = 0` ("there exists a resource such
 //! that ...") and `max`-based saturation variables.  These helpers provide
-//! the two standard linearisations:
+//! the two big-M linearisations the formulations need:
 //!
-//! * [`upper_bound_of_max`] — a continuous variable constrained to be at
-//!   least every expression; exact when the variable is minimised.
 //! * [`exact_max`] — an exact `max` using one binary selector per expression
 //!   and a big-M, usable in either optimisation direction.
 //! * [`exists_zero`] — the "there exists an expression equal to zero"
 //!   disjunction used by LP1, encoded with binary selectors.
 
 use crate::model::{LinExpr, Problem, VarId};
-
-/// Adds a continuous variable `t` with `t >= e` for every expression `e`.
-///
-/// When `t` is (part of) a minimised objective, `t` equals the maximum of the
-/// expressions at the optimum.  Returns the new variable.
-pub fn upper_bound_of_max(
-    problem: &mut Problem,
-    name: impl Into<String>,
-    exprs: &[LinExpr],
-) -> VarId {
-    let t = problem.add_var(name, f64::NEG_INFINITY, f64::INFINITY);
-    for e in exprs {
-        // t >= e  <=>  t - e >= 0
-        let mut c = LinExpr::new().term(1.0, t);
-        c.add_scaled(-1.0, e);
-        problem.add_ge(c, 0.0);
-    }
-    t
-}
-
-/// Adds a continuous variable `t` with `t <= e` for every expression `e`.
-///
-/// When `t` is maximised, `t` equals the minimum of the expressions at the
-/// optimum.  Returns the new variable.
-pub fn lower_bound_of_min(
-    problem: &mut Problem,
-    name: impl Into<String>,
-    exprs: &[LinExpr],
-) -> VarId {
-    let t = problem.add_var(name, f64::NEG_INFINITY, f64::INFINITY);
-    for e in exprs {
-        let mut c = LinExpr::new().term(1.0, t);
-        c.add_scaled(-1.0, e);
-        problem.add_le(c, 0.0);
-    }
-    t
-}
 
 /// Adds an *exact* maximum variable using binary selectors and a big-M.
 ///
@@ -119,35 +80,6 @@ mod tests {
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-6
-    }
-
-    #[test]
-    fn minimizing_upper_bound_gives_max() {
-        // minimise max(x, y, 3) with x = 1, y = 5 fixed.
-        let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 1.0, 1.0);
-        let y = p.add_var("y", 5.0, 5.0);
-        let exprs = vec![
-            LinExpr::new().term(1.0, x),
-            LinExpr::new().term(1.0, y),
-            LinExpr::constant(3.0),
-        ];
-        let t = upper_bound_of_max(&mut p, "t", &exprs);
-        p.set_objective(p.expr().term(1.0, t));
-        let sol = p.solve().unwrap();
-        assert!(close(sol[t], 5.0));
-    }
-
-    #[test]
-    fn maximizing_lower_bound_gives_min() {
-        let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 2.0, 2.0);
-        let y = p.add_var("y", 7.0, 7.0);
-        let exprs = vec![LinExpr::new().term(1.0, x), LinExpr::new().term(1.0, y)];
-        let t = lower_bound_of_min(&mut p, "t", &exprs);
-        p.set_objective(p.expr().term(1.0, t));
-        let sol = p.solve().unwrap();
-        assert!(close(sol[t], 2.0));
     }
 
     #[test]

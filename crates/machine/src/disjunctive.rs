@@ -198,11 +198,6 @@ impl DisjunctiveMapping {
         &self.machine
     }
 
-    /// Shared handle on the machine description.
-    pub fn machine_arc(&self) -> Arc<MachineDescription> {
-        Arc::clone(&self.machine)
-    }
-
     /// The instruction set this mapping was resolved for.
     pub fn instructions(&self) -> &InstructionSet {
         &self.insts

@@ -6,22 +6,11 @@
 //! `∀p. IPC(aapp) ≈ IPC(bbpp)`.  On real measurements equality never holds
 //! exactly, so the paper uses hierarchical clustering with a distance
 //! threshold instead.  This module implements the classical agglomerative
-//! scheme with selectable linkage.
+//! scheme with complete linkage: the distance between two clusters is the
+//! largest distance between their members, so every pair inside a cluster
+//! is within the threshold.
 
-/// Linkage criterion used when merging clusters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Linkage {
-    /// Distance between clusters is the maximum pairwise distance
-    /// (conservative: every pair inside a cluster is within the threshold).
-    #[default]
-    Complete,
-    /// Distance between clusters is the average pairwise distance.
-    Average,
-    /// Distance between clusters is the minimum pairwise distance.
-    Single,
-}
-
-/// Groups `items` into clusters whose linkage distance stays below
+/// Groups `items` into clusters whose complete-linkage distance stays below
 /// `threshold`, using Euclidean distance between feature vectors.
 ///
 /// Returns the cluster index of every item (cluster indices are contiguous
@@ -30,7 +19,7 @@ pub enum Linkage {
 /// # Panics
 ///
 /// Panics if feature vectors do not all have the same length.
-pub fn hierarchical_clusters(items: &[Vec<f64>], threshold: f64, linkage: Linkage) -> Vec<usize> {
+pub fn hierarchical_clusters(items: &[Vec<f64>], threshold: f64) -> Vec<usize> {
     let n = items.len();
     if n == 0 {
         return Vec::new();
@@ -56,31 +45,14 @@ pub fn hierarchical_clusters(items: &[Vec<f64>], threshold: f64, linkage: Linkag
     // Active clusters, each a list of item indices.
     let mut clusters: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
 
-    let cluster_distance = |a: &[usize], b: &[usize], linkage: Linkage| -> f64 {
-        let mut acc: f64 = match linkage {
-            Linkage::Complete => f64::NEG_INFINITY,
-            Linkage::Single => f64::INFINITY,
-            Linkage::Average => 0.0,
-        };
-        let mut count = 0.0f64;
+    let cluster_distance = |a: &[usize], b: &[usize]| -> f64 {
+        let mut acc = f64::NEG_INFINITY;
         for &i in a {
             for &j in b {
-                let d = point_dist[i][j];
-                match linkage {
-                    Linkage::Complete => acc = acc.max(d),
-                    Linkage::Single => acc = acc.min(d),
-                    Linkage::Average => {
-                        acc += d;
-                        count += 1.0;
-                    }
-                }
+                acc = acc.max(point_dist[i][j]);
             }
         }
-        if linkage == Linkage::Average {
-            acc / count.max(1.0)
-        } else {
-            acc
-        }
+        acc
     };
 
     // Greedy agglomeration: repeatedly merge the two closest clusters while
@@ -89,7 +61,7 @@ pub fn hierarchical_clusters(items: &[Vec<f64>], threshold: f64, linkage: Linkag
         let mut best: Option<(usize, usize, f64)> = None;
         for i in 0..clusters.len() {
             for j in (i + 1)..clusters.len() {
-                let d = cluster_distance(&clusters[i], &clusters[j], linkage);
+                let d = cluster_distance(&clusters[i], &clusters[j]);
                 if d <= threshold && best.is_none_or(|(_, _, bd)| d < bd) {
                     best = Some((i, j, d));
                 }
@@ -112,60 +84,32 @@ pub fn hierarchical_clusters(items: &[Vec<f64>], threshold: f64, linkage: Linkag
     assignment
 }
 
-/// Returns, for each cluster, the index of a representative item: the member
-/// whose feature vector is closest to the cluster centroid.
-pub fn representatives(items: &[Vec<f64>], assignment: &[usize]) -> Vec<usize> {
-    let n_clusters = assignment.iter().copied().max().map_or(0, |m| m + 1);
-    let mut reps = Vec::with_capacity(n_clusters);
-    for c in 0..n_clusters {
-        let members: Vec<usize> = (0..items.len()).filter(|&i| assignment[i] == c).collect();
-        let dim = items[members[0]].len();
-        let mut centroid = vec![0.0; dim];
-        for &m in &members {
-            for (k, v) in items[m].iter().enumerate() {
-                centroid[k] += v;
-            }
-        }
-        for v in &mut centroid {
-            *v /= members.len() as f64;
-        }
-        let rep = members
-            .iter()
-            .copied()
-            .min_by(|&a, &b| {
-                let da: f64 =
-                    items[a].iter().zip(&centroid).map(|(x, y)| (x - y) * (x - y)).sum();
-                let db: f64 =
-                    items[b].iter().zip(&centroid).map(|(x, y)| (x - y) * (x - y)).sum();
-                da.partial_cmp(&db).expect("finite distances")
-            })
-            .expect("non-empty cluster");
-        reps.push(rep);
-    }
-    reps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn empty_input_gives_empty_assignment() {
-        assert!(hierarchical_clusters(&[], 0.1, Linkage::Complete).is_empty());
+        assert!(hierarchical_clusters(&[], 0.1).is_empty());
     }
 
     #[test]
     fn identical_points_collapse_to_one_cluster() {
         let items = vec![vec![1.0, 2.0]; 5];
-        let a = hierarchical_clusters(&items, 1e-9, Linkage::Complete);
+        let a = hierarchical_clusters(&items, 1e-9);
         assert!(a.iter().all(|&c| c == 0));
     }
 
     #[test]
     fn distant_points_stay_separate() {
         let items = vec![vec![0.0], vec![10.0], vec![20.0]];
-        let a = hierarchical_clusters(&items, 1.0, Linkage::Complete);
+        let a = hierarchical_clusters(&items, 1.0);
         assert_eq!(a, vec![0, 1, 2]);
+        // Points 0.9 apart form a chain; complete linkage refuses to merge
+        // the extremes (distance 1.8 > 1.0), so the chain splits.
+        let chain = vec![vec![0.0], vec![0.9], vec![1.8]];
+        let c = hierarchical_clusters(&chain, 1.0);
+        assert!(c.iter().max().copied().unwrap() >= 1);
     }
 
     #[test]
@@ -177,7 +121,7 @@ mod tests {
             vec![5.0, 5.0],
             vec![5.1, 5.0],
         ];
-        let a = hierarchical_clusters(&items, 0.5, Linkage::Complete);
+        let a = hierarchical_clusters(&items, 0.5);
         assert_eq!(a[0], a[1]);
         assert_eq!(a[0], a[2]);
         assert_eq!(a[3], a[4]);
@@ -187,37 +131,15 @@ mod tests {
     #[test]
     fn cluster_ids_are_contiguous_and_ordered() {
         let items = vec![vec![100.0], vec![0.0], vec![100.1], vec![0.1]];
-        let a = hierarchical_clusters(&items, 0.5, Linkage::Average);
+        let a = hierarchical_clusters(&items, 0.5);
         // Item 0 defines cluster 0 (first by index), item 1 defines cluster 1.
         assert_eq!(a, vec![0, 1, 0, 1]);
-    }
-
-    #[test]
-    fn single_linkage_chains_where_complete_splits() {
-        // Points 0, 1, 2 are each 0.9 apart: single linkage chains all three,
-        // complete linkage refuses to merge the extremes (distance 1.8 > 1.0).
-        let items = vec![vec![0.0], vec![0.9], vec![1.8]];
-        let single = hierarchical_clusters(&items, 1.0, Linkage::Single);
-        assert!(single.iter().all(|&c| c == 0));
-        let complete = hierarchical_clusters(&items, 1.0, Linkage::Complete);
-        assert!(complete.iter().max().copied().unwrap() >= 1);
-    }
-
-    #[test]
-    fn representatives_pick_a_member_of_each_cluster() {
-        let items = vec![vec![0.0], vec![0.2], vec![10.0], vec![9.9]];
-        let a = hierarchical_clusters(&items, 0.5, Linkage::Complete);
-        let reps = representatives(&items, &a);
-        assert_eq!(reps.len(), 2);
-        for (cluster, &rep) in reps.iter().enumerate() {
-            assert_eq!(a[rep], cluster);
-        }
     }
 
     #[test]
     #[should_panic(expected = "length")]
     fn mismatched_dimensions_panic() {
         let items = vec![vec![0.0], vec![0.0, 1.0]];
-        hierarchical_clusters(&items, 0.5, Linkage::Complete);
+        hierarchical_clusters(&items, 0.5);
     }
 }

@@ -43,7 +43,7 @@
 //! fuzzer feeds scripted integers), so every timeout decision is
 //! reproducible from a schedule.
 
-use crate::frame::{decode_frame, Decoded, Frame, WireError, HEADER_LEN, TRAILER_LEN};
+use crate::frame::{decode_frame, Decoded, Frame, WireError};
 use palmed_serve::registry::EntryHealth;
 use palmed_serve::ModelRegistry;
 use std::collections::VecDeque;
@@ -417,12 +417,6 @@ impl Connection {
         {
             self.state = ConnState::Closed;
         }
-    }
-
-    /// A conservative upper bound on bytes one frame may occupy under
-    /// these limits — what a transport may size its buffers by.
-    pub fn max_frame_len(&self) -> usize {
-        (self.limits.max_payload as usize).saturating_add(HEADER_LEN + TRAILER_LEN)
     }
 }
 

@@ -105,7 +105,8 @@ fn simulated_training_reproduces_the_pinned_mapping() {
     // measured through the cycle simulator at the Quick settings with the
     // campaign's realistic noise.  The microbenchmark count and the mapping
     // fingerprint are pinned, so a change in what the simulator measures
-    // shows up end to end.
+    // shows up end to end; the generated-benchmark count pins the
+    // campaign's bookkeeping.
     let preset = presets::skl_sp(&InventoryConfig::small());
     let measurer = MemoizingMeasurer::new(BackendMeasurer::new(
         BackendKind::Simulation(SimulationConfig { warmup_cycles: 100, measured_cycles: 1_000 }),
@@ -114,7 +115,24 @@ fn simulated_training_reproduces_the_pinned_mapping() {
     ));
     let result = Palmed::new(PalmedConfig::evaluation()).infer(&measurer);
     assert_eq!(measurer.distinct_kernels(), 5040);
+    assert_eq!(result.report.benchmarks_generated, 5344);
     let model = CompiledModel::compile("pinned", &result.mapping);
     let fingerprint = model_fingerprint(&model, preset.instructions.len());
     assert_eq!(fingerprint, 0x3113_e41f_2060_8b48, "mapping fingerprint {fingerprint:#018x}");
+}
+
+#[test]
+fn analytic_training_reproduces_the_pinned_mapping() {
+    // The same configuration as above, measured through the noise-free
+    // analytic bound instead of the simulator, so the pins guard the
+    // campaign's benchmark count and the order of selection's greedy
+    // completion on a second measurer.
+    let preset = presets::skl_sp(&InventoryConfig::small());
+    let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
+    let result = Palmed::new(PalmedConfig::evaluation()).infer(&measurer);
+    assert_eq!(measurer.distinct_kernels(), 4857);
+    assert_eq!(result.report.benchmarks_generated, 5221);
+    let model = CompiledModel::compile("pinned", &result.mapping);
+    let fingerprint = model_fingerprint(&model, preset.instructions.len());
+    assert_eq!(fingerprint, 0xbab8_3227_3468_d28b, "mapping fingerprint {fingerprint:#018x}");
 }
