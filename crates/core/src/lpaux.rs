@@ -20,6 +20,7 @@ use crate::saturate::SaturatingKernels;
 use palmed_isa::{InstId, Microkernel};
 use palmed_lp::{revised, Basis, LinExpr, LpError, Problem, Sense, SimplexOptions};
 use palmed_machine::Measurer;
+use palmed_par::par_map;
 
 /// Configuration of the per-instruction completion.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -184,13 +185,28 @@ pub fn map_instruction_warm<M: Measurer>(
 
 /// Maps every instruction of `instructions` that is not yet in the mapping.
 /// Returns, per instruction, the outcome.
-pub fn complete_mapping<M: Measurer>(
+///
+/// Every kernel the sweep measures depends only on its instruction and the
+/// frozen saturating kernels, never on an LP, so they are all measured up
+/// front, in parallel; the sweep then reads them back.  Pass a memoizing
+/// measurer, as the pipeline does, or each kernel is measured twice.
+pub fn complete_mapping<M: Measurer + Sync>(
     measurer: &M,
     mapping: &mut ConjunctiveMapping,
     saturating: &SaturatingKernels,
     instructions: &[InstId],
     config: &CompletionConfig,
 ) -> Vec<(InstId, CompletionOutcome)> {
+    let unsupported: Vec<InstId> =
+        instructions.iter().copied().filter(|&inst| !mapping.supports(inst)).collect();
+    par_map(&unsupported, |&inst| {
+        let inst_ipc = measurer.ipc(&Microkernel::single(inst));
+        if inst_ipc >= config.min_ipc {
+            for sat in saturating.kernels.iter().flatten() {
+                measurer.ipc(&completion_kernel(inst, inst_ipc, sat, config));
+            }
+        }
+    });
     // One rolling basis across the sweep: every completion LP has the same
     // shape, so each instruction warm-starts from its predecessor.
     let mut warm: Option<Basis> = None;

@@ -29,6 +29,30 @@
 //!
 //! There are no dependencies and no memory system — microkernels are
 //! dependency-free and L1-resident by construction (Sec. III-A of the paper).
+//!
+//! # Steady state
+//!
+//! The state at the start of a cycle, taken relative to that cycle, is: the
+//! next body instruction to fetch, the bits of both front-end credits, the
+//! number of waiting µOPs, every port's remaining busy cycles, and every
+//! class FIFO as its length plus each entry's distance from the next
+//! sequence number.  A cycle's fetch and dispatch read nothing else, and
+//! they read the absolute cycle only to decide whether a fetch is counted
+//! (warm-up or measurement).  So two cycles with equal states have equal
+//! futures, and once a state repeats after `P` cycles that fetched `D`
+//! instructions, the run is periodic from there on.
+//!
+//! The simulator finds the repeat with Brent's cycle-finding scheme (R. P.
+//! Brent, "An improved Monte Carlo factorization algorithm", BIT 20, 1980):
+//! it keeps one snapshot, re-taken whenever the cycles since it reach the
+//! next power of two, and compares each cycle's state with it, a few scalars
+//! first and the full state only when those match.  On a repeat it skips
+//! whole periods, adding `P` per period to every port's busy time and `D`
+//! to the fetch count, then steps the remaining cycles.  A skip never
+//! crosses the end of the warm-up: inside the warm-up it stops there, and
+//! the next repeat skips through the measurement, counting its fetches.
+//! The skipped cycles are thus counted exactly as the full loop counts
+//! them, in integers, and when no state repeats the loop runs to the end.
 
 use crate::disjunctive::DisjunctiveMapping;
 use palmed_isa::Microkernel;
@@ -39,7 +63,9 @@ use std::collections::VecDeque;
 pub struct SimulationConfig {
     /// Number of warm-up cycles excluded from the measurement.
     pub warmup_cycles: u64,
-    /// Number of measured cycles.
+    /// Number of measured cycles.  Once the steady state repeats, whole
+    /// periods are skipped (see the module docs), so a longer measurement
+    /// no longer costs time linear in its length.
     pub measured_cycles: u64,
 }
 
@@ -66,8 +92,73 @@ pub fn simulate_ipc(
     kernel: &Microkernel,
     config: &SimulationConfig,
 ) -> SimulationResult {
+    simulate(mapping, kernel, config).0
+}
+
+/// The simulator's state at the start of a cycle, relative to that cycle
+/// (see "Steady state" in the module docs), as saved by Brent's scheme.
+struct Snapshot {
+    /// The cycle the snapshot was taken at.
+    cycle: u64,
+    /// Instructions fetched before that cycle, warm-up included.
+    fetched: u64,
+    /// `(next_instruction, fetch_credit bits, uop_credit bits, pending)`:
+    /// compared every cycle, before the full state.
+    key: (usize, u64, u64, usize),
+    /// `busy_until − cycle` per port, 0 for a free port.
+    busy: Vec<u64>,
+    /// Per class FIFO, its length and then each entry as `sequence − seq`.
+    queues: Vec<u64>,
+}
+
+impl Snapshot {
+    fn take(
+        &mut self,
+        cycle: u64,
+        fetched: u64,
+        key: (usize, u64, u64, usize),
+        busy_until: &[u64],
+        queues: &[VecDeque<u64>],
+        sequence: u64,
+    ) {
+        self.cycle = cycle;
+        self.fetched = fetched;
+        self.key = key;
+        self.busy.clear();
+        self.busy.extend(busy_until.iter().map(|b| b.saturating_sub(cycle)));
+        self.queues.clear();
+        for queue in queues {
+            self.queues.push(queue.len() as u64);
+            self.queues.extend(queue.iter().map(|&seq| sequence - seq));
+        }
+    }
+
+    fn matches(
+        &self,
+        cycle: u64,
+        busy_until: &[u64],
+        queues: &[VecDeque<u64>],
+        sequence: u64,
+    ) -> bool {
+        let mut saved = self.queues.iter();
+        self.busy.iter().zip(busy_until).all(|(&rel, b)| rel == b.saturating_sub(cycle))
+            && queues.iter().all(|queue| {
+                saved.next() == Some(&(queue.len() as u64))
+                    && queue.iter().all(|&seq| saved.next() == Some(&(sequence - seq)))
+            })
+    }
+}
+
+/// [`simulate_ipc`], also returning the number of cycles actually stepped:
+/// `warmup_cycles + measured_cycles` minus the cycles skipped as whole
+/// periods of the steady state.
+fn simulate(
+    mapping: &DisjunctiveMapping,
+    kernel: &Microkernel,
+    config: &SimulationConfig,
+) -> (SimulationResult, u64) {
     if kernel.is_empty() {
-        return SimulationResult { ipc: 0.0, instructions_retired: 0, cycles: 0 };
+        return (SimulationResult { ipc: 0.0, instructions_retired: 0, cycles: 0 }, 0);
     }
     let machine = mapping.machine();
     let num_ports = machine.num_ports;
@@ -119,7 +210,53 @@ pub fn simulate_ipc(
     // number of cycles later, so in steady state fetch rate == retire rate.
     let total_cycles = config.warmup_cycles + config.measured_cycles;
 
-    for cycle in 0..total_cycles {
+    let mut fetched = 0u64;
+    let mut saved = Snapshot {
+        cycle: 0,
+        fetched: 0,
+        key: (0, 0, 0, 0),
+        busy: Vec::with_capacity(num_ports),
+        queues: Vec::with_capacity(classes.len() + window),
+    };
+    // Brent's scheme: the snapshot is taken at cycle 0 and re-taken whenever
+    // the cycles since it reach `power`, which then doubles.
+    let mut power = 0u64;
+    let mut cycle = 0u64;
+    let mut stepped = 0u64;
+
+    while cycle < total_cycles {
+        let since = cycle - saved.cycle;
+        let key = (next_instruction, fetch_credit.to_bits(), uop_credit.to_bits(), pending);
+        if since > 0
+            && key == saved.key
+            && saved.matches(cycle, &port_busy_until, &queues, sequence)
+        {
+            // The state repeats every `since` cycles, fetching `per_period`
+            // instructions each time: skip whole periods up to the end of
+            // the warm-up, or of the run, and step the rest.
+            let per_period = fetched - saved.fetched;
+            let limit =
+                if cycle < config.warmup_cycles { config.warmup_cycles } else { total_cycles };
+            let skip = (limit - cycle) / since;
+            for busy_until in &mut port_busy_until {
+                *busy_until += skip * since;
+            }
+            fetched += skip * per_period;
+            if cycle >= config.warmup_cycles {
+                measured_instructions += skip * per_period;
+            }
+            cycle += skip * since;
+            // The state is still the snapshot's, now at `cycle`.
+            saved.cycle = cycle;
+            saved.fetched = fetched;
+            continue;
+        }
+        if since == power {
+            saved.take(cycle, fetched, key, &port_busy_until, &queues, sequence);
+            power = (2 * power).max(1);
+        }
+        stepped += 1;
+
         // Fetch.
         fetch_credit = (fetch_credit + fe_insts).min(fe_insts.max(1.0) * 2.0);
         if fe_uops.is_finite() {
@@ -148,6 +285,7 @@ pub fn simulate_ipc(
                 uop_credit -= uop_cost;
             }
             next_instruction = (next_instruction + 1) % body.len();
+            fetched += 1;
             if cycle >= config.warmup_cycles {
                 measured_instructions += 1;
             }
@@ -173,14 +311,16 @@ pub fn simulate_ipc(
                 *busy_until = cycle + classes[class].1;
             }
         }
+        cycle += 1;
     }
 
     let cycles = config.measured_cycles.max(1);
-    SimulationResult {
+    let result = SimulationResult {
         ipc: measured_instructions as f64 / cycles as f64,
         instructions_retired: measured_instructions,
         cycles,
-    }
+    };
+    (result, stepped)
 }
 
 #[cfg(test)]
@@ -325,24 +465,37 @@ mod tests {
         SimulationConfig { warmup_cycles: 7, measured_cycles: 313 },
     ];
 
-    /// Asserts that the FIFO simulator and the window-scan reference agree
-    /// bit for bit on `kernel` under every differential configuration.
+    /// Asserts that the simulator, periods skipped and all, agrees bit for
+    /// bit with the window-scan reference on `kernel` under `config`, and
+    /// returns the number of cycles it stepped.
+    fn stepped_matching_window_scan(
+        mapping: &DisjunctiveMapping,
+        kernel: &Microkernel,
+        config: &SimulationConfig,
+    ) -> u64 {
+        let (fifo, stepped) = simulate(mapping, kernel, config);
+        let scan = simulate_ipc_window_scan(mapping, kernel, config);
+        assert_eq!(
+            fifo.ipc.to_bits(),
+            scan.ipc.to_bits(),
+            "ipc {} vs {} on {kernel} under {config:?}",
+            fifo.ipc,
+            scan.ipc
+        );
+        assert_eq!(
+            fifo.instructions_retired, scan.instructions_retired,
+            "retired instructions differ on {kernel} under {config:?}"
+        );
+        assert_eq!(fifo.cycles, scan.cycles);
+        assert!(stepped <= config.warmup_cycles + config.measured_cycles);
+        stepped
+    }
+
+    /// Asserts that the simulator and the window-scan reference agree bit
+    /// for bit on `kernel` under every differential configuration.
     fn assert_matches_window_scan(mapping: &DisjunctiveMapping, kernel: &Microkernel) {
         for config in &DIFF_CONFIGS {
-            let fifo = simulate_ipc(mapping, kernel, config);
-            let scan = simulate_ipc_window_scan(mapping, kernel, config);
-            assert_eq!(
-                fifo.ipc.to_bits(),
-                scan.ipc.to_bits(),
-                "ipc {} vs {} on {kernel} under {config:?}",
-                fifo.ipc,
-                scan.ipc
-            );
-            assert_eq!(
-                fifo.instructions_retired, scan.instructions_retired,
-                "retired instructions differ on {kernel} under {config:?}"
-            );
-            assert_eq!(fifo.cycles, scan.cycles);
+            stepped_matching_window_scan(mapping, kernel, config);
         }
     }
 
@@ -447,14 +600,27 @@ mod tests {
             let mapping = preset.mapping();
             let ids: Vec<InstId> = preset.instructions.ids().collect();
             let mut rng = StdRng::seed_from_u64(seed);
+            let quick = &DIFF_CONFIGS[0];
+            let mut skipped = 0;
             for _ in 0..RANDOM_KERNELS {
                 let distinct = rng.gen_range(1..=6usize);
                 let kernel = Microkernel::from_counts(
                     (0..distinct)
                         .map(|_| (ids[rng.gen_range(0..ids.len())], rng.gen_range(1..=5u32))),
                 );
-                assert_matches_window_scan(&mapping, &kernel);
+                let stepped = stepped_matching_window_scan(&mapping, &kernel, quick);
+                stepped_matching_window_scan(&mapping, &kernel, &DIFF_CONFIGS[1]);
+                if stepped < quick.warmup_cycles + quick.measured_cycles {
+                    skipped += 1;
+                }
             }
+            // The steady state repeats, and is skipped, for almost every
+            // kernel of the Quick window.
+            assert!(
+                skipped * 10 >= RANDOM_KERNELS * 9,
+                "periods skipped on only {skipped} of {RANDOM_KERNELS} kernels of {}",
+                preset.name()
+            );
         }
     }
 
@@ -512,5 +678,39 @@ mod tests {
         ] {
             assert_matches_window_scan(&zen_map, &kernel);
         }
+    }
+
+    #[test]
+    fn steady_state_skip_matches_window_scan_at_the_boundaries() {
+        let inventory = InventoryConfig::small();
+        let skl = presets::skl_sp(&inventory);
+        let skl_map = skl.mapping();
+        let alu = of_class(&skl, ExecClass::IntAlu);
+        let idiv = of_class(&skl, ExecClass::IntDiv);
+        let fdiv = of_class(&skl, ExecClass::FpDivSse);
+
+        // Pipelined ALU µOPs repeat within a few cycles, long before the
+        // Quick warm-up ends: fewer than `warmup_cycles` stepped means a
+        // skip happened inside the warm-up, which must stop at its end for
+        // the measured count to match.
+        let quick = &DIFF_CONFIGS[0];
+        let kernel = Microkernel::single(alu).scaled(3);
+        let stepped = stepped_matching_window_scan(&skl_map, &kernel, quick);
+        assert!(stepped < quick.warmup_cycles, "stepped {stepped} cycles of {kernel}");
+
+        // IntDiv and FpDivSse hold port 0 for 6 and 3 cycles.  Once the
+        // window is full, the port alternates between them, so its busy time
+        // repeats every 9 cycles, and any period of the state is a multiple
+        // of 9: longer than the whole 7-cycle warm-up.
+        let odd = &DIFF_CONFIGS[1];
+        let kernel = Microkernel::pair(idiv, 1, fdiv, 1);
+        let stepped = stepped_matching_window_scan(&skl_map, &kernel, odd);
+        assert!(stepped < odd.warmup_cycles + odd.measured_cycles, "no period found for {kernel}");
+
+        // While the window fills, `pending` grows every cycle, so no state
+        // repeats in a 5-cycle run and every cycle is stepped.
+        let short = SimulationConfig { warmup_cycles: 1, measured_cycles: 4 };
+        let kernel = Microkernel::single(idiv).scaled(4);
+        assert_eq!(stepped_matching_window_scan(&skl_map, &kernel, &short), 5);
     }
 }
