@@ -3,24 +3,24 @@
 //! Palmed's scalability argument (Table II: two hours of LP solving for
 //! ~2500 instructions) rests on every individual solve being small.  This
 //! bench tracks the cost of representative LP and ILP instances as the
-//! problem size grows, and compares the production sparse revised simplex
-//! (`palmed_lp::revised`) against the retained dense tableau
-//! (`palmed_lp::simplex_dense`) on the same instances:
+//! problem size grows, for the sparse revised simplex (`palmed_lp::revised`,
+//! every solve certified by its own duals):
 //!
-//! * `transportation/*` — dense-objective, sparse-matrix assignment LPs
-//!   (2n equality/inequality rows over n² variables);
-//! * `band/*` — band-structured LPs with finite upper bounds on every
-//!   variable, the shape the bounded-variable rule is built for (the dense
-//!   solver must materialise one extra row per bound);
+//! * `lp_revised/transportation/*` — dense-objective, sparse-matrix
+//!   assignment LPs (2n equality/inequality rows over n² variables);
+//! * `lp_revised/band/*` — band-structured LPs with finite upper bounds on
+//!   every variable, the shape the bounded-variable rule is built for;
 //! * `warm_start/*` — re-solving a perturbed band instance from the previous
-//!   basis versus from scratch.
+//!   basis versus from scratch;
+//! * `branch_and_bound/*` — small knapsack ILPs.
 //!
 //! The committed `BENCH_lp.json` at the repository root records a baseline
 //! of these numbers (`CRITERION_JSON=BENCH_lp.json cargo bench -p
-//! palmed-bench --bench lp_solver`).
+//! palmed-bench --bench lp_solver`).  Its `lp_dense/*` rows are history: they
+//! timed the dense tableau the revised simplex was once checked against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use palmed_lp::{revised, simplex_dense, Problem, Sense, SimplexOptions};
+use palmed_lp::{revised, Problem, Sense};
 
 /// A dense transportation-style LP with `n` sources and `n` sinks.
 fn transportation_lp(n: usize) -> Problem {
@@ -55,9 +55,8 @@ fn transportation_lp(n: usize) -> Problem {
 
 /// A band-structured LP: `n` variables with finite upper bounds, each
 /// constraint touching three consecutive variables.  Every row has 3
-/// non-zeros and every variable carries a `[0, 2]` box — the sparse
-/// bounded-variable solver handles the boxes implicitly, while the dense
-/// tableau pays one extra `<=` row per variable.
+/// non-zeros and every variable carries a `[0, 2]` box, which the
+/// bounded-variable solver handles implicitly (no bound rows).
 fn band_lp(n: usize, rhs_bump: f64) -> Problem {
     let mut p = Problem::new(Sense::Maximize);
     let vars: Vec<_> = (0..n).map(|i| p.add_var(format!("x{i}"), 0.0, 2.0)).collect();
@@ -88,55 +87,34 @@ fn knapsack_ilp(n: usize) -> Problem {
     p
 }
 
-fn bench_revised_vs_dense(c: &mut Criterion) {
-    let options = SimplexOptions::default();
+fn bench_revised(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp_revised");
     for n in [8usize, 16, 32, 48] {
         let problem = transportation_lp(n);
         group.bench_with_input(
             BenchmarkId::new("transportation", n * n),
             &problem,
-            |b, p| b.iter(|| revised::solve(p, &options).expect("feasible LP")),
+            |b, p| b.iter(|| revised::solve(p).expect("feasible LP")),
         );
         let problem = band_lp(n * n / 2, 0.0);
         group.bench_with_input(BenchmarkId::new("band", n * n / 2), &problem, |b, p| {
-            b.iter(|| revised::solve(p, &options).expect("feasible LP"))
-        });
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group("lp_dense");
-    for n in [8usize, 16, 32, 48] {
-        let problem = transportation_lp(n);
-        group.bench_with_input(
-            BenchmarkId::new("transportation", n * n),
-            &problem,
-            |b, p| b.iter(|| simplex_dense::solve(p, &options).expect("feasible LP")),
-        );
-        let problem = band_lp(n * n / 2, 0.0);
-        group.bench_with_input(BenchmarkId::new("band", n * n / 2), &problem, |b, p| {
-            b.iter(|| simplex_dense::solve(p, &options).expect("feasible LP"))
+            b.iter(|| revised::solve(p).expect("feasible LP"))
         });
     }
     group.finish();
 }
 
 fn bench_warm_start(c: &mut Criterion) {
-    let options = SimplexOptions::default();
     let mut group = c.benchmark_group("warm_start");
     for n in [128usize, 512] {
         let base = band_lp(n, 0.0);
         let perturbed = band_lp(n, 0.125);
-        let seed = revised::solve_with_warm_start(&base, &options, None)
-            .expect("feasible LP")
-            .basis;
+        let seed = revised::solve_with_warm_start(&base, None).expect("feasible LP").basis;
         group.bench_with_input(BenchmarkId::new("warm", n), &perturbed, |b, p| {
-            b.iter(|| {
-                revised::solve_with_warm_start(p, &options, Some(&seed)).expect("feasible LP")
-            })
+            b.iter(|| revised::solve_with_warm_start(p, Some(&seed)).expect("feasible LP"))
         });
         group.bench_with_input(BenchmarkId::new("cold", n), &perturbed, |b, p| {
-            b.iter(|| revised::solve_with_warm_start(p, &options, None).expect("feasible LP"))
+            b.iter(|| revised::solve_with_warm_start(p, None).expect("feasible LP"))
         });
     }
     group.finish();
@@ -153,5 +131,5 @@ fn bench_milp(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_revised_vs_dense, bench_warm_start, bench_milp);
+criterion_group!(benches, bench_revised, bench_warm_start, bench_milp);
 criterion_main!(benches);

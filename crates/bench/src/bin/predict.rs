@@ -2,7 +2,10 @@
 //!
 //! The binary walks the full `palmed-serve` lifecycle on a preset machine:
 //!
-//! 1. infer a conjunctive mapping from cycle measurements only;
+//! 1. infer a conjunctive mapping from cycle measurements only, and require
+//!    that the training walk's LP solves were certified
+//!    (`lp.certify.checked` > 0) and that no certificate failed
+//!    (`lp.certify.failed` = 0);
 //! 2. save it as a `PALMED-MODEL v1` artifact and reload it through a
 //!    [`ModelRegistry`], verifying the round trip is bit-lossless — then the
 //!    same through the binary v2b form, served in place (a view borrowing
@@ -97,6 +100,17 @@ fn main() {
         inferred.mapping.num_resources(),
         start.elapsed()
     );
+    let trained = palmed_obs::snapshot();
+    let lp_counter = |name: &str| trained.counter(name).unwrap_or(0);
+    let (certified, uncertified) = (lp_counter("lp.certify.checked"), lp_counter("lp.certify.failed"));
+    if certified == 0 || uncertified != 0 {
+        eprintln!(
+            "FATAL: LP certificates after training: {certified} checked, {uncertified} failed \
+             (want > 0 checked, 0 failed)"
+        );
+        std::process::exit(1);
+    }
+    println!("      {certified} LP solves certified by their duals, none failed");
 
     // ---- 2. Persist and reload through the registry. ----
     let model_path = out.join("model.palmed");

@@ -38,7 +38,7 @@ use crate::quadratic::QuadraticCampaign;
 use crate::select::Selection;
 use palmed_isa::{InstId, Microkernel};
 use palmed_lp::minimax::exists_zero;
-use palmed_lp::{MilpOptions, Problem, Sense, SimplexOptions};
+use palmed_lp::{MilpOptions, Problem, Sense};
 use palmed_machine::Measurer;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -322,8 +322,7 @@ pub fn shape_via_ilp<M: Measurer>(
     }
     problem.set_objective(objective);
 
-    let milp_opts = MilpOptions { max_nodes: 1_500, ..MilpOptions::default() };
-    let solution = problem.solve_with(&SimplexOptions::default(), &milp_opts)?;
+    let solution = problem.solve_with(&MilpOptions { max_nodes: 1_500 })?;
 
     let mut shape = ShapeMapping { kernels, ..Default::default() };
     let active: Vec<usize> = (0..n_res).filter(|&r| solution[used[r]] > 0.5).collect();

@@ -27,7 +27,7 @@ use crate::conjunctive::ConjunctiveMapping;
 use crate::lp1::ShapeMapping;
 use palmed_isa::{InstId, Microkernel};
 use palmed_lp::minimax::exact_max;
-use palmed_lp::{LinExpr, LpError, MilpOptions, Problem, Sense, SimplexOptions, VarId};
+use palmed_lp::{LinExpr, LpError, MilpOptions, Problem, Sense, VarId};
 use std::collections::BTreeMap;
 
 /// Configuration of the weight-assignment phase.
@@ -163,7 +163,6 @@ pub fn solve_bwp(
         .collect();
 
     let mut best: Option<BwpSolution> = None;
-    let simplex_options = SimplexOptions::default();
     for _ in 0..config.max_rounds {
         palmed_obs::counter!("trainer.lp2.rounds").inc();
         // For a fixed choice of saturating resource per kernel, the LP
@@ -219,7 +218,7 @@ pub fn solve_bwp(
             // evaluation machine; a deterministic cold start keeps every
             // round reproducible.  The solve still uses the sparse revised
             // engine, so each LP remains cheap.
-            let solution = problem.solve_relaxation(&simplex_options)?;
+            let solution = problem.solve_relaxation()?;
             for (&inst, &v) in &vars {
                 weights.insert((inst, r), solution[v].max(0.0));
             }
@@ -296,8 +295,7 @@ pub fn solve_bwp_exact(
         max_vars.push(s_k);
     }
     model.problem.set_objective(objective);
-    let milp_opts = MilpOptions { max_nodes: 20_000, ..MilpOptions::default() };
-    let solution = model.problem.solve_with(&SimplexOptions::default(), &milp_opts)?;
+    let solution = model.problem.solve_with(&MilpOptions { max_nodes: 20_000 })?;
     let saturation: Vec<f64> = max_vars.iter().map(|&v| solution[v]).collect();
     let total_slack = saturation.iter().map(|&s| 1.0 - s).sum();
     let mapping = extract_mapping(shape, &model.edges, num_resources, &solution);

@@ -18,7 +18,7 @@
 use crate::conjunctive::ConjunctiveMapping;
 use crate::saturate::SaturatingKernels;
 use palmed_isa::{InstId, Microkernel};
-use palmed_lp::{revised, Basis, LinExpr, LpError, Problem, Sense, SimplexOptions};
+use palmed_lp::{revised, Basis, LinExpr, LpError, Problem, Sense};
 use palmed_machine::Measurer;
 use palmed_par::par_map;
 
@@ -170,9 +170,7 @@ pub fn map_instruction_warm<M: Measurer>(
     }
     problem.set_objective(objective);
 
-    let solved =
-        revised::solve_with_warm_start(&problem, &SimplexOptions::default(), warm.as_ref());
-    match solved {
+    match revised::solve_with_warm_start(&problem, warm.as_ref()) {
         Ok(info) => {
             let usage: Vec<f64> = rho.iter().map(|&v| info.solution[v].max(0.0)).collect();
             mapping.set_usage(inst, usage);

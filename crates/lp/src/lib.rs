@@ -7,19 +7,22 @@
 //!
 //! * [`model`] — a tiny modelling layer: variables with bounds, linear
 //!   expressions, constraints and an objective ([`Problem`]).
-//! * [`revised`] — the production solver: a **sparse revised simplex** over
+//! * [`revised`] — the one LP solver: a **sparse revised simplex** over
 //!   column-major (CSC) storage with implicit lower/upper variable bounds
-//!   (no bound rows, no free-variable splitting), a dense-LU + product-form
+//!   (no bound rows, no free-variable splitting), a sparse-LU + product-form
 //!   eta factorised basis, and **warm starting** via a reusable [`Basis`]
 //!   handle ([`solve_with_warm_start`]).
-//! * [`simplex`] — shared [`SimplexOptions`] and the default `solve` entry
-//!   point (routes to the revised solver).
-//! * [`simplex_dense`] — the original dense two-phase tableau, retained
-//!   behind the same `Problem`/`Solution` API purely for differential
-//!   testing against the revised path.
+//! * `certify` (crate-private) — the solver's proof obligations.  Every
+//!   outcome is checked against the [`Problem`] in `O(nnz)` with no code
+//!   shared with pivoting: an optimum by its row duals (primal residual,
+//!   reduced-cost signs, duality gap), infeasibility by a Farkas
+//!   certificate, unboundedness by an improving ray.  Checks are counted in
+//!   `lp.certify.checked` / `lp.certify.failed`; debug builds panic on a
+//!   failed one.
 //! * [`milp`] — a depth-first branch-and-bound mixed-integer solver layered
 //!   on the simplex relaxation.  Child nodes tighten variable *bounds* (not
-//!   rows) and warm-start from the parent basis.
+//!   rows) and warm-start from the parent basis; [`MilpOptions`] sets the
+//!   node budget.
 //! * [`minimax`] — the two big-M linearisations the Palmed formulations
 //!   use: an exact `max` (LP2's saturation, resource loads are maxima) and
 //!   "some expression is zero" (LP1's existential shape constraints).
@@ -50,7 +53,7 @@
 //! # Warm starting
 //!
 //! ```
-//! use palmed_lp::{revised, Problem, Sense, SimplexOptions};
+//! use palmed_lp::{revised, Problem, Sense};
 //!
 //! let build = |rhs: f64| {
 //!     let mut p = Problem::new(Sense::Maximize);
@@ -60,30 +63,23 @@
 //!     p.set_objective(p.expr().term(2.0, x).term(1.0, y));
 //!     p
 //! };
-//! let opts = SimplexOptions::default();
-//! let first = revised::solve_with_warm_start(&build(4.0), &opts, None).unwrap();
+//! let first = revised::solve_with_warm_start(&build(4.0), None).unwrap();
 //! // Perturb the right-hand side and restart from the previous basis.
-//! let again =
-//!     revised::solve_with_warm_start(&build(4.5), &opts, Some(&first.basis)).unwrap();
+//! let again = revised::solve_with_warm_start(&build(4.5), Some(&first.basis)).unwrap();
 //! assert!(again.iterations <= first.iterations);
 //! ```
 
+mod certify;
 pub mod error;
 pub mod milp;
 pub mod minimax;
 pub mod model;
 pub mod revised;
-pub mod simplex;
-pub mod simplex_dense;
 
 pub use error::{LpError, LpResult};
 pub use milp::MilpOptions;
 pub use model::{Constraint, ConstraintOp, LinExpr, Problem, Sense, Solution, VarId};
 pub use revised::{solve_with_warm_start, Basis, SolveInfo};
-pub use simplex::SimplexOptions;
-
-/// Default numeric tolerance used throughout the solver.
-pub const EPS: f64 = 1e-9;
 
 /// Tolerance used when deciding whether a value is integral.
 pub const INT_EPS: f64 = 1e-6;

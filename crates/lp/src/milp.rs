@@ -8,25 +8,23 @@
 use crate::error::{LpError, LpResult};
 use crate::model::{Problem, Sense, Solution, SolveStatus};
 use crate::revised::{self, Basis};
-use crate::simplex::SimplexOptions;
 use crate::INT_EPS;
+
+/// Absolute optimality gap: a node is pruned unless its relaxation beats
+/// the incumbent by more than this.
+const ABSOLUTE_GAP: f64 = 1e-6;
 
 /// Options controlling the branch-and-bound search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MilpOptions {
-    /// Maximum number of explored branch-and-bound nodes.
+    /// Maximum number of explored branch-and-bound nodes.  When it runs out,
+    /// the incumbent (if any) is returned with [`SolveStatus::Feasible`].
     pub max_nodes: usize,
-    /// Absolute optimality gap: the search stops when the best bound is
-    /// within this distance of the incumbent.
-    pub absolute_gap: f64,
-    /// If true, return the incumbent (with [`SolveStatus::Feasible`]) instead
-    /// of an error when the node limit is reached and an incumbent exists.
-    pub accept_incumbent_on_limit: bool,
 }
 
 impl Default for MilpOptions {
     fn default() -> Self {
-        MilpOptions { max_nodes: 200_000, absolute_gap: 1e-6, accept_incumbent_on_limit: true }
+        MilpOptions { max_nodes: 200_000 }
     }
 }
 
@@ -35,7 +33,6 @@ impl Default for MilpOptions {
 #[derive(Debug, Clone)]
 struct Node {
     bounds: Vec<(usize, f64, f64)>,
-    depth: usize,
     parent_basis: Option<Basis>,
 }
 
@@ -86,28 +83,23 @@ fn most_fractional(problem: &Problem, values: &[f64]) -> Option<(usize, f64)> {
 /// Returns [`LpError::Infeasible`] when no integer-feasible point exists,
 /// [`LpError::Unbounded`] when the relaxation is unbounded, and
 /// [`LpError::NodeLimit`] when the node budget is exhausted without any
-/// incumbent (or when `accept_incumbent_on_limit` is false).
-pub fn solve(
-    problem: &Problem,
-    simplex_options: &SimplexOptions,
-    options: &MilpOptions,
-) -> LpResult<Solution> {
+/// incumbent.
+pub fn solve(problem: &Problem, options: &MilpOptions) -> LpResult<Solution> {
     let maximize = problem.sense() == Sense::Maximize;
-    let better = |a: f64, b: f64| if maximize { a > b + options.absolute_gap } else { a < b - options.absolute_gap };
+    let better = |a: f64, b: f64| if maximize { a > b + ABSOLUTE_GAP } else { a < b - ABSOLUTE_GAP };
 
     let mut incumbent: Option<Solution> = None;
-    let mut stack = vec![Node { bounds: Vec::new(), depth: 0, parent_basis: None }];
+    let mut stack = vec![Node { bounds: Vec::new(), parent_basis: None }];
     let mut nodes = 0usize;
-    let mut any_feasible_relaxation = false;
 
     while let Some(node) = stack.pop() {
         if nodes >= options.max_nodes {
             return match incumbent {
-                Some(mut sol) if options.accept_incumbent_on_limit => {
+                Some(mut sol) => {
                     sol.status = SolveStatus::Feasible;
                     Ok(sol)
                 }
-                _ => Err(LpError::NodeLimit { nodes }),
+                None => Err(LpError::NodeLimit { nodes }),
             };
         }
         nodes += 1;
@@ -120,18 +112,13 @@ pub fn solve(
         // Children only perturb variable bounds, so the parent's final basis
         // is dimensionally valid and usually a handful of pivots from the
         // child's optimum.
-        let info = match revised::solve_with_warm_start(
-            &sub,
-            simplex_options,
-            node.parent_basis.as_ref(),
-        ) {
+        let info = match revised::solve_with_warm_start(&sub, node.parent_basis.as_ref()) {
             Ok(info) => info,
             Err(LpError::Infeasible) => continue,
             Err(e) => return Err(e),
         };
         let relaxed = info.solution;
         let node_basis = info.basis;
-        any_feasible_relaxation = true;
 
         // Bound: prune if the relaxation cannot beat the incumbent.
         if let Some(ref inc) = incumbent {
@@ -168,7 +155,6 @@ pub fn solve(
                 up.push((var, ceil, f64::INFINITY));
                 let child = |bounds: Vec<(usize, f64, f64)>| Node {
                     bounds,
-                    depth: node.depth + 1,
                     parent_basis: Some(node_basis.clone()),
                 };
                 // Depth-first: explore the branch closer to the fractional
@@ -186,7 +172,6 @@ pub fn solve(
 
     // No incumbent: integer-infeasible, whether or not some relaxation was
     // continuously feasible.
-    let _ = any_feasible_relaxation;
     incumbent.ok_or(LpError::Infeasible)
 }
 
@@ -224,7 +209,7 @@ mod tests {
         p.set_objective(p.expr().term(1.0, x).term(1.0, y));
         let sol = p.solve().unwrap();
         assert_close(sol.objective, 2.0);
-        let relaxed = p.solve_relaxation(&SimplexOptions::default()).unwrap();
+        let relaxed = p.solve_relaxation().unwrap();
         assert_close(relaxed.objective, 2.5);
     }
 
@@ -281,10 +266,10 @@ mod tests {
         }
         p.add_le(cap, 11.0);
         p.set_objective(obj);
-        let opts = MilpOptions { max_nodes: 5, ..MilpOptions::default() };
+        let opts = MilpOptions { max_nodes: 5 };
         // With a tiny node budget we still expect either a feasible incumbent
         // or a NodeLimit error, never a panic.
-        match p.solve_with(&SimplexOptions::default(), &opts) {
+        match p.solve_with(&opts) {
             Ok(sol) => assert!(matches!(sol.status, SolveStatus::Feasible | SolveStatus::Optimal)),
             Err(e) => assert!(matches!(e, LpError::NodeLimit { .. })),
         }

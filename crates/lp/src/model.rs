@@ -9,7 +9,7 @@ use std::ops::Index;
 
 use crate::error::{LpError, LpResult};
 use crate::milp::{self, MilpOptions};
-use crate::simplex::{self, SimplexOptions};
+use crate::revised;
 
 /// Identifier of a decision variable inside a [`Problem`].
 ///
@@ -155,14 +155,9 @@ impl LinExpr {
     /// Collapses duplicate variable terms into a dense coefficient vector of
     /// length `n_vars`.
     pub fn to_dense(&self, n_vars: usize) -> LpResult<Vec<f64>> {
+        self.validate_against(n_vars)?;
         let mut dense = vec![0.0; n_vars];
         for &(v, c) in &self.terms {
-            if v.0 >= n_vars {
-                return Err(LpError::UnknownVariable { index: v.0, problem_size: n_vars });
-            }
-            if !c.is_finite() {
-                return Err(LpError::NonFiniteCoefficient { context: format!("term for {v}") });
-            }
             dense[v.0] += c;
         }
         Ok(dense)
@@ -179,12 +174,6 @@ impl LinExpr {
             acc += c * values[v.0];
         }
         acc
-    }
-}
-
-impl From<f64> for LinExpr {
-    fn from(value: f64) -> Self {
-        LinExpr::constant(value)
     }
 }
 
@@ -232,13 +221,6 @@ pub struct Solution {
     pub objective: f64,
     /// Whether the solution is proven optimal.
     pub status: SolveStatus,
-}
-
-impl Solution {
-    /// Value of a variable in this solution.
-    pub fn value(&self, var: VarId) -> f64 {
-        self.values[var.0]
-    }
 }
 
 impl Index<VarId> for Solution {
@@ -427,24 +409,20 @@ impl Problem {
     /// Returns an error when the model is malformed, infeasible, unbounded or
     /// when solver limits are exceeded before a feasible point is found.
     pub fn solve(&self) -> LpResult<Solution> {
-        self.solve_with(&SimplexOptions::default(), &MilpOptions::default())
+        self.solve_with(&MilpOptions::default())
     }
 
-    /// Solves the problem with explicit solver options.
+    /// Solves the problem with an explicit branch-and-bound node budget.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Problem::solve`].
-    pub fn solve_with(
-        &self,
-        simplex_options: &SimplexOptions,
-        milp_options: &MilpOptions,
-    ) -> LpResult<Solution> {
+    pub fn solve_with(&self, milp_options: &MilpOptions) -> LpResult<Solution> {
         self.validate()?;
         if self.is_mixed_integer() {
-            milp::solve(self, simplex_options, milp_options)
+            milp::solve(self, milp_options)
         } else {
-            simplex::solve(self, simplex_options)
+            revised::solve(self)
         }
     }
 
@@ -453,9 +431,9 @@ impl Problem {
     /// # Errors
     ///
     /// Same conditions as [`Problem::solve`].
-    pub fn solve_relaxation(&self, simplex_options: &SimplexOptions) -> LpResult<Solution> {
+    pub fn solve_relaxation(&self) -> LpResult<Solution> {
         self.validate()?;
-        simplex::solve(self, simplex_options)
+        revised::solve(self)
     }
 }
 
@@ -534,7 +512,6 @@ mod tests {
         q.add_le(q.expr().term(1.0, x), 1.0);
         // `q` has zero variables, so `x` is out of range.
         assert!(matches!(q.validate(), Err(LpError::UnknownVariable { .. })));
-        let _ = x;
     }
 
     #[test]

@@ -1,18 +1,17 @@
-//! Sparse revised simplex with implicit variable bounds and warm starts.
+//! Sparse revised simplex with implicit variable bounds, warm starts and
+//! self-certified results.
 //!
-//! This is the workhorse solver of the crate.  Compared to the retained dense
-//! tableau ([`crate::simplex_dense`]) it differs in three structural ways,
-//! each of which matters for the thousands of small sparse LPs the Palmed
-//! pipeline generates:
+//! This is the crate's only LP solver.  Three structural choices fit it to
+//! the thousands of small sparse LPs the Palmed pipeline generates:
 //!
 //! * **Sparse storage.**  The standard form is held column-major (CSC); an
-//!   iteration touches `O(nnz + m²)` numbers instead of the full
+//!   iteration touches `O(nnz + m²)` numbers instead of a full
 //!   `rows × cols` tableau.
 //! * **Implicit bounds.**  Lower/upper variable bounds are handled by the
 //!   bounded-variable simplex rule: a nonbasic variable simply sits at one of
 //!   its bounds (or at zero when free).  No `x <= u` rows are materialised
 //!   and free variables are not split into positive/negative parts.
-//! * **Factorised basis.**  The basis matrix is kept as a dense LU
+//! * **Factorised basis.**  The basis matrix is kept as a sparse LU
 //!   factorisation plus a chain of product-form eta updates, refactorised
 //!   periodically.  Pivots never rewrite the constraint data.
 //!
@@ -21,16 +20,30 @@
 //! starts with — the all-slack basis on a cold start, or a caller-provided
 //! [`Basis`] on a warm start.  Because phase 1 works from any basis, warm
 //! starting after a right-hand-side or bound perturbation (MILP children,
-//! LP2 rounds, LPAUX instruction sweeps) usually costs a handful of pivots
-//! instead of a full two-phase solve.
+//! LPAUX instruction sweeps) usually costs a handful of pivots instead of a
+//! full two-phase solve.
 //!
 //! Pricing is Dantzig with a switch to Bland's rule after
-//! [`SimplexOptions::bland_threshold`] pivots, like the dense solver.
+//! `BLAND_THRESHOLD` pivots.
+//!
+//! **Every outcome carries a certificate**, checked against the [`Problem`]
+//! by the crate's `certify` module, which shares no code with the pivoting
+//! here: the row duals `y = B⁻ᵀ c_B` of the final basis for an optimum, the
+//! phase-1 duals for infeasibility, and the entering column's edge
+//! direction for unboundedness.  Each check bumps `lp.certify.checked`, and
+//! a failed one `lp.certify.failed`; debug builds also panic on it.
+//! Certification never changes a result.
 
+use crate::certify::{self, Check};
 use crate::error::{LpError, LpResult};
 use crate::model::{ConstraintOp, Problem, Sense, Solution, SolveStatus};
-use crate::simplex::SimplexOptions;
 
+/// Hard limit on the number of pivots across both phases.
+const MAX_ITERATIONS: usize = 50_000;
+/// Number of Dantzig-rule pivots before switching to Bland's rule.
+const BLAND_THRESHOLD: usize = 5_000;
+/// Feasibility / optimality tolerance.
+const TOLERANCE: f64 = 1e-8;
 /// Refactorise the basis after this many eta updates.
 const REFACTOR_INTERVAL: usize = 64;
 /// Smallest pivot magnitude accepted without attempting a refactorisation.
@@ -62,24 +75,6 @@ pub struct Basis {
     status: Vec<ColStatus>,
     num_vars: usize,
     num_constraints: usize,
-}
-
-impl Basis {
-    /// Number of structural variables the basis was captured for.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Number of constraints the basis was captured for.
-    pub fn num_constraints(&self) -> usize {
-        self.num_constraints
-    }
-
-    /// Whether this basis can seed a solve of `problem`.
-    pub fn matches(&self, problem: &Problem) -> bool {
-        self.num_vars == problem.num_vars()
-            && self.num_constraints == problem.num_constraints()
-    }
 }
 
 /// Result of [`solve_with_warm_start`]: the solution plus restart metadata.
@@ -131,11 +126,15 @@ impl SparseLu {
             pinv: vec![usize::MAX; k],
         };
         let mut x = vec![0.0; k];
+        // Rows holding a work value this column.  A marker, not `x[r] != 0`:
+        // a value can cancel to exactly zero and then fill in again, and the
+        // row must still be listed once.
+        let mut is_touched = vec![false; k];
         let mut touched: Vec<usize> = Vec::new();
         for (j, column) in columns.iter().enumerate() {
-            let _ = j;
             for &(r, v) in column {
-                if x[r] == 0.0 {
+                if !is_touched[r] {
+                    is_touched[r] = true;
                     touched.push(r);
                 }
                 x[r] += v;
@@ -149,7 +148,8 @@ impl SparseLu {
                 }
                 u_col.push((t, xv));
                 for &(r, lv) in &lu.l_cols[t] {
-                    if x[r] == 0.0 {
+                    if !is_touched[r] {
+                        is_touched[r] = true;
                         touched.push(r);
                     }
                     x[r] -= lv * xv;
@@ -181,6 +181,7 @@ impl SparseLu {
             lu.l_cols.push(l_col);
             for &r in &touched {
                 x[r] = 0.0;
+                is_touched[r] = false;
             }
             touched.clear();
         }
@@ -266,23 +267,6 @@ struct BasisFactors {
 }
 
 impl BasisFactors {
-    fn empty() -> BasisFactors {
-        BasisFactors {
-            singletons: Vec::new(),
-            kernel_pos: Vec::new(),
-            kernel_rows: Vec::new(),
-            sing_rows: Vec::new(),
-            lu: SparseLu {
-                k: 0,
-                l_cols: Vec::new(),
-                u_cols: Vec::new(),
-                u_diag: Vec::new(),
-                p: Vec::new(),
-                pinv: Vec::new(),
-            },
-        }
-    }
-
     /// Factorises the basis given as sparse columns (indexed by position).
     fn factorize(m: usize, columns: &[Vec<(usize, f64)>]) -> Option<BasisFactors> {
         debug_assert_eq!(columns.len(), m);
@@ -423,20 +407,24 @@ struct Solver {
     /// True when a caller-supplied warm basis was adopted (vs falling back
     /// to a cold all-slack start).
     warm_adopted: bool,
-    options: SimplexOptions,
 }
 
 enum PhaseOutcome {
-    /// Phase 1: feasibility reached.  Phase 2: optimum reached.
-    Done,
-    /// Phase 1 only: no improving column but infeasibility remains.
-    Infeasible,
-    /// Phase 2 only: improving ray with no blocking bound.
-    Unbounded,
+    /// Phase 1 only: feasibility reached.
+    Feasible,
+    /// Phase 2 only: optimum reached.  Holds the row duals `B⁻ᵀ c_B` of the
+    /// final basis, the optimality certificate.
+    Optimal(Vec<f64>),
+    /// Phase 1 only: no improving column but infeasibility remains.  Holds
+    /// the phase-1 row duals, a Farkas certificate.
+    Infeasible(Vec<f64>),
+    /// Phase 2 only: improving ray with no blocking bound.  Holds the ray
+    /// over the structural variables.
+    Unbounded(Vec<f64>),
 }
 
 impl Solver {
-    fn build(problem: &Problem, warm: Option<&Basis>, options: &SimplexOptions) -> LpResult<Solver> {
+    fn build(problem: &Problem, warm: Option<&Basis>) -> LpResult<Solver> {
         let n = problem.num_vars();
         let m = problem.num_constraints();
         let n_total = n + m;
@@ -511,12 +499,11 @@ impl Solver {
             status: Vec::new(),
             basis_cols: Vec::new(),
             x_basic: vec![0.0; m],
-            factors: BasisFactors::empty(),
+            factors: BasisFactors::factorize(0, &[]).expect("the empty basis factorises"),
             etas: Vec::new(),
             iterations: 0,
             refactorizations: 0,
             warm_adopted: false,
-            options: options.clone(),
         };
 
         if let Some(basis) = warm {
@@ -676,19 +663,14 @@ impl Solver {
         acc
     }
 
-    fn feasibility_tolerance(&self) -> f64 {
-        self.options.tolerance.max(1e-9)
-    }
-
     /// Total bound violation of the basic variables.
     fn infeasibility(&self) -> f64 {
-        let tol = self.feasibility_tolerance();
         let mut total = 0.0;
         for (p, &j) in self.basis_cols.iter().enumerate() {
             let x = self.x_basic[p];
-            if x < self.lower[j] - tol {
+            if x < self.lower[j] - TOLERANCE {
                 total += self.lower[j] - x;
-            } else if x > self.upper[j] + tol {
+            } else if x > self.upper[j] + TOLERANCE {
                 total += x - self.upper[j];
             }
         }
@@ -699,14 +681,12 @@ impl Solver {
     /// otherwise the stored cost row is used.
     fn run_phase(&mut self, phase1: bool) -> LpResult<PhaseOutcome> {
         loop {
-            if self.iterations >= self.options.max_iterations {
+            if self.iterations >= MAX_ITERATIONS {
                 return Err(LpError::IterationLimit { iterations: self.iterations });
             }
             if self.etas.len() >= REFACTOR_INTERVAL && !self.refactorize() {
                 return Err(LpError::IterationLimit { iterations: self.iterations });
             }
-            let tol = self.options.tolerance;
-            let feas = self.feasibility_tolerance();
 
             // Cost of the basic variables for this phase.
             let mut d_basic = vec![0.0; self.m];
@@ -714,16 +694,16 @@ impl Solver {
                 let mut any = false;
                 for (p, &j) in self.basis_cols.iter().enumerate() {
                     let x = self.x_basic[p];
-                    if x < self.lower[j] - feas {
+                    if x < self.lower[j] - TOLERANCE {
                         d_basic[p] = -1.0;
                         any = true;
-                    } else if x > self.upper[j] + feas {
+                    } else if x > self.upper[j] + TOLERANCE {
                         d_basic[p] = 1.0;
                         any = true;
                     }
                 }
                 if !any {
-                    return Ok(PhaseOutcome::Done);
+                    return Ok(PhaseOutcome::Feasible);
                 }
             } else {
                 for (p, &j) in self.basis_cols.iter().enumerate() {
@@ -734,9 +714,9 @@ impl Solver {
             let y = self.btran(&d_basic);
 
             // Pricing: choose the entering column and its direction.
-            let use_bland = self.iterations >= self.options.bland_threshold;
+            let use_bland = self.iterations >= BLAND_THRESHOLD;
             let mut entering: Option<(usize, f64)> = None; // (column, direction)
-            let mut best_violation = tol;
+            let mut best_violation = TOLERANCE;
             for j in 0..self.n_total {
                 let status = self.status[j];
                 if status == ColStatus::Basic || self.lower[j] == self.upper[j] {
@@ -744,9 +724,9 @@ impl Solver {
                 }
                 let z = if phase1 { -self.col_dot(j, &y) } else { self.cost[j] - self.col_dot(j, &y) };
                 let candidate = match status {
-                    ColStatus::AtLower if z < -tol => Some((j, 1.0, -z)),
-                    ColStatus::AtUpper if z > tol => Some((j, -1.0, z)),
-                    ColStatus::Free if z.abs() > tol => Some((j, if z < 0.0 { 1.0 } else { -1.0 }, z.abs())),
+                    ColStatus::AtLower if z < -TOLERANCE => Some((j, 1.0, -z)),
+                    ColStatus::AtUpper if z > TOLERANCE => Some((j, -1.0, z)),
+                    ColStatus::Free if z.abs() > TOLERANCE => Some((j, if z < 0.0 { 1.0 } else { -1.0 }, z.abs())),
                     _ => None,
                 };
                 if let Some((j, dir, violation)) = candidate {
@@ -761,10 +741,12 @@ impl Solver {
                 }
             }
             let Some((q, dir)) = entering else {
-                return Ok(if phase1 && self.infeasibility() > self.options.tolerance.max(1e-7) {
-                    PhaseOutcome::Infeasible
+                return Ok(if !phase1 {
+                    PhaseOutcome::Optimal(y)
+                } else if self.infeasibility() > 1e-7 {
+                    PhaseOutcome::Infeasible(y)
                 } else {
-                    PhaseOutcome::Done
+                    PhaseOutcome::Feasible
                 });
             };
 
@@ -798,33 +780,33 @@ impl Solver {
                 let j = self.basis_cols[p];
                 let x = self.x_basic[p];
                 let (ratio, blocker) = if rate > 0.0 {
-                    if phase1 && x < self.lower[j] - feas {
+                    if phase1 && x < self.lower[j] - TOLERANCE {
                         // Rising back towards its violated lower bound.
                         ((self.lower[j] - x) / rate, Blocker::BasicAtLower(p))
-                    } else if self.upper[j].is_finite() && x <= self.upper[j] + feas {
+                    } else if self.upper[j].is_finite() && x <= self.upper[j] + TOLERANCE {
                         ((self.upper[j] - x) / rate, Blocker::BasicAtUpper(p))
                     } else {
                         continue;
                     }
                 } else {
                     // rate < 0: the basic variable decreases.
-                    if phase1 && x > self.upper[j] + feas {
+                    if phase1 && x > self.upper[j] + TOLERANCE {
                         ((self.upper[j] - x) / rate, Blocker::BasicAtUpper(p))
-                    } else if self.lower[j].is_finite() && x >= self.lower[j] - feas {
+                    } else if self.lower[j].is_finite() && x >= self.lower[j] - TOLERANCE {
                         ((self.lower[j] - x) / rate, Blocker::BasicAtLower(p))
                     } else {
                         continue;
                     }
                 };
                 let ratio = ratio.max(0.0);
-                if ratio < t_star + feas {
+                if ratio < t_star + TOLERANCE {
                     t_star = t_star.min(ratio);
                     blockers.push((ratio, blocker, w[p].abs()));
                 }
             }
             // The entering variable's own opposite bound.
             let span = self.upper[q] - self.lower[q];
-            if self.status[q] != ColStatus::Free && span.is_finite() && span < t_star + feas {
+            if self.status[q] != ColStatus::Free && span.is_finite() && span < t_star + TOLERANCE {
                 t_star = t_star.min(span);
                 blockers.push((span, Blocker::OwnBound, f64::INFINITY));
             }
@@ -836,7 +818,16 @@ impl Solver {
                     // numerically, treat it as a failed solve.
                     return Err(LpError::IterationLimit { iterations: self.iterations });
                 }
-                return Ok(PhaseOutcome::Unbounded);
+                // The edge the entering column opens: `dir` on q, and
+                // `-dir * w[p]` on the column basic at position p; slacks
+                // are dropped.
+                let mut ray = vec![0.0; self.n_total];
+                ray[q] = dir;
+                for (&j, &wp) in self.basis_cols.iter().zip(&w) {
+                    ray[j] = -dir * wp;
+                }
+                ray.truncate(self.n_struct);
+                return Ok(PhaseOutcome::Unbounded(ray));
             }
 
             // Among blockers within tolerance of the best ratio, prefer the
@@ -844,7 +835,7 @@ impl Solver {
             // lowest column index (termination).
             let chosen = blockers
                 .iter()
-                .filter(|&&(ratio, _, _)| ratio <= t_star + feas)
+                .filter(|&&(ratio, _, _)| ratio <= t_star + TOLERANCE)
                 .min_by(|&&(_, a, wa), &&(_, b, wb)| {
                     if use_bland {
                         let idx = |blk: Blocker| match blk {
@@ -911,23 +902,17 @@ impl Solver {
         }
     }
 
-    fn extract_solution(&self, problem: &Problem) -> Solution {
-        let mut values = vec![0.0; self.n_struct];
-        for (j, value) in values.iter_mut().enumerate() {
-            *value = match self.status[j] {
-                ColStatus::Basic => {
-                    let p = self
-                        .basis_cols
-                        .iter()
-                        .position(|&c| c == j)
-                        .expect("basic column present in basis");
-                    self.x_basic[p]
-                }
-                _ => self.nonbasic_value(j),
-            };
+    /// Current values of the structural variables.
+    fn values(&self) -> Vec<f64> {
+        let mut values: Vec<f64> = (0..self.n_struct)
+            .map(|j| if self.status[j] == ColStatus::Basic { 0.0 } else { self.nonbasic_value(j) })
+            .collect();
+        for (&j, &x) in self.basis_cols.iter().zip(&self.x_basic) {
+            if j < self.n_struct {
+                values[j] = x;
+            }
         }
-        let objective = problem.objective().evaluate(&values);
-        Solution { values, objective, status: SolveStatus::Optimal }
+        values
     }
 }
 
@@ -938,8 +923,8 @@ impl Solver {
 /// Returns [`LpError::Infeasible`], [`LpError::Unbounded`] or
 /// [`LpError::IterationLimit`] as appropriate, and the model-validation
 /// errors of [`Problem::validate`] for malformed problems.
-pub fn solve(problem: &Problem, options: &SimplexOptions) -> LpResult<Solution> {
-    solve_with_warm_start(problem, options, None).map(|info| info.solution)
+pub fn solve(problem: &Problem) -> LpResult<Solution> {
+    solve_with_warm_start(problem, None).map(|info| info.solution)
 }
 
 /// Solves the continuous LP, optionally seeding the simplex with a [`Basis`]
@@ -955,25 +940,17 @@ pub fn solve(problem: &Problem, options: &SimplexOptions) -> LpResult<Solution> 
 /// errors of [`Problem::validate`] for malformed problems (this entry point
 /// is callable directly, so it cannot rely on [`Problem::solve`] having
 /// validated already; the check is O(nnz) and negligible next to a solve).
-pub fn solve_with_warm_start(
-    problem: &Problem,
-    options: &SimplexOptions,
-    warm: Option<&Basis>,
-) -> LpResult<SolveInfo> {
-    let result = solve_instrumented(problem, options, warm);
+pub fn solve_with_warm_start(problem: &Problem, warm: Option<&Basis>) -> LpResult<SolveInfo> {
+    let result = solve_instrumented(problem, warm);
     if result.is_err() {
         palmed_obs::counter!("lp.simplex.failures").inc();
     }
     result
 }
 
-fn solve_instrumented(
-    problem: &Problem,
-    options: &SimplexOptions,
-    warm: Option<&Basis>,
-) -> LpResult<SolveInfo> {
+fn solve_instrumented(problem: &Problem, warm: Option<&Basis>) -> LpResult<SolveInfo> {
     problem.validate()?;
-    let mut solver = Solver::build(problem, warm, options)?;
+    let mut solver = Solver::build(problem, warm)?;
     palmed_obs::counter!("lp.simplex.solves").inc();
     if warm.is_some() {
         if solver.warm_adopted {
@@ -986,33 +963,60 @@ fn solve_instrumented(
         palmed_obs::counter!("lp.simplex.cold_starts").inc();
     }
 
-    let phases = run_phases(&mut solver);
+    let duals = run_phases(&mut solver, problem);
     // Pivot and refactorization totals are recorded even when the solve
     // errors out — iteration-limit blowups are exactly what the counters
     // exist to surface.
     palmed_obs::counter!("lp.simplex.iterations").add(solver.iterations as u64);
     palmed_obs::counter!("lp.simplex.refactorizations").add(solver.refactorizations as u64);
-    phases?;
+    let duals = duals?;
 
+    let values = solver.values();
+    record(certify::optimal(problem, &values, &duals));
+    let objective = problem.objective().evaluate(&values);
     Ok(SolveInfo {
-        solution: solver.extract_solution(problem),
+        solution: Solution { values, objective, status: SolveStatus::Optimal },
         basis: solver.capture_basis(),
         iterations: solver.iterations,
     })
 }
 
-fn run_phases(solver: &mut Solver) -> LpResult<()> {
+/// Runs both phases and returns the optimal basis's row duals; an infeasible
+/// or unbounded verdict is certified before it is returned.
+fn run_phases(solver: &mut Solver, problem: &Problem) -> LpResult<Vec<f64>> {
     match solver.run_phase(true)? {
-        PhaseOutcome::Infeasible => return Err(LpError::Infeasible),
-        PhaseOutcome::Unbounded => unreachable!("phase 1 never reports unbounded"),
-        PhaseOutcome::Done => {}
+        PhaseOutcome::Infeasible(farkas) => {
+            record(certify::infeasible(problem, &farkas));
+            return Err(LpError::Infeasible);
+        }
+        PhaseOutcome::Feasible => {}
+        PhaseOutcome::Optimal(_) | PhaseOutcome::Unbounded(_) => {
+            unreachable!("phase 1 reports feasibility or infeasibility")
+        }
     }
     match solver.run_phase(false)? {
-        PhaseOutcome::Unbounded => return Err(LpError::Unbounded),
-        PhaseOutcome::Infeasible => unreachable!("phase 2 never reports infeasible"),
-        PhaseOutcome::Done => {}
+        PhaseOutcome::Unbounded(ray) => {
+            record(certify::unbounded(problem, &solver.values(), &ray));
+            Err(LpError::Unbounded)
+        }
+        PhaseOutcome::Optimal(duals) => Ok(duals),
+        PhaseOutcome::Feasible | PhaseOutcome::Infeasible(_) => {
+            unreachable!("phase 2 reports optimality or unboundedness")
+        }
     }
-    Ok(())
+}
+
+/// Counts a certificate check.  A failed certificate is a solver defect:
+/// debug builds stop on it, release builds count it and return the result
+/// unchanged.
+fn record(check: Check) {
+    palmed_obs::counter!("lp.certify.checked").inc();
+    if let Err(violation) = check {
+        palmed_obs::counter!("lp.certify.failed").inc();
+        if cfg!(debug_assertions) {
+            panic!("simplex result failed its certificate: {violation}");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1024,10 +1028,6 @@ mod tests {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
     }
 
-    fn options() -> SimplexOptions {
-        SimplexOptions::default()
-    }
-
     #[test]
     fn simple_maximization() {
         let mut p = Problem::new(Sense::Maximize);
@@ -1037,7 +1037,7 @@ mod tests {
         p.add_le(p.expr().term(2.0, y), 12.0);
         p.add_le(p.expr().term(3.0, x).term(2.0, y), 18.0);
         p.set_objective(p.expr().term(3.0, x).term(5.0, y));
-        let sol = solve(&p, &options()).unwrap();
+        let sol = solve(&p).unwrap();
         assert_close(sol.objective, 36.0);
         assert_close(sol[x], 2.0);
         assert_close(sol[y], 6.0);
@@ -1051,7 +1051,7 @@ mod tests {
         let y = p.add_var("y", -2.0, 2.0);
         p.add_le(p.expr().term(1.0, x).term(1.0, y), 4.0);
         p.set_objective(p.expr().term(1.0, x).term(2.0, y));
-        let sol = solve(&p, &options()).unwrap();
+        let sol = solve(&p).unwrap();
         assert_close(sol[y], 2.0);
         assert_close(sol[x], 2.0);
         assert_close(sol.objective, 6.0);
@@ -1063,7 +1063,7 @@ mod tests {
         let x = p.add_var("x", f64::NEG_INFINITY, f64::INFINITY);
         p.add_ge(p.expr().term(1.0, x), -5.0);
         p.set_objective(p.expr().term(1.0, x));
-        let sol = solve(&p, &options()).unwrap();
+        let sol = solve(&p).unwrap();
         assert_close(sol[x], -5.0);
     }
 
@@ -1075,7 +1075,7 @@ mod tests {
         p.add_eq(p.expr().term(1.0, x).term(1.0, y), 10.0);
         p.add_eq(p.expr().term(1.0, x).term(-1.0, y), 2.0);
         p.set_objective(p.expr().term(2.0, x).term(3.0, y));
-        let sol = solve(&p, &options()).unwrap();
+        let sol = solve(&p).unwrap();
         assert_close(sol[x], 6.0);
         assert_close(sol[y], 4.0);
         assert_close(sol.objective, 24.0);
@@ -1087,7 +1087,7 @@ mod tests {
         let x = p.add_var("x", 0.0, 1.0);
         p.add_ge(p.expr().term(1.0, x), 2.0);
         p.set_objective(p.expr().term(1.0, x));
-        assert_eq!(solve(&p, &options()).unwrap_err(), LpError::Infeasible);
+        assert_eq!(solve(&p).unwrap_err(), LpError::Infeasible);
     }
 
     #[test]
@@ -1095,7 +1095,7 @@ mod tests {
         let mut p = Problem::new(Sense::Maximize);
         let x = p.add_var("x", 0.0, f64::INFINITY);
         p.set_objective(p.expr().term(1.0, x));
-        assert_eq!(solve(&p, &options()).unwrap_err(), LpError::Unbounded);
+        assert_eq!(solve(&p).unwrap_err(), LpError::Unbounded);
     }
 
     #[test]
@@ -1109,13 +1109,13 @@ mod tests {
         let mut p = Problem::new(Sense::Minimize);
         let x = p.add_var("x", 0.0, 1.0);
         p.add_le(p.expr().term(1.0, x).term(1.0, foreign), 1.0);
-        let foreign_err = solve(&p, &options());
+        let foreign_err = solve(&p);
         assert!(matches!(foreign_err, Err(LpError::UnknownVariable { .. })), "{foreign_err:?}");
 
         let mut q = Problem::new(Sense::Minimize);
         let y = q.add_var("y", 0.0, 1.0);
         q.add_le(q.expr().term(f64::NAN, y), 1.0);
-        let nan_err = solve_with_warm_start(&q, &options(), None);
+        let nan_err = solve_with_warm_start(&q, None);
         assert!(matches!(nan_err, Err(LpError::NonFiniteCoefficient { .. })));
     }
 
@@ -1126,7 +1126,7 @@ mod tests {
         let y = p.add_var("y", 0.0, 10.0);
         p.add_le(p.expr().term(1.0, x).term(1.0, y), 5.0);
         p.set_objective(p.expr().term(1.0, x).term(1.0, y));
-        let sol = solve(&p, &options()).unwrap();
+        let sol = solve(&p).unwrap();
         assert_close(sol[x], 2.5);
         assert_close(sol[y], 2.5);
     }
@@ -1141,7 +1141,7 @@ mod tests {
         p.add_le(p.expr().term(0.5, x1).term(-1.5, x2).term(-0.5, x3), 0.0);
         p.add_le(p.expr().term(1.0, x1), 1.0);
         p.set_objective(p.expr().term(10.0, x1).term(-57.0, x2).term(-9.0, x3));
-        let sol = solve(&p, &options()).unwrap();
+        let sol = solve(&p).unwrap();
         assert_close(sol.objective, 1.0);
     }
 
@@ -1150,7 +1150,7 @@ mod tests {
         let mut p = Problem::new(Sense::Minimize);
         let x = p.add_var("x", 1.0, 10.0);
         p.set_objective(p.expr().term(2.0, x).plus(7.0));
-        let sol = solve(&p, &options()).unwrap();
+        let sol = solve(&p).unwrap();
         assert_close(sol.objective, 9.0);
     }
 
@@ -1176,12 +1176,12 @@ mod tests {
     #[test]
     fn warm_start_on_perturbed_rhs_pivots_less() {
         let cold_problem = band_lp(40, 0.0);
-        let cold = solve_with_warm_start(&cold_problem, &options(), None).unwrap();
+        let cold = solve_with_warm_start(&cold_problem, None).unwrap();
         assert!(cold.iterations > 0);
 
         let perturbed = band_lp(40, 0.125);
-        let warm = solve_with_warm_start(&perturbed, &options(), Some(&cold.basis)).unwrap();
-        let re_cold = solve_with_warm_start(&perturbed, &options(), None).unwrap();
+        let warm = solve_with_warm_start(&perturbed, Some(&cold.basis)).unwrap();
+        let re_cold = solve_with_warm_start(&perturbed, None).unwrap();
         assert_close(warm.solution.objective, re_cold.solution.objective);
         assert!(
             warm.iterations < re_cold.iterations,
@@ -1194,8 +1194,8 @@ mod tests {
     #[test]
     fn warm_start_on_identical_problem_is_nearly_free() {
         let problem = band_lp(32, 0.0);
-        let first = solve_with_warm_start(&problem, &options(), None).unwrap();
-        let again = solve_with_warm_start(&problem, &options(), Some(&first.basis)).unwrap();
+        let first = solve_with_warm_start(&problem, None).unwrap();
+        let again = solve_with_warm_start(&problem, Some(&first.basis)).unwrap();
         assert_close(first.solution.objective, again.solution.objective);
         assert!(again.iterations <= 2, "re-solve took {} iterations", again.iterations);
     }
@@ -1203,39 +1203,89 @@ mod tests {
     #[test]
     fn stale_basis_falls_back_to_cold_start() {
         let small = band_lp(8, 0.0);
-        let info = solve_with_warm_start(&small, &options(), None).unwrap();
+        let info = solve_with_warm_start(&small, None).unwrap();
         let bigger = band_lp(16, 0.0);
         // Mismatched dimensions: must still solve correctly.
-        let warm = solve_with_warm_start(&bigger, &options(), Some(&info.basis)).unwrap();
-        let cold = solve_with_warm_start(&bigger, &options(), None).unwrap();
+        let warm = solve_with_warm_start(&bigger, Some(&info.basis)).unwrap();
+        let cold = solve_with_warm_start(&bigger, None).unwrap();
         assert_close(warm.solution.objective, cold.solution.objective);
     }
 
-    type ProblemBuilder = fn(&mut Problem);
+    #[test]
+    fn textbook_problems_certify_with_their_known_duals() {
+        // (problem, optimum, row duals in minimisation form).  First: max
+        // x + 2y, x + y <= 4, x in [0, 3], y in [0, 2]; the binding row
+        // prices at -1.  Second: min x + y, x + 2y >= 4, 3x + y >= 6, where
+        // y·b = 0.4 * 4 + 0.2 * 6 = 2.8 = x + y.
+        let mut max = Problem::new(Sense::Maximize);
+        let (x, y) = (max.add_var("x", 0.0, 3.0), max.add_var("y", 0.0, 2.0));
+        max.add_le(max.expr().term(1.0, x).term(1.0, y), 4.0);
+        max.set_objective(max.expr().term(1.0, x).term(2.0, y));
+        let mut min = Problem::new(Sense::Minimize);
+        let (x, y) = (min.add_var("x", 0.0, f64::INFINITY), min.add_var("y", 0.0, f64::INFINITY));
+        min.add_ge(min.expr().term(1.0, x).term(2.0, y), 4.0);
+        min.add_ge(min.expr().term(3.0, x).term(1.0, y), 6.0);
+        min.set_objective(min.expr().term(1.0, x).term(1.0, y));
+        for (p, optimum, duals) in [(max, vec![2.0, 2.0], vec![-1.0]), (min, vec![1.6, 1.2], vec![0.4, 0.2])] {
+            let mut solver = Solver::build(&p, None).unwrap();
+            let y = run_phases(&mut solver, &p).unwrap();
+            let values = solver.values();
+            for (got, want) in values.iter().zip(&optimum).chain(y.iter().zip(&duals)) {
+                assert_close(*got, *want);
+            }
+            assert_eq!(certify::optimal(&p, &values, &y), Ok(()));
+        }
+    }
+
+    /// Knuth's MMIX LCG (high bits), a seeded stream for the property test.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        *state >> 33
+    }
 
     #[test]
-    fn agrees_with_dense_solver_on_textbook_problems() {
-        let cases: [(Sense, ProblemBuilder); 2] = [
-            (Sense::Maximize, |p: &mut Problem| {
-                let x = p.add_var("x", 0.0, 3.0);
-                let y = p.add_var("y", 0.0, 2.0);
-                p.add_le(p.expr().term(1.0, x).term(1.0, y), 4.0);
-                p.set_objective(p.expr().term(1.0, x).term(2.0, y));
-            }),
-            (Sense::Minimize, |p: &mut Problem| {
-                let x = p.add_var("x", 0.0, f64::INFINITY);
-                let y = p.add_var("y", 0.0, f64::INFINITY);
-                p.add_ge(p.expr().term(1.0, x).term(2.0, y), 4.0);
-                p.add_ge(p.expr().term(3.0, x).term(1.0, y), 6.0);
-                p.set_objective(p.expr().term(1.0, x).term(1.0, y));
-            }),
-        ];
-        for (sense, build) in cases {
-            let mut p = Problem::new(sense);
-            build(&mut p);
-            let revised = solve(&p, &options()).unwrap();
-            let dense = crate::simplex_dense::solve(&p, &options()).unwrap();
-            assert_close(revised.objective, dense.objective);
+    fn sparse_lu_solves_random_bases_to_roundoff() {
+        // Small integer entries make exact cancellation common: a work value
+        // that cancels to 0.0 and fills in again must not list its row twice.
+        let mut state = 0x5EED_0F1D_u64;
+        let mut nonsingular = 0usize;
+        for case in 0..10_000 {
+            let k = 2 + (next(&mut state) % 7) as usize;
+            let columns: Vec<Vec<(usize, f64)>> = (0..k)
+                .map(|_| {
+                    (0..k)
+                        .filter_map(|r| {
+                            let draw = next(&mut state);
+                            let value = [-2.0, -1.0, 1.0, 2.0][(draw >> 1) as usize % 4];
+                            (draw & 1 == 0).then_some((r, value))
+                        })
+                        .collect()
+                })
+                .collect();
+            let Some(lu) = SparseLu::factorize(k, &columns) else { continue };
+            nonsingular += 1;
+            for e in 0..k {
+                let unit: Vec<f64> = (0..k).map(|i| if i == e { 1.0 } else { 0.0 }).collect();
+                // B x = e: accumulate B x column by column.
+                let x = lu.solve(&unit);
+                let mut bx = vec![0.0; k];
+                for (column, &xj) in columns.iter().zip(&x) {
+                    for &(r, v) in column {
+                        bx[r] += v * xj;
+                    }
+                }
+                // Bᵀ y = e: entry j is column j dotted with y.
+                let y = lu.solve_transpose(&unit);
+                let bty: Vec<f64> =
+                    columns.iter().map(|column| column.iter().map(|&(r, v)| v * y[r]).sum()).collect();
+                for i in 0..k {
+                    assert!(
+                        (bx[i] - unit[i]).abs() <= 1e-9 && (bty[i] - unit[i]).abs() <= 1e-9,
+                        "case {case}: k = {k}, e{e}: B x = {bx:?}, Bᵀ y = {bty:?}, B = {columns:?}"
+                    );
+                }
+            }
         }
+        assert!(nonsingular >= 3_000, "only {nonsingular} non-singular bases drawn");
     }
 }

@@ -54,8 +54,7 @@ proptest! {
         p.add_le(cap, capacity);
         p.set_objective(obj);
         let integral = p.solve().expect("knapsack always feasible (empty set)");
-        let relaxed = p.solve_relaxation(&palmed_lp::SimplexOptions::default())
-            .expect("relaxation feasible");
+        let relaxed = p.solve_relaxation().expect("relaxation feasible");
         for &v in &vars {
             let value = integral[v];
             prop_assert!((value - value.round()).abs() < 1e-6, "non-integral value {value}");
