@@ -17,7 +17,6 @@
 use palmed_isa::{InstId, Microkernel};
 use palmed_machine::Measurer;
 use palmed_par::par_map;
-use std::collections::HashMap;
 
 /// Configuration of the quadratic campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,13 +44,28 @@ impl Default for QuadraticConfig {
     }
 }
 
+/// Position of an instruction that is not in the campaign.
+const ABSENT: u32 = u32::MAX;
+
 /// Results of a quadratic campaign over a set of instructions.
+///
+/// The campaign is dense: instructions are addressed by their position in
+/// the candidate list the campaign ran on, found through a table indexed by
+/// [`InstId::index`].  Individual IPCs are one `f64` per position and the
+/// `aabb` IPCs one row-major `n×n` matrix, symmetric, with NaN for a pair
+/// that was not run (the diagonal, pairs involving a low-IPC instruction and
+/// incompatible pairs).  Every lookup is an index read.  The matrix costs
+/// `n²·8` bytes: 4.1 MB for the 714 base-ISA candidates of the large
+/// inventory.
 #[derive(Debug, Clone, Default)]
 pub struct QuadraticCampaign {
-    /// Individual IPC of every benchmarked instruction.
-    singles: HashMap<InstId, f64>,
-    /// IPC of the `aabb` benchmark for every benchmarked (unordered) pair.
-    pairs: HashMap<(InstId, InstId), f64>,
+    /// Position of every instruction in the candidate list, indexed by
+    /// [`InstId::index`]; [`ABSENT`] (or out of range) when not benchmarked.
+    positions: Vec<u32>,
+    /// Individual IPC per position.
+    singles: Vec<f64>,
+    /// `aabb` IPC of every pair of positions, row-major, NaN when not run.
+    pairs: Vec<f64>,
     /// Number of benchmarks generated (singles plus measured pairs).
     num_benchmarks: usize,
     config: QuadraticConfig,
@@ -60,8 +74,9 @@ pub struct QuadraticCampaign {
 impl QuadraticCampaign {
     /// Runs the campaign for `instructions` on `measurer`.
     ///
-    /// `compatible` decides whether two instructions may share a benchmark
-    /// (the extension-mixing rule); it is always called with `a <= b`.
+    /// `instructions` must be distinct.  `compatible` decides whether two
+    /// instructions may share a benchmark (the extension-mixing rule); it is
+    /// always called with `a <= b`.
     ///
     /// The per-benchmark measurements are embarrassingly parallel and fan
     /// out over the available cores; results are recorded in the same
@@ -72,45 +87,65 @@ impl QuadraticCampaign {
         config: QuadraticConfig,
         compatible: impl Fn(InstId, InstId) -> bool + Sync,
     ) -> Self {
-        let mut campaign = QuadraticCampaign { config, ..Default::default() };
-
-        // Individual IPCs and the low-IPC filter.
-        let single_ipcs = par_map(instructions, |&a| measurer.ipc(&Microkernel::single(a)));
-        let mut usable = Vec::new();
-        for (&a, ipc) in instructions.iter().zip(single_ipcs) {
-            campaign.singles.insert(a, ipc);
-            campaign.num_benchmarks += 1;
-            if ipc >= config.min_ipc {
-                usable.push(a);
-            }
+        let n = instructions.len();
+        let table_len = instructions.iter().map(|a| a.index() + 1).max().unwrap_or(0);
+        let mut positions = vec![ABSENT; table_len];
+        for (p, &a) in instructions.iter().enumerate() {
+            debug_assert_eq!(positions[a.index()], ABSENT, "{a} is a candidate twice");
+            positions[a.index()] = p as u32;
         }
 
+        // Individual IPCs and the low-IPC filter.
+        let singles = par_map(instructions, |&a| measurer.ipc(&Microkernel::single(a)));
+        let mut campaign = QuadraticCampaign {
+            positions,
+            singles,
+            pairs: vec![f64::NAN; n * n],
+            num_benchmarks: n,
+            config,
+        };
+        let usable: Vec<u32> =
+            (0..n as u32).filter(|&p| campaign.singles[p as usize] >= config.min_ipc).collect();
+
         // Pair benchmarks: enumerate in deterministic order, build and
-        // measure in parallel, then record sequentially.  A kernel is a
-        // sorted multiset, so `pair_kernel(lo, hi)` equals `pair_kernel(a, b)`.
-        let mut pair_jobs: Vec<(InstId, InstId)> = Vec::new();
-        for (i, &a) in usable.iter().enumerate() {
-            for &b in &usable[i + 1..] {
-                let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                if compatible(lo, hi) {
+        // measure in parallel, then record sequentially.  Jobs are position
+        // pairs ordered by instruction id.  A kernel is a sorted multiset, so
+        // `pair_kernel(lo, hi)` equals `pair_kernel(a, b)`.
+        let id = |p: u32| instructions[p as usize];
+        let mut pair_jobs: Vec<(u32, u32)> = Vec::new();
+        for (i, &p) in usable.iter().enumerate() {
+            for &q in &usable[i + 1..] {
+                let (lo, hi) = if id(p) <= id(q) { (p, q) } else { (q, p) };
+                if compatible(id(lo), id(hi)) {
                     pair_jobs.push((lo, hi));
                 }
             }
         }
         let pair_ipcs =
-            par_map(&pair_jobs, |&(lo, hi)| measurer.ipc(&campaign.pair_kernel(lo, hi)));
-        for ((lo, hi), ipc) in pair_jobs.into_iter().zip(pair_ipcs) {
-            campaign.pairs.insert((lo, hi), ipc);
-            campaign.num_benchmarks += 1;
+            par_map(&pair_jobs, |&(lo, hi)| measurer.ipc(&campaign.pair_kernel(id(lo), id(hi))));
+        campaign.num_benchmarks += pair_jobs.len();
+        for ((p, q), ipc) in pair_jobs.into_iter().zip(pair_ipcs) {
+            debug_assert!(!ipc.is_nan(), "NaN marks a pair that was not run");
+            let (p, q) = (p as usize, q as usize);
+            campaign.pairs[p * n + q] = ipc;
+            campaign.pairs[q * n + p] = ipc;
         }
         campaign
+    }
+
+    /// Position of an instruction in the campaign's candidate list.
+    fn position(&self, inst: InstId) -> Option<usize> {
+        match self.positions.get(inst.index()) {
+            Some(&p) if p != ABSENT => Some(p as usize),
+            _ => None,
+        }
     }
 
     /// The `aabb` kernel for a pair, using the measured individual IPCs as
     /// proportions (rounded to integers within the configured tolerance).
     pub fn pair_kernel(&self, a: InstId, b: InstId) -> Microkernel {
-        let ipc_a = self.singles.get(&a).copied().unwrap_or(1.0).max(self.config.min_ipc);
-        let ipc_b = self.singles.get(&b).copied().unwrap_or(1.0).max(self.config.min_ipc);
+        let ipc_a = self.single_ipc(a).unwrap_or(1.0).max(self.config.min_ipc);
+        let ipc_b = self.single_ipc(b).unwrap_or(1.0).max(self.config.min_ipc);
         Microkernel::from_proportions(
             [(a, ipc_a), (b, ipc_b)],
             self.config.coefficient_tolerance,
@@ -125,32 +160,34 @@ impl QuadraticCampaign {
 
     /// Individual IPC of an instruction, if it was benchmarked.
     pub fn single_ipc(&self, inst: InstId) -> Option<f64> {
-        self.singles.get(&inst).copied()
+        self.position(inst).map(|p| self.singles[p])
     }
 
     /// IPC of the pair benchmark `aabb`, if it was run.
     pub fn pair_ipc(&self, a: InstId, b: InstId) -> Option<f64> {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.pairs.get(&key).copied()
+        let ipc = self.pairs[self.position(a)? * self.singles.len() + self.position(b)?];
+        (!ipc.is_nan()).then_some(ipc)
     }
 
     /// The campaign's IPC feature vector of an instruction: its pair IPC
     /// against every instruction in `others` (its own single IPC is used when
-    /// the pair was skipped or is the instruction itself).
+    /// the pair was skipped or is the instruction itself, and 0.0 throughout
+    /// when the instruction is not in the campaign).
     ///
     /// Two instructions with (approximately) identical vectors behave
     /// identically with respect to the basic-instruction selection and are
     /// grouped into one equivalence class.
     pub fn feature_vector(&self, inst: InstId, others: &[InstId]) -> Vec<f64> {
+        let Some(p) = self.position(inst) else {
+            return vec![0.0; others.len()];
+        };
+        let n = self.singles.len();
+        let (single, row) = (self.singles[p], &self.pairs[p * n..(p + 1) * n]);
         others
             .iter()
-            .map(|&o| {
-                if o == inst {
-                    self.single_ipc(inst).unwrap_or(0.0)
-                } else {
-                    self.pair_ipc(inst, o)
-                        .unwrap_or_else(|| self.single_ipc(inst).unwrap_or(0.0))
-                }
+            .map(|&o| match self.position(o) {
+                Some(q) if !row[q].is_nan() => row[q],
+                _ => single,
             })
             .collect()
     }
@@ -181,7 +218,10 @@ impl QuadraticCampaign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use palmed_machine::{presets, AnalyticMeasurer};
+    use palmed_machine::{presets, AnalyticMeasurer, MeasurementNoise};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
 
     fn campaign() -> (QuadraticCampaign, std::sync::Arc<palmed_isa::InstructionSet>) {
         let preset = presets::paper_ports016();
@@ -267,5 +307,157 @@ mod tests {
         assert!(c.single_ipc(add).unwrap() >= config.min_ipc);
         assert!(c.pair_ipc(idiv, add).is_none());
         assert_eq!(c.num_benchmarks(), 2);
+    }
+
+    /// The campaign as it was kept before the dense layout: `HashMap`s keyed
+    /// by instruction id, filled by a sequential loop.  The differential
+    /// reference of `dense_campaign_matches_the_hash_map_reference`.
+    struct HashCampaign {
+        singles: HashMap<InstId, f64>,
+        pairs: HashMap<(InstId, InstId), f64>,
+        num_benchmarks: usize,
+        config: QuadraticConfig,
+    }
+
+    impl HashCampaign {
+        fn run(
+            measurer: &impl Measurer,
+            instructions: &[InstId],
+            config: QuadraticConfig,
+            compatible: impl Fn(InstId, InstId) -> bool,
+        ) -> Self {
+            let mut campaign = HashCampaign {
+                singles: HashMap::new(),
+                pairs: HashMap::new(),
+                num_benchmarks: 0,
+                config,
+            };
+            let mut usable = Vec::new();
+            for &a in instructions {
+                let ipc = measurer.ipc(&Microkernel::single(a));
+                campaign.singles.insert(a, ipc);
+                campaign.num_benchmarks += 1;
+                if ipc >= config.min_ipc {
+                    usable.push(a);
+                }
+            }
+            for (i, &a) in usable.iter().enumerate() {
+                for &b in &usable[i + 1..] {
+                    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+                    if compatible(lo, hi) {
+                        let ipc = measurer.ipc(&campaign.pair_kernel(lo, hi));
+                        campaign.pairs.insert((lo, hi), ipc);
+                        campaign.num_benchmarks += 1;
+                    }
+                }
+            }
+            campaign
+        }
+
+        fn pair_kernel(&self, a: InstId, b: InstId) -> Microkernel {
+            let ipc_a = self.singles.get(&a).copied().unwrap_or(1.0).max(self.config.min_ipc);
+            let ipc_b = self.singles.get(&b).copied().unwrap_or(1.0).max(self.config.min_ipc);
+            Microkernel::from_proportions(
+                [(a, ipc_a), (b, ipc_b)],
+                self.config.coefficient_tolerance,
+                self.config.max_kernel_size,
+            )
+        }
+
+        fn single_ipc(&self, inst: InstId) -> Option<f64> {
+            self.singles.get(&inst).copied()
+        }
+
+        fn pair_ipc(&self, a: InstId, b: InstId) -> Option<f64> {
+            let key = if a <= b { (a, b) } else { (b, a) };
+            self.pairs.get(&key).copied()
+        }
+
+        fn feature_vector(&self, inst: InstId, others: &[InstId]) -> Vec<f64> {
+            others
+                .iter()
+                .map(|&o| {
+                    if o == inst {
+                        self.single_ipc(inst).unwrap_or(0.0)
+                    } else {
+                        self.pair_ipc(inst, o)
+                            .unwrap_or_else(|| self.single_ipc(inst).unwrap_or(0.0))
+                    }
+                })
+                .collect()
+        }
+
+        fn are_disjoint(&self, a: InstId, b: InstId, tolerance: f64) -> bool {
+            let (Some(ia), Some(ib), Some(iab)) =
+                (self.single_ipc(a), self.single_ipc(b), self.pair_ipc(a, b))
+            else {
+                return false;
+            };
+            let expected = ia + ib;
+            (iab - expected).abs() <= tolerance * expected
+        }
+    }
+
+    #[test]
+    fn dense_campaign_matches_the_hash_map_reference() {
+        let preset = presets::skl_sp(&palmed_isa::InventoryConfig::small());
+        let all: Vec<InstId> = preset.instructions.ids().collect();
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+        let mut rng = StdRng::seed_from_u64(19);
+        for round in 0..12u64 {
+            // Noise makes every measured value distinct, so a lookup that
+            // reads the wrong slot cannot agree by accident.
+            let measurer = AnalyticMeasurer::with_noise(
+                preset.mapping_arc(),
+                MeasurementNoise::realistic(round),
+            );
+            let mut candidates: Vec<InstId> =
+                all.iter().copied().filter(|_| rng.gen_bool(0.3)).collect();
+            // Shuffle so candidate positions do not follow instruction ids.
+            for i in (1..candidates.len()).rev() {
+                candidates.swap(i, rng.gen_range(0..=i));
+            }
+            let min_ipc = [0.05, 0.3, 0.6, 1.1][rng.gen_range(0..4usize)];
+            let config = QuadraticConfig { min_ipc, ..QuadraticConfig::default() };
+            let salt: u64 = rng.gen();
+            let compatible = |a: InstId, b: InstId| {
+                let h = (u64::from(a.0) << 32 | u64::from(b.0)) ^ salt;
+                h.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 61 != 0
+            };
+            let dense = QuadraticCampaign::run(&measurer, &candidates, config, compatible);
+            let reference = HashCampaign::run(&measurer, &candidates, config, compatible);
+            assert_eq!(dense.num_benchmarks(), reference.num_benchmarks, "round {round}");
+
+            // Queries range over the whole inventory, most of it outside the
+            // campaign, plus ids beyond the inventory.
+            let mut queries = all.clone();
+            queries.extend([InstId(all.len() as u32), InstId(10_000)]);
+            let subset: Vec<InstId> =
+                queries.iter().copied().filter(|_| rng.gen_bool(0.2)).collect();
+            let others_lists = [candidates.clone(), queries.clone(), subset, Vec::new()];
+            for &a in &queries {
+                assert_eq!(bits(dense.single_ipc(a)), bits(reference.single_ipc(a)));
+                for others in &others_lists {
+                    let got: Vec<u64> =
+                        dense.feature_vector(a, others).into_iter().map(f64::to_bits).collect();
+                    let want: Vec<u64> =
+                        reference.feature_vector(a, others).into_iter().map(f64::to_bits).collect();
+                    assert_eq!(got, want, "round {round}: feature vector of {a}");
+                }
+                for &b in &queries {
+                    assert_eq!(bits(dense.pair_ipc(a, b)), bits(reference.pair_ipc(a, b)));
+                    for tolerance in [0.05, 0.2] {
+                        assert_eq!(
+                            dense.are_disjoint(a, b, tolerance),
+                            reference.are_disjoint(a, b, tolerance),
+                            "round {round}: disjointness of {a} and {b}"
+                        );
+                    }
+                }
+            }
+            for (&a, &b) in candidates.iter().zip(candidates.iter().rev()) {
+                assert_eq!(dense.pair_kernel(a, b), reference.pair_kernel(a, b));
+            }
+        }
     }
 }

@@ -22,7 +22,6 @@
 use crate::quadratic::QuadraticCampaign;
 use palmed_isa::InstId;
 use palmed_stats::hierarchical_clusters;
-use std::collections::BTreeSet;
 
 /// Configuration of the basic-instruction selection.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,39 +116,46 @@ pub fn select_basic_instructions(
     selection.representatives = representatives.clone();
 
     // Step 3: very basic instructions — maximal clique of disjoint
-    // instructions, scanned in <VB order.
-    let disjoint_set = |a: InstId| -> BTreeSet<InstId> {
-        representatives
-            .iter()
-            .copied()
-            .filter(|&b| b != a && campaign.are_disjoint(a, b, config.disjoint_tolerance))
-            .collect()
-    };
-    let dj: Vec<(InstId, BTreeSet<InstId>)> =
-        representatives.iter().map(|&a| (a, disjoint_set(a))).collect();
-    let mut vb_order: Vec<usize> = (0..dj.len()).collect();
+    // instructions, scanned in <VB order.  The disjoint set Dj of every
+    // representative is a bitset over representative positions.
+    let r = representatives.len();
+    let words = r.div_ceil(64);
+    let mut dj = vec![0u64; r * words];
+    for x in 0..r {
+        for y in (x + 1)..r {
+            // Disjointness is symmetric: `ia + ib == ib + ia` exactly.
+            let (a, b) = (representatives[x], representatives[y]);
+            if campaign.are_disjoint(a, b, config.disjoint_tolerance) {
+                dj[x * words + y / 64] |= 1 << (y % 64);
+                dj[y * words + x / 64] |= 1 << (x % 64);
+            }
+        }
+    }
+    let in_dj = |x: usize, y: usize| dj[x * words + y / 64] >> (y % 64) & 1 == 1;
+    let dj_len: Vec<u32> =
+        dj.chunks(words).map(|row| row.iter().map(|w| w.count_ones()).sum()).collect();
+    let mut vb_order: Vec<usize> = (0..r).collect();
     vb_order.sort_by(|&x, &y| {
         // |Dj| descending, then higher individual IPC, then id for stability.
-        dj[y].1
-            .len()
-            .cmp(&dj[x].1.len())
+        dj_len[y]
+            .cmp(&dj_len[x])
             .then_with(|| {
-                let ix = campaign.single_ipc(dj[x].0).unwrap_or(0.0);
-                let iy = campaign.single_ipc(dj[y].0).unwrap_or(0.0);
+                let ix = campaign.single_ipc(representatives[x]).unwrap_or(0.0);
+                let iy = campaign.single_ipc(representatives[y]).unwrap_or(0.0);
                 iy.partial_cmp(&ix).expect("finite IPC")
             })
-            .then_with(|| dj[x].0.cmp(&dj[y].0))
+            .then_with(|| representatives[x].cmp(&representatives[y]))
     });
-    let mut very_basic: Vec<InstId> = Vec::new();
-    for &idx in &vb_order {
-        let (a, ref dj_a) = dj[idx];
-        if very_basic.iter().all(|vb| dj_a.contains(vb)) {
-            very_basic.push(a);
+    let mut clique: Vec<usize> = Vec::new();
+    for &x in &vb_order {
+        if clique.iter().all(|&vb| in_dj(x, vb)) {
+            clique.push(x);
         }
-        if very_basic.len() == config.target_count {
+        if clique.len() == config.target_count {
             break;
         }
     }
+    let very_basic: Vec<InstId> = clique.iter().map(|&x| representatives[x]).collect();
     selection.very_basic = very_basic.clone();
 
     // Step 4: complete with the greediest instructions.
@@ -200,6 +206,7 @@ mod tests {
     use crate::quadratic::QuadraticConfig;
     use palmed_isa::InstId;
     use palmed_machine::{presets, AnalyticMeasurer};
+    use std::collections::BTreeSet;
 
     fn paper_selection(target: usize) -> (Selection, std::sync::Arc<palmed_isa::InstructionSet>) {
         let preset = presets::paper_ports016();
@@ -295,5 +302,78 @@ mod tests {
         let sel = select_basic_instructions(&campaign, &[], &SelectionConfig::default());
         assert!(sel.basic.is_empty());
         assert!(sel.low_ipc.is_empty());
+    }
+
+    /// Step 3 as it was before the bitsets: a `BTreeSet` disjoint set per
+    /// representative, scanned in the same <VB order.
+    fn reference_very_basic(
+        campaign: &QuadraticCampaign,
+        representatives: &[InstId],
+        config: &SelectionConfig,
+    ) -> Vec<InstId> {
+        let disjoint_set = |a: InstId| -> BTreeSet<InstId> {
+            representatives
+                .iter()
+                .copied()
+                .filter(|&b| b != a && campaign.are_disjoint(a, b, config.disjoint_tolerance))
+                .collect()
+        };
+        let dj: Vec<(InstId, BTreeSet<InstId>)> =
+            representatives.iter().map(|&a| (a, disjoint_set(a))).collect();
+        let mut vb_order: Vec<usize> = (0..dj.len()).collect();
+        vb_order.sort_by(|&x, &y| {
+            dj[y].1
+                .len()
+                .cmp(&dj[x].1.len())
+                .then_with(|| {
+                    let ix = campaign.single_ipc(dj[x].0).unwrap_or(0.0);
+                    let iy = campaign.single_ipc(dj[y].0).unwrap_or(0.0);
+                    iy.partial_cmp(&ix).expect("finite IPC")
+                })
+                .then_with(|| dj[x].0.cmp(&dj[y].0))
+        });
+        let mut very_basic: Vec<InstId> = Vec::new();
+        for &idx in &vb_order {
+            let (a, ref dj_a) = dj[idx];
+            if very_basic.iter().all(|vb| dj_a.contains(vb)) {
+                very_basic.push(a);
+            }
+            if very_basic.len() == config.target_count {
+                break;
+            }
+        }
+        very_basic
+    }
+
+    #[test]
+    fn bitset_clique_matches_the_btreeset_reference_past_one_word() {
+        // Under realistic noise no class merges, so every fifth base-ISA
+        // instruction of the large inventory gives well over 64
+        // representatives, disjoint-set rows of several words and a clique
+        // of several members.
+        let preset = presets::skl_sp(&palmed_isa::InventoryConfig::large());
+        let measurer = AnalyticMeasurer::with_noise(
+            preset.mapping_arc(),
+            palmed_machine::MeasurementNoise::realistic(3),
+        );
+        let ids: Vec<InstId> = preset
+            .instructions
+            .ids_with_extension(palmed_isa::Extension::BaseIsa)
+            .into_iter()
+            .step_by(5)
+            .collect();
+        let campaign =
+            QuadraticCampaign::run(&measurer, &ids, QuadraticConfig::default(), |_, _| true);
+        for target_count in [2, 3, 8] {
+            for disjoint_tolerance in [0.05, 0.3] {
+                let config =
+                    SelectionConfig { target_count, disjoint_tolerance, ..Default::default() };
+                let sel = select_basic_instructions(&campaign, &ids, &config);
+                assert!(sel.representatives.len() > 128, "{}", sel.representatives.len());
+                let want = reference_very_basic(&campaign, &sel.representatives, &config);
+                assert_eq!(sel.very_basic, want, "target {target_count}, tol {disjoint_tolerance}");
+                assert!(sel.very_basic.len() >= target_count.min(4));
+            }
+        }
     }
 }

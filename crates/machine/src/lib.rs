@@ -36,7 +36,7 @@ pub mod throughput;
 pub use disjunctive::{DisjunctiveMapping, MachineDescription};
 pub use cycle_sim::SimulationConfig;
 pub use measure::{
-    AnalyticMeasurer, BackendKind, BackendMeasurer, CountingMeasurer, Measurer, MemoizingMeasurer,
+    AnalyticMeasurer, BackendKind, BackendMeasurer, Measurer, MemoizingMeasurer,
     SimulationMeasurer,
 };
 pub use noise::MeasurementNoise;

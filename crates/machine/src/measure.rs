@@ -9,17 +9,17 @@
 //! Two back-ends are provided: [`AnalyticMeasurer`] (optimal-scheduler bound,
 //! optionally perturbed by noise) and [`SimulationMeasurer`] (cycle-level
 //! greedy simulation).  [`MemoizingMeasurer`] caches results — Palmed
-//! re-measures the same kernels across phases — and [`CountingMeasurer`]
-//! tracks how many *distinct* benchmarks were run, which is the
+//! re-measures the same kernels across phases — and its
+//! [`distinct_kernels`](MemoizingMeasurer::distinct_kernels) is the
 //! "Gen. microbenchmarks" column of Table II.
 
 use crate::cycle_sim::{simulate_ipc, SimulationConfig};
 use crate::disjunctive::DisjunctiveMapping;
 use crate::noise::MeasurementNoise;
 use crate::throughput;
-use palmed_isa::{InstructionSet, Microkernel};
+use palmed_isa::{FxBuildHasher, InstructionSet, KernelSet, Microkernel};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A device able to report the steady-state IPC of a microkernel.
 ///
@@ -201,6 +201,17 @@ impl Measurer for BackendMeasurer {
     }
 }
 
+/// Number of independently locked shards of a [`MemoizingMeasurer`].
+const MEMO_SHARDS: usize = 16;
+
+/// One shard of a [`MemoizingMeasurer`]'s cache.
+type MemoShard = Mutex<HashMap<Microkernel, f64, FxBuildHasher>>;
+
+/// Locks a shard; it is poisoned only if an insert panicked.
+fn lock(shard: &MemoShard) -> MutexGuard<'_, HashMap<Microkernel, f64, FxBuildHasher>> {
+    shard.lock().expect("a measurer panicked while caching")
+}
+
 /// Caches measurements of an inner measurer.
 ///
 /// Palmed measures the same microkernels repeatedly across its phases
@@ -209,40 +220,55 @@ impl Measurer for BackendMeasurer {
 /// measurement count only grows for *distinct* kernels, which matches the
 /// paper's "generated microbenchmarks" statistic.
 ///
-/// The cache is behind a `Mutex` so the wrapper stays [`Sync`] and can be
-/// shared by the parallel measurement loops (measurers are deterministic, so
-/// a racing duplicate measurement of the same kernel is harmless).
+/// The cache is split into a fixed number of shards, each a `Mutex` around
+/// a `HashMap` keyed by kernel, so the wrapper stays [`Sync`] and the
+/// parallel measurement loops rarely wait on each other.  A kernel's shard
+/// is picked by bits of its [`KernelSet::hash_kernel`] Fx hash, and the
+/// shards hash with Fx too: kernels are short runs of small integers, for
+/// which SipHash is pure overhead.  The lock is released while the inner
+/// measurer runs, so two threads may measure the same kernel at once; the
+/// first value inserted wins and both callers return it (measurers are
+/// deterministic, so the values agree anyway).  Hashing here only indexes
+/// the cache: the noise model's [`MeasurementNoise::fingerprint`] keeps its
+/// own SipHash, which defines the measured values.
 #[derive(Debug)]
 pub struct MemoizingMeasurer<M> {
     inner: M,
-    cache: Mutex<HashMap<Microkernel, f64>>,
+    shards: [MemoShard; MEMO_SHARDS],
 }
 
 impl<M: Measurer> MemoizingMeasurer<M> {
     /// Wraps a measurer with a cache.
     pub fn new(inner: M) -> Self {
-        MemoizingMeasurer { inner, cache: Mutex::new(HashMap::new()) }
+        MemoizingMeasurer { inner, shards: Default::default() }
     }
 
     /// Number of distinct kernels measured.
     pub fn distinct_kernels(&self) -> usize {
-        self.cache.lock().unwrap().len()
+        self.shards.iter().map(|shard| lock(shard).len()).sum()
     }
 
     /// Consumes the wrapper and returns the inner measurer.
     pub fn into_inner(self) -> M {
         self.inner
     }
+
+    /// The shard caching `kernel`, picked by bits 48–51 of its hash: an Fx
+    /// hash mixes best into its high bits, and the top 7 are left to the
+    /// map's own control bytes.
+    fn shard(&self, kernel: &Microkernel) -> &MemoShard {
+        &self.shards[(KernelSet::hash_kernel(kernel) >> 48) as usize % MEMO_SHARDS]
+    }
 }
 
 impl<M: Measurer> Measurer for MemoizingMeasurer<M> {
     fn ipc(&self, kernel: &Microkernel) -> f64 {
-        if let Some(&v) = self.cache.lock().unwrap().get(kernel) {
+        let shard = self.shard(kernel);
+        if let Some(&v) = lock(shard).get(kernel) {
             return v;
         }
         let v = self.inner.ipc(kernel);
-        self.cache.lock().unwrap().insert(kernel.clone(), v);
-        v
+        *lock(shard).entry(kernel.clone()).or_insert(v)
     }
 
     fn instructions(&self) -> &InstructionSet {
@@ -251,45 +277,6 @@ impl<M: Measurer> Measurer for MemoizingMeasurer<M> {
 
     fn measurement_count(&self) -> usize {
         self.distinct_kernels()
-    }
-}
-
-/// Counts every call to [`Measurer::ipc`], including repeats.
-#[derive(Debug)]
-pub struct CountingMeasurer<M> {
-    inner: M,
-    calls: Mutex<usize>,
-}
-
-impl<M: Measurer> CountingMeasurer<M> {
-    /// Wraps a measurer with a call counter.
-    pub fn new(inner: M) -> Self {
-        CountingMeasurer { inner, calls: Mutex::new(0) }
-    }
-
-    /// Total number of `ipc` calls made through the wrapper.
-    pub fn calls(&self) -> usize {
-        *self.calls.lock().unwrap()
-    }
-
-    /// Consumes the wrapper and returns the inner measurer.
-    pub fn into_inner(self) -> M {
-        self.inner
-    }
-}
-
-impl<M: Measurer> Measurer for CountingMeasurer<M> {
-    fn ipc(&self, kernel: &Microkernel) -> f64 {
-        *self.calls.lock().unwrap() += 1;
-        self.inner.ipc(kernel)
-    }
-
-    fn instructions(&self) -> &InstructionSet {
-        self.inner.instructions()
-    }
-
-    fn measurement_count(&self) -> usize {
-        self.calls()
     }
 }
 
@@ -349,16 +336,33 @@ mod tests {
     }
 
     #[test]
-    fn counting_measurer_counts_every_call() {
-        let machine = presets::paper_ports016();
-        let map = Arc::new(machine.mapping());
-        let insts = map.instructions_arc();
-        let m = CountingMeasurer::new(AnalyticMeasurer::new(map));
-        let addss = insts.find("ADDSS").unwrap();
-        let k = Microkernel::single(addss);
-        let _ = m.ipc(&k);
-        let _ = m.ipc(&k);
-        assert_eq!(m.calls(), 2);
+    fn parallel_memo_lookups_count_each_kernel_once_and_return_inner_values() {
+        let preset = presets::skl_sp(&palmed_isa::InventoryConfig::small());
+        let ids: Vec<_> = preset.instructions.ids().collect();
+        let inner =
+            AnalyticMeasurer::with_noise(preset.mapping_arc(), MeasurementNoise::realistic(5));
+        // 4,000 lookups over a few hundred distinct kernels, in an order that
+        // spreads the repeats over both halves of the parallel map.
+        let kernels: Vec<Microkernel> = (0..4000usize)
+            .map(|i| {
+                let j = i * 7919 % 331;
+                let (a, b) = (ids[j % ids.len()], ids[j * 31 % ids.len()]);
+                Microkernel::pair(a, 1 + (j % 3) as u32, b, 1)
+            })
+            .collect();
+        let distinct: std::collections::HashSet<&Microkernel> = kernels.iter().collect();
+        assert!(distinct.len() < kernels.len() / 10, "the list must repeat heavily");
+
+        let memo = MemoizingMeasurer::new(&inner);
+        let got = palmed_par::par_map(&kernels, |k| memo.ipc(k));
+        assert_eq!(memo.distinct_kernels(), distinct.len());
+        assert_eq!(memo.measurement_count(), distinct.len());
+        for (k, v) in kernels.iter().zip(got) {
+            assert_eq!(v.to_bits(), inner.ipc(k).to_bits(), "{k:?}");
+            assert_eq!(memo.ipc(k).to_bits(), v.to_bits());
+        }
+        // Cached lookups measure nothing new.
+        assert_eq!(memo.measurement_count(), distinct.len());
     }
 
     #[test]
