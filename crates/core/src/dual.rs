@@ -45,8 +45,7 @@ impl Default for DualOptions {
 /// distinct µOP port sets, the union of any two intersecting members is added
 /// until a fixed point is reached.
 pub fn nabla_closure(base: impl IntoIterator<Item = PortSet>) -> Vec<PortSet> {
-    let mut nabla: BTreeSet<PortSet> =
-        base.into_iter().filter(|s| !s.is_empty()).collect();
+    let mut nabla: BTreeSet<PortSet> = base.into_iter().filter(|s| !s.is_empty()).collect();
     loop {
         let mut additions = Vec::new();
         let members: Vec<PortSet> = nabla.iter().copied().collect();
@@ -94,9 +93,8 @@ pub fn dual_of(mapping: &DisjunctiveMapping, options: &DualOptions) -> Conjuncti
     let nabla = if options.full_power_set {
         full_power_set(machine.num_ports)
     } else {
-        let base = insts
-            .ids()
-            .flat_map(|i| mapping.uops(i).iter().map(|u| u.ports).collect::<Vec<_>>());
+        let base =
+            insts.ids().flat_map(|i| mapping.uops(i).iter().map(|u| u.ports).collect::<Vec<_>>());
         nabla_closure(base)
     };
 
@@ -168,8 +166,7 @@ mod tests {
         let preset = presets::paper_ports016();
         let map = preset.mapping();
         let dual = dual_of(&map, &DualOptions { include_front_end: false, full_power_set: false });
-        let names: Vec<&str> =
-            dual.resources().map(|r| dual.resource_name(r)).collect();
+        let names: Vec<&str> = dual.resources().map(|r| dual.resource_name(r)).collect();
         // Paper Fig. 1b: r0, r1, r6(-> port 2 here), r01, r06(->r02), r016(->r012)
         for expected in ["r0", "r1", "r2", "r01", "r02", "r012"] {
             assert!(names.contains(&expected), "missing {expected}, got {names:?}");
@@ -235,15 +232,12 @@ mod tests {
             }
             let t_disj = throughput::optimal_execution_time(&map, &k);
             let t_dual = dual.execution_time(&k);
-            assert!(
-                t_dual <= t_disj + 1e-9,
-                "dual overestimates: {t_dual} > {t_disj} for {k}"
-            );
+            assert!(t_dual <= t_disj + 1e-9, "dual overestimates: {t_dual} > {t_disj} for {k}");
         }
     }
 
     #[test]
-    fn power_set_dual_is_exact_on_small_machines(){
+    fn power_set_dual_is_exact_on_small_machines() {
         // Theorem A.1 (ii): with ∇ = all subsets the dual is exact.  The toy
         // machine has 2 ports, the pedagogical one 3 — both small enough.
         for preset in [presets::toy_two_port(), presets::paper_ports016()] {
@@ -271,7 +265,8 @@ mod tests {
     fn front_end_resource_is_included_when_requested() {
         let preset = presets::paper_ports016();
         let map = preset.mapping();
-        let with_fe = dual_of(&map, &DualOptions { include_front_end: true, full_power_set: false });
+        let with_fe =
+            dual_of(&map, &DualOptions { include_front_end: true, full_power_set: false });
         let without_fe =
             dual_of(&map, &DualOptions { include_front_end: false, full_power_set: false });
         assert_eq!(with_fe.num_resources(), without_fe.num_resources() + 1);

@@ -94,11 +94,7 @@ impl ShapeMapping {
 
     /// Instructions allowed to use resource `r`.
     pub fn users_of(&self, r: usize) -> Vec<InstId> {
-        self.allowed
-            .iter()
-            .filter(|(_, set)| set.contains(&r))
-            .map(|(&i, _)| i)
-            .collect()
+        self.allowed.iter().filter(|(_, set)| set.contains(&r)).map(|(&i, _)| i).collect()
     }
 
     fn push_kernel_if_new(&mut self, kernel: Microkernel, ipc: f64) -> bool {
@@ -292,8 +288,7 @@ pub fn shape_via_ilp<M: Measurer>(
             exists_zero(&mut problem, &format!("share_{k_idx}"), &exprs, big_m);
         } else {
             for &sat in &saturating {
-                let others: Vec<InstId> =
-                    kernel.instructions().filter(|&j| j != sat).collect();
+                let others: Vec<InstId> = kernel.instructions().filter(|&j| j != sat).collect();
                 let exprs: Vec<_> = (0..n_res)
                     .map(|r| {
                         let mut e =
@@ -558,8 +553,7 @@ mod tests {
     fn enrichment_adds_multi_instruction_benchmarks() {
         let (measurer, campaign, sel, _) = paper_setup();
         let shape = shape_via_cliques(&measurer, &campaign, &sel, &ShapeConfig::default());
-        let max_distinct =
-            shape.kernels.iter().map(|(k, _)| k.num_distinct()).max().unwrap_or(0);
+        let max_distinct = shape.kernels.iter().map(|(k, _)| k.num_distinct()).max().unwrap_or(0);
         assert!(max_distinct >= 3, "enrichment should create kernels mixing >= 3 instructions");
     }
 

@@ -66,7 +66,11 @@ struct BwpModel {
     kernel_usage: Vec<Vec<LinExpr>>,
 }
 
-fn build_model(shape: &ShapeMapping, kernels: &[(Microkernel, f64)], num_resources: usize) -> BwpModel {
+fn build_model(
+    shape: &ShapeMapping,
+    kernels: &[(Microkernel, f64)],
+    num_resources: usize,
+) -> BwpModel {
     let mut problem = Problem::new(Sense::Maximize);
     let mut edges = BTreeMap::new();
     for (&inst, allowed) in &shape.allowed {
@@ -338,7 +342,11 @@ mod tests {
         let sol = solve_bwp(&shape, &kernels, &BwpConfig::default()).unwrap();
         let m = &sol.mapping;
         // ADD saturates the shared resource at 1/2 per instance (IPC 2).
-        assert!((m.usage(add, crate::ResourceId(2)) - 0.5).abs() < 0.05, "{}", m.usage(add, crate::ResourceId(2)));
+        assert!(
+            (m.usage(add, crate::ResourceId(2)) - 0.5).abs() < 0.05,
+            "{}",
+            m.usage(add, crate::ResourceId(2))
+        );
         // BSR's bottleneck is its private resource with weight ~1.
         assert!(m.usage(bsr, crate::ResourceId(1)) > 0.9);
         // IMUL's bottleneck is its private resource with weight ~1.
@@ -369,8 +377,12 @@ mod tests {
         let (shape, kernels, ..) = toy_shape();
         let alternating = solve_bwp(&shape, &kernels, &BwpConfig::default()).unwrap();
         let exact = solve_bwp_exact(&shape, &kernels).unwrap();
-        assert!(exact.total_slack <= alternating.total_slack + 1e-4,
-            "exact {} vs alternating {}", exact.total_slack, alternating.total_slack);
+        assert!(
+            exact.total_slack <= alternating.total_slack + 1e-4,
+            "exact {} vs alternating {}",
+            exact.total_slack,
+            alternating.total_slack
+        );
     }
 
     #[test]

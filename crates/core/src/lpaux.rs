@@ -219,8 +219,8 @@ pub fn complete_mapping<M: Measurer + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::saturate::select_saturating_kernels;
     use crate::lp1::ShapeMapping;
+    use crate::saturate::select_saturating_kernels;
     use palmed_isa::Microkernel;
     use palmed_machine::{presets, AnalyticMeasurer, Measurer};
     use std::collections::BTreeSet;
@@ -269,13 +269,8 @@ mod tests {
     fn store_instruction_gets_mapped_and_predicts_well() {
         let (measurer, mut mapping, sat, insts) = toy_core();
         let store = insts.find("STORE").unwrap();
-        let outcome = map_instruction(
-            &measurer,
-            &mut mapping,
-            &sat,
-            store,
-            &CompletionConfig::default(),
-        );
+        let outcome =
+            map_instruction(&measurer, &mut mapping, &sat, store, &CompletionConfig::default());
         assert_eq!(outcome, CompletionOutcome::Mapped);
         assert!(mapping.supports(store));
         // STORE alone has IPC 1 (two µOPs, one per port); the completed

@@ -146,9 +146,8 @@ impl Palmed {
     ) -> PalmedResult {
         let insts = measurer.instructions();
         let config = &self.config;
-        let compatible = |a: InstId, b: InstId| {
-            insts.desc(a).extension.compatible_with(insts.desc(b).extension)
-        };
+        let compatible =
+            |a: InstId, b: InstId| insts.desc(a).extension.compatible_with(insts.desc(b).extension);
 
         let mut bench_time = std::time::Duration::ZERO;
         let mut lp_time = std::time::Duration::ZERO;
@@ -201,10 +200,7 @@ impl Palmed {
         // the very-basic / greedy split is preserved per extension.
         let combined_selection = Selection {
             basic: combined_basic.clone(),
-            very_basic: selections
-                .iter()
-                .flat_map(|(_, s)| s.very_basic.iter().copied())
-                .collect(),
+            very_basic: selections.iter().flat_map(|(_, s)| s.very_basic.iter().copied()).collect(),
             most_greedy: selections
                 .iter()
                 .flat_map(|(_, s)| s.most_greedy.iter().copied())
@@ -225,25 +221,16 @@ impl Palmed {
             .expect("the BWP relaxation is always feasible");
         drop(lp2_span);
         let mut mapping = bwp.mapping;
-        let saturating =
-            select_saturating_kernels(&mapping, &shape, config.saturation_threshold);
+        let saturating = select_saturating_kernels(&mapping, &shape, config.saturation_threshold);
         lp_time += start.elapsed();
 
         // ---- Phase 3: complete mapping (LPAUX). ----
         let start = Instant::now();
         let lpaux_span = palmed_obs::span("trainer.lpaux");
-        let remaining: Vec<InstId> = instructions
-            .iter()
-            .copied()
-            .filter(|i| !mapping.supports(*i))
-            .collect();
-        let outcomes = complete_mapping(
-            measurer,
-            &mut mapping,
-            &saturating,
-            &remaining,
-            &config.completion,
-        );
+        let remaining: Vec<InstId> =
+            instructions.iter().copied().filter(|i| !mapping.supports(*i)).collect();
+        let outcomes =
+            complete_mapping(measurer, &mut mapping, &saturating, &remaining, &config.completion);
         benchmarks += remaining.len() * saturating.num_saturated();
         let mut skipped = Vec::new();
         for (inst, outcome) in outcomes {
@@ -298,10 +285,7 @@ fn name_resources<M: Measurer>(mapping: &mut ConjunctiveMapping, measurer: &M) {
             }
         }
         if let Some((inst, _)) = best {
-            let users = mapping
-                .instructions()
-                .filter(|&i| mapping.usage(i, r) > 1e-9)
-                .count();
+            let users = mapping.instructions().filter(|&i| mapping.usage(i, r) > 1e-9).count();
             mapping.set_resource_name(r, format!("R{}_{}x{}", r.index(), insts.name(inst), users));
         }
     }

@@ -33,8 +33,7 @@ pub trait ThroughputPredictor {
         if total == 0 {
             return 0.0;
         }
-        let supported: u32 =
-            kernel.iter().filter(|&(i, _)| self.supports(i)).map(|(_, c)| c).sum();
+        let supported: u32 = kernel.iter().filter(|&(i, _)| self.supports(i)).map(|(_, c)| c).sum();
         supported as f64 / total as f64
     }
 }

@@ -104,9 +104,13 @@ mod tests {
     #[test]
     fn display_contains_table_ii_fields() {
         let text = sample().to_string();
-        for needle in
-            ["Benchmarking time", "LP solving time", "Gen. microbenchmarks", "Resources found", "Instructions mapped"]
-        {
+        for needle in [
+            "Benchmarking time",
+            "LP solving time",
+            "Gen. microbenchmarks",
+            "Resources found",
+            "Instructions mapped",
+        ] {
             assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
         }
     }

@@ -40,8 +40,7 @@ impl SaturatingKernels {
 /// candidate with the *lowest* consumption, i.e. the one that disturbs other
 /// resources the least (`cons(K)` in the paper).
 pub fn consumption(mapping: &ConjunctiveMapping, kernel: &Microkernel) -> f64 {
-    let total: f64 =
-        kernel.iter().map(|(i, c)| c as f64 * mapping.consumption(i)).sum();
+    let total: f64 = kernel.iter().map(|(i, c)| c as f64 * mapping.consumption(i)).sum();
     total / kernel.total_instructions().max(1) as f64
 }
 
@@ -79,10 +78,8 @@ pub fn select_saturating_kernels(
             // Fall back: build a kernel from the users of the resource,
             // weighted by how much of it each uses (heavier users repeated
             // more to reach saturation quickly).
-            let users: Vec<_> = mapping
-                .instructions()
-                .filter(|&i| mapping.usage(i, r) > 1e-9)
-                .collect();
+            let users: Vec<_> =
+                mapping.instructions().filter(|&i| mapping.usage(i, r) > 1e-9).collect();
             if users.is_empty() {
                 continue;
             }

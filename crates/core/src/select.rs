@@ -191,12 +191,8 @@ pub fn select_basic_instructions(
     }
     selection.most_greedy = most_greedy;
 
-    selection.basic = selection
-        .very_basic
-        .iter()
-        .chain(selection.most_greedy.iter())
-        .copied()
-        .collect();
+    selection.basic =
+        selection.very_basic.iter().chain(selection.most_greedy.iter()).copied().collect();
     selection
 }
 
@@ -250,7 +246,8 @@ mod tests {
     fn low_ipc_instructions_are_deferred() {
         let preset = presets::skl_sp(&palmed_isa::InventoryConfig::small());
         let measurer = AnalyticMeasurer::new(preset.mapping_arc());
-        let ids: Vec<InstId> = preset.instructions.ids_with_extension(palmed_isa::Extension::BaseIsa);
+        let ids: Vec<InstId> =
+            preset.instructions.ids_with_extension(palmed_isa::Extension::BaseIsa);
         let campaign =
             QuadraticCampaign::run(&measurer, &ids, QuadraticConfig::default(), |_, _| true);
         let sel = select_basic_instructions(&campaign, &ids, &SelectionConfig::default());
@@ -276,11 +273,8 @@ mod tests {
         let sel = select_basic_instructions(&campaign, &ids, &SelectionConfig::default());
         // ADD/SUB/XOR form one class; BSR and JMP their own.
         assert_eq!(sel.representatives.len(), 3, "classes: {:?}", sel.classes);
-        let alu_class = sel
-            .classes
-            .iter()
-            .find(|c| c.contains(&add))
-            .expect("ADD belongs to a class");
+        let alu_class =
+            sel.classes.iter().find(|c| c.contains(&add)).expect("ADD belongs to a class");
         assert!(alu_class.contains(&sub) && alu_class.contains(&xor));
     }
 
@@ -322,7 +316,8 @@ mod tests {
             representatives.iter().map(|&a| (a, disjoint_set(a))).collect();
         let mut vb_order: Vec<usize> = (0..dj.len()).collect();
         vb_order.sort_by(|&x, &y| {
-            dj[y].1
+            dj[y]
+                .1
                 .len()
                 .cmp(&dj[x].1.len())
                 .then_with(|| {
