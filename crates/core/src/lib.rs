@@ -31,6 +31,44 @@
 //!   implementation of it, shared with the baseline tools.
 //! * [`report`] — mapping statistics (the data behind Table II).
 //!
+//! # Parameters
+//!
+//! The one setting of a run is [`PalmedConfig::target_count`], the number of
+//! basic instructions per ISA extension (`n` of Algorithm 1): 5 in
+//! [`PalmedConfig::small`], 6 in [`PalmedConfig::evaluation`].  Every other
+//! parameter is a constant of the phase that reads it:
+//!
+//! | Constant | Value | Paper | Read by |
+//! |---|---|---|---|
+//! | [`quadratic::MIN_IPC`] | 0.05 | IPC cut-off, Sec. VI-A | quadratic campaign, LPAUX |
+//! | [`quadratic::COEFFICIENT_TOLERANCE`] | 0.05 | rounding of IPC proportions | quadratic campaign, LP1 enrichment, saturating-kernel fallback |
+//! | [`quadratic::MAX_KERNEL_SIZE`] | 64 | — (kernel body cap) | quadratic campaign, LP1 enrichment, saturating-kernel fallback |
+//! | [`quadratic::ASYMMETRIC_REPEAT`] | 4 | `M` of `a^M b` | LP1 seed benchmarks |
+//! | [`quadratic::DISJOINT_TOLERANCE`] | 0.05 | disjointness, Sec. V-A | selection step 3, LP1 |
+//! | [`select::LOW_IPC_EPSILON`] | 0.05 | `ε` of Algorithm 1 | selection step 1 |
+//! | [`select::CLUSTER_EPSILON`] | 0.08 | equivalence classes of Algorithm 1 | selection step 2 |
+//! | [`lp1::ILP_SIZE_LIMIT`] | 3 | Algorithm 3 † | LP1 |
+//! | [`lp1::SATURATING_TOLERANCE`] | 0.05 | saturating instructions of Algorithm 3 | LP1 |
+//! | [`lp1::MAX_ENRICHMENT_ROUNDS`] | 4 | enrichment of Algorithm 2 † | LP1 |
+//! | [`lp2::MAX_ROUNDS`] | 8 | Algorithm 4 † | LP2 |
+//! | [`lp2::SLACK_TOLERANCE`] | 1e-6 | Algorithm 4 † | LP2 |
+//! | [`saturate::SATURATION_THRESHOLD`] | 0.95 | saturation, paper: 1 † | saturating kernels |
+//! | [`lpaux::SATURATING_REPEAT`] | 4 | `L` of `K_sat`, Algorithm 5 | LPAUX |
+//!
+//! † differs from the paper, for cost or robustness:
+//!
+//! * the paper solves the shape ILP at every size; here it runs only on basic
+//!   sets of at most 3 instructions and the clique search, which encodes the
+//!   same constraints, takes the larger ones, whose branch and bound grows
+//!   exponentially;
+//! * the paper enriches until no new benchmark appears; 4 rounds bound the
+//!   loop;
+//! * the paper solves the BWP as one MILP; the default LP2 path alternates
+//!   at most 8 LP rounds and stops when the slack no longer drops by 1e-6
+//!   ([`lp2::solve_bwp_exact`] keeps the MILP);
+//! * the paper requires a usage of exactly 1 to call a benchmark saturating;
+//!   0.95 keeps measurement noise from leaving a resource without one.
+//!
 //! # Quickstart
 //!
 //! ```

@@ -34,7 +34,7 @@
 //! their IPC) is generated, measured and fed back until no new benchmark
 //! appears.
 
-use crate::quadratic::QuadraticCampaign;
+use crate::quadratic::{QuadraticCampaign, COEFFICIENT_TOLERANCE, MAX_KERNEL_SIZE};
 use crate::select::Selection;
 use palmed_isa::{InstId, Microkernel};
 use palmed_lp::minimax::exists_zero;
@@ -46,32 +46,12 @@ use std::collections::{BTreeMap, BTreeSet};
 /// exact ILP; larger ones from the constructive clique search.
 pub const ILP_SIZE_LIMIT: usize = 3;
 
-/// Configuration of the shape-discovery phase.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShapeConfig {
-    /// Upper bound on the number of abstract resources the ILP may use.
-    pub max_resources: usize,
-    /// Relative tolerance when testing disjointness / saturation.
-    pub tolerance: f64,
-    /// Maximum number of enrichment iterations.
-    pub max_enrichment_rounds: usize,
-    /// Relative rounding tolerance for generated benchmark coefficients.
-    pub coefficient_tolerance: f64,
-    /// Maximum size (instructions per iteration) of generated benchmarks.
-    pub max_kernel_size: u32,
-}
+/// Relative tolerance on execution time when deciding that an instruction
+/// saturates a benchmark.
+pub const SATURATING_TOLERANCE: f64 = 0.05;
 
-impl Default for ShapeConfig {
-    fn default() -> Self {
-        ShapeConfig {
-            max_resources: 12,
-            tolerance: 0.05,
-            max_enrichment_rounds: 4,
-            coefficient_tolerance: 0.05,
-            max_kernel_size: 64,
-        }
-    }
-}
+/// Maximum number of enrichment rounds.
+pub const MAX_ENRICHMENT_ROUNDS: usize = 4;
 
 /// The discovered shape: which instruction may use which resource, plus the
 /// benchmark set accumulated along the way (reused by LP2).
@@ -146,7 +126,6 @@ fn saturating_instructions(
     campaign: &QuadraticCampaign,
     kernel: &Microkernel,
     kernel_ipc: f64,
-    tolerance: f64,
 ) -> Vec<InstId> {
     if kernel_ipc <= 0.0 {
         return Vec::new();
@@ -158,7 +137,7 @@ fn saturating_instructions(
             campaign.single_ipc(inst).is_some_and(|ipc| {
                 ipc > 0.0 && {
                     let t_inst = count as f64 / ipc;
-                    (t_inst - t_kernel).abs() <= tolerance * t_kernel
+                    (t_inst - t_kernel).abs() <= SATURATING_TOLERANCE * t_kernel
                 }
             })
         })
@@ -166,7 +145,8 @@ fn saturating_instructions(
         .collect()
 }
 
-/// The faithful ILP of Algorithm 3.
+/// The faithful ILP of Algorithm 3, with up to two resources per basic
+/// instruction.
 ///
 /// # Errors
 ///
@@ -177,11 +157,10 @@ pub fn shape_via_ilp<M: Measurer>(
     measurer: &M,
     campaign: &QuadraticCampaign,
     selection: &Selection,
-    config: &ShapeConfig,
 ) -> Result<ShapeMapping, palmed_lp::LpError> {
     let basic = &selection.basic;
     let kernels = seed_kernels(measurer, campaign, basic);
-    let n_res = config.max_resources.min(2 * basic.len().max(1));
+    let n_res = 2 * basic.len().max(1);
 
     let mut problem = Problem::new(Sense::Minimize);
     // rho[i][r]: instruction i may use resource r.
@@ -235,11 +214,8 @@ pub fn shape_via_ilp<M: Measurer>(
             continue;
         }
         let ii = index_of(i);
-        let partners: Vec<InstId> = basic
-            .iter()
-            .copied()
-            .filter(|&j| j != i && !campaign.are_disjoint(i, j, config.tolerance))
-            .collect();
+        let partners: Vec<InstId> =
+            basic.iter().copied().filter(|&j| j != i && !campaign.are_disjoint(i, j)).collect();
         if partners.is_empty() {
             continue;
         }
@@ -271,7 +247,7 @@ pub fn shape_via_ilp<M: Measurer>(
         if kernel.num_distinct() < 2 {
             continue;
         }
-        let saturating = saturating_instructions(campaign, kernel, *ipc, config.tolerance);
+        let saturating = saturating_instructions(campaign, kernel, *ipc);
         if saturating.is_empty() {
             // All instructions of the kernel share a resource.
             let members: Vec<InstId> = kernel.instructions().collect();
@@ -331,7 +307,7 @@ pub fn shape_via_ilp<M: Measurer>(
             .collect();
         shape.allowed.insert(inst, set);
     }
-    enrich(measurer, campaign, &mut shape, config);
+    enrich(measurer, campaign, &mut shape);
     Ok(shape)
 }
 
@@ -346,7 +322,6 @@ pub fn shape_via_cliques<M: Measurer>(
     measurer: &M,
     campaign: &QuadraticCampaign,
     selection: &Selection,
-    config: &ShapeConfig,
 ) -> ShapeMapping {
     let basic = &selection.basic;
     let kernels = seed_kernels(measurer, campaign, basic);
@@ -359,7 +334,7 @@ pub fn shape_via_cliques<M: Measurer>(
     }
 
     // Non-disjointness graph over all basic instructions.
-    let interferes = |a: InstId, b: InstId| !campaign.are_disjoint(a, b, config.tolerance);
+    let interferes = |a: InstId, b: InstId| !campaign.are_disjoint(a, b);
     // Enumerate maximal cliques with a simple Bron–Kerbosch (basic sets are
     // small: |I_B| is a few tens at most).
     let mut cliques: Vec<BTreeSet<InstId>> = Vec::new();
@@ -386,7 +361,7 @@ pub fn shape_via_cliques<M: Measurer>(
             .collect();
         shape.allowed.insert(i, set);
     }
-    enrich(measurer, campaign, &mut shape, config);
+    enrich(measurer, campaign, &mut shape);
     shape
 }
 
@@ -397,27 +372,21 @@ pub fn discover_shape<M: Measurer>(
     measurer: &M,
     campaign: &QuadraticCampaign,
     selection: &Selection,
-    config: &ShapeConfig,
 ) -> ShapeMapping {
     if selection.basic.len() <= ILP_SIZE_LIMIT {
-        match shape_via_ilp(measurer, campaign, selection, config) {
+        match shape_via_ilp(measurer, campaign, selection) {
             Ok(shape) if shape.num_resources > 0 => return shape,
             _ => {}
         }
     }
-    shape_via_cliques(measurer, campaign, selection, config)
+    shape_via_cliques(measurer, campaign, selection)
 }
 
 /// Enrichment loop of Algorithm 2: for every resource, benchmark all its
 /// users together (weighted by their IPC) and add the result to the kernel
 /// set; repeat until no new benchmark appears.
-fn enrich<M: Measurer>(
-    measurer: &M,
-    campaign: &QuadraticCampaign,
-    shape: &mut ShapeMapping,
-    config: &ShapeConfig,
-) {
-    for _ in 0..config.max_enrichment_rounds {
+fn enrich<M: Measurer>(measurer: &M, campaign: &QuadraticCampaign, shape: &mut ShapeMapping) {
+    for _ in 0..MAX_ENRICHMENT_ROUNDS {
         let mut added = false;
         for r in 0..shape.num_resources {
             let users = shape.users_of(r);
@@ -426,8 +395,8 @@ fn enrich<M: Measurer>(
             }
             let kernel = Microkernel::from_proportions(
                 users.iter().map(|&i| (i, campaign.single_ipc(i).unwrap_or(1.0))),
-                config.coefficient_tolerance,
-                config.max_kernel_size,
+                COEFFICIENT_TOLERANCE,
+                MAX_KERNEL_SIZE,
             );
             if kernel.is_empty() {
                 continue;
@@ -471,8 +440,7 @@ fn bron_kerbosch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quadratic::QuadraticConfig;
-    use crate::select::{select_basic_instructions, SelectionConfig};
+    use crate::select::select_basic_instructions;
     use palmed_machine::{presets, AnalyticMeasurer, MemoizingMeasurer};
 
     fn paper_setup() -> (
@@ -484,20 +452,15 @@ mod tests {
         let preset = presets::paper_ports016();
         let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
         let ids: Vec<InstId> = preset.instructions.ids().collect();
-        let campaign =
-            QuadraticCampaign::run(&measurer, &ids, QuadraticConfig::default(), |_, _| true);
-        let sel = select_basic_instructions(
-            &campaign,
-            &ids,
-            &SelectionConfig { target_count: 5, ..SelectionConfig::default() },
-        );
+        let campaign = QuadraticCampaign::run(&measurer, &ids, |_, _| true);
+        let sel = select_basic_instructions(&campaign, &ids, 5);
         (measurer, campaign, sel, preset.instructions)
     }
 
     #[test]
     fn constructive_shape_covers_every_basic_instruction() {
         let (measurer, campaign, sel, _) = paper_setup();
-        let shape = shape_via_cliques(&measurer, &campaign, &sel, &ShapeConfig::default());
+        let shape = shape_via_cliques(&measurer, &campaign, &sel);
         for &i in &sel.basic {
             assert!(
                 !shape.allowed_resources(i).is_empty(),
@@ -510,7 +473,7 @@ mod tests {
     #[test]
     fn constructive_shape_finds_the_paper_resources() {
         let (measurer, campaign, sel, insts) = paper_setup();
-        let shape = shape_via_cliques(&measurer, &campaign, &sel, &ShapeConfig::default());
+        let shape = shape_via_cliques(&measurer, &campaign, &sel);
         // The paper finds 6 resources for this machine (r0, r1, r6, r01, r06,
         // r016); the constructive shape finds the private ones plus the
         // pairwise-interference cliques — at least 5, at most 8.
@@ -552,7 +515,7 @@ mod tests {
     #[test]
     fn enrichment_adds_multi_instruction_benchmarks() {
         let (measurer, campaign, sel, _) = paper_setup();
-        let shape = shape_via_cliques(&measurer, &campaign, &sel, &ShapeConfig::default());
+        let shape = shape_via_cliques(&measurer, &campaign, &sel);
         let max_distinct = shape.kernels.iter().map(|(k, _)| k.num_distinct()).max().unwrap_or(0);
         assert!(max_distinct >= 3, "enrichment should create kernels mixing >= 3 instructions");
     }
@@ -568,15 +531,9 @@ mod tests {
         let bsr = preset.instructions.find("BSR").unwrap();
         let imul = preset.instructions.find("IMUL").unwrap();
         let ids = vec![add, bsr, imul];
-        let campaign =
-            QuadraticCampaign::run(&measurer, &ids, QuadraticConfig::default(), |_, _| true);
-        let sel = select_basic_instructions(
-            &campaign,
-            &ids,
-            &SelectionConfig { target_count: 3, ..SelectionConfig::default() },
-        );
-        let config = ShapeConfig { max_resources: 5, ..ShapeConfig::default() };
-        let shape = shape_via_ilp(&measurer, &campaign, &sel, &config).expect("ILP solvable");
+        let campaign = QuadraticCampaign::run(&measurer, &ids, |_, _| true);
+        let sel = select_basic_instructions(&campaign, &ids, 3);
+        let shape = shape_via_ilp(&measurer, &campaign, &sel).expect("ILP solvable");
         // Under a finite branch-and-bound budget the incumbent may not be the
         // minimum-resource shape, but it must be a *valid* shape: every basic
         // instruction keeps at least one resource, and the very-basic
@@ -600,7 +557,7 @@ mod tests {
     fn auto_strategy_falls_back_to_cliques_for_larger_sets() {
         let (measurer, campaign, sel, _) = paper_setup();
         // 5 basic instructions > ILP_SIZE_LIMIT of 3 -> constructive path.
-        let shape = discover_shape(&measurer, &campaign, &sel, &ShapeConfig::default());
+        let shape = discover_shape(&measurer, &campaign, &sel);
         assert!(shape.num_resources > 0);
     }
 }

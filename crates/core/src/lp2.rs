@@ -30,20 +30,12 @@ use palmed_lp::minimax::exact_max;
 use palmed_lp::{LinExpr, LpError, MilpOptions, Problem, Sense, VarId};
 use std::collections::BTreeMap;
 
-/// Configuration of the weight-assignment phase.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BwpConfig {
-    /// Maximum number of alternating rounds.
-    pub max_rounds: usize,
-    /// Convergence tolerance on the objective between rounds.
-    pub tolerance: f64,
-}
+/// Maximum number of alternating rounds of [`solve_bwp`].
+pub const MAX_ROUNDS: usize = 8;
 
-impl Default for BwpConfig {
-    fn default() -> Self {
-        BwpConfig { max_rounds: 8, tolerance: 1e-6 }
-    }
-}
+/// Smallest drop of the total slack that counts as an improvement between
+/// rounds.
+pub const SLACK_TOLERANCE: f64 = 1e-6;
 
 /// Result of the weight assignment.
 #[derive(Debug, Clone)]
@@ -130,7 +122,6 @@ fn extract_mapping(
 pub fn solve_bwp(
     shape: &ShapeMapping,
     kernels: &[(Microkernel, f64)],
-    config: &BwpConfig,
 ) -> Result<BwpSolution, LpError> {
     let num_resources = shape.num_resources;
     if num_resources == 0 || kernels.is_empty() {
@@ -167,7 +158,7 @@ pub fn solve_bwp(
         .collect();
 
     let mut best: Option<BwpSolution> = None;
-    for _ in 0..config.max_rounds {
+    for _ in 0..MAX_ROUNDS {
         palmed_obs::counter!("trainer.lp2.rounds").inc();
         // For a fixed choice of saturating resource per kernel, the LP
         // decomposes by resource: the variables `ρ_{i,r}` of resource `r`
@@ -254,7 +245,7 @@ pub fn solve_bwp(
             }
             mapping.set_usage(inst, usage);
         }
-        let improved = best.as_ref().is_none_or(|b| total_slack < b.total_slack - config.tolerance);
+        let improved = best.as_ref().is_none_or(|b| total_slack < b.total_slack - SLACK_TOLERANCE);
         let next_chosen: Vec<usize> = kernels
             .iter()
             .map(|(kernel, ipc)| {
@@ -339,7 +330,7 @@ mod tests {
     #[test]
     fn alternating_bwp_recovers_sensible_weights() {
         let (shape, kernels, add, bsr, imul) = toy_shape();
-        let sol = solve_bwp(&shape, &kernels, &BwpConfig::default()).unwrap();
+        let sol = solve_bwp(&shape, &kernels).unwrap();
         let m = &sol.mapping;
         // ADD saturates the shared resource at 1/2 per instance (IPC 2).
         assert!(
@@ -364,7 +355,7 @@ mod tests {
     #[test]
     fn saturations_never_exceed_one() {
         let (shape, kernels, ..) = toy_shape();
-        let sol = solve_bwp(&shape, &kernels, &BwpConfig::default()).unwrap();
+        let sol = solve_bwp(&shape, &kernels).unwrap();
         for &s in &sol.saturation {
             assert!(s <= 1.0 + 1e-6);
             assert!(s >= 0.0);
@@ -375,7 +366,7 @@ mod tests {
     #[test]
     fn exact_bwp_is_at_least_as_good_as_alternating() {
         let (shape, kernels, ..) = toy_shape();
-        let alternating = solve_bwp(&shape, &kernels, &BwpConfig::default()).unwrap();
+        let alternating = solve_bwp(&shape, &kernels).unwrap();
         let exact = solve_bwp_exact(&shape, &kernels).unwrap();
         assert!(
             exact.total_slack <= alternating.total_slack + 1e-4,
@@ -388,7 +379,7 @@ mod tests {
     #[test]
     fn empty_inputs_are_handled() {
         let shape = ShapeMapping::default();
-        let sol = solve_bwp(&shape, &[], &BwpConfig::default()).unwrap();
+        let sol = solve_bwp(&shape, &[]).unwrap();
         assert_eq!(sol.saturation.len(), 0);
         assert_eq!(sol.mapping.num_instructions(), 0);
     }

@@ -16,69 +16,40 @@
 //! PMEvo's global evolutionary search takes days.
 
 use crate::conjunctive::ConjunctiveMapping;
+use crate::quadratic::MIN_IPC;
 use crate::saturate::SaturatingKernels;
 use palmed_isa::{InstId, Microkernel};
 use palmed_lp::{revised, Basis, LinExpr, LpError, Problem, Sense};
 use palmed_machine::Measurer;
 use palmed_par::par_map;
 
-/// Configuration of the per-instruction completion.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompletionConfig {
-    /// The `L` of `K_sat(i, r) = i i sat[r]^L sat[r]` (paper: 4).
-    pub saturating_repeat: u32,
-    /// Instructions with measured IPC below this threshold are skipped
-    /// entirely (not benchmarkable / not interesting; paper: 0.05).
-    pub min_ipc: f64,
-    /// Maximum instructions per generated benchmark iteration.
-    pub max_kernel_size: u32,
-}
-
-impl Default for CompletionConfig {
-    fn default() -> Self {
-        CompletionConfig { saturating_repeat: 4, min_ipc: 0.05, max_kernel_size: 256 }
-    }
-}
+/// The `L` of `K_sat(i, r) = i i sat[r]^L sat[r]` (paper: 4).
+pub const SATURATING_REPEAT: u32 = 4;
 
 /// Outcome of mapping a single instruction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompletionOutcome {
     /// The instruction was added to the mapping.
     Mapped,
-    /// The instruction was skipped (below the IPC threshold).
+    /// The instruction was skipped (below [`MIN_IPC`]).
     SkippedLowIpc(f64),
     /// The LP could not be solved; the instruction stays unmapped.
     Failed(LpError),
 }
 
 /// The `K_sat(i, r)` benchmark of Algorithm 5.
-pub fn completion_kernel(
-    inst: InstId,
-    inst_ipc: f64,
-    sat: &Microkernel,
-    config: &CompletionConfig,
-) -> Microkernel {
+pub fn completion_kernel(inst: InstId, inst_ipc: f64, sat: &Microkernel) -> Microkernel {
     let mut kernel = Microkernel::new();
     let reps = inst_ipc.round().max(1.0) as u32;
     kernel.add(inst, reps);
-    kernel.merge(&sat.scaled(config.saturating_repeat + 1));
+    kernel.merge(&sat.scaled(SATURATING_REPEAT + 1));
     kernel
 }
 
 /// Maps one instruction against the frozen core mapping, mutating `mapping`
 /// on success.
-pub fn map_instruction<M: Measurer>(
-    measurer: &M,
-    mapping: &mut ConjunctiveMapping,
-    saturating: &SaturatingKernels,
-    inst: InstId,
-    config: &CompletionConfig,
-) -> CompletionOutcome {
-    map_instruction_warm(measurer, mapping, saturating, inst, config, &mut None)
-}
-
-/// [`map_instruction`] with an explicit warm-start slot.
 ///
+/// `warm` is a warm-start slot: pass `&mut None` for a cold solve.
 /// Consecutive completion LPs share their structure — same `|R|` unknowns,
 /// same constraint layout, only the measured coefficients differ — so
 /// [`complete_mapping`] threads the previous instruction's optimal [`Basis`]
@@ -89,14 +60,13 @@ pub fn map_instruction_warm<M: Measurer>(
     mapping: &mut ConjunctiveMapping,
     saturating: &SaturatingKernels,
     inst: InstId,
-    config: &CompletionConfig,
     warm: &mut Option<Basis>,
 ) -> CompletionOutcome {
     if mapping.supports(inst) {
         return CompletionOutcome::Mapped;
     }
     let inst_ipc = measurer.ipc(&Microkernel::single(inst));
-    if inst_ipc < config.min_ipc {
+    if inst_ipc < MIN_IPC {
         return CompletionOutcome::SkippedLowIpc(inst_ipc);
     }
 
@@ -122,7 +92,7 @@ pub fn map_instruction_warm<M: Measurer>(
         let Some(sat_kernel) = saturating.kernels.get(r).and_then(Option::as_ref) else {
             continue;
         };
-        let kernel = completion_kernel(inst, inst_ipc, sat_kernel, config);
+        let kernel = completion_kernel(inst, inst_ipc, sat_kernel);
         let ipc = measurer.ipc(&kernel);
         if ipc <= 0.0 {
             continue;
@@ -193,15 +163,14 @@ pub fn complete_mapping<M: Measurer + Sync>(
     mapping: &mut ConjunctiveMapping,
     saturating: &SaturatingKernels,
     instructions: &[InstId],
-    config: &CompletionConfig,
 ) -> Vec<(InstId, CompletionOutcome)> {
     let unsupported: Vec<InstId> =
         instructions.iter().copied().filter(|&inst| !mapping.supports(inst)).collect();
     par_map(&unsupported, |&inst| {
         let inst_ipc = measurer.ipc(&Microkernel::single(inst));
-        if inst_ipc >= config.min_ipc {
+        if inst_ipc >= MIN_IPC {
             for sat in saturating.kernels.iter().flatten() {
-                measurer.ipc(&completion_kernel(inst, inst_ipc, sat, config));
+                measurer.ipc(&completion_kernel(inst, inst_ipc, sat));
             }
         }
     });
@@ -210,9 +179,7 @@ pub fn complete_mapping<M: Measurer + Sync>(
     let mut warm: Option<Basis> = None;
     instructions
         .iter()
-        .map(|&inst| {
-            (inst, map_instruction_warm(measurer, mapping, saturating, inst, config, &mut warm))
-        })
+        .map(|&inst| (inst, map_instruction_warm(measurer, mapping, saturating, inst, &mut warm)))
         .collect()
 }
 
@@ -253,14 +220,14 @@ mod tests {
             (Microkernel::single(bsr), measurer.ipc(&Microkernel::single(bsr))),
             (Microkernel::single(imul), measurer.ipc(&Microkernel::single(imul))),
         ];
-        let sat = select_saturating_kernels(&mapping, &shape, 0.95);
+        let sat = select_saturating_kernels(&mapping, &shape);
         (measurer, mapping, sat, insts)
     }
 
     #[test]
     fn completion_kernel_has_expected_shape() {
         let sat = Microkernel::single(InstId(7));
-        let k = completion_kernel(InstId(3), 2.0, &sat, &CompletionConfig::default());
+        let k = completion_kernel(InstId(3), 2.0, &sat);
         assert_eq!(k.multiplicity(InstId(3)), 2);
         assert_eq!(k.multiplicity(InstId(7)), 5); // L + 1 = 5 copies of sat
     }
@@ -269,8 +236,7 @@ mod tests {
     fn store_instruction_gets_mapped_and_predicts_well() {
         let (measurer, mut mapping, sat, insts) = toy_core();
         let store = insts.find("STORE").unwrap();
-        let outcome =
-            map_instruction(&measurer, &mut mapping, &sat, store, &CompletionConfig::default());
+        let outcome = map_instruction_warm(&measurer, &mut mapping, &sat, store, &mut None);
         assert_eq!(outcome, CompletionOutcome::Mapped);
         assert!(mapping.supports(store));
         // STORE alone has IPC 1 (two µOPs, one per port); the completed
@@ -297,8 +263,7 @@ mod tests {
         let (measurer, mut mapping, sat, insts) = toy_core();
         let add = insts.find("ADD").unwrap();
         let before = mapping.usage_vector(add).unwrap().to_vec();
-        let outcome =
-            map_instruction(&measurer, &mut mapping, &sat, add, &CompletionConfig::default());
+        let outcome = map_instruction_warm(&measurer, &mut mapping, &sat, add, &mut None);
         assert_eq!(outcome, CompletionOutcome::Mapped);
         assert_eq!(mapping.usage_vector(add).unwrap(), before.as_slice());
     }
@@ -307,8 +272,7 @@ mod tests {
     fn complete_mapping_processes_every_instruction() {
         let (measurer, mut mapping, sat, insts) = toy_core();
         let all: Vec<InstId> = insts.ids().collect();
-        let outcomes =
-            complete_mapping(&measurer, &mut mapping, &sat, &all, &CompletionConfig::default());
+        let outcomes = complete_mapping(&measurer, &mut mapping, &sat, &all);
         assert_eq!(outcomes.len(), all.len());
         assert!(outcomes.iter().all(|(_, o)| matches!(o, CompletionOutcome::Mapped)));
         assert!((mapping.coverage(&insts) - 1.0).abs() < 1e-9);

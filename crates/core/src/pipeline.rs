@@ -23,66 +23,38 @@
 //! no hardware counters — which is the paper's central constraint.
 
 use crate::conjunctive::ConjunctiveMapping;
-use crate::lp1::{discover_shape, ShapeConfig};
-use crate::lp2::{solve_bwp, BwpConfig};
-use crate::lpaux::{complete_mapping, CompletionConfig, CompletionOutcome};
+use crate::lp1::discover_shape;
+use crate::lp2::solve_bwp;
+use crate::lpaux::{complete_mapping, CompletionOutcome};
 use crate::predict::PalmedPredictor;
-use crate::quadratic::{QuadraticCampaign, QuadraticConfig};
+use crate::quadratic::QuadraticCampaign;
 use crate::report::MappingReport;
 use crate::saturate::{select_saturating_kernels, SaturatingKernels};
-use crate::select::{select_basic_instructions, Selection, SelectionConfig};
+use crate::select::{select_basic_instructions, Selection};
 use palmed_isa::{Extension, InstId};
 use palmed_machine::Measurer;
 use std::time::Instant;
 
-/// Configuration of a full inference run.
+/// Configuration of a full inference run.  Every other parameter is a
+/// constant of the phase that reads it (see the crate docs for the table).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PalmedConfig {
-    /// Quadratic-campaign settings (IPC threshold, rounding, `M`).
-    pub quadratic: QuadraticConfig,
-    /// Basic-instruction selection settings (per extension).
-    pub selection: SelectionConfig,
-    /// Shape-discovery settings (LP1).
-    pub shape: ShapeConfig,
-    /// Weight-assignment settings (LP2).
-    pub bwp: BwpConfig,
-    /// Per-instruction completion settings (LPAUX).
-    pub completion: CompletionConfig,
-    /// Minimum relative usage for a benchmark to count as saturating a
-    /// resource when picking saturating kernels.
-    pub saturation_threshold: f64,
-}
-
-impl Default for PalmedConfig {
-    fn default() -> Self {
-        PalmedConfig {
-            quadratic: QuadraticConfig::default(),
-            selection: SelectionConfig::default(),
-            shape: ShapeConfig::default(),
-            bwp: BwpConfig::default(),
-            completion: CompletionConfig::default(),
-            saturation_threshold: 0.95,
-        }
-    }
+    /// Target number of basic instructions per ISA extension (`n` of
+    /// Algorithm 1).
+    pub target_count: usize,
 }
 
 impl PalmedConfig {
     /// A configuration suited to small pedagogical machines: fewer basic
-    /// instructions, exhaustive strategies.
+    /// instructions.
     pub fn small() -> Self {
-        PalmedConfig {
-            selection: SelectionConfig { target_count: 5, ..SelectionConfig::default() },
-            ..PalmedConfig::default()
-        }
+        PalmedConfig { target_count: 5 }
     }
 
     /// A configuration suited to the full synthetic inventories of the
-    /// evaluation (larger basic set, constructive shape discovery).
+    /// evaluation (larger basic set).
     pub fn evaluation() -> Self {
-        PalmedConfig {
-            selection: SelectionConfig { target_count: 6, ..SelectionConfig::default() },
-            ..PalmedConfig::default()
-        }
+        PalmedConfig { target_count: 6 }
     }
 }
 
@@ -114,7 +86,7 @@ impl PalmedResult {
 }
 
 /// The Palmed inference driver.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Palmed {
     config: PalmedConfig,
 }
@@ -123,11 +95,6 @@ impl Palmed {
     /// Creates a driver with the given configuration.
     pub fn new(config: PalmedConfig) -> Self {
         Palmed { config }
-    }
-
-    /// The configuration of this driver.
-    pub fn config(&self) -> &PalmedConfig {
-        &self.config
     }
 
     /// Runs the full pipeline against `measurer` for every instruction of its
@@ -145,7 +112,6 @@ impl Palmed {
         instructions: &[InstId],
     ) -> PalmedResult {
         let insts = measurer.instructions();
-        let config = &self.config;
         let compatible =
             |a: InstId, b: InstId| insts.desc(a).extension.compatible_with(insts.desc(b).extension);
 
@@ -166,10 +132,10 @@ impl Palmed {
             if candidates.is_empty() {
                 continue;
             }
-            let campaign =
-                QuadraticCampaign::run(measurer, &candidates, config.quadratic, compatible);
+            let campaign = QuadraticCampaign::run(measurer, &candidates, compatible);
             benchmarks += campaign.num_benchmarks();
-            let selection = select_basic_instructions(&campaign, &candidates, &config.selection);
+            let selection =
+                select_basic_instructions(&campaign, &candidates, self.config.target_count);
             selections.push((extension, selection));
         }
         let combined_basic: Vec<InstId> =
@@ -193,8 +159,7 @@ impl Palmed {
 
         // ---- Phase 2: core mapping (LP1 shape + LP2 weights). ----
         let start = Instant::now();
-        let basic_campaign =
-            QuadraticCampaign::run(measurer, &combined_basic, config.quadratic, compatible);
+        let basic_campaign = QuadraticCampaign::run(measurer, &combined_basic, compatible);
         benchmarks += basic_campaign.num_benchmarks();
         // A combined selection view over the union of the per-extension sets:
         // the very-basic / greedy split is preserved per extension.
@@ -213,15 +178,14 @@ impl Palmed {
 
         let start = Instant::now();
         let lp1_span = palmed_obs::span("trainer.lp1");
-        let shape = discover_shape(measurer, &basic_campaign, &combined_selection, &config.shape);
+        let shape = discover_shape(measurer, &basic_campaign, &combined_selection);
         drop(lp1_span);
         benchmarks += shape.kernels.len();
         let lp2_span = palmed_obs::span("trainer.lp2");
-        let bwp = solve_bwp(&shape, &shape.kernels, &config.bwp)
-            .expect("the BWP relaxation is always feasible");
+        let bwp = solve_bwp(&shape, &shape.kernels).expect("the BWP relaxation is always feasible");
         drop(lp2_span);
         let mut mapping = bwp.mapping;
-        let saturating = select_saturating_kernels(&mapping, &shape, config.saturation_threshold);
+        let saturating = select_saturating_kernels(&mapping, &shape);
         lp_time += start.elapsed();
 
         // ---- Phase 3: complete mapping (LPAUX). ----
@@ -229,8 +193,7 @@ impl Palmed {
         let lpaux_span = palmed_obs::span("trainer.lpaux");
         let remaining: Vec<InstId> =
             instructions.iter().copied().filter(|i| !mapping.supports(*i)).collect();
-        let outcomes =
-            complete_mapping(measurer, &mut mapping, &saturating, &remaining, &config.completion);
+        let outcomes = complete_mapping(measurer, &mut mapping, &saturating, &remaining);
         benchmarks += remaining.len() * saturating.num_saturated();
         let mut skipped = Vec::new();
         for (inst, outcome) in outcomes {
@@ -362,7 +325,7 @@ mod tests {
     fn empty_instruction_list_is_handled_gracefully() {
         let preset = presets::toy_two_port();
         let measurer = AnalyticMeasurer::new(preset.mapping_arc());
-        let result = Palmed::new(PalmedConfig::default()).infer_subset(&measurer, &[]);
+        let result = Palmed::new(PalmedConfig::small()).infer_subset(&measurer, &[]);
         assert_eq!(result.mapping.num_instructions(), 0);
         assert_eq!(result.report.instructions_total, 0);
     }

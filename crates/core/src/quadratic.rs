@@ -18,31 +18,22 @@ use palmed_isa::{InstId, Microkernel};
 use palmed_machine::Measurer;
 use palmed_par::par_map;
 
-/// Configuration of the quadratic campaign.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuadraticConfig {
-    /// Instructions with an individual IPC below this value are not
-    /// benchmarked further (paper: 0.05).
-    pub min_ipc: f64,
-    /// Relative rounding tolerance when turning IPC proportions into integer
-    /// repetition counts (paper: 0.05).
-    pub coefficient_tolerance: f64,
-    /// Maximum total instructions per generated benchmark body.
-    pub max_kernel_size: u32,
-    /// The `M` of the `a^M b` benchmarks (paper: 4).
-    pub asymmetric_repeat: u32,
-}
+/// Instructions with an individual IPC below this value are not
+/// benchmarked further, neither in pairs nor by LPAUX (paper: 0.05).
+pub const MIN_IPC: f64 = 0.05;
 
-impl Default for QuadraticConfig {
-    fn default() -> Self {
-        QuadraticConfig {
-            min_ipc: 0.05,
-            coefficient_tolerance: 0.05,
-            max_kernel_size: 64,
-            asymmetric_repeat: 4,
-        }
-    }
-}
+/// Relative rounding tolerance when turning IPC proportions into integer
+/// repetition counts (paper: 0.05).
+pub const COEFFICIENT_TOLERANCE: f64 = 0.05;
+
+/// Maximum total instructions per generated benchmark body.
+pub const MAX_KERNEL_SIZE: u32 = 64;
+
+/// The `M` of the `a^M b` benchmarks (paper: 4).
+pub const ASYMMETRIC_REPEAT: u32 = 4;
+
+/// Relative tolerance of the disjointness test (paper: 5%).
+pub const DISJOINT_TOLERANCE: f64 = 0.05;
 
 /// Position of an instruction that is not in the campaign.
 const ABSENT: u32 = u32::MAX;
@@ -68,7 +59,6 @@ pub struct QuadraticCampaign {
     pairs: Vec<f64>,
     /// Number of benchmarks generated (singles plus measured pairs).
     num_benchmarks: usize,
-    config: QuadraticConfig,
 }
 
 impl QuadraticCampaign {
@@ -84,7 +74,6 @@ impl QuadraticCampaign {
     pub fn run<M: Measurer + Sync>(
         measurer: &M,
         instructions: &[InstId],
-        config: QuadraticConfig,
         compatible: impl Fn(InstId, InstId) -> bool + Sync,
     ) -> Self {
         let n = instructions.len();
@@ -102,10 +91,9 @@ impl QuadraticCampaign {
             singles,
             pairs: vec![f64::NAN; n * n],
             num_benchmarks: n,
-            config,
         };
         let usable: Vec<u32> =
-            (0..n as u32).filter(|&p| campaign.singles[p as usize] >= config.min_ipc).collect();
+            (0..n as u32).filter(|&p| campaign.singles[p as usize] >= MIN_IPC).collect();
 
         // Pair benchmarks: enumerate in deterministic order, build and
         // measure in parallel, then record sequentially.  Jobs are position
@@ -142,20 +130,20 @@ impl QuadraticCampaign {
     }
 
     /// The `aabb` kernel for a pair, using the measured individual IPCs as
-    /// proportions (rounded to integers within the configured tolerance).
+    /// proportions (rounded to integers within [`COEFFICIENT_TOLERANCE`]).
     pub fn pair_kernel(&self, a: InstId, b: InstId) -> Microkernel {
-        let ipc_a = self.single_ipc(a).unwrap_or(1.0).max(self.config.min_ipc);
-        let ipc_b = self.single_ipc(b).unwrap_or(1.0).max(self.config.min_ipc);
+        let ipc_a = self.single_ipc(a).unwrap_or(1.0).max(MIN_IPC);
+        let ipc_b = self.single_ipc(b).unwrap_or(1.0).max(MIN_IPC);
         Microkernel::from_proportions(
             [(a, ipc_a), (b, ipc_b)],
-            self.config.coefficient_tolerance,
-            self.config.max_kernel_size,
+            COEFFICIENT_TOLERANCE,
+            MAX_KERNEL_SIZE,
         )
     }
 
     /// The asymmetric `a^M b` kernel.
     pub fn asymmetric_kernel(&self, a: InstId, b: InstId) -> Microkernel {
-        Microkernel::pair(a, self.config.asymmetric_repeat, b, 1)
+        Microkernel::pair(a, ASYMMETRIC_REPEAT, b, 1)
     }
 
     /// Individual IPC of an instruction, if it was benchmarked.
@@ -193,25 +181,20 @@ impl QuadraticCampaign {
     }
 
     /// Whether two instructions are *disjoint*: the pair IPC equals the sum
-    /// of the individual IPCs (within `tolerance`, relative).
-    pub fn are_disjoint(&self, a: InstId, b: InstId, tolerance: f64) -> bool {
+    /// of the individual IPCs (within [`DISJOINT_TOLERANCE`], relative).
+    pub fn are_disjoint(&self, a: InstId, b: InstId) -> bool {
         let (Some(ia), Some(ib), Some(iab)) =
             (self.single_ipc(a), self.single_ipc(b), self.pair_ipc(a, b))
         else {
             return false;
         };
         let expected = ia + ib;
-        (iab - expected).abs() <= tolerance * expected
+        (iab - expected).abs() <= DISJOINT_TOLERANCE * expected
     }
 
     /// Number of benchmarks generated by the campaign.
     pub fn num_benchmarks(&self) -> usize {
         self.num_benchmarks
-    }
-
-    /// The configuration the campaign ran with.
-    pub fn config(&self) -> &QuadraticConfig {
-        &self.config
     }
 }
 
@@ -227,7 +210,7 @@ mod tests {
         let preset = presets::paper_ports016();
         let measurer = AnalyticMeasurer::new(preset.mapping_arc());
         let ids: Vec<InstId> = preset.instructions.ids().collect();
-        let c = QuadraticCampaign::run(&measurer, &ids, QuadraticConfig::default(), |_, _| true);
+        let c = QuadraticCampaign::run(&measurer, &ids, |_, _| true);
         (c, preset.instructions)
     }
 
@@ -252,10 +235,10 @@ mod tests {
         let (c, insts) = campaign();
         let find = |n: &str| insts.find(n).unwrap();
         // BSR (p1) and JMP (p6) are disjoint; ADDSS (p01) and BSR (p1) are not.
-        assert!(c.are_disjoint(find("BSR"), find("JMP"), 0.05));
-        assert!(!c.are_disjoint(find("ADDSS"), find("BSR"), 0.05));
+        assert!(c.are_disjoint(find("BSR"), find("JMP")));
+        assert!(!c.are_disjoint(find("ADDSS"), find("BSR")));
         // DIVPS (p0) and BSR (p1) disjoint.
-        assert!(c.are_disjoint(find("DIVPS"), find("BSR"), 0.05));
+        assert!(c.are_disjoint(find("DIVPS"), find("BSR")));
     }
 
     #[test]
@@ -273,7 +256,7 @@ mod tests {
         let measurer = AnalyticMeasurer::new(preset.mapping_arc());
         let ids: Vec<InstId> = preset.instructions.ids().collect();
         // Declare everything incompatible: only singles are measured.
-        let c = QuadraticCampaign::run(&measurer, &ids, QuadraticConfig::default(), |_, _| false);
+        let c = QuadraticCampaign::run(&measurer, &ids, |_, _| false);
         assert_eq!(c.num_benchmarks(), ids.len());
         assert!(c.pair_ipc(ids[0], ids[1]).is_none());
     }
@@ -292,21 +275,58 @@ mod tests {
         assert_eq!(jnle.len(), all.len());
     }
 
+    /// A two-port machine whose `DIV` is one 40-cycle non-pipelined µOP on
+    /// port 0: IPC 1/40, below [`MIN_IPC`].
+    fn machine_with_a_slow_divider() -> presets::PresetMachine {
+        use palmed_isa::{ExecClass, InstDesc, InstructionSet};
+        use palmed_machine::disjunctive::{FrontEnd, MachineDescription};
+        use palmed_machine::{MicroOp, PortSet};
+        let ports = |list: &[u8]| PortSet::from_ports(list.iter().copied());
+        let mut m = MachineDescription::new("toy2-div", 2, FrontEnd::instructions_only(4.0));
+        m.define_class(ExecClass::IntAlu, vec![MicroOp::pipelined(ports(&[0, 1]))]);
+        m.define_class(ExecClass::IntAluRestricted, vec![MicroOp::pipelined(ports(&[1]))]);
+        m.define_class(ExecClass::IntMul, vec![MicroOp::pipelined(ports(&[0]))]);
+        m.define_class(ExecClass::IntDiv, vec![MicroOp::non_pipelined(ports(&[0]), 40.0)]);
+        let insts = InstructionSet::from_descs([
+            InstDesc::new("ADD", ExecClass::IntAlu),
+            InstDesc::new("BSR", ExecClass::IntAluRestricted),
+            InstDesc::new("IMUL", ExecClass::IntMul),
+            InstDesc::new("DIV", ExecClass::IntDiv),
+        ]);
+        presets::PresetMachine {
+            description: std::sync::Arc::new(m),
+            instructions: std::sync::Arc::new(insts),
+        }
+    }
+
     #[test]
-    fn low_ipc_filter_excludes_slow_instructions() {
-        // Build a machine where the divider is truly slow via the SKL preset.
-        let preset = presets::skl_sp(&palmed_isa::InventoryConfig::small());
-        let measurer = AnalyticMeasurer::new(preset.mapping_arc());
-        let idiv = preset.instructions.find("IDIV").unwrap();
-        let add = preset.instructions.find("ADD").unwrap();
-        let config = QuadraticConfig { min_ipc: 0.5, ..QuadraticConfig::default() };
-        let c = QuadraticCampaign::run(&measurer, &[idiv, add], config, |_, _| true);
-        // Both singles are measured, IDIV falls below the threshold, so no
-        // pair benchmark is generated (only one usable instruction).
-        assert!(c.single_ipc(idiv).unwrap() < config.min_ipc);
-        assert!(c.single_ipc(add).unwrap() >= config.min_ipc);
-        assert!(c.pair_ipc(idiv, add).is_none());
-        assert_eq!(c.num_benchmarks(), 2);
+    fn an_instruction_below_the_ipc_cut_off_gets_no_pair_benchmark_and_no_mapping() {
+        let machine = machine_with_a_slow_divider();
+        let measurer = AnalyticMeasurer::new(machine.mapping_arc());
+        let div = machine.instructions.find("DIV").unwrap();
+        let ids: Vec<InstId> = machine.instructions.ids().collect();
+        let others: Vec<InstId> = ids.iter().copied().filter(|&i| i != div).collect();
+
+        // The campaign measures DIV alone, finds it below the cut-off and runs
+        // every pair of the other instructions but none with DIV.
+        let c = QuadraticCampaign::run(&measurer, &ids, |_, _| true);
+        let div_ipc = c.single_ipc(div).unwrap();
+        assert!((div_ipc - 1.0 / 40.0).abs() < 1e-9, "DIV IPC {div_ipc}");
+        assert!(others.iter().all(|&o| c.single_ipc(o).unwrap() >= MIN_IPC));
+        for &o in &others {
+            assert!(c.pair_ipc(div, o).is_none() && c.pair_ipc(o, div).is_none());
+        }
+        let n = others.len();
+        assert_eq!(c.num_benchmarks(), ids.len() + n * (n - 1) / 2);
+
+        // The pipeline leaves DIV unmapped, skipped for its IPC.
+        let result = crate::Palmed::new(crate::PalmedConfig::small()).infer(&measurer);
+        assert!(!result.mapping.supports(div));
+        assert_eq!(result.skipped.len(), 1, "skipped: {:?}", result.skipped);
+        let (inst, reason) = &result.skipped[0];
+        assert_eq!(*inst, div);
+        assert!(reason.contains("below threshold"), "{reason}");
+        assert!(others.iter().all(|&o| result.mapping.supports(o)));
     }
 
     /// The campaign as it was kept before the dense layout: `HashMap`s keyed
@@ -316,28 +336,22 @@ mod tests {
         singles: HashMap<InstId, f64>,
         pairs: HashMap<(InstId, InstId), f64>,
         num_benchmarks: usize,
-        config: QuadraticConfig,
     }
 
     impl HashCampaign {
         fn run(
             measurer: &impl Measurer,
             instructions: &[InstId],
-            config: QuadraticConfig,
             compatible: impl Fn(InstId, InstId) -> bool,
         ) -> Self {
-            let mut campaign = HashCampaign {
-                singles: HashMap::new(),
-                pairs: HashMap::new(),
-                num_benchmarks: 0,
-                config,
-            };
+            let mut campaign =
+                HashCampaign { singles: HashMap::new(), pairs: HashMap::new(), num_benchmarks: 0 };
             let mut usable = Vec::new();
             for &a in instructions {
                 let ipc = measurer.ipc(&Microkernel::single(a));
                 campaign.singles.insert(a, ipc);
                 campaign.num_benchmarks += 1;
-                if ipc >= config.min_ipc {
+                if ipc >= MIN_IPC {
                     usable.push(a);
                 }
             }
@@ -355,12 +369,12 @@ mod tests {
         }
 
         fn pair_kernel(&self, a: InstId, b: InstId) -> Microkernel {
-            let ipc_a = self.singles.get(&a).copied().unwrap_or(1.0).max(self.config.min_ipc);
-            let ipc_b = self.singles.get(&b).copied().unwrap_or(1.0).max(self.config.min_ipc);
+            let ipc_a = self.singles.get(&a).copied().unwrap_or(1.0).max(MIN_IPC);
+            let ipc_b = self.singles.get(&b).copied().unwrap_or(1.0).max(MIN_IPC);
             Microkernel::from_proportions(
                 [(a, ipc_a), (b, ipc_b)],
-                self.config.coefficient_tolerance,
-                self.config.max_kernel_size,
+                COEFFICIENT_TOLERANCE,
+                MAX_KERNEL_SIZE,
             )
         }
 
@@ -387,14 +401,37 @@ mod tests {
                 .collect()
         }
 
-        fn are_disjoint(&self, a: InstId, b: InstId, tolerance: f64) -> bool {
+        fn are_disjoint(&self, a: InstId, b: InstId) -> bool {
             let (Some(ia), Some(ib), Some(iab)) =
                 (self.single_ipc(a), self.single_ipc(b), self.pair_ipc(a, b))
             else {
                 return false;
             };
             let expected = ia + ib;
-            (iab - expected).abs() <= tolerance * expected
+            (iab - expected).abs() <= DISJOINT_TOLERANCE * expected
+        }
+    }
+
+    /// A measurer that runs every kernel holding a `slow` instruction 1000
+    /// times slower than `inner`, so those instructions fall below
+    /// [`MIN_IPC`] while every measured value stays distinct.
+    struct Slowed<M> {
+        inner: M,
+        slow: Vec<InstId>,
+    }
+
+    impl<M: Measurer> Measurer for Slowed<M> {
+        fn ipc(&self, kernel: &Microkernel) -> f64 {
+            let ipc = self.inner.ipc(kernel);
+            if self.slow.iter().any(|&s| kernel.contains(s)) {
+                ipc / 1000.0
+            } else {
+                ipc
+            }
+        }
+
+        fn instructions(&self) -> &palmed_isa::InstructionSet {
+            self.inner.instructions()
         }
     }
 
@@ -404,29 +441,34 @@ mod tests {
         let all: Vec<InstId> = preset.instructions.ids().collect();
         let bits = |v: Option<f64>| v.map(f64::to_bits);
         let mut rng = StdRng::seed_from_u64(19);
+        let mut filtered = 0;
         for round in 0..12u64 {
-            // Noise makes every measured value distinct, so a lookup that
-            // reads the wrong slot cannot agree by accident.
-            let measurer = AnalyticMeasurer::with_noise(
-                preset.mapping_arc(),
-                MeasurementNoise::realistic(round),
-            );
             let mut candidates: Vec<InstId> =
                 all.iter().copied().filter(|_| rng.gen_bool(0.3)).collect();
             // Shuffle so candidate positions do not follow instruction ids.
             for i in (1..candidates.len()).rev() {
                 candidates.swap(i, rng.gen_range(0..=i));
             }
-            let min_ipc = [0.05, 0.3, 0.6, 1.1][rng.gen_range(0..4usize)];
-            let config = QuadraticConfig { min_ipc, ..QuadraticConfig::default() };
+            // Noise makes every measured value distinct, so a lookup that
+            // reads the wrong slot cannot agree by accident.  A random share
+            // of the candidates, up to most of them, falls below the cut-off.
+            let slow_share = [0.0, 0.1, 0.4, 0.8][rng.gen_range(0..4usize)];
+            let measurer = Slowed {
+                inner: AnalyticMeasurer::with_noise(
+                    preset.mapping_arc(),
+                    MeasurementNoise::realistic(round),
+                ),
+                slow: candidates.iter().copied().filter(|_| rng.gen_bool(slow_share)).collect(),
+            };
             let salt: u64 = rng.gen();
             let compatible = |a: InstId, b: InstId| {
                 let h = (u64::from(a.0) << 32 | u64::from(b.0)) ^ salt;
                 h.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 61 != 0
             };
-            let dense = QuadraticCampaign::run(&measurer, &candidates, config, compatible);
-            let reference = HashCampaign::run(&measurer, &candidates, config, compatible);
+            let dense = QuadraticCampaign::run(&measurer, &candidates, compatible);
+            let reference = HashCampaign::run(&measurer, &candidates, compatible);
             assert_eq!(dense.num_benchmarks(), reference.num_benchmarks, "round {round}");
+            filtered += candidates.iter().filter(|&&a| dense.single_ipc(a) < Some(MIN_IPC)).count();
 
             // Queries range over the whole inventory, most of it outside the
             // campaign, plus ids beyond the inventory.
@@ -446,18 +488,17 @@ mod tests {
                 }
                 for &b in &queries {
                     assert_eq!(bits(dense.pair_ipc(a, b)), bits(reference.pair_ipc(a, b)));
-                    for tolerance in [0.05, 0.2] {
-                        assert_eq!(
-                            dense.are_disjoint(a, b, tolerance),
-                            reference.are_disjoint(a, b, tolerance),
-                            "round {round}: disjointness of {a} and {b}"
-                        );
-                    }
+                    assert_eq!(
+                        dense.are_disjoint(a, b),
+                        reference.are_disjoint(a, b),
+                        "round {round}: disjointness of {a} and {b}"
+                    );
                 }
             }
             for (&a, &b) in candidates.iter().zip(candidates.iter().rev()) {
                 assert_eq!(dense.pair_kernel(a, b), reference.pair_kernel(a, b));
             }
         }
+        assert!(filtered > 0, "no candidate fell below the cut-off");
     }
 }

@@ -12,7 +12,13 @@
 
 use crate::conjunctive::{ConjunctiveMapping, ResourceId};
 use crate::lp1::ShapeMapping;
+use crate::quadratic::{COEFFICIENT_TOLERANCE, MAX_KERNEL_SIZE};
 use palmed_isa::Microkernel;
+
+/// Minimum relative usage of a resource for a benchmark to count as
+/// saturating it.  The paper requires exactly 1; measurement noise makes a
+/// slightly lower bar more robust.
+pub const SATURATION_THRESHOLD: f64 = 0.95;
 
 /// Per-resource saturating kernels.
 #[derive(Debug, Clone, Default)]
@@ -49,12 +55,10 @@ pub fn consumption(mapping: &ConjunctiveMapping, kernel: &Microkernel) -> f64 {
 /// when no measured benchmark saturates a resource.
 ///
 /// A benchmark saturates `r` when its predicted relative usage of `r` is at
-/// least `saturation_threshold` (the paper requires exactly 1; measurement
-/// noise makes a slightly lower bar more robust).
+/// least [`SATURATION_THRESHOLD`].
 pub fn select_saturating_kernels(
     mapping: &ConjunctiveMapping,
     shape: &ShapeMapping,
-    saturation_threshold: f64,
 ) -> SaturatingKernels {
     let num_resources = mapping.num_resources();
     let mut kernels: Vec<Option<Microkernel>> = vec![None; num_resources];
@@ -64,7 +68,7 @@ pub fn select_saturating_kernels(
         for (kernel, ipc) in &shape.kernels {
             let load = mapping.kernel_load(kernel);
             let usage = load[r.index()] * ipc / kernel.total_instructions() as f64;
-            if usage + 1e-9 < saturation_threshold {
+            if usage + 1e-9 < SATURATION_THRESHOLD {
                 continue;
             }
             let cons = consumption(mapping, kernel);
@@ -89,8 +93,8 @@ pub fn select_saturating_kernels(
                     // Repeat inversely to usage so the mix is balanced.
                     (i, 1.0 / u.max(1e-3))
                 }),
-                0.05,
-                64,
+                COEFFICIENT_TOLERANCE,
+                MAX_KERNEL_SIZE,
             );
             if !kernel.is_empty() {
                 kernels[r.index()] = Some(kernel);
@@ -133,14 +137,14 @@ mod tests {
     #[test]
     fn every_resource_gets_a_saturating_kernel() {
         let (mapping, shape, ..) = toy();
-        let sat = select_saturating_kernels(&mapping, &shape, 0.95);
+        let sat = select_saturating_kernels(&mapping, &shape);
         assert_eq!(sat.num_saturated(), 3);
     }
 
     #[test]
     fn private_resources_are_saturated_by_their_owner_alone() {
         let (mapping, shape, _, bsr, imul) = toy();
-        let sat = select_saturating_kernels(&mapping, &shape, 0.95);
+        let sat = select_saturating_kernels(&mapping, &shape);
         // r1 is BSR's private resource: the lowest-consumption saturating
         // benchmark is BSR alone (cons 1.5), not the BSR+IMUL pair (cons 2.25... /2).
         let k1 = sat.kernel_for(ResourceId(1)).unwrap();
@@ -154,7 +158,7 @@ mod tests {
     #[test]
     fn shared_resource_prefers_the_cheapest_saturating_benchmark() {
         let (mapping, shape, add, ..) = toy();
-        let sat = select_saturating_kernels(&mapping, &shape, 0.95);
+        let sat = select_saturating_kernels(&mapping, &shape);
         // r2 is saturated by `ADD` alone (usage 0.5 * IPC 2 = 1, cons 0.5) —
         // cheaper than any pair.
         let k2 = sat.kernel_for(ResourceId(2)).unwrap();
@@ -166,7 +170,7 @@ mod tests {
     fn missing_saturating_benchmark_triggers_fallback_construction() {
         let (mapping, mut shape, ..) = toy();
         shape.kernels.clear(); // no measured benchmark at all
-        let sat = select_saturating_kernels(&mapping, &shape, 0.95);
+        let sat = select_saturating_kernels(&mapping, &shape);
         // Fallback kernels are built from the mapping itself.
         assert_eq!(sat.num_saturated(), 3);
     }

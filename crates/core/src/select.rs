@@ -23,30 +23,12 @@ use crate::quadratic::QuadraticCampaign;
 use palmed_isa::InstId;
 use palmed_stats::hierarchical_clusters;
 
-/// Configuration of the basic-instruction selection.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SelectionConfig {
-    /// Target number of basic instructions (`n` of Algorithm 1).
-    pub target_count: usize,
-    /// `ε` of the low-IPC filter: instructions with IPC `< 1 − ε` are
-    /// excluded from the core mapping.
-    pub low_ipc_epsilon: f64,
-    /// Distance threshold of the equivalence-class clustering (in IPC units).
-    pub cluster_epsilon: f64,
-    /// Relative tolerance used by the disjointness test.
-    pub disjoint_tolerance: f64,
-}
+/// `ε` of the low-IPC filter: instructions with IPC `< 1 − ε` are excluded
+/// from the core mapping.
+pub const LOW_IPC_EPSILON: f64 = 0.05;
 
-impl Default for SelectionConfig {
-    fn default() -> Self {
-        SelectionConfig {
-            target_count: 8,
-            low_ipc_epsilon: 0.05,
-            cluster_epsilon: 0.08,
-            disjoint_tolerance: 0.05,
-        }
-    }
-}
+/// Distance threshold of the equivalence-class clustering (in IPC units).
+pub const CLUSTER_EPSILON: f64 = 0.08;
 
 /// Result of the selection, keeping the intermediate sets that the later
 /// phases (LP1 constraints) need.
@@ -67,11 +49,12 @@ pub struct Selection {
 }
 
 /// Runs Algorithm 1 on the results of a quadratic campaign restricted to
-/// `candidates` (typically the instructions of one ISA extension).
+/// `candidates` (typically the instructions of one ISA extension), selecting
+/// up to `target_count` basic instructions (`n` of Algorithm 1).
 pub fn select_basic_instructions(
     campaign: &QuadraticCampaign,
     candidates: &[InstId],
-    config: &SelectionConfig,
+    target_count: usize,
 ) -> Selection {
     let mut selection = Selection::default();
 
@@ -79,7 +62,7 @@ pub fn select_basic_instructions(
     let mut filtered: Vec<InstId> = Vec::new();
     for &a in candidates {
         match campaign.single_ipc(a) {
-            Some(ipc) if ipc > 1.0 - config.low_ipc_epsilon => filtered.push(a),
+            Some(ipc) if ipc > 1.0 - LOW_IPC_EPSILON => filtered.push(a),
             Some(_) => selection.low_ipc.push(a),
             None => selection.low_ipc.push(a),
         }
@@ -92,7 +75,7 @@ pub fn select_basic_instructions(
     // pair-benchmark feature vectors.
     let features: Vec<Vec<f64>> =
         filtered.iter().map(|&a| campaign.feature_vector(a, &filtered)).collect();
-    let assignment = hierarchical_clusters(&features, config.cluster_epsilon);
+    let assignment = hierarchical_clusters(&features, CLUSTER_EPSILON);
     let num_classes = assignment.iter().copied().max().map_or(0, |m| m + 1);
     let mut classes: Vec<Vec<InstId>> = vec![Vec::new(); num_classes];
     for (idx, &inst) in filtered.iter().enumerate() {
@@ -125,7 +108,7 @@ pub fn select_basic_instructions(
         for y in (x + 1)..r {
             // Disjointness is symmetric: `ia + ib == ib + ia` exactly.
             let (a, b) = (representatives[x], representatives[y]);
-            if campaign.are_disjoint(a, b, config.disjoint_tolerance) {
+            if campaign.are_disjoint(a, b) {
                 dj[x * words + y / 64] |= 1 << (y % 64);
                 dj[y * words + x / 64] |= 1 << (x % 64);
             }
@@ -151,7 +134,7 @@ pub fn select_basic_instructions(
         if clique.iter().all(|&vb| in_dj(x, vb)) {
             clique.push(x);
         }
-        if clique.len() == config.target_count {
+        if clique.len() == target_count {
             break;
         }
     }
@@ -160,7 +143,7 @@ pub fn select_basic_instructions(
 
     // Step 4: complete with the greediest instructions.
     let mut most_greedy: Vec<InstId> = Vec::new();
-    if very_basic.len() < config.target_count {
+    if very_basic.len() < target_count {
         // Linearise the ≼greedier pre-order by the average pair IPC: an
         // instruction that dominates another point-wise also has a larger
         // average, so sorting by the average respects the pre-order.  Each
@@ -183,7 +166,7 @@ pub fn select_basic_instructions(
             sb.partial_cmp(&sa).expect("finite scores").then(a.cmp(&b))
         });
         for (_, a) in rest {
-            if very_basic.len() + most_greedy.len() >= config.target_count {
+            if very_basic.len() + most_greedy.len() >= target_count {
                 break;
             }
             most_greedy.push(a);
@@ -199,7 +182,6 @@ pub fn select_basic_instructions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quadratic::QuadraticConfig;
     use palmed_isa::InstId;
     use palmed_machine::{presets, AnalyticMeasurer};
     use std::collections::BTreeSet;
@@ -208,10 +190,8 @@ mod tests {
         let preset = presets::paper_ports016();
         let measurer = AnalyticMeasurer::new(preset.mapping_arc());
         let ids: Vec<InstId> = preset.instructions.ids().collect();
-        let campaign =
-            QuadraticCampaign::run(&measurer, &ids, QuadraticConfig::default(), |_, _| true);
-        let config = SelectionConfig { target_count: target, ..SelectionConfig::default() };
-        (select_basic_instructions(&campaign, &ids, &config), preset.instructions)
+        let campaign = QuadraticCampaign::run(&measurer, &ids, |_, _| true);
+        (select_basic_instructions(&campaign, &ids, target), preset.instructions)
     }
 
     #[test]
@@ -248,9 +228,8 @@ mod tests {
         let measurer = AnalyticMeasurer::new(preset.mapping_arc());
         let ids: Vec<InstId> =
             preset.instructions.ids_with_extension(palmed_isa::Extension::BaseIsa);
-        let campaign =
-            QuadraticCampaign::run(&measurer, &ids, QuadraticConfig::default(), |_, _| true);
-        let sel = select_basic_instructions(&campaign, &ids, &SelectionConfig::default());
+        let campaign = QuadraticCampaign::run(&measurer, &ids, |_, _| true);
+        let sel = select_basic_instructions(&campaign, &ids, 8);
         let idiv = preset.instructions.find("IDIV").unwrap();
         assert!(sel.low_ipc.contains(&idiv), "the divider (IPC 1/6) must be deferred");
         assert!(!sel.basic.contains(&idiv));
@@ -268,9 +247,8 @@ mod tests {
         let bsr = preset.instructions.find("BSR").unwrap();
         let jmp = preset.instructions.find("JMP").unwrap();
         let ids = vec![add, sub, xor, bsr, jmp];
-        let campaign =
-            QuadraticCampaign::run(&measurer, &ids, QuadraticConfig::default(), |_, _| true);
-        let sel = select_basic_instructions(&campaign, &ids, &SelectionConfig::default());
+        let campaign = QuadraticCampaign::run(&measurer, &ids, |_, _| true);
+        let sel = select_basic_instructions(&campaign, &ids, 8);
         // ADD/SUB/XOR form one class; BSR and JMP their own.
         assert_eq!(sel.representatives.len(), 3, "classes: {:?}", sel.classes);
         let alu_class =
@@ -291,9 +269,8 @@ mod tests {
     fn empty_candidate_list_gives_empty_selection() {
         let preset = presets::paper_ports016();
         let measurer = AnalyticMeasurer::new(preset.mapping_arc());
-        let campaign =
-            QuadraticCampaign::run(&measurer, &[], QuadraticConfig::default(), |_, _| true);
-        let sel = select_basic_instructions(&campaign, &[], &SelectionConfig::default());
+        let campaign = QuadraticCampaign::run(&measurer, &[], |_, _| true);
+        let sel = select_basic_instructions(&campaign, &[], 8);
         assert!(sel.basic.is_empty());
         assert!(sel.low_ipc.is_empty());
     }
@@ -303,13 +280,13 @@ mod tests {
     fn reference_very_basic(
         campaign: &QuadraticCampaign,
         representatives: &[InstId],
-        config: &SelectionConfig,
+        target_count: usize,
     ) -> Vec<InstId> {
         let disjoint_set = |a: InstId| -> BTreeSet<InstId> {
             representatives
                 .iter()
                 .copied()
-                .filter(|&b| b != a && campaign.are_disjoint(a, b, config.disjoint_tolerance))
+                .filter(|&b| b != a && campaign.are_disjoint(a, b))
                 .collect()
         };
         let dj: Vec<(InstId, BTreeSet<InstId>)> =
@@ -333,7 +310,7 @@ mod tests {
             if very_basic.iter().all(|vb| dj_a.contains(vb)) {
                 very_basic.push(a);
             }
-            if very_basic.len() == config.target_count {
+            if very_basic.len() == target_count {
                 break;
             }
         }
@@ -345,30 +322,34 @@ mod tests {
         // Under realistic noise no class merges, so every fifth base-ISA
         // instruction of the large inventory gives well over 64
         // representatives, disjoint-set rows of several words and a clique
-        // of several members.
+        // of several members.  Noise seeds and subset offsets vary the
+        // disjoint sets; the clique must span words in some run.
         let preset = presets::skl_sp(&palmed_isa::InventoryConfig::large());
-        let measurer = AnalyticMeasurer::with_noise(
-            preset.mapping_arc(),
-            palmed_machine::MeasurementNoise::realistic(3),
-        );
-        let ids: Vec<InstId> = preset
-            .instructions
-            .ids_with_extension(palmed_isa::Extension::BaseIsa)
-            .into_iter()
-            .step_by(5)
-            .collect();
-        let campaign =
-            QuadraticCampaign::run(&measurer, &ids, QuadraticConfig::default(), |_, _| true);
-        for target_count in [2, 3, 8] {
-            for disjoint_tolerance in [0.05, 0.3] {
-                let config =
-                    SelectionConfig { target_count, disjoint_tolerance, ..Default::default() };
-                let sel = select_basic_instructions(&campaign, &ids, &config);
+        let base: Vec<InstId> =
+            preset.instructions.ids_with_extension(palmed_isa::Extension::BaseIsa);
+        let mut spans_words = false;
+        for (seed, offset) in [(3, 0), (11, 2), (29, 4)] {
+            let measurer = AnalyticMeasurer::with_noise(
+                preset.mapping_arc(),
+                palmed_machine::MeasurementNoise::realistic(seed),
+            );
+            let ids: Vec<InstId> = base.iter().copied().skip(offset).step_by(5).collect();
+            let campaign = QuadraticCampaign::run(&measurer, &ids, |_, _| true);
+            for target_count in [2, 3, 8] {
+                let sel = select_basic_instructions(&campaign, &ids, target_count);
                 assert!(sel.representatives.len() > 128, "{}", sel.representatives.len());
-                let want = reference_very_basic(&campaign, &sel.representatives, &config);
-                assert_eq!(sel.very_basic, want, "target {target_count}, tol {disjoint_tolerance}");
+                let want = reference_very_basic(&campaign, &sel.representatives, target_count);
+                assert_eq!(
+                    sel.very_basic, want,
+                    "seed {seed}, offset {offset}, target {target_count}"
+                );
                 assert!(sel.very_basic.len() >= target_count.min(4));
+                let word =
+                    |a: &InstId| sel.representatives.iter().position(|r| r == a).unwrap() / 64;
+                let words: BTreeSet<usize> = sel.very_basic.iter().map(word).collect();
+                spans_words |= words.len() > 1;
             }
         }
+        assert!(spans_words, "no clique spans more than one bitset word");
     }
 }

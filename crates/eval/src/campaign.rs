@@ -46,8 +46,6 @@ pub struct CampaignConfig {
     /// Measurement noise applied to native executions and to the
     /// measurements the inference tools see.
     pub noise: MeasurementNoise,
-    /// Palmed inference configuration.
-    pub palmed: PalmedConfig,
     /// PMEvo training configuration.
     pub pmevo: PmEvoConfig,
     /// Heatmap resolution (x bins, y bins).
@@ -61,7 +59,6 @@ impl Default for CampaignConfig {
             suite: SuiteConfig::default(),
             backend: BackendKind::Simulation(SimulationConfig::default()),
             noise: MeasurementNoise::realistic(2022),
-            palmed: PalmedConfig::evaluation(),
             pmevo: PmEvoConfig::default(),
             heatmap_bins: (24, 16),
         }
@@ -77,7 +74,6 @@ impl CampaignConfig {
             suite: SuiteConfig::small(99),
             backend: BackendKind::Analytic,
             noise: MeasurementNoise::none(),
-            palmed: PalmedConfig::evaluation(),
             pmevo: PmEvoConfig::fast(),
             heatmap_bins: (12, 8),
         }
@@ -179,7 +175,7 @@ impl Campaign {
         ));
 
         // ---- Palmed inference. ----
-        let palmed_result = Palmed::new(config.palmed).infer(&inference_measurer);
+        let palmed_result = Palmed::new(PalmedConfig::evaluation()).infer(&inference_measurer);
         let mut report = palmed_result.report.clone();
         report.machine = preset.name().to_string();
         report.benchmarks_generated = inference_measurer.distinct_kernels();
