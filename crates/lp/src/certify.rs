@@ -64,9 +64,17 @@ fn slack_box(op: ConstraintOp) -> (f64, f64) {
 /// together with `|g|` as the residual.
 fn sup(g: f64, lower: f64, upper: f64) -> (f64, f64) {
     if g > 0.0 {
-        if upper.is_finite() { (g * upper, 0.0) } else { (0.0, g) }
+        if upper.is_finite() {
+            (g * upper, 0.0)
+        } else {
+            (0.0, g)
+        }
     } else if g < 0.0 {
-        if lower.is_finite() { (g * lower, 0.0) } else { (0.0, -g) }
+        if lower.is_finite() {
+            (g * lower, 0.0)
+        } else {
+            (0.0, -g)
+        }
     } else {
         (0.0, 0.0)
     }
@@ -151,7 +159,9 @@ pub(crate) fn optimal(problem: &Problem, x: &[f64], y: &[f64]) -> Check {
     for (i, (row, &yi)) in problem.constraints().iter().zip(y).enumerate() {
         let (lower, upper) = slack_box(row.op);
         let (_, wrong_sign) = sup(yi, lower, upper);
-        within(wrong_sign, || format!("row {i} ({:?}) multiplier {yi} has the wrong sign", row.op))?;
+        within(wrong_sign, || {
+            format!("row {i} ({:?}) multiplier {yi} has the wrong sign", row.op)
+        })?;
         dual += yi * row.rhs;
     }
     for (j, def) in problem.vars().iter().enumerate() {
@@ -183,7 +193,9 @@ pub(crate) fn infeasible(problem: &Problem, y: &[f64]) -> Check {
     for (i, (row, &yi)) in problem.constraints().iter().zip(&y).enumerate() {
         let (lower, upper) = slack_box(row.op);
         let (value, unbounded_by) = sup(yi, lower, upper);
-        within(unbounded_by, || format!("row {i} ({:?}) multiplier {yi} has the wrong sign", row.op))?;
+        within(unbounded_by, || {
+            format!("row {i} ({:?}) multiplier {yi} has the wrong sign", row.op)
+        })?;
         sup_total += value;
         yb += yi * row.rhs;
     }

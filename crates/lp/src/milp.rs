@@ -86,7 +86,8 @@ fn most_fractional(problem: &Problem, values: &[f64]) -> Option<(usize, f64)> {
 /// incumbent.
 pub fn solve(problem: &Problem, options: &MilpOptions) -> LpResult<Solution> {
     let maximize = problem.sense() == Sense::Maximize;
-    let better = |a: f64, b: f64| if maximize { a > b + ABSOLUTE_GAP } else { a < b - ABSOLUTE_GAP };
+    let better =
+        |a: f64, b: f64| if maximize { a > b + ABSOLUTE_GAP } else { a < b - ABSOLUTE_GAP };
 
     let mut incumbent: Option<Solution> = None;
     let mut stack = vec![Node { bounds: Vec::new(), parent_basis: None }];

@@ -52,12 +52,7 @@ pub fn exact_max(
 /// Adds binaries `z_i` with `sum z_i >= 1` and `e_i <= M (1 - z_i)`.  The
 /// expressions must be non-negative for the encoding to be exact.
 /// Returns the selector variables.
-pub fn exists_zero(
-    problem: &mut Problem,
-    name: &str,
-    exprs: &[LinExpr],
-    big_m: f64,
-) -> Vec<VarId> {
+pub fn exists_zero(problem: &mut Problem, name: &str, exprs: &[LinExpr], big_m: f64) -> Vec<VarId> {
     let mut selectors = Vec::with_capacity(exprs.len());
     let mut sum = LinExpr::new();
     for (i, e) in exprs.iter().enumerate() {

@@ -466,13 +466,7 @@ mod tests {
         let x = p.add_var("x", 0.0, 1.0);
         let y = p.add_var("y", 0.0, 1.0);
         let z = p.add_var("z", 0.0, 1.0);
-        let e = p
-            .expr()
-            .term(2.0, z)
-            .term(1.0, x)
-            .term(-2.0, z)
-            .term(0.5, y)
-            .term(1.5, x);
+        let e = p.expr().term(2.0, z).term(1.0, x).term(-2.0, z).term(0.5, y).term(1.5, x);
         let terms: Vec<(VarId, f64)> = e.sparse_terms().collect();
         assert_eq!(terms, vec![(x, 2.5), (y, 0.5)]);
         // z cancelled to zero and was dropped entirely.

@@ -722,11 +722,14 @@ impl Solver {
                 if status == ColStatus::Basic || self.lower[j] == self.upper[j] {
                     continue;
                 }
-                let z = if phase1 { -self.col_dot(j, &y) } else { self.cost[j] - self.col_dot(j, &y) };
+                let z =
+                    if phase1 { -self.col_dot(j, &y) } else { self.cost[j] - self.col_dot(j, &y) };
                 let candidate = match status {
                     ColStatus::AtLower if z < -TOLERANCE => Some((j, 1.0, -z)),
                     ColStatus::AtUpper if z > TOLERANCE => Some((j, -1.0, z)),
-                    ColStatus::Free if z.abs() > TOLERANCE => Some((j, if z < 0.0 { 1.0 } else { -1.0 }, z.abs())),
+                    ColStatus::Free if z.abs() > TOLERANCE => {
+                        Some((j, if z < 0.0 { 1.0 } else { -1.0 }, z.abs()))
+                    }
                     _ => None,
                 };
                 if let Some((j, dir, violation)) = candidate {
@@ -895,11 +898,7 @@ impl Solver {
     }
 
     fn capture_basis(&self) -> Basis {
-        Basis {
-            status: self.status.clone(),
-            num_vars: self.n_struct,
-            num_constraints: self.m,
-        }
+        Basis { status: self.status.clone(), num_vars: self.n_struct, num_constraints: self.m }
     }
 
     /// Current values of the structural variables.
@@ -1158,11 +1157,7 @@ mod tests {
         let mut p = Problem::new(Sense::Maximize);
         let vars: Vec<_> = (0..n).map(|i| p.add_var(format!("x{i}"), 0.0, 2.0)).collect();
         for i in 0..n.saturating_sub(2) {
-            let row = p
-                .expr()
-                .term(1.0, vars[i])
-                .term(1.0, vars[i + 1])
-                .term(1.0, vars[i + 2]);
+            let row = p.expr().term(1.0, vars[i]).term(1.0, vars[i + 1]).term(1.0, vars[i + 2]);
             p.add_le(row, 2.5 + (i % 3) as f64 + rhs_bump);
         }
         let mut obj = p.expr();
@@ -1226,7 +1221,9 @@ mod tests {
         min.add_ge(min.expr().term(1.0, x).term(2.0, y), 4.0);
         min.add_ge(min.expr().term(3.0, x).term(1.0, y), 6.0);
         min.set_objective(min.expr().term(1.0, x).term(1.0, y));
-        for (p, optimum, duals) in [(max, vec![2.0, 2.0], vec![-1.0]), (min, vec![1.6, 1.2], vec![0.4, 0.2])] {
+        for (p, optimum, duals) in
+            [(max, vec![2.0, 2.0], vec![-1.0]), (min, vec![1.6, 1.2], vec![0.4, 0.2])]
+        {
             let mut solver = Solver::build(&p, None).unwrap();
             let y = run_phases(&mut solver, &p).unwrap();
             let values = solver.values();
@@ -1239,7 +1236,8 @@ mod tests {
 
     /// Knuth's MMIX LCG (high bits), a seeded stream for the property test.
     fn next(state: &mut u64) -> u64 {
-        *state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        *state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
         *state >> 33
     }
 
@@ -1276,8 +1274,10 @@ mod tests {
                 }
                 // Bᵀ y = e: entry j is column j dotted with y.
                 let y = lu.solve_transpose(&unit);
-                let bty: Vec<f64> =
-                    columns.iter().map(|column| column.iter().map(|&(r, v)| v * y[r]).sum()).collect();
+                let bty: Vec<f64> = columns
+                    .iter()
+                    .map(|column| column.iter().map(|&(r, v)| v * y[r]).sum())
+                    .collect();
                 for i in 0..k {
                     assert!(
                         (bx[i] - unit[i]).abs() <= 1e-9 && (bty[i] - unit[i]).abs() <= 1e-9,
