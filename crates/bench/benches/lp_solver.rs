@@ -1,23 +1,24 @@
-//! Criterion bench: the LP/MILP substrate.
+//! Criterion bench: the LP substrate.
 //!
 //! Palmed's scalability argument (Table II: two hours of LP solving for
 //! ~2500 instructions) rests on every individual solve being small.  This
-//! bench tracks the cost of representative LP and ILP instances as the
-//! problem size grows, for the sparse revised simplex (`palmed_lp::revised`,
-//! every solve certified by its own duals):
+//! bench tracks the cost of representative LP instances as the problem size
+//! grows, for the sparse revised simplex (`palmed_lp::revised`, every solve
+//! certified by its own duals):
 //!
 //! * `lp_revised/transportation/*` — dense-objective, sparse-matrix
 //!   assignment LPs (2n equality/inequality rows over n² variables);
 //! * `lp_revised/band/*` — band-structured LPs with finite upper bounds on
 //!   every variable, the shape the bounded-variable rule is built for;
 //! * `warm_start/*` — re-solving a perturbed band instance from the previous
-//!   basis versus from scratch;
-//! * `branch_and_bound/*` — small knapsack ILPs.
+//!   basis versus from scratch.
 //!
 //! The committed `BENCH_lp.json` at the repository root records a baseline
 //! of these numbers (`CRITERION_JSON=BENCH_lp.json cargo bench -p
 //! palmed-bench --bench lp_solver`).  Its `lp_dense/*` rows are history: they
 //! timed the dense tableau the revised simplex was once checked against.
+//! So are its `branch_and_bound/*` rows, which timed small knapsack ILPs on
+//! the branch-and-bound solver the crate once had.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use palmed_lp::{revised, Problem, Sense};
@@ -72,21 +73,6 @@ fn band_lp(n: usize, rhs_bump: f64) -> Problem {
     p
 }
 
-/// A knapsack-style ILP with `n` binary items.
-fn knapsack_ilp(n: usize) -> Problem {
-    let mut p = Problem::new(Sense::Maximize);
-    let mut cap = p.expr();
-    let mut obj = p.expr();
-    for i in 0..n {
-        let v = p.add_bool_var(format!("b{i}"));
-        cap.add_term(1.0 + (i % 5) as f64, v);
-        obj.add_term(2.0 + (i % 7) as f64, v);
-    }
-    p.add_le(cap, n as f64);
-    p.set_objective(obj);
-    p
-}
-
 fn bench_revised(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp_revised");
     for n in [8usize, 16, 32, 48] {
@@ -120,16 +106,5 @@ fn bench_warm_start(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_milp(c: &mut Criterion) {
-    let mut group = c.benchmark_group("branch_and_bound");
-    for n in [8usize, 12, 16] {
-        let problem = knapsack_ilp(n);
-        group.bench_with_input(BenchmarkId::new("knapsack", n), &problem, |b, p| {
-            b.iter(|| p.solve().expect("feasible ILP"));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_revised, bench_warm_start, bench_milp);
+criterion_group!(benches, bench_revised, bench_warm_start);
 criterion_main!(benches);

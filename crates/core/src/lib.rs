@@ -20,10 +20,10 @@
 //! * [`quadratic`] — the quadratic benchmark campaign (`a`, `aabb`, `aMb`).
 //! * [`select`] — Algorithm 1: basic-instruction selection (low-IPC filter,
 //!   equivalence classes, very-basic clique, greediest completion).
-//! * [`lp1`] — Algorithm 3: the ILP that discovers the *shape* of the core
-//!   mapping (how many abstract resources, which edges may exist).
+//! * [`lp1`] — Algorithm 3: discovering the *shape* of the core mapping
+//!   (how many abstract resources, which edges may exist) from cliques.
 //! * [`lp2`] — Algorithm 4: the Bipartite Weight Problem assigning edge
-//!   weights to the core mapping.
+//!   weights to the core mapping, by alternating LPs.
 //! * [`saturate`] — selection of one saturating microkernel per resource.
 //! * [`lpaux`] — Algorithm 5: the per-instruction completion of the mapping.
 //! * [`pipeline`] — the end-to-end driver of Fig. 3 ([`Palmed`]).
@@ -47,8 +47,6 @@
 //! | [`quadratic::DISJOINT_TOLERANCE`] | 0.05 | disjointness, Sec. V-A | selection step 3, LP1 |
 //! | [`select::LOW_IPC_EPSILON`] | 0.05 | `ε` of Algorithm 1 | selection step 1 |
 //! | [`select::CLUSTER_EPSILON`] | 0.08 | equivalence classes of Algorithm 1 | selection step 2 |
-//! | [`lp1::ILP_SIZE_LIMIT`] | 3 | Algorithm 3 † | LP1 |
-//! | [`lp1::SATURATING_TOLERANCE`] | 0.05 | saturating instructions of Algorithm 3 | LP1 |
 //! | [`lp1::MAX_ENRICHMENT_ROUNDS`] | 4 | enrichment of Algorithm 2 † | LP1 |
 //! | [`lp2::MAX_ROUNDS`] | 8 | Algorithm 4 † | LP2 |
 //! | [`lp2::SLACK_TOLERANCE`] | 1e-6 | Algorithm 4 † | LP2 |
@@ -57,15 +55,13 @@
 //!
 //! † differs from the paper, for cost or robustness:
 //!
-//! * the paper solves the shape ILP at every size; here it runs only on basic
-//!   sets of at most 3 instructions and the clique search, which encodes the
-//!   same constraints, takes the larger ones, whose branch and bound grows
-//!   exponentially;
+//! * the paper solves shape discovery as an ILP; the clique search builds
+//!   every shape (see [`lp1`]);
 //! * the paper enriches until no new benchmark appears; 4 rounds bound the
 //!   loop;
-//! * the paper solves the BWP as one MILP; the default LP2 path alternates
-//!   at most 8 LP rounds and stops when the slack no longer drops by 1e-6
-//!   ([`lp2::solve_bwp_exact`] keeps the MILP);
+//! * the paper solves the BWP as one MILP; LP2 alternates LPs, at most 8
+//!   rounds, and stops when the slack no longer drops by 1e-6; no exact
+//!   MILP is kept;
 //! * the paper requires a usage of exactly 1 to call a benchmark saturating;
 //!   0.95 keeps measurement noise from leaving a resource without one.
 //!

@@ -2,53 +2,29 @@
 //!
 //! The shape of a mapping is the number of abstract resources and the set of
 //! edges that *may* carry a non-zero weight; LP2 later assigns the weights.
-//! The paper formulates shape discovery as an integer linear program whose
-//! constraints encode what the seed benchmarks (`a`, `aabb`, `a^M b`) reveal:
+//! The paper formulates shape discovery as an integer linear program over
+//! what the seed benchmarks (`a`, `aabb`, `a^M b`) reveal, minimising the
+//! number of resources.  This reproduction solves no integer program:
+//! [`shape_via_cliques`] builds the shape from the campaign's disjointness
+//! relation over the basic instructions, with
 //!
-//! * every *very basic* instruction owns a resource no other very basic
-//!   instruction touches;
-//! * every *greedy* instruction shares a resource with each instruction it is
-//!   not disjoint from;
-//! * in every benchmark, each *saturating* instruction (one whose own
-//!   throughput already explains the benchmark's execution time) owns a
-//!   resource unused by the rest of the benchmark; benchmarks without a
-//!   saturating instruction share a common resource instead;
+//! * one private resource per *very basic* instruction, allowed to no other
+//!   instruction;
+//! * one shared resource per maximal clique (of two or more instructions) of
+//!   the "not disjoint" graph, allowed to every member of the clique.
 //!
-//! with the objective of minimising the number of resources.
-//!
-//! Two solvers are provided, and [`discover_shape`] picks one by size:
-//!
-//! * [`shape_via_ilp`] — the faithful ILP (binary `ρ_{i,r}`, big-M encodings
-//!   of the existential constraints), exact but exponential.  It runs for
-//!   basic sets of at most [`ILP_SIZE_LIMIT`] instructions.
-//! * [`shape_via_cliques`] — a constructive algorithm that produces the same
-//!   family of shapes in polynomial time: one private resource per very
-//!   basic instruction, plus one shared resource per maximal clique of the
-//!   "not disjoint" graph, closed under the same enrichment loop.  It runs
-//!   for larger basic sets, and whenever the ILP fails or finds no resource,
-//!   because the ILP's branch and bound grows exponentially with the basic
-//!   set while the cliques encode the same constraints.
-//!
-//! Both solvers finish with the paper's enrichment loop: for every
-//! discovered resource, a benchmark combining all its users (weighted by
-//! their IPC) is generated, measured and fed back until no new benchmark
-//! appears.
+//! So every pair of interfering instructions shares a resource and no pair
+//! of disjoint instructions does.  The shape is not minimal in the number of
+//! resources, and the paper's constraints on saturating instructions are not
+//! encoded.  The shape is then finished by the paper's enrichment loop: for
+//! every resource, a benchmark combining all its users (weighted by their
+//! IPC) is generated, measured and fed back until no new benchmark appears.
 
 use crate::quadratic::{QuadraticCampaign, COEFFICIENT_TOLERANCE, MAX_KERNEL_SIZE};
 use crate::select::Selection;
 use palmed_isa::{InstId, Microkernel};
-use palmed_lp::minimax::exists_zero;
-use palmed_lp::{MilpOptions, Problem, Sense};
 use palmed_machine::Measurer;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Basic sets of at most this many instructions get their shape from the
-/// exact ILP; larger ones from the constructive clique search.
-pub const ILP_SIZE_LIMIT: usize = 3;
-
-/// Relative tolerance on execution time when deciding that an instruction
-/// saturates a benchmark.
-pub const SATURATING_TOLERANCE: f64 = 0.05;
 
 /// Maximum number of enrichment rounds.
 pub const MAX_ENRICHMENT_ROUNDS: usize = 4;
@@ -120,204 +96,12 @@ pub fn seed_kernels<M: Measurer>(
     kernels
 }
 
-/// Instructions of `kernel` that saturate it: their own throughput already
-/// accounts for the kernel's execution time (`σ_i / ipc(i) ≈ t(K)`).
-fn saturating_instructions(
-    campaign: &QuadraticCampaign,
-    kernel: &Microkernel,
-    kernel_ipc: f64,
-) -> Vec<InstId> {
-    if kernel_ipc <= 0.0 {
-        return Vec::new();
-    }
-    let t_kernel = kernel.total_instructions() as f64 / kernel_ipc;
-    kernel
-        .iter()
-        .filter(|&(inst, count)| {
-            campaign.single_ipc(inst).is_some_and(|ipc| {
-                ipc > 0.0 && {
-                    let t_inst = count as f64 / ipc;
-                    (t_inst - t_kernel).abs() <= SATURATING_TOLERANCE * t_kernel
-                }
-            })
-        })
-        .map(|(inst, _)| inst)
-        .collect()
-}
-
-/// The faithful ILP of Algorithm 3, with up to two resources per basic
-/// instruction.
+/// Builds the shape of the core mapping from cliques and enriches its
+/// benchmark set (see the module docs).
 ///
-/// # Errors
-///
-/// Returns the LP error when the integer program cannot be solved within the
-/// default solver budgets (the caller usually falls back to
-/// [`shape_via_cliques`]).
-pub fn shape_via_ilp<M: Measurer>(
-    measurer: &M,
-    campaign: &QuadraticCampaign,
-    selection: &Selection,
-) -> Result<ShapeMapping, palmed_lp::LpError> {
-    let basic = &selection.basic;
-    let kernels = seed_kernels(measurer, campaign, basic);
-    let n_res = 2 * basic.len().max(1);
-
-    let mut problem = Problem::new(Sense::Minimize);
-    // rho[i][r]: instruction i may use resource r.
-    let rho: Vec<Vec<_>> = basic
-        .iter()
-        .map(|i| (0..n_res).map(|r| problem.add_bool_var(format!("rho_{i}_{r}"))).collect())
-        .collect();
-    // u[r]: resource r is used at all.
-    let used: Vec<_> = (0..n_res).map(|r| problem.add_bool_var(format!("u_{r}"))).collect();
-    let index_of = |inst: InstId| basic.iter().position(|&b| b == inst).expect("basic inst");
-
-    for (i, row) in rho.iter().enumerate() {
-        let mut any = problem.expr();
-        for (r, &v) in row.iter().enumerate() {
-            // rho_{i,r} <= u_r
-            problem.add_le(problem.expr().term(1.0, v).term(-1.0, used[r]), 0.0);
-            any.add_term(1.0, v);
-        }
-        // every basic instruction uses at least one resource
-        problem.add_ge(any, 1.0);
-        let _ = i;
-    }
-    // Symmetry breaking: resources are used in order.
-    for r in 1..n_res {
-        problem.add_le(problem.expr().term(1.0, used[r]).term(-1.0, used[r - 1]), 0.0);
-    }
-
-    let big_m = basic.len() as f64 + 2.0;
-    // Very basic instructions own a private resource.
-    for &i in &selection.very_basic {
-        if !basic.contains(&i) {
-            continue;
-        }
-        let ii = index_of(i);
-        let exprs: Vec<_> = (0..n_res)
-            .map(|r| {
-                let mut e = palmed_lp::LinExpr::constant(1.0).term(-1.0, rho[ii][r]);
-                for &j in &selection.very_basic {
-                    if j != i && basic.contains(&j) {
-                        e.add_term(1.0, rho[index_of(j)][r]);
-                    }
-                }
-                e
-            })
-            .collect();
-        exists_zero(&mut problem, &format!("vb_{i}"), &exprs, big_m);
-    }
-    // Greedy instructions share a resource with every non-disjoint partner.
-    for &i in &selection.most_greedy {
-        if !basic.contains(&i) {
-            continue;
-        }
-        let ii = index_of(i);
-        let partners: Vec<InstId> =
-            basic.iter().copied().filter(|&j| j != i && !campaign.are_disjoint(i, j)).collect();
-        if partners.is_empty() {
-            continue;
-        }
-        let exprs: Vec<_> = (0..n_res)
-            .map(|r| {
-                let mut e = palmed_lp::LinExpr::constant(1.0).term(-1.0, rho[ii][r]);
-                for &j in &partners {
-                    e.add_constant(1.0);
-                    e.add_term(-1.0, rho[index_of(j)][r]);
-                }
-                e
-            })
-            .collect();
-        exists_zero(&mut problem, &format!("mf_{i}"), &exprs, big_m);
-    }
-    // Benchmark-derived constraints.  Only the `aabb` pair benchmarks are
-    // encoded as ILP constraints: the asymmetric `a^M b` benchmarks mostly
-    // guard the continuous LP2 against degenerate weights and would double
-    // the number of big-M selectors here for no extra shape information.
-    let mut constraint_kernels: Vec<(Microkernel, f64)> = Vec::new();
-    for (i, &a) in basic.iter().enumerate() {
-        for &b in &basic[i + 1..] {
-            if let Some(ipc) = campaign.pair_ipc(a, b) {
-                constraint_kernels.push((campaign.pair_kernel(a, b), ipc));
-            }
-        }
-    }
-    for (k_idx, (kernel, ipc)) in constraint_kernels.iter().enumerate() {
-        if kernel.num_distinct() < 2 {
-            continue;
-        }
-        let saturating = saturating_instructions(campaign, kernel, *ipc);
-        if saturating.is_empty() {
-            // All instructions of the kernel share a resource.
-            let members: Vec<InstId> = kernel.instructions().collect();
-            let exprs: Vec<_> = (0..n_res)
-                .map(|r| {
-                    let mut e = palmed_lp::LinExpr::constant(0.0);
-                    for &j in &members {
-                        e.add_constant(1.0);
-                        e.add_term(-1.0, rho[index_of(j)][r]);
-                    }
-                    e
-                })
-                .collect();
-            exists_zero(&mut problem, &format!("share_{k_idx}"), &exprs, big_m);
-        } else {
-            for &sat in &saturating {
-                let others: Vec<InstId> = kernel.instructions().filter(|&j| j != sat).collect();
-                let exprs: Vec<_> = (0..n_res)
-                    .map(|r| {
-                        let mut e =
-                            palmed_lp::LinExpr::constant(1.0).term(-1.0, rho[index_of(sat)][r]);
-                        for &j in &others {
-                            e.add_term(1.0, rho[index_of(j)][r]);
-                        }
-                        e
-                    })
-                    .collect();
-                exists_zero(&mut problem, &format!("sat_{k_idx}_{sat}"), &exprs, big_m);
-            }
-        }
-    }
-
-    // Objective: minimise the number of resources (plus a tiny edge penalty to
-    // keep the shape sparse among optimal solutions).
-    let mut objective = problem.expr();
-    for &u in &used {
-        objective.add_term(1.0, u);
-    }
-    for row in &rho {
-        for &v in row {
-            objective.add_term(0.01, v);
-        }
-    }
-    problem.set_objective(objective);
-
-    let solution = problem.solve_with(&MilpOptions { max_nodes: 1_500 })?;
-
-    let mut shape = ShapeMapping { kernels, ..Default::default() };
-    let active: Vec<usize> = (0..n_res).filter(|&r| solution[used[r]] > 0.5).collect();
-    shape.num_resources = active.len();
-    for (i, &inst) in basic.iter().enumerate() {
-        let set: BTreeSet<usize> = active
-            .iter()
-            .enumerate()
-            .filter(|&(_, &r)| solution[rho[i][r]] > 0.5)
-            .map(|(new_r, _)| new_r)
-            .collect();
-        shape.allowed.insert(inst, set);
-    }
-    enrich(measurer, campaign, &mut shape);
-    Ok(shape)
-}
-
-/// Constructive shape discovery (scalable variant).
-///
-/// Private resources come from the very-basic clique; shared resources come
-/// from the maximal cliques of the "non-disjoint" graph over the basic
-/// instructions, which is exactly the family of constraints the ILP enforces
-/// (every benchmark whose instructions all interfere must share a resource,
-/// every saturating instruction keeps a private one).
+/// Private resources come from the very-basic instructions; shared resources
+/// come from the maximal cliques of the "non-disjoint" graph over the basic
+/// instructions.
 pub fn shape_via_cliques<M: Measurer>(
     measurer: &M,
     campaign: &QuadraticCampaign,
@@ -363,23 +147,6 @@ pub fn shape_via_cliques<M: Measurer>(
     }
     enrich(measurer, campaign, &mut shape);
     shape
-}
-
-/// Finds the shape with the ILP for basic sets of at most
-/// [`ILP_SIZE_LIMIT`] instructions, and with the clique search otherwise or
-/// when the ILP yields no usable shape.
-pub fn discover_shape<M: Measurer>(
-    measurer: &M,
-    campaign: &QuadraticCampaign,
-    selection: &Selection,
-) -> ShapeMapping {
-    if selection.basic.len() <= ILP_SIZE_LIMIT {
-        match shape_via_ilp(measurer, campaign, selection) {
-            Ok(shape) if shape.num_resources > 0 => return shape,
-            _ => {}
-        }
-    }
-    shape_via_cliques(measurer, campaign, selection)
 }
 
 /// Enrichment loop of Algorithm 2: for every resource, benchmark all its
@@ -521,10 +288,11 @@ mod tests {
     }
 
     #[test]
-    fn ilp_shape_on_a_tiny_machine_matches_structure() {
-        // Toy machine: ADD on {0,1}, BSR on {1}, IMUL on {0}.  Expected
-        // resources: private(BSR), private(IMUL) and a shared one for ADD
-        // with each of them (or a single r01-like resource).
+    fn clique_shape_on_a_tiny_machine_matches_structure() {
+        // Toy machine: ADD on {0,1}, BSR on {1}, IMUL on {0}.  BSR and IMUL
+        // are very basic and keep private resources 0 and 1; ADD interferes
+        // with both, so it shares clique resource 2 with BSR and 3 with
+        // IMUL, and the disjoint BSR and IMUL share nothing.
         let preset = presets::toy_two_port();
         let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
         let add = preset.instructions.find("ADD").unwrap();
@@ -533,31 +301,10 @@ mod tests {
         let ids = vec![add, bsr, imul];
         let campaign = QuadraticCampaign::run(&measurer, &ids, |_, _| true);
         let sel = select_basic_instructions(&campaign, &ids, 3);
-        let shape = shape_via_ilp(&measurer, &campaign, &sel).expect("ILP solvable");
-        // Under a finite branch-and-bound budget the incumbent may not be the
-        // minimum-resource shape, but it must be a *valid* shape: every basic
-        // instruction keeps at least one resource, and the very-basic
-        // instructions (BSR, IMUL) each keep one of their own.
-        assert!(shape.num_resources >= 2, "resources: {}", shape.num_resources);
-        for inst in [add, bsr, imul] {
-            assert!(!shape.allowed_resources(inst).is_empty(), "{inst} lost all resources");
-        }
-        let bsr_private = shape
-            .allowed_resources(bsr)
-            .iter()
-            .any(|&r| !shape.allowed_resources(imul).contains(&r));
-        let imul_private = shape
-            .allowed_resources(imul)
-            .iter()
-            .any(|&r| !shape.allowed_resources(bsr).contains(&r));
-        assert!(bsr_private && imul_private, "disjoint instructions must keep private resources");
-    }
-
-    #[test]
-    fn auto_strategy_falls_back_to_cliques_for_larger_sets() {
-        let (measurer, campaign, sel, _) = paper_setup();
-        // 5 basic instructions > ILP_SIZE_LIMIT of 3 -> constructive path.
-        let shape = discover_shape(&measurer, &campaign, &sel);
-        assert!(shape.num_resources > 0);
+        let shape = shape_via_cliques(&measurer, &campaign, &sel);
+        assert_eq!(shape.num_resources, 4);
+        assert_eq!(shape.allowed_resources(bsr), BTreeSet::from([0, 2]));
+        assert_eq!(shape.allowed_resources(imul), BTreeSet::from([1, 3]));
+        assert_eq!(shape.allowed_resources(add), BTreeSet::from([2, 3]));
     }
 }

@@ -23,7 +23,7 @@
 //! no hardware counters — which is the paper's central constraint.
 
 use crate::conjunctive::ConjunctiveMapping;
-use crate::lp1::discover_shape;
+use crate::lp1::shape_via_cliques;
 use crate::lp2::solve_bwp;
 use crate::lpaux::{complete_mapping, CompletionOutcome};
 use crate::predict::PalmedPredictor;
@@ -178,7 +178,7 @@ impl Palmed {
 
         let start = Instant::now();
         let lp1_span = palmed_obs::span("trainer.lp1");
-        let shape = discover_shape(measurer, &basic_campaign, &combined_selection);
+        let shape = shape_via_cliques(measurer, &basic_campaign, &combined_selection);
         drop(lp1_span);
         benchmarks += shape.kernels.len();
         let lp2_span = palmed_obs::span("trainer.lp2");

@@ -2,7 +2,8 @@
 //!
 //! The core mapping is computed only for a small set `I_B` of *basic
 //! instructions* — enough to expose every abstract resource, but few enough
-//! that LP1's integer program stays small.  Selection proceeds in four steps:
+//! that LP1's shape and LP2's weight problem stay small.  Selection proceeds
+//! in four steps:
 //!
 //! 1. **Low-IPC filter** — instructions with IPC below `1 − ε` use some
 //!    resource more than once per instance and are deferred to the final

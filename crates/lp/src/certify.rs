@@ -290,18 +290,22 @@ mod tests {
 
     #[test]
     fn infeasible_accepts_a_farkas_certificate_and_rejects_corruptions() {
-        // x ∈ [0, 1] with x ≥ 2: y₀ = 1 (at any scale) gives sup x = 1 < 2.
-        let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, 1.0);
-        p.add_ge(p.expr().term(1.0, x), 2.0);
+        // x ∈ [0, upper] with x ≥ 2.
+        let boxed = |upper: f64| {
+            let mut p = Problem::new(Sense::Minimize);
+            let x = p.add_var("x", 0.0, upper);
+            p.add_ge(p.expr().term(1.0, x), 2.0);
+            p
+        };
+        // In [0, 1], y₀ = 1 (at any scale) gives sup x = 1 < 2.
+        let p = boxed(1.0);
         assert_eq!(infeasible(&p, &[1.0]), Ok(()));
         assert_eq!(infeasible(&p, &[7.5]), Ok(()));
         // A sign-flipped y prices the `≥` slack at +∞; zero proves nothing.
         rejects(infeasible(&p, &[-1.0]), "wrong sign");
         rejects(infeasible(&p, &[0.0]), "zero");
         // Widening x's box makes the same y prove nothing.
-        p.set_var_bounds(x, 0.0, 3.0);
-        rejects(infeasible(&p, &[1.0]), "not below");
+        rejects(infeasible(&boxed(3.0), &[1.0]), "not below");
 
         // x + y ≤ 1 and x + y ≥ 2 over free x, y: y = (−1, 1) cancels A,
         // while a perturbed y leaves (yA) ≠ 0 on free variables.
@@ -316,16 +320,20 @@ mod tests {
 
     #[test]
     fn unbounded_accepts_an_improving_ray_and_rejects_corruptions() {
-        // max x + y  s.t.  x − y ≤ 1,  x ≥ 0,  y ∈ [0, 10].
-        let mut p = Problem::new(Sense::Maximize);
-        let (x, y) = (p.add_var("x", 0.0, f64::INFINITY), p.add_var("y", 0.0, 10.0));
-        p.add_le(p.expr().term(1.0, x).term(-1.0, y), 1.0);
-        p.set_objective(p.expr().term(1.0, x).term(1.0, y));
+        // max x + y  s.t.  x − y ≤ 1,  x ≥ 0,  y ∈ [0, y_upper].
+        let build = |y_upper: f64| {
+            let mut p = Problem::new(Sense::Maximize);
+            let (x, y) = (p.add_var("x", 0.0, f64::INFINITY), p.add_var("y", 0.0, y_upper));
+            p.add_le(p.expr().term(1.0, x).term(-1.0, y), 1.0);
+            p.set_objective(p.expr().term(1.0, x).term(1.0, y));
+            p
+        };
+        let p = build(10.0);
         // x alone grows x − y past the row; (1, 1) leaves y's box.
         rejects(unbounded(&p, &[0.0, 0.0], &[1.0, 0.0]), "row 0");
         rejects(unbounded(&p, &[0.0, 0.0], &[1.0, 1.0]), "variable 1");
         // Lift y's bound: (1, 1) is now a valid improving ray, at any scale.
-        p.set_var_bounds(y, 0.0, f64::INFINITY);
+        let p = build(f64::INFINITY);
         assert_eq!(unbounded(&p, &[0.0, 0.0], &[1.0, 1.0]), Ok(()));
         assert_eq!(unbounded(&p, &[1.0, 0.0], &[3.0, 3.0]), Ok(()));
         // An infeasible start, a worsening ray or no ray proves nothing.

@@ -1,4 +1,4 @@
-//! Error types for the LP/MILP solver.
+//! Error types for the LP solver.
 
 use std::fmt;
 
@@ -16,12 +16,6 @@ pub enum LpError {
     IterationLimit {
         /// Number of pivots performed before giving up.
         iterations: usize,
-    },
-    /// The branch-and-bound node budget was exhausted before proving
-    /// optimality; the incumbent (if any) is reported separately.
-    NodeLimit {
-        /// Number of explored nodes.
-        nodes: usize,
     },
     /// A variable identifier does not belong to the problem it was used with.
     UnknownVariable {
@@ -55,9 +49,6 @@ impl fmt::Display for LpError {
             LpError::IterationLimit { iterations } => {
                 write!(f, "simplex iteration limit reached after {iterations} pivots")
             }
-            LpError::NodeLimit { nodes } => {
-                write!(f, "branch-and-bound node limit reached after {nodes} nodes")
-            }
             LpError::UnknownVariable { index, problem_size } => write!(
                 f,
                 "variable index {index} does not belong to a problem with {problem_size} variables"
@@ -84,7 +75,6 @@ mod tests {
             LpError::Infeasible,
             LpError::Unbounded,
             LpError::IterationLimit { iterations: 3 },
-            LpError::NodeLimit { nodes: 7 },
             LpError::UnknownVariable { index: 2, problem_size: 1 },
             LpError::InvalidBounds { name: "x".into(), lower: 1.0, upper: 0.0 },
             LpError::NonFiniteCoefficient { context: "objective".into() },

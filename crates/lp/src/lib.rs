@@ -1,9 +1,11 @@
 //! Linear-programming substrate for the Palmed reproduction.
 //!
 //! The Palmed pipeline (LP1, LP2 and LPAUX in the paper) is built on
-//! thousands of small, sparse linear programs and integer linear programs.
-//! The original implementation delegated these to an off-the-shelf solver;
-//! this crate provides a from-scratch, dependency-free replacement:
+//! thousands of small, sparse linear programs.  The paper solves LP1 as an
+//! integer program and LP2 as a mixed-integer one with an off-the-shelf
+//! solver; this reproduction builds LP1's shape from cliques and alternates
+//! pure LPs for LP2, so it needs no integer programming, and this crate is a
+//! from-scratch, dependency-free LP solver:
 //!
 //! * [`model`] — a tiny modelling layer: variables with bounds, linear
 //!   expressions, constraints and an objective ([`Problem`]).
@@ -19,13 +21,6 @@
 //!   certificate, unboundedness by an improving ray.  Checks are counted in
 //!   `lp.certify.checked` / `lp.certify.failed`; debug builds panic on a
 //!   failed one.
-//! * [`milp`] — a depth-first branch-and-bound mixed-integer solver layered
-//!   on the simplex relaxation.  Child nodes tighten variable *bounds* (not
-//!   rows) and warm-start from the parent basis; [`MilpOptions`] sets the
-//!   node budget.
-//! * [`minimax`] — the two big-M linearisations the Palmed formulations
-//!   use: an exact `max` (LP2's saturation, resource loads are maxima) and
-//!   "some expression is zero" (LP1's existential shape constraints).
 //!
 //! The solver is exact (up to floating-point tolerance) and geared towards
 //! the problem sizes Palmed generates: tens to a few hundred variables and
@@ -71,15 +66,9 @@
 
 mod certify;
 pub mod error;
-pub mod milp;
-pub mod minimax;
 pub mod model;
 pub mod revised;
 
 pub use error::{LpError, LpResult};
-pub use milp::MilpOptions;
 pub use model::{Constraint, ConstraintOp, LinExpr, Problem, Sense, Solution, VarId};
 pub use revised::{solve_with_warm_start, Basis, SolveInfo};
-
-/// Tolerance used when deciding whether a value is integral.
-pub const INT_EPS: f64 = 1e-6;

@@ -8,7 +8,6 @@ use std::fmt;
 use std::ops::Index;
 
 use crate::error::{LpError, LpResult};
-use crate::milp::{self, MilpOptions};
 use crate::revised;
 
 /// Identifier of a decision variable inside a [`Problem`].
@@ -87,11 +86,6 @@ impl LinExpr {
         if coefficient != 0.0 {
             self.terms.push((var, coefficient));
         }
-    }
-
-    /// Adds a constant offset in place.
-    pub fn add_constant(&mut self, value: f64) {
-        self.constant += value;
     }
 
     /// Adds `scale * other` to this expression.
@@ -199,28 +193,16 @@ pub struct VarDef {
     pub lower: f64,
     /// Upper bound (may be `+inf`).
     pub upper: f64,
-    /// Whether the variable is restricted to integer values (MILP only).
-    pub integer: bool,
 }
 
-/// Solution status reported by the solvers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SolveStatus {
-    /// Proven optimal within tolerance.
-    Optimal,
-    /// Feasible but optimality was not proven (node/iteration limit).
-    Feasible,
-}
-
-/// An optimal (or best-found) assignment of the problem variables.
+/// An optimal assignment of the problem variables, checked against its row
+/// duals before it is returned.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     /// Value of every variable, indexed by [`VarId::index`].
     pub values: Vec<f64>,
     /// Objective value in the problem's own sense.
     pub objective: f64,
-    /// Whether the solution is proven optimal.
-    pub status: SolveStatus,
 }
 
 impl Index<VarId> for Solution {
@@ -231,7 +213,7 @@ impl Index<VarId> for Solution {
     }
 }
 
-/// A linear (or mixed-integer linear) optimisation problem.
+/// A linear optimisation problem over continuous, bounded variables.
 ///
 /// See the crate-level documentation for a usage example.
 #[derive(Debug, Clone)]
@@ -250,41 +232,9 @@ impl Problem {
 
     /// Adds a continuous variable with the given bounds and returns its id.
     pub fn add_var(&mut self, name: impl Into<String>, lower: f64, upper: f64) -> VarId {
-        self.push_var(name.into(), lower, upper, false)
-    }
-
-    /// Adds an integer variable with the given bounds and returns its id.
-    pub fn add_int_var(&mut self, name: impl Into<String>, lower: f64, upper: f64) -> VarId {
-        self.push_var(name.into(), lower, upper, true)
-    }
-
-    /// Adds a binary (0/1 integer) variable and returns its id.
-    pub fn add_bool_var(&mut self, name: impl Into<String>) -> VarId {
-        self.push_var(name.into(), 0.0, 1.0, true)
-    }
-
-    fn push_var(&mut self, name: String, lower: f64, upper: f64, integer: bool) -> VarId {
         let id = VarId(self.vars.len());
-        self.vars.push(VarDef { name, lower, upper, integer });
+        self.vars.push(VarDef { name: name.into(), lower, upper });
         id
-    }
-
-    /// Overwrites the bounds of an existing variable.
-    ///
-    /// This is how branch-and-bound tightens child-node domains: adjusting
-    /// the bound keeps the constraint matrix (and hence any saved [`Basis`])
-    /// dimensionally identical, where adding explicit `>=`/`<=` rows would
-    /// invalidate warm starts.
-    ///
-    /// [`Basis`]: crate::revised::Basis
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var` does not belong to this problem.
-    pub fn set_var_bounds(&mut self, var: VarId, lower: f64, upper: f64) {
-        let def = &mut self.vars[var.0];
-        def.lower = lower;
-        def.upper = upper;
     }
 
     /// Convenience constructor for an empty expression tied to this problem.
@@ -361,11 +311,6 @@ impl Problem {
         &self.constraints
     }
 
-    /// Returns true if any variable is integer-constrained.
-    pub fn is_mixed_integer(&self) -> bool {
-        self.vars.iter().any(|v| v.integer)
-    }
-
     /// Validates variable bounds and coefficient finiteness.
     ///
     /// # Errors
@@ -399,39 +344,13 @@ impl Problem {
         Ok(())
     }
 
-    /// Solves the problem with default options.
-    ///
-    /// Integer variables are honoured (branch and bound); purely continuous
-    /// problems go straight to the simplex solver.
+    /// Solves the problem with the sparse revised simplex (cold start).
     ///
     /// # Errors
     ///
     /// Returns an error when the model is malformed, infeasible, unbounded or
-    /// when solver limits are exceeded before a feasible point is found.
+    /// when the simplex iteration limit is exceeded.
     pub fn solve(&self) -> LpResult<Solution> {
-        self.solve_with(&MilpOptions::default())
-    }
-
-    /// Solves the problem with an explicit branch-and-bound node budget.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Problem::solve`].
-    pub fn solve_with(&self, milp_options: &MilpOptions) -> LpResult<Solution> {
-        self.validate()?;
-        if self.is_mixed_integer() {
-            milp::solve(self, milp_options)
-        } else {
-            revised::solve(self)
-        }
-    }
-
-    /// Solves the continuous relaxation (integrality dropped).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Problem::solve`].
-    pub fn solve_relaxation(&self) -> LpResult<Solution> {
         self.validate()?;
         revised::solve(self)
     }
@@ -474,15 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn set_var_bounds_overwrites() {
-        let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, 10.0);
-        p.set_var_bounds(x, 2.0, 3.0);
-        assert_eq!(p.vars()[0].lower, 2.0);
-        assert_eq!(p.vars()[0].upper, 3.0);
-    }
-
-    #[test]
     fn constraint_constant_folds_into_rhs() {
         let mut p = Problem::new(Sense::Minimize);
         let x = p.add_var("x", 0.0, 10.0);
@@ -514,14 +424,5 @@ mod tests {
         let x = p.add_var("x", 0.0, 1.0);
         p.add_le(p.expr().term(f64::NAN, x), 1.0);
         assert!(matches!(p.validate(), Err(LpError::NonFiniteCoefficient { .. })));
-    }
-
-    #[test]
-    fn mixed_integer_detection() {
-        let mut p = Problem::new(Sense::Minimize);
-        p.add_var("x", 0.0, 1.0);
-        assert!(!p.is_mixed_integer());
-        p.add_bool_var("b");
-        assert!(p.is_mixed_integer());
     }
 }

@@ -19,8 +19,8 @@
 //! the total bound violation of the basic variables from whatever basis it
 //! starts with — the all-slack basis on a cold start, or a caller-provided
 //! [`Basis`] on a warm start.  Because phase 1 works from any basis, warm
-//! starting after a right-hand-side or bound perturbation (MILP children,
-//! LPAUX instruction sweeps) usually costs a handful of pivots instead of a
+//! starting after a right-hand-side or bound perturbation (LPAUX's
+//! per-instruction sweeps) usually costs a handful of pivots instead of a
 //! full two-phase solve.
 //!
 //! Pricing is Dantzig with a switch to Bland's rule after
@@ -36,7 +36,7 @@
 
 use crate::certify::{self, Check};
 use crate::error::{LpError, LpResult};
-use crate::model::{ConstraintOp, Problem, Sense, Solution, SolveStatus};
+use crate::model::{ConstraintOp, Problem, Sense, Solution};
 
 /// Hard limit on the number of pivots across both phases.
 const MAX_ITERATIONS: usize = 50_000;
@@ -974,7 +974,7 @@ fn solve_instrumented(problem: &Problem, warm: Option<&Basis>) -> LpResult<Solve
     record(certify::optimal(problem, &values, &duals));
     let objective = problem.objective().evaluate(&values);
     Ok(SolveInfo {
-        solution: Solution { values, objective, status: SolveStatus::Optimal },
+        solution: Solution { values, objective },
         basis: solver.capture_basis(),
         iterations: solver.iterations,
     })

@@ -50,7 +50,6 @@
 //! | `lp.simplex.cold_starts` | C | solves started from a cold basis |
 //! | `lp.certify.checked` | C | simplex outcomes (optimal, infeasible, unbounded) checked against their duality certificate |
 //! | `lp.certify.failed` | C | outcomes whose certificate failed (a solver defect; debug builds panic instead) |
-//! | `lp.milp.nodes` | C | branch-and-bound nodes explored |
 //! | `trainer.benchmarks` | C | benchmark instances fed to the pipeline |
 //! | `trainer.lp2.rounds` | C | LP2 alternation rounds executed |
 //! | `span.trainer.select` | H | Phase 1 campaign/selection duration |

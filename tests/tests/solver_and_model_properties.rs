@@ -35,34 +35,6 @@ proptest! {
         prop_assert!((sol.objective - (obj[0] * sol[x] + obj[1] * sol[y])).abs() < 1e-6);
     }
 
-    /// Integer solutions respect integrality and never beat the relaxation.
-    #[test]
-    fn milp_solutions_are_integral_and_bounded_by_relaxation(
-        weights in prop::collection::vec(1.0f64..6.0, 3..8),
-        values in prop::collection::vec(1.0f64..9.0, 3..8),
-        capacity in 5.0f64..20.0,
-    ) {
-        let n = weights.len().min(values.len());
-        let mut p = Problem::new(Sense::Maximize);
-        let vars: Vec<_> = (0..n).map(|i| p.add_bool_var(format!("b{i}"))).collect();
-        let mut cap = p.expr();
-        let mut obj = p.expr();
-        for i in 0..n {
-            cap.add_term(weights[i], vars[i]);
-            obj.add_term(values[i], vars[i]);
-        }
-        p.add_le(cap, capacity);
-        p.set_objective(obj);
-        let integral = p.solve().expect("knapsack always feasible (empty set)");
-        let relaxed = p.solve_relaxation().expect("relaxation feasible");
-        for &v in &vars {
-            let value = integral[v];
-            prop_assert!((value - value.round()).abs() < 1e-6, "non-integral value {value}");
-            prop_assert!((-1e-6..=1.0 + 1e-6).contains(&value));
-        }
-        prop_assert!(integral.objective <= relaxed.objective + 1e-6);
-    }
-
     /// Microkernel multiset semantics: |K| is the sum of multiplicities and
     /// merging is commutative.
     #[test]
