@@ -104,7 +104,10 @@ impl Clone for MappingCell {
             // the rebuild state is only released *after* the cell fills, and
             // the mutex orders that release before this observation.
             None => MappingCell::ready(
-                self.cell.get().expect("rebuild state is released only after the cell fills").clone(),
+                self.cell
+                    .get()
+                    .expect("rebuild state is released only after the cell fills")
+                    .clone(),
             ),
         }
     }
@@ -319,8 +322,7 @@ pub use crate::checksum::fnv1a64;
 /// Shared with the binary codec: both formats must sanitise names
 /// identically for the v1↔v2 round trip to be bit-identical.
 pub(crate) fn token(name: &str) -> String {
-    let cleaned: String =
-        name.chars().map(|c| if c.is_whitespace() { '_' } else { c }).collect();
+    let cleaned: String = name.chars().map(|c| if c.is_whitespace() { '_' } else { c }).collect();
     if cleaned.is_empty() {
         "_".to_string()
     } else {
@@ -625,9 +627,7 @@ impl ModelArtifact {
             ModelKind::ConjunctiveV1 => {
                 Self::parse(std::str::from_utf8(bytes).map_err(|_| ArtifactError::MissingHeader)?)
             }
-            found => {
-                Err(ArtifactError::WrongKind { expected: ModelKind::ConjunctiveV1, found })
-            }
+            found => Err(ArtifactError::WrongKind { expected: ModelKind::ConjunctiveV1, found }),
         }
     }
 
@@ -784,16 +784,10 @@ mod tests {
         let text = example().render();
         // Cut anywhere before the trailer: the checksum line disappears.
         let truncated = &text[..text.len() / 2];
-        assert!(matches!(
-            ModelArtifact::parse(truncated),
-            Err(ArtifactError::MissingChecksum)
-        ));
+        assert!(matches!(ModelArtifact::parse(truncated), Err(ArtifactError::MissingChecksum)));
         // Dropping body lines but keeping the trailer is caught by the hash.
-        let without_rows: String = text
-            .lines()
-            .filter(|l| !l.starts_with("M "))
-            .map(|l| format!("{l}\n"))
-            .collect();
+        let without_rows: String =
+            text.lines().filter(|l| !l.starts_with("M ")).map(|l| format!("{l}\n")).collect();
         assert!(matches!(
             ModelArtifact::parse(&without_rows),
             Err(ArtifactError::ChecksumMismatch { .. })
@@ -836,11 +830,7 @@ mod tests {
     fn comments_are_checksummed_but_ignored_by_the_grammar() {
         let artifact = example();
         let text = artifact.render();
-        let with_comment = text.replacen(
-            "machine ",
-            "# an inserted comment\nmachine ",
-            1,
-        );
+        let with_comment = text.replacen("machine ", "# an inserted comment\nmachine ", 1);
         // Comment changed the bytes: the old checksum no longer matches...
         assert!(matches!(
             ModelArtifact::parse(&with_comment),

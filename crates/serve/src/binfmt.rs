@@ -276,14 +276,17 @@ impl RawIndex {
             if bytes[self.mapped.start + i] == 0 {
                 continue;
             }
-            let (start, end) =
-                (u32_at(bytes, &self.row_ptr, i) as usize, u32_at(bytes, &self.row_ptr, i + 1) as usize);
+            let (start, end) = (
+                u32_at(bytes, &self.row_ptr, i) as usize,
+                u32_at(bytes, &self.row_ptr, i + 1) as usize,
+            );
             let mut usage = vec![0.0; n_resources];
             for e in start..end {
                 let col = u32_at(bytes, &self.cols, e) as usize;
                 let at = self.vals.start + 8 * e;
-                usage[col] =
-                    f64::from_bits(u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes")));
+                usage[col] = f64::from_bits(u64::from_le_bytes(
+                    bytes[at..at + 8].try_into().expect("8 bytes"),
+                ));
             }
             rows.push((InstId(i as u32), usage));
         }
@@ -313,7 +316,10 @@ fn cast<T: Word>(bytes: &[u8]) -> &[T] {
     // pattern and the byte order matches (checked above); the result
     // borrows `bytes`, so it cannot outlive the buffer.
     unsafe {
-        std::slice::from_raw_parts(bytes.as_ptr().cast::<T>(), bytes.len() / std::mem::size_of::<T>())
+        std::slice::from_raw_parts(
+            bytes.as_ptr().cast::<T>(),
+            bytes.len() / std::mem::size_of::<T>(),
+        )
     }
 }
 

@@ -137,10 +137,7 @@ pub fn finish_trailer(mut body: Vec<u8>) -> Vec<u8> {
 ///
 /// This is the first step of every binary validate pass, shared so
 /// corruption and truncation are rejected identically across codecs.
-pub fn verify_trailer<'a>(
-    bytes: &'a [u8],
-    magic: &[u8],
-) -> Result<&'a [u8], ArtifactError> {
+pub fn verify_trailer<'a>(bytes: &'a [u8], magic: &[u8]) -> Result<&'a [u8], ArtifactError> {
     if !bytes.starts_with(magic) {
         return Err(ArtifactError::MissingHeader);
     }
@@ -206,9 +203,9 @@ pub(crate) fn read_instruction_table(
         let extension = *Extension::ALL
             .get(ext_code)
             .ok_or_else(|| cur.bad(format!("unknown extension code {ext_code}")))?;
-        instructions
-            .try_push(InstDesc { name: name.to_string(), class, extension })
-            .map_err(|desc| cur.bad(format!("duplicate instruction `{}` (entry {i})", desc.name)))?;
+        instructions.try_push(InstDesc { name: name.to_string(), class, extension }).map_err(
+            |desc| cur.bad(format!("duplicate instruction `{}` (entry {i})", desc.name)),
+        )?;
     }
     Ok(instructions)
 }
@@ -226,9 +223,8 @@ pub(crate) fn read_csr_ptr(
     what: &str,
     count_what: &str,
 ) -> Result<(Range<usize>, usize), ArtifactError> {
-    let len = (slots + 1)
-        .checked_mul(4)
-        .ok_or_else(|| cur.bad(format!("{what} count overflows")))?;
+    let len =
+        (slots + 1).checked_mul(4).ok_or_else(|| cur.bad(format!("{what} count overflows")))?;
     let range = cur.take_range(len, what)?;
     let total = cur.u32(count_what)? as usize;
     let first = u32_at(bytes, &range, 0);
@@ -364,8 +360,7 @@ impl<'a> Cursor<'a> {
 pub fn migrate_v1_to_v2b(bytes: &[u8]) -> Result<Vec<u8>, ArtifactError> {
     match ModelKind::sniff(bytes) {
         ModelKind::ConjunctiveV1 => {
-            let text =
-                std::str::from_utf8(bytes).map_err(|_| ArtifactError::MissingHeader)?;
+            let text = std::str::from_utf8(bytes).map_err(|_| ArtifactError::MissingHeader)?;
             Ok(crate::ModelArtifact::parse(text)?.render_v2())
         }
         found => Err(ArtifactError::WrongKind { expected: ModelKind::ConjunctiveV1, found }),
@@ -402,10 +397,7 @@ mod tests {
         let sealed = finish_trailer(body.clone());
         assert_eq!(verify_trailer(&sealed, V2B_MAGIC).unwrap(), &body[..]);
         // Wrong magic.
-        assert!(matches!(
-            verify_trailer(&sealed, DISJ_MAGIC),
-            Err(ArtifactError::MissingHeader)
-        ));
+        assert!(matches!(verify_trailer(&sealed, DISJ_MAGIC), Err(ArtifactError::MissingHeader)));
         // Too short for a trailer.
         assert!(matches!(
             verify_trailer(V2B_MAGIC, V2B_MAGIC),

@@ -78,7 +78,10 @@ impl CompiledModel {
         }
         CompiledModel {
             name: name.into(),
-            resource_names: mapping.resources().map(|r| mapping.resource_name(r).to_string()).collect(),
+            resource_names: mapping
+                .resources()
+                .map(|r| mapping.resource_name(r).to_string())
+                .collect(),
             mapped,
             row_ptr,
             cols,

@@ -174,11 +174,8 @@ impl Corpus {
         out.push_str(HEADER);
         out.push('\n');
         for (block, kernel) in self.iter() {
-            let mut name: String = block
-                .name
-                .chars()
-                .map(|c| if c.is_whitespace() { '_' } else { c })
-                .collect();
+            let mut name: String =
+                block.name.chars().map(|c| if c.is_whitespace() { '_' } else { c }).collect();
             // A leading '#' would turn the block into a comment on reload.
             if name.is_empty() || name.starts_with('#') {
                 name.insert(0, '_');
@@ -227,9 +224,9 @@ impl Corpus {
                         malformed(line, format!("expected `<inst>×<count>`, found `{entry}`"))
                     })
                     .and_then(|(n, c)| {
-                        let inst = insts.find(n).ok_or_else(|| {
-                            malformed(line, format!("unknown instruction `{n}`"))
-                        })?;
+                        let inst = insts
+                            .find(n)
+                            .ok_or_else(|| malformed(line, format!("unknown instruction `{n}`")))?;
                         let count = c.parse::<u32>().ok().filter(|&c| c > 0).ok_or_else(|| {
                             malformed(line, format!("invalid count `{c}` in `{entry}`"))
                         })?;
@@ -384,18 +381,14 @@ mod tests {
     fn overflowing_multiplicities_are_rejected_not_wrapped() {
         let insts = insts();
         let text = "PALMED-CORPUS v1\nb 1 ADDSS×4294967295 ADDSS×2\n";
-        assert!(matches!(
-            Corpus::parse(text, &insts),
-            Err(CorpusError::Malformed { line: 2, .. })
-        ));
+        assert!(matches!(Corpus::parse(text, &insts), Err(CorpusError::Malformed { line: 2, .. })));
     }
 
     #[test]
     fn comment_like_names_survive_the_round_trip() {
         let insts = insts();
         let addss = insts.find("ADDSS").unwrap();
-        let corpus: Corpus =
-            [("#hot", 1.0, Microkernel::single(addss))].into_iter().collect();
+        let corpus: Corpus = [("#hot", 1.0, Microkernel::single(addss))].into_iter().collect();
         let reloaded = Corpus::parse(&corpus.render(&insts), &insts).unwrap();
         assert_eq!(reloaded.len(), 1, "a '#'-named block must not become a comment");
         assert_eq!(reloaded.blocks()[0].name, "_#hot");
@@ -413,8 +406,7 @@ mod tests {
     #[test]
     fn unknown_ids_panic_on_render() {
         let insts = insts();
-        let corpus: Corpus =
-            [("x", 1.0, Microkernel::single(InstId(999)))].into_iter().collect();
+        let corpus: Corpus = [("x", 1.0, Microkernel::single(InstId(999)))].into_iter().collect();
         assert!(std::panic::catch_unwind(|| corpus.render(&insts)).is_err());
     }
 

@@ -34,8 +34,8 @@
 
 use crate::artifact::{token, ArtifactError};
 use crate::codec::{
-    f64_at, finish_trailer, push_f64, push_str, push_u32, u32_at, ArtifactCodec, Cursor,
-    ModelKind, DISJ_MAGIC,
+    f64_at, finish_trailer, push_f64, push_str, push_u32, u32_at, ArtifactCodec, Cursor, ModelKind,
+    DISJ_MAGIC,
 };
 use crate::compiled::{KernelLoad, LOAD_SCRATCH};
 use palmed_core::ThroughputPredictor;
@@ -152,10 +152,7 @@ impl DisjArtifact {
 
     /// The µOP row of one instruction, if trained.
     pub fn row(&self, inst: InstId) -> Option<&[DisjUop]> {
-        self.rows
-            .binary_search_by_key(&inst, |(i, _)| *i)
-            .ok()
-            .map(|at| self.rows[at].1.as_slice())
+        self.rows.binary_search_by_key(&inst, |(i, _)| *i).ok().map(|at| self.rows[at].1.as_slice())
     }
 
     /// Number of trained instructions.
@@ -362,7 +359,9 @@ fn decode(bytes: &[u8]) -> Result<DisjArtifact, ArtifactError> {
     for i in 0..total {
         let mask = u32_at(bytes, &masks, i);
         if mask == 0 || mask >= (1 << num_ports) {
-            return Err(cur.bad(format!("µOP mask {mask:#b} is empty or exceeds {num_ports} ports")));
+            return Err(
+                cur.bad(format!("µOP mask {mask:#b} is empty or exceeds {num_ports} ports"))
+            );
         }
         let weight = f64_at(bytes, &weights, i);
         if !weight.is_finite() || weight <= 0.0 {
@@ -458,8 +457,7 @@ impl KernelLoad for CompiledDisjModel {
                 if index + 1 >= self.uop_ptr.len() {
                     continue;
                 }
-                let (start, end) =
-                    (self.uop_ptr[index] as usize, self.uop_ptr[index + 1] as usize);
+                let (start, end) = (self.uop_ptr[index] as usize, self.uop_ptr[index + 1] as usize);
                 let count = count as f64;
                 for e in start..end {
                     let mask = self.masks[e];
@@ -550,7 +548,7 @@ mod tests {
         // One instruction confined to port 0 with weight 1: t = 1, ipc = 1.
         let mut scratch = model.scratch();
         let k = Microkernel::single(InstId(2)); // mask 0b011, weight 1
-        // Subset {0,1} carries load 1 over 2 ports; singletons carry none.
+                                                // Subset {0,1} carries load 1 over 2 ports; singletons carry none.
         let t = model.execution_time_with(&k, &mut scratch);
         assert!((t - 0.5).abs() < 1e-12, "t = {t}");
         let ipc = model.ipc_with(&k, &mut scratch).unwrap();

@@ -181,7 +181,11 @@ pub struct Sidecar {
 impl Sidecar {
     /// Sidecar format version: 1 (unkeyed) or 2 (signed).
     pub fn version(&self) -> u32 {
-        if self.tag.is_some() { 2 } else { 1 }
+        if self.tag.is_some() {
+            2
+        } else {
+            1
+        }
     }
 
     /// Verifies this sidecar's provenance under `key`.  A v1 sidecar always
@@ -271,16 +275,11 @@ fn parse_sidecar(text: &str) -> Result<Sidecar, ArtifactError> {
         });
     }
     // The tag covers the stored bytes of the first two lines exactly.
-    let signed_body = match text
-        .bytes()
-        .enumerate()
-        .filter(|(_, b)| *b == b'\n')
-        .nth(1)
-        .map(|(i, _)| i + 1)
-    {
-        Some(end) if v2 => text.as_bytes()[..end].to_vec(),
-        _ => Vec::new(),
-    };
+    let signed_body =
+        match text.bytes().enumerate().filter(|(_, b)| *b == b'\n').nth(1).map(|(i, _)| i + 1) {
+            Some(end) if v2 => text.as_bytes()[..end].to_vec(),
+            _ => Vec::new(),
+        };
     Ok(Sidecar { fingerprint, tag, signed_body })
 }
 
@@ -378,15 +377,9 @@ mod tests {
         write_sidecar(&path, 0xdead_beef_0123_4567).unwrap();
         assert_eq!(read_sidecar(&path).unwrap(), Some(0xdead_beef_0123_4567));
         std::fs::write(sidecar_path(&path), "PALMED-FPRINT v1\nnot-hex\n").unwrap();
-        assert!(matches!(
-            read_sidecar(&path),
-            Err(ArtifactError::Malformed { line: 2, .. })
-        ));
+        assert!(matches!(read_sidecar(&path), Err(ArtifactError::Malformed { line: 2, .. })));
         std::fs::write(sidecar_path(&path), "garbage\n").unwrap();
-        assert!(matches!(
-            read_sidecar(&path),
-            Err(ArtifactError::Malformed { line: 1, .. })
-        ));
+        assert!(matches!(read_sidecar(&path), Err(ArtifactError::Malformed { line: 1, .. })));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -689,11 +689,7 @@ impl ModelRegistry {
         });
         palmed_obs::counter!("serve.registry.installs").inc();
         palmed_obs::gauge!("serve.registry.entries").set(self.len() as f64);
-        palmed_obs::event!(
-            "registry.install",
-            key = entry.name(),
-            generation = entry.generation(),
-        );
+        palmed_obs::event!("registry.install", key = entry.name(), generation = entry.generation(),);
         entry
     }
 
@@ -854,10 +850,8 @@ impl ModelRegistry {
     /// the currently-installed entry stays serving.
     pub fn reload_file(&self, name: &str) -> Result<Arc<RegistryEntry>, ArtifactError> {
         let entry = self.get(name).ok_or_else(|| not_found(name, "no such entry"))?;
-        let source = entry
-            .source
-            .as_ref()
-            .ok_or_else(|| not_found(name, "entry has no source file"))?;
+        let source =
+            entry.source.as_ref().ok_or_else(|| not_found(name, "entry has no source file"))?;
         let loaded = self.load_path(&source.path)?;
         let reloaded = self.try_write(|entries, generation| {
             // Only replace the exact generation the reload decision was
@@ -956,24 +950,22 @@ impl ModelRegistry {
                     outcome.reloaded.push(entry.name.clone());
                 }
                 Err(error) => {
-                    let (newly_quarantined, failures, backoff_polls) =
-                        self.with_health(|health| {
-                            let state = health.entry(entry.name.clone()).or_default();
-                            state.consecutive_failures += 1;
-                            state.last_error = Some(error.to_string());
-                            if state.consecutive_failures >= QUARANTINE_AFTER {
-                                state.quarantined = true;
-                                state.backoff_remaining = 0;
-                                state.last_status = RefreshStatus::Quarantined;
-                                (true, state.consecutive_failures, 0)
-                            } else {
-                                state.backoff_remaining = (1u32
-                                    << (state.consecutive_failures - 1))
-                                    .min(MAX_BACKOFF_POLLS);
-                                state.last_status = RefreshStatus::Failed;
-                                (false, state.consecutive_failures, state.backoff_remaining)
-                            }
-                        });
+                    let (newly_quarantined, failures, backoff_polls) = self.with_health(|health| {
+                        let state = health.entry(entry.name.clone()).or_default();
+                        state.consecutive_failures += 1;
+                        state.last_error = Some(error.to_string());
+                        if state.consecutive_failures >= QUARANTINE_AFTER {
+                            state.quarantined = true;
+                            state.backoff_remaining = 0;
+                            state.last_status = RefreshStatus::Quarantined;
+                            (true, state.consecutive_failures, 0)
+                        } else {
+                            state.backoff_remaining =
+                                (1u32 << (state.consecutive_failures - 1)).min(MAX_BACKOFF_POLLS);
+                            state.last_status = RefreshStatus::Failed;
+                            (false, state.consecutive_failures, state.backoff_remaining)
+                        }
+                    });
                     palmed_obs::counter!("serve.registry.refresh.errors").inc();
                     palmed_obs::event!(
                         "registry.reload_failed",
@@ -1237,7 +1229,10 @@ mod tests {
         let compiled = bin.artifact.compile();
         let view = bin.view();
         assert_eq!(view.num_entries(), compiled.num_entries());
-        assert_eq!(view.row(InstId(2)).collect::<Vec<_>>(), compiled.row(InstId(2)).collect::<Vec<_>>());
+        assert_eq!(
+            view.row(InstId(2)).collect::<Vec<_>>(),
+            compiled.row(InstId(2)).collect::<Vec<_>>()
+        );
         assert_eq!(served.kind(), ModelKind::ConjunctiveV2b);
         assert_eq!(registry.get("text-machine").unwrap().kind(), ModelKind::ConjunctiveV1);
         assert_eq!(disj.kind(), ModelKind::DisjunctiveV1);
@@ -1355,8 +1350,7 @@ mod tests {
         let registry = ModelRegistry::new();
         registry.swap_bytes("hot", artifact("hot", 0.5).render_v2()).unwrap();
         let old = registry.get("hot").unwrap();
-        let swapped =
-            registry.swap_bytes("hot", artifact("hot", 0.25).render_v2()).unwrap();
+        let swapped = registry.swap_bytes("hot", artifact("hot", 0.25).render_v2()).unwrap();
         assert_eq!(registry.len(), 1);
         assert!(swapped.generation() > old.generation());
         // A v2b swap serves the retained bytes with the mapping deferred.
@@ -1369,9 +1363,8 @@ mod tests {
         assert!(registry.swap_bytes("hot", vec![1, 2, 3]).is_err());
         assert_eq!(registry.get("hot").unwrap().generation(), swapped.generation());
         // Swapping a disjunctive buffer over it changes the entry kind.
-        let dj = registry
-            .swap_bytes("hot", crate::disj::tests_support::example().render())
-            .unwrap();
+        let dj =
+            registry.swap_bytes("hot", crate::disj::tests_support::example().render()).unwrap();
         assert_eq!(dj.kind(), ModelKind::DisjunctiveV1);
         assert!(dj.disjunctive().is_some());
     }
@@ -1468,10 +1461,7 @@ mod tests {
         assert_eq!(entry.consecutive_failures, 0);
         assert!(!entry.quarantined);
         assert_eq!(entry.kind, ModelKind::ConjunctiveV2b);
-        assert_eq!(
-            entry.fingerprint,
-            registry.get("watched-health").unwrap().fingerprint()
-        );
+        assert_eq!(entry.fingerprint, registry.get("watched-health").unwrap().fingerprint());
 
         // A quiet poll marks the entry Current; a failing reload records
         // the error, counts the failure and starts the backoff.
@@ -1479,11 +1469,7 @@ mod tests {
         std::fs::write(&watched, b"PALMED-MODEL v2b\ngarbage").unwrap();
         let outcome = registry.refresh();
         assert_eq!(outcome.errors.len(), 1);
-        let entry = registry
-            .health()
-            .into_iter()
-            .find(|h| h.name == "watched-health")
-            .unwrap();
+        let entry = registry.health().into_iter().find(|h| h.name == "watched-health").unwrap();
         assert_eq!(entry.status, RefreshStatus::Failed);
         assert_eq!(entry.consecutive_failures, 1);
         assert_eq!(entry.backoff_remaining, 1);
@@ -1501,11 +1487,7 @@ mod tests {
         artifact("watched-health", 0.25).save_v2(&watched).unwrap();
         let readmitted = registry.readmit("watched-health").unwrap();
         assert!(readmitted.served().is_some());
-        let entry = registry
-            .health()
-            .into_iter()
-            .find(|h| h.name == "watched-health")
-            .unwrap();
+        let entry = registry.health().into_iter().find(|h| h.name == "watched-health").unwrap();
         assert_eq!(entry.status, RefreshStatus::Reloaded);
         assert_eq!(entry.consecutive_failures, 0);
         std::fs::remove_file(&watched).ok();

@@ -88,15 +88,18 @@ impl CorpusCache {
         Some(Arc::clone(&slot.corpus))
     }
 
-    fn insert(&mut self, name: String, generation: u64, hash: u64, text: String, corpus: Arc<Corpus>) {
+    fn insert(
+        &mut self,
+        name: String,
+        generation: u64,
+        hash: u64,
+        text: String,
+        corpus: Arc<Corpus>,
+    ) {
         self.clock += 1;
         if self.slots.len() >= CORPUS_CACHE_CAP {
-            if let Some(oldest) = self
-                .slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.stamp)
-                .map(|(i, _)| i)
+            if let Some(oldest) =
+                self.slots.iter().enumerate().min_by_key(|(_, s)| s.stamp).map(|(i, _)| i)
             {
                 self.slots.swap_remove(oldest);
             }
@@ -206,8 +209,7 @@ impl SharedBatcher {
             if group.requests.len() > 1 {
                 stats.coalesced += group.requests.len();
             }
-            palmed_obs::counter!("wire.batch.coalesced_requests")
-                .add(group.requests.len() as u64);
+            palmed_obs::counter!("wire.batch.coalesced_requests").add(group.requests.len() as u64);
             let serve_timer = palmed_obs::start_timer();
             let (result, ranges) = serve_group(&group);
             palmed_obs::histogram!("wire.batch.batch_ns").record_elapsed(serve_timer);
@@ -297,12 +299,7 @@ fn unknown_model_frame(req_id: u32, model: &str) -> Frame {
 
 /// The error frame for a corpus the strict parser rejected.
 fn corpus_error_frame(req_id: u32, err: &palmed_serve::CorpusError) -> Frame {
-    Frame::Error {
-        req_id,
-        class: err.class().to_string(),
-        offset: None,
-        message: err.to_string(),
-    }
+    Frame::Error { req_id, class: err.class().to_string(), offset: None, message: err.to_string() }
 }
 
 /// The cache's prefilter hash: length plus FNV over the first and last
@@ -396,8 +393,7 @@ mod tests {
             },
             request(7, CORPUS_A).encode(),
             {
-                let mut b =
-                    Frame::AdminRequest { req_id: 3, what: "health".to_string() }.encode();
+                let mut b = Frame::AdminRequest { req_id: 3, what: "health".to_string() }.encode();
                 b.extend_from_slice(
                     &Frame::Request {
                         req_id: 4,
@@ -433,8 +429,11 @@ mod tests {
 
     #[test]
     fn duplicate_corpora_parse_once_and_batches_merge_distinct_ones() {
-        let inboxes =
-            vec![request(1, CORPUS_A).encode(), request(2, CORPUS_A).encode(), request(3, CORPUS_B).encode()];
+        let inboxes = vec![
+            request(1, CORPUS_A).encode(),
+            request(2, CORPUS_A).encode(),
+            request(3, CORPUS_B).encode(),
+        ];
         let (outs, stats) = shared_round(&inboxes);
         let rows = |bytes: &[u8]| match &decode_all(bytes)[..] {
             [Frame::Response { rows, .. }] => rows.clone(),

@@ -257,9 +257,8 @@ impl Connection {
                 return;
             }
         }
-        let quiescent = self.read_buf.is_empty()
-            && self.pending.is_empty()
-            && self.write_backlog() == 0;
+        let quiescent =
+            self.read_buf.is_empty() && self.pending.is_empty() && self.write_backlog() == 0;
         if quiescent && now.saturating_sub(self.last_activity) > self.limits.idle_timeout_ticks {
             palmed_obs::counter!("wire.timeouts.idle").inc();
             self.state = ConnState::Closed;
@@ -313,8 +312,7 @@ impl Connection {
                 }
                 Ok(Decoded::Frame { consumed, frame }) => {
                     self.read_buf.drain(..consumed);
-                    self.partial_since =
-                        if self.read_buf.is_empty() { None } else { Some(now) };
+                    self.partial_since = if self.read_buf.is_empty() { None } else { Some(now) };
                     self.accept(frame);
                     if self.state != ConnState::Open {
                         return;
@@ -446,7 +444,9 @@ impl Engine {
     /// [`palmed_obs::snapshot`].
     pub fn admin(&self, req_id: u32, what: &str) -> Frame {
         match what {
-            "health" => Frame::AdminResponse { req_id, body: render_health(&self.registry.health()) },
+            "health" => {
+                Frame::AdminResponse { req_id, body: render_health(&self.registry.health()) }
+            }
             "obs" => Frame::AdminResponse { req_id, body: palmed_obs::snapshot().render_json() },
             other => Frame::Error {
                 req_id,

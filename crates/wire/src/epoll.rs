@@ -129,9 +129,8 @@ impl Epoll {
         let mut events = [EpollEvent { events: 0, data: 0 }; 64];
         // SAFETY: `events` is a live mutable array of exactly 64
         // correctly-laid-out entries.
-        let ret = unsafe {
-            epoll_wait(self.epfd, events.as_mut_ptr(), events.len() as i32, timeout_ms)
-        };
+        let ret =
+            unsafe { epoll_wait(self.epfd, events.as_mut_ptr(), events.len() as i32, timeout_ms) };
         if ret < 0 {
             let err = io::Error::last_os_error();
             return match err.kind() {

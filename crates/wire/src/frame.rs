@@ -339,9 +339,8 @@ fn parse_payload(body: &[u8], kind: u32) -> Result<Frame, ArtifactError> {
             let mut rows = Vec::with_capacity(n.min(1 << 16));
             for i in 0..n {
                 let covered = cur.take(1, "coverage flag")?[0];
-                let bits = u64::from_le_bytes(
-                    cur.take(8, "ipc bits")?.try_into().expect("8 bytes"),
-                );
+                let bits =
+                    u64::from_le_bytes(cur.take(8, "ipc bits")?.try_into().expect("8 bytes"));
                 rows.push(match covered {
                     1 => Some(f64::from_bits(bits)),
                     0 if bits == 0 => None,
@@ -358,12 +357,7 @@ fn parse_payload(body: &[u8], kind: u32) -> Result<Frame, ArtifactError> {
             }
             let offset = cur.u32("error offset")?;
             let message = cur.str("error message")?.to_string();
-            Frame::Error {
-                req_id,
-                class,
-                offset: (offset != NO_OFFSET).then_some(offset),
-                message,
-            }
+            Frame::Error { req_id, class, offset: (offset != NO_OFFSET).then_some(offset), message }
         }
         KIND_ADMIN_REQUEST => {
             let what = cur.str("admin query")?.to_string();

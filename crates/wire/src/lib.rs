@@ -201,16 +201,10 @@ mod tests {
         let mut conn = Connection::new(Limits::default(), 0);
         let mut stream = Loopback::default();
         stream.inbox.extend_from_slice(
-            &Frame::Request {
-                req_id: 1,
-                model: "zen".to_string(),
-                corpus: CORPUS.to_string(),
-            }
-            .encode(),
+            &Frame::Request { req_id: 1, model: "zen".to_string(), corpus: CORPUS.to_string() }
+                .encode(),
         );
-        stream
-            .inbox
-            .extend_from_slice(&request(2, "PALMED-CORPUS v1\nb0 1 NOPE×1\n").encode());
+        stream.inbox.extend_from_slice(&request(2, "PALMED-CORPUS v1\nb0 1 NOPE×1\n").encode());
         pump(&mut batcher, 0, &mut conn, &mut stream);
         let frames = decode_all(&stream.outbox);
         assert_eq!(frames.len(), 2);
@@ -240,9 +234,9 @@ mod tests {
         bytes[last] ^= 0x01; // corrupt the trailer
         stream.inbox = bytes.clone();
         // Another (valid) frame behind the poison pill must NOT be served.
-        stream
-            .inbox
-            .extend_from_slice(&Frame::AdminRequest { req_id: 2, what: "health".to_string() }.encode());
+        stream.inbox.extend_from_slice(
+            &Frame::AdminRequest { req_id: 2, what: "health".to_string() }.encode(),
+        );
 
         pump(&mut batcher, 0, &mut conn, &mut stream);
         let frames = decode_all(&stream.outbox);

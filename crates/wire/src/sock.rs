@@ -141,9 +141,7 @@ mod sys {
     fn set_opt(fd: &Fd, level: i32, name: i32, value: i32) -> io::Result<()> {
         // SAFETY: `value` is a live i32 for the duration of the call and
         // `len` states its exact size.
-        check(unsafe {
-            setsockopt(fd.0, level, name, &value as *const i32 as *const c_void, 4)
-        })?;
+        check(unsafe { setsockopt(fd.0, level, name, &value as *const i32 as *const c_void, 4) })?;
         Ok(())
     }
 
@@ -192,7 +190,10 @@ mod sys {
         let mut len = std::mem::size_of::<SockaddrIn>() as u32;
         // SAFETY: `raw`/`len` are live out-parameters sized to SockaddrIn.
         check(unsafe { getsockname(fd.0, &mut raw as *mut SockaddrIn as *mut c_void, &mut len) })?;
-        Ok(SocketAddrV4::new(Ipv4Addr::from(u32::from_be(raw.sin_addr)), u16::from_be(raw.sin_port)))
+        Ok(SocketAddrV4::new(
+            Ipv4Addr::from(u32::from_be(raw.sin_addr)),
+            u16::from_be(raw.sin_port),
+        ))
     }
 
     pub(super) fn connect_to(fd: &Fd, path: &[u8]) -> io::Result<()> {
@@ -241,8 +242,7 @@ mod sys {
     pub(super) fn send_bytes(fd: &Fd, buf: &[u8]) -> io::Result<usize> {
         // SAFETY: `buf` is a live, readable slice; MSG_NOSIGNAL keeps a
         // dead peer from raising SIGPIPE.
-        let ret =
-            unsafe { send(fd.0, buf.as_ptr() as *const c_void, buf.len(), MSG_NOSIGNAL) };
+        let ret = unsafe { send(fd.0, buf.as_ptr() as *const c_void, buf.len(), MSG_NOSIGNAL) };
         if ret < 0 {
             Err(io::Error::last_os_error())
         } else {
@@ -514,7 +514,11 @@ impl WireServer {
                     epoll.add(client.0, token, false)?;
                     conns.insert(
                         token,
-                        EpollSlot { fd: client, conn: Connection::new(limits, now), write_interest: false },
+                        EpollSlot {
+                            fd: client,
+                            conn: Connection::new(limits, now),
+                            write_interest: false,
+                        },
                     );
                     // A newborn connection is pumped this very tick — its
                     // first bytes may already be in the socket buffer.
