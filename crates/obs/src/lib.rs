@@ -80,6 +80,7 @@
 //! | `wire.errors` | C | structured error frames written |
 //! | `wire.shed.busy` | C | frames shed with `server-busy` at the in-flight cap |
 //! | `wire.poisoned` | C | connections poisoned by a malformed frame |
+//! | `wire.decode.corpus_memo_hits` | C | requests whose corpus equalled their connection's last one, so decode skipped its UTF-8 check |
 //! | `wire.timeouts.deadline` | C | partial frames that hit the receive deadline |
 //! | `wire.timeouts.idle` | C | connections closed by the idle timeout |
 //! | `wire.timeouts.write_stall` | C | connections closed because their write backlog made no progress |

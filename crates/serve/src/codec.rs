@@ -308,10 +308,26 @@ impl<'a> Cursor<'a> {
         let len = self.u32(what)? as usize;
         let start = self.pos;
         let bytes = self.take(len, what)?;
-        std::str::from_utf8(bytes).map_err(|_| ArtifactError::MalformedBinary {
-            offset: start,
-            reason: format!("{what} is not valid UTF-8"),
-        })
+        utf8_at(bytes, start, what)
+    }
+
+    /// Reads a length-prefixed string like [`Cursor::str`], unless its
+    /// bytes equal `known` byte for byte: then it returns `None` without
+    /// running the UTF-8 check, which `known` already passed as a `str`.
+    /// Any other bytes are validated exactly as [`Cursor::str`] validates
+    /// them, with the same error and offset.
+    pub fn str_unless(
+        &mut self,
+        what: &str,
+        known: &str,
+    ) -> Result<Option<&'a str>, ArtifactError> {
+        let len = self.u32(what)? as usize;
+        let start = self.pos;
+        let bytes = self.take(len, what)?;
+        if bytes == known.as_bytes() {
+            return Ok(None);
+        }
+        utf8_at(bytes, start, what).map(Some)
     }
 
     /// Reads a name that must already be in the sanitised `token` form the
@@ -343,6 +359,14 @@ impl<'a> Cursor<'a> {
     pub fn done(&self) -> bool {
         self.pos == self.bytes.len()
     }
+}
+
+/// Validates `bytes` (read at frame offset `start`) as UTF-8.
+fn utf8_at<'a>(bytes: &'a [u8], start: usize, what: &str) -> Result<&'a str, ArtifactError> {
+    std::str::from_utf8(bytes).map_err(|_| ArtifactError::MalformedBinary {
+        offset: start,
+        reason: format!("{what} is not valid UTF-8"),
+    })
 }
 
 /// Converts a `PALMED-MODEL v1` text artifact into its `v2b` binary form —
@@ -388,6 +412,32 @@ mod tests {
         for kind in ModelKind::ALL {
             assert!(!kind.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn str_unless_skips_only_bytes_equal_to_the_known_text() {
+        let mut buf = b"M".to_vec();
+        push_str(&mut buf, "a×b");
+        // As long as the known text, but not UTF-8.
+        push_u32(&mut buf, 4);
+        buf.extend_from_slice(b"a\xff\xffb");
+        let read = |known: &str| {
+            let mut cur = Cursor::after_magic(&buf, b"M");
+            (cur.str_unless("first", known), cur.str_unless("second", known))
+        };
+        let (first, second) = read("a×b");
+        assert_eq!(first.unwrap(), None, "equal bytes take the known text");
+        let unless = second.unwrap_err();
+        let mut cur = Cursor::after_magic(&buf, b"M");
+        cur.str("first").unwrap();
+        let plain = cur.str("second").unwrap_err();
+        assert_eq!(
+            unless.to_string(),
+            plain.to_string(),
+            "other bytes are validated as `str` does"
+        );
+        assert_eq!(unless.offset(), Some(1 + 4 + "a×b".len() + 4));
+        assert_eq!(read("a").0.unwrap(), Some("a×b"));
     }
 
     #[test]

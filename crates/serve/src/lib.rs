@@ -22,9 +22,9 @@
 //! * [`batch`] — [`BatchPredictor`]: dedupes identical microkernels into a
 //!   reusable [`PreparedBatch`] backed by a shared
 //!   `Arc<`[`KernelSet`](palmed_isa::KernelSet)`>` interner with cached
-//!   hashes (ingest, once per workload), then shards the distinct ones
-//!   across threads with `palmed-par` and scatters results back into input
-//!   order (serve, once per model or query).
+//!   hashes (ingest, once per workload), then evaluates the distinct ones on
+//!   the calling thread and scatters results back into input order (serve,
+//!   once per model or query).
 //! * [`corpus`] — a text format for basic-block workloads ([`Corpus`]) that
 //!   interns kernels at parse time, so prediction traffic can come from files
 //!   instead of in-process generators and ingest is index bookkeeping.

@@ -24,9 +24,9 @@
 //!
 //! # Why the rows are bit-identical to in-process prediction
 //!
-//! `BatchPredictor` evaluates each *distinct* kernel independently, with
-//! per-shard scratch; a kernel's predicted IPC does not depend on what else
-//! is in the batch or where shard boundaries fall.  Merging corpora
+//! `BatchPredictor` evaluates each *distinct* kernel independently, on the
+//! serving thread; a kernel's predicted IPC does not depend on what else is
+//! in the batch or in which order it is evaluated.  Merging corpora
 //! therefore changes only *how often* a kernel is evaluated (once instead
 //! of once per connection), never *what* it evaluates to — the property the
 //! `fuzz_wire` schedules assert byte-for-byte against an in-process

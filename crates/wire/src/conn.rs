@@ -43,12 +43,15 @@
 //! fuzzer feeds scripted integers), so every timeout decision is
 //! reproducible from a schedule.
 
-use crate::frame::{decode_frame, Decoded, Frame, WireError};
+use crate::frame::{self, Decoded, Frame, WireError};
 use palmed_serve::registry::EntryHealth;
 use palmed_serve::ModelRegistry;
 use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
+
+/// Bytes a read asks for while the next frame's length is still unknown.
+const READ_CHUNK: usize = 4096;
 
 /// Resource and timing caps for one connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,8 +110,16 @@ pub enum ConnState {
 pub struct Connection {
     state: ConnState,
     limits: Limits,
-    /// Partially received bytes (at most one frame prefix after each pump).
+    /// Received bytes in `read_buf[..read_len]` (at most one frame prefix
+    /// after each pump); the rest is room the next read fills.  The room is
+    /// kept, not re-zeroed, so a frame trickling in costs one `resize`.
     read_buf: Vec<u8>,
+    /// How much of `read_buf` holds received bytes.
+    read_len: usize,
+    /// The corpus text of the last request decoded on this connection.  A
+    /// resent corpus equal to it byte for byte skips the UTF-8 check (see
+    /// [`frame::decode`]); cleared on poison and drain.
+    corpus_memo: String,
     /// Encoded but not yet fully written response bytes.
     write_buf: Vec<u8>,
     /// How much of `write_buf` has been accepted by the stream.
@@ -131,6 +142,8 @@ impl Connection {
             state: ConnState::Open,
             limits,
             read_buf: Vec::new(),
+            read_len: 0,
+            corpus_memo: String::new(),
             write_buf: Vec::new(),
             write_pos: 0,
             pending: VecDeque::new(),
@@ -165,8 +178,9 @@ impl Connection {
         if matches!(self.state, ConnState::Open) {
             self.state = ConnState::Draining;
             // A half-received frame can never complete; drop it.
-            self.read_buf.clear();
+            self.read_len = 0;
             self.partial_since = None;
+            self.corpus_memo = String::new();
         }
     }
 
@@ -246,19 +260,18 @@ impl Connection {
                 palmed_obs::counter!("wire.timeouts.deadline").inc();
                 let err = WireError {
                     class: "deadline-exceeded".to_string(),
-                    offset: self.read_buf.len(),
+                    offset: self.read_len,
                     reason: format!(
                         "frame incomplete after {} ticks ({} bytes received)",
                         now.saturating_sub(since),
-                        self.read_buf.len()
+                        self.read_len
                     ),
                 };
                 self.poison(err);
                 return;
             }
         }
-        let quiescent =
-            self.read_buf.is_empty() && self.pending.is_empty() && self.write_backlog() == 0;
+        let quiescent = self.read_len == 0 && self.pending.is_empty() && self.write_backlog() == 0;
         if quiescent && now.saturating_sub(self.last_activity) > self.limits.idle_timeout_ticks {
             palmed_obs::counter!("wire.timeouts.idle").inc();
             self.state = ConnState::Closed;
@@ -266,11 +279,20 @@ impl Connection {
     }
 
     /// Reads until the stream has nothing more, decoding as frames
-    /// complete.
+    /// complete.  Until a frame's header has been accepted, a read asks for
+    /// [`READ_CHUNK`] bytes; after, for at least the rest of the frame the
+    /// header declares, so a large request arrives in one read.  The
+    /// decoder has checked that length against [`Limits::max_payload`]
+    /// before any room is made for it.
     fn fill(&mut self, now: u64, stream: &mut dyn WireStream) {
-        let mut chunk = [0u8; 4096];
         loop {
-            match stream.read(&mut chunk) {
+            let want = match frame::declared_frame_len(&self.read_buf[..self.read_len]) {
+                Some(total) if total > self.read_len => total - self.read_len,
+                _ => READ_CHUNK,
+            };
+            let end = self.read_buf.len().max(self.read_len + want);
+            self.read_buf.resize(end, 0);
+            match stream.read(&mut self.read_buf[self.read_len..]) {
                 Ok(0) => {
                     // Peer closed its side: what arrived is all there is.
                     self.begin_drain();
@@ -278,7 +300,7 @@ impl Connection {
                 }
                 Ok(n) => {
                     self.last_activity = now;
-                    self.read_buf.extend_from_slice(&chunk[..n]);
+                    self.read_len += n;
                     if self.partial_since.is_none() {
                         self.partial_since = Some(now);
                     }
@@ -303,16 +325,18 @@ impl Connection {
     /// Decodes every complete frame at the front of the read buffer.
     fn drain_frames(&mut self, now: u64) {
         loop {
-            match decode_frame(&self.read_buf, self.limits.max_payload) {
+            let received = &self.read_buf[..self.read_len];
+            match frame::decode(received, self.limits.max_payload, Some(&mut self.corpus_memo)) {
                 Ok(Decoded::NeedMore) => {
-                    if self.read_buf.is_empty() {
+                    if self.read_len == 0 {
                         self.partial_since = None;
                     }
                     return;
                 }
                 Ok(Decoded::Frame { consumed, frame }) => {
-                    self.read_buf.drain(..consumed);
-                    self.partial_since = if self.read_buf.is_empty() { None } else { Some(now) };
+                    self.read_buf.copy_within(consumed..self.read_len, 0);
+                    self.read_len -= consumed;
+                    self.partial_since = if self.read_len == 0 { None } else { Some(now) };
                     self.accept(frame);
                     if self.state != ConnState::Open {
                         return;
@@ -370,7 +394,7 @@ impl Connection {
             Frame::Error { .. } => palmed_obs::counter!("wire.errors").inc(),
             _ => palmed_obs::counter!("wire.responses").inc(),
         }
-        self.write_buf.extend_from_slice(&frame.encode());
+        frame.encode_into(&mut self.write_buf);
     }
 
     /// Emits the structured rejection and poisons the connection.
@@ -378,8 +402,9 @@ impl Connection {
         palmed_obs::counter!("wire.poisoned").inc();
         let frame = err.to_frame(0);
         self.send(frame);
-        self.read_buf.clear();
+        self.read_len = 0;
         self.partial_since = None;
+        self.corpus_memo = String::new();
         self.pending.clear();
         self.state = ConnState::Poisoned;
     }
@@ -504,4 +529,131 @@ fn json_str(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{KIND_REQUEST, MAGIC, TRAILER_LEN};
+    use crate::testutil::{batcher, decode_all, expected_rows, pump, request, Loopback, CORPUS};
+    use palmed_serve::codec::{finish_trailer, push_u32};
+
+    /// `request(req_id, CORPUS)` with corpus byte `at` set to `0xFF`, which
+    /// is never valid UTF-8, and the trailer recomputed.
+    fn corrupt_corpus_request(req_id: u32, at: usize) -> Vec<u8> {
+        let mut bytes = request(req_id, CORPUS).encode();
+        bytes.truncate(bytes.len() - TRAILER_LEN);
+        let corpus_start = bytes.len() - CORPUS.len();
+        bytes[corpus_start + at] = 0xFF;
+        finish_trailer(bytes)
+    }
+
+    /// Serves `inboxes` one pump each on a fresh connection; returns the
+    /// connection and every frame it wrote.
+    fn serve(inboxes: &[Vec<u8>]) -> (Connection, Vec<Frame>) {
+        let mut batcher = batcher();
+        let mut conn = Connection::new(Limits::default(), 0);
+        let mut stream = Loopback::default();
+        for (tick, inbox) in inboxes.iter().enumerate() {
+            stream.inbox.extend_from_slice(inbox);
+            pump(&mut batcher, tick as u64, &mut conn, &mut stream);
+        }
+        (conn, decode_all(&stream.outbox))
+    }
+
+    #[test]
+    fn the_same_request_twice_gives_two_identical_replies() {
+        let bytes = request(1, CORPUS).encode();
+        let (conn, frames) = serve(&[bytes.clone(), bytes]);
+        assert_eq!(conn.corpus_memo, CORPUS, "the resent corpus stays the memo");
+        let expected = Frame::Response { req_id: 1, rows: expected_rows(CORPUS) }.encode();
+        assert_eq!(frames.len(), 2);
+        for frame in &frames {
+            assert_eq!(frame.encode(), expected, "bit-identical to the in-process rows");
+        }
+    }
+
+    #[test]
+    fn a_one_byte_change_from_the_memo_poisons_like_a_fresh_connection() {
+        let at = CORPUS.len() / 2;
+        let bad = corrupt_corpus_request(2, at);
+        let (_, fresh) = serve(std::slice::from_ref(&bad));
+        let (conn, memoised) = serve(&[request(1, CORPUS).encode(), bad.clone()]);
+
+        assert_eq!(memoised.len(), 2, "one reply, then the rejection");
+        assert!(matches!(memoised[0], Frame::Response { req_id: 1, .. }));
+        assert_eq!(fresh.len(), 1);
+        assert_eq!(
+            memoised[1], fresh[0],
+            "same class, offset and message as on a fresh connection"
+        );
+        let corpus_offset = (bad.len() - TRAILER_LEN - CORPUS.len()) as u32;
+        match &fresh[0] {
+            Frame::Error { class, offset, .. } => {
+                assert_eq!(class, "malformed-binary");
+                assert_eq!(*offset, Some(corpus_offset), "the corpus string's first byte");
+            }
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+        assert_ne!(conn.state(), ConnState::Open, "the connection is poisoned");
+    }
+
+    #[test]
+    fn poison_and_drain_clear_the_memo() {
+        let (conn, _) = serve(&[request(1, CORPUS).encode(), b"not a frame".to_vec()]);
+        assert_ne!(conn.state(), ConnState::Open);
+        assert!(conn.corpus_memo.is_empty(), "poison clears the memo");
+
+        let (mut conn, _) = serve(&[request(1, CORPUS).encode()]);
+        assert_eq!(conn.corpus_memo, CORPUS);
+        conn.begin_drain();
+        assert!(conn.corpus_memo.is_empty(), "drain clears the memo");
+    }
+
+    #[test]
+    fn a_large_frame_arrives_in_one_read_once_its_header_is_accepted() {
+        let blocks: String = (0..2000).map(|i| format!("b{i} 1 ADDSS×3 DIVPS×1\n")).collect();
+        let corpus = format!("PALMED-CORPUS v1\n{blocks}");
+        let bytes = request(1, &corpus).encode();
+        assert!(bytes.len() > 10 * READ_CHUNK);
+        let mut batcher = batcher();
+        let mut conn = Connection::new(Limits::default(), 0);
+        let mut stream = Loopback { inbox: bytes.clone(), ..Loopback::default() };
+
+        pump(&mut batcher, 0, &mut conn, &mut stream);
+        // A chunk that takes in the header, the rest of the frame it
+        // declares, then a read that finds the stream empty.
+        assert_eq!(stream.reads, 3);
+        // The room stays: the same request again is one read, plus the empty one.
+        stream.reads = 0;
+        stream.inbox = bytes;
+        pump(&mut batcher, 1, &mut conn, &mut stream);
+        assert_eq!(stream.reads, 2);
+
+        let expected = Frame::Response { req_id: 1, rows: expected_rows(&corpus) }.encode();
+        let frames = decode_all(&stream.outbox);
+        assert_eq!(frames.len(), 2);
+        for frame in &frames {
+            assert_eq!(frame.encode(), expected);
+        }
+    }
+
+    #[test]
+    fn an_oversized_declared_length_rejects_before_room_is_made() {
+        let limits = Limits::default();
+        let mut header = MAGIC.to_vec();
+        push_u32(&mut header, KIND_REQUEST);
+        push_u32(&mut header, limits.max_payload + 1);
+        let mut conn = Connection::new(limits, 0);
+        let mut stream = Loopback { inbox: header, ..Loopback::default() };
+        pump(&mut batcher(), 0, &mut conn, &mut stream);
+        match &decode_all(&stream.outbox)[..] {
+            [Frame::Error { class, offset, .. }] => {
+                assert_eq!(class, "frame-too-large");
+                assert_eq!(*offset, Some(MAGIC.len() as u32 + 4), "rejected at the length field");
+            }
+            other => panic!("expected one rejection, got {other:?}"),
+        }
+        assert!(conn.read_buf.len() <= READ_CHUNK, "no room made for the declared payload");
+    }
 }

@@ -54,7 +54,7 @@
 //! [`BatchPredictor`]: palmed_serve::BatchPredictor
 
 use palmed_serve::checksum::fnv1a64_words;
-use palmed_serve::codec::{finish_trailer, push_f64, push_str, push_u32, Cursor};
+use palmed_serve::codec::{push_f64, push_str, push_u32, Cursor};
 use palmed_serve::ArtifactError;
 use std::fmt;
 
@@ -157,42 +157,67 @@ impl Frame {
     /// Encodes the frame, trailer included.  Encoding is infallible — the
     /// sender controls its own frames; limits are the *decoder's* job.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        push_u32(&mut payload, self.req_id());
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the encoded frame, trailer included, to `out` in one pass:
+    /// header, payload and trailer are written straight into `out` (the
+    /// trailer hashes the frame just appended), so a server queues a reply
+    /// into its write buffer without an intermediate copy.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let payload_len = self.payload_len();
+        out.reserve(HEADER_LEN + payload_len + TRAILER_LEN);
+        let start = out.len();
+        out.extend_from_slice(MAGIC);
+        push_u32(out, self.kind());
+        push_u32(out, payload_len as u32);
+        push_u32(out, self.req_id());
         match self {
             Frame::Request { model, corpus, .. } => {
-                push_str(&mut payload, model);
-                push_str(&mut payload, corpus);
+                push_str(out, model);
+                push_str(out, corpus);
             }
             Frame::Response { rows, .. } => {
-                push_u32(&mut payload, rows.len() as u32);
+                push_u32(out, rows.len() as u32);
                 for row in rows {
                     match row {
                         Some(ipc) => {
-                            payload.push(1);
-                            push_f64(&mut payload, *ipc);
+                            out.push(1);
+                            push_f64(out, *ipc);
                         }
                         None => {
-                            payload.push(0);
-                            payload.extend_from_slice(&0u64.to_le_bytes());
+                            out.push(0);
+                            out.extend_from_slice(&0u64.to_le_bytes());
                         }
                     }
                 }
             }
             Frame::Error { class, offset, message, .. } => {
-                push_str(&mut payload, class);
-                push_u32(&mut payload, offset.unwrap_or(NO_OFFSET));
-                push_str(&mut payload, message);
+                push_str(out, class);
+                push_u32(out, offset.unwrap_or(NO_OFFSET));
+                push_str(out, message);
             }
-            Frame::AdminRequest { what, .. } => push_str(&mut payload, what),
-            Frame::AdminResponse { body, .. } => push_str(&mut payload, body),
+            Frame::AdminRequest { what, .. } => push_str(out, what),
+            Frame::AdminResponse { body, .. } => push_str(out, body),
         }
-        let mut body = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
-        body.extend_from_slice(MAGIC);
-        push_u32(&mut body, self.kind());
-        push_u32(&mut body, payload.len() as u32);
-        body.extend_from_slice(&payload);
-        finish_trailer(body)
+        debug_assert_eq!(out.len() - start, HEADER_LEN + payload_len, "payload_len is exact");
+        let checksum = fnv1a64_words(&out[start..]);
+        out.extend_from_slice(&checksum.to_le_bytes());
+    }
+
+    /// The payload's encoded length in bytes (the header's `len` word).
+    fn payload_len(&self) -> usize {
+        // Every kind starts with `req_id`; a string is a `u32` length plus
+        // its bytes; a response row is a flag byte plus the `u64` bits.
+        4 + match self {
+            Frame::Request { model, corpus, .. } => 4 + model.len() + 4 + corpus.len(),
+            Frame::Response { rows, .. } => 4 + rows.len() * 9,
+            Frame::Error { class, message, .. } => 4 + class.len() + 4 + 4 + message.len(),
+            Frame::AdminRequest { what, .. } => 4 + what.len(),
+            Frame::AdminResponse { body, .. } => 4 + body.len(),
+        }
     }
 }
 
@@ -270,6 +295,21 @@ pub enum Decoded {
 /// oversized lengths fail on the partial buffer without waiting for the
 /// rest of the frame.
 pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<Decoded, WireError> {
+    decode(buf, max_payload, None)
+}
+
+/// [`decode_frame`] for a connection that keeps the corpus text of the
+/// last request it decoded in `memo`.  A request whose corpus bytes equal
+/// the memo byte for byte takes the memo's text without running
+/// `from_utf8` again: bytes equal to a valid `str` are valid UTF-8, so the
+/// check is implied, not dropped.  Any other corpus is validated exactly as
+/// [`decode_frame`] validates it (same class, same offset) and becomes the
+/// memo.  With `None` this is [`decode_frame`].
+pub(crate) fn decode(
+    buf: &[u8],
+    max_payload: u32,
+    memo: Option<&mut String>,
+) -> Result<Decoded, WireError> {
     // Magic, checked byte-by-byte so a partial buffer already rejects.
     for (i, (got, want)) in buf.iter().zip(MAGIC).enumerate() {
         if got != want {
@@ -317,13 +357,29 @@ pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<Decoded, WireError> 
             format!("frame trailer mismatch: stored {stored:#018x}, computed {computed:#018x}"),
         ));
     }
-    let frame = parse_payload(body, kind).map_err(WireError::from_artifact)?;
+    let frame = parse_payload(body, kind, memo).map_err(WireError::from_artifact)?;
     Ok(Decoded::Frame { consumed: total, frame })
 }
 
+/// The total length (header, payload and trailer) that the header at the
+/// front of `buf` declares, once the whole header has arrived.  Meaningful
+/// only after [`decode`] accepted that header, which bounds the declared
+/// payload by `max_payload`.
+pub(crate) fn declared_frame_len(buf: &[u8]) -> Option<usize> {
+    let len = buf.get(MAGIC.len() + 4..HEADER_LEN)?;
+    let declared = u32::from_le_bytes(len.try_into().expect("4 bytes"));
+    // Checked: a 32-bit `usize` cannot hold every declared length.
+    (HEADER_LEN + TRAILER_LEN).checked_add(usize::try_from(declared).ok()?)
+}
+
 /// Strict payload parse over the trailer-verified frame body (header
-/// included, so cursor offsets are frame-relative).
-fn parse_payload(body: &[u8], kind: u32) -> Result<Frame, ArtifactError> {
+/// included, so cursor offsets are frame-relative); see [`decode`] for
+/// `memo`.
+fn parse_payload(
+    body: &[u8],
+    kind: u32,
+    memo: Option<&mut String>,
+) -> Result<Frame, ArtifactError> {
     let mut cur = Cursor::after_magic(body, MAGIC);
     let _kind = cur.u32("frame kind")?;
     let _len = cur.u32("payload length")?;
@@ -331,7 +387,20 @@ fn parse_payload(body: &[u8], kind: u32) -> Result<Frame, ArtifactError> {
     let frame = match kind {
         KIND_REQUEST => {
             let model = cur.str("model name")?.to_string();
-            let corpus = cur.str("corpus text")?.to_string();
+            let corpus = match memo {
+                None => cur.str("corpus text")?.to_string(),
+                Some(memo) => match cur.str_unless("corpus text", memo)? {
+                    None => {
+                        palmed_obs::counter!("wire.decode.corpus_memo_hits").inc();
+                        memo.clone()
+                    }
+                    Some(text) => {
+                        memo.clear();
+                        memo.push_str(text);
+                        text.to_string()
+                    }
+                },
+            };
             Frame::Request { req_id, model, corpus }
         }
         KIND_RESPONSE => {
@@ -378,6 +447,7 @@ fn parse_payload(body: &[u8], kind: u32) -> Result<Frame, ArtifactError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use palmed_serve::codec::finish_trailer;
 
     fn decode_one(bytes: &[u8]) -> Frame {
         match decode_frame(bytes, 1 << 20).unwrap() {
@@ -426,6 +496,19 @@ mod tests {
             assert_eq!(decode_one(&bytes).encode(), bytes, "round trip of {frame:?}");
             // Deterministic encoding: same frame, same bytes.
             assert_eq!(bytes, frame.encode());
+        }
+    }
+
+    #[test]
+    fn encoding_into_one_buffer_concatenates_the_frames() {
+        let frames = sample_frames();
+        for a in &frames {
+            for b in &frames {
+                let mut out = Vec::new();
+                a.encode_into(&mut out);
+                b.encode_into(&mut out);
+                assert_eq!(out, [a.encode(), b.encode()].concat(), "{a:?} then {b:?}");
+            }
         }
     }
 

@@ -26,7 +26,12 @@
 //!   `server-busy` shedding, per-request receive deadlines, idle
 //!   timeouts, write backpressure, poison-on-malformed-frame and
 //!   drain-on-shutdown, all over an abstract [`conn::WireStream`] and a
-//!   logical tick clock so every decision replays deterministically.
+//!   logical tick clock so every decision replays deterministically.  A
+//!   frame whose header has been accepted is read in one call sized to
+//!   the rest of the frame, and a connection keeps the corpus text of its
+//!   last request, so a resent corpus is not run through the UTF-8 check
+//!   again (bytes equal to a valid `str` are valid UTF-8; any other corpus
+//!   is validated in full).
 //! * [`batcher`] — the serve core.  One [`batcher::SharedBatcher`] round
 //!   per tick gathers the decoded requests from every ready connection,
 //!   coalesces them into prepared batches keyed on a shared kernel set,
@@ -59,7 +64,8 @@
 //! 3. **Coalesce + serve** — requests pinned to the same entry merge into
 //!    one prepared batch ([`palmed_serve::BatchMerge`]): distinct kernels
 //!    across *all* those requests are interned once and predicted once via
-//!    [`palmed_serve::BatchPredictor::predict_prepared`].
+//!    [`palmed_serve::BatchPredictor::predict_prepared`], on the serving
+//!    thread.
 //! 4. **Scatter** — each request's rows are sliced back out of the batch
 //!    result and every reply is pushed onto its own connection's response
 //!    queue in that connection's wire order (request order within a

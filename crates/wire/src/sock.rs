@@ -638,7 +638,7 @@ impl WireClient {
     pub fn send_all(&mut self, frames: &[Frame]) -> io::Result<()> {
         let mut bytes = Vec::new();
         for frame in frames {
-            bytes.extend_from_slice(&frame.encode());
+            frame.encode_into(&mut bytes);
         }
         self.send_bytes(&bytes)
     }

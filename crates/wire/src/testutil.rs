@@ -50,15 +50,18 @@ pub(crate) fn pump(
     conn.pump_flush(now, stream);
 }
 
-/// An in-memory loopback: reads from `inbox`, writes to `outbox`.
+/// An in-memory loopback: reads from `inbox`, writes to `outbox`, and
+/// counts the read calls made on it.
 #[derive(Default)]
 pub(crate) struct Loopback {
     pub(crate) inbox: Vec<u8>,
     pub(crate) outbox: Vec<u8>,
+    pub(crate) reads: usize,
 }
 
 impl WireStream for Loopback {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.reads += 1;
         if self.inbox.is_empty() {
             return Err(io::ErrorKind::WouldBlock.into());
         }

@@ -189,6 +189,37 @@ fn shutdown_drains_every_received_request_before_closing() {
     assert!(conn.is_closed(), "a drained connection closes");
 }
 
+#[test]
+fn a_resent_corpus_is_counted_as_a_memo_hit_and_served_identically() {
+    palmed_obs::set_enabled(true);
+    let memo_hits =
+        || palmed_obs::snapshot().counter("wire.decode.corpus_memo_hits").unwrap_or(0);
+    let mut batcher = SharedBatcher::new(engine());
+    let mut conn = Connection::new(Limits::default(), 0);
+    let mut stream = Loopback::default();
+    let before = memo_hits();
+    for (tick, req_id) in (0..3u32).enumerate() {
+        stream.inbox.extend_from_slice(&request(req_id).encode());
+        pump(&mut batcher, tick as u64, &mut conn, &mut stream);
+    }
+    // Parallel tests can only add to the counter, so the two resends show
+    // at least.
+    assert!(memo_hits() - before >= 2, "the second and third request hit the memo");
+
+    let want: Vec<_> = expected_rows().iter().map(|r| r.map(f64::to_bits)).collect();
+    let frames = decode_all(&stream.outbox);
+    assert_eq!(frames.len(), 3);
+    for (i, frame) in frames.iter().enumerate() {
+        match frame {
+            Frame::Response { req_id, rows } => {
+                assert_eq!(*req_id, i as u32);
+                assert_eq!(rows.iter().map(|r| r.map(f64::to_bits)).collect::<Vec<_>>(), want);
+            }
+            other => panic!("expected a response, got {other:?}"),
+        }
+    }
+}
+
 /// End-to-end over a real UNIX socket: a spawned [`palmed_wire::WireServer`]
 /// must serve bit-identically to the in-process predictor, answer admin
 /// health with the registry fingerprint, and drain on stop.
