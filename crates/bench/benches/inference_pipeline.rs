@@ -9,8 +9,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use palmed_baselines::{PmEvo, PmEvoConfig};
 use palmed_core::{Palmed, PalmedConfig};
 use palmed_isa::InstId;
-use palmed_machine::{presets, AnalyticMeasurer, MemoizingMeasurer};
 use palmed_isa::InventoryConfig;
+use palmed_machine::{presets, AnalyticMeasurer, MemoizingMeasurer};
 
 fn bench_palmed_inference(c: &mut Criterion) {
     let preset = presets::skl_sp(&InventoryConfig::small());
@@ -21,8 +21,7 @@ fn bench_palmed_inference(c: &mut Criterion) {
         let subset: Vec<InstId> = all.iter().copied().take(n).collect();
         group.bench_with_input(BenchmarkId::new("instructions", n), &subset, |b, subset| {
             b.iter(|| {
-                let measurer =
-                    MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
+                let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
                 Palmed::new(PalmedConfig::evaluation()).infer_subset(&measurer, subset)
             })
         });
@@ -39,8 +38,7 @@ fn bench_pmevo_training(c: &mut Criterion) {
         let subset: Vec<InstId> = all.iter().copied().take(n).collect();
         group.bench_with_input(BenchmarkId::new("instructions", n), &subset, |b, subset| {
             b.iter(|| {
-                let measurer =
-                    MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
+                let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
                 PmEvo::new(PmEvoConfig::fast()).train(&measurer, subset)
             })
         });

@@ -88,11 +88,8 @@ fn bench_ingest_throughput(c: &mut Criterion) {
     // whose kernels were interned when it was built.
     let map_kernels: Vec<BTreeMap<InstId, u32>> =
         kernels.iter().map(|k| k.iter().collect()).collect();
-    let corpus: Corpus = kernels
-        .iter()
-        .enumerate()
-        .map(|(i, k)| (format!("b{i}"), 1.0, k.clone()))
-        .collect();
+    let corpus: Corpus =
+        kernels.iter().enumerate().map(|(i, k)| (format!("b{i}"), 1.0, k.clone())).collect();
 
     let flat = PreparedBatch::from_kernels(kernels.iter());
     let (map_distinct, map_slots) = ingest_btreemap(&map_kernels);
@@ -108,11 +105,9 @@ fn bench_ingest_throughput(c: &mut Criterion) {
         &map_kernels,
         |b, kernels| b.iter(|| ingest_btreemap(kernels).1.len()),
     );
-    group.bench_with_input(
-        BenchmarkId::new("ingest_flat", STREAM_LEN),
-        &kernels,
-        |b, kernels| b.iter(|| PreparedBatch::from_kernels(kernels.iter()).len()),
-    );
+    group.bench_with_input(BenchmarkId::new("ingest_flat", STREAM_LEN), &kernels, |b, kernels| {
+        b.iter(|| PreparedBatch::from_kernels(kernels.iter()).len())
+    });
     group.bench_with_input(
         BenchmarkId::new("ingest_cloned_set_pr3", STREAM_LEN),
         &corpus,

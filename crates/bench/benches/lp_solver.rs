@@ -77,11 +77,9 @@ fn bench_revised(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp_revised");
     for n in [8usize, 16, 32, 48] {
         let problem = transportation_lp(n);
-        group.bench_with_input(
-            BenchmarkId::new("transportation", n * n),
-            &problem,
-            |b, p| b.iter(|| revised::solve(p).expect("feasible LP")),
-        );
+        group.bench_with_input(BenchmarkId::new("transportation", n * n), &problem, |b, p| {
+            b.iter(|| revised::solve(p).expect("feasible LP"))
+        });
         let problem = band_lp(n * n / 2, 0.0);
         group.bench_with_input(BenchmarkId::new("band", n * n / 2), &problem, |b, p| {
             b.iter(|| revised::solve(p).expect("feasible LP"))

@@ -25,15 +25,16 @@ fn bench_prediction(c: &mut Criterion) {
     );
 
     let mut group = c.benchmark_group("prediction_per_200_blocks");
-    let tools: Vec<(&str, &dyn ThroughputPredictor)> =
-        vec![("palmed", &palmed), ("uops-style", &uops), ("iaca-like", &iaca), ("llvm-mca-like", &mca)];
+    let tools: Vec<(&str, &dyn ThroughputPredictor)> = vec![
+        ("palmed", &palmed),
+        ("uops-style", &uops),
+        ("iaca-like", &iaca),
+        ("llvm-mca-like", &mca),
+    ];
     for (name, tool) in tools {
         group.bench_function(name, |b| {
             b.iter(|| {
-                blocks
-                    .iter()
-                    .filter_map(|block| tool.predict_ipc(&block.kernel))
-                    .sum::<f64>()
+                blocks.iter().filter_map(|block| tool.predict_ipc(&block.kernel)).sum::<f64>()
             })
         });
     }

@@ -35,20 +35,10 @@ fn bench_throughput(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("throughput_per_64_kernels");
     group.bench_function("disjunctive_optimal_assignment", |b| {
-        b.iter(|| {
-            kernels
-                .iter()
-                .map(|k| throughput::ipc(&mapping, k))
-                .sum::<f64>()
-        })
+        b.iter(|| kernels.iter().map(|k| throughput::ipc(&mapping, k)).sum::<f64>())
     });
     group.bench_function("conjunctive_closed_form", |b| {
-        b.iter(|| {
-            kernels
-                .iter()
-                .map(|k| dual.ipc(k).unwrap_or(0.0))
-                .sum::<f64>()
-        })
+        b.iter(|| kernels.iter().map(|k| dual.ipc(k).unwrap_or(0.0)).sum::<f64>())
     });
     group.finish();
 
@@ -57,11 +47,7 @@ fn bench_throughput(c: &mut Criterion) {
     let config = SimulationConfig { warmup_cycles: 50, measured_cycles: 500 };
     sim_group.bench_function("greedy_cycle_sim_8_kernels", |b| {
         b.iter(|| {
-            kernels
-                .iter()
-                .take(8)
-                .map(|k| simulate_ipc(&mapping, k, &config).ipc)
-                .sum::<f64>()
+            kernels.iter().take(8).map(|k| simulate_ipc(&mapping, k, &config).ipc).sum::<f64>()
         })
     });
     sim_group.finish();

@@ -57,8 +57,8 @@ use palmed_eval::suite::{generate_suite, SuiteConfig, SuiteKind};
 use palmed_isa::InventoryConfig;
 use palmed_machine::{presets, AnalyticMeasurer, Measurer, MemoizingMeasurer};
 use palmed_serve::{
-    migrate_v1_to_v2b, read_sidecar, Corpus, KernelLoad, ModelArtifact,
-    ModelRegistry, PreparedBatch, ServedModel,
+    migrate_v1_to_v2b, read_sidecar, Corpus, KernelLoad, ModelArtifact, ModelRegistry,
+    PreparedBatch, ServedModel,
 };
 use std::path::PathBuf;
 use std::time::Instant;
@@ -82,11 +82,8 @@ fn main() {
     // snapshot covers the trainer, serving and registry subsystems.
     palmed_obs::set_enabled(true);
 
-    let preset = if full {
-        presets::skl_sp(&InventoryConfig::small())
-    } else {
-        presets::paper_ports016()
-    };
+    let preset =
+        if full { presets::skl_sp(&InventoryConfig::small()) } else { presets::paper_ports016() };
     let config = if full { PalmedConfig::evaluation() } else { PalmedConfig::small() };
 
     // ---- 1. One-time inference. ----
@@ -102,7 +99,8 @@ fn main() {
     );
     let trained = palmed_obs::snapshot();
     let lp_counter = |name: &str| trained.counter(name).unwrap_or(0);
-    let (certified, uncertified) = (lp_counter("lp.certify.checked"), lp_counter("lp.certify.failed"));
+    let (certified, uncertified) =
+        (lp_counter("lp.certify.checked"), lp_counter("lp.certify.failed"));
     if certified == 0 || uncertified != 0 {
         eprintln!(
             "FATAL: LP certificates after training: {certified} checked, {uncertified} failed \
@@ -307,11 +305,8 @@ fn main() {
         .expect("hot swap installs a new generation");
     assert!(swapped.generation() > old_entry.generation(), "swap must bump the generation");
     assert!(swapped.served().is_some_and(|m| m.bytes().is_some()), "a v2b swap serves its bytes");
-    let old_still_serves = old_entry
-        .served()
-        .expect("old generation entry")
-        .batch()
-        .predict_prepared(&prepared);
+    let old_still_serves =
+        old_entry.served().expect("old generation entry").batch().predict_prepared(&prepared);
     let stale_mismatches = result
         .ipcs
         .iter()
@@ -549,7 +544,9 @@ impl WireProbe<'_> {
         let rows = match reply {
             Frame::Response { req_id: 1, rows } => rows,
             other => {
-                eprintln!("FATAL: {transport} wire reply was not the response to request 1: {other:?}");
+                eprintln!(
+                    "FATAL: {transport} wire reply was not the response to request 1: {other:?}"
+                );
                 std::process::exit(1);
             }
         };
@@ -584,7 +581,9 @@ impl WireProbe<'_> {
                 }
             }
             other => {
-                eprintln!("FATAL: {transport} admin health reply was not an admin response: {other:?}");
+                eprintln!(
+                    "FATAL: {transport} admin health reply was not an admin response: {other:?}"
+                );
                 std::process::exit(1);
             }
         }

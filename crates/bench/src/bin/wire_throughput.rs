@@ -68,9 +68,7 @@ fn run(_smoke: bool, _out: &str) -> ExitCode {
 mod linux {
     use palmed_core::ConjunctiveMapping;
     use palmed_isa::{InstId, InstructionSet};
-    use palmed_serve::{
-        Corpus, ModelArtifact, ModelRegistry, PreparedBatch,
-    };
+    use palmed_serve::{Corpus, ModelArtifact, ModelRegistry, PreparedBatch};
     use palmed_wire::{Engine, Frame, Limits, WireClient, WireServer};
     use std::process::ExitCode;
     use std::sync::atomic::Ordering;
@@ -107,9 +105,7 @@ mod linux {
     /// served row is `Some`.
     fn bench_artifact() -> ModelArtifact {
         let mut mapping = ConjunctiveMapping::with_resources(2);
-        for (id, usage) in
-            [(0, 0.5), (1, 0.2), (2, 0.25), (3, 0.4), (4, 0.1), (5, 0.125)]
-        {
+        for (id, usage) in [(0, 0.5), (1, 0.2), (2, 0.25), (3, 0.4), (4, 0.1), (5, 0.125)] {
             mapping.set_usage(InstId(id), vec![usage, usage / 2.0]);
         }
         ModelArtifact::new(MODEL, "wire-bench", InstructionSet::paper_example(), mapping)
@@ -180,15 +176,9 @@ mod linux {
     }
 
     fn request_histogram() -> palmed_obs::HistogramSnapshot {
-        palmed_obs::snapshot()
-            .histogram("wire.request_ns")
-            .cloned()
-            .unwrap_or(palmed_obs::HistogramSnapshot {
-                count: 0,
-                sum: 0,
-                max: 0,
-                buckets: Vec::new(),
-            })
+        palmed_obs::snapshot().histogram("wire.request_ns").cloned().unwrap_or(
+            palmed_obs::HistogramSnapshot { count: 0, sum: 0, max: 0, buckets: Vec::new() },
+        )
     }
 
     /// Runs one wire scenario: a fresh server on a fresh socket, `clients`

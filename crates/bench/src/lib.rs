@@ -54,14 +54,8 @@ mod tests {
     #[test]
     fn scale_parsing_defaults_to_quick() {
         assert_eq!(CampaignScale::from_args(&[]), CampaignScale::Quick);
-        assert_eq!(
-            CampaignScale::from_args(&["--full".to_string()]),
-            CampaignScale::Full
-        );
-        assert_eq!(
-            CampaignScale::from_args(&["--heatmap".to_string()]),
-            CampaignScale::Quick
-        );
+        assert_eq!(CampaignScale::from_args(&["--full".to_string()]), CampaignScale::Full);
+        assert_eq!(CampaignScale::from_args(&["--heatmap".to_string()]), CampaignScale::Quick);
     }
 
     #[test]
