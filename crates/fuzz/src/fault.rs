@@ -100,9 +100,7 @@ impl FaultyIo {
         let mut state = self.lock();
         state.tick += 1;
         let mtime = state.tick;
-        state
-            .files
-            .insert(path.to_path_buf(), SimFile { bytes, mtime, pending: None });
+        state.files.insert(path.to_path_buf(), SimFile { bytes, mtime, pending: None });
     }
 
     /// Starts a torn replace: the next `torn_reads` reads observe a
@@ -164,13 +162,8 @@ impl FaultyIo {
     /// operation kind, leaving non-matching faults queued.
     fn take_fault(&self, state: &mut State, path: &Path, is_stat: bool) -> Option<Fault> {
         let queue = state.faults.get_mut(path)?;
-        let at = queue.iter().position(|f| {
-            if is_stat {
-                f.matches_stat()
-            } else {
-                f.matches_read()
-            }
-        })?;
+        let at =
+            queue.iter().position(|f| if is_stat { f.matches_stat() } else { f.matches_read() })?;
         queue.remove(at)
     }
 }
@@ -180,10 +173,7 @@ fn transient(op: &str, path: &Path) -> io::Error {
 }
 
 fn not_found(path: &Path) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::NotFound,
-        format!("no such simulated file: {}", path.display()),
-    )
+    io::Error::new(io::ErrorKind::NotFound, format!("no such simulated file: {}", path.display()))
 }
 
 fn as_mtime(tick: u64) -> SystemTime {
@@ -208,10 +198,7 @@ impl ArtifactIo for FaultyIo {
         // stat during the replace sees a newer timestamp, so the
         // registry's stat-before/stat-after stability check must reject
         // the torn snapshot and retry.
-        let needs_bump = state
-            .files
-            .get(path)
-            .is_some_and(|file| file.pending.is_some());
+        let needs_bump = state.files.get(path).is_some_and(|file| file.pending.is_some());
         if needs_bump {
             state.tick += 1;
             let tick = state.tick;
@@ -348,5 +335,4 @@ mod tests {
         assert!(flapped.mtime > after.mtime);
         assert_eq!(io.stat(&path).unwrap(), flapped);
     }
-
 }

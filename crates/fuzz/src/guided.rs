@@ -147,11 +147,8 @@ fn pick_base(
     local_counts: &BTreeMap<&'static str, u64>,
     rng: &mut TestRng,
 ) -> usize {
-    let total: u64 = queue
-        .iter()
-        .filter_map(|e| e.class)
-        .map(|c| class_count(c, local_counts))
-        .sum();
+    let total: u64 =
+        queue.iter().filter_map(|e| e.class).map(|c| class_count(c, local_counts)).sum();
     let weights: Vec<u64> = queue
         .iter()
         .map(|e| match e.class {
@@ -357,11 +354,8 @@ pub fn run_guided(iters: u32, seed: u32) -> GuidedSummary {
             check_all(&seed_buf, &insts, &mut outcome, |d| details.push(("<unmutated seed>", d)));
             check_all(&mutant, &insts, &mut outcome, |d| details.push(("mutant", d)));
             for (stage, detail) in details {
-                let mutations = if stage == "mutant" {
-                    mutations.clone()
-                } else {
-                    vec![stage.to_string()]
-                };
+                let mutations =
+                    if stage == "mutant" { mutations.clone() } else { vec![stage.to_string()] };
                 outcome.violations.push(Violation { format, case, mutations, detail });
             }
             (format, case, mutant, mutations, outcome)
@@ -434,10 +428,7 @@ pub fn run_guided(iters: u32, seed: u32) -> GuidedSummary {
                 if !local_counts.contains_key(record.class) {
                     why = Some((format!("new-class:{}", record.class), Some(record.class)));
                 } else if !result.summary.coverage.contains(&pair) {
-                    why = Some((
-                        format!("new-pair:{}@{}", pair.0, pair.1),
-                        Some(record.class),
-                    ));
+                    why = Some((format!("new-pair:{}@{}", pair.0, pair.1), Some(record.class)));
                 }
             }
             *local_counts.entry(record.class).or_insert(0) += 1;

@@ -603,8 +603,9 @@ fn mutate_text(seed: &str, has_checksum: bool, rng: &mut TestRng) -> (Vec<u8>, V
                 log.push(format!("comment@{at}"));
             }
             5 => {
-                let garbage: String =
-                    (0..rng.usize_in(1, 24)).map(|_| char::from(rng.usize_in(33, 126) as u8)).collect();
+                let garbage: String = (0..rng.usize_in(1, 24))
+                    .map(|_| char::from(rng.usize_in(33, 126) as u8))
+                    .collect();
                 lines.push(garbage);
                 log.push("garbage-line".to_string());
             }
@@ -830,7 +831,11 @@ fn mutate_case_bytes(format: Format, seed: &[u8], rng: &mut TestRng) -> (Vec<u8>
 /// mutant, and the mutation trail.  [`run_case`], [`replay_case`] and the
 /// guided scheduler all regenerate cases through this one path, so a case
 /// number means the same bytes everywhere.
-fn generate_case(format: Format, case: u32, insts: &InstructionSet) -> (Vec<u8>, Vec<u8>, Vec<String>) {
+fn generate_case(
+    format: Format,
+    case: u32,
+    insts: &InstructionSet,
+) -> (Vec<u8>, Vec<u8>, Vec<String>) {
     let mut rng = TestRng::for_case(case);
     let seed = seed_bytes(format, insts, &mut rng);
     let (mutated, mutations) = mutate_case_bytes(format, &seed, &mut rng);

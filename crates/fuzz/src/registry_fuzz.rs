@@ -276,9 +276,7 @@ fn check_step(
             }
         }
         let Some(entry) = registry.get(&sim.name) else {
-            stats
-                .violations
-                .push(format!("`{}` vanished from the registry", sim.name));
+            stats.violations.push(format!("`{}` vanished from the registry", sim.name));
             continue;
         };
         if entry.fingerprint() != sim.good_fp {
@@ -292,10 +290,9 @@ fn check_step(
         if sim.wire == Wire::V2b {
             match entry.served().map(|served| served.bytes()) {
                 Some(Some(bytes)) if bytes == sim.good_bytes => {}
-                Some(Some(_)) => stats.violations.push(format!(
-                    "`{}` retained bytes differ from the last good body",
-                    sim.name
-                )),
+                Some(Some(_)) => stats
+                    .violations
+                    .push(format!("`{}` retained bytes differ from the last good body", sim.name)),
                 _ => stats
                     .violations
                     .push(format!("`{}` no longer serves its retained v2b bytes", sim.name)),
@@ -438,7 +435,9 @@ fn run_schedule(case: u32, stats: &mut ScheduleStats) {
                     let (fp, bytes) = fresh_body(&sim.name, sim.family, sim.wire, &insts, &mut rng);
                     io.write(&sim.path, bytes.clone());
                     sim.target = Some((fp, bytes));
-                    stats.note(|| format!("step {step}: good rewrite of `{}` -> {fp:016x}", sim.name));
+                    stats.note(|| {
+                        format!("step {step}: good rewrite of `{}` -> {fp:016x}", sim.name)
+                    });
                 }
                 1 => {
                     let (fp, bytes) = fresh_body(&sim.name, sim.family, sim.wire, &insts, &mut rng);

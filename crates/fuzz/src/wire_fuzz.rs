@@ -164,8 +164,11 @@ fn check_positional(
     violations: &mut Vec<String>,
 ) {
     if received.len() != expects.len() {
-        violations
-            .push(format!("{label}{} frames received, {} expected", received.len(), expects.len()));
+        violations.push(format!(
+            "{label}{} frames received, {} expected",
+            received.len(),
+            expects.len()
+        ));
         return;
     }
     for (i, ((req_id, expect), frame)) in expects.iter().zip(received).enumerate() {
@@ -209,9 +212,8 @@ fn check_positional(
                         ));
                     }
                 }
-                other => violations.push(format!(
-                    "{label}req {req_id} expected an admin response, got {other:?}"
-                )),
+                other => violations
+                    .push(format!("{label}req {req_id} expected an admin response, got {other:?}")),
             },
         }
     }
@@ -444,12 +446,9 @@ impl<'a> Sched<'a> {
         let req_id = self.next_req;
         self.next_req += 1;
         let expected = expected_response_for(&self.models[model].artifact, req_id, &corpus_text);
-        let bytes = Frame::Request {
-            req_id,
-            model: self.models[model].name.clone(),
-            corpus: corpus_text,
-        }
-        .encode();
+        let bytes =
+            Frame::Request { req_id, model: self.models[model].name.clone(), corpus: corpus_text }
+                .encode();
         let chunks = self.split(bytes);
         self.stats.requests += 1;
         self.stats.note(|| {
@@ -508,10 +507,7 @@ impl<'a> Sched<'a> {
         let req_id = self.next_req;
         self.next_req += 1;
         let (what, expect) = match self.rng.usize_in(0, 2) {
-            0 => (
-                "health",
-                Expect::AdminContains(format!("\"name\":\"{}\"", self.models[0].name)),
-            ),
+            0 => ("health", Expect::AdminContains(format!("\"name\":\"{}\"", self.models[0].name))),
             1 => ("obs", Expect::AdminContains("{".to_string())),
             _ => (
                 "bogus",
@@ -623,13 +619,12 @@ impl<'a> Sched<'a> {
     /// A slow-loris partial frame on member `at` that must hit the receive
     /// deadline.
     fn op_deadline(&mut self, at: usize) {
-        let bytes = Frame::AdminRequest { req_id: self.next_req, what: "health".to_string() }
-            .encode();
+        let bytes =
+            Frame::AdminRequest { req_id: self.next_req, what: "health".to_string() }.encode();
         let cut = self.rng.usize_in(1, bytes.len() - 1);
         self.stats.poisons += 1;
-        self.stats.note(|| {
-            format!("conn {at}: slow loris, {cut} bytes then silence past the deadline")
-        });
+        self.stats
+            .note(|| format!("conn {at}: slow loris, {cut} bytes then silence past the deadline"));
         self.members[at].expects.push((
             0,
             Expect::Error { class: "deadline-exceeded".to_string(), offset_required: true },
@@ -854,8 +849,7 @@ pub fn run_schedules(n: u32, seed: u32, fleet: Fleet) -> WireFuzzSummary {
 pub fn replay_schedule(case: u32) -> String {
     use std::fmt::Write;
     let mut stats = ScheduleStats { trace: Some(Vec::new()), ..ScheduleStats::default() };
-    let outcome =
-        catch_unwind(AssertUnwindSafe(|| run_schedule(case, Fleet::Single, &mut stats)));
+    let outcome = catch_unwind(AssertUnwindSafe(|| run_schedule(case, Fleet::Single, &mut stats)));
     let mut out = String::new();
     let _ = writeln!(out, "replay wire schedule case {case}");
     for line in stats.trace.as_deref().unwrap_or_default() {
@@ -1095,8 +1089,17 @@ mod tests {
         assert_eq!(
             ops,
             [
-                "admin", "app-error", "burst", "deadline", "disconnect", "eof", "garbage",
-                "idle-gap", "request", "swap-or-refresh", "write-faults"
+                "admin",
+                "app-error",
+                "burst",
+                "deadline",
+                "disconnect",
+                "eof",
+                "garbage",
+                "idle-gap",
+                "request",
+                "swap-or-refresh",
+                "write-faults"
             ],
             "a lone connection draws every op kind"
         );
