@@ -8,7 +8,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Builds a random dependency-free kernel over the given instructions.
-pub fn random_kernel(ids: &[InstId], rng: &mut StdRng, max_distinct: usize, max_mult: u32) -> Microkernel {
+pub fn random_kernel(
+    ids: &[InstId],
+    rng: &mut StdRng,
+    max_distinct: usize,
+    max_mult: u32,
+) -> Microkernel {
     let mut kernel = Microkernel::new();
     let distinct = rng.gen_range(1..=max_distinct.max(1));
     for _ in 0..distinct {

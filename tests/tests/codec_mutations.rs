@@ -29,10 +29,7 @@ fn disj_artifact() -> DisjArtifact {
         "codec-mutations",
         InstructionSet::paper_example(),
         3,
-        vec![
-            (InstId(0), vec![(0b001, 1.0), (0b110, 2.0)]),
-            (InstId(2), vec![(0b011, 1.0)]),
-        ],
+        vec![(InstId(0), vec![(0b001, 1.0), (0b110, 2.0)]), (InstId(2), vec![(0b011, 1.0)])],
     )
 }
 
@@ -49,7 +46,9 @@ fn expect_binary_offset(result: Result<ModelArtifact, ArtifactError>, what: &str
         Ok(_) => panic!("{what}: mutant was accepted"),
         Err(error) => {
             assert!(!error.to_string().is_empty(), "{what}: rejection renders empty");
-            error.offset().unwrap_or_else(|| panic!("{what}: rejection carries no byte offset, got {error}"))
+            error
+                .offset()
+                .unwrap_or_else(|| panic!("{what}: rejection carries no byte offset, got {error}"))
         }
     }
 }
@@ -248,9 +247,13 @@ fn v1_deleted_line_is_caught_with_and_without_rehash() {
     // Fix the row count too: the smaller model is simply valid, and
     // migration carries it to v2b unchanged — the accept side of the
     // invariant (accepted ⇒ canonical round-trip).
-    let consistent = rehashed(&joined(
-        stale.lines().map(|l| if l.starts_with("rows ") { "rows 1".to_string() } else { l.to_string() }),
-    ));
+    let consistent = rehashed(&joined(stale.lines().map(|l| {
+        if l.starts_with("rows ") {
+            "rows 1".to_string()
+        } else {
+            l.to_string()
+        }
+    })));
     let artifact = ModelArtifact::parse(&consistent).expect("consistent mutant decodes");
     assert_eq!(artifact.render(), consistent, "accepted text is already canonical");
     let migrated = migrate_v1_to_v2b(consistent.as_bytes()).expect("migration accepts it too");

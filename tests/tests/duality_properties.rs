@@ -41,8 +41,9 @@ fn arbitrary_machine(
 
 /// Strategy: a random kernel over `n` instructions.
 fn arbitrary_kernel(n: usize) -> impl Strategy<Value = Microkernel> {
-    prop::collection::vec((0..n as u32, 1..4u32), 1..5)
-        .prop_map(|pairs| Microkernel::from_counts(pairs.into_iter().map(|(i, c)| (palmed_isa::InstId(i), c))))
+    prop::collection::vec((0..n as u32, 1..4u32), 1..5).prop_map(|pairs| {
+        Microkernel::from_counts(pairs.into_iter().map(|(i, c)| (palmed_isa::InstId(i), c)))
+    })
 }
 
 proptest! {

@@ -13,7 +13,10 @@ use palmed_serve::fingerprint::model_fingerprint;
 use palmed_serve::CompiledModel;
 use palmed_stats::weighted_rms_relative_error;
 
-fn accuracy_on_random_mixes(preset: &palmed_machine::presets::PresetMachine, seed: u64) -> (f64, f64) {
+fn accuracy_on_random_mixes(
+    preset: &palmed_machine::presets::PresetMachine,
+    seed: u64,
+) -> (f64, f64) {
     let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
     let result = Palmed::new(PalmedConfig::evaluation()).infer(&measurer);
     let predictor = result.predictor();

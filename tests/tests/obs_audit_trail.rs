@@ -25,9 +25,7 @@ const NAME: &str = "obs-audit-e2e";
 fn incident_events(events: &[palmed_obs::Event]) -> Vec<&'static str> {
     events
         .iter()
-        .filter(|e| {
-            matches!(e.field("key"), Some(FieldValue::Str(key)) if key == NAME)
-        })
+        .filter(|e| matches!(e.field("key"), Some(FieldValue::Str(key)) if key == NAME))
         .map(|e| e.name)
         .collect()
 }
@@ -84,10 +82,8 @@ fn corrupt_then_restore_leaves_a_complete_structured_audit_trail() {
     );
 
     // The quarantine event carries the failure count an alert would page on.
-    let quarantine = events
-        .iter()
-        .find(|e| e.name == "registry.quarantine")
-        .expect("quarantine event present");
+    let quarantine =
+        events.iter().find(|e| e.name == "registry.quarantine").expect("quarantine event present");
     assert_eq!(
         quarantine.field("failures"),
         Some(&FieldValue::U64(u64::from(QUARANTINE_AFTER))),

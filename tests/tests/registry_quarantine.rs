@@ -50,7 +50,10 @@ fn corruption_never_degrades_serving_and_readmit_restores_the_fingerprint() {
         );
         assert_eq!(registry.get(&watched.name).unwrap().generation(), first_generation);
     });
-    assert_eq!(stats.failures, QUARANTINE_AFTER, "every failure before quarantine is reported once");
+    assert_eq!(
+        stats.failures, QUARANTINE_AFTER,
+        "every failure before quarantine is reported once"
+    );
     assert!(stats.backoff_polls > 0, "exponential backoff must skip polls between attempts");
     assert_eq!(
         stats.polls,

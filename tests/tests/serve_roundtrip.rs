@@ -116,10 +116,7 @@ fn corrupt_checksum_digit_is_rejected() {
         let trimmed = text.trim_end();
         format!("{}0\n", &trimmed[..trimmed.len() - 1])
     };
-    assert!(matches!(
-        ModelArtifact::parse(&flipped),
-        Err(ArtifactError::ChecksumMismatch { .. })
-    ));
+    assert!(matches!(ModelArtifact::parse(&flipped), Err(ArtifactError::ChecksumMismatch { .. })));
 }
 
 #[test]

@@ -12,9 +12,7 @@
 //! contract: with keys configured, a missing or unkeyed sidecar becomes a
 //! structured `unsigned-artifact` refusal on the same ladder.
 
-use palmed_integration_tests::incident::{
-    poll_until_quarantined, scratch_file, WatchedArtifact,
-};
+use palmed_integration_tests::incident::{poll_until_quarantined, scratch_file, WatchedArtifact};
 use palmed_serve::fingerprint::write_signed_sidecar;
 use palmed_serve::registry::QUARANTINE_AFTER;
 use palmed_serve::{ModelRegistry, RefreshStatus};

@@ -192,8 +192,7 @@ fn shutdown_drains_every_received_request_before_closing() {
 #[test]
 fn a_resent_corpus_is_counted_as_a_memo_hit_and_served_identically() {
     palmed_obs::set_enabled(true);
-    let memo_hits =
-        || palmed_obs::snapshot().counter("wire.decode.corpus_memo_hits").unwrap_or(0);
+    let memo_hits = || palmed_obs::snapshot().counter("wire.decode.corpus_memo_hits").unwrap_or(0);
     let mut batcher = SharedBatcher::new(engine());
     let mut conn = Connection::new(Limits::default(), 0);
     let mut stream = Loopback::default();
@@ -285,12 +284,9 @@ fn a_tcp_round_trip_is_bit_identical_and_stops_cleanly() {
     let fp = registry.get("skl").unwrap().fingerprint();
     let engine = Engine::new(Arc::clone(&registry));
 
-    let server = WireServer::bind_tcp(
-        SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0),
-        engine,
-        Limits::default(),
-    )
-    .expect("bind tcp");
+    let server =
+        WireServer::bind_tcp(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0), engine, Limits::default())
+            .expect("bind tcp");
     let addr = server.tcp_addr().expect("a TCP server reports its bound address");
     assert_ne!(addr.port(), 0, "a port-0 bind reads back the kernel-picked port");
     assert!(server.path().is_none(), "a TCP server has no socket path");
@@ -422,8 +418,7 @@ fn epoll_with_shared_batching_serves_concurrent_tcp_clients_bit_identically() {
 
     // Both clients request the same corpus: the round dedupes the parse
     // and the kernels, and both replies must still be bit-exact.
-    let want: Vec<Option<u64>> =
-        expected_rows().iter().map(|r| r.map(f64::to_bits)).collect();
+    let want: Vec<Option<u64>> = expected_rows().iter().map(|r| r.map(f64::to_bits)).collect();
     first.send(&request(10)).expect("send");
     second.send(&request(20)).expect("send");
     for (client, want_id) in [(&mut first, 10u32), (&mut second, 20u32)] {
@@ -461,8 +456,7 @@ fn epoll_with_shared_batching_serves_concurrent_tcp_clients_bit_identically() {
 fn bind_refuses_to_replace_a_regular_file() {
     use palmed_wire::WireServer;
 
-    let path =
-        std::env::temp_dir().join(format!("palmed-wire-notsock-{}.txt", std::process::id()));
+    let path = std::env::temp_dir().join(format!("palmed-wire-notsock-{}.txt", std::process::id()));
     std::fs::write(&path, b"operator data").unwrap();
     let err = match WireServer::bind(&path, engine(), Limits::default()) {
         Ok(_) => panic!("bind must refuse a path that is not a socket"),

@@ -176,11 +176,7 @@ fn borrowed_validator_rejects_every_truncation_length() {
 fn prepared_batches_share_one_kernel_set_across_repeated_ingest() {
     let corpus: palmed_serve::Corpus = (0..100)
         .map(|i| {
-            (
-                format!("b{i}"),
-                1.0,
-                Microkernel::pair(InstId(i % 7), 1 + i % 3, InstId(i % 11), 1),
-            )
+            (format!("b{i}"), 1.0, Microkernel::pair(InstId(i % 7), 1 + i % 3, InstId(i % 11), 1))
         })
         .collect();
     let first = PreparedBatch::from_corpus(&corpus);
