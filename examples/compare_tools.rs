@@ -4,7 +4,9 @@
 //!
 //! Run with: `cargo run --release -p palmed-examples --bin compare_tools`
 
-use palmed_baselines::{IacaLikePredictor, McaLikePredictor, PmEvo, PmEvoConfig, UopsStylePredictor};
+use palmed_baselines::{
+    IacaLikePredictor, McaLikePredictor, PmEvo, PmEvoConfig, UopsStylePredictor,
+};
 use palmed_core::{Palmed, PalmedConfig, ThroughputPredictor};
 use palmed_eval::metrics::evaluate_tool;
 use palmed_eval::suite::{generate_suite, SuiteConfig, SuiteKind};
@@ -27,7 +29,8 @@ fn main() {
     println!("training the PMEvo baseline on {} instructions...", pmevo_trained.len());
     let pmevo = PmEvo::new(PmEvoConfig::fast()).train(&measurer, &pmevo_trained);
 
-    let blocks = generate_suite(SuiteKind::PolybenchLike, &machine.instructions, &SuiteConfig::small(5));
+    let blocks =
+        generate_suite(SuiteKind::PolybenchLike, &machine.instructions, &SuiteConfig::small(5));
     let native = AnalyticMeasurer::new(machine.mapping_arc());
     let native_ipcs: Vec<f64> = blocks.iter().map(|b| native.ipc(&b.kernel)).collect();
 

@@ -22,7 +22,8 @@ fn main() {
     }
 
     println!("\n== ∇: the union closure of the µOP port sets");
-    let base = insts.ids().flat_map(|i| mapping.uops(i).iter().map(|u| u.ports).collect::<Vec<_>>());
+    let base =
+        insts.ids().flat_map(|i| mapping.uops(i).iter().map(|u| u.ports).collect::<Vec<_>>());
     let nabla = nabla_closure(base);
     let names: Vec<String> = nabla.iter().map(|&s| resource_name_for(s)).collect();
     println!("  {} abstract resources: {}", nabla.len(), names.join(", "));

@@ -15,8 +15,11 @@ fn main() {
     let machine = presets::paper_ports016();
     let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(machine.mapping_arc()));
     let result = Palmed::new(PalmedConfig::small()).infer(&measurer);
-    println!("inferred: {} instructions on {} resources",
-        result.mapping.num_instructions(), result.mapping.num_resources());
+    println!(
+        "inferred: {} instructions on {} resources",
+        result.mapping.num_instructions(),
+        result.mapping.num_resources()
+    );
 
     // 2. Persist the model.  The artifact is self-describing text — the
     //    instruction set travels with the mapping — with a checksum trailer
