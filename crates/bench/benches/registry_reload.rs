@@ -8,8 +8,8 @@
 //! * `cold_load_v1` — `ModelRegistry::load_file` on a v1 text artifact:
 //!   parse every decimal, rebuild the rows, compile the CSR arrays;
 //! * `cold_load_v2b` — `ModelRegistry::load_file` on a `v2b` artifact:
-//!   validate only, retain the bytes, serve the arrays in place, defer the
-//!   mapping;
+//!   validate and copy the CSR arrays into the served model in one pass (no
+//!   dense rows are built);
 //! * `generation_swap` — `ModelRegistry::swap_bytes` over a loaded
 //!   registry: validate the new bytes and atomically install the next
 //!   generation (the in-flight-reader guarantee is what's being priced);
@@ -64,15 +64,14 @@ fn bench_registry_reload(c: &mut Criterion) {
         b.iter(|| {
             let registry = ModelRegistry::new();
             let entry = registry.load_file(path).unwrap();
-            entry.served().unwrap().view().num_entries()
+            entry.served().unwrap().model.num_entries()
         })
     });
     group.bench_with_input(BenchmarkId::new("cold_load_v2b", bin.len()), &path, |b, path| {
         b.iter(|| {
             let registry = ModelRegistry::new();
             let entry = registry.load_file(path).unwrap();
-            assert!(!entry.served().unwrap().artifact.mapping_ready());
-            entry.generation()
+            entry.served().unwrap().model.num_entries()
         })
     });
 
@@ -80,8 +79,8 @@ fn bench_registry_reload(c: &mut Criterion) {
     registry.load_file(&path).unwrap();
     group.bench_with_input(BenchmarkId::new("generation_swap", bin.len()), &bin, |b, bin| {
         b.iter(|| {
-            // `clone` hands the buffer over for retention — part of the
-            // cost, exactly as a network push would pay it.
+            // `swap_bytes` takes the buffer by value, so the `clone` is part
+            // of the cost, exactly as a network push would pay it.
             let entry = registry.swap_bytes("skl-like-large", bin.clone()).unwrap();
             entry.generation()
         })

@@ -8,15 +8,15 @@
 //!    (`lp.certify.failed` = 0);
 //! 2. save it as a `PALMED-MODEL v1` artifact and reload it through a
 //!    [`ModelRegistry`], verifying the round trip is bit-lossless — then the
-//!    same through the binary v2b form, served in place (a view borrowing
-//!    the retained bytes, dense mapping deferred);
+//!    same through the binary v2b form, whose entry must re-render the file
+//!    byte for byte;
 //! 3. generate a basic-block corpus, save it as `PALMED-CORPUS v1` text and
 //!    load it back;
 //! 4. serve the corpus through the deduplicating
 //!    [`BatchPredictor`](palmed_serve::BatchPredictor) and
 //!    cross-check every prediction against the in-memory mapping, then
-//!    re-serve it through the v2b entry's borrowed view and require
-//!    bit-identity with the compiled v1 entry;
+//!    re-serve it through the v2b entry and require bit-identity with the
+//!    v1 entry;
 //! 5. report accuracy against the native machine next to the uops-style
 //!    baseline;
 //! 6. exercise the second model family and the hot-reload plane: persist a
@@ -124,15 +124,14 @@ fn main() {
     let registry = ModelRegistry::new();
     let entry = registry.load_file(&model_path).expect("artifact reloads with a valid checksum");
     let served = entry.served().expect("v1 loads install conjunctive entries");
-    if served.artifact != artifact {
+    if served.to_artifact() != artifact {
         eprintln!("FATAL: reloaded artifact differs from the saved one");
         std::process::exit(1);
     }
     println!("      reloaded through the registry: checksum ok, round trip lossless");
 
     // The binary v2b artifact must carry the same model: save, sniff-load,
-    // and serve it in place from the retained bytes, never rebuilding the
-    // dense mapping.
+    // and hand back the exact file bytes when re-rendered.
     let v2_path = out.join("model.palmed2");
     artifact.save_v2(&v2_path).expect("v2 artifact saves");
     let v2_bytes = std::fs::metadata(&v2_path).map(|m| m.len()).unwrap_or(0);
@@ -144,17 +143,13 @@ fn main() {
     let v2_registry = ModelRegistry::new();
     let v2_entry = v2_registry.load_file(&v2_path).expect("registry sniffs the v2 format");
     let v2_served = v2_entry.served().expect("v2b loads install conjunctive entries");
-    if v2_served.bytes() != Some(&std::fs::read(&v2_path).expect("v2 file reads")[..]) {
-        eprintln!("FATAL: the v2b entry does not retain the exact file bytes");
-        std::process::exit(1);
-    }
-    if v2_served.artifact.mapping_ready() {
-        eprintln!("FATAL: the v2b load materialised the dense mapping eagerly");
+    if v2_served.to_artifact().render_v2() != std::fs::read(&v2_path).expect("v2 file reads") {
+        eprintln!("FATAL: the v2b entry does not re-render the exact file bytes");
         std::process::exit(1);
     }
     println!(
         "      v2b binary artifact round trip lossless ({v2_bytes} bytes, \
-         {:.0}% of the text form), served in place with the mapping deferred",
+         {:.0}% of the text form), re-rendered byte for byte from the served entry",
         100.0 * v2_bytes as f64 / bytes.max(1) as f64
     );
 
@@ -168,7 +163,7 @@ fn main() {
     blocks_to_corpus(&suite).save(&corpus_path, &preset.instructions).expect("corpus saves");
     let entry = registry.get(preset.name()).expect("model is registered");
     let served = entry.served().expect("conjunctive entry");
-    let corpus = Corpus::load(&corpus_path, &served.artifact.instructions)
+    let corpus = Corpus::load(&corpus_path, &served.instructions)
         .expect("corpus reloads against the artifact's own instruction set");
     println!(
         "[3/9] corpus of {} blocks written and reloaded from {}",
@@ -214,40 +209,32 @@ fn main() {
         cold.as_secs_f64() / served_in.as_secs_f64()
     );
 
-    // Same corpus through the v2b entry's borrowed view: every prediction
-    // must be bit-identical to the compiled v1 entry, and the dense mapping
-    // must still not have been rebuilt.
+    // Same corpus through the v2b entry: every prediction must be
+    // bit-identical to the v1 entry.
     let start = Instant::now();
-    let borrowed_result = v2_served.batch().predict_prepared(&prepared);
-    let borrowed_in = start.elapsed();
-    let borrowed_mismatches = result
+    let v2_result = v2_served.batch().predict_prepared(&prepared);
+    let v2_in = start.elapsed();
+    let v2_mismatches = result
         .ipcs
         .iter()
-        .zip(&borrowed_result.ipcs)
-        .filter(|(owned, borrowed)| owned.map(f64::to_bits) != borrowed.map(f64::to_bits))
+        .zip(&v2_result.ipcs)
+        .filter(|(v1, v2)| v1.map(f64::to_bits) != v2.map(f64::to_bits))
         .count();
-    if borrowed_mismatches > 0 {
-        eprintln!(
-            "FATAL: {borrowed_mismatches} borrowed-view predictions differ from the v1 entry"
-        );
-        std::process::exit(1);
-    }
-    if v2_served.artifact.mapping_ready() {
-        eprintln!("FATAL: serving the borrowed view forced the dense mapping rebuild");
+    if v2_mismatches > 0 {
+        eprintln!("FATAL: {v2_mismatches} v2b entry predictions differ from the v1 entry");
         std::process::exit(1);
     }
     println!(
-        "      v2b borrowed view bit-identical to the compiled v1 entry \
-         ({} blocks in {:.2?}; mapping still deferred)",
-        borrowed_result.ipcs.len(),
-        borrowed_in
+        "      v2b entry bit-identical to the v1 entry ({} blocks in {:.2?})",
+        v2_result.ipcs.len(),
+        v2_in
     );
 
     // ---- 5. Accuracy against the native machine. ----
     let native = AnalyticMeasurer::new(preset.mapping_arc());
     let eval_blocks = corpus_to_blocks(&corpus);
     let native_ipcs: Vec<f64> = eval_blocks.iter().map(|b| native.ipc(&b.kernel)).collect();
-    let palmed = evaluate_tool(&served.view(), &eval_blocks, &native_ipcs);
+    let palmed = evaluate_tool(&served.model, &eval_blocks, &native_ipcs);
     let uops = palmed_baselines::UopsStylePredictor::new(preset.mapping_arc());
     let uops_metrics = evaluate_tool(&uops, &eval_blocks, &native_ipcs);
     println!("[5/9] accuracy vs the native machine:");
@@ -304,7 +291,10 @@ fn main() {
         .swap_bytes(preset.name(), retrained.render_v2())
         .expect("hot swap installs a new generation");
     assert!(swapped.generation() > old_entry.generation(), "swap must bump the generation");
-    assert!(swapped.served().is_some_and(|m| m.bytes().is_some()), "a v2b swap serves its bytes");
+    assert!(
+        swapped.served().is_some_and(|m| m.to_artifact() == retrained),
+        "a v2b swap serves the retrained model"
+    );
     let old_still_serves =
         old_entry.served().expect("old generation entry").batch().predict_prepared(&prepared);
     let stale_mismatches = result
@@ -337,7 +327,7 @@ fn main() {
     }
     let refreshed = v2_registry.get(preset.name()).expect("still registered");
     assert_eq!(
-        refreshed.served().expect("conjunctive entry").artifact.source,
+        refreshed.served().expect("conjunctive entry").source,
         retrained.source,
         "refresh must serve the replaced file"
     );
@@ -350,19 +340,19 @@ fn main() {
 
     // ---- 7. Determinism fingerprints across every way in. ----
     // The same model must hash to the same prediction fingerprint no matter
-    // how it was loaded: compiled from v1 text, served in place from a v2b
-    // file or buffer, or migrated from v1 to v2b.  The `.fp` sidecar pins
+    // how it was loaded: compiled from v1 text, copied from a v2b file or
+    // buffer, or migrated from v1 to v2b.  The `.fp` sidecar pins
     // that value on disk and the registry re-verifies it on every load.
     let n = artifact.instructions.len();
     let reference = artifact.fingerprint();
-    let from_v2b = ServedModel::from_v2b(artifact.render_v2()).expect("rendered v2b validates");
+    let from_v2b = ServedModel::from_v2b(&artifact.render_v2()).expect("rendered v2b validates");
     let migrated = migrate_v1_to_v2b(artifact.render().as_bytes()).expect("v1 render migrates");
-    let migrated = ServedModel::from_v2b(migrated).expect("migrated bytes validate");
+    let migrated = ServedModel::from_v2b(&migrated).expect("migrated bytes validate");
     let modes = [
-        ("v1 text load", served.view().fingerprint(n)),
-        ("v2b file load", v2_served.view().fingerprint(n)),
-        ("from_v2b", from_v2b.view().fingerprint(n)),
-        ("v1->v2b migration", migrated.view().fingerprint(n)),
+        ("v1 text load", served.model.fingerprint(n)),
+        ("v2b file load", v2_served.model.fingerprint(n)),
+        ("from_v2b", from_v2b.model.fingerprint(n)),
+        ("v1->v2b migration", migrated.model.fingerprint(n)),
     ];
     for (mode, fingerprint) in modes {
         if fingerprint != reference {

@@ -330,7 +330,7 @@ mod linux {
         // is checked against.
         let entry = registry.get(MODEL).expect("bench model registered");
         let served = entry.served().expect("register installs a conjunctive entry");
-        let instructions = &served.artifact.instructions;
+        let instructions = &served.instructions;
         let batch = served.batch();
         let parsed = Corpus::parse(&corpus, instructions).expect("bench corpus parses");
         let prepared = PreparedBatch::from_corpus(&parsed);

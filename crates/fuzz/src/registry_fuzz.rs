@@ -13,8 +13,9 @@
 //! invariants the registry documents:
 //!
 //! - **last good generation keeps serving**: every entry resolves after
-//!   every step, its fingerprint is the last *verified* body's, and v2b
-//!   entries retain exactly those bytes;
+//!   every step, its fingerprint is the last *verified* body's, and a v2b
+//!   entry re-renders that body byte for byte
+//!   ([`ServedModel::to_artifact`](palmed_serve::ServedModel::to_artifact));
 //! - **no reload without verification**: a name appears in
 //!   [`RefreshOutcome::reloaded`] only when the settled on-disk body is
 //!   valid *and* its sidecar (if any) verifies under the registry's key;
@@ -80,8 +81,8 @@ struct SimEntry {
     sidecar: SidecarState,
     /// Fingerprint of the last body the registry verified and installed.
     good_fp: u64,
-    /// Bytes of that body — the bit-identity reference for the bytes a v2b
-    /// entry retains.
+    /// Bytes of that body — the bit-identity reference for what a v2b
+    /// entry re-renders.
     good_bytes: Vec<u8>,
 }
 
@@ -288,14 +289,14 @@ fn check_step(
             ));
         }
         if sim.wire == Wire::V2b {
-            match entry.served().map(|served| served.bytes()) {
-                Some(Some(bytes)) if bytes == sim.good_bytes => {}
-                Some(Some(_)) => stats
+            match entry.served().map(|served| served.to_artifact().render_v2()) {
+                Some(bytes) if bytes == sim.good_bytes => {}
+                Some(_) => stats
                     .violations
-                    .push(format!("`{}` retained bytes differ from the last good body", sim.name)),
-                _ => stats
+                    .push(format!("`{}` re-renders differently from the last good body", sim.name)),
+                None => stats
                     .violations
-                    .push(format!("`{}` no longer serves its retained v2b bytes", sim.name)),
+                    .push(format!("`{}` no longer serves a conjunctive model", sim.name)),
             }
         }
     }
@@ -368,8 +369,8 @@ fn run_schedule(case: u32, stats: &mut ScheduleStats) {
         let name = format!("sim-{i}");
         let path = PathBuf::from(format!("/sim/{case}/model-{i}"));
         let family = if rng.next_f64() < 0.5 { Family::Conjunctive } else { Family::Disjunctive };
-        // Three in four conjunctive entries are v2b: their retained bytes
-        // get the extra bit-identity check after every step.
+        // Three in four conjunctive entries are v2b: their re-rendered
+        // bodies get the extra bit-identity check after every step.
         let wire = match family {
             Family::Disjunctive => Wire::V1,
             Family::Conjunctive => match rng.usize_in(0, 3) {

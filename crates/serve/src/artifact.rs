@@ -22,113 +22,19 @@
 //!   every preceding byte.  Truncation, bit rot and hand edits that forget to
 //!   re-hash are rejected at load time instead of silently mis-predicting.
 
-use crate::binfmt::ArtifactBytes;
 use crate::codec::ModelKind;
 use crate::compiled::CompiledModel;
 use palmed_core::ConjunctiveMapping;
 use palmed_isa::{ExecClass, Extension, InstDesc, InstId, InstructionSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
-
-/// The lazily materialised mapping of a [`ModelArtifact`].
-///
-/// Most artifacts are born with their mapping (inference, v1 parse, eager
-/// v2b parse) and the cell is pre-filled.  Served v2b loads
-/// ([`ServedModel::from_v2b`](crate::ServedModel::from_v2b)) instead
-/// retain the validated artifact bytes and defer the dense row rebuild —
-/// the dominant cost of a v2b load, and work the serving path never reads —
-/// until the first explicit [`ModelArtifact::mapping`] access, which pays it
-/// exactly once.
-struct MappingCell {
-    cell: OnceLock<ConjunctiveMapping>,
-    /// Rebuild source for deferred cells; `None` when the cell was born
-    /// materialised — and taken (releasing the byte buffer's refcount) the
-    /// moment the rebuild runs, so a materialised artifact does not pin the
-    /// artifact bytes for the rest of its life.  The bytes are shared with
-    /// the served registry entry, so retaining them costs one `Arc`.
-    deferred: Mutex<Option<ArtifactBytes>>,
-}
-
-impl MappingCell {
-    fn ready(mapping: ConjunctiveMapping) -> Self {
-        MappingCell { cell: OnceLock::from(mapping), deferred: Mutex::new(None) }
-    }
-
-    fn deferred(bytes: ArtifactBytes) -> Self {
-        MappingCell { cell: OnceLock::new(), deferred: Mutex::new(Some(bytes)) }
-    }
-
-    fn get(&self) -> &ConjunctiveMapping {
-        let mut initialised_here = false;
-        let mapping = self.cell.get_or_init(|| {
-            initialised_here = true;
-            // `get_or_init` runs the closure exactly once.  The rebuild
-            // state is only *read* here (an `Arc` bump), not taken:
-            // concurrent `Clone`s racing the rebuild must still find it —
-            // they see an unfilled cell and need the state to stay deferred
-            // themselves.
-            let bytes = self
-                .deferred
-                .lock()
-                .expect("rebuild never panics on validated bytes")
-                .clone()
-                .expect("unfilled cells carry rebuild state");
-            bytes.index().rebuild_mapping(bytes.as_slice())
-        });
-        if initialised_here {
-            // The rows exist now; drop this cell's hold on the artifact
-            // bytes.  Only the initialising call pays this lock — steady
-            // state is a bare `OnceLock` read.
-            self.deferred.lock().expect("rebuild never panics on validated bytes").take();
-        }
-        mapping
-    }
-
-    fn is_ready(&self) -> bool {
-        self.cell.get().is_some()
-    }
-}
-
-impl Clone for MappingCell {
-    fn clone(&self) -> Self {
-        // Once materialised, clone the mapping; the rebuild source is no
-        // longer needed.
-        if let Some(mapping) = self.cell.get() {
-            return MappingCell::ready(mapping.clone());
-        }
-        let guard = self.deferred.lock().expect("rebuild never panics on validated bytes");
-        match guard.as_ref() {
-            Some(bytes) => MappingCell::deferred(bytes.clone()),
-            // A concurrent `mapping()` call finished between the two checks:
-            // the rebuild state is only released *after* the cell fills, and
-            // the mutex orders that release before this observation.
-            None => MappingCell::ready(
-                self.cell
-                    .get()
-                    .expect("rebuild state is released only after the cell fills")
-                    .clone(),
-            ),
-        }
-    }
-}
-
-impl fmt::Debug for MappingCell {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.cell.get() {
-            Some(mapping) => mapping.fmt(f),
-            None => f.write_str("<deferred mapping>"),
-        }
-    }
-}
 
 /// A persistable inferred model: provenance, instruction set and mapping.
 ///
-/// The mapping may be lazily materialised (served binary loads defer the
-/// dense row rebuild); access it through [`ModelArtifact::mapping`].
-/// Equality, rendering and compilation force materialisation — only the
-/// serving path, which reads none of them, stays rebuild-free.
-#[derive(Debug, Clone)]
+/// Serving does not keep one: a registry entry holds the compiled arrays
+/// ([`ServedModel`](crate::ServedModel)) and rebuilds an artifact only on
+/// request ([`ServedModel::to_artifact`](crate::ServedModel::to_artifact)).
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelArtifact {
     /// Architecture / machine preset this model serves (e.g. `"skl-sp-like"`).
     pub machine: String,
@@ -137,18 +43,9 @@ pub struct ModelArtifact {
     pub source: String,
     /// The instruction inventory the mapping's [`InstId`]s index into.
     pub instructions: InstructionSet,
-    /// The inferred conjunctive resource mapping, possibly deferred.
-    mapping: MappingCell,
-}
-
-impl PartialEq for ModelArtifact {
-    /// Structural equality; forces materialisation of deferred mappings.
-    fn eq(&self, other: &Self) -> bool {
-        self.machine == other.machine
-            && self.source == other.source
-            && self.instructions == other.instructions
-            && self.mapping() == other.mapping()
-    }
+    /// The inferred conjunctive resource mapping (private so that
+    /// [`ModelArtifact::new`]'s coverage check cannot be bypassed).
+    mapping: ConjunctiveMapping,
 }
 
 /// Why an artifact failed to load.
@@ -350,42 +247,12 @@ impl ModelArtifact {
                 instructions.len()
             );
         }
-        ModelArtifact {
-            machine: machine.into(),
-            source: source.into(),
-            instructions,
-            mapping: MappingCell::ready(mapping),
-        }
-    }
-
-    /// Assembles a served v2b artifact whose mapping rebuild is deferred to
-    /// the first [`ModelArtifact::mapping`] access.  The bytes must come
-    /// from a successful [`crate::binfmt::validate`] run that also produced
-    /// `instructions` — the validator's `slots <= instructions` check is
-    /// what keeps the artifact self-describing without re-walking the rows
-    /// here.
-    pub(crate) fn deferred(instructions: InstructionSet, bytes: ArtifactBytes) -> Self {
-        let (index, slice) = (bytes.index(), bytes.as_slice());
-        ModelArtifact {
-            machine: index.machine(slice).to_string(),
-            source: index.source(slice).to_string(),
-            instructions,
-            mapping: MappingCell::deferred(bytes),
-        }
+        ModelArtifact { machine: machine.into(), source: source.into(), instructions, mapping }
     }
 
     /// The inferred conjunctive resource mapping.
-    ///
-    /// Served v2b loads defer the dense row rebuild; the first call pays it
-    /// once and every later call returns the cached rows.
     pub fn mapping(&self) -> &ConjunctiveMapping {
-        self.mapping.get()
-    }
-
-    /// True when the mapping is materialised — `false` for a served v2b
-    /// load that has not yet paid the dense rebuild.
-    pub fn mapping_ready(&self) -> bool {
-        self.mapping.is_ready()
+        &self.mapping
     }
 
     /// Flattens the artifact's mapping into a [`CompiledModel`] named after
@@ -589,7 +456,7 @@ impl ModelArtifact {
             return Err(malformed(line, format!("trailing content `{l}` after `end`")));
         }
 
-        Ok(ModelArtifact { machine, source, instructions, mapping: MappingCell::ready(mapping) })
+        Ok(ModelArtifact { machine, source, instructions, mapping })
     }
 
     /// Renders the artifact in the binary `PALMED-MODEL v2b` format (see the

@@ -22,10 +22,10 @@
 //!   CPU than they save and win no wall time.
 //!
 //! [`BatchPredictor`] is generic over [`KernelLoad`], so the same engine
-//! serves an owned [`CompiledModel`], the
-//! [`CompiledModelRef`](crate::CompiledModelRef) view a
-//! [`ServedModel`](crate::ServedModel) lends, or a disjunctive model.  [`BatchPredictor::predict`] chains ingest and serve for one-shot
-//! use, deduplicating by reference so distinct kernels are never cloned.
+//! serves a [`CompiledModel`] (owned, or borrowed from a
+//! [`ServedModel`](crate::ServedModel)) or a disjunctive model.
+//! [`BatchPredictor::predict`] chains ingest and serve for one-shot use,
+//! deduplicating by reference so distinct kernels are never cloned.
 
 use crate::compiled::{CompiledModel, KernelLoad};
 use crate::corpus::Corpus;
@@ -226,16 +226,14 @@ impl BatchScatter {
     }
 }
 
-/// A batch front-end over any [`KernelLoad`] model — owned or a borrowed
-/// [`CompiledModelRef`](crate::CompiledModelRef) view.
+/// A batch front-end over any [`KernelLoad`] model, owned or borrowed.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPredictor<M = CompiledModel> {
     model: M,
 }
 
 impl<M: KernelLoad> BatchPredictor<M> {
-    /// Wraps a model.  `M` is typically a reference (`&CompiledModel`) or a
-    /// cheap view ([`CompiledModelRef`](crate::CompiledModelRef)).
+    /// Wraps a model.  `M` is typically a reference (`&CompiledModel`).
     pub fn new(model: M) -> Self {
         BatchPredictor { model }
     }

@@ -21,8 +21,8 @@
 //!   by `finish_trailer` and checked by `verify_trailer` before any
 //!   structural read;
 //! * a validate pass over a `Cursor` with offset-tagged errors and
-//!   allocation-capping reads, producing a byte-range index the
-//!   materialisers (or zero-copy views) work from.
+//!   allocation-capping reads, which checks every structural invariant
+//!   before the family's owned form is built.
 //!
 //! Concrete codecs implement the `ArtifactCodec` trait, which ties a magic
 //! and a [`ModelKind`] to the family's encode/decode entry points; the
@@ -49,7 +49,7 @@ pub enum ModelKind {
     /// interchange/debug form).
     ConjunctiveV1,
     /// Conjunctive resource mapping, `PALMED-MODEL v2b` binary (the fast
-    /// load path, served in place from the retained bytes).
+    /// load path: its CSR arrays are copied, not parsed).
     ConjunctiveV2b,
     /// Disjunctive port mapping (port sets + inverse throughputs),
     /// `PALMED-DISJ v1` binary — the family PMEvo-style baselines persist.
@@ -213,7 +213,7 @@ pub(crate) fn read_instruction_table(
 /// Reads and validates a CSR pointer array shared by the binary codecs: a
 /// `(slots + 1)`-entry little-endian `u32` run followed by its `u32` entry
 /// count, with the endpoints pinned to `0 .. total` and full monotonicity
-/// checked up front — so no later row walk (or zero-copy view) can index
+/// checked up front — so no later row walk can index
 /// past the entry arrays even on a crafted, correctly re-hashed body.
 /// Returns the pointer array's byte range and the entry count.
 pub(crate) fn read_csr_ptr(
@@ -291,7 +291,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Like [`Cursor::take`], but returns the byte range instead of the
-    /// slice — what a zero-copy index stores.
+    /// slice.
     pub fn take_range(&mut self, n: usize, what: &str) -> Result<Range<usize>, ArtifactError> {
         let start = self.pos;
         self.take(n, what)?;
@@ -346,13 +346,6 @@ impl<'a> Cursor<'a> {
             });
         }
         Ok(name)
-    }
-
-    /// [`Cursor::token`] plus the byte range the name occupies.
-    pub fn token_range(&mut self, what: &str) -> Result<Range<usize>, ArtifactError> {
-        let start = self.pos + 4;
-        let name = self.token(what)?;
-        Ok(start..start + name.len())
     }
 
     /// True when every byte has been consumed.

@@ -10,14 +10,13 @@
 //! dense.  Prediction walks two flat arrays and writes into a caller-provided
 //! scratch buffer — no allocation, no pointer chasing.
 //!
-//! [`CompiledModelRef`] is the one serving view of that arena: plain `&[u32]`
-//! / `&[f64]` slices, borrowed either from a [`CompiledModel`]'s own arrays
-//! or in place from retained `v2b` artifact bytes (see
-//! [`ServedModel`](crate::ServedModel)).  It holds the single CSR hot loop;
-//! everything else — the owned model's [`KernelLoad`] and
-//! [`ThroughputPredictor`] impls included — delegates to it.  [`KernelLoad`]
-//! is the allocation-free serving interface the batch engine is generic
-//! over.
+//! [`CompiledModel`] is the one form a conjunctive model serves from: a
+//! registered artifact compiles into it, and a `v2b` load copies its
+//! validated CSR arrays into it.  Its [`KernelLoad`] impl holds the single
+//! CSR hot loop; [`KernelLoad`] is the allocation-free serving interface
+//! the batch engine is generic over.  [`CompiledModel::to_mapping`] inverts
+//! [`CompiledModel::compile`] exactly, so a served model can always hand
+//! back the artifact it came from.
 //!
 //! The arithmetic performs the same additions in the same order as the
 //! `BTreeMap` path (kernels iterate in instruction order in both, and
@@ -90,7 +89,7 @@ impl CompiledModel {
     }
 
     /// Rebuilds a compiled model from already-validated raw CSR arrays (the
-    /// binary artifact codec's copy path on big-endian targets).  Callers
+    /// binary artifact codec's load path).  Callers
     /// must uphold the [`CompiledModel::compile`] invariants: `mapped` holds
     /// 0/1 flags, `row_ptr` has `mapped.len() + 1` monotone entries ending
     /// at `cols.len()`, `cols` are ascending within a row and index into
@@ -115,19 +114,6 @@ impl CompiledModel {
         (&self.mapped, &self.row_ptr, &self.cols, &self.vals)
     }
 
-    /// The serving view of the arrays — what every prediction runs through.
-    #[inline]
-    pub fn view(&self) -> CompiledModelRef<'_> {
-        CompiledModelRef::from_parts(
-            &self.name,
-            self.resource_names.len(),
-            &self.mapped,
-            &self.row_ptr,
-            &self.cols,
-            &self.vals,
-        )
-    }
-
     /// Number of abstract resources.
     pub fn num_resources(&self) -> usize {
         self.resource_names.len()
@@ -135,7 +121,7 @@ impl CompiledModel {
 
     /// Number of mapped instructions.
     pub fn num_instructions(&self) -> usize {
-        self.view().num_instructions()
+        self.mapped.iter().filter(|&&m| m != 0).count()
     }
 
     /// Number of non-zero `(instruction, resource)` usage entries.
@@ -151,7 +137,28 @@ impl CompiledModel {
     /// Sparse usage row of an instruction: `(resource index, usage)` pairs in
     /// ascending resource order.  Empty for unmapped instructions.
     pub fn row(&self, inst: InstId) -> impl Iterator<Item = (u32, f64)> + '_ {
-        self.view().row(inst)
+        let range = if inst.index() + 1 < self.row_ptr.len() {
+            self.row_ptr[inst.index()] as usize..self.row_ptr[inst.index() + 1] as usize
+        } else {
+            0..0
+        };
+        self.cols[range.clone()].iter().copied().zip(self.vals[range].iter().copied())
+    }
+
+    /// The dense mapping this model was compiled from: every mapped slot's
+    /// sparse row scattered over zeros.  The exact inverse of
+    /// [`CompiledModel::compile`], so a model rebuilt from its arrays
+    /// renders, compares and predicts like the original.
+    pub fn to_mapping(&self) -> ConjunctiveMapping {
+        let rows = (0..self.mapped.len()).filter(|&i| self.mapped[i] != 0).map(|i| {
+            let inst = InstId(i as u32);
+            let mut usage = vec![0.0; self.num_resources()];
+            for (col, value) in self.row(inst) {
+                usage[col as usize] = value;
+            }
+            (inst, usage)
+        });
+        ConjunctiveMapping::from_rows(self.resource_names.clone(), rows)
     }
 }
 
@@ -160,9 +167,22 @@ impl KernelLoad for CompiledModel {
         self.resource_names.len()
     }
 
+    /// The CSR hot loop — the only one in the crate.
     #[inline]
     fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) {
-        self.view().load_into(kernel, scratch)
+        scratch.clear();
+        scratch.resize(self.resource_names.len(), 0.0);
+        for &(inst, count) in kernel.as_slice() {
+            let index = inst.index();
+            if index >= self.mapped.len() {
+                continue;
+            }
+            let (start, end) = (self.row_ptr[index] as usize, self.row_ptr[index + 1] as usize);
+            let count = count as f64;
+            for (col, val) in self.cols[start..end].iter().zip(&self.vals[start..end]) {
+                scratch[*col as usize] += count * val;
+            }
+        }
     }
 }
 
@@ -172,16 +192,22 @@ impl ThroughputPredictor for CompiledModel {
     }
 
     fn supports(&self, inst: InstId) -> bool {
-        self.view().supports(inst)
+        self.mapped.get(inst.index()).is_some_and(|&m| m != 0)
     }
 
+    /// Trait-object entry point, backed by a thread-local scratch buffer so
+    /// it stays allocation-free per call.  Explicit hot paths should still
+    /// prefer [`KernelLoad::ipc_with`] or a [`BatchPredictor`] (see
+    /// [`crate::batch`]).
+    ///
+    /// [`BatchPredictor`]: crate::BatchPredictor
     fn predict_ipc(&self, kernel: &Microkernel) -> Option<f64> {
-        self.view().predict_ipc(kernel)
+        LOAD_SCRATCH.with_borrow_mut(|scratch| self.ipc_with(kernel, scratch))
     }
 }
 
 /// The allocation-free CSR serving interface, shared by the conjunctive
-/// [`CompiledModel`] / [`CompiledModelRef`] and the disjunctive
+/// [`CompiledModel`] and the disjunctive
 /// [`CompiledDisjModel`](crate::CompiledDisjModel).  The batch engine
 /// ([`BatchPredictor`](crate::BatchPredictor)) is generic over it, so the
 /// whole post-inference data plane serves every model family through one
@@ -242,8 +268,9 @@ pub trait KernelLoad {
 
     /// The model's determinism fingerprint over the pinned probe corpus for
     /// `num_slots` instruction slots (use the artifact's instruction-set
-    /// length).  Any two implementors that predict bit-identically — owned,
-    /// borrowed from artifact bytes, migrated — fingerprint identically; see
+    /// length).  Any two implementors that predict bit-identically — compiled
+    /// from an artifact, copied from `v2b` bytes, migrated — fingerprint
+    /// identically; see
     /// [`model_fingerprint`](crate::fingerprint::model_fingerprint).
     fn fingerprint(&self, num_slots: usize) -> u64 {
         crate::fingerprint::model_fingerprint(self, num_slots)
@@ -257,113 +284,6 @@ impl<M: KernelLoad + ?Sized> KernelLoad for &M {
 
     fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) {
         (**self).load_into(kernel, scratch)
-    }
-}
-
-/// The serving view of a compiled conjunctive model: the CSR arrays as
-/// plain borrowed slices, from a [`CompiledModel`] ([`CompiledModel::view`])
-/// or in place from validated `v2b` artifact bytes
-/// ([`ServedModel::view`](crate::ServedModel::view)).
-///
-/// Building one allocates nothing — a name, a resource count and five slice
-/// headers — so a serving loop can take a fresh view per round.  Resource
-/// names stay with the owner ([`CompiledModel::resource_name`],
-/// [`ServedModel::resource_name`](crate::ServedModel::resource_name)).
-#[derive(Debug, Clone, Copy)]
-pub struct CompiledModelRef<'a> {
-    name: &'a str,
-    num_resources: usize,
-    /// Per-slot "has a row" flags, 0 or 1.
-    mapped: &'a [u8],
-    /// CSR row boundaries, one entry per instruction index plus a sentinel.
-    row_ptr: &'a [u32],
-    /// Resource index of every non-zero usage entry.
-    cols: &'a [u32],
-    /// Usage value of every non-zero usage entry.
-    vals: &'a [f64],
-}
-
-impl<'a> CompiledModelRef<'a> {
-    /// Assembles a view from arrays that uphold the
-    /// [`CompiledModel::compile`] invariants.
-    #[inline]
-    pub(crate) fn from_parts(
-        name: &'a str,
-        num_resources: usize,
-        mapped: &'a [u8],
-        row_ptr: &'a [u32],
-        cols: &'a [u32],
-        vals: &'a [f64],
-    ) -> Self {
-        debug_assert_eq!(row_ptr.len(), mapped.len() + 1);
-        debug_assert_eq!(cols.len(), vals.len());
-        debug_assert_eq!(row_ptr.last().copied(), Some(cols.len() as u32));
-        CompiledModelRef { name, num_resources, mapped, row_ptr, cols, vals }
-    }
-
-    /// Number of mapped instructions.
-    pub fn num_instructions(&self) -> usize {
-        self.mapped.iter().filter(|&&m| m != 0).count()
-    }
-
-    /// Number of non-zero `(instruction, resource)` usage entries.
-    pub fn num_entries(&self) -> usize {
-        self.vals.len()
-    }
-
-    /// Sparse usage row of an instruction: `(resource index, usage)` pairs in
-    /// ascending resource order.  Empty for unmapped instructions.
-    pub fn row(self, inst: InstId) -> impl Iterator<Item = (u32, f64)> + 'a {
-        let range = if inst.index() + 1 < self.row_ptr.len() {
-            self.row_ptr[inst.index()] as usize..self.row_ptr[inst.index() + 1] as usize
-        } else {
-            0..0
-        };
-        self.cols[range.clone()].iter().copied().zip(self.vals[range].iter().copied())
-    }
-}
-
-impl KernelLoad for CompiledModelRef<'_> {
-    fn num_resources(&self) -> usize {
-        self.num_resources
-    }
-
-    /// The CSR hot loop — the only one in the crate.
-    #[inline]
-    fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) {
-        scratch.clear();
-        scratch.resize(self.num_resources, 0.0);
-        for &(inst, count) in kernel.as_slice() {
-            let index = inst.index();
-            if index >= self.mapped.len() {
-                continue;
-            }
-            let (start, end) = (self.row_ptr[index] as usize, self.row_ptr[index + 1] as usize);
-            let count = count as f64;
-            for (col, val) in self.cols[start..end].iter().zip(&self.vals[start..end]) {
-                scratch[*col as usize] += count * val;
-            }
-        }
-    }
-}
-
-impl ThroughputPredictor for CompiledModelRef<'_> {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn supports(&self, inst: InstId) -> bool {
-        self.mapped.get(inst.index()).is_some_and(|&m| m != 0)
-    }
-
-    /// Trait-object entry point, backed by a thread-local scratch buffer so
-    /// it stays allocation-free per call.  Explicit hot paths should still
-    /// prefer [`KernelLoad::ipc_with`] or a [`BatchPredictor`] (see
-    /// [`crate::batch`]).
-    ///
-    /// [`BatchPredictor`]: crate::BatchPredictor
-    fn predict_ipc(&self, kernel: &Microkernel) -> Option<f64> {
-        LOAD_SCRATCH.with_borrow_mut(|scratch| self.ipc_with(kernel, scratch))
     }
 }
 
@@ -442,6 +362,18 @@ mod tests {
             c.ipc_with(&k, &mut scratch).map(f64::to_bits)
         );
         let _ = m;
+    }
+
+    #[test]
+    fn to_mapping_inverts_compile() {
+        let (m, _, _) = example();
+        assert_eq!(CompiledModel::compile("palmed", &m).to_mapping(), m);
+        // An all-zero row stays mapped, and an empty mapping stays empty.
+        let mut zero = ConjunctiveMapping::with_resources(2);
+        zero.set_usage(InstId(1), vec![0.0, 0.0]);
+        assert_eq!(CompiledModel::compile("zero", &zero).to_mapping(), zero);
+        let empty = ConjunctiveMapping::with_resources(0);
+        assert_eq!(CompiledModel::compile("empty", &empty).to_mapping(), empty);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! The codecs' checksums prove the **bytes** arrived intact; they say nothing
 //! about whether two differently-encoded artifacts — a v1 text file and its
-//! v2b migration, an owned [`CompiledModel`](crate::CompiledModel) and a
-//! [`ServedModel`](crate::ServedModel) borrowing retained v2b bytes — are
-//! the *same model*.  A fingerprint closes that gap: it is an FNV-1a-64 hash over
+//! v2b migration, a [`CompiledModel`](crate::CompiledModel) compiled from an
+//! artifact and one copied from v2b bytes — are the *same model*.  A fingerprint closes that gap: it is an FNV-1a-64 hash over
 //! the bit patterns of the model's IPC predictions on a pinned, deterministic
 //! probe corpus, so any two loads that predict bit-identically fingerprint
 //! identically, across formats, backings, refactors and replicas.
@@ -355,9 +354,9 @@ mod tests {
         let bytes = artifact.render_v2();
         let from_v2 = crate::ModelArtifact::parse_v2(&bytes).unwrap();
         assert_eq!(from_v2.fingerprint(), expected);
-        // Served in place from the same bytes.
-        let served = crate::ServedModel::from_v2b(bytes).unwrap();
-        assert_eq!(served.view().fingerprint(n), expected);
+        // Served from the same bytes.
+        let served = crate::ServedModel::from_v2b(&bytes).unwrap();
+        assert_eq!(served.model.fingerprint(n), expected);
         // A different model fingerprints differently.
         let mut other = artifact.clone();
         other.machine = "other".into();

@@ -13,10 +13,9 @@
 //!   parsers — no serde; loading sniffs the format from the first bytes.
 //! * [`compiled`] — [`CompiledModel`]: the mapping flattened into a CSR-style
 //!   arena (one flat `(resource, usage)` row slice per instruction, dense
-//!   resource indices); [`CompiledModelRef`], the allocation-free view that
-//!   holds the one CSR hot loop, over a compiled model's arrays or borrowed
-//!   in place from v2b artifact bytes; and [`KernelLoad`], the serving
-//!   interface, predicting through a caller-provided scratch buffer.
+//!   resource indices) that holds the one CSR hot loop, and [`KernelLoad`],
+//!   the serving interface, predicting through a caller-provided scratch
+//!   buffer.
 //!   Predictions are **bit-identical** to
 //!   [`ConjunctiveMapping::ipc`](palmed_core::ConjunctiveMapping::ipc).
 //! * [`batch`] — [`BatchPredictor`]: dedupes identical microkernels into a
@@ -49,25 +48,21 @@
 //!
 //! # Serving representations
 //!
-//! One conjunctive entry shape, [`ServedModel`], with two backings for its
-//! CSR arrays, plus the disjunctive family:
+//! One conjunctive entry shape, [`ServedModel`], which serves from an owned
+//! [`CompiledModel`] whatever the input, plus the disjunctive family:
 //!
-//! | input | entry points | backing | cost at load |
-//! |-------|--------------|---------|--------------|
-//! | in-memory artifact, **v1 text** | [`ModelRegistry::register`], [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`], [`ServedModel::from_artifact`] | owned [`CompiledModel`] | (parse every decimal, rebuild rows,) compile |
-//! | **v2b** bytes | [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`], [`ServedModel::from_v2b`] | retained artifact bytes, aligned once | validate only |
-//! | **disj** | [`ModelRegistry::register_disj`], [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`] | owned [`CompiledDisjModel`] | validate, copy µOP rows (disjunctive models are tiny) |
+//! | input | entry points | cost at load |
+//! |-------|--------------|--------------|
+//! | in-memory artifact, **v1 text** | [`ModelRegistry::register`], [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`], [`ServedModel::from_artifact`] | (parse every decimal, build rows,) compile |
+//! | **v2b** bytes | [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`], [`ServedModel::from_v2b`] | validate and copy the CSR arrays, one pass |
+//! | **disj** | [`ModelRegistry::register_disj`], [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`] | validate, copy µOP rows into an owned [`CompiledDisjModel`] (disjunctive models are tiny) |
 //!
-//! Both conjunctive backings lend the same allocation-free
-//! [`CompiledModelRef`] ([`ServedModel::view`]), so there is one hot loop
-//! and every way in predicts bit-identically.  For v2b input the retained
-//! bytes are re-based once so the `u32`/`f64` arrays are aligned, and the
-//! view borrows them as plain slices (big-endian targets copy them into an
-//! owned model instead).  The artifact's dense
-//! [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping) — which serving
-//! never reads — is **lazy** for v2b input: [`ModelArtifact::mapping`]
-//! rebuilds it from the retained bytes on first access and caches it;
-//! [`ModelArtifact::mapping_ready`] tells whether that has happened.
+//! There is one hot loop, [`CompiledModel`]'s [`KernelLoad`] impl, so every
+//! way in predicts bit-identically.  A served entry keeps no dense
+//! [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping), which serving
+//! never reads: [`ServedModel::to_artifact`] rebuilds it on request through
+//! [`CompiledModel::to_mapping`], the exact inverse of
+//! [`CompiledModel::compile`].
 //!
 //! Every stat and read behind these loads goes through the [`ArtifactIo`]
 //! seam ([`io`]): [`RealIo`] (the default) forwards to `std::fs`, while
@@ -121,9 +116,9 @@
 //! # Model artifact format (`PALMED-MODEL v2b`)
 //!
 //! Length-prefixed little-endian binary; the same model as v1, laid out so a
-//! load is one validate pass after which the [`CompiledModel`] CSR arrays
-//! are served in place (every `f64` is its raw bit pattern — no float
-//! parsing, no re-derivation).  A
+//! load is one validate pass that copies the [`CompiledModel`] CSR arrays
+//! out verbatim (every `f64` is its raw bit pattern — no float parsing, no
+//! re-derivation).  A
 //! v1↔v2 round trip reproduces the artifact bit for bit.  Strings are a
 //! `u32` byte length followed by UTF-8; class/extension codes index
 //! [`ExecClass::ALL`](palmed_isa::ExecClass::ALL) /
@@ -305,7 +300,7 @@ pub mod sign;
 pub use artifact::{ArtifactError, ModelArtifact};
 pub use batch::{BatchMerge, BatchPredictor, BatchResult, BatchScatter, PreparedBatch};
 pub use codec::{migrate_v1_to_v2b, ModelKind};
-pub use compiled::{CompiledModel, CompiledModelRef, KernelLoad};
+pub use compiled::{CompiledModel, KernelLoad};
 pub use corpus::{Corpus, CorpusBlock, CorpusError};
 pub use disj::{CompiledDisjModel, DisjArtifact, DisjUop};
 pub use fingerprint::{

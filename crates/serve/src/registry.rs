@@ -8,9 +8,10 @@
 //!
 //! * **Polymorphic entries.**  Every entry is a [`RegistryEntry`] tagging a
 //!   [`ModelKind`] (family + format, reported per entry) around one of two
-//!   model payloads: a conjunctive [`ServedModel`] (the artifact plus its
-//!   CSR arrays — compiled for in-memory and v1 text installs, borrowed in
-//!   place from the retained bytes for `v2b` ones) or a disjunctive
+//!   model payloads: a conjunctive [`ServedModel`] (provenance, instruction
+//!   set and the [`CompiledModel`] it serves from — compiled for in-memory
+//!   and v1 text installs, copied from the validated arrays for `v2b` ones)
+//!   or a disjunctive
 //!   [`ServedDisjModel`] (a PMEvo-style port mapping, loaded from a
 //!   `PALMED-DISJ v1` artifact instead of re-evolved per campaign).
 //!   [`ModelRegistry::load_file`] and [`ModelRegistry::swap_bytes`] sniff
@@ -46,12 +47,11 @@
 
 use crate::artifact::{ArtifactError, ModelArtifact};
 use crate::batch::{BatchPredictor, BatchResult, PreparedBatch};
-use crate::binfmt::{self, ArtifactBytes};
+use crate::binfmt;
 use crate::codec::ModelKind;
-use crate::compiled::{CompiledModel, CompiledModelRef, KernelLoad};
+use crate::compiled::{CompiledModel, KernelLoad};
 use crate::disj::{CompiledDisjModel, DisjArtifact};
 use crate::io::{ArtifactIo, RealIo};
-use palmed_core::ResourceId;
 use palmed_isa::InstructionSet;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -73,89 +73,62 @@ pub const MAX_BACKOFF_POLLS: u32 = 16;
 /// [`ArtifactError::TornRead`].
 const TORN_READ_RETRIES: u32 = 3;
 
-/// A registered conjunctive model: the artifact plus the CSR arrays it
-/// serves from, behind one allocation-free [`CompiledModelRef`] view.
+/// A registered conjunctive model: provenance, the instruction set its
+/// kernels index into, and the [`CompiledModel`] it serves from.
 ///
-/// Where the arrays live depends on what was installed.  In-memory
-/// artifacts ([`ServedModel::from_artifact`], v1 text) are compiled into an
-/// owned [`CompiledModel`].  `v2b` bytes ([`ServedModel::from_v2b`]) are
-/// validated once and retained, re-based so the arrays are aligned, and the
-/// view borrows them in place; the artifact's dense mapping stays deferred
-/// until the first [`ModelArtifact::mapping`] access rebuilds it from the
-/// same bytes.  (On big-endian targets the little-endian arrays are copied
-/// into an owned model instead.)  Predictions are bit-identical either way.
-#[derive(Debug, Clone)]
+/// Every way in ends in the same owned arrays: in-memory artifacts
+/// ([`ServedModel::from_artifact`], v1 text) are compiled, and `v2b` bytes
+/// ([`ServedModel::from_v2b`]) are validated and copied in one pass.  No
+/// dense mapping is kept; [`ServedModel::to_artifact`] rebuilds the
+/// artifact on request.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServedModel {
-    /// The self-describing artifact (instruction set, mapping, provenance);
-    /// its mapping may be deferred.
-    pub artifact: ModelArtifact,
-    backing: Backing,
-}
-
-/// Where a [`ServedModel`]'s CSR arrays live.
-#[derive(Debug, Clone)]
-enum Backing {
-    Owned(CompiledModel),
-    Bytes(ArtifactBytes),
+    /// Architecture / machine preset the model serves.
+    pub machine: String,
+    /// Provenance: the machine description the model was inferred against.
+    pub source: String,
+    /// The instruction inventory the model's [`InstId`](palmed_isa::InstId)s
+    /// index into.
+    pub instructions: InstructionSet,
+    /// The compiled CSR arrays every prediction runs through.
+    pub model: CompiledModel,
 }
 
 impl ServedModel {
     /// Compiles an artifact into a servable entry.
     pub fn from_artifact(artifact: ModelArtifact) -> Self {
-        let compiled = artifact.compile();
-        ServedModel { artifact, backing: Backing::Owned(compiled) }
+        let model = artifact.compile();
+        let ModelArtifact { machine, source, instructions, .. } = artifact;
+        ServedModel { machine, source, instructions, model }
     }
 
-    /// Validates a `PALMED-MODEL v2b` buffer and serves it in place: the
-    /// bytes are retained (copied once only to align the arrays), nothing
-    /// is compiled, and the dense mapping rebuild is deferred.  Start-up
-    /// cost is O(validate).
+    /// Validates a `PALMED-MODEL v2b` buffer and copies its CSR arrays into
+    /// the served model in the same pass; no dense row is built.
     ///
     /// # Errors
     ///
     /// Returns an [`ArtifactError`] on any layout violation, truncation or
     /// checksum mismatch, exactly like
     /// [`ModelArtifact::parse_v2`]; never panics on untrusted input.
-    pub fn from_v2b(raw: Vec<u8>) -> Result<Self, ArtifactError> {
-        let binfmt::Validated { instructions, index } = binfmt::validate(&raw)?;
-        let bytes = ArtifactBytes::aligned(raw, index);
-        let backing = if cfg!(target_endian = "little") {
-            Backing::Bytes(bytes.clone())
-        } else {
-            Backing::Owned(bytes.index().to_compiled(bytes.as_slice()))
-        };
-        let artifact = ModelArtifact::deferred(instructions, bytes);
-        Ok(ServedModel { artifact, backing })
+    pub fn from_v2b(bytes: &[u8]) -> Result<Self, ArtifactError> {
+        let binfmt::Validated { machine, source, instructions, model } = binfmt::validate(bytes)?;
+        Ok(ServedModel { machine, source, instructions, model })
     }
 
-    /// The serving view.  Allocates nothing, so it is cheap to take per
-    /// request or per batch round.
-    pub fn view(&self) -> CompiledModelRef<'_> {
-        match &self.backing {
-            Backing::Owned(model) => model.view(),
-            Backing::Bytes(bytes) => bytes.view(),
-        }
+    /// Rebuilds the artifact the model was installed from, dense mapping
+    /// included ([`CompiledModel::to_mapping`]).
+    pub fn to_artifact(&self) -> ModelArtifact {
+        ModelArtifact::new(
+            self.machine.clone(),
+            self.source.clone(),
+            self.instructions.clone(),
+            self.model.to_mapping(),
+        )
     }
 
-    /// A batch predictor over [`ServedModel::view`].
-    pub fn batch(&self) -> BatchPredictor<CompiledModelRef<'_>> {
-        BatchPredictor::new(self.view())
-    }
-
-    /// Name of a resource.
-    pub fn resource_name(&self, r: ResourceId) -> &str {
-        match &self.backing {
-            Backing::Owned(model) => model.resource_name(r),
-            Backing::Bytes(bytes) => bytes.index().resource_name(bytes.as_slice(), r.index()),
-        }
-    }
-
-    /// The retained `v2b` artifact bytes, when the entry serves from them.
-    pub fn bytes(&self) -> Option<&[u8]> {
-        match &self.backing {
-            Backing::Owned(_) => None,
-            Backing::Bytes(bytes) => Some(bytes.as_slice()),
-        }
+    /// A batch predictor over the compiled model.
+    pub fn batch(&self) -> BatchPredictor<&CompiledModel> {
+        BatchPredictor::new(&self.model)
     }
 }
 
@@ -186,7 +159,7 @@ impl ServedDisjModel {
 /// The model payload of one registry entry, one variant per family.
 #[derive(Debug)]
 pub enum ModelEntry {
-    /// Conjunctive entry (artifact + CSR arrays, owned or retained bytes).
+    /// Conjunctive entry (provenance + compiled CSR arrays).
     Conjunctive(ServedModel),
     /// Disjunctive entry (artifact + compiled port-mapping form).
     Disjunctive(ServedDisjModel),
@@ -196,7 +169,7 @@ impl ModelEntry {
     /// The instruction set the model's kernels index into.
     pub fn instructions(&self) -> &InstructionSet {
         match self {
-            ModelEntry::Conjunctive(m) => &m.artifact.instructions,
+            ModelEntry::Conjunctive(m) => &m.instructions,
             ModelEntry::Disjunctive(m) => &m.artifact.instructions,
         }
     }
@@ -215,7 +188,7 @@ impl ModelEntry {
     fn fingerprint(&self) -> u64 {
         let slots = self.instructions().len();
         match self {
-            ModelEntry::Conjunctive(m) => m.view().fingerprint(slots),
+            ModelEntry::Conjunctive(m) => m.model.fingerprint(slots),
             ModelEntry::Disjunctive(m) => m.compiled.fingerprint(slots),
         }
     }
@@ -730,22 +703,22 @@ impl ModelRegistry {
     }
 
     /// Builds the model entry for a buffer, sniffing the kind: `v2b` bytes
-    /// are served in place ([`ServedModel::from_v2b`]), v1 text is parsed
+    /// are validated and copied ([`ServedModel::from_v2b`]), v1 text is parsed
     /// and compiled, and `PALMED-DISJ v1` becomes a [`ServedDisjModel`].
     /// Returns the machine name stored in the artifact with the entry.
-    fn decode_entry(bytes: Vec<u8>) -> Result<(String, ModelKind, ModelEntry), ArtifactError> {
-        let kind = ModelKind::sniff(&bytes);
+    fn decode_entry(bytes: &[u8]) -> Result<(String, ModelKind, ModelEntry), ArtifactError> {
+        let kind = ModelKind::sniff(bytes);
         let model = match kind {
             ModelKind::ConjunctiveV2b => ModelEntry::Conjunctive(ServedModel::from_v2b(bytes)?),
             ModelKind::ConjunctiveV1 => ModelEntry::Conjunctive(ServedModel::from_artifact(
-                ModelArtifact::parse_bytes(&bytes)?,
+                ModelArtifact::parse_bytes(bytes)?,
             )),
-            ModelKind::DisjunctiveV1 => ModelEntry::Disjunctive(ServedDisjModel::from_artifact(
-                DisjArtifact::parse(&bytes)?,
-            )),
+            ModelKind::DisjunctiveV1 => {
+                ModelEntry::Disjunctive(ServedDisjModel::from_artifact(DisjArtifact::parse(bytes)?))
+            }
         };
         let name = match &model {
-            ModelEntry::Conjunctive(m) => m.artifact.machine.clone(),
+            ModelEntry::Conjunctive(m) => m.machine.clone(),
             ModelEntry::Disjunctive(m) => m.artifact.machine.clone(),
         };
         Ok((name, kind, model))
@@ -763,7 +736,7 @@ impl ModelRegistry {
     fn load_path(&self, path: &Path) -> Result<Loaded, ArtifactError> {
         let io = self.io.as_ref();
         let (source, bytes) = read_stable(io, path)?;
-        let (name, kind, model) = Self::decode_entry(bytes)?;
+        let (name, kind, model) = Self::decode_entry(&bytes)?;
         let fingerprint = model.fingerprint();
         let sidecar = crate::fingerprint::read_sidecar_with(io, path)?;
         let keys = self.signing_keys.lock().expect("signing key lock").clone();
@@ -796,9 +769,9 @@ impl ModelRegistry {
     /// Loads, verifies and registers an artifact file under the machine
     /// name stored in the file.  The format is sniffed from the first
     /// bytes: v1 text artifacts are compiled after parsing, v2b binary
-    /// artifacts are validated and served in place with their dense mapping
-    /// deferred ([`ServedModel::from_v2b`]), and `PALMED-DISJ v1` artifacts
-    /// become disjunctive entries.  The entry records the file's
+    /// artifacts are validated and copied without building dense rows
+    /// ([`ServedModel::from_v2b`]), and `PALMED-DISJ v1` artifacts become
+    /// disjunctive entries.  The entry records the file's
     /// mtime/length, so [`ModelRegistry::refresh`] picks up later rewrites.
     ///
     /// # Errors
@@ -814,7 +787,7 @@ impl ModelRegistry {
     /// snapshot; the old entry stays valid until the last `Arc` drops).
     ///
     /// The buffer decodes exactly like a [`ModelRegistry::load_file`] body
-    /// (format sniffed; `v2b` served in place, v1 text compiled,
+    /// (format sniffed; `v2b` validated and copied, v1 text compiled,
     /// `PALMED-DISJ v1` disjunctive), so the decision never reads the
     /// current entry and all decoding runs before the brief snapshot-swap
     /// lock.  The new entry is keyed under `name` regardless of the machine
@@ -829,7 +802,7 @@ impl ModelRegistry {
         name: impl Into<String>,
         bytes: Vec<u8>,
     ) -> Result<Arc<RegistryEntry>, ArtifactError> {
-        let (_, kind, model) = Self::decode_entry(bytes)?;
+        let (_, kind, model) = Self::decode_entry(&bytes)?;
         let entry = self.install(name.into(), kind, None, model);
         palmed_obs::counter!("serve.registry.swaps").inc();
         palmed_obs::event!("registry.swap", key = entry.name(), generation = entry.generation());
@@ -1191,7 +1164,7 @@ mod tests {
         let skl = registry.get("skl").unwrap();
         assert_eq!(skl.kind(), ModelKind::ConjunctiveV1);
         assert_eq!(skl.name(), "skl");
-        assert_eq!(skl.served().unwrap().view().num_instructions(), 1);
+        assert_eq!(skl.served().unwrap().model.num_instructions(), 1);
         assert!(registry.get("m1").is_none());
     }
 
@@ -1224,15 +1197,8 @@ mod tests {
         registry.load_file(&v1).unwrap();
         let served = registry.load_file(&v2).unwrap();
         let disj = registry.load_file(&dj).unwrap();
-        // The in-place binary load serves the arrays compiling yields.
-        let bin = served.served().unwrap();
-        let compiled = bin.artifact.compile();
-        let view = bin.view();
-        assert_eq!(view.num_entries(), compiled.num_entries());
-        assert_eq!(
-            view.row(InstId(2)).collect::<Vec<_>>(),
-            compiled.row(InstId(2)).collect::<Vec<_>>()
-        );
+        // The binary load serves the arrays compiling yields.
+        assert_eq!(served.served().unwrap().model, artifact("bin-machine", 0.5).compile());
         assert_eq!(served.kind(), ModelKind::ConjunctiveV2b);
         assert_eq!(registry.get("text-machine").unwrap().kind(), ModelKind::ConjunctiveV1);
         assert_eq!(disj.kind(), ModelKind::DisjunctiveV1);
@@ -1255,7 +1221,7 @@ mod tests {
         artifact("disk-machine", 0.5).save(&path).unwrap();
         let registry = ModelRegistry::new();
         let served = registry.load_file(&path).unwrap();
-        assert_eq!(served.served().unwrap().artifact.machine, "disk-machine");
+        assert_eq!(served.served().unwrap().machine, "disk-machine");
         assert_eq!(served.source_path(), Some(path.as_path()));
         std::fs::remove_file(&path).ok();
         assert!(registry.get("disk-machine").is_some());
@@ -1264,45 +1230,9 @@ mod tests {
     }
 
     #[test]
-    fn serve_only_load_defers_the_mapping_and_serves_borrowed() {
-        let path = std::env::temp_dir().join("palmed-serve-registry-serving.palmed2");
-        let original = artifact("lazy-machine", 0.5);
-        original.save_v2(&path).unwrap();
-        let registry = ModelRegistry::new();
-        let entry = registry.load_file(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let served = entry.served().unwrap();
-        assert!(!served.artifact.mapping_ready(), "a v2b load must not rebuild rows");
-        assert_eq!(served.artifact.machine, "lazy-machine");
-        assert_eq!(served.artifact.source, "test");
-        if cfg!(target_endian = "little") {
-            assert!(served.bytes().is_some(), "a v2b load serves the retained bytes");
-        }
-
-        // Predictions through the borrowed view are bit-identical to the
-        // owned compiled model, without ever materialising the mapping.
-        let k = Microkernel::pair(InstId(2), 3, InstId(0), 1);
-        let owned = original.compile();
-        let view = served.view();
-        let mut scratch = view.scratch();
-        let mut owned_scratch = owned.scratch();
-        assert_eq!(
-            view.ipc_with(&k, &mut scratch).map(f64::to_bits),
-            owned.ipc_with(&k, &mut owned_scratch).map(f64::to_bits)
-        );
-        assert!(!served.artifact.mapping_ready());
-
-        // First explicit access pays the rebuild once; the result matches
-        // the eager artifact exactly.
-        assert_eq!(served.artifact.mapping(), original.mapping());
-        assert!(served.artifact.mapping_ready());
-        assert_eq!(served.artifact, original);
-    }
-
-    #[test]
     fn mapped_load_serves_bit_identically_to_the_heap_load() {
-        // The retained-bytes backing of a v2b load against the owned arrays
-        // compiling the same artifact on the heap yields.
+        // The arrays a v2b file load copies against the ones compiling the
+        // same artifact on the heap yields.
         let path = std::env::temp_dir().join("palmed-serve-registry-mapped.palmed2");
         let original = artifact("mapped-machine", 0.5);
         original.save_v2(&path).unwrap();
@@ -1310,36 +1240,30 @@ mod tests {
         let entry = registry.load_file(&path).unwrap();
         let served = entry.served().unwrap();
         assert_eq!(entry.kind(), ModelKind::ConjunctiveV2b);
-        assert!(!served.artifact.mapping_ready());
-        let k = Microkernel::pair(InstId(2), 2, InstId(3), 1);
         let owned = original.compile();
-        let view = served.view();
-        let mut scratch = view.scratch();
-        let mut owned_scratch = owned.scratch();
-        assert_eq!(
-            view.ipc_with(&k, &mut scratch).map(f64::to_bits),
-            owned.ipc_with(&k, &mut owned_scratch).map(f64::to_bits)
-        );
-        // The entry owns its bytes; it keeps serving after the file is gone.
+        assert_eq!(served.model, owned);
+        let k = Microkernel::pair(InstId(2), 2, InstId(3), 1);
+        let mut scratch = owned.scratch();
+        let want = owned.ipc_with(&k, &mut scratch).map(f64::to_bits);
+        assert_eq!(served.model.ipc_with(&k, &mut scratch).map(f64::to_bits), want);
+        // The entry owns its arrays; it keeps serving after the file is
+        // gone, and still hands back the artifact it was loaded from.
         std::fs::remove_file(&path).ok();
-        if cfg!(target_endian = "little") {
-            assert!(served.bytes().unwrap().starts_with(b"PALMED-MODEL v2b\n"));
-        }
-        assert_eq!(
-            ipc_of(&entry, &k).map(f64::to_bits),
-            owned.ipc_with(&k, &mut owned_scratch).map(f64::to_bits)
-        );
+        assert_eq!(ipc_of(&entry, &k).map(f64::to_bits), want);
+        assert_eq!(served.machine, "mapped-machine");
+        assert_eq!(served.source, "test");
+        assert_eq!(served.to_artifact(), original);
     }
 
     #[test]
     fn serve_only_load_rejects_v1_text_and_corruption() {
         let registry = ModelRegistry::new();
         let text = artifact("t", 0.5).render().into_bytes();
-        assert!(matches!(ServedModel::from_v2b(text), Err(ArtifactError::MissingHeader)));
+        assert!(matches!(ServedModel::from_v2b(&text), Err(ArtifactError::MissingHeader)));
         let mut bin = artifact("t", 0.5).render_v2();
         let mid = bin.len() / 2;
         bin[mid] ^= 0x10;
-        assert!(ServedModel::from_v2b(bin.clone()).is_err());
+        assert!(ServedModel::from_v2b(&bin).is_err());
         assert!(registry.swap_bytes("t", bin).is_err());
         assert!(registry.is_empty(), "failed loads must not disturb the registry");
         assert_eq!(registry.generation(), 0, "failed loads must not burn generations");
@@ -1353,9 +1277,8 @@ mod tests {
         let swapped = registry.swap_bytes("hot", artifact("hot", 0.25).render_v2()).unwrap();
         assert_eq!(registry.len(), 1);
         assert!(swapped.generation() > old.generation());
-        // A v2b swap serves the retained bytes with the mapping deferred.
-        assert!(swapped.served().unwrap().bytes().is_some());
-        assert!(!swapped.served().unwrap().artifact.mapping_ready());
+        // A v2b swap hands back the artifact it was rendered from.
+        assert_eq!(swapped.served().unwrap().to_artifact(), artifact("hot", 0.25));
         let k = Microkernel::single(InstId(2));
         assert!((ipc_of(&swapped, &k).unwrap() - 4.0).abs() < 1e-12);
         assert!((ipc_of(&old, &k).unwrap() - 2.0).abs() < 1e-12, "old generation stays valid");
@@ -1394,7 +1317,7 @@ mod tests {
         assert!(outcome.errors.is_empty());
         let after = registry.get("watched").unwrap();
         assert!(after.generation() > before.generation());
-        assert_eq!(after.served().unwrap().artifact.source, "retrained-model");
+        assert_eq!(after.served().unwrap().source, "retrained-model");
         let k = Microkernel::single(InstId(2));
         assert!((ipc_of(&after, &k).unwrap() - 4.0).abs() < 1e-12);
         assert!((ipc_of(&before, &k).unwrap() - 2.0).abs() < 1e-12);

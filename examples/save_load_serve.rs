@@ -45,12 +45,12 @@ fn main() {
     println!("registry serves: {:?}", registry.names());
     let entry = registry.get(machine.name()).expect("registered under its machine name");
     let served = entry.served().expect("conjunctive entry");
-    assert_eq!(served.artifact, artifact, "round trip is lossless");
+    assert_eq!(served.to_artifact(), artifact, "round trip is lossless");
 
     // 4. A workload corpus: weighted basic blocks in a text file.  Names are
     //    resolved against the *artifact's own* instruction set — the serving
     //    side needs no access to the original machine.
-    let insts = &served.artifact.instructions;
+    let insts = &served.instructions;
     let find = |n: &str| insts.find(n).expect("instruction exists in the artifact");
     let corpus: Corpus = [
         ("hot/0", 1e6, Microkernel::pair(find("ADDSS"), 2, find("BSR"), 1)),
@@ -80,22 +80,18 @@ fn main() {
         }
     }
 
-    // 6. The binary v2b artifact: the registry validates the bytes once and
-    //    retains them, predictions run through a view borrowing the arrays
-    //    in place, and the dense mapping is never rebuilt unless something
-    //    explicitly asks for it.
+    // 6. The binary v2b artifact: the registry validates the bytes and
+    //    copies the stored CSR arrays into the same compiled form in one
+    //    pass — no float parsing, no dense rows.
     let v2_path = dir.join("model.palmed2");
     artifact.save_v2(&v2_path).expect("v2b artifact saves");
     let binary = ModelRegistry::new();
     let v2_entry = binary.load_file(&v2_path).expect("v2b load validates");
     let v2_served = v2_entry.served().expect("conjunctive entry");
-    let borrowed = v2_served.batch().predict_prepared(&prepared);
-    assert!(!v2_served.artifact.mapping_ready(), "serving never rebuilds the dense rows");
-    for (a, b) in result.ipcs.iter().zip(&borrowed.ipcs) {
-        assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "borrowed == owned, bit for bit");
+    assert_eq!(v2_served.model, served.model, "both loads serve the same arrays");
+    let reloaded = v2_served.batch().predict_prepared(&prepared);
+    for (a, b) in result.ipcs.iter().zip(&reloaded.ipcs) {
+        assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "v2b == v1, bit for bit");
     }
-    println!(
-        "v2b reload: {} blocks re-served bit-identically from the retained bytes, mapping deferred",
-        borrowed.ipcs.len()
-    );
+    println!("v2b reload: {} blocks re-served bit-identically", reloaded.ipcs.len());
 }

@@ -1,8 +1,7 @@
 //! One conjunctive model, installed through every way into the serving
-//! plane, must be the same model everywhere: equal fingerprints,
-//! bit-identical `predict_prepared` rows, and — for every `v2b` input — the
-//! dense mapping still deferred after the load, because serving reads only
-//! the CSR arrays borrowed from the retained bytes.
+//! plane, must be the same model everywhere: the same compiled arrays,
+//! equal fingerprints, bit-identical `predict_prepared` rows, and the
+//! original artifact handed back by `ServedModel::to_artifact`.
 
 use palmed_integration_tests::artifact_prop::{build_artifact, inventory};
 use palmed_isa::{InstId, Microkernel};
@@ -29,29 +28,29 @@ impl Installed {
 
 type WayIn = fn(&ModelArtifact, &Path) -> Installed;
 
-/// `(name, takes v2b bytes, install)` for every way in.
-const WAYS_IN: [(&str, bool, WayIn); 7] = [
-    ("register", false, |a, _| Installed::from_entry(ModelRegistry::new().register(a.clone()))),
-    ("load_file v1", false, |a, path| {
+/// `(name, install)` for every way in.
+const WAYS_IN: [(&str, WayIn); 7] = [
+    ("register", |a, _| Installed::from_entry(ModelRegistry::new().register(a.clone()))),
+    ("load_file v1", |a, path| {
         a.save(path).unwrap();
         Installed::from_entry(ModelRegistry::new().load_file(path).unwrap())
     }),
-    ("load_file v2b", true, |a, path| {
+    ("load_file v2b", |a, path| {
         a.save_v2(path).unwrap();
         Installed::from_entry(ModelRegistry::new().load_file(path).unwrap())
     }),
-    ("swap_bytes v1", false, |a, _| {
+    ("swap_bytes v1", |a, _| {
         let bytes = a.render().into_bytes();
         Installed::from_entry(ModelRegistry::new().swap_bytes("m", bytes).unwrap())
     }),
-    ("swap_bytes v2b", true, |a, _| {
+    ("swap_bytes v2b", |a, _| {
         Installed::from_entry(ModelRegistry::new().swap_bytes("m", a.render_v2()).unwrap())
     }),
-    ("from_v2b", true, |a, _| Installed {
-        served: ServedModel::from_v2b(a.render_v2()).unwrap(),
+    ("from_v2b", |a, _| Installed {
+        served: ServedModel::from_v2b(&a.render_v2()).unwrap(),
         entry_fingerprint: None,
     }),
-    ("migrate_v1_to_v2b then load_file", true, |a, path| {
+    ("migrate_v1_to_v2b then load_file", |a, path| {
         std::fs::write(path, migrate_v1_to_v2b(a.render().as_bytes()).unwrap()).unwrap();
         Installed::from_entry(ModelRegistry::new().load_file(path).unwrap())
     }),
@@ -70,14 +69,16 @@ fn every_way_in_serves_the_same_model() {
         .map(|i| Microkernel::pair(InstId(i % n as u32), 1 + i % 3, InstId(i * 11 % n as u32), 2))
         .collect();
     let batch = PreparedBatch::from_kernels(&kernels);
-    let reference = BatchPredictor::new(&artifact.compile()).predict_prepared(&batch);
+    let compiled = artifact.compile();
+    let reference = BatchPredictor::new(&compiled).predict_prepared(&batch);
     assert!(reference.ipcs.iter().any(Option::is_some), "the probe batch hits mapped rows");
 
     let path = std::env::temp_dir().join(format!("palmed-it-ways-in-{}", std::process::id()));
-    for (name, takes_v2b, install) in WAYS_IN {
+    for (name, install) in WAYS_IN {
         let Installed { served, entry_fingerprint } = install(&artifact, &path);
         std::fs::remove_file(&path).ok();
-        assert_eq!(served.view().fingerprint(n), reference_fp, "{name}: view fingerprint");
+        assert_eq!(served.model, compiled, "{name}: compiled arrays");
+        assert_eq!(served.model.fingerprint(n), reference_fp, "{name}: model fingerprint");
         if let Some(fp) = entry_fingerprint {
             assert_eq!(fp, reference_fp, "{name}: registry fingerprint");
         }
@@ -86,15 +87,11 @@ fn every_way_in_serves_the_same_model() {
         for (i, (got, want)) in rows.ipcs.iter().zip(&reference.ipcs).enumerate() {
             assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{name}: row {i}");
         }
-        assert_eq!(served.bytes().is_some(), takes_v2b, "{name}: backing");
-        if takes_v2b {
-            assert!(!served.artifact.mapping_ready(), "{name}: v2b loads defer the mapping");
-        }
         for r in artifact.mapping().resources() {
             let want = artifact.mapping().resource_name(r);
-            assert_eq!(served.resource_name(r), want, "{name}: resource {r:?}");
+            assert_eq!(served.model.resource_name(r), want, "{name}: resource {r:?}");
         }
-        // The mapping, deferred or not, is the artifact's, bit for bit.
-        assert_eq!(served.artifact, artifact, "{name}: artifact");
+        // The rebuilt artifact is the original, bit for bit.
+        assert_eq!(served.to_artifact(), artifact, "{name}: artifact");
     }
 }

@@ -105,14 +105,14 @@ fn v2b_loads_through_the_io_seam_serve_the_exact_on_disk_bytes() {
     let path = Path::new("/sim/in-place.palmed2");
     io.write(path, art.render_v2());
 
-    // Every byte comes through `ArtifactIo::read`; the entry retains it and
-    // serves the arrays in place.
+    // Every byte comes through `ArtifactIo::read`; the entry re-renders
+    // exactly those bytes.
     let entry = registry.load_file(path).unwrap();
     assert_eq!(entry.name(), "in-place");
     assert_eq!(entry.fingerprint(), art.fingerprint());
     assert_eq!(
-        entry.served().expect("v2b loads are conjunctive").bytes(),
-        Some(&io.contents(path).unwrap()[..]),
+        entry.served().expect("v2b loads are conjunctive").to_artifact().render_v2(),
+        io.contents(path).unwrap(),
         "the entry serves the exact on-disk bytes"
     );
 }
@@ -173,8 +173,8 @@ fn transient_and_torn_faults_never_degrade_serving_and_always_recover() {
         );
     }
     assert_eq!(
-        registry.get("faulted").unwrap().served().unwrap().bytes(),
-        Some(&io.contents(path).unwrap()[..]),
+        registry.get("faulted").unwrap().served().unwrap().to_artifact().render_v2(),
+        io.contents(path).unwrap(),
         "the settled body serves bit-identically"
     );
     assert!(io.injected() > 0, "the schedule actually injected faults");

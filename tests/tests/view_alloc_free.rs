@@ -1,10 +1,10 @@
-//! Guard: taking a `ServedModel` view allocates nothing, for either
-//! backing — the compiled arrays of a registered model and the retained
-//! bytes of a `v2b` install — so the wire batcher can take one per entry per
-//! round for free.  Serving a kernel through the view with a warm scratch
-//! buffer allocates nothing either.  Verified with a counting global
-//! allocator, which is why this is a single-test binary: the measurement
-//! window must not race another test's allocations.
+//! Guard: taking a `ServedModel`'s batch predictor allocates nothing, for
+//! either way in — a registered artifact compiled on the heap and the
+//! arrays a `v2b` install copied — so the wire batcher can take one per
+//! entry per round for free.  Serving a kernel through it with a warm
+//! scratch buffer allocates nothing either.  Verified with a counting
+//! global allocator, which is why this is a single-test binary: the
+//! measurement window must not race another test's allocations.
 
 use palmed_core::ConjunctiveMapping;
 use palmed_isa::{InstId, InstructionSet, Microkernel};
@@ -40,23 +40,22 @@ fn building_the_view_allocates_nothing_for_either_backing() {
     let registry = ModelRegistry::new();
     let registered = registry.register(artifact.clone());
     let swapped = registry.swap_bytes("alloc-v2b", artifact.render_v2()).unwrap();
-    let owned = registered.served().unwrap();
-    let bytes = swapped.served().unwrap();
-    assert!(owned.bytes().is_none() && bytes.bytes().is_some(), "one model per backing");
+    let compiled = registered.served().unwrap();
+    let copied = swapped.served().unwrap();
+    assert_eq!(compiled.model, copied.model, "both ways in serve the same arrays");
 
     let kernel = Microkernel::pair(InstId(0), 2, InstId(2), 1);
-    let mut scratch = owned.view().scratch();
-    for served in [owned, bytes] {
+    let mut scratch = compiled.model.scratch();
+    for served in [compiled, copied] {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let mut total = 0.0;
         for _ in 0..1_000 {
-            let view = served.view();
-            total += view.ipc_with(&kernel, &mut scratch).unwrap();
-            total += view.num_resources() as f64;
+            let batch = served.batch();
+            total += batch.model().ipc_with(&kernel, &mut scratch).unwrap();
+            total += batch.model().num_resources() as f64;
         }
         let after = ALLOCATIONS.load(Ordering::Relaxed);
-        assert_eq!(after - before, 0, "taking and serving a view must not allocate");
+        assert_eq!(after - before, 0, "taking and serving a batch predictor must not allocate");
         assert!(total > 0.0);
     }
-    assert!(!bytes.artifact.mapping_ready(), "serving never rebuilt the mapping");
 }

@@ -1,10 +1,11 @@
-//! Properties of the in-place serving path: a [`ServedModel`] built from
-//! raw `v2b` artifact bytes borrows its CSR arrays straight from the
-//! retained buffer, and that view must be observably identical to the owned
-//! [`CompiledModel`](palmed_serve::CompiledModel) — bit-identical
-//! predictions on random inferred-shaped mappings whatever offset the
-//! arrays land at, and the same rejection behaviour for every truncation
-//! and byte flip, since every v2b load shares one validator.
+//! Properties of the `v2b` serving path: a [`ServedModel`] built from raw
+//! `v2b` artifact bytes copies the stored CSR arrays into its
+//! [`CompiledModel`](palmed_serve::CompiledModel), and that model must be
+//! observably identical to compiling the same artifact — bit-identical
+//! predictions on random inferred-shaped mappings whatever offset the arrays
+//! sit at in the file, round trips back to the exact artifact and bytes, and
+//! the same rejection behaviour for every truncation and byte flip, since
+//! every v2b load shares one validator.
 
 use palmed_core::ThroughputPredictor;
 use palmed_integration_tests::artifact_prop::{build_artifact, inventory, MAX_RESOURCES};
@@ -45,45 +46,43 @@ proptest! {
 
         // Machine names of 1..=8 bytes move every array by one byte each
         // time, so the arrays land at every offset mod 8 in the file; the
-        // retained bytes must serve all of them in place, bit-identically
-        // to the compiled artifact.
+        // copied arrays must serve all of them bit-identically to the
+        // compiled artifact.
         for name_len in 1..=8usize {
             artifact.machine = "m".repeat(name_len);
             let bin = artifact.render_v2();
-            let served = ServedModel::from_v2b(bin.clone()).expect("valid artifact parses");
-            prop_assert_eq!(served.bytes(), Some(&bin[..]));
-            let view = served.view();
-            let owned = owned.view();
-            let mut scratch = view.scratch();
+            let served = ServedModel::from_v2b(&bin).expect("valid artifact parses");
+            let copied = &served.model;
+            let mut scratch = copied.scratch();
             let mut owned_scratch = owned.scratch();
             for kernel in &kernels {
                 prop_assert_eq!(
-                    view.ipc_with(kernel, &mut scratch).map(f64::to_bits),
+                    copied.ipc_with(kernel, &mut scratch).map(f64::to_bits),
                     owned.ipc_with(kernel, &mut owned_scratch).map(f64::to_bits)
                 );
                 prop_assert_eq!(
-                    view.execution_time_with(kernel, &mut scratch).to_bits(),
+                    copied.execution_time_with(kernel, &mut scratch).to_bits(),
                     owned.execution_time_with(kernel, &mut owned_scratch).to_bits()
                 );
                 prop_assert_eq!(
-                    view.bottleneck_with(kernel, &mut scratch),
+                    copied.bottleneck_with(kernel, &mut scratch),
                     owned.bottleneck_with(kernel, &mut owned_scratch)
                 );
                 // The trait-object entry point agrees too.
                 prop_assert_eq!(
-                    view.predict_ipc(kernel).map(f64::to_bits),
+                    copied.predict_ipc(kernel).map(f64::to_bits),
                     owned.predict_ipc(kernel).map(f64::to_bits)
                 );
                 for (inst, _) in kernel.iter() {
-                    prop_assert_eq!(view.supports(inst), owned.supports(inst));
+                    prop_assert_eq!(copied.supports(inst), owned.supports(inst));
                     prop_assert_eq!(
-                        view.row(inst).collect::<Vec<_>>(),
+                        copied.row(inst).collect::<Vec<_>>(),
                         owned.row(inst).collect::<Vec<_>>()
                     );
                 }
             }
-            prop_assert_eq!(view.num_entries(), owned.num_entries());
-            prop_assert_eq!(view.num_instructions(), owned.num_instructions());
+            prop_assert_eq!(copied.num_entries(), owned.num_entries());
+            prop_assert_eq!(copied.num_instructions(), owned.num_instructions());
         }
     }
 
@@ -105,11 +104,11 @@ proptest! {
         let target = ((position * bin.len() as f64) as usize).min(bin.len() - 1);
         let mut corrupted = bin.clone();
         corrupted[target] ^= flip;
-        prop_assert!(ServedModel::from_v2b(corrupted).is_err());
+        prop_assert!(ServedModel::from_v2b(&corrupted).is_err());
         // So is truncation at an arbitrary proportional cut — and through
         // a registry swap, which must leave the registry untouched on error.
         let cut = ((position * bin.len() as f64) as usize).min(bin.len() - 1);
-        prop_assert!(ServedModel::from_v2b(bin[..cut].to_vec()).is_err());
+        prop_assert!(ServedModel::from_v2b(&bin[..cut]).is_err());
         let registry = ModelRegistry::new();
         prop_assert!(registry.swap_bytes("cut", bin[..cut].to_vec()).is_err());
         prop_assert!(registry.is_empty());
@@ -134,27 +133,43 @@ proptest! {
         let registry = ModelRegistry::new();
         let entry = registry.swap_bytes("lazy", bin).expect("v2b swap validates");
         let serving = entry.served().expect("v2b swaps install conjunctive entries");
-        prop_assert!(!serving.artifact.mapping_ready());
-        prop_assert_eq!(&serving.artifact.machine, &artifact.machine);
-        prop_assert_eq!(&serving.artifact.instructions, &artifact.instructions);
+        prop_assert_eq!(&serving.machine, &artifact.machine);
+        prop_assert_eq!(&serving.instructions, &artifact.instructions);
 
-        // Batch predictions through the retained-bytes view equal the owned
-        // compiled path, and serving alone never forces the dense rebuild.
+        // Batch predictions through the registry entry equal the compiled
+        // artifact's.
         let kernels = kernels_from(&raw_kernels, &insts);
         let owned = artifact.compile();
-        let via_view = serving.batch().predict(&kernels);
+        let via_entry = serving.batch().predict(&kernels);
         let via_owned = palmed_serve::BatchPredictor::new(&owned).predict(&kernels);
-        prop_assert_eq!(via_view.distinct, via_owned.distinct);
-        for (a, b) in via_view.ipcs.iter().zip(&via_owned.ipcs) {
+        prop_assert_eq!(via_entry.distinct, via_owned.distinct);
+        for (a, b) in via_entry.ipcs.iter().zip(&via_owned.ipcs) {
             prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
         }
-        prop_assert!(!serving.artifact.mapping_ready());
 
-        // First mapping access rebuilds once, bit-identically to the eager
-        // artifact; the whole artifact then compares equal.
-        prop_assert_eq!(serving.artifact.mapping(), artifact.mapping());
-        prop_assert!(serving.artifact.mapping_ready());
-        prop_assert_eq!(&serving.artifact, &artifact);
+        // The entry hands back the artifact it was swapped in from, dense
+        // rows rebuilt bit for bit.
+        prop_assert_eq!(&serving.to_artifact(), &artifact);
+    }
+
+    #[test]
+    fn served_models_round_trip_to_the_exact_artifact_and_bytes(
+        num_resources in 1usize..=MAX_RESOURCES,
+        rows in prop::collection::vec(
+            (0u32..10_000, prop::collection::vec(0.0f64..4.0, MAX_RESOURCES)),
+            0..12,
+        ),
+    ) {
+        let artifact = build_artifact(num_resources, &rows, &inventory());
+        let bin = artifact.render_v2();
+        // v2b bytes in, the same bytes out.
+        let from_bytes = ServedModel::from_v2b(&bin).expect("valid artifact parses");
+        prop_assert_eq!(from_bytes.to_artifact().render_v2(), bin);
+        // An artifact in, the same artifact out.
+        let from_artifact = ServedModel::from_artifact(artifact.clone());
+        prop_assert_eq!(&from_artifact.to_artifact(), &artifact);
+        // Both ways in serve the same arrays.
+        prop_assert_eq!(&from_bytes, &from_artifact);
     }
 }
 
@@ -165,11 +180,11 @@ fn borrowed_validator_rejects_every_truncation_length() {
     let bin = artifact.render_v2();
     for cut in 0..bin.len() {
         assert!(
-            ServedModel::from_v2b(bin[..cut].to_vec()).is_err(),
+            ServedModel::from_v2b(&bin[..cut]).is_err(),
             "truncation at byte {cut} must not parse through the served load"
         );
     }
-    assert!(ServedModel::from_v2b(bin).is_ok());
+    assert!(ServedModel::from_v2b(&bin).is_ok());
 }
 
 #[test]
