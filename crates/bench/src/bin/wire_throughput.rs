@@ -31,10 +31,12 @@
 //!     [--smoke] [--out FILE]`
 //!
 //! `--smoke` runs a reduced matrix in well under a second and writes no
-//! file — it is the CI gate.  It asserts, within the one run, that wall
-//! time per request at 4 clients stays below the in-process
-//! `parse_and_predict` floor, and that the readiness loop pumps fewer than
-//! a quarter of the idle connections per wakeup.  The default (full) run
+//! file — it is the CI gate.  It asserts, within the one run, that the
+//! median wall time per request at 4 clients stays below the median
+//! in-process `parse_and_predict` floor, both sampled in alternating blocks
+//! so a transient load spike lands on both sides of the comparison, and
+//! that the readiness loop pumps fewer than a quarter of the idle
+//! connections per wakeup.  The default (full) run
 //! writes `BENCH_wire.json` to the working directory (or `--out`).
 
 use std::process::ExitCode;
@@ -100,6 +102,16 @@ mod linux {
     }
 
     const MODEL: &str = "wire-bench";
+
+    /// Alternating floor / 4-client sample blocks the smoke gate compares
+    /// by their medians.
+    const SMOKE_BLOCKS: usize = 9;
+
+    /// The median of a non-empty sample.
+    fn median(mut samples: Vec<f64>) -> f64 {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    }
 
     /// A mapping covering all six paper-inventory mnemonics, so every
     /// served row is `Some`.
@@ -337,13 +349,16 @@ mod linux {
         let reference = Arc::new(batch.predict_prepared(&prepared).ipcs);
 
         let floor_iters = if smoke { 5 } else { 50 };
-        let start = Instant::now();
-        for _ in 0..floor_iters {
-            let parsed = Corpus::parse(&corpus, instructions).expect("bench corpus parses");
-            let prepared = PreparedBatch::from_corpus(&parsed);
-            let _ = batch.predict_prepared(&prepared);
-        }
-        let parse_and_predict_ns = start.elapsed().as_nanos() as f64 / floor_iters as f64;
+        let parse_and_predict = || {
+            let start = Instant::now();
+            for _ in 0..floor_iters {
+                let parsed = Corpus::parse(&corpus, instructions).expect("bench corpus parses");
+                let prepared = PreparedBatch::from_corpus(&parsed);
+                let _ = batch.predict_prepared(&prepared);
+            }
+            start.elapsed().as_nanos() as f64 / floor_iters as f64
+        };
+        let parse_and_predict_ns = parse_and_predict();
         let start = Instant::now();
         for _ in 0..floor_iters {
             let _ = batch.predict_prepared(&prepared);
@@ -369,7 +384,6 @@ mod linux {
         );
 
         // The wire matrix.
-        let mut at_4 = None;
         for &clients in params.clients {
             let measured = run_scenario(clients, &registry, &corpus, params.iters, &reference);
             println!(
@@ -378,9 +392,6 @@ mod linux {
                 measured.p50_ns as f64 / 1e3,
                 measured.p99_ns as f64 / 1e3
             );
-            if clients == 4 {
-                at_4 = Some(measured.ns_per_request);
-            }
             rows.push(Row {
                 bench: format!("wire_throughput/c{clients}"),
                 ns_per_iter: measured.ns_per_request,
@@ -404,12 +415,21 @@ mod linux {
         rows.push(Row { bench: "wire_frontend/pumps_per_wakeup".to_string(), ns_per_iter: scan });
 
         if smoke {
-            let at_4 = at_4.expect("the smoke matrix runs 4 clients");
-            if at_4 >= parse_and_predict_ns {
+            // Floor and 4-client samples alternate, so a load spike slows
+            // both sides of the comparison instead of one.
+            let (mut floors, mut wires) = (Vec::new(), Vec::new());
+            for _ in 0..SMOKE_BLOCKS {
+                floors.push(parse_and_predict());
+                wires.push(
+                    run_scenario(4, &registry, &corpus, params.iters, &reference).ns_per_request,
+                );
+            }
+            let (floor, at_4) = (median(floors), median(wires));
+            if at_4 >= floor {
                 eprintln!(
-                    "wire_throughput: FAIL: {at_4:.0} ns/req over the wire at 4 clients is not \
-                     below the in-process parse_and_predict floor ({parse_and_predict_ns:.0} ns) \
-                     — the shared batcher must not pay a parse per request"
+                    "wire_throughput: FAIL: the median {at_4:.0} ns/req over the wire at 4 \
+                     clients is not below the median in-process parse_and_predict floor \
+                     ({floor:.0} ns) — the shared batcher must not pay a parse per request"
                 );
                 return ExitCode::FAILURE;
             }
@@ -424,9 +444,10 @@ mod linux {
                 return ExitCode::FAILURE;
             }
             println!(
-                "wire_throughput: OK (smoke): c4 wire {:.2}x the parse_and_predict floor; \
-                 {scan:.1} conns/wakeup with {} idle (cap {scan_cap:.0})",
-                at_4 / parse_and_predict_ns,
+                "wire_throughput: OK (smoke): c4 wire {:.2}x the parse_and_predict floor \
+                 (medians of {SMOKE_BLOCKS} alternating blocks); {scan:.1} conns/wakeup with {} \
+                 idle (cap {scan_cap:.0})",
+                at_4 / floor,
                 params.idle_conns
             );
         } else {
