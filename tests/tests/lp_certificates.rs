@@ -226,6 +226,59 @@ fn warm_start_beats_cold_start_on_perturbed_rhs() {
     );
 }
 
+/// Four equality rows whose only feasible point is `x`, over a matrix built
+/// so that factorising the all-structural basis (columns in variable order)
+/// cancels a work value to exactly zero and fills it in again: in column 2,
+/// row `r` starts at 1, drops to `1 - 0.5·2 = 0` against pivot 0 and refills
+/// to `-0.25·4 = -1` against pivot 1, while row `q` takes the pivot.  A
+/// factorisation that lists such a row twice stores its L entry twice.
+fn cancelling_basis_problem(x: [f64; 4]) -> Problem {
+    let rows: [[f64; 4]; 4] =
+        [[2.0, 0.0, 2.0, 0.0], [0.0, 4.0, 4.0, 0.0], [1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 8.0, 1.0]];
+    let mut p = Problem::new(Sense::Minimize);
+    let vars: Vec<_> = (0..4).map(|i| p.add_var(format!("x{i}"), 0.0, f64::INFINITY)).collect();
+    for row in rows {
+        let mut expr = p.expr();
+        for (&a, &v) in row.iter().zip(&vars) {
+            if a != 0.0 {
+                expr.add_term(a, v);
+            }
+        }
+        p.add_eq(expr, row.iter().zip(&x).map(|(a, x)| a * x).sum());
+    }
+    let mut obj = p.expr();
+    for &v in &vars {
+        obj.add_term(1.0, v);
+    }
+    p.set_objective(obj);
+    p
+}
+
+#[test]
+fn warm_start_factorises_a_basis_whose_work_value_cancels_and_refills() {
+    palmed_obs::set_enabled(true);
+    let checked_before = counter("lp.certify.checked");
+    // The cold solve pivots all four structural columns in (the only
+    // feasible point is strictly positive), so its basis is the matrix.
+    let cold = revised::solve_with_warm_start(&cancelling_basis_problem([1.0; 4]), None).unwrap();
+    for &v in &cold.solution.values {
+        assert_close(v, 1.0);
+    }
+    // Warm-starting factorises that basis from scratch.  With correct
+    // factors it is already optimal for a new right-hand side, so the
+    // solve takes no pivot and lands on the new point.
+    let target = [1.0, 2.0, 0.5, 3.0];
+    let warm = revised::solve_with_warm_start(&cancelling_basis_problem(target), Some(&cold.basis))
+        .unwrap();
+    assert_eq!(warm.iterations, 0, "the adopted basis is optimal as it stands");
+    for (&v, &want) in warm.solution.values.iter().zip(&target) {
+        assert_close(v, want);
+    }
+    assert_close(warm.solution.objective, target.iter().sum());
+    assert!(counter("lp.certify.checked") - checked_before >= 2);
+    assert_eq!(counter("lp.certify.failed"), 0);
+}
+
 // Textbook LPs with known optima; each solve is certified on the way out.
 
 fn assert_close(a: f64, b: f64) {
