@@ -102,7 +102,7 @@ pub(crate) struct Validated {
 }
 
 /// Walks a v2b artifact once, verifying the checksum and every structural
-/// invariant, and copies the CSR arrays out as it goes.
+/// invariant, and copies the CSR arrays out on the way.
 ///
 /// This is the single validator behind every v2b load path — served, eager
 /// and migrated — so corruption, truncation and crafted structural
@@ -141,46 +141,38 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<Validated, ArtifactError> {
     }
     let (row_ptr, nnz) =
         crate::codec::read_csr_ptr(&mut cur, bytes, slots, "row_ptr", "entry count")?;
-    let row_ptr: Vec<u32> = bytes[row_ptr]
-        .chunks_exact(4)
-        .map(|word| u32::from_le_bytes(word.try_into().expect("4 bytes")))
-        .collect();
+    // Copy the arrays out in bulk: the cursor has bounded every length by
+    // the bytes actually present, so no copy outgrows the buffer.
+    let row_ptr = words(&bytes[row_ptr]);
     let cols_len =
         nnz.checked_mul(4).ok_or_else(|| cur.bad("columns count overflows".to_string()))?;
-    let col_bytes = cur.take(cols_len, "columns")?;
+    let cols = words(cur.take(cols_len, "columns")?);
     let vals_len =
         nnz.checked_mul(8).ok_or_else(|| cur.bad("usage values count overflows".to_string()))?;
-    let val_bytes = cur.take(vals_len, "usage values")?;
+    let vals: Vec<f64> = cur
+        .take(vals_len, "usage values")?
+        .chunks_exact(8)
+        .map(|word| f64::from_bits(u64::from_le_bytes(word.try_into().expect("8 bytes"))))
+        .collect();
     if !cur.done() {
         return Err(cur.bad("trailing bytes after the CSR arrays"));
     }
 
     // One sequential pass over the rows.  `row_ptr` partitions `0..nnz`
-    // (endpoints pinned, monotone), so the column and value cursors advance
-    // in lockstep with the slot walk and cover every entry exactly once:
-    // unmapped slots must have empty rows, columns must be strictly
-    // ascending and in range, and every stored f64 must be finite and
-    // positive.  The cursors' bytes above bound `nnz`, so reserving it is
-    // safe on a crafted body.
-    let mut col_words = col_bytes.chunks_exact(4);
-    let mut val_words = val_bytes.chunks_exact(8);
-    let (mut cols, mut vals) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+    // (endpoints pinned, monotone), so the row ranges cover every entry
+    // exactly once: unmapped slots must have empty rows, columns must be
+    // strictly ascending and in range, and every stored f64 must be finite
+    // and positive.
     for (i, &flag) in mapped.iter().enumerate() {
-        let count = (row_ptr[i + 1] - row_ptr[i]) as usize;
+        let row = row_ptr[i] as usize..row_ptr[i + 1] as usize;
         if flag == 0 {
-            if count != 0 {
+            if !row.is_empty() {
                 return Err(cur.bad(format!("unmapped slot {i} has a non-empty row")));
             }
             continue;
         }
         let mut previous: Option<u32> = None;
-        for _ in 0..count {
-            let col = u32::from_le_bytes(
-                col_words.next().expect("row_ptr bounded by nnz").try_into().expect("4 bytes"),
-            );
-            let val = f64::from_bits(u64::from_le_bytes(
-                val_words.next().expect("vals as long as cols").try_into().expect("8 bytes"),
-            ));
+        for (&col, &val) in cols[row.clone()].iter().zip(&vals[row]) {
             if col as usize >= n_resources {
                 return Err(cur.bad(format!("slot {i} references resource {col} >= {n_resources}")));
             }
@@ -191,8 +183,6 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<Validated, ArtifactError> {
             if !val.is_finite() || val <= 0.0 {
                 return Err(cur.bad(format!("usage value {val} is not finite and positive")));
             }
-            cols.push(col);
-            vals.push(val);
         }
     }
 
@@ -205,6 +195,14 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<Validated, ArtifactError> {
         vals,
     );
     Ok(Validated { machine, source, instructions, model })
+}
+
+/// The little-endian `u32` words of a validated byte run.
+fn words(bytes: &[u8]) -> Vec<u32> {
+    bytes
+        .chunks_exact(4)
+        .map(|word| u32::from_le_bytes(word.try_into().expect("4 bytes")))
+        .collect()
 }
 
 /// Parses and verifies a v2b artifact into the self-describing artifact,
