@@ -11,8 +11,9 @@
 //! 3. **Canonical accept.**  An accepted buffer re-encodes bit-identically
 //!    (binary formats are canonical) or reaches a one-step fixed point
 //!    (text formats, whose comments/whitespace are not preserved), and the
-//!    in-place v2b view agrees with the eager decoder — accept/reject and
-//!    [fingerprint](palmed_serve::model_fingerprint) alike.
+//!    served v2b load ([`ServedModel::from_v2b`]) agrees with the eager
+//!    decoder — accept/reject, [fingerprint](palmed_serve::model_fingerprint)
+//!    and the artifact it hands back alike.
 //!
 //! This crate checks those invariants the way an attacker would probe them:
 //! each case starts from a **valid** artifact (all four formats — v1 text,

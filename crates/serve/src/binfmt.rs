@@ -37,7 +37,7 @@ use crate::codec::{
     finish_trailer, push_f64, push_str, push_u32, ArtifactCodec, Cursor, ModelKind, V2B_MAGIC,
 };
 use crate::compiled::CompiledModel;
-use palmed_isa::InstructionSet;
+use crate::registry::ServedModel;
 
 /// The `PALMED-MODEL v2b` codec, as the registry's sniff table sees it.
 pub(crate) struct V2bCodec;
@@ -91,23 +91,14 @@ pub(crate) fn encode(artifact: &ModelArtifact) -> Vec<u8> {
     finish_trailer(out)
 }
 
-/// Everything [`validate`] proves about a v2b buffer, owned: provenance, the
-/// instruction inventory and the CSR arrays as a [`CompiledModel`] named
-/// after the machine.
-pub(crate) struct Validated {
-    pub machine: String,
-    pub source: String,
-    pub instructions: InstructionSet,
-    pub model: CompiledModel,
-}
-
 /// Walks a v2b artifact once, verifying the checksum and every structural
-/// invariant, and copies the CSR arrays out on the way.
+/// invariant, and copies the CSR arrays out on the way into a served model
+/// whose [`CompiledModel`] is named after the machine.
 ///
 /// This is the single validator behind every v2b load path — served, eager
 /// and migrated — so corruption, truncation and crafted structural
 /// violations are rejected identically everywhere.
-pub(crate) fn validate(bytes: &[u8]) -> Result<Validated, ArtifactError> {
+pub(crate) fn validate(bytes: &[u8]) -> Result<ServedModel, ArtifactError> {
     let body = crate::codec::verify_for::<V2bCodec>(bytes)?;
 
     let mut cur = Cursor::after_magic(body, V2B_MAGIC);
@@ -194,7 +185,7 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<Validated, ArtifactError> {
         cols,
         vals,
     );
-    Ok(Validated { machine, source, instructions, model })
+    Ok(ServedModel { machine, source, instructions, model })
 }
 
 /// The little-endian `u32` words of a validated byte run.
@@ -208,7 +199,7 @@ fn words(bytes: &[u8]) -> Vec<u32> {
 /// Parses and verifies a v2b artifact into the self-describing artifact,
 /// dense mapping rebuilt from the copied arrays.
 pub(crate) fn decode(bytes: &[u8]) -> Result<ModelArtifact, ArtifactError> {
-    let Validated { machine, source, instructions, model } = validate(bytes)?;
+    let ServedModel { machine, source, instructions, model } = validate(bytes)?;
     Ok(ModelArtifact::new(machine, source, instructions, model.to_mapping()))
 }
 

@@ -111,8 +111,7 @@ impl ServedModel {
     /// checksum mismatch, exactly like
     /// [`ModelArtifact::parse_v2`]; never panics on untrusted input.
     pub fn from_v2b(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        let binfmt::Validated { machine, source, instructions, model } = binfmt::validate(bytes)?;
-        Ok(ServedModel { machine, source, instructions, model })
+        binfmt::validate(bytes)
     }
 
     /// Rebuilds the artifact the model was installed from, dense mapping

@@ -149,7 +149,7 @@ pub mod incident {
 
 /// Shared generators for the serving-layer property tests: random
 /// inferred-shaped model artifacts over a fixed synthetic inventory.  One
-/// definition serves the v1 round-trip, v2 codec and zero-copy suites, so
+/// definition serves the v1 round-trip, v2 codec and v2b serving suites, so
 /// the "inferred shape" invariant (sparsity threshold, resource width) can
 /// only drift in one place.
 pub mod artifact_prop {

@@ -91,7 +91,7 @@ fn v2b_truncation_at_every_boundary_is_rejected() {
             .err()
             .unwrap_or_else(|| panic!("truncation at {cut} was accepted"));
         assert!(!error.to_string().is_empty(), "truncation at {cut} renders empty");
-        // The served in-place load must agree.
+        // The served load must agree.
         let served = ServedModel::from_v2b(&bytes[..cut]);
         assert!(served.is_err(), "from_v2b accepted truncation at {cut}");
     }

@@ -100,7 +100,7 @@ fn concurrent_readers_predict_bit_identically_across_swaps() {
 }
 
 /// A reader that keeps an `Arc` to a replaced entry can predict through it
-/// indefinitely — including through the deferred-mapping rebuild — after
+/// indefinitely — including rebuilding the original artifact — after
 /// many generations of swaps and even after the name is removed.
 #[test]
 fn old_generation_stays_valid_until_dropped() {
