@@ -89,10 +89,10 @@ impl CompiledModel {
     }
 
     /// Rebuilds a compiled model from already-validated raw CSR arrays (the
-    /// binary artifact codec's load path).  Callers
-    /// must uphold the [`CompiledModel::compile`] invariants: `mapped` holds
-    /// 0/1 flags, `row_ptr` has `mapped.len() + 1` monotone entries ending
-    /// at `cols.len()`, `cols` are ascending within a row and index into
+    /// binary artifact codec's load path).  Callers must uphold the
+    /// [`CompiledModel::compile`] invariants: `mapped` holds 0/1 flags,
+    /// `row_ptr` has `mapped.len() + 1` monotone entries ending at
+    /// `cols.len()`, `cols` are ascending within a row and index into
     /// `resource_names`, and unmapped slots have empty rows.
     pub(crate) fn from_raw_parts(
         name: String,

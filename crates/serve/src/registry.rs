@@ -11,9 +11,9 @@
 //!   model payloads: a conjunctive [`ServedModel`] (provenance, instruction
 //!   set and the [`CompiledModel`] it serves from — compiled for in-memory
 //!   and v1 text installs, copied from the validated arrays for `v2b` ones)
-//!   or a disjunctive
-//!   [`ServedDisjModel`] (a PMEvo-style port mapping, loaded from a
-//!   `PALMED-DISJ v1` artifact instead of re-evolved per campaign).
+//!   or a disjunctive [`ServedDisjModel`] (a PMEvo-style port mapping,
+//!   loaded from a `PALMED-DISJ v1` artifact instead of re-evolved per
+//!   campaign).
 //!   [`ModelRegistry::load_file`] and [`ModelRegistry::swap_bytes`] sniff
 //!   the format.
 //! * **Atomic generation swap.**  The registry state is one immutable
@@ -116,6 +116,11 @@ impl ServedModel {
 
     /// Rebuilds the artifact the model was installed from, dense mapping
     /// included ([`CompiledModel::to_mapping`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics, like [`ModelArtifact::new`], if `instructions` was replaced
+    /// by a set that no longer covers the model's rows.
     pub fn to_artifact(&self) -> ModelArtifact {
         ModelArtifact::new(
             self.machine.clone(),
