@@ -242,6 +242,33 @@ mod tests {
         }
     }
 
+    /// Pins the v2b bytes of a fixed artifact: nine resources, unmapped
+    /// slots before, between and after the mapped ones, an all-zero mapped
+    /// row and rows with zero entries (one of them `-0.0`, which the CSR
+    /// section drops like `+0.0`).  Any change to the on-disk layout or
+    /// to how the CSR section is derived from a mapping moves the length or
+    /// the FNV trailer.
+    #[test]
+    fn v2b_bytes_of_a_fixed_artifact_are_pinned() {
+        use palmed_core::ConjunctiveMapping;
+        use palmed_isa::{InstId, InstructionSet};
+        let names = (0..9).map(|r| format!("res{r}")).collect();
+        let mut mapping = ConjunctiveMapping::new(names);
+        mapping.set_usage(InstId(1), vec![0.0; 9]);
+        mapping.set_usage(InstId(3), vec![0.5, 0.0, 0.0, 1.0 / 3.0, 0.25, 0.0, 2.0, 0.0, 1e-3]);
+        mapping.set_usage(InstId(4), vec![-0.0, 0.75, 1.0 / 6.0, 0.0, 0.0, 0.0, 0.0, 3.5, 0.125]);
+        let artifact = ModelArtifact::new(
+            "pin-machine",
+            "pin-source",
+            InstructionSet::paper_example(),
+            mapping,
+        );
+        let bin = artifact.render_v2();
+        let trailer = u64::from_le_bytes(bin[bin.len() - 8..].try_into().unwrap());
+        assert_eq!((bin.len(), trailer), (340, 0xf9a6_5b8f_41c4_3ea5));
+        assert_eq!(decode(&bin).unwrap(), artifact);
+    }
+
     /// The strided-word checksum helper and the trailer the encoder writes
     /// agree (the trailer moved to `codec`; this pins the compatibility).
     #[test]

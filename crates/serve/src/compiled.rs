@@ -340,6 +340,77 @@ mod tests {
         }
     }
 
+    /// splitmix64: a tiny deterministic generator for the random mappings
+    /// below.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Random mappings (with `-0.0` and `+0.0` usages, all-zero rows and
+    /// unmapped gaps) and random kernels (with instructions past the table
+    /// and counts up to `u32::MAX`): the compiled model predicts every
+    /// kernel bit-identically to the mapping and inverts back to it.
+    #[test]
+    fn random_mappings_predict_bit_identically() {
+        let mut state = 0x5eed_u64;
+        for case in 0..200 {
+            let num_resources = (next(&mut state) % 24) as usize;
+            let slots = 1 + (next(&mut state) % 40) as u32;
+            let mut m = ConjunctiveMapping::with_resources(num_resources);
+            for inst in 0..slots {
+                if next(&mut state).is_multiple_of(4) {
+                    continue;
+                }
+                let usage = (0..num_resources)
+                    .map(|_| match next(&mut state) % 8 {
+                        0 => -0.0,
+                        1..=3 => 0.0,
+                        4 => (next(&mut state) % 4) as f64,
+                        _ => (next(&mut state) >> 11) as f64 / (1u64 << 50) as f64,
+                    })
+                    .collect();
+                m.set_usage(InstId(inst), usage);
+            }
+            let c = CompiledModel::compile("random", &m);
+            assert_eq!(c.to_mapping(), m, "case {case}: to_mapping inverts compile");
+            let mut scratch = c.scratch();
+            for _ in 0..50 {
+                let distinct = 1 + next(&mut state) % 6;
+                let kernel = if next(&mut state).is_multiple_of(5) {
+                    let inst = InstId((next(&mut state) % (slots as u64 + 4)) as u32);
+                    let count = u32::MAX - (next(&mut state) % 3) as u32;
+                    Microkernel::from_counts([(inst, count)])
+                } else {
+                    Microkernel::from_counts((0..distinct).map(|_| {
+                        let inst = InstId((next(&mut state) % (slots as u64 + 4)) as u32);
+                        let count = 1 + (next(&mut state) % (1 << 20)) as u32;
+                        (inst, count)
+                    }))
+                };
+                assert_eq!(
+                    m.ipc(&kernel).map(f64::to_bits),
+                    c.ipc_with(&kernel, &mut scratch).map(f64::to_bits),
+                    "case {case}: ipc of {kernel}"
+                );
+                assert_eq!(
+                    m.execution_time(&kernel).to_bits(),
+                    c.execution_time_with(&kernel, &mut scratch).to_bits(),
+                    "case {case}: execution time of {kernel}"
+                );
+                let bottleneck = |b: Option<(ResourceId, f64)>| b.map(|(r, l)| (r, l.to_bits()));
+                assert_eq!(
+                    bottleneck(m.bottleneck(&kernel)),
+                    bottleneck(c.bottleneck_with(&kernel, &mut scratch)),
+                    "case {case}: bottleneck of {kernel}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn supports_matches_the_mapping_even_for_zero_rows() {
         let mut m = ConjunctiveMapping::with_resources(2);
