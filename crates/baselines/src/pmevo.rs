@@ -148,8 +148,7 @@ fn genome_execution_time(
     }
     let mut t: f64 = 0.0;
     for subset in 1u32..(1 << num_ports) {
-        let confined: f64 =
-            loads.iter().filter(|(m, _)| m & !subset == 0).map(|&(_, l)| l).sum();
+        let confined: f64 = loads.iter().filter(|(m, _)| m & !subset == 0).map(|&(_, l)| l).sum();
         if confined > 0.0 {
             t = t.max(confined / subset.count_ones() as f64);
         }
@@ -204,11 +203,7 @@ impl PmEvo {
             let mut error = 0.0;
             for (kernel, measured) in &benchmarks {
                 let t = genome_execution_time(genome, &index_of, kernel, config.num_ports);
-                let predicted = if t > 0.0 {
-                    kernel.total_instructions() as f64 / t
-                } else {
-                    0.0
-                };
+                let predicted = if t > 0.0 { kernel.total_instructions() as f64 / t } else { 0.0 };
                 let rel = (predicted - measured) / measured;
                 error += rel * rel;
             }
@@ -258,11 +253,7 @@ impl PmEvo {
     }
 }
 
-fn tournament<'a>(
-    population: &'a [(Genome, f64)],
-    size: usize,
-    rng: &mut StdRng,
-) -> &'a Genome {
+fn tournament<'a>(population: &'a [(Genome, f64)], size: usize, rng: &mut StdRng) -> &'a Genome {
     let mut best: Option<&(Genome, f64)> = None;
     for _ in 0..size.max(1) {
         let candidate = &population[rng.gen_range(0..population.len())];

@@ -58,11 +58,8 @@ fn optimal_ipc_with(
     let mut t: f64 = 0.0;
     for mask in 1u32..(1 << num_ports) {
         let subset = PortSet::from_mask(mask);
-        let confined: f64 = loads
-            .iter()
-            .filter(|(p, _)| p.is_subset_of(subset))
-            .map(|&(_, l)| l)
-            .sum();
+        let confined: f64 =
+            loads.iter().filter(|(p, _)| p.is_subset_of(subset)).map(|&(_, l)| l).sum();
         if confined > 0.0 {
             t = t.max(confined / subset.len() as f64);
         }

@@ -85,8 +85,7 @@ impl ThroughputPredictor for UopsStylePredictor {
     }
 
     fn supports(&self, inst: InstId) -> bool {
-        !self.unsupported.contains(&inst)
-            && inst.index() < self.mapping.instructions().len()
+        !self.unsupported.contains(&inst) && inst.index() < self.mapping.instructions().len()
     }
 
     fn predict_ipc(&self, kernel: &Microkernel) -> Option<f64> {
@@ -114,11 +113,8 @@ impl ThroughputPredictor for UopsStylePredictor {
         // the pre-built union-closure table needs to be scanned (see
         // `candidate_sets`).
         let confined_ratio = |subset: PortSet| -> f64 {
-            let confined: f64 = loads
-                .iter()
-                .filter(|(p, _)| p.is_subset_of(subset))
-                .map(|&(_, l)| l)
-                .sum();
+            let confined: f64 =
+                loads.iter().filter(|(p, _)| p.is_subset_of(subset)).map(|&(_, l)| l).sum();
             confined / subset.len() as f64
         };
         let mut t: f64 = 0.0;
