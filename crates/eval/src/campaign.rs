@@ -23,8 +23,8 @@ use palmed_baselines::{
 use palmed_core::{MappingReport, Palmed, PalmedConfig, ThroughputPredictor};
 use palmed_isa::{ExecClass, InstId, InstructionSet, InventoryConfig};
 use palmed_machine::{
-    presets::PresetMachine, BackendKind, BackendMeasurer, MeasurementNoise,
-    Measurer, MemoizingMeasurer, SimulationConfig,
+    presets::PresetMachine, BackendKind, BackendMeasurer, MeasurementNoise, Measurer,
+    MemoizingMeasurer, SimulationConfig,
 };
 use palmed_par::par_map;
 use palmed_serve::{CompiledModel, DisjArtifact, ModelRegistry, RegistryEntry};
@@ -202,9 +202,7 @@ impl Campaign {
             .as_ref()
             .and_then(|registry| registry.get(&format!("{}/pmevo", preset.name())))
             .filter(|entry| {
-                entry
-                    .disjunctive()
-                    .is_some_and(|model| model.artifact.instructions == *insts)
+                entry.disjunctive().is_some_and(|model| model.artifact.instructions == *insts)
             });
         let trained_pmevo: Option<PmEvoPredictor> = if preloaded_pmevo.is_none() {
             let mut pmevo_trained: Vec<InstId> = ExecClass::ALL
@@ -378,9 +376,8 @@ mod tests {
             .swap_bytes(format!("{}/pmevo", preset.name()), bytes)
             .expect("disjunctive artifact round trips through the registry");
 
-        let run = Campaign::new(config)
-            .with_baselines(Arc::clone(&registry))
-            .run_machine(&preset, true);
+        let run =
+            Campaign::new(config).with_baselines(Arc::clone(&registry)).run_machine(&preset, true);
         for (kind, tools) in &run.suites {
             let pmevo = tools.iter().find(|t| t.tool == "pmevo").unwrap();
             let full = baseline

@@ -27,7 +27,14 @@ impl Heatmap {
     /// Creates an empty heatmap with the paper's axes: native IPC up to 6,
     /// prediction ratio up to 2.
     pub fn new(x_bins: usize, y_bins: usize) -> Self {
-        Heatmap { x_bins, y_bins, x_max: 6.0, y_max: 2.0, cells: vec![0.0; x_bins * y_bins], samples: 0 }
+        Heatmap {
+            x_bins,
+            y_bins,
+            x_max: 6.0,
+            y_max: 2.0,
+            cells: vec![0.0; x_bins * y_bins],
+            samples: 0,
+        }
     }
 
     /// Accumulates one (native, predicted, weight) observation.

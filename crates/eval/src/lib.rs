@@ -26,4 +26,4 @@ pub use blocks::BasicBlock;
 pub use campaign::{Campaign, CampaignConfig, CampaignResult, ToolResult};
 pub use heatmap::Heatmap;
 pub use metrics::{evaluate_tool, ToolMetrics};
-pub use suite::{SuiteKind, SuiteConfig};
+pub use suite::{SuiteConfig, SuiteKind};

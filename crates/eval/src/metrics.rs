@@ -23,7 +23,12 @@ pub struct ToolMetrics {
 impl ToolMetrics {
     /// A metrics value representing "tool not available on this target".
     pub fn unavailable() -> Self {
-        ToolMetrics { coverage: 0.0, rms_error: f64::NAN, kendall_tau: f64::NAN, evaluated_blocks: 0 }
+        ToolMetrics {
+            coverage: 0.0,
+            rms_error: f64::NAN,
+            kendall_tau: f64::NAN,
+            evaluated_blocks: 0,
+        }
     }
 
     /// Whether this row should be rendered as N/A.
@@ -103,11 +108,7 @@ mod tests {
     fn blocks() -> (Vec<BasicBlock>, Vec<f64>) {
         let blocks: Vec<BasicBlock> = (0..4)
             .map(|i| {
-                BasicBlock::new(
-                    format!("b{i}"),
-                    Microkernel::single(InstId(i)).scaled(i + 1),
-                    1.0,
-                )
+                BasicBlock::new(format!("b{i}"), Microkernel::single(InstId(i)).scaled(i + 1), 1.0)
             })
             .collect();
         let native: Vec<f64> = blocks.iter().map(|b| b.size() as f64).collect();

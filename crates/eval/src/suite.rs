@@ -100,7 +100,13 @@ pub struct SuiteConfig {
 
 impl Default for SuiteConfig {
     fn default() -> Self {
-        SuiteConfig { num_blocks: 400, min_distinct: 2, max_distinct: 10, max_multiplicity: 4, seed: 2017 }
+        SuiteConfig {
+            num_blocks: 400,
+            min_distinct: 2,
+            max_distinct: 10,
+            max_multiplicity: 4,
+            seed: 2017,
+        }
     }
 }
 
@@ -216,14 +222,10 @@ mod tests {
         let insts = inventory();
         for kind in SuiteKind::ALL {
             for block in generate_suite(kind, &insts, &SuiteConfig::small(3)) {
-                let has_sse = block
-                    .kernel
-                    .instructions()
-                    .any(|i| insts.desc(i).extension == Extension::Sse);
-                let has_avx = block
-                    .kernel
-                    .instructions()
-                    .any(|i| insts.desc(i).extension == Extension::Avx);
+                let has_sse =
+                    block.kernel.instructions().any(|i| insts.desc(i).extension == Extension::Sse);
+                let has_avx =
+                    block.kernel.instructions().any(|i| insts.desc(i).extension == Extension::Avx);
                 assert!(!(has_sse && has_avx), "mixed block: {}", block.render(&insts));
             }
         }
