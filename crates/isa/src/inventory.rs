@@ -95,10 +95,7 @@ impl InstructionSet {
             std::collections::hash_map::Entry::Occupied(e) => {
                 let candidate = *e.get();
                 if self.descs[candidate.index()].name == desc.name
-                    || self
-                        .name_overflow
-                        .iter()
-                        .any(|&i| self.descs[i.index()].name == desc.name)
+                    || self.name_overflow.iter().any(|&i| self.descs[i.index()].name == desc.name)
                 {
                     return Err(desc);
                 }
@@ -228,9 +225,8 @@ impl std::ops::Index<InstId> for InstructionSet {
 
 /// Operand-width / addressing-mode suffixes used to expand mnemonics into
 /// several synthetic variants with identical behaviour.
-const VARIANT_SUFFIXES: &[&str] = &[
-    "R8", "R16", "R32", "R64", "I8", "I32", "XMM", "YMM", "M32", "M64", "RR", "RI", "RM", "MR",
-];
+const VARIANT_SUFFIXES: &[&str] =
+    &["R8", "R16", "R32", "R64", "I8", "I32", "XMM", "YMM", "M32", "M64", "RR", "RI", "RM", "MR"];
 
 /// Mnemonic pools per execution class.  Names are real x86 mnemonics chosen
 /// so that generated inventories read naturally in reports.
@@ -250,7 +246,10 @@ const CLASS_MNEMONICS: &[(ExecClass, &[&str])] = &[
     (ExecClass::Jump, &["JMP", "JMP_IND", "CALL_DIR"]),
     (ExecClass::Load, &["MOV_LD", "MOVQ_LD", "MOVD_LD", "LODS"]),
     (ExecClass::Store, &["MOV_ST", "MOVQ_ST", "MOVD_ST", "STOS"]),
-    (ExecClass::FpAddSse, &["ADDSS", "ADDSD", "ADDPS", "ADDPD", "SUBSS", "SUBSD", "SUBPS", "SUBPD"]),
+    (
+        ExecClass::FpAddSse,
+        &["ADDSS", "ADDSD", "ADDPS", "ADDPD", "SUBSS", "SUBSD", "SUBPS", "SUBPD"],
+    ),
     (
         ExecClass::FpMulSse,
         &["MULSS", "MULSD", "MULPS", "MULPD", "FMADD132SS", "FMADD213PS", "FMADD231SD"],
@@ -260,7 +259,10 @@ const CLASS_MNEMONICS: &[(ExecClass, &[&str])] = &[
         ExecClass::VecAluSse,
         &["PADDD", "PADDQ", "PSUBD", "PAND", "POR", "PXOR", "PCMPEQD", "PMAXSD", "PMINSD"],
     ),
-    (ExecClass::VecShuffleSse, &["PSHUFD", "PSHUFB", "UNPCKLPS", "UNPCKHPD", "PUNPCKLDQ", "SHUFPS"]),
+    (
+        ExecClass::VecShuffleSse,
+        &["PSHUFD", "PSHUFB", "UNPCKLPS", "UNPCKHPD", "PUNPCKLDQ", "SHUFPS"],
+    ),
     (ExecClass::VecCvtSse, &["VCVTT", "CVTSS2SD", "CVTSD2SS", "CVTDQ2PS", "CVTPS2DQ"]),
     (ExecClass::FpAddAvx, &["VADDPS", "VADDPD", "VSUBPS", "VSUBPD"]),
     (ExecClass::FpMulAvx, &["VMULPS", "VMULPD", "VFMADD132PS", "VFMADD213PD", "VFMADD231PS"]),

@@ -71,8 +71,7 @@ impl Microkernel {
     /// Kernel made of an explicit list of `(instruction, multiplicity)`
     /// pairs; zero multiplicities are ignored, duplicates are accumulated.
     pub fn from_counts(pairs: impl IntoIterator<Item = (InstId, u32)>) -> Self {
-        let mut counts: Vec<(InstId, u32)> =
-            pairs.into_iter().filter(|&(_, c)| c > 0).collect();
+        let mut counts: Vec<(InstId, u32)> = pairs.into_iter().filter(|&(_, c)| c > 0).collect();
         counts.sort_unstable_by_key(|&(inst, _)| inst);
         counts.dedup_by(|cur, kept| {
             if cur.0 == kept.0 {
@@ -104,8 +103,7 @@ impl Microkernel {
         tolerance: f64,
         max_total: u32,
     ) -> Self {
-        let props: Vec<(InstId, f64)> =
-            proportions.into_iter().filter(|&(_, p)| p > 0.0).collect();
+        let props: Vec<(InstId, f64)> = proportions.into_iter().filter(|&(_, p)| p > 0.0).collect();
         if props.is_empty() {
             return Self::new();
         }
