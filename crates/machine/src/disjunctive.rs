@@ -320,10 +320,8 @@ mod tests {
     #[should_panic(expected = "does not define class")]
     fn binding_requires_full_coverage() {
         let m = tiny_machine();
-        let insts = Arc::new(InstructionSet::from_descs([InstDesc::new(
-            "DIVSS",
-            ExecClass::FpDivSse,
-        )]));
+        let insts =
+            Arc::new(InstructionSet::from_descs([InstDesc::new("DIVSS", ExecClass::FpDivSse)]));
         let _ = m.bind(insts);
     }
 

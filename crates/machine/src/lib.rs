@@ -33,11 +33,10 @@ pub mod port;
 pub mod presets;
 pub mod throughput;
 
-pub use disjunctive::{DisjunctiveMapping, MachineDescription};
 pub use cycle_sim::SimulationConfig;
+pub use disjunctive::{DisjunctiveMapping, MachineDescription};
 pub use measure::{
-    AnalyticMeasurer, BackendKind, BackendMeasurer, Measurer, MemoizingMeasurer,
-    SimulationMeasurer,
+    AnalyticMeasurer, BackendKind, BackendMeasurer, Measurer, MemoizingMeasurer, SimulationMeasurer,
 };
 pub use noise::MeasurementNoise;
 pub use port::{MicroOp, PortId, PortSet};

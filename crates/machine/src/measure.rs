@@ -173,7 +173,11 @@ pub enum BackendMeasurer {
 impl BackendMeasurer {
     /// Builds the measurer selected by `kind` for the given ground-truth
     /// mapping and noise model.
-    pub fn new(kind: BackendKind, mapping: Arc<DisjunctiveMapping>, noise: MeasurementNoise) -> Self {
+    pub fn new(
+        kind: BackendKind,
+        mapping: Arc<DisjunctiveMapping>,
+        noise: MeasurementNoise,
+    ) -> Self {
         match kind {
             BackendKind::Analytic => {
                 BackendMeasurer::Analytic(AnalyticMeasurer::with_noise(mapping, noise))
@@ -307,8 +311,7 @@ mod tests {
         let map = Arc::new(machine.mapping());
         let insts = map.instructions_arc();
         let exact = AnalyticMeasurer::new(Arc::clone(&map));
-        let noisy =
-            AnalyticMeasurer::with_noise(Arc::clone(&map), MeasurementNoise::realistic(11));
+        let noisy = AnalyticMeasurer::with_noise(Arc::clone(&map), MeasurementNoise::realistic(11));
         let addss = insts.find("ADDSS").unwrap();
         let k = Microkernel::single(addss).scaled(4);
         let e = exact.ipc(&k);

@@ -27,7 +27,9 @@ impl fmt::Display for PortId {
 }
 
 /// A set of execution ports, stored as a bit mask (at most 32 ports).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
+)]
 pub struct PortSet(u32);
 
 impl PortSet {

@@ -145,17 +145,11 @@ pub fn zen1_description() -> Arc<MachineDescription> {
     );
     m.define_class(
         ExecClass::FpDivAvx,
-        vec![
-            MicroOp::non_pipelined(ports(&[10]), 4.0),
-            MicroOp::non_pipelined(ports(&[10]), 4.0),
-        ],
+        vec![MicroOp::non_pipelined(ports(&[10]), 4.0), MicroOp::non_pipelined(ports(&[10]), 4.0)],
     );
     m.define_class(
         ExecClass::VecAluAvx,
-        vec![
-            MicroOp::pipelined(ports(&[7, 8, 9, 10])),
-            MicroOp::pipelined(ports(&[7, 8, 9, 10])),
-        ],
+        vec![MicroOp::pipelined(ports(&[7, 8, 9, 10])), MicroOp::pipelined(ports(&[7, 8, 9, 10]))],
     );
     m.define_class(
         ExecClass::VecShuffleAvx,

@@ -267,10 +267,8 @@ mod tests {
 
     #[test]
     fn non_pipelined_divider_lowers_ipc() {
-        let insts = Arc::new(InstructionSet::from_descs([InstDesc::new(
-            "IDIV",
-            ExecClass::IntDiv,
-        )]));
+        let insts =
+            Arc::new(InstructionSet::from_descs([InstDesc::new("IDIV", ExecClass::IntDiv)]));
         let mut m = MachineDescription::new("div", 2, FrontEnd::instructions_only(4.0));
         m.define_class(
             ExecClass::IntDiv,
