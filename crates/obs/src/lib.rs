@@ -133,9 +133,7 @@ pub use metrics::{
     GaugeCell, Histogram, HistogramCell, HistogramSnapshot, Metric, Registry, Snapshot,
     HISTOGRAM_BUCKETS,
 };
-pub use span::{
-    drain_events, emit, events_to_jsonl, span, Event, FieldValue, Span, RING_CAPACITY,
-};
+pub use span::{drain_events, emit, events_to_jsonl, span, Event, FieldValue, Span, RING_CAPACITY};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
