@@ -37,10 +37,7 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
 }
 
 /// Like [`par_map`], but the closure also receives the item index.
-pub fn par_map_indexed<T: Sync, R: Send>(
-    items: &[T],
-    f: impl Fn(usize, &T) -> R + Sync,
-) -> Vec<R> {
+pub fn par_map_indexed<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
     let threads = thread_count(items.len());
     if threads <= 1 || items.len() <= 1 {
         return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
