@@ -131,13 +131,8 @@ mod tests {
 
     #[test]
     fn two_well_separated_groups() {
-        let items = vec![
-            vec![0.0, 0.0],
-            vec![0.1, 0.0],
-            vec![0.0, 0.1],
-            vec![5.0, 5.0],
-            vec![5.1, 5.0],
-        ];
+        let items =
+            vec![vec![0.0, 0.0], vec![0.1, 0.0], vec![0.0, 0.1], vec![5.0, 5.0], vec![5.1, 5.0]];
         let a = hierarchical_clusters(&items, 0.5);
         assert_eq!(a[0], a[1]);
         assert_eq!(a[0], a[2]);

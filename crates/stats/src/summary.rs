@@ -72,8 +72,7 @@ impl Summary {
         let mean = mean(values);
         let min = values.iter().copied().fold(f64::INFINITY, f64::min);
         let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let variance =
-            values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / count as f64;
+        let variance = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / count as f64;
         Summary { count, mean, min, max, std_dev: variance.sqrt() }
     }
 }
