@@ -6,7 +6,7 @@
 //! * `cold_map` — per-call [`ConjunctiveMapping::ipc`]: `BTreeMap` lookups
 //!   per instruction plus a dense sweep over every resource;
 //! * `compiled` — per-call [`KernelLoad::ipc_with`] with a reused scratch
-//!   buffer: flat CSR rows, no allocation;
+//!   buffer: dense usage rows, no allocation;
 //! * `batched_oneshot` — [`BatchPredictor::predict`]: ingest (hash-dedup of
 //!   the stream's repeated blocks) plus serve, in one call;
 //! * `batched_prepared` — [`BatchPredictor::predict_prepared`] over a

@@ -396,7 +396,11 @@ impl ModelArtifact {
             .and_then(|v| count(v, line))?;
         // `m` is untrusted (the checksum is integrity, not authentication):
         // cap the pre-allocation; the per-line loop below bounds the real
-        // growth by the file length.
+        // growth by the file length.  Every row indexes an instruction, so
+        // `n` bounds the slot count and the rows' size is checked here,
+        // before any row is read.
+        crate::codec::check_dense_cells(n, m, text.len())
+            .map_err(|reason| malformed(line, reason))?;
         let mut resource_names = Vec::with_capacity(m.min(4096));
         for r in 0..m {
             let (line, l) = next("an `R` line")?;

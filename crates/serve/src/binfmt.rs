@@ -1,13 +1,13 @@
 //! The `PALMED-MODEL v2b` binary codec: length-prefixed little-endian layout
-//! storing the [`CompiledModel`] CSR arrays verbatim.
+//! storing a [`CompiledModel`]'s non-zero usages as a CSR section.
 //!
 //! The v1 text format stays the interchange/debug form; v2b exists because a
 //! full XED-sized inventory makes float parsing the dominant load cost.  In
 //! v2b every `f64` is its raw bit pattern and every array is a contiguous
 //! little-endian run, so a load is one pass: [`validate`] checks the
-//! checksum and every structural invariant while it copies the CSR arrays
-//! into an owned [`CompiledModel`] — what a served load keeps.  The eager
-//! [`decode`] then rebuilds the dense
+//! checksum and every structural invariant while it scatters the CSR entries
+//! into the dense rows of an owned [`CompiledModel`] — what a served load
+//! keeps.  The eager [`decode`] then rebuilds the
 //! [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping) rows with
 //! [`CompiledModel::to_mapping`], the exact inverse of
 //! [`CompiledModel::compile`], so a v1↔v2 round trip is bit-identical.
@@ -23,7 +23,8 @@
 //! source           u32 len + UTF-8 bytes
 //! instructions     u32 n; n × { u32 len + name, u8 class, u8 extension }
 //! resources        u32 m; m × { u32 len + name }
-//! row slots        u32 s (last mapped instruction index + 1)
+//! row slots        u32 s (last mapped instruction index + 1; s ≤ n, and
+//!                  s × m ≤ the artifact's length in bytes)
 //! mapped flags     s bytes, each 0 or 1
 //! row_ptr          (s + 1) × u32, monotone, ending at nnz
 //! nnz              u32
@@ -38,6 +39,8 @@ use crate::codec::{
 };
 use crate::compiled::CompiledModel;
 use crate::registry::ServedModel;
+use palmed_core::ThroughputPredictor;
+use palmed_isa::InstId;
 
 /// The `PALMED-MODEL v2b` codec, as the registry's sniff table sees it.
 pub(crate) struct V2bCodec;
@@ -56,14 +59,16 @@ impl ArtifactCodec for V2bCodec {
     }
 }
 
-/// Serialises an artifact into the v2b binary form, checksum included.
+/// Serialises an artifact into the v2b binary form, checksum included.  The
+/// CSR section is the compiled model's sparse rows ([`CompiledModel::row`]).
 pub(crate) fn encode(artifact: &ModelArtifact) -> Vec<u8> {
     let machine = token(&artifact.machine);
     let mapping = artifact.mapping();
     let compiled = CompiledModel::compile(machine.clone(), mapping);
-    let (mapped, row_ptr, cols, vals) = compiled.raw_parts();
+    let slots = compiled.num_slots();
+    let rows = || (0..slots as u32).map(|i| compiled.row(InstId(i)));
 
-    let mut out = Vec::with_capacity(64 + 16 * vals.len());
+    let mut out = Vec::with_capacity(64 + 16 * compiled.num_entries());
     out.extend_from_slice(V2B_MAGIC);
     push_str(&mut out, &machine);
     push_str(&mut out, &token(&artifact.source));
@@ -75,25 +80,28 @@ pub(crate) fn encode(artifact: &ModelArtifact) -> Vec<u8> {
         push_str(&mut out, &token(mapping.resource_name(r)));
     }
 
-    push_u32(&mut out, mapped.len() as u32);
-    out.extend_from_slice(mapped);
-    for &p in row_ptr {
-        push_u32(&mut out, p);
+    push_u32(&mut out, slots as u32);
+    out.extend((0..slots as u32).map(|i| u8::from(compiled.supports(InstId(i)))));
+    let mut nnz = 0u32;
+    push_u32(&mut out, nnz);
+    for row in rows() {
+        nnz += row.count() as u32;
+        push_u32(&mut out, nnz);
     }
-    push_u32(&mut out, cols.len() as u32);
-    for &c in cols {
-        push_u32(&mut out, c);
+    push_u32(&mut out, nnz);
+    for (col, _) in rows().flatten() {
+        push_u32(&mut out, col);
     }
-    for &v in vals {
-        push_f64(&mut out, v);
+    for (_, value) in rows().flatten() {
+        push_f64(&mut out, value);
     }
 
     finish_trailer(out)
 }
 
 /// Walks a v2b artifact once, verifying the checksum and every structural
-/// invariant, and copies the CSR arrays out on the way into a served model
-/// whose [`CompiledModel`] is named after the machine.
+/// invariant, and scatters the CSR entries on the way into the dense rows of
+/// a served model whose [`CompiledModel`] is named after the machine.
 ///
 /// This is the single validator behind every v2b load path — served, eager
 /// and migrated — so corruption, truncation and crafted structural
@@ -109,6 +117,7 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<ServedModel, ArtifactError> {
     let n_insts = instructions.len();
 
     // Resource names.
+    let resource_count_at = cur.position();
     let n_resources = cur.u32("resource count")? as usize;
     let mut resource_names = Vec::with_capacity(n_resources.min(4096));
     for _ in 0..n_resources {
@@ -121,6 +130,8 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<ServedModel, ArtifactError> {
     if slots > n_insts {
         return Err(cur.bad(format!("{slots} row slots exceed {n_insts} instructions")));
     }
+    crate::codec::check_dense_cells(slots, n_resources, bytes.len())
+        .map_err(|reason| ArtifactError::MalformedBinary { offset: resource_count_at, reason })?;
     let mapped = cur.take(slots, "mapped flags")?;
     for (i, flag) in mapped.iter().enumerate() {
         if *flag > 1 {
@@ -153,7 +164,9 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<ServedModel, ArtifactError> {
     // (endpoints pinned, monotone), so the row ranges cover every entry
     // exactly once: unmapped slots must have empty rows, columns must be
     // strictly ascending and in range, and every stored f64 must be finite
-    // and positive.
+    // and positive.  Each checked entry is scattered into its dense row,
+    // whose size `check_dense_cells` has bounded by the input length.
+    let mut usage = vec![0.0; slots * n_resources];
     for (i, &flag) in mapped.iter().enumerate() {
         let row = row_ptr[i] as usize..row_ptr[i + 1] as usize;
         if flag == 0 {
@@ -174,17 +187,12 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<ServedModel, ArtifactError> {
             if !val.is_finite() || val <= 0.0 {
                 return Err(cur.bad(format!("usage value {val} is not finite and positive")));
             }
+            usage[i * n_resources + col as usize] = val;
         }
     }
 
-    let model = CompiledModel::from_raw_parts(
-        machine.clone(),
-        resource_names,
-        mapped.to_vec(),
-        row_ptr,
-        cols,
-        vals,
-    );
+    let model =
+        CompiledModel::from_dense_rows(machine.clone(), resource_names, mapped.to_vec(), usage);
     Ok(ServedModel { machine, source, instructions, model })
 }
 
@@ -197,7 +205,7 @@ fn words(bytes: &[u8]) -> Vec<u32> {
 }
 
 /// Parses and verifies a v2b artifact into the self-describing artifact,
-/// dense mapping rebuilt from the copied arrays.
+/// mapping rebuilt from the validated dense rows.
 pub(crate) fn decode(bytes: &[u8]) -> Result<ModelArtifact, ArtifactError> {
     let ServedModel { machine, source, instructions, model } = validate(bytes)?;
     Ok(ModelArtifact::new(machine, source, instructions, model.to_mapping()))

@@ -49,7 +49,7 @@ pub enum ModelKind {
     /// interchange/debug form).
     ConjunctiveV1,
     /// Conjunctive resource mapping, `PALMED-MODEL v2b` binary (the fast
-    /// load path: its CSR arrays are copied, not parsed).
+    /// load path: its usages are raw `f64` bits, not parsed decimals).
     ConjunctiveV2b,
     /// Disjunctive port mapping (port sets + inverse throughputs),
     /// `PALMED-DISJ v1` binary — the family PMEvo-style baselines persist.
@@ -210,6 +210,49 @@ pub(crate) fn read_instruction_table(
     Ok(instructions)
 }
 
+/// The most dense usage cells (`row slots × resources`) a conjunctive model
+/// may declare per byte of its artifact.
+///
+/// A [`CompiledModel`](crate::CompiledModel) holds one `f64` per cell, and
+/// both conjunctive formats can declare many cells in few bytes: a resource
+/// name costs a few bytes, and one mapped slot far down the instruction
+/// table makes every slot before it a row.  Without a bound, a 47 KB v2b
+/// with 423 instructions, 4,000 resources and one usage per row expands to
+/// 13.5 MB of rows (36 cells per byte).  With it, a load allocates at most
+/// 8 bytes of rows per input byte.  The largest models the repository
+/// trains sit far below the bound (cells per byte of each artifact):
+///
+/// | model | slots × resources | v2b | v1 text |
+/// |---|---|---|---|
+/// | `table2 --full`, skl-sp-like | 423 × 21 | 0.083 | 0.046 |
+/// | `table2 --full`, zen1-like | 423 × 19 | 0.080 | 0.044 |
+/// | `train_analytic`, 1,444 instructions | 1,444 × 21 | 0.080 | 0.043 |
+/// | palbench's served skl-sp-like model | 423 × 21 | 0.093 | 0.052 |
+///
+/// so the bound leaves at least 10× headroom over every one.
+pub(crate) const MAX_DENSE_CELLS_PER_BYTE: usize = 1;
+
+/// Checks that a conjunctive model of `slots` row slots over `resources`
+/// resources stays within [`MAX_DENSE_CELLS_PER_BYTE`] of its `input_len`
+/// artifact bytes, before any row is allocated.  Shared by the v2b
+/// validator and the v1 text parser; each wraps the reason in its own
+/// structured error at the resource count.
+pub(crate) fn check_dense_cells(
+    slots: usize,
+    resources: usize,
+    input_len: usize,
+) -> Result<(), String> {
+    let cells = slots.saturating_mul(resources);
+    let limit = MAX_DENSE_CELLS_PER_BYTE.saturating_mul(input_len);
+    if cells > limit {
+        return Err(format!(
+            "{slots} row slots × {resources} resources = {cells} usage cells exceed \
+             {MAX_DENSE_CELLS_PER_BYTE} per byte of the {input_len}-byte artifact"
+        ));
+    }
+    Ok(())
+}
+
 /// Reads and validates a CSR pointer array shared by the binary codecs: a
 /// `(slots + 1)`-entry little-endian `u32` run followed by its `u32` entry
 /// count, with the endpoints pinned to `0 .. total` and full monotonicity
@@ -346,6 +389,11 @@ impl<'a> Cursor<'a> {
             });
         }
         Ok(name)
+    }
+
+    /// The offset of the next byte to read.
+    pub fn position(&self) -> usize {
+        self.pos
     }
 
     /// True when every byte has been consumed.

@@ -3,26 +3,40 @@
 //! [`ConjunctiveMapping`] stores usage rows in a `BTreeMap` keyed by
 //! [`InstId`] — ideal while the inference pipeline is still inserting and
 //! removing rows, but every prediction then pays one tree lookup per distinct
-//! instruction plus a dense sweep over all resources (zeros included).
-//! [`CompiledModel`] freezes the mapping into a CSR-style arena: a dense
-//! `row_ptr` table indexed by instruction, one flat `(resource, usage)` slice
-//! per instruction with zero entries dropped, and resource indices kept
-//! dense.  Prediction walks two flat arrays and writes into a caller-provided
-//! scratch buffer — no allocation, no pointer chasing.
+//! instruction.  [`CompiledModel`] freezes the mapping into one dense
+//! row-major table: `slots × resources` usages, one row per instruction slot
+//! up to the last mapped one, with `+0.0` standing for "no usage".
+//! Prediction indexes a row by instruction and adds it, scaled by the
+//! instruction's count, into a caller-provided scratch buffer — no
+//! allocation, no pointer chasing, and one zipped multiply-add per row that
+//! the compiler vectorises.
+//!
+//! Dense rows beat a sparse (CSR) layout here because the table is small
+//! and mostly full once LPAUX has run: the served skl-sp-like model has 423
+//! slots × 21 resources with 7,210 non-zero usages (81 % dense), so a CSR
+//! walk does a column load and a bounds-checked scatter per stored entry to
+//! skip the few zeros, while the dense loop streams whole rows (71 KB
+//! against ≈88 KB of CSR arrays).
 //!
 //! [`CompiledModel`] is the one form a conjunctive model serves from: a
-//! registered artifact compiles into it, and a `v2b` load copies its
-//! validated CSR arrays into it.  Its [`KernelLoad`] impl holds the single
-//! CSR hot loop; [`KernelLoad`] is the allocation-free serving interface
+//! registered artifact compiles into it, and a `v2b` load scatters its
+//! validated CSR section into it.  Its [`KernelLoad`] impl holds the single
+//! dense hot loop; [`KernelLoad`] is the allocation-free serving interface
 //! the batch engine is generic over.  [`CompiledModel::to_mapping`] inverts
 //! [`CompiledModel::compile`] exactly, so a served model can always hand
 //! back the artifact it came from.
 //!
-//! The arithmetic performs the same additions in the same order as the
-//! `BTreeMap` path (kernels iterate in instruction order in both, and
-//! skipping an exact `+ 0.0` cannot change a finite non-negative
-//! accumulator), so compiled predictions are **bit-identical** to
-//! [`ConjunctiveMapping::ipc`] — asserted by the round-trip property tests.
+//! The arithmetic is [`ConjunctiveMapping`]'s own: each resource's load sums
+//! `count · usage` over the kernel's instructions in instruction order.  The
+//! dense table adds the same terms in the same order, plus a `count · 0.0 =
+//! +0.0` term wherever a row holds no usage (every entry of an unmapped
+//! slot's row); instructions past the table are skipped, as the mapping
+//! skips unmapped ones.  The accumulator starts at `+0.0` and never becomes
+//! `-0.0`, so adding `+0.0` leaves it unchanged; `compile` stores a `-0.0`
+//! usage as `+0.0` so that no `-0.0` term exists at all.  Compiled
+//! predictions are therefore **bit-identical** to
+//! [`ConjunctiveMapping::ipc`] — asserted by the random-mapping tests below
+//! and the round-trip property tests.
 
 use palmed_core::{ConjunctiveMapping, ResourceId, ThroughputPredictor};
 use palmed_isa::{InstId, Microkernel};
@@ -36,7 +50,7 @@ thread_local! {
     pub(crate) static LOAD_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A conjunctive mapping compiled into flat arrays for allocation-free
+/// A conjunctive mapping compiled into dense rows for allocation-free
 /// prediction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledModel {
@@ -46,34 +60,28 @@ pub struct CompiledModel {
     /// mapped, exactly like the `BTreeMap` representation).  One byte per
     /// slot, the same layout the `v2b` artifact stores.
     mapped: Vec<u8>,
-    /// CSR row boundaries, one entry per instruction index plus a sentinel.
-    row_ptr: Vec<u32>,
-    /// Resource index of every non-zero usage entry.
-    cols: Vec<u32>,
-    /// Usage value of every non-zero usage entry.
-    vals: Vec<f64>,
+    /// Row-major usages, `mapped.len() × resource_names.len()` entries;
+    /// `+0.0` is "no usage" (and every entry of an unmapped slot).
+    usage: Vec<f64>,
 }
 
 impl CompiledModel {
     /// Flattens `mapping` into its compiled form under a display name.
     pub fn compile(name: impl Into<String>, mapping: &ConjunctiveMapping) -> Self {
         let num_rows = mapping.instructions().last().map_or(0, |i| i.index() + 1);
+        let width = mapping.num_resources();
         let mut mapped = vec![0u8; num_rows];
-        let mut row_ptr = Vec::with_capacity(num_rows + 1);
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
-        row_ptr.push(0u32);
-        for (index, is_mapped) in mapped.iter_mut().enumerate() {
-            if let Some(usage) = mapping.usage_vector(InstId(index as u32)) {
-                *is_mapped = 1;
-                for (r, &value) in usage.iter().enumerate() {
-                    if value != 0.0 {
-                        cols.push(r as u32);
-                        vals.push(value);
-                    }
+        let mut usage = vec![0.0; num_rows * width];
+        for inst in mapping.instructions() {
+            let row = mapping.usage_vector(inst).expect("mapped instruction has a row");
+            mapped[inst.index()] = 1;
+            let dense = &mut usage[inst.index() * width..][..width];
+            for (cell, &value) in dense.iter_mut().zip(row) {
+                // `-0.0 != 0.0` is false: a negative zero is stored as `+0.0`.
+                if value != 0.0 {
+                    *cell = value;
                 }
             }
-            row_ptr.push(cols.len() as u32);
         }
         CompiledModel {
             name: name.into(),
@@ -82,36 +90,23 @@ impl CompiledModel {
                 .map(|r| mapping.resource_name(r).to_string())
                 .collect(),
             mapped,
-            row_ptr,
-            cols,
-            vals,
+            usage,
         }
     }
 
-    /// Rebuilds a compiled model from already-validated raw CSR arrays (the
-    /// binary artifact codec's load path).  Callers must uphold the
+    /// Builds a compiled model from validated dense rows (the binary
+    /// artifact codec's load path).  Callers must uphold the
     /// [`CompiledModel::compile`] invariants: `mapped` holds 0/1 flags,
-    /// `row_ptr` has `mapped.len() + 1` monotone entries ending at
-    /// `cols.len()`, `cols` are ascending within a row and index into
-    /// `resource_names`, and unmapped slots have empty rows.
-    pub(crate) fn from_raw_parts(
+    /// `usage` has `mapped.len() × resource_names.len()` finite entries, no
+    /// entry is `-0.0`, and unmapped slots are all `+0.0`.
+    pub(crate) fn from_dense_rows(
         name: String,
         resource_names: Vec<String>,
         mapped: Vec<u8>,
-        row_ptr: Vec<u32>,
-        cols: Vec<u32>,
-        vals: Vec<f64>,
+        usage: Vec<f64>,
     ) -> Self {
-        debug_assert_eq!(row_ptr.len(), mapped.len() + 1);
-        debug_assert_eq!(cols.len(), vals.len());
-        debug_assert_eq!(row_ptr.last().copied(), Some(cols.len() as u32));
-        CompiledModel { name, resource_names, mapped, row_ptr, cols, vals }
-    }
-
-    /// The raw CSR arrays `(mapped, row_ptr, cols, vals)`, for verbatim
-    /// binary serialisation.
-    pub(crate) fn raw_parts(&self) -> (&[u8], &[u32], &[u32], &[f64]) {
-        (&self.mapped, &self.row_ptr, &self.cols, &self.vals)
+        debug_assert_eq!(usage.len(), mapped.len() * resource_names.len());
+        CompiledModel { name, resource_names, mapped, usage }
     }
 
     /// Number of abstract resources.
@@ -126,7 +121,12 @@ impl CompiledModel {
 
     /// Number of non-zero `(instruction, resource)` usage entries.
     pub fn num_entries(&self) -> usize {
-        self.vals.len()
+        self.usage.iter().filter(|&&value| value != 0.0).count()
+    }
+
+    /// Number of row slots: the last mapped instruction index plus one.
+    pub(crate) fn num_slots(&self) -> usize {
+        self.mapped.len()
     }
 
     /// Name of a resource.
@@ -134,29 +134,32 @@ impl CompiledModel {
         &self.resource_names[r.index()]
     }
 
-    /// Sparse usage row of an instruction: `(resource index, usage)` pairs in
-    /// ascending resource order.  Empty for unmapped instructions.
-    pub fn row(&self, inst: InstId) -> impl Iterator<Item = (u32, f64)> + '_ {
-        let range = if inst.index() + 1 < self.row_ptr.len() {
-            self.row_ptr[inst.index()] as usize..self.row_ptr[inst.index() + 1] as usize
-        } else {
-            0..0
-        };
-        self.cols[range.clone()].iter().copied().zip(self.vals[range].iter().copied())
+    /// The dense usage row of a slot, or `None` past the table.
+    fn dense_row(&self, inst: InstId) -> Option<&[f64]> {
+        let width = self.resource_names.len();
+        (inst.index() < self.mapped.len()).then(|| &self.usage[inst.index() * width..][..width])
     }
 
-    /// The dense mapping this model was compiled from: every mapped slot's
-    /// sparse row scattered over zeros.  The exact inverse of
-    /// [`CompiledModel::compile`], so a model rebuilt from its arrays
-    /// renders, compares and predicts like the original.
+    /// Sparse usage row of an instruction: its non-zero `(resource index,
+    /// usage)` pairs in ascending resource order.  Empty for unmapped
+    /// instructions.
+    pub fn row(&self, inst: InstId) -> impl Iterator<Item = (u32, f64)> + '_ {
+        self.dense_row(inst)
+            .unwrap_or_default()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &value)| value != 0.0)
+            .map(|(col, &value)| (col as u32, value))
+    }
+
+    /// The mapping this model was compiled from: every mapped slot's dense
+    /// row.  The exact inverse of [`CompiledModel::compile`], so a model
+    /// rebuilt from its rows renders, compares and predicts like the
+    /// original.
     pub fn to_mapping(&self) -> ConjunctiveMapping {
         let rows = (0..self.mapped.len()).filter(|&i| self.mapped[i] != 0).map(|i| {
             let inst = InstId(i as u32);
-            let mut usage = vec![0.0; self.num_resources()];
-            for (col, value) in self.row(inst) {
-                usage[col as usize] = value;
-            }
-            (inst, usage)
+            (inst, self.dense_row(inst).expect("slot inside the table").to_vec())
         });
         ConjunctiveMapping::from_rows(self.resource_names.clone(), rows)
     }
@@ -167,20 +170,17 @@ impl KernelLoad for CompiledModel {
         self.resource_names.len()
     }
 
-    /// The CSR hot loop — the only one in the crate.
+    /// The dense hot loop — the only one in the crate.
     #[inline]
     fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) {
+        let width = self.resource_names.len();
         scratch.clear();
-        scratch.resize(self.resource_names.len(), 0.0);
+        scratch.resize(width, 0.0);
         for &(inst, count) in kernel.as_slice() {
-            let index = inst.index();
-            if index >= self.mapped.len() {
-                continue;
-            }
-            let (start, end) = (self.row_ptr[index] as usize, self.row_ptr[index + 1] as usize);
+            let Some(row) = self.dense_row(inst) else { continue };
             let count = count as f64;
-            for (col, val) in self.cols[start..end].iter().zip(&self.vals[start..end]) {
-                scratch[*col as usize] += count * val;
+            for (acc, &value) in scratch.iter_mut().zip(row) {
+                *acc += count * value;
             }
         }
     }
@@ -206,7 +206,7 @@ impl ThroughputPredictor for CompiledModel {
     }
 }
 
-/// The allocation-free CSR serving interface, shared by the conjunctive
+/// The allocation-free serving interface, shared by the conjunctive
 /// [`CompiledModel`] and the disjunctive
 /// [`CompiledDisjModel`](crate::CompiledDisjModel).  The batch engine
 /// ([`BatchPredictor`](crate::BatchPredictor)) is generic over it, so the
@@ -301,18 +301,30 @@ mod tests {
     }
 
     #[test]
-    fn compile_builds_sparse_rows() {
+    fn compile_builds_dense_rows() {
         let (m, addss, bsr) = example();
         let c = CompiledModel::compile("palmed", &m);
         assert_eq!(c.num_resources(), 3);
         assert_eq!(c.num_instructions(), 2);
-        // ADDSS has a zero on r1 that the CSR drops; BSR keeps all three.
+        // ADDSS has a zero on r1 that `row` skips; BSR keeps all three.
         assert_eq!(c.num_entries(), 5);
         assert_eq!(c.row(addss).collect::<Vec<_>>(), vec![(1, 0.5), (2, 1.0 / 3.0)]);
         assert_eq!(c.row(bsr).count(), 3);
         assert_eq!(c.row(InstId(1)).count(), 0);
         assert_eq!(c.row(InstId(99)).count(), 0);
         assert_eq!(c.to_mapping(), m, "to_mapping inverts compile");
+    }
+
+    #[test]
+    fn negative_zero_usage_is_stored_as_positive_zero() {
+        let mut m = ConjunctiveMapping::with_resources(2);
+        m.set_usage(InstId(0), vec![-0.0, 1.0]);
+        let c = CompiledModel::compile("palmed", &m);
+        assert_eq!(c.num_entries(), 1);
+        assert_eq!(c.row(InstId(0)).collect::<Vec<_>>(), vec![(1, 1.0)]);
+        let row = c.to_mapping().usage_vector(InstId(0)).unwrap().to_vec();
+        assert_eq!(row[0].to_bits(), 0.0f64.to_bits());
+        assert_eq!(c.to_mapping(), m);
     }
 
     #[test]

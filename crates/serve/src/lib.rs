@@ -11,9 +11,9 @@
 //!   integrity checksum, in a text form (v1, the interchange/debug format)
 //!   and a binary form (v2b, the fast load path).  Hand-rolled writers and
 //!   parsers — no serde; loading sniffs the format from the first bytes.
-//! * [`compiled`] — [`CompiledModel`]: the mapping flattened into a CSR-style
-//!   arena (one flat `(resource, usage)` row slice per instruction, dense
-//!   resource indices) that holds the one CSR hot loop, and [`KernelLoad`],
+//! * [`compiled`] — [`CompiledModel`]: the mapping flattened into dense
+//!   row-major usage rows (one `resources`-wide row per instruction slot,
+//!   `+0.0` for no usage) that hold the one hot loop, and [`KernelLoad`],
 //!   the serving interface, predicting through a caller-provided scratch
 //!   buffer.
 //!   Predictions are **bit-identical** to
@@ -54,11 +54,11 @@
 //! | input | entry points | cost at load |
 //! |-------|--------------|--------------|
 //! | in-memory artifact, **v1 text** | [`ModelRegistry::register`], [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`], [`ServedModel::from_artifact`] | (parse every decimal, build rows,) compile |
-//! | **v2b** bytes | [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`], [`ServedModel::from_v2b`] | validate and copy the CSR arrays, one pass |
+//! | **v2b** bytes | [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`], [`ServedModel::from_v2b`] | validate the CSR section and scatter it into dense rows, one pass |
 //! | **disj** | [`ModelRegistry::register_disj`], [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`] | validate, copy µOP rows into an owned [`CompiledDisjModel`] (disjunctive models are tiny) |
 //!
 //! There is one hot loop, [`CompiledModel`]'s [`KernelLoad`] impl, so every
-//! way in predicts bit-identically.  A served entry keeps no dense
+//! way in predicts bit-identically.  A served entry keeps no
 //! [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping), which serving
 //! never reads: [`ServedModel::to_artifact`] rebuilds it on request through
 //! [`CompiledModel::to_mapping`], the exact inverse of
@@ -116,9 +116,13 @@
 //! # Model artifact format (`PALMED-MODEL v2b`)
 //!
 //! Length-prefixed little-endian binary; the same model as v1, laid out so a
-//! load is one validate pass that copies the [`CompiledModel`] CSR arrays
-//! out verbatim (every `f64` is its raw bit pattern — no float parsing, no
-//! re-derivation).  A
+//! load is one validate pass that scatters a CSR section (the non-zero
+//! usages of each row) into the [`CompiledModel`]'s dense rows (every `f64`
+//! is its raw bit pattern — no float parsing, no re-derivation).  On disk
+//! the rows stay sparse, so an artifact's size follows its non-zero
+//! usages; a model may declare at most one dense usage cell (`s × m`) per
+//! byte of its artifact, a bound both conjunctive formats check before any
+//! row is allocated.  A
 //! v1↔v2 round trip reproduces the artifact bit for bit.  Strings are a
 //! `u32` byte length followed by UTF-8; class/extension codes index
 //! [`ExecClass::ALL`](palmed_isa::ExecClass::ALL) /
@@ -166,7 +170,8 @@
 //! * **Checksums are integrity, not authentication.**  Every structural
 //!   check therefore holds on its own: declared counts never drive
 //!   allocations (pre-allocations are capped, real growth is bounded by the
-//!   buffer length), CSR pointer arrays are pinned to `0..nnz` and monotone
+//!   buffer length, and a conjunctive model's dense rows by one cell per
+//!   input byte), CSR pointer arrays are pinned to `0..nnz` and monotone
 //!   before any row is walked, names must be whitespace-free tokens, and
 //!   every rejection is a structured [`ArtifactError`] — decoding never
 //!   panics on untrusted input.  These invariants are exercised continuously

@@ -10,7 +10,8 @@
 //!   [`ModelKind`] (family + format, reported per entry) around one of two
 //!   model payloads: a conjunctive [`ServedModel`] (provenance, instruction
 //!   set and the [`CompiledModel`] it serves from — compiled for in-memory
-//!   and v1 text installs, copied from the validated arrays for `v2b` ones)
+//!   and v1 text installs, scattered from the validated CSR section for
+//!   `v2b` ones)
 //!   or a disjunctive [`ServedDisjModel`] (a PMEvo-style port mapping,
 //!   loaded from a `PALMED-DISJ v1` artifact instead of re-evolved per
 //!   campaign).
@@ -76,11 +77,11 @@ const TORN_READ_RETRIES: u32 = 3;
 /// A registered conjunctive model: provenance, the instruction set its
 /// kernels index into, and the [`CompiledModel`] it serves from.
 ///
-/// Every way in ends in the same owned arrays: in-memory artifacts
+/// Every way in ends in the same owned dense rows: in-memory artifacts
 /// ([`ServedModel::from_artifact`], v1 text) are compiled, and `v2b` bytes
-/// ([`ServedModel::from_v2b`]) are validated and copied in one pass.  No
-/// dense mapping is kept; [`ServedModel::to_artifact`] rebuilds the
-/// artifact on request.
+/// ([`ServedModel::from_v2b`]) are validated and scattered into rows in one
+/// pass.  No [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping) is
+/// kept; [`ServedModel::to_artifact`] rebuilds the artifact on request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServedModel {
     /// Architecture / machine preset the model serves.
@@ -90,7 +91,7 @@ pub struct ServedModel {
     /// The instruction inventory the model's [`InstId`](palmed_isa::InstId)s
     /// index into.
     pub instructions: InstructionSet,
-    /// The compiled CSR arrays every prediction runs through.
+    /// The compiled dense usage rows every prediction runs through.
     pub model: CompiledModel,
 }
 
@@ -102,8 +103,9 @@ impl ServedModel {
         ServedModel { machine, source, instructions, model }
     }
 
-    /// Validates a `PALMED-MODEL v2b` buffer and copies its CSR arrays into
-    /// the served model in the same pass; no dense row is built.
+    /// Validates a `PALMED-MODEL v2b` buffer and scatters its CSR section
+    /// into the served model's dense rows in the same pass; no
+    /// [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping) is built.
     ///
     /// # Errors
     ///
@@ -163,7 +165,7 @@ impl ServedDisjModel {
 /// The model payload of one registry entry, one variant per family.
 #[derive(Debug)]
 pub enum ModelEntry {
-    /// Conjunctive entry (provenance + compiled CSR arrays).
+    /// Conjunctive entry (provenance + compiled dense rows).
     Conjunctive(ServedModel),
     /// Disjunctive entry (artifact + compiled port-mapping form).
     Disjunctive(ServedDisjModel),
@@ -1186,6 +1188,63 @@ mod tests {
         // serves the old ones, bit for bit.
         assert!((ipc_of(&new, &k).unwrap() - 4.0).abs() < 1e-12);
         assert!((ipc_of(&old, &k).unwrap() - 2.0).abs() < 1e-12);
+    }
+
+    /// A model whose dense rows dwarf its artifact (423 instructions × 4,000
+    /// resources with one usage per row: 47 KB of v2b, 13.5 MB of rows)
+    /// is rejected before any row is allocated, with the same structured
+    /// error on every way in, v2b at the resource count's offset and v1 text
+    /// at its line.
+    #[test]
+    fn rows_far_larger_than_the_artifact_are_rejected_on_every_way_in() {
+        use palmed_isa::{ExecClass, InstDesc};
+        let instructions = InstructionSet::from_descs(
+            (0..423).map(|i| InstDesc::new(format!("I{i}"), ExecClass::IntAlu)),
+        );
+        let names = (0..4_000).map(|r| format!("r{r:04}")).collect();
+        let mut mapping = ConjunctiveMapping::new(names);
+        for i in 0..423 {
+            let mut row = vec![0.0; 4_000];
+            row[i * 9] = 1.0;
+            mapping.set_usage(InstId(i as u32), row);
+        }
+        let artifact = ModelArtifact::new("wide", "crafted", instructions.clone(), mapping);
+
+        let bin = artifact.render_v2();
+        assert_eq!(bin.len(), 47_375);
+        let resource_count_at = crate::codec::V2B_MAGIC.len()
+            + (4 + "wide".len())
+            + (4 + "crafted".len())
+            + 4
+            + instructions.iter().map(|(_, d)| 4 + d.name.len() + 2).sum::<usize>();
+        let rejections = [
+            ModelArtifact::parse_bytes(&bin).unwrap_err(),
+            ServedModel::from_v2b(&bin).unwrap_err(),
+            ModelRegistry::new().swap_bytes("wide", bin.clone()).unwrap_err(),
+        ];
+        for e in &rejections {
+            assert_eq!(e.class(), "malformed-binary");
+            assert_eq!(e.offset(), Some(resource_count_at));
+            assert_eq!(e.to_string(), rejections[0].to_string());
+        }
+        assert!(rejections[0].to_string().contains("1692000 usage cells"), "{}", rejections[0]);
+
+        let text = artifact.render().into_bytes();
+        let resources_line = 1 + 3 + 423 + 1;
+        let rejections = [
+            ModelArtifact::parse_bytes(&text).unwrap_err(),
+            ModelRegistry::new().swap_bytes("wide", text).unwrap_err(),
+        ];
+        for e in &rejections {
+            match e {
+                ArtifactError::Malformed { line, reason } => {
+                    assert_eq!(*line, resources_line);
+                    assert!(reason.contains("1692000 usage cells"), "{reason}");
+                }
+                other => panic!("expected a malformed-text error, got {other:?}"),
+            }
+            assert_eq!(e.to_string(), rejections[0].to_string());
+        }
     }
 
     #[test]
