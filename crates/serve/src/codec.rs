@@ -392,7 +392,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// The offset of the next byte to read.
-    pub fn position(&self) -> usize {
+    pub(crate) fn position(&self) -> usize {
         self.pos
     }
 
