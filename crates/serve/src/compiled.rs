@@ -301,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn compile_builds_dense_rows() {
+    fn compile_builds_sparse_rows() {
         let (m, addss, bsr) = example();
         let c = CompiledModel::compile("palmed", &m);
         assert_eq!(c.num_resources(), 3);
