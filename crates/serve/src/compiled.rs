@@ -173,9 +173,8 @@ impl KernelLoad for CompiledModel {
     /// The dense hot loop — the only one in the crate.
     #[inline]
     fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) {
-        let width = self.resource_names.len();
         scratch.clear();
-        scratch.resize(width, 0.0);
+        scratch.resize(self.resource_names.len(), 0.0);
         for &(inst, count) in kernel.as_slice() {
             let Some(row) = self.dense_row(inst) else { continue };
             let count = count as f64;
