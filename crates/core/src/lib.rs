@@ -26,6 +26,8 @@
 //!   weights to the core mapping, by alternating LPs.
 //! * [`saturate`] — selection of one saturating microkernel per resource.
 //! * [`lpaux`] — Algorithm 5: the per-instruction completion of the mapping.
+//!   Its LP separates per usage, so each usage is computed as the LP's
+//!   optimum in closed form, with no simplex.
 //! * [`pipeline`] — the end-to-end driver of Fig. 3 ([`Palmed`]).
 //! * [`predict`] — the [`ThroughputPredictor`] trait and Palmed's
 //!   implementation of it, shared with the baseline tools.

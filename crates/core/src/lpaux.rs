@@ -6,12 +6,28 @@
 //! 1. for every resource `r`, build the benchmark
 //!    `K_sat(i, r) = i^⌈ipc(i)⌉ · sat[r]^L · sat[r]` — the instruction mixed
 //!    with `L + 1` copies of the kernel that saturates `r` — and measure it;
-//! 2. solve a small LP whose unknowns are only `ρ_{i,r}` (the core edges are
-//!    constants): the measured slowdown of each saturated benchmark reveals
-//!    how much of `r` the instruction consumes (Theorem A.3 guarantees that
-//!    `r` stays the bottleneck, so the signal is clean).
+//! 2. bound each usage `ρ_{i,r}` by what the measurements allow: the
+//!    measured slowdown of each saturated benchmark reveals how much of `r`
+//!    the instruction consumes (Theorem A.3 guarantees that `r` stays the
+//!    bottleneck, so the signal is clean).
 //!
-//! Each instruction costs `|R|` measurements and one LP with `|R|` variables,
+//! The paper states step 2 as one LP per instruction with the `|R|` usages
+//! as unknowns and the core edges as constants.  Every row of that LP bounds
+//! a single `ρ_{i,r}` — the instruction's own `ρ_r ≤ 1/ipc` and, for each
+//! benchmark `K` with `n` copies of `i`, IPC-per-instruction scale `s` and
+//! fixed core load `f_r`, `f_r·s + n·s·ρ_r ≤ max(f_r·s, 1)` — and the
+//! objective rewards every `ρ_r`, so the LP separates per usage and its
+//! optimum puts each `ρ_r` at its tightest bound:
+//!
+//! ```text
+//! ρ_r = min(1/ipc + 1e-6, min_K (max(f_r·s, 1) − f_r·s) / (n·s))
+//! ```
+//!
+//! Every bound is non-negative (`max(f_r·s, 1) ≥ f_r·s`), so the LP's
+//! `ρ_r ≥ 0` never binds.
+//!
+//! That closed form is what [`map_instruction`] computes, so each
+//! instruction costs `|R|` measurements and `O(|R|·|K_sat|)` arithmetic,
 //! which is what lets Palmed map thousands of instructions in hours where
 //! PMEvo's global evolutionary search takes days.
 
@@ -19,7 +35,6 @@ use crate::conjunctive::ConjunctiveMapping;
 use crate::quadratic::MIN_IPC;
 use crate::saturate::SaturatingKernels;
 use palmed_isa::{InstId, Microkernel};
-use palmed_lp::{revised, Basis, LinExpr, LpError, Problem, Sense};
 use palmed_machine::Measurer;
 use palmed_par::par_map;
 
@@ -33,8 +48,6 @@ pub enum CompletionOutcome {
     Mapped,
     /// The instruction was skipped (below [`MIN_IPC`]).
     SkippedLowIpc(f64),
-    /// The LP could not be solved; the instruction stays unmapped.
-    Failed(LpError),
 }
 
 /// The `K_sat(i, r)` benchmark of Algorithm 5.
@@ -46,21 +59,13 @@ pub fn completion_kernel(inst: InstId, inst_ipc: f64, sat: &Microkernel) -> Micr
     kernel
 }
 
-/// Maps one instruction against the frozen core mapping, mutating `mapping`
-/// on success.
-///
-/// `warm` is a warm-start slot: pass `&mut None` for a cold solve.
-/// Consecutive completion LPs share their structure — same `|R|` unknowns,
-/// same constraint layout, only the measured coefficients differ — so
-/// [`complete_mapping`] threads the previous instruction's optimal [`Basis`]
-/// through this slot and each solve typically starts one or two pivots from
-/// its optimum.  On success the slot is refreshed with the new basis.
-pub fn map_instruction_warm<M: Measurer>(
+/// Maps one instruction against the frozen core mapping, mutating `mapping`:
+/// each usage is set to the tightest of its bounds (see the module docs).
+pub fn map_instruction<M: Measurer>(
     measurer: &M,
     mapping: &mut ConjunctiveMapping,
     saturating: &SaturatingKernels,
     inst: InstId,
-    warm: &mut Option<Basis>,
 ) -> CompletionOutcome {
     if mapping.supports(inst) {
         return CompletionOutcome::Mapped;
@@ -71,27 +76,14 @@ pub fn map_instruction_warm<M: Measurer>(
     }
 
     let num_resources = mapping.num_resources();
-    let mut problem = Problem::new(Sense::Maximize);
-    // Unknown usages of the new instruction.  The upper bound is the
-    // instruction's own execution time 1/ipc (it cannot use any resource for
-    // longer than it takes to execute).
-    let upper = (1.0 / inst_ipc).max(1.0) * 1.5;
-    let rho: Vec<_> = (0..num_resources)
-        .map(|r| problem.add_var(format!("rho_{inst}_{r}"), 0.0, upper))
-        .collect();
-
-    // The instruction alone must be explained: max_r rho_r = 1/ipc, relaxed
-    // to "no resource exceeds 1/ipc" plus an objective pushing usage up.
-    for &v in &rho {
-        problem.add_le(problem.expr().term(1.0, v), 1.0 / inst_ipc + 1e-6);
-    }
-
-    let mut objective = LinExpr::new();
+    // The instruction alone must be explained: no resource is used for
+    // longer than the instruction takes to execute, 1/ipc.  (The LP's
+    // variable box, 1.5·max(1/ipc, 1), lies above this for any ipc below
+    // 5·10⁵, so it never binds.)
+    let mut usage = vec![1.0 / inst_ipc + 1e-6; num_resources];
+    let mut fixed = vec![0.0; num_resources];
     let mut any_kernel = false;
-    for r in 0..num_resources {
-        let Some(sat_kernel) = saturating.kernels.get(r).and_then(Option::as_ref) else {
-            continue;
-        };
+    for sat_kernel in saturating.kernels.iter().flatten() {
         let kernel = completion_kernel(inst, inst_ipc, sat_kernel);
         let ipc = measurer.ipc(&kernel);
         if ipc <= 0.0 {
@@ -100,27 +92,26 @@ pub fn map_instruction_warm<M: Measurer>(
         any_kernel = true;
         let scale = ipc / kernel.total_instructions() as f64;
         let inst_count = kernel.multiplicity(inst) as f64;
-        // Usage of every resource r' in this benchmark:
-        //   (inst_count * rho_{inst,r'} + fixed core load) * scale  <= 1
-        for (rp, &rho_rp) in rho.iter().enumerate() {
-            let fixed: f64 = kernel
-                .iter()
-                .filter(|&(i, _)| i != inst)
-                .map(|(i, c)| c as f64 * mapping.usage(i, crate::ResourceId(rp as u32)))
-                .sum();
-            let mut usage = LinExpr::constant(fixed * scale);
-            usage.add_term(inst_count * scale, rho_rp);
-            // Real measurements (greedy scheduling, quantisation, noise) can
-            // make the benchmark slightly faster than the frozen core mapping
-            // allows, which would render the nominal `<= 1` bound infeasible;
-            // the bound is therefore relaxed to the already-committed core
-            // load, acknowledging sub-saturation exactly like LP2 does.
-            problem.add_le(usage.clone(), (fixed * scale).max(1.0));
-            if rp == r {
-                // The designated resource is the bottleneck of this benchmark
-                // (Theorem A.3); maximising its usage recovers rho_{inst,r}.
-                objective.add_scaled(1.0, &usage);
+        // Fixed core load of every resource in this benchmark, summed in
+        // kernel order.
+        fixed.fill(0.0);
+        for (i, c) in kernel.iter().filter(|&(i, _)| i != inst) {
+            if let Some(row) = mapping.usage_vector(i) {
+                for (f, &u) in fixed.iter_mut().zip(row) {
+                    *f += c as f64 * u;
+                }
             }
+        }
+        // Usage of every resource r in this benchmark:
+        //   (inst_count * rho_r + fixed_r) * scale  <= 1
+        // Real measurements (greedy scheduling, quantisation, noise) can make
+        // the benchmark slightly faster than the frozen core mapping allows,
+        // which would leave no room for the nominal `<= 1`; the bound is
+        // therefore relaxed to the already-committed core load, acknowledging
+        // sub-saturation exactly like LP2 does.
+        for (rho, &f) in usage.iter_mut().zip(&fixed) {
+            let committed = f * scale;
+            *rho = rho.min((committed.max(1.0) - committed) / (inst_count * scale));
         }
     }
     if !any_kernel {
@@ -134,30 +125,18 @@ pub fn map_instruction_warm<M: Measurer>(
         mapping.set_usage(inst, usage);
         return CompletionOutcome::Mapped;
     }
-    // Also reward explaining the instruction's own throughput.
-    for &v in &rho {
-        objective.add_term(1e-3, v);
-    }
-    problem.set_objective(objective);
-
-    match revised::solve_with_warm_start(&problem, warm.as_ref()) {
-        Ok(info) => {
-            let usage: Vec<f64> = rho.iter().map(|&v| info.solution[v].max(0.0)).collect();
-            mapping.set_usage(inst, usage);
-            *warm = Some(info.basis);
-            CompletionOutcome::Mapped
-        }
-        Err(e) => CompletionOutcome::Failed(e),
-    }
+    mapping.set_usage(inst, usage);
+    CompletionOutcome::Mapped
 }
 
 /// Maps every instruction of `instructions` that is not yet in the mapping.
 /// Returns, per instruction, the outcome.
 ///
 /// Every kernel the sweep measures depends only on its instruction and the
-/// frozen saturating kernels, never on an LP, so they are all measured up
-/// front, in parallel; the sweep then reads them back.  Pass a memoizing
-/// measurer, as the pipeline does, or each kernel is measured twice.
+/// frozen saturating kernels, never on another instruction's usage, so they
+/// are all measured up front, in parallel; the sweep then reads them back.
+/// Pass a memoizing measurer, as the pipeline does, or each kernel is
+/// measured twice.
 pub fn complete_mapping<M: Measurer + Sync>(
     measurer: &M,
     mapping: &mut ConjunctiveMapping,
@@ -174,12 +153,9 @@ pub fn complete_mapping<M: Measurer + Sync>(
             }
         }
     });
-    // One rolling basis across the sweep: every completion LP has the same
-    // shape, so each instruction warm-starts from its predecessor.
-    let mut warm: Option<Basis> = None;
     instructions
         .iter()
-        .map(|&inst| (inst, map_instruction_warm(measurer, mapping, saturating, inst, &mut warm)))
+        .map(|&inst| (inst, map_instruction(measurer, mapping, saturating, inst)))
         .collect()
 }
 
@@ -236,7 +212,7 @@ mod tests {
     fn store_instruction_gets_mapped_and_predicts_well() {
         let (measurer, mut mapping, sat, insts) = toy_core();
         let store = insts.find("STORE").unwrap();
-        let outcome = map_instruction_warm(&measurer, &mut mapping, &sat, store, &mut None);
+        let outcome = map_instruction(&measurer, &mut mapping, &sat, store);
         assert_eq!(outcome, CompletionOutcome::Mapped);
         assert!(mapping.supports(store));
         // STORE alone has IPC 1 (two µOPs, one per port); the completed
@@ -263,7 +239,7 @@ mod tests {
         let (measurer, mut mapping, sat, insts) = toy_core();
         let add = insts.find("ADD").unwrap();
         let before = mapping.usage_vector(add).unwrap().to_vec();
-        let outcome = map_instruction_warm(&measurer, &mut mapping, &sat, add, &mut None);
+        let outcome = map_instruction(&measurer, &mut mapping, &sat, add);
         assert_eq!(outcome, CompletionOutcome::Mapped);
         assert_eq!(mapping.usage_vector(add).unwrap(), before.as_slice());
     }

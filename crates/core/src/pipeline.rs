@@ -197,12 +197,8 @@ impl Palmed {
         benchmarks += remaining.len() * saturating.num_saturated();
         let mut skipped = Vec::new();
         for (inst, outcome) in outcomes {
-            match outcome {
-                CompletionOutcome::Mapped => {}
-                CompletionOutcome::SkippedLowIpc(ipc) => {
-                    skipped.push((inst, format!("IPC {ipc:.3} below threshold")));
-                }
-                CompletionOutcome::Failed(e) => skipped.push((inst, format!("LP failure: {e}"))),
+            if let CompletionOutcome::SkippedLowIpc(ipc) = outcome {
+                skipped.push((inst, format!("IPC {ipc:.3} below threshold")));
             }
         }
         drop(lpaux_span);

@@ -1,11 +1,11 @@
 //! Linear-programming substrate for the Palmed reproduction.
 //!
-//! The Palmed pipeline (LP1, LP2 and LPAUX in the paper) is built on
-//! thousands of small, sparse linear programs.  The paper solves LP1 as an
-//! integer program and LP2 as a mixed-integer one with an off-the-shelf
-//! solver; this reproduction builds LP1's shape from cliques and alternates
-//! pure LPs for LP2, so it needs no integer programming, and this crate is a
-//! from-scratch, dependency-free LP solver:
+//! The paper states three phases of the Palmed pipeline as linear programs
+//! (LP1, LP2 and LPAUX).  It solves LP1 as an integer program and LP2 as a
+//! mixed-integer one with an off-the-shelf solver; this reproduction builds
+//! LP1's shape from cliques, alternates pure LPs for LP2 and solves LPAUX's
+//! separable per-instruction LP in closed form, so it needs no integer
+//! programming, and this crate is a from-scratch, dependency-free LP solver:
 //!
 //! * [`model`] — a tiny modelling layer: variables with bounds, linear
 //!   expressions, constraints and an objective ([`Problem`]).
@@ -23,9 +23,10 @@
 //!   failed one.
 //!
 //! The solver is exact (up to floating-point tolerance) and geared towards
-//! the problem sizes Palmed generates: tens to a few hundred variables and
-//! constraints per solve, solved many thousands of times — often as small
-//! perturbations of each other, which is where warm starts pay off.
+//! the problem sizes LP2 generates: tens to a few hundred variables and
+//! constraints per solve.  Warm starts pay off on sequences of solves that
+//! are small perturbations of each other; LP2's rounds solve cold, and the
+//! `lp_solver` benchmark and the certificate tests exercise the warm path.
 //!
 //! # Example
 //!

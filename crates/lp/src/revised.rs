@@ -19,9 +19,9 @@
 //! the total bound violation of the basic variables from whatever basis it
 //! starts with — the all-slack basis on a cold start, or a caller-provided
 //! [`Basis`] on a warm start.  Because phase 1 works from any basis, warm
-//! starting after a right-hand-side or bound perturbation (LPAUX's
-//! per-instruction sweeps) usually costs a handful of pivots instead of a
-//! full two-phase solve.
+//! starting after a right-hand-side or bound perturbation (a sweep of
+//! related LPs) usually costs a handful of pivots instead of a full
+//! two-phase solve.
 //!
 //! Pricing is Dantzig with a switch to Bland's rule after
 //! `BLAND_THRESHOLD` pivots.

@@ -195,7 +195,8 @@ impl Corpus {
     /// # Errors
     ///
     /// Returns a [`CorpusError`] on a missing header, malformed line, bad
-    /// weight/count or unknown instruction name; never panics.
+    /// weight/count, unknown instruction name or a block of more than
+    /// `u32::MAX` instructions; never panics.
     pub fn parse(text: &str, insts: &InstructionSet) -> Result<Self, CorpusError> {
         let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l.trim()));
         match lines.next() {
@@ -217,6 +218,7 @@ impl Corpus {
                 .filter(|w| w.is_finite() && *w >= 0.0)
                 .ok_or_else(|| malformed(line, format!("invalid weight in `{l}`")))?;
             let mut kernel = Microkernel::new();
+            let mut total: u32 = 0;
             for entry in parts {
                 let (inst, count) = entry
                     .split_once('×')
@@ -232,14 +234,12 @@ impl Corpus {
                         })?;
                         Ok((inst, count))
                     })?;
-                // Repeated entries accumulate; reject sums that would
-                // overflow the u32 multiplicity instead of wrapping.
-                if kernel.multiplicity(inst).checked_add(count).is_none() {
-                    return Err(malformed(
-                        line,
-                        format!("multiplicity overflow for `{entry}` in `{l}`"),
-                    ));
-                }
+                // Reject a block whose instruction total would overflow u32
+                // instead of wrapping; this also bounds every multiplicity,
+                // repeated entries included.
+                total = total.checked_add(count).ok_or_else(|| {
+                    malformed(line, format!("instruction count overflow at `{entry}` in `{l}`"))
+                })?;
                 kernel.add(inst, count);
             }
             corpus.push(name, weight, kernel);
@@ -382,6 +382,20 @@ mod tests {
         let insts = insts();
         let text = "PALMED-CORPUS v1\nb 1 ADDSS×4294967295 ADDSS×2\n";
         assert!(matches!(Corpus::parse(text, &insts), Err(CorpusError::Malformed { line: 2, .. })));
+    }
+
+    #[test]
+    fn overflowing_block_totals_are_rejected_at_their_line() {
+        let insts = insts();
+        let text = "PALMED-CORPUS v1\nb 1 ADDSS×4294967295 BSR×4294967295\n";
+        match Corpus::parse(text, &insts) {
+            Err(CorpusError::Malformed { line: 2, reason }) => assert!(reason.contains("overflow")),
+            other => panic!("expected a line-2 overflow rejection, got {other:?}"),
+        }
+        // A total of exactly u32::MAX still fits.
+        let text = "PALMED-CORPUS v1\nb 1 ADDSS×4294967294 BSR×1\n";
+        let corpus = Corpus::parse(text, &insts).unwrap();
+        assert_eq!(corpus.kernel(corpus.blocks()[0].kernel).total_instructions(), u32::MAX);
     }
 
     #[test]

@@ -231,6 +231,27 @@ mod tests {
     }
 
     #[test]
+    fn an_overflowing_block_total_is_a_malformed_text_error_and_the_connection_serves_on() {
+        let mut batcher = batcher();
+        let mut conn = Connection::new(Limits::default(), 0);
+        let overflow = "PALMED-CORPUS v1\nb 1 ADDSS×4294967295 BSR×4294967295\n";
+        let mut stream = Loopback { inbox: request(1, overflow).encode(), ..Loopback::default() };
+        pump(&mut batcher, 0, &mut conn, &mut stream);
+        stream.inbox.extend_from_slice(&request(2, CORPUS).encode());
+        pump(&mut batcher, 1, &mut conn, &mut stream);
+        let frames = decode_all(&stream.outbox);
+        assert_eq!(frames.len(), 2);
+        match &frames[0] {
+            Frame::Error { req_id, class, .. } => {
+                assert_eq!((*req_id, class.as_str()), (1, "malformed-text"));
+            }
+            other => panic!("expected an error, got {other:?}"),
+        }
+        assert!(matches!(&frames[1], Frame::Response { req_id: 2, .. }), "{:?}", frames[1]);
+        assert_eq!(conn.state(), ConnState::Open);
+    }
+
+    #[test]
     fn a_malformed_frame_poisons_the_connection_with_an_offset() {
         let mut batcher = batcher();
         let mut conn = Connection::new(Limits::default(), 0);
