@@ -25,6 +25,13 @@
 //! [`DisjunctiveMapping`](palmed_machine::DisjunctiveMapping) — they model
 //! tools that had inside information (vendor documentation, per-port
 //! hardware counters) which Palmed deliberately does without.
+//!
+//! Each predictor reports one fixed name (`"uops-style"`, `"iaca-like"`,
+//! `"llvm-mca-like"`, `"pmevo"`).  None of them knows which machines the
+//! real tool supported: the evaluation campaign decides which rows of
+//! Fig. 4b read "N/A".  PMEvo's search constants ([`pmevo::NUM_PORTS`],
+//! [`pmevo::MUTATION_RATE`], …) are fixed; only its population and
+//! generation counts ([`PmEvoConfig`]) vary between quick and full runs.
 
 pub mod pmevo;
 pub mod static_analyzer;

@@ -27,43 +27,37 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
-/// Configuration of the evolutionary search.
+/// Number of abstract ports candidate mappings may use.
+pub const NUM_PORTS: usize = 6;
+/// Per-gene mutation probability.
+pub const MUTATION_RATE: f64 = 0.08;
+/// Tournament size for parent selection.
+pub const TOURNAMENT: usize = 3;
+/// Maximum µOP multiplicity per instruction.
+pub const MAX_UOPS: u8 = 2;
+/// RNG seed (the search is deterministic).
+pub const SEED: u64 = 0xC0FFEE;
+
+/// Size of the evolutionary search: the two settings that differ between a
+/// quick run ([`PmEvoConfig::fast`]) and the full reproduction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PmEvoConfig {
-    /// Number of abstract ports candidate mappings may use.
-    pub num_ports: usize,
     /// Population size.
     pub population: usize,
     /// Number of generations.
     pub generations: usize,
-    /// Per-gene mutation probability.
-    pub mutation_rate: f64,
-    /// Tournament size for parent selection.
-    pub tournament: usize,
-    /// Maximum µOP multiplicity per instruction.
-    pub max_uops: u8,
-    /// RNG seed (the search is deterministic for a given seed).
-    pub seed: u64,
 }
 
 impl Default for PmEvoConfig {
     fn default() -> Self {
-        PmEvoConfig {
-            num_ports: 6,
-            population: 40,
-            generations: 60,
-            mutation_rate: 0.08,
-            tournament: 3,
-            max_uops: 2,
-            seed: 0xC0FFEE,
-        }
+        PmEvoConfig { population: 40, generations: 60 }
     }
 }
 
 impl PmEvoConfig {
-    /// A faster configuration for unit tests.
+    /// A faster configuration, for the Quick campaign and unit tests.
     pub fn fast() -> Self {
-        PmEvoConfig { population: 20, generations: 25, ..PmEvoConfig::default() }
+        PmEvoConfig { population: 20, generations: 25 }
     }
 }
 
@@ -83,27 +77,27 @@ struct Genome {
 }
 
 impl Genome {
-    fn random(rng: &mut StdRng, n: usize, config: &PmEvoConfig) -> Self {
+    fn random(rng: &mut StdRng, n: usize) -> Self {
         let genes = (0..n)
             .map(|_| Gene {
-                port_mask: random_nonempty_mask(rng, config.num_ports),
-                uops: rng.gen_range(1..=config.max_uops),
+                port_mask: random_nonempty_mask(rng, NUM_PORTS),
+                uops: rng.gen_range(1..=MAX_UOPS),
             })
             .collect();
         Genome { genes }
     }
 
-    fn mutate(&mut self, rng: &mut StdRng, config: &PmEvoConfig) {
+    fn mutate(&mut self, rng: &mut StdRng) {
         for gene in &mut self.genes {
-            if rng.gen::<f64>() < config.mutation_rate {
-                let bit = rng.gen_range(0..config.num_ports);
+            if rng.gen::<f64>() < MUTATION_RATE {
+                let bit = rng.gen_range(0..NUM_PORTS);
                 gene.port_mask ^= 1 << bit;
                 if gene.port_mask == 0 {
                     gene.port_mask = 1 << bit;
                 }
             }
-            if rng.gen::<f64>() < config.mutation_rate / 2.0 {
-                gene.uops = rng.gen_range(1..=config.max_uops);
+            if rng.gen::<f64>() < MUTATION_RATE / 2.0 {
+                gene.uops = rng.gen_range(1..=MAX_UOPS);
             }
         }
     }
@@ -202,7 +196,7 @@ impl PmEvo {
         let fitness = |genome: &Genome| -> f64 {
             let mut error = 0.0;
             for (kernel, measured) in &benchmarks {
-                let t = genome_execution_time(genome, &index_of, kernel, config.num_ports);
+                let t = genome_execution_time(genome, &index_of, kernel, NUM_PORTS);
                 let predicted = if t > 0.0 { kernel.total_instructions() as f64 / t } else { 0.0 };
                 let rel = (predicted - measured) / measured;
                 error += rel * rel;
@@ -210,10 +204,10 @@ impl PmEvo {
             error / benchmarks.len().max(1) as f64
         };
 
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let mut population: Vec<(Genome, f64)> = (0..config.population)
             .map(|_| {
-                let g = Genome::random(&mut rng, trained.len(), config);
+                let g = Genome::random(&mut rng, trained.len());
                 let f = fitness(&g);
                 (g, f)
             })
@@ -229,10 +223,10 @@ impl PmEvo {
                 .clone();
             next.push(best);
             while next.len() < config.population {
-                let parent_a = tournament(&population, config.tournament, &mut rng);
-                let parent_b = tournament(&population, config.tournament, &mut rng);
+                let parent_a = tournament(&population, TOURNAMENT, &mut rng);
+                let parent_b = tournament(&population, TOURNAMENT, &mut rng);
                 let mut child = Genome::crossover(parent_a, parent_b, &mut rng);
-                child.mutate(&mut rng, config);
+                child.mutate(&mut rng);
                 let f = fitness(&child);
                 next.push((child, f));
             }
@@ -244,8 +238,7 @@ impl PmEvo {
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite fitness"))
             .expect("non-empty population");
         PmEvoPredictor {
-            name: "pmevo".into(),
-            num_ports: config.num_ports,
+            num_ports: NUM_PORTS,
             index_of,
             genome: best,
             training_error: best_fitness,
@@ -267,7 +260,6 @@ fn tournament<'a>(population: &'a [(Genome, f64)], size: usize, rng: &mut StdRng
 /// The trained PMEvo model.
 #[derive(Debug, Clone)]
 pub struct PmEvoPredictor {
-    name: String,
     num_ports: usize,
     index_of: BTreeMap<InstId, usize>,
     genome: Genome,
@@ -348,7 +340,6 @@ impl PmEvoPredictor {
             genes.push(Gene { port_mask: *mask, uops });
         }
         Ok(PmEvoPredictor {
-            name: "pmevo".into(),
             num_ports,
             index_of,
             genome: Genome { genes },
@@ -359,7 +350,7 @@ impl PmEvoPredictor {
 
 impl ThroughputPredictor for PmEvoPredictor {
     fn name(&self) -> &str {
-        &self.name
+        "pmevo"
     }
 
     fn supports(&self, inst: InstId) -> bool {

@@ -79,45 +79,25 @@ fn optimal_ipc_with(
 #[derive(Debug, Clone)]
 pub struct IacaLikePredictor {
     mapping: Arc<DisjunctiveMapping>,
-    name: String,
-    /// Whether the analyser supports the target at all (IACA never supported
-    /// AMD processors; the evaluation harness uses this to reproduce the
-    /// "N/A" rows of Fig. 4b).
-    available: bool,
 }
 
 impl IacaLikePredictor {
-    /// Builds the analyser for a machine it supports.
+    /// Builds the analyser.
     pub fn new(mapping: Arc<DisjunctiveMapping>) -> Self {
-        IacaLikePredictor { mapping, name: "iaca-like".into(), available: true }
-    }
-
-    /// Marks the target as unsupported (predictions all become `None`).
-    #[must_use]
-    pub fn unavailable(mut self) -> Self {
-        self.available = false;
-        self
-    }
-
-    /// Whether the analyser supports the target machine.
-    pub fn is_available(&self) -> bool {
-        self.available
+        IacaLikePredictor { mapping }
     }
 }
 
 impl ThroughputPredictor for IacaLikePredictor {
     fn name(&self) -> &str {
-        &self.name
+        "iaca-like"
     }
 
     fn supports(&self, inst: InstId) -> bool {
-        self.available && inst.index() < self.mapping.instructions().len()
+        inst.index() < self.mapping.instructions().len()
     }
 
     fn predict_ipc(&self, kernel: &Microkernel) -> Option<f64> {
-        if !self.available {
-            return None;
-        }
         optimal_ipc_with(
             &self.mapping,
             kernel,
@@ -133,19 +113,18 @@ impl ThroughputPredictor for IacaLikePredictor {
 #[derive(Debug, Clone)]
 pub struct McaLikePredictor {
     mapping: Arc<DisjunctiveMapping>,
-    name: String,
 }
 
 impl McaLikePredictor {
     /// Builds the analyser.
     pub fn new(mapping: Arc<DisjunctiveMapping>) -> Self {
-        McaLikePredictor { mapping, name: "llvm-mca-like".into() }
+        McaLikePredictor { mapping }
     }
 }
 
 impl ThroughputPredictor for McaLikePredictor {
     fn name(&self) -> &str {
-        &self.name
+        "llvm-mca-like"
     }
 
     fn supports(&self, inst: InstId) -> bool {
@@ -225,17 +204,6 @@ mod tests {
         let native = throughput::ipc(&preset.mapping(), &k);
         let predicted = p.predict_ipc(&k).unwrap();
         assert!(predicted >= native - 1e-9);
-    }
-
-    #[test]
-    fn unavailable_iaca_returns_no_predictions() {
-        let preset = presets::zen1(&palmed_isa::InventoryConfig::small());
-        let map = preset.mapping_arc();
-        let p = IacaLikePredictor::new(map).unavailable();
-        assert!(!p.is_available());
-        let add = preset.instructions.find("ADD").unwrap();
-        assert!(p.predict_ipc(&Microkernel::single(add)).is_none());
-        assert!(!p.supports(add));
     }
 
     #[test]

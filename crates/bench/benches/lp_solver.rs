@@ -15,10 +15,7 @@
 //!
 //! The committed `BENCH_lp.json` at the repository root records a baseline
 //! of these numbers (`CRITERION_JSON=BENCH_lp.json cargo bench -p
-//! palmed-bench --bench lp_solver`).  Its `lp_dense/*` rows are history: they
-//! timed the dense tableau the revised simplex was once checked against.
-//! So are its `branch_and_bound/*` rows, which timed small knapsack ILPs on
-//! the branch-and-bound solver the crate once had.
+//! palmed-bench --bench lp_solver`); it holds exactly the two groups above.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use palmed_lp::{revised, Problem, Sense};

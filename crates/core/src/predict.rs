@@ -42,19 +42,13 @@ pub trait ThroughputPredictor {
 /// closed-form throughput formula of Def. IV.3.
 #[derive(Debug, Clone)]
 pub struct PalmedPredictor {
-    name: String,
     mapping: ConjunctiveMapping,
 }
 
 impl PalmedPredictor {
     /// Wraps an inferred mapping.
     pub fn new(mapping: ConjunctiveMapping) -> Self {
-        PalmedPredictor { name: "palmed".to_string(), mapping }
-    }
-
-    /// Wraps a mapping under a custom display name (used for the oracle dual).
-    pub fn with_name(name: impl Into<String>, mapping: ConjunctiveMapping) -> Self {
-        PalmedPredictor { name: name.into(), mapping }
+        PalmedPredictor { mapping }
     }
 
     /// The underlying mapping.
@@ -65,7 +59,7 @@ impl PalmedPredictor {
 
 impl ThroughputPredictor for PalmedPredictor {
     fn name(&self) -> &str {
-        &self.name
+        "palmed"
     }
 
     fn supports(&self, inst: InstId) -> bool {
@@ -120,8 +114,8 @@ mod tests {
 
     #[test]
     fn predictor_is_object_safe() {
-        let p = PalmedPredictor::with_name("oracle", mapping());
+        let p = PalmedPredictor::new(mapping());
         let as_dyn: &dyn ThroughputPredictor = &p;
-        assert_eq!(as_dyn.name(), "oracle");
+        assert_eq!(as_dyn.name(), "palmed");
     }
 }

@@ -4,10 +4,11 @@
 //! For every target machine (SKL-SP-like, Zen1-like) the campaign:
 //!
 //! 1. infers a Palmed mapping from cycle measurements only;
-//! 2. instantiates the baselines (uops.info-style, PMEvo, IACA-like,
-//!    llvm-mca-like), honouring their real-world availability: IACA and
-//!    uops.info port mappings are unavailable on the AMD target, PMEvo only
-//!    supports the instructions of its training binaries;
+//! 2. trains PMEvo and instantiates the other baselines (uops.info-style,
+//!    IACA-like, llvm-mca-like), honouring their real-world availability:
+//!    IACA and uops.info port mappings are unavailable on the AMD target, so
+//!    their rows read "N/A" there, and PMEvo only supports the instructions
+//!    of its training binaries;
 //! 3. generates the SPEC-like and PolyBench-like block suites;
 //! 4. measures the native IPC of every block and collects, per tool,
 //!    coverage / RMS error / Kendall τ (Fig. 4b) and the prediction-profile
@@ -27,7 +28,7 @@ use palmed_machine::{
     MemoizingMeasurer, SimulationConfig,
 };
 use palmed_par::par_map;
-use palmed_serve::{CompiledModel, DisjArtifact, ModelRegistry, RegistryEntry};
+use palmed_serve::{CompiledModel, DisjArtifact};
 use std::sync::Arc;
 
 /// Configuration of a full evaluation campaign.
@@ -127,28 +128,12 @@ pub struct CampaignResult {
 #[derive(Debug, Clone, Default)]
 pub struct Campaign {
     config: CampaignConfig,
-    /// Pre-loaded baseline models, looked up by `"<machine>/<tool>"`.
-    baselines: Option<Arc<ModelRegistry>>,
 }
 
 impl Campaign {
     /// Creates a campaign driver.
     pub fn new(config: CampaignConfig) -> Self {
-        Campaign { config, baselines: None }
-    }
-
-    /// Serves baseline models out of a registry instead of re-training them
-    /// per campaign.  Currently the PMEvo baseline is looked up as a
-    /// disjunctive entry named `"<machine>/pmevo"` (the key
-    /// [`pmevo_artifact_for`] writes); when present, its compiled port
-    /// mapping is evaluated directly — the evolutionary search and its pair
-    /// benchmarks are skipped entirely, the way the real tools load
-    /// published mappings.  Missing or non-disjunctive entries fall back to
-    /// training.
-    #[must_use]
-    pub fn with_baselines(mut self, registry: Arc<ModelRegistry>) -> Self {
-        self.baselines = Some(registry);
-        self
+        Campaign { config }
     }
 
     /// The configuration of this campaign.
@@ -186,51 +171,22 @@ impl Campaign {
         let palmed_predictor = CompiledModel::compile("palmed", &palmed_result.mapping);
 
         // ---- Baselines. ----
-        // PMEvo's mapping comes from the baseline registry when a campaign
-        // pre-loaded one (a persisted `PALMED-DISJ v1` artifact — the way
-        // the real tools ship published port mappings); otherwise it is
-        // re-evolved on one representative per execution class plus the
-        // Palmed basic instructions — its published mapping only covers the
-        // instructions occurring in its training binaries, which is what
+        // PMEvo is evolved on one representative per execution class plus
+        // the Palmed basic instructions: its published mapping only covers
+        // the instructions occurring in its training binaries, which is what
         // limits its coverage.
-        // The entry must carry this campaign's exact instruction inventory:
-        // `InstId`s are indices, so an artifact persisted under a different
-        // inventory would silently score the wrong instructions.  Mismatches
-        // fall back to training.
-        let preloaded_pmevo: Option<Arc<RegistryEntry>> = self
-            .baselines
-            .as_ref()
-            .and_then(|registry| registry.get(&format!("{}/pmevo", preset.name())))
-            .filter(|entry| {
-                entry.disjunctive().is_some_and(|model| model.artifact.instructions == *insts)
-            });
-        let trained_pmevo: Option<PmEvoPredictor> = if preloaded_pmevo.is_none() {
-            let mut pmevo_trained: Vec<InstId> = ExecClass::ALL
-                .iter()
-                .filter_map(|&class| insts.ids_with_class(class).into_iter().next())
-                .collect();
-            for inst in palmed_result.basic_instructions() {
-                if !pmevo_trained.contains(&inst) {
-                    pmevo_trained.push(inst);
-                }
+        let mut pmevo_trained: Vec<InstId> = ExecClass::ALL
+            .iter()
+            .filter_map(|&class| insts.ids_with_class(class).into_iter().next())
+            .collect();
+        for inst in palmed_result.basic_instructions() {
+            if !pmevo_trained.contains(&inst) {
+                pmevo_trained.push(inst);
             }
-            Some(PmEvo::new(config.pmevo).train(&inference_measurer, &pmevo_trained))
-        } else {
-            None
-        };
-        let pmevo: &dyn ThroughputPredictor = preloaded_pmevo
-            .as_deref()
-            .and_then(|entry| entry.disjunctive())
-            .map(|model| &model.compiled as &dyn ThroughputPredictor)
-            .or(trained_pmevo.as_ref().map(|p| p as &dyn ThroughputPredictor))
-            .expect("pmevo is preloaded or freshly trained");
-
+        }
+        let pmevo = PmEvo::new(config.pmevo).train(&inference_measurer, &pmevo_trained);
         let uops = UopsStylePredictor::new(Arc::clone(&ground_truth));
-        let iaca = if is_intel_like {
-            IacaLikePredictor::new(Arc::clone(&ground_truth))
-        } else {
-            IacaLikePredictor::new(Arc::clone(&ground_truth)).unavailable()
-        };
+        let iaca = IacaLikePredictor::new(Arc::clone(&ground_truth));
         let mca = McaLikePredictor::new(Arc::clone(&ground_truth));
 
         // ---- Suites and evaluation. ----
@@ -243,27 +199,22 @@ impl Campaign {
             // cores (results keep the block order).
             let native_ipcs: Vec<f64> = par_map(&blocks, |b| native.ipc(&b.kernel));
 
-            let tools: Vec<(&str, &dyn ThroughputPredictor, bool)> = vec![
-                ("palmed", &palmed_predictor as &dyn ThroughputPredictor, true),
-                ("uops-style", &uops, is_intel_like),
-                ("pmevo", pmevo, true),
-                ("iaca-like", &iaca, is_intel_like),
-                ("llvm-mca-like", &mca, true),
+            // Each tool with whether it supports this machine at all: IACA
+            // never supported AMD processors and uops.info's port tables
+            // cover Intel only, so those rows read "N/A" on the Zen target.
+            let tools: [(&dyn ThroughputPredictor, bool); 5] = [
+                (&palmed_predictor, true),
+                (&uops, is_intel_like),
+                (&pmevo, true),
+                (&iaca, is_intel_like),
+                (&mca, true),
             ];
-
-            let mut results = Vec::new();
-            for (name, tool, available) in tools {
-                let result = if available {
-                    evaluate_with_heatmap(tool, &blocks, &native_ipcs, config.heatmap_bins)
-                } else {
-                    ToolResult {
-                        tool: name.to_string(),
-                        metrics: ToolMetrics::unavailable(),
-                        heatmap: Heatmap::new(config.heatmap_bins.0, config.heatmap_bins.1),
-                    }
-                };
-                results.push(ToolResult { tool: name.to_string(), ..result });
-            }
+            let results: Vec<ToolResult> = tools
+                .into_iter()
+                .map(|(tool, available)| {
+                    evaluate(tool, available, &blocks, &native_ipcs, config.heatmap_bins)
+                })
+                .collect();
             suites.push((kind, results));
         }
 
@@ -280,38 +231,45 @@ impl Campaign {
     }
 }
 
-fn evaluate_with_heatmap(
+/// Scores one tool on one suite; a tool that is not `available` on the
+/// machine gets N/A metrics and an empty heatmap.
+fn evaluate(
     tool: &dyn ThroughputPredictor,
+    available: bool,
     blocks: &[BasicBlock],
     native: &[f64],
     bins: (usize, usize),
 ) -> ToolResult {
-    let metrics = evaluate_tool(tool, blocks, native);
     let mut heatmap = Heatmap::new(bins.0, bins.1);
-    for (block, &native_ipc) in blocks.iter().zip(native) {
-        if let Some(predicted) = tool.predict_ipc(&block.kernel) {
-            heatmap.add(native_ipc, predicted, block.weight);
+    let metrics = if available {
+        for (block, &native_ipc) in blocks.iter().zip(native) {
+            if let Some(predicted) = tool.predict_ipc(&block.kernel) {
+                heatmap.add(native_ipc, predicted, block.weight);
+            }
         }
-    }
-    heatmap.normalise();
+        heatmap.normalise();
+        evaluate_tool(tool, blocks, native)
+    } else {
+        ToolMetrics::unavailable()
+    };
     ToolResult { tool: tool.name().to_string(), metrics, heatmap }
 }
 
 /// Flattens a trained PMEvo predictor into a persistable `PALMED-DISJ v1`
-/// artifact, keyed the way [`Campaign::with_baselines`] looks it up
-/// (machine name `"<preset>/pmevo"`).  Save it once, and later campaigns
-/// load the pre-built table instead of re-evolving the mapping; the loaded
-/// model predicts bit-identically to `predictor`.
+/// artifact under the machine name `"<preset>/pmevo"`.  A registry that
+/// loads the artifact serves a model that predicts bit-identically to
+/// `predictor`.
 ///
-/// `instructions` must be the inventory the predictor was trained against —
-/// it is what the campaign's inventory check compares.
+/// `instructions` must be the inventory the predictor was trained against:
+/// `InstId`s are indices, so any other inventory would score the wrong
+/// instructions.
 ///
 /// # Panics
 ///
 /// Panics if the predictor uses more abstract ports than the artifact
-/// format's cap ([`palmed_serve::disj::MAX_DISJ_PORTS`], 16); PMEvo
-/// configurations use far fewer (6 by default) — the subset enumeration is
-/// exponential in the port count.
+/// format's cap ([`palmed_serve::disj::MAX_DISJ_PORTS`], 16).  A trained
+/// PMEvo uses [`palmed_baselines::pmevo::NUM_PORTS`] (6); the subset
+/// enumeration is exponential in the port count.
 pub fn pmevo_artifact_for(
     preset_name: &str,
     predictor: &PmEvoPredictor,
@@ -329,7 +287,7 @@ pub fn pmevo_artifact_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use palmed_machine::{presets, AnalyticMeasurer};
+    use palmed_machine::presets;
 
     #[test]
     fn small_campaign_on_skl_produces_sensible_results() {
@@ -342,7 +300,8 @@ mod tests {
         assert!(result.report.instructions_mapped > 0);
         assert_eq!(result.suites.len(), 2);
         for (_, tools) in &result.suites {
-            assert_eq!(tools.len(), 5);
+            let names: Vec<&str> = tools.iter().map(|t| t.tool.as_str()).collect();
+            assert_eq!(names, ["palmed", "uops-style", "pmevo", "iaca-like", "llvm-mca-like"]);
             let palmed = tools.iter().find(|t| t.tool == "palmed").unwrap();
             assert!(palmed.metrics.coverage > 0.95, "palmed coverage {}", palmed.metrics.coverage);
             assert!(
@@ -354,48 +313,6 @@ mod tests {
             assert!(pmevo.metrics.coverage <= palmed.metrics.coverage + 1e-9);
             let uops = tools.iter().find(|t| t.tool == "uops-style").unwrap();
             assert!(!uops.metrics.is_unavailable());
-        }
-    }
-
-    #[test]
-    fn preloaded_pmevo_baseline_is_served_instead_of_retrained() {
-        let config = CampaignConfig::small();
-        let preset = presets::skl_sp(&config.inventory);
-        let baseline = Campaign::new(config).run_machine(&preset, true);
-
-        // Train a deliberately tiny PMEvo (two instructions) out of band,
-        // persist it through the disjunctive codec, and hand it to the
-        // campaign via the registry.
-        let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
-        let trained: Vec<InstId> = preset.instructions.ids().take(2).collect();
-        let predictor = PmEvo::new(config.pmevo).train(&measurer, &trained);
-        let artifact = pmevo_artifact_for(preset.name(), &predictor, &preset.instructions);
-        let bytes = artifact.render();
-        let registry = Arc::new(ModelRegistry::new());
-        registry
-            .swap_bytes(format!("{}/pmevo", preset.name()), bytes)
-            .expect("disjunctive artifact round trips through the registry");
-
-        let run =
-            Campaign::new(config).with_baselines(Arc::clone(&registry)).run_machine(&preset, true);
-        for (kind, tools) in &run.suites {
-            let pmevo = tools.iter().find(|t| t.tool == "pmevo").unwrap();
-            let full = baseline
-                .suites
-                .iter()
-                .find(|(k, _)| k == kind)
-                .and_then(|(_, tools)| tools.iter().find(|t| t.tool == "pmevo"))
-                .unwrap();
-            assert!(!pmevo.metrics.is_unavailable());
-            // The served two-instruction model covers far less than the
-            // campaign-trained one would — proof the campaign used the
-            // registry entry rather than re-training.
-            assert!(
-                pmevo.metrics.coverage < full.metrics.coverage,
-                "preloaded coverage {} should undercut trained coverage {}",
-                pmevo.metrics.coverage,
-                full.metrics.coverage
-            );
         }
     }
 

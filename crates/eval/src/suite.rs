@@ -83,37 +83,32 @@ impl SuiteKind {
     }
 }
 
-/// Configuration of suite generation.
+/// Minimum distinct instructions per block.
+pub const MIN_DISTINCT: usize = 2;
+/// Maximum distinct instructions per block.
+pub const MAX_DISTINCT: usize = 10;
+/// Maximum multiplicity of one instruction inside a block.
+pub const MAX_MULTIPLICITY: u32 = 4;
+
+/// Configuration of suite generation: how many blocks, from which seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuiteConfig {
     /// Number of basic blocks to generate.
     pub num_blocks: usize,
-    /// Minimum distinct instructions per block.
-    pub min_distinct: usize,
-    /// Maximum distinct instructions per block.
-    pub max_distinct: usize,
-    /// Maximum multiplicity of one instruction inside a block.
-    pub max_multiplicity: u32,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl Default for SuiteConfig {
     fn default() -> Self {
-        SuiteConfig {
-            num_blocks: 400,
-            min_distinct: 2,
-            max_distinct: 10,
-            max_multiplicity: 4,
-            seed: 2017,
-        }
+        SuiteConfig { num_blocks: 400, seed: 2017 }
     }
 }
 
 impl SuiteConfig {
     /// A smaller configuration for unit tests.
     pub fn small(seed: u64) -> Self {
-        SuiteConfig { num_blocks: 60, seed, ..SuiteConfig::default() }
+        SuiteConfig { num_blocks: 60, seed }
     }
 }
 
@@ -152,7 +147,7 @@ pub fn generate_suite(
             .collect();
         let total_weight: f64 = allowed.iter().map(|(w, _)| w).sum();
 
-        let distinct = rng.gen_range(config.min_distinct..=config.max_distinct);
+        let distinct = rng.gen_range(MIN_DISTINCT..=MAX_DISTINCT);
         let mut kernel = Microkernel::new();
         for _ in 0..distinct {
             // Weighted class pick.
@@ -167,7 +162,7 @@ pub fn generate_suite(
             }
             let ids = chosen.1;
             let inst = ids[rng.gen_range(0..ids.len())];
-            kernel.add(inst, rng.gen_range(1..=config.max_multiplicity));
+            kernel.add(inst, rng.gen_range(1..=MAX_MULTIPLICITY));
         }
         if kernel.is_empty() {
             continue;
@@ -212,7 +207,7 @@ mod tests {
             for b in &blocks {
                 assert!(!b.kernel.is_empty());
                 assert!(b.weight > 0.0);
-                assert!(b.size() <= 10 * 4);
+                assert!(b.size() <= MAX_DISTINCT as u32 * MAX_MULTIPLICITY);
             }
         }
     }

@@ -115,10 +115,9 @@ impl LinExpr {
     /// variables are merged, zero coefficients dropped, and terms are yielded
     /// in increasing variable order.
     ///
-    /// This is the allocation-light path the solvers use to assemble sparse
-    /// standard forms; unlike [`LinExpr::to_dense`] its cost is
-    /// `O(k log k)` in the number of terms `k`, independent of the number of
-    /// variables in the problem.
+    /// This is the allocation-light path the solver uses to assemble its
+    /// sparse standard form: its cost is `O(k log k)` in the number of terms
+    /// `k`, independent of the number of variables in the problem.
     pub fn sparse_terms(&self) -> impl Iterator<Item = (VarId, f64)> + '_ {
         let mut terms = self.terms.clone();
         terms.sort_unstable_by_key(|&(v, _)| v);
@@ -146,17 +145,6 @@ impl LinExpr {
         Ok(())
     }
 
-    /// Collapses duplicate variable terms into a dense coefficient vector of
-    /// length `n_vars`.
-    pub fn to_dense(&self, n_vars: usize) -> LpResult<Vec<f64>> {
-        self.validate_against(n_vars)?;
-        let mut dense = vec![0.0; n_vars];
-        for &(v, c) in &self.terms {
-            dense[v.0] += c;
-        }
-        Ok(dense)
-    }
-
     /// Evaluates the expression for a dense assignment of variable values.
     ///
     /// # Panics
@@ -180,8 +168,6 @@ pub struct Constraint {
     pub op: ConstraintOp,
     /// Right-hand side constant.
     pub rhs: f64,
-    /// Optional human-readable label used in debug output.
-    pub label: Option<String>,
 }
 
 /// Definition of a decision variable.
@@ -247,33 +233,27 @@ impl Problem {
 
     /// Adds the constraint `expr <= rhs`.
     pub fn add_le(&mut self, expr: LinExpr, rhs: f64) {
-        self.add_constraint(expr, ConstraintOp::Le, rhs, None);
+        self.add_constraint(expr, ConstraintOp::Le, rhs);
     }
 
     /// Adds the constraint `expr >= rhs`.
     pub fn add_ge(&mut self, expr: LinExpr, rhs: f64) {
-        self.add_constraint(expr, ConstraintOp::Ge, rhs, None);
+        self.add_constraint(expr, ConstraintOp::Ge, rhs);
     }
 
     /// Adds the constraint `expr == rhs`.
     pub fn add_eq(&mut self, expr: LinExpr, rhs: f64) {
-        self.add_constraint(expr, ConstraintOp::Eq, rhs, None);
+        self.add_constraint(expr, ConstraintOp::Eq, rhs);
     }
 
-    /// Adds a labelled constraint.
-    pub fn add_constraint(
-        &mut self,
-        expr: LinExpr,
-        op: ConstraintOp,
-        rhs: f64,
-        label: Option<String>,
-    ) {
+    /// Adds the constraint `expr (op) rhs`.
+    pub fn add_constraint(&mut self, expr: LinExpr, op: ConstraintOp, rhs: f64) {
         // Fold the expression constant into the right-hand side so that the
         // solver only ever sees `a.x (op) b`.
         let constant = expr.constant_part();
         let mut expr = expr;
         expr.constant = 0.0;
-        self.constraints.push(Constraint { expr, op, rhs: rhs - constant, label });
+        self.constraints.push(Constraint { expr, op, rhs: rhs - constant });
     }
 
     /// Sets the objective expression (interpreted according to the sense).
@@ -351,7 +331,6 @@ impl Problem {
     /// Returns an error when the model is malformed, infeasible, unbounded or
     /// when the simplex iteration limit is exceeded.
     pub fn solve(&self) -> LpResult<Solution> {
-        self.validate()?;
         revised::solve(self)
     }
 }
@@ -367,16 +346,15 @@ mod tests {
         let y = p.add_var("y", 0.0, 10.0);
         let e = p.expr().term(2.0, x).term(3.0, y).plus(1.0);
         assert_eq!(e.evaluate(&[1.0, 2.0]), 2.0 + 6.0 + 1.0);
-        let dense = e.to_dense(2).unwrap();
-        assert_eq!(dense, vec![2.0, 3.0]);
+        assert_eq!(e.sparse_terms().collect::<Vec<_>>(), vec![(x, 2.0), (y, 3.0)]);
     }
 
     #[test]
-    fn duplicate_terms_are_merged_in_dense_form() {
+    fn duplicate_terms_are_merged_in_sparse_form() {
         let mut p = Problem::new(Sense::Minimize);
         let x = p.add_var("x", 0.0, 1.0);
         let e = p.expr().term(1.0, x).term(2.5, x);
-        assert_eq!(e.to_dense(1).unwrap(), vec![3.5]);
+        assert_eq!(e.sparse_terms().collect::<Vec<_>>(), vec![(x, 3.5)]);
     }
 
     #[test]

@@ -929,16 +929,18 @@ pub fn solve(problem: &Problem) -> LpResult<Solution> {
 /// Solves the continuous LP, optionally seeding the simplex with a [`Basis`]
 /// captured from a related solve.
 ///
-/// Warm starting never changes the result — only the number of iterations:
-/// a mismatched or singular basis silently degrades to a cold start.
+/// Warm starting never changes the optimal objective, only the number of
+/// iterations and, when the optimum is not unique, which optimal vertex is
+/// returned.  A mismatched or singular basis silently degrades to a cold
+/// start.
 ///
 /// # Errors
 ///
 /// Returns [`LpError::Infeasible`], [`LpError::Unbounded`] or
 /// [`LpError::IterationLimit`] as appropriate, and the model-validation
-/// errors of [`Problem::validate`] for malformed problems (this entry point
-/// is callable directly, so it cannot rely on [`Problem::solve`] having
-/// validated already; the check is O(nnz) and negligible next to a solve).
+/// errors of [`Problem::validate`] for malformed problems.  This is the one
+/// place a problem is validated; the check is O(nnz) and negligible next to
+/// a solve.
 pub fn solve_with_warm_start(problem: &Problem, warm: Option<&Basis>) -> LpResult<SolveInfo> {
     let result = solve_instrumented(problem, warm);
     if result.is_err() {

@@ -543,21 +543,6 @@ impl ModelArtifact {
         self.compile().fingerprint(self.instructions.len())
     }
 
-    /// Saves the v1 text artifact plus a fingerprint sidecar
-    /// (`<path>.fp`), returning the recorded fingerprint.  Registries that
-    /// later load `<path>` verify the model against the sidecar.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from either write.
-    pub fn save_with_fingerprint(&self, path: impl AsRef<Path>) -> Result<u64, ArtifactError> {
-        let path = path.as_ref();
-        self.save(path)?;
-        let fp = self.fingerprint();
-        crate::fingerprint::write_sidecar(path, fp)?;
-        Ok(fp)
-    }
-
     /// Saves the binary v2b artifact plus a fingerprint sidecar
     /// (`<path>.fp`), returning the recorded fingerprint.
     ///

@@ -247,20 +247,6 @@ impl DisjArtifact {
         use crate::compiled::KernelLoad;
         self.compile().fingerprint(self.instructions.len())
     }
-
-    /// Saves the artifact plus a fingerprint sidecar (`<path>.fp`),
-    /// returning the recorded fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from either write.
-    pub fn save_with_fingerprint(&self, path: impl AsRef<Path>) -> Result<u64, ArtifactError> {
-        let path = path.as_ref();
-        self.save(path)?;
-        let fp = self.fingerprint();
-        crate::fingerprint::write_sidecar(path, fp)?;
-        Ok(fp)
-    }
 }
 
 /// The `PALMED-DISJ v1` codec, as the registry's sniff table sees it.

@@ -679,17 +679,8 @@ impl ModelRegistry {
     /// form — since no on-disk format was involved.
     pub fn register(&self, artifact: ModelArtifact) -> Arc<RegistryEntry> {
         let name = artifact.machine.clone();
-        self.register_as(name, artifact)
-    }
-
-    /// Registers a conjunctive artifact under an explicit name.
-    pub fn register_as(
-        &self,
-        name: impl Into<String>,
-        artifact: ModelArtifact,
-    ) -> Arc<RegistryEntry> {
         self.install(
-            name.into(),
+            name,
             ModelKind::ConjunctiveV1,
             None,
             ModelEntry::Conjunctive(ServedModel::from_artifact(artifact)),

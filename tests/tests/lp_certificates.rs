@@ -107,7 +107,7 @@ fn perturbed(p: &Problem, rng: &mut StdRng) -> Problem {
     }
     for c in p.constraints() {
         let shift = rng.gen_range(-2..=2) as f64 * 0.25;
-        q.add_constraint(c.expr.clone(), c.op, c.rhs + shift, None);
+        q.add_constraint(c.expr.clone(), c.op, c.rhs + shift);
     }
     q.set_objective(p.objective().clone());
     q
