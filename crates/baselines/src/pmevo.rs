@@ -123,17 +123,16 @@ fn random_nonempty_mask(rng: &mut StdRng, num_ports: usize) -> u32 {
 }
 
 /// Predicted execution time of a kernel under a genome (optimal fractional
-/// port assignment over the abstract ports, via the subset bound).
+/// port assignment over the abstract ports, via the subset bound).  Every
+/// instruction of `kernel` must be in `index_of`.
 fn genome_execution_time(
     genome: &Genome,
     index_of: &BTreeMap<InstId, usize>,
     kernel: &Microkernel,
-    num_ports: usize,
 ) -> f64 {
     let mut loads: Vec<(u32, f64)> = Vec::new();
     for (inst, count) in kernel.iter() {
-        let Some(&idx) = index_of.get(&inst) else { continue };
-        let gene = genome.genes[idx];
+        let gene = genome.genes[index_of[&inst]];
         let load = count as f64 * gene.uops as f64;
         match loads.iter_mut().find(|(m, _)| *m == gene.port_mask) {
             Some((_, l)) => *l += load,
@@ -141,7 +140,7 @@ fn genome_execution_time(
         }
     }
     let mut t: f64 = 0.0;
-    for subset in 1u32..(1 << num_ports) {
+    for subset in 1u32..(1 << NUM_PORTS) {
         let confined: f64 = loads.iter().filter(|(m, _)| m & !subset == 0).map(|&(_, l)| l).sum();
         if confined > 0.0 {
             t = t.max(confined / subset.count_ones() as f64);
@@ -196,7 +195,7 @@ impl PmEvo {
         let fitness = |genome: &Genome| -> f64 {
             let mut error = 0.0;
             for (kernel, measured) in &benchmarks {
-                let t = genome_execution_time(genome, &index_of, kernel, NUM_PORTS);
+                let t = genome_execution_time(genome, &index_of, kernel);
                 let predicted = if t > 0.0 { kernel.total_instructions() as f64 / t } else { 0.0 };
                 let rel = (predicted - measured) / measured;
                 error += rel * rel;
@@ -237,12 +236,7 @@ impl PmEvo {
             .into_iter()
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite fitness"))
             .expect("non-empty population");
-        PmEvoPredictor {
-            num_ports: NUM_PORTS,
-            index_of,
-            genome: best,
-            training_error: best_fitness,
-        }
+        PmEvoPredictor { index_of, genome: best, training_error: best_fitness }
     }
 }
 
@@ -260,16 +254,13 @@ fn tournament<'a>(population: &'a [(Genome, f64)], size: usize, rng: &mut StdRng
 /// The trained PMEvo model.
 #[derive(Debug, Clone)]
 pub struct PmEvoPredictor {
-    num_ports: usize,
     index_of: BTreeMap<InstId, usize>,
     genome: Genome,
     training_error: f64,
 }
 
 impl PmEvoPredictor {
-    /// Mean squared relative error over the training benchmarks
-    /// (`NaN` for predictors rebuilt from persisted rows — the benchmarks
-    /// are gone by then).
+    /// Mean squared relative error over the training benchmarks.
     pub fn training_error(&self) -> f64 {
         self.training_error
     }
@@ -277,74 +268,6 @@ impl PmEvoPredictor {
     /// Number of instructions the model supports.
     pub fn num_trained(&self) -> usize {
         self.index_of.len()
-    }
-
-    /// Number of abstract ports the learned masks range over.
-    pub fn num_ports(&self) -> usize {
-        self.num_ports
-    }
-
-    /// Flattens the learned mapping into disjunctive rows — per trained
-    /// instruction, the `(port mask, weight)` µOP hypotheses (PMEvo genomes
-    /// carry exactly one per instruction, its weight the µOP multiplicity) —
-    /// the interchange form a `PALMED-DISJ v1` artifact persists.  Rows come
-    /// out sorted by instruction.
-    pub fn to_rows(&self) -> Vec<(InstId, Vec<(u32, f64)>)> {
-        self.index_of
-            .iter()
-            .map(|(&inst, &idx)| {
-                let gene = self.genome.genes[idx];
-                (inst, vec![(gene.port_mask, gene.uops as f64)])
-            })
-            .collect()
-    }
-
-    /// Rebuilds a predictor from persisted disjunctive rows — the inverse of
-    /// [`PmEvoPredictor::to_rows`].  The reconstruction predicts
-    /// bit-identically to the trained original: the genome evaluation only
-    /// depends on each instruction's `(mask, weight)` pair, which round
-    /// trips exactly.
-    ///
-    /// # Errors
-    ///
-    /// Rejects rows that cannot come from a PMEvo genome: more (or fewer)
-    /// than one µOP hypothesis per instruction, a non-integer or
-    /// out-of-range multiplicity, an empty mask, or a mask using ports
-    /// beyond `num_ports`.
-    pub fn from_rows(
-        num_ports: usize,
-        rows: &[(InstId, Vec<(u32, f64)>)],
-    ) -> Result<PmEvoPredictor, String> {
-        if num_ports == 0 || num_ports > 31 {
-            return Err(format!("num_ports {num_ports} outside 1..=31"));
-        }
-        let mut index_of = BTreeMap::new();
-        let mut genes = Vec::with_capacity(rows.len());
-        for (inst, uops) in rows {
-            let [(mask, weight)] = uops.as_slice() else {
-                return Err(format!(
-                    "{inst} has {} µOP hypotheses; PMEvo genomes carry exactly one",
-                    uops.len()
-                ));
-            };
-            if *mask == 0 || *mask >= (1u32 << num_ports) {
-                return Err(format!("{inst} mask {mask:#b} is empty or exceeds {num_ports} ports"));
-            }
-            let uops = *weight as u8;
-            if uops as f64 != *weight || uops == 0 {
-                return Err(format!("{inst} weight {weight} is not a µOP multiplicity in 1..=255"));
-            }
-            if index_of.insert(*inst, genes.len()).is_some() {
-                return Err(format!("duplicate row for {inst}"));
-            }
-            genes.push(Gene { port_mask: *mask, uops });
-        }
-        Ok(PmEvoPredictor {
-            num_ports,
-            index_of,
-            genome: Genome { genes },
-            training_error: f64::NAN,
-        })
     }
 }
 
@@ -357,11 +280,14 @@ impl ThroughputPredictor for PmEvoPredictor {
         self.index_of.contains_key(&inst)
     }
 
+    /// Answers only for kernels whose every instruction was trained: the
+    /// learned mapping says nothing about the others, and skipping them
+    /// would predict them as free while they still count in the IPC.
     fn predict_ipc(&self, kernel: &Microkernel) -> Option<f64> {
-        if !kernel.instructions().any(|i| self.supports(i)) {
+        if !kernel.instructions().all(|i| self.supports(i)) {
             return None;
         }
-        let t = genome_execution_time(&self.genome, &self.index_of, kernel, self.num_ports);
+        let t = genome_execution_time(&self.genome, &self.index_of, kernel);
         if t <= 0.0 {
             None
         } else {
@@ -406,49 +332,17 @@ mod tests {
     }
 
     #[test]
-    fn row_round_trip_predicts_bit_identically() {
+    fn half_trained_blocks_get_no_prediction() {
         let preset = presets::paper_ports016();
         let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
-        let trained: Vec<InstId> = preset.instructions.ids().collect();
-        let predictor = PmEvo::new(PmEvoConfig::fast()).train(&measurer, &trained);
-        let rows = predictor.to_rows();
-        assert_eq!(rows.len(), predictor.num_trained());
-        let rebuilt = PmEvoPredictor::from_rows(predictor.num_ports(), &rows).unwrap();
-        assert!(rebuilt.training_error().is_nan());
-        for &a in &trained {
-            assert_eq!(predictor.supports(a), rebuilt.supports(a));
-            for &b in &trained {
-                let k = Microkernel::pair(a, 2, b, 1);
-                assert_eq!(
-                    predictor.predict_ipc(&k).map(f64::to_bits),
-                    rebuilt.predict_ipc(&k).map(f64::to_bits),
-                    "kernel {k}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn from_rows_rejects_non_genome_shapes() {
-        let one = |m: u32, w: f64| vec![(InstId(0), vec![(m, w)])];
-        assert!(PmEvoPredictor::from_rows(6, &one(0b1, 1.0)).is_ok());
-        assert!(PmEvoPredictor::from_rows(0, &one(0b1, 1.0)).is_err());
-        assert!(PmEvoPredictor::from_rows(6, &one(0, 1.0)).is_err(), "empty mask");
-        assert!(PmEvoPredictor::from_rows(2, &one(0b100, 1.0)).is_err(), "mask beyond ports");
-        assert!(PmEvoPredictor::from_rows(6, &one(0b1, 1.5)).is_err(), "fractional weight");
-        assert!(PmEvoPredictor::from_rows(6, &one(0b1, 0.0)).is_err(), "zero weight");
-        assert!(
-            PmEvoPredictor::from_rows(6, &[(InstId(0), vec![(0b1, 1.0), (0b10, 1.0)])]).is_err(),
-            "two hypotheses per instruction"
-        );
-        assert!(
-            PmEvoPredictor::from_rows(
-                6,
-                &[(InstId(0), vec![(0b1, 1.0)]), (InstId(0), vec![(0b1, 2.0)])]
-            )
-            .is_err(),
-            "duplicate instruction"
-        );
+        let find = |name| preset.instructions.find(name).unwrap();
+        let (addss, bsr, jmp) = (find("ADDSS"), find("BSR"), find("JMP"));
+        let predictor = PmEvo::new(PmEvoConfig::fast()).train(&measurer, &[addss, bsr]);
+        assert!(predictor.predict_ipc(&Microkernel::pair(addss, 2, bsr, 1)).is_some());
+        // One trained and one untrained instruction: the untrained JMP would
+        // count in the IPC while costing nothing, so there is no answer.
+        assert!(predictor.predict_ipc(&Microkernel::pair(addss, 1, jmp, 1)).is_none());
+        assert!(predictor.predict_ipc(&Microkernel::pair(bsr, 3, jmp, 1)).is_none());
     }
 
     #[test]

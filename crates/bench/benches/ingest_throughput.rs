@@ -184,7 +184,7 @@ fn bench_model_load(c: &mut Criterion, group_name: &str, artifact: &ModelArtifac
             // `swap_bytes` takes the buffer by value; the `clone` is part of
             // the cost.
             let entry = registry.swap_bytes("model", bin.clone()).unwrap();
-            entry.served().unwrap().instructions.len()
+            entry.model().instructions.len()
         })
     });
     group.finish();

@@ -64,14 +64,14 @@ fn bench_registry_reload(c: &mut Criterion) {
         b.iter(|| {
             let registry = ModelRegistry::new();
             let entry = registry.load_file(path).unwrap();
-            entry.served().unwrap().model.num_entries()
+            entry.model().model.num_entries()
         })
     });
     group.bench_with_input(BenchmarkId::new("cold_load_v2b", bin.len()), &path, |b, path| {
         b.iter(|| {
             let registry = ModelRegistry::new();
             let entry = registry.load_file(path).unwrap();
-            entry.served().unwrap().model.num_entries()
+            entry.model().model.num_entries()
         })
     });
 

@@ -19,12 +19,9 @@
 //!    v1 entry;
 //! 5. report accuracy against the native machine next to the uops-style
 //!    baseline;
-//! 6. exercise the second model family and the hot-reload plane: persist a
-//!    freshly-evolved PMEvo mapping as `PALMED-DISJ v1`, reload it through
-//!    the sniffing registry (bit-identical predictions), hot-swap retrained
-//!    bytes under a live reader (old generation keeps serving), and replace
-//!    the artifact file atomically so `refresh()`'s mtime/length poll picks
-//!    it up;
+//! 6. exercise the hot-reload plane: hot-swap retrained bytes under a live
+//!    reader (old generation keeps serving), and replace the artifact file
+//!    atomically so `refresh()`'s mtime/length poll picks it up;
 //! 7. prove determinism across every way in: the v1 text load, the v2b
 //!    file load, [`ServedModel::from_v2b`] and the v1-to-v2b migration must
 //!    all hash to the same prediction fingerprint, which the `.fp` sidecar
@@ -48,17 +45,15 @@
 //! small corpus in well under a second — it doubles as the CI smoke test.
 //! `--full` infers on the SKL-SP-like machine and serves 10 000 blocks.
 
-use palmed_baselines::{PmEvo, PmEvoConfig};
-use palmed_core::{Palmed, PalmedConfig, ThroughputPredictor};
+use palmed_core::{Palmed, PalmedConfig};
 use palmed_eval::blocks::{blocks_to_corpus, corpus_to_blocks};
-use palmed_eval::campaign::pmevo_artifact_for;
 use palmed_eval::metrics::evaluate_tool;
 use palmed_eval::suite::{generate_suite, SuiteConfig, SuiteKind};
 use palmed_isa::InventoryConfig;
 use palmed_machine::{presets, AnalyticMeasurer, Measurer, MemoizingMeasurer};
 use palmed_serve::{
-    migrate_v1_to_v2b, read_sidecar, Corpus, KernelLoad, ModelArtifact, ModelRegistry,
-    PreparedBatch, ServedModel,
+    migrate_v1_to_v2b, read_sidecar, Corpus, ModelArtifact, ModelRegistry, PreparedBatch,
+    ServedModel,
 };
 use std::path::PathBuf;
 use std::time::Instant;
@@ -123,7 +118,7 @@ fn main() {
     println!("[2/9] saved model artifact to {} ({bytes} bytes)", model_path.display());
     let registry = ModelRegistry::new();
     let entry = registry.load_file(&model_path).expect("artifact reloads with a valid checksum");
-    let served = entry.served().expect("v1 loads install conjunctive entries");
+    let served = entry.model();
     if served.to_artifact() != artifact {
         eprintln!("FATAL: reloaded artifact differs from the saved one");
         std::process::exit(1);
@@ -142,7 +137,7 @@ fn main() {
     }
     let v2_registry = ModelRegistry::new();
     let v2_entry = v2_registry.load_file(&v2_path).expect("registry sniffs the v2 format");
-    let v2_served = v2_entry.served().expect("v2b loads install conjunctive entries");
+    let v2_served = v2_entry.model();
     if v2_served.to_artifact().render_v2() != std::fs::read(&v2_path).expect("v2 file reads") {
         eprintln!("FATAL: the v2b entry does not re-render the exact file bytes");
         std::process::exit(1);
@@ -162,7 +157,7 @@ fn main() {
     );
     blocks_to_corpus(&suite).save(&corpus_path, &preset.instructions).expect("corpus saves");
     let entry = registry.get(preset.name()).expect("model is registered");
-    let served = entry.served().expect("conjunctive entry");
+    let served = entry.model();
     let corpus = Corpus::load(&corpus_path, &served.instructions)
         .expect("corpus reloads against the artifact's own instruction set");
     println!(
@@ -248,40 +243,8 @@ fn main() {
         );
     }
 
-    // ---- 6. The second model family + hot reload. ----
-    // (a) Disjunctive artifacts: evolve a small PMEvo mapping, persist it
-    // as `PALMED-DISJ v1`, reload it through the same sniffing registry,
-    // and require bit-identity with the freshly-trained predictor.
-    let pmevo_insts: Vec<_> = preset.instructions.ids().take(4).collect();
-    let pmevo = PmEvo::new(PmEvoConfig::fast()).train(&measurer, &pmevo_insts);
-    let disj_artifact = pmevo_artifact_for(preset.name(), &pmevo, &preset.instructions);
-    let disj_path = out.join("pmevo.palmeddisj");
-    disj_artifact.save(&disj_path).expect("disjunctive artifact saves");
-    let disj_entry = registry.load_file(&disj_path).expect("registry sniffs PALMED-DISJ v1");
-    let disj = disj_entry.disjunctive().expect("disjunctive entry");
-    let disj_mismatches = corpus
-        .iter()
-        .filter(|(_, kernel)| {
-            pmevo.predict_ipc(kernel).map(f64::to_bits)
-                != disj.compiled.predict_ipc(kernel).map(f64::to_bits)
-        })
-        .count();
-    if disj_mismatches > 0 {
-        eprintln!(
-            "FATAL: {disj_mismatches} reloaded disjunctive predictions differ from the \
-             freshly-trained PMEvo"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "[6/9] disjunctive artifact `{}` ({} kind) reloaded; {} corpus predictions \
-         bit-identical to the freshly-trained mapping",
-        disj_entry.name(),
-        disj_entry.kind(),
-        corpus.len()
-    );
-
-    // (b) Hot swap under a live reader: install retrained bytes under the
+    // ---- 6. Hot reload. ----
+    // (a) Hot swap under a live reader: install retrained bytes under the
     // same name; the held entry keeps serving the old generation.
     let swap_registry = ModelRegistry::new();
     let old_entry = swap_registry.register(artifact.clone());
@@ -291,12 +254,8 @@ fn main() {
         .swap_bytes(preset.name(), retrained.render_v2())
         .expect("hot swap installs a new generation");
     assert!(swapped.generation() > old_entry.generation(), "swap must bump the generation");
-    assert!(
-        swapped.served().is_some_and(|m| m.to_artifact() == retrained),
-        "a v2b swap serves the retrained model"
-    );
-    let old_still_serves =
-        old_entry.served().expect("old generation entry").batch().predict_prepared(&prepared);
+    assert_eq!(swapped.model().to_artifact(), retrained, "a v2b swap serves the retrained model");
+    let old_still_serves = old_entry.model().batch().predict_prepared(&prepared);
     let stale_mismatches = result
         .ipcs
         .iter()
@@ -308,13 +267,13 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "      hot swap: generation {} -> {}; held entry re-served {} blocks bit-identically",
+        "[6/9] hot swap: generation {} -> {}; held entry re-served {} blocks bit-identically",
         old_entry.generation(),
         swapped.generation(),
         old_still_serves.ipcs.len()
     );
 
-    // (c) File-watch refresh: atomically replace the artifact file (write +
+    // (b) File-watch refresh: atomically replace the artifact file (write +
     // rename, so live mappings keep their inode) and let the polling
     // registry pick it up.
     let tmp = out.join("model.palmed2.tmp");
@@ -326,11 +285,7 @@ fn main() {
         std::process::exit(1);
     }
     let refreshed = v2_registry.get(preset.name()).expect("still registered");
-    assert_eq!(
-        refreshed.served().expect("conjunctive entry").source,
-        retrained.source,
-        "refresh must serve the replaced file"
-    );
+    assert_eq!(refreshed.model().source, retrained.source, "refresh must serve the replaced file");
     println!(
         "      refresh: mtime/len poll reloaded `{}` (generation {}), source now `{}`",
         preset.name(),

@@ -341,7 +341,7 @@ mod linux {
         // The in-process floors — and the reference rows every wire reply
         // is checked against.
         let entry = registry.get(MODEL).expect("bench model registered");
-        let served = entry.served().expect("register installs a conjunctive entry");
+        let served = entry.model();
         let instructions = &served.instructions;
         let batch = served.batch();
         let parsed = Corpus::parse(&corpus, instructions).expect("bench corpus parses");

@@ -31,7 +31,7 @@ use crate::quadratic::QuadraticCampaign;
 use crate::report::MappingReport;
 use crate::saturate::{select_saturating_kernels, SaturatingKernels};
 use crate::select::{select_basic_instructions, Selection};
-use palmed_isa::{Extension, InstId};
+use palmed_isa::{Extension, InstId, Microkernel};
 use palmed_machine::Measurer;
 use std::time::Instant;
 
@@ -204,10 +204,6 @@ impl Palmed {
         drop(lpaux_span);
         lp_time += start.elapsed();
 
-        // Attach human-readable resource names derived from the heaviest
-        // users, mirroring the paper's r0/r01/... naming convention.
-        name_resources(&mut mapping, measurer);
-
         let report = MappingReport {
             machine: "measured-machine".to_string(),
             instructions_total: instructions.len(),
@@ -220,6 +216,12 @@ impl Palmed {
             lp_time,
         };
 
+        // Attach human-readable resource names.  The single IPCs this reads
+        // were all measured above (memo hits on a memoizing measurer), and
+        // the report's benchmark count is taken before, so naming adds no
+        // benchmark.
+        name_resources(&mut mapping, measurer);
+
         palmed_obs::counter!("trainer.benchmarks").add(report.benchmarks_generated as u64);
         palmed_obs::event!(
             "trainer.mapping_inferred",
@@ -231,20 +233,35 @@ impl Palmed {
     }
 }
 
-/// Gives each abstract resource a readable name based on its heaviest users.
+/// Names each abstract resource after its main user: the instruction with
+/// the largest share `ρ · ipc` of it (its usage times its single IPC, i.e.
+/// the fraction of the resource it keeps busy when run alone), ties going
+/// to the lowest [`InstId`].  The name also counts the resource's users:
+/// `R3_BSRx12` is resource 3, named after `BSR`, used by 12 instructions.
+/// A raw usage `ρ` would favour slow instructions (a divide carries a large
+/// `ρ` on every resource it touches); the share favours the instruction
+/// the resource actually bounds.
 fn name_resources<M: Measurer>(mapping: &mut ConjunctiveMapping, measurer: &M) {
     let insts = measurer.instructions();
+    let single_ipcs: Vec<(InstId, f64)> = mapping
+        .instructions()
+        .map(|inst| (inst, measurer.ipc(&Microkernel::single(inst))))
+        .collect();
     let resources: Vec<_> = mapping.resources().collect();
     for r in resources {
         let mut best: Option<(InstId, f64)> = None;
-        for inst in mapping.instructions() {
+        let mut users = 0;
+        for &(inst, ipc) in &single_ipcs {
             let u = mapping.usage(inst, r);
-            if u > 1e-9 && best.is_none_or(|(_, b)| u > b) {
-                best = Some((inst, u));
+            if u > 1e-9 {
+                users += 1;
+                let share = u * ipc;
+                if best.is_none_or(|(_, b)| share > b) {
+                    best = Some((inst, share));
+                }
             }
         }
         if let Some((inst, _)) = best {
-            let users = mapping.instructions().filter(|&i| mapping.usage(i, r) > 1e-9).count();
             mapping.set_resource_name(r, format!("R{}_{}x{}", r.index(), insts.name(inst), users));
         }
     }
@@ -289,6 +306,59 @@ mod tests {
                 (predicted - reference).abs() / reference < 0.25 + 1e-9,
                 "kernel {k}: predicted {predicted:.3}, native {reference:.3}"
             );
+        }
+    }
+
+    /// On the paper's machine (single IPCs: ADDSS and JNLE 2, the rest 1),
+    /// the share `ρ · ipc` picks the instruction a resource bounds, not the
+    /// one with the largest `ρ`, and an exact tie goes to the lower id.
+    #[test]
+    fn resources_are_named_after_their_largest_share() {
+        let preset = presets::paper_ports016();
+        let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
+        let find = |n: &str| preset.instructions.find(n).unwrap();
+        let mut mapping = ConjunctiveMapping::with_resources(3);
+        // VCVTT has the larger ρ (0.9 × 1), ADDSS the larger share (0.5 × 2).
+        mapping.set_usage(find("VCVTT"), vec![0.9, 0.0, 0.0]);
+        mapping.set_usage(find("ADDSS"), vec![0.5, 0.0, 0.0]);
+        // JNLE (0.5 × 2) and JMP (1.0 × 1) tie; JNLE has the lower id.
+        mapping.set_usage(find("JNLE"), vec![0.0, 0.5, 0.0]);
+        mapping.set_usage(find("JMP"), vec![0.0, 1.0, 0.0]);
+        assert!(find("JNLE") < find("JMP"));
+        let measured = measurer.distinct_kernels();
+        name_resources(&mut mapping, &measurer);
+        let names: Vec<&str> = mapping.resources().map(|r| mapping.resource_name(r)).collect();
+        // The unused resource keeps its default name.
+        let unused =
+            ConjunctiveMapping::with_resources(3).resource_name(crate::ResourceId(2)).to_string();
+        assert_eq!(names, ["R0_ADDSSx2", "R1_JNLEx2", unused.as_str()]);
+        assert_eq!(measurer.distinct_kernels(), measured + 4, "one single per mapped instruction");
+
+        // After a full inference every name is its resource's largest share,
+        // and naming again reads only memo hits: the trainer measured every
+        // single it needs.
+        let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
+        let result = Palmed::new(PalmedConfig::small()).infer(&measurer);
+        let measured = measurer.distinct_kernels();
+        let mut renamed = result.mapping.clone();
+        name_resources(&mut renamed, &measurer);
+        assert_eq!(measurer.distinct_kernels(), measured);
+        assert_eq!(renamed, result.mapping);
+        let mapping = &result.mapping;
+        let single = |inst| palmed_machine::Measurer::ipc(&measurer, &Microkernel::single(inst));
+        for r in mapping.resources() {
+            let share = |inst: InstId| mapping.usage(inst, r) * single(inst);
+            let best = mapping
+                .instructions()
+                .filter(|&i| mapping.usage(i, r) > 1e-9)
+                .fold(None, |best: Option<InstId>, i| match best {
+                    Some(b) if share(b) >= share(i) => Some(b),
+                    _ => Some(i),
+                })
+                .expect("every inferred resource has a user");
+            let name = mapping.resource_name(r);
+            let want = format!("R{}_{}x", r.index(), preset.instructions.name(best));
+            assert!(name.starts_with(&want), "{name} should start with {want}");
         }
     }
 

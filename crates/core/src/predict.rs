@@ -22,9 +22,10 @@ pub trait ThroughputPredictor {
     /// Predicted IPC of the kernel, or `None` when the predictor cannot
     /// produce any estimate (e.g. no supported instruction in the kernel).
     ///
-    /// Unsupported instructions inside an otherwise supported kernel are
-    /// treated as taking no resource at all — the degraded mode the paper
-    /// uses when evaluating PMEvo.
+    /// What a kernel mixing supported and unsupported instructions gets is
+    /// up to the predictor: a conjunctive mapping treats the unsupported
+    /// ones as taking no resource at all, while PMEvo answers only when it
+    /// trained every instruction of the kernel.
     fn predict_ipc(&self, kernel: &Microkernel) -> Option<f64>;
 
     /// Fraction of the kernel's instructions that are supported.

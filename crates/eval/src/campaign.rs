@@ -19,16 +19,16 @@ use crate::heatmap::Heatmap;
 use crate::metrics::{evaluate_tool, ToolMetrics};
 use crate::suite::{generate_suite, SuiteConfig, SuiteKind};
 use palmed_baselines::{
-    IacaLikePredictor, McaLikePredictor, PmEvo, PmEvoConfig, PmEvoPredictor, UopsStylePredictor,
+    IacaLikePredictor, McaLikePredictor, PmEvo, PmEvoConfig, UopsStylePredictor,
 };
 use palmed_core::{MappingReport, Palmed, PalmedConfig, ThroughputPredictor};
-use palmed_isa::{ExecClass, InstId, InstructionSet, InventoryConfig};
+use palmed_isa::{ExecClass, InstId, InventoryConfig};
 use palmed_machine::{
     presets::PresetMachine, BackendKind, BackendMeasurer, MeasurementNoise, Measurer,
     MemoizingMeasurer, SimulationConfig,
 };
 use palmed_par::par_map;
-use palmed_serve::{CompiledModel, DisjArtifact};
+use palmed_serve::CompiledModel;
 use std::sync::Arc;
 
 /// Configuration of a full evaluation campaign.
@@ -253,35 +253,6 @@ fn evaluate(
         ToolMetrics::unavailable()
     };
     ToolResult { tool: tool.name().to_string(), metrics, heatmap }
-}
-
-/// Flattens a trained PMEvo predictor into a persistable `PALMED-DISJ v1`
-/// artifact under the machine name `"<preset>/pmevo"`.  A registry that
-/// loads the artifact serves a model that predicts bit-identically to
-/// `predictor`.
-///
-/// `instructions` must be the inventory the predictor was trained against:
-/// `InstId`s are indices, so any other inventory would score the wrong
-/// instructions.
-///
-/// # Panics
-///
-/// Panics if the predictor uses more abstract ports than the artifact
-/// format's cap ([`palmed_serve::disj::MAX_DISJ_PORTS`], 16).  A trained
-/// PMEvo uses [`palmed_baselines::pmevo::NUM_PORTS`] (6); the subset
-/// enumeration is exponential in the port count.
-pub fn pmevo_artifact_for(
-    preset_name: &str,
-    predictor: &PmEvoPredictor,
-    instructions: &InstructionSet,
-) -> DisjArtifact {
-    DisjArtifact::new(
-        format!("{preset_name}/pmevo"),
-        "pmevo-evolved",
-        instructions.clone(),
-        predictor.num_ports() as u32,
-        predictor.to_rows(),
-    )
 }
 
 #[cfg(test)]

@@ -11,8 +11,7 @@ pub struct ToolMetrics {
     /// "translation block coverage", relative to the blocks Palmed supports).
     pub coverage: f64,
     /// Weighted root-mean-square relative error of the IPC predictions over
-    /// the covered blocks (unsupported instructions degrade the prediction
-    /// rather than excluding the block, as in the paper).
+    /// the covered blocks.
     pub rms_error: f64,
     /// Kendall's τ rank correlation between predicted and native IPC.
     pub kendall_tau: f64,

@@ -1,15 +1,16 @@
 //! Fixed-seed fuzz smoke for the artifact codecs.
 //!
 //! Runs `--iters` deterministic structure-aware mutation cases (default
-//! 10 000) round-robin across all four artifact formats, starting from case
-//! number `--seed` (default 0).  Exits non-zero if any codec invariant is
-//! violated — a panic, an unstructured rejection, or an accepted buffer
-//! that does not re-encode canonically.  CI runs this on every push.
+//! 10 000) round-robin across the three input formats — the model's v1 text
+//! and v2b binary forms and the corpus text — starting from case number
+//! `--seed` (default 0).  Every case feeds every decoder entry point.
+//! Exits non-zero if any codec invariant is violated — a panic, an
+//! unstructured rejection, or an accepted buffer that does not re-encode
+//! canonically.  CI runs this on every push.
 //!
 //! `--stats` enables the obs layer for the run and prints per-format case
 //! counts and timing, the rejection-class histogram, and the slowest-case
-//! report at exit — the profiling signal the coverage-guided scheduler
-//! consumes.
+//! report at exit; it changes no case and no scheduling decision.
 //!
 //! `--guided` additionally runs the coverage-guided scheduler
 //! ([`palmed_fuzz::guided`]) at the same `(iters, seed)` and prints the

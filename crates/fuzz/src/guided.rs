@@ -8,13 +8,15 @@
 //! ([`crate::offset_bucket`]), or every decoder accepted them — and spends
 //! most of its budget stacking further mutations onto queued entries
 //! instead of starting over.  Selection is **energy-biased**: a queued
-//! entry whose rejection class is rare (per the `fuzz.reject.<class>`
-//! counters when the obs layer is armed, the scheduler's own mirror of them
-//! otherwise) is picked proportionally more often, so the scheduler digs
-//! where the codecs have been probed least.
+//! entry whose rejection class is rare (in the scheduler's own count of
+//! this run's rejections) is picked proportionally more often, so the
+//! scheduler digs where the codecs have been probed least.
 //!
 //! Everything stays deterministic for a given `(iters, seed)`: admission
-//! never looks at case times, which only feed the `--stats` report.  Any
+//! never looks at case times, which only feed the `--stats` report, and
+//! energy never reads the process-wide `fuzz.reject.<class>` obs counters,
+//! which `--stats` arms and which also count every earlier run in the
+//! process.  Any
 //! queued entry replays exactly — it records its origin case and full
 //! mutation trail, and carries the literal bytes.
 //! Violating cases are automatically **minimized** ([`minimize_with`])
@@ -22,8 +24,8 @@
 //! string that still trips the invariant.
 
 use crate::{
-    check_all, coverage_key, generate_case, inventory, rehash_binary, walk_disj, walk_v2b,
-    CaseOutcome, Format, FuzzSummary, Violation,
+    check_all, coverage_key, generate_case, inventory, rehash_binary, walk_v2b, CaseOutcome,
+    Format, FuzzSummary, Violation,
 };
 use proptest::test_runner::TestRng;
 use std::collections::BTreeMap;
@@ -130,14 +132,9 @@ pub fn minimize_with(bytes: &[u8], mut still_fails: impl FnMut(&[u8]) -> bool) -
     }
 }
 
-/// How often a rejection class has been seen: the armed obs counter when
-/// available (`fuzz.reject.<class>`), the scheduler's own tally otherwise.
+/// How often this run has seen a rejection class.
 fn class_count(class: &'static str, local: &BTreeMap<&'static str, u64>) -> u64 {
-    if palmed_obs::enabled() {
-        palmed_obs::counter(&format!("fuzz.reject.{class}")).get()
-    } else {
-        local.get(class).copied().unwrap_or(0)
-    }
+    local.get(class).copied().unwrap_or(0)
 }
 
 /// Picks a queue index, weighted toward entries whose admitting rejection
@@ -290,11 +287,6 @@ fn mutate_queued(entry: &QueueEntry, rng: &mut TestRng) -> (Vec<u8>, Vec<String>
                 return crate::mutate_binary(&entry.bytes, &layout, rng);
             }
         }
-        Format::Disj => {
-            if let Some(layout) = walk_disj(&entry.bytes) {
-                return crate::mutate_binary(&entry.bytes, &layout, rng);
-            }
-        }
         Format::ModelV1 => {
             if let Ok(text) = std::str::from_utf8(&entry.bytes) {
                 return crate::mutate_text(text, true, rng);
@@ -335,7 +327,7 @@ pub fn run_guided(iters: u32, seed: u32) -> GuidedSummary {
         let started = Instant::now();
         let (format, origin_case, bytes, trail, outcome) = if fresh {
             result.corpus_cases += 1;
-            let format = Format::ALL[(i % 4) as usize];
+            let format = Format::ALL[i as usize % Format::ALL.len()];
             let (seed_buf, mut mutant, mut mutations) = generate_case(format, case, &insts);
             // Half the fresh cases aim their mutation at an uncovered
             // offset bucket instead of mutating blind: every fresh seed is

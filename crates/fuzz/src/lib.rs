@@ -16,14 +16,14 @@
 //!    and the artifact it hands back alike.
 //!
 //! This crate checks those invariants the way an attacker would probe them:
-//! each case starts from a **valid** artifact (all four formats — v1 text,
-//! v2b binary, `PALMED-DISJ v1`, corpus), applies 1–3 *format-aware*
-//! mutations — length-prefix and count-field perturbation, slot-table
+//! each case starts from a **valid** input in one of three formats — the
+//! model's v1 text and v2b binary forms, and the corpus text — applies 1–3
+//! *format-aware* mutations — length-prefix and count-field perturbation, slot-table
 //! shuffles, CSR pointer permutation, section splices, truncation,
 //! extension, trailer re-hash after body edits — and feeds the result to
 //! **every** decoder entry point ([`ModelArtifact::parse_bytes`],
-//! [`ServedModel::from_v2b`], [`DisjArtifact::parse`], [`Corpus::parse`],
-//! [`migrate_v1_to_v2b`]), not just the format's own.  Everything is
+//! [`ServedModel::from_v2b`], [`Corpus::parse`], [`migrate_v1_to_v2b`]), not
+//! just the format's own.  Everything is
 //! deterministic: case `n` replays the same bytes forever (the RNG is the
 //! vendored proptest engine's), so any finding becomes a regression test by
 //! pinning `(format, case)` — see `tests/tests/codec_mutations.rs`, or
@@ -60,8 +60,7 @@ use palmed_core::ConjunctiveMapping;
 use palmed_isa::{InstId, InstructionSet, InventoryConfig, Microkernel};
 use palmed_serve::checksum::{fnv1a64, fnv1a64_words};
 use palmed_serve::{
-    migrate_v1_to_v2b, ArtifactError, Corpus, DisjArtifact, KernelLoad, ModelArtifact, ModelKind,
-    ServedModel,
+    migrate_v1_to_v2b, ArtifactError, Corpus, ModelArtifact, ModelKind, ServedModel,
 };
 use proptest::test_runner::TestRng;
 use std::collections::BTreeSet;
@@ -75,27 +74,24 @@ pub mod guided;
 pub mod registry_fuzz;
 pub mod wire_fuzz;
 
-/// Magic prefixes of the binary formats, mirrored here (they are crate
-/// private in `palmed-serve`; the fuzzer needs them to re-hash trailers).
+/// Magic prefix of the binary format, mirrored here (it is crate private
+/// in `palmed-serve`; the fuzzer needs it to walk and re-hash seeds).
 const V2B_MAGIC: &[u8] = b"PALMED-MODEL v2b\n";
-const DISJ_MAGIC: &[u8] = b"PALMED-DISJ v1\n";
 
-/// The four artifact formats under test.
+/// The three input formats under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Format {
     /// `PALMED-MODEL v1` text.
     ModelV1,
     /// `PALMED-MODEL v2b` binary.
     ModelV2b,
-    /// `PALMED-DISJ v1` binary.
-    Disj,
     /// `PALMED-CORPUS v1` text.
     Corpus,
 }
 
 impl Format {
     /// All formats, in round-robin order.
-    pub const ALL: [Format; 4] = [Format::ModelV1, Format::ModelV2b, Format::Disj, Format::Corpus];
+    pub const ALL: [Format; 3] = [Format::ModelV1, Format::ModelV2b, Format::Corpus];
 
     /// Parses the [`fmt::Display`] name back (`--replay model-v2b:123`).
     pub fn from_name(name: &str) -> Option<Format> {
@@ -108,7 +104,6 @@ impl fmt::Display for Format {
         match self {
             Format::ModelV1 => f.write_str("model-v1"),
             Format::ModelV2b => f.write_str("model-v2b"),
-            Format::Disj => f.write_str("disj"),
             Format::Corpus => f.write_str("corpus"),
         }
     }
@@ -147,7 +142,7 @@ impl fmt::Display for Violation {
 #[derive(Debug, Clone)]
 pub struct RejectionRecord {
     /// The decoder entry point that rejected (`parse_bytes`, `view`,
-    /// `disj`, `migrate`, `corpus`).
+    /// `migrate`, `corpus`).
     pub entry: &'static str,
     /// The rejection-class label ([`ArtifactError::class`]).
     pub class: &'static str,
@@ -288,27 +283,6 @@ fn seed_model(insts: &InstructionSet, rng: &mut TestRng) -> ModelArtifact {
     ModelArtifact::new("fuzz-machine", "fuzz-seed", insts.clone(), mapping)
 }
 
-fn seed_disj(insts: &InstructionSet, rng: &mut TestRng) -> DisjArtifact {
-    let num_ports = rng.usize_in(1, 4) as u32;
-    let mut chosen = std::collections::BTreeSet::new();
-    for _ in 0..rng.usize_in(1, 8) {
-        chosen.insert(rng.usize_in(0, insts.len() - 1) as u32);
-    }
-    let rows = chosen
-        .into_iter()
-        .map(|inst| {
-            let uops = (0..rng.usize_in(1, 3))
-                .map(|_| {
-                    let mask = rng.usize_in(1, (1usize << num_ports) - 1) as u32;
-                    (mask, 0.25 + rng.next_f64())
-                })
-                .collect();
-            (InstId(inst), uops)
-        })
-        .collect();
-    DisjArtifact::new("fuzz-disj", "fuzz-seed", insts.clone(), num_ports, rows)
-}
-
 fn seed_corpus(insts: &InstructionSet, rng: &mut TestRng) -> Corpus {
     let mut corpus = Corpus::new();
     for b in 0..rng.usize_in(1, 8) {
@@ -328,7 +302,6 @@ fn seed_bytes(format: Format, insts: &InstructionSet, rng: &mut TestRng) -> Vec<
     match format {
         Format::ModelV1 => seed_model(insts, rng).render().into_bytes(),
         Format::ModelV2b => seed_model(insts, rng).render_v2(),
-        Format::Disj => seed_disj(insts, rng).render(),
         Format::Corpus => seed_corpus(insts, rng).render(insts).into_bytes(),
     }
 }
@@ -337,7 +310,7 @@ fn seed_bytes(format: Format, insts: &InstructionSet, rng: &mut TestRng) -> Vec<
 // Structure-aware mutation.
 // ---------------------------------------------------------------------------
 
-/// Byte-level map of a valid binary seed: where the untrusted numbers live.
+/// Byte-level map of a valid v2b seed: where the untrusted numbers live.
 /// Computed by re-walking the documented layout of the *valid* seed, so
 /// mutations can aim at count fields, flag tables and pointer arrays
 /// instead of flipping blind.
@@ -345,13 +318,12 @@ struct BinLayout {
     /// Length the walk was computed against; structure-aware mutations only
     /// apply while the buffer still has this length.
     len: usize,
-    magic_len: usize,
     /// Offsets of `u32` count / length-prefix fields.
     counts: Vec<usize>,
-    /// The v2b per-slot `mapped` flag table.
-    flags: Option<Range<usize>>,
-    /// The CSR pointer array (v2b `row_ptr` / disj `uop_ptr`).
-    ptrs: Option<Range<usize>>,
+    /// The per-slot `mapped` flag table.
+    flags: Range<usize>,
+    /// The CSR pointer array `row_ptr`.
+    ptrs: Range<usize>,
 }
 
 /// Bounds-checked little-endian `u32` read used by the layout walkers.
@@ -392,47 +364,7 @@ fn walk_v2b(bytes: &[u8]) -> Option<BinLayout> {
     counts.push(pos); // nnz
     let nnz = u32_at(bytes, pos)? as usize;
     pos += 4 + 4 * nnz + 8 * nnz;
-    (pos + 8 == bytes.len()).then_some(BinLayout {
-        len: bytes.len(),
-        magic_len: V2B_MAGIC.len(),
-        counts,
-        flags: Some(flags),
-        ptrs: Some(ptrs),
-    })
-}
-
-/// Walks a *valid* `PALMED-DISJ v1` buffer (see `palmed_serve::disj`).
-fn walk_disj(bytes: &[u8]) -> Option<BinLayout> {
-    let mut counts = Vec::new();
-    let mut pos = DISJ_MAGIC.len();
-    for _ in 0..2 {
-        counts.push(pos);
-        pos += 4 + u32_at(bytes, pos)? as usize;
-    }
-    counts.push(pos); // num_ports
-    pos += 4;
-    counts.push(pos); // instruction count
-    let n = u32_at(bytes, pos)? as usize;
-    pos += 4;
-    for _ in 0..n {
-        counts.push(pos);
-        pos += 4 + u32_at(bytes, pos)? as usize + 2;
-    }
-    counts.push(pos); // slots
-    let slots = u32_at(bytes, pos)? as usize;
-    pos += 4;
-    let ptrs = pos..pos + 4 * (slots + 1);
-    pos += 4 * (slots + 1);
-    counts.push(pos); // total µOPs
-    let total = u32_at(bytes, pos)? as usize;
-    pos += 4 + 4 * total + 8 * total;
-    (pos + 8 == bytes.len()).then_some(BinLayout {
-        len: bytes.len(),
-        magic_len: DISJ_MAGIC.len(),
-        counts,
-        flags: None,
-        ptrs: Some(ptrs),
-    })
+    (pos + 8 == bytes.len()).then_some(BinLayout { len: bytes.len(), counts, flags, ptrs })
 }
 
 /// Recomputes the strided-word FNV trailer after a body edit, so structural
@@ -508,9 +440,10 @@ fn mutate_binary(seed: &[u8], layout: &BinLayout, rng: &mut TestRng) -> (Vec<u8>
                 log.push(format!("count@{at}:{orig}->{new}"));
             }
             4 => {
-                let Some(flags) = layout.flags.clone().filter(|f| f.len() >= 2) else {
+                let flags = layout.flags.clone();
+                if flags.len() < 2 {
                     continue;
-                };
+                }
                 let a = flags.start + rng.usize_in(0, flags.len() - 1);
                 let b = flags.start + rng.usize_in(0, flags.len() - 1);
                 bytes.swap(a, b);
@@ -521,9 +454,10 @@ fn mutate_binary(seed: &[u8], layout: &BinLayout, rng: &mut TestRng) -> (Vec<u8>
                 log.push(format!("flags-shuffle@{a},{b}"));
             }
             5 => {
-                let Some(ptrs) = layout.ptrs.clone().filter(|p| p.len() >= 8) else {
+                let ptrs = layout.ptrs.clone();
+                if ptrs.len() < 8 {
                     continue;
-                };
+                }
                 let entries = ptrs.len() / 4;
                 let a = ptrs.start + 4 * rng.usize_in(0, entries - 1);
                 let b = ptrs.start + 4 * rng.usize_in(0, entries - 1);
@@ -534,7 +468,7 @@ fn mutate_binary(seed: &[u8], layout: &BinLayout, rng: &mut TestRng) -> (Vec<u8>
             }
             _ => {
                 // Splice: copy one in-body range over an equal-length one.
-                let body = layout.magic_len..layout.len.saturating_sub(8);
+                let body = V2B_MAGIC.len()..layout.len.saturating_sub(8);
                 if body.len() < 2 {
                     continue;
                 }
@@ -549,7 +483,7 @@ fn mutate_binary(seed: &[u8], layout: &BinLayout, rng: &mut TestRng) -> (Vec<u8>
     }
     // Usually re-hash so the mutation reaches the structural validators;
     // sometimes leave the stale trailer to keep the checksum path covered.
-    if bytes.len() > layout.magic_len + 8 && rng.next_f64() < 0.7 {
+    if bytes.len() > V2B_MAGIC.len() + 8 && rng.next_f64() < 0.7 {
         rehash_binary(&mut bytes);
         log.push("rehash".to_string());
     }
@@ -745,20 +679,7 @@ pub fn check_all(
         }
     }
 
-    // 3. The disjunctive decoder sees every buffer too.
-    if let Some(detail) = guard("disj", || match DisjArtifact::parse(bytes) {
-        Ok(artifact) => {
-            outcome.accepted += 1;
-            outcome.accepts.push("disj");
-            (artifact.render() != bytes)
-                .then(|| "accepted disj does not re-encode bit-identically".into())
-        }
-        Err(error) => tally_rejection(outcome, "disj", &error),
-    }) {
-        report(detail);
-    }
-
-    // 4. Migration must accept exactly the valid v1 inputs and produce a
+    // 3. Migration must accept exactly the valid v1 inputs and produce a
     //    byte-equal v2b encoding of the same model.
     if let Some(detail) = guard("migrate", || match migrate_v1_to_v2b(bytes) {
         Ok(migrated) => {
@@ -776,7 +697,7 @@ pub fn check_all(
         report(detail);
     }
 
-    // 5. The corpus loader sees every UTF-8 buffer.
+    // 4. The corpus loader sees every UTF-8 buffer.
     if let Ok(text) = std::str::from_utf8(bytes) {
         if let Some(detail) = guard("corpus", || match Corpus::parse(text, insts) {
             Ok(corpus) => {
@@ -817,10 +738,6 @@ fn mutate_case_bytes(format: Format, seed: &[u8], rng: &mut TestRng) -> (Vec<u8>
     match format {
         Format::ModelV2b => {
             let layout = walk_v2b(seed).expect("valid v2b seed must walk");
-            mutate_binary(seed, &layout, rng)
-        }
-        Format::Disj => {
-            let layout = walk_disj(seed).expect("valid disj seed must walk");
             mutate_binary(seed, &layout, rng)
         }
         Format::ModelV1 => {
@@ -915,14 +832,14 @@ pub fn replay_case(format: Format, case: u32) -> String {
     out
 }
 
-/// Runs `iters` deterministic cases round-robin across all four formats,
+/// Runs `iters` deterministic cases round-robin across all three formats,
 /// starting at case number `seed`.  Timing never affects the outcome —
 /// cases stay bit-for-bit deterministic — it only feeds the
 /// `fuzz.case_ns.<format>` histograms and the slowest-case report.
 pub fn run_many(iters: u32, seed: u32) -> FuzzSummary {
     let mut summary = FuzzSummary::default();
     for i in 0..iters {
-        let format = Format::ALL[(i % 4) as usize];
+        let format = Format::ALL[i as usize % Format::ALL.len()];
         let case = seed.wrapping_add(i);
         let start = std::time::Instant::now();
         let outcome = run_case(format, case);
@@ -963,11 +880,7 @@ mod tests {
         let layout = walk_v2b(&v2b).expect("valid v2b walks");
         assert_eq!(layout.len, v2b.len());
         assert!(layout.counts.len() >= 5);
-        assert!(layout.flags.is_some() && layout.ptrs.is_some());
-        let disj = seed_disj(&insts, &mut rng).render();
-        let layout = walk_disj(&disj).expect("valid disj walks");
-        assert_eq!(layout.len, disj.len());
-        assert!(layout.ptrs.is_some());
+        assert!(!layout.ptrs.is_empty());
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! Where [`crate::run_many`] fuzzes *decoders* with corrupted buffers, this
 //! harness fuzzes the [`ModelRegistry`] *refresh loop* with corrupted
 //! **filesystems**: each case seeds a [`FaultyIo`]
-//! with 1–3 artifact files, loads them into a registry (conjunctive and
-//! disjunctive, in v1 text and v2b binary form, optionally under
-//! a signing key), then scripts 8–30 steps of hostile filesystem history —
+//! with 1–3 artifact files, loads them into a registry (in v1 text and v2b
+//! binary form, optionally under a signing key), then scripts 8–30 steps of hostile filesystem history —
 //! good rewrites, corrupt rewrites, torn replaces, mismatched and
 //! wrong-key sidecars, deletions, mtime flaps, armed transient stat/read
 //! faults, plus operator `readmit`/`reload_file` calls — running
@@ -38,13 +37,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Artifact family a simulated entry serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Family {
-    Conjunctive,
-    Disjunctive,
-}
-
 /// On-disk wire format of a simulated entry's body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Wire {
@@ -73,7 +65,6 @@ enum SidecarState {
 struct SimEntry {
     name: String,
     path: PathBuf,
-    family: Family,
     wire: Wire,
     /// Settled on-disk body when it decodes: `(fingerprint, bytes)`.
     /// `None` after a corrupting write or a deletion.
@@ -162,34 +153,19 @@ impl fmt::Display for RegistryFuzzSummary {
 /// it agrees bit-for-bit with what the registry will compute on load.
 fn fresh_body(
     name: &str,
-    family: Family,
     wire: Wire,
     insts: &palmed_isa::InstructionSet,
     rng: &mut TestRng,
 ) -> (u64, Vec<u8>) {
-    match family {
-        Family::Conjunctive => {
-            let mut artifact = crate::seed_model(insts, rng);
-            artifact.machine = name.to_string();
-            let bytes = match wire {
-                Wire::V1 => artifact.render().into_bytes(),
-                Wire::V2b => artifact.render_v2(),
-            };
-            let fp = ModelArtifact::parse_bytes(&bytes)
-                .expect("freshly rendered conjunctive body must parse")
-                .fingerprint();
-            (fp, bytes)
-        }
-        Family::Disjunctive => {
-            let mut artifact = crate::seed_disj(insts, rng);
-            artifact.machine = name.to_string();
-            let bytes = artifact.render();
-            let fp = palmed_serve::DisjArtifact::parse(&bytes)
-                .expect("freshly rendered disjunctive body must parse")
-                .fingerprint();
-            (fp, bytes)
-        }
-    }
+    let mut artifact = crate::seed_model(insts, rng);
+    artifact.machine = name.to_string();
+    let bytes = match wire {
+        Wire::V1 => artifact.render().into_bytes(),
+        Wire::V2b => artifact.render_v2(),
+    };
+    let fp =
+        ModelArtifact::parse_bytes(&bytes).expect("freshly rendered body must parse").fingerprint();
+    (fp, bytes)
 }
 
 /// Renders sidecar file bytes for the given state; `None` means "delete
@@ -288,16 +264,10 @@ fn check_step(
                 sim.good_fp
             ));
         }
-        if sim.wire == Wire::V2b {
-            match entry.served().map(|served| served.to_artifact().render_v2()) {
-                Some(bytes) if bytes == sim.good_bytes => {}
-                Some(_) => stats
-                    .violations
-                    .push(format!("`{}` re-renders differently from the last good body", sim.name)),
-                None => stats
-                    .violations
-                    .push(format!("`{}` no longer serves a conjunctive model", sim.name)),
-            }
+        if sim.wire == Wire::V2b && entry.model().to_artifact().render_v2() != sim.good_bytes {
+            stats
+                .violations
+                .push(format!("`{}` re-renders differently from the last good body", sim.name));
         }
     }
     for health in registry.health() {
@@ -363,22 +333,18 @@ fn run_schedule(case: u32, stats: &mut ScheduleStats) {
         format!("schedule: {}", if keyed { "signing key armed" } else { "unkeyed registry" })
     });
 
-    // Seed 1–3 watched entries across families and wire formats.
+    // Seed 1–3 watched entries across both on-disk forms.
     let mut entries: Vec<SimEntry> = Vec::new();
     for i in 0..rng.usize_in(1, 3) {
         let name = format!("sim-{i}");
         let path = PathBuf::from(format!("/sim/{case}/model-{i}"));
-        let family = if rng.next_f64() < 0.5 { Family::Conjunctive } else { Family::Disjunctive };
-        // Three in four conjunctive entries are v2b: their re-rendered
-        // bodies get the extra bit-identity check after every step.
-        let wire = match family {
-            Family::Disjunctive => Wire::V1,
-            Family::Conjunctive => match rng.usize_in(0, 3) {
-                0 => Wire::V1,
-                _ => Wire::V2b,
-            },
+        // Three in four entries are v2b: their re-rendered bodies get the
+        // extra bit-identity check after every step.
+        let wire = match rng.usize_in(0, 3) {
+            0 => Wire::V1,
+            _ => Wire::V2b,
         };
-        let (fp, bytes) = fresh_body(&name, family, wire, &insts, &mut rng);
+        let (fp, bytes) = fresh_body(&name, wire, &insts, &mut rng);
         io.write(&path, bytes.clone());
         let sidecar = if rng.next_f64() < 0.5 {
             if keyed && rng.next_f64() < 0.5 {
@@ -392,7 +358,6 @@ fn run_schedule(case: u32, stats: &mut ScheduleStats) {
         let sim = SimEntry {
             name: name.clone(),
             path,
-            family,
             wire,
             target: Some((fp, bytes.clone())),
             sidecar,
@@ -404,8 +369,8 @@ fn run_schedule(case: u32, stats: &mut ScheduleStats) {
             Ok(entry) if entry.fingerprint() == fp && entry.name() == name => {
                 stats.note(|| {
                     format!(
-                        "seed `{name}`: {:?}/{:?} sidecar {:?}, fingerprint {fp:016x}",
-                        sim.family, sim.wire, sim.sidecar
+                        "seed `{name}`: {:?} sidecar {:?}, fingerprint {fp:016x}",
+                        sim.wire, sim.sidecar
                     )
                 });
                 entries.push(sim);
@@ -433,7 +398,7 @@ fn run_schedule(case: u32, stats: &mut ScheduleStats) {
             let sim = &mut entries[at];
             match rng.usize_in(0, 9) {
                 0 => {
-                    let (fp, bytes) = fresh_body(&sim.name, sim.family, sim.wire, &insts, &mut rng);
+                    let (fp, bytes) = fresh_body(&sim.name, sim.wire, &insts, &mut rng);
                     io.write(&sim.path, bytes.clone());
                     sim.target = Some((fp, bytes));
                     stats.note(|| {
@@ -441,7 +406,7 @@ fn run_schedule(case: u32, stats: &mut ScheduleStats) {
                     });
                 }
                 1 => {
-                    let (fp, bytes) = fresh_body(&sim.name, sim.family, sim.wire, &insts, &mut rng);
+                    let (fp, bytes) = fresh_body(&sim.name, sim.wire, &insts, &mut rng);
                     io.write(&sim.path, bytes.clone());
                     sim.target = Some((fp, bytes));
                     sim.sidecar = if keyed && rng.next_f64() < 0.5 {
@@ -491,7 +456,7 @@ fn run_schedule(case: u32, stats: &mut ScheduleStats) {
                     }
                 }
                 4 => {
-                    let (fp, bytes) = fresh_body(&sim.name, sim.family, sim.wire, &insts, &mut rng);
+                    let (fp, bytes) = fresh_body(&sim.name, sim.wire, &insts, &mut rng);
                     let polls = rng.usize_in(1, 4) as u32;
                     io.write_torn(&sim.path, bytes.clone(), polls);
                     sim.target = Some((fp, bytes));

@@ -95,72 +95,6 @@ impl MachineDescription {
         insts.iter().all(|(_, d)| self.class_map.contains_key(&d.class))
     }
 
-    /// Rebuilds a description from per-instruction µOP rows (`(port mask,
-    /// inverse throughput)` pairs) — the inverse of
-    /// [`DisjunctiveMapping::uop_rows`], and the path a persisted
-    /// disjunctive artifact takes back into a bindable machine description.
-    ///
-    /// The class map is keyed by execution class, so every instruction of a
-    /// class present in `rows` must carry the same µOPs; instructions (and
-    /// classes) without a row are simply left undefined, exactly like a
-    /// hand-built description that does not cover them.
-    ///
-    /// # Errors
-    ///
-    /// Rejects rows referencing instructions outside `insts`, empty rows or
-    /// masks, masks using ports at or beyond `num_ports`, non-finite or
-    /// non-positive inverse throughputs, and two instructions of one class
-    /// with differing µOPs.
-    pub fn from_uop_rows(
-        name: impl Into<String>,
-        num_ports: usize,
-        front_end: FrontEnd,
-        insts: &InstructionSet,
-        rows: &[(InstId, Vec<(u32, f64)>)],
-    ) -> Result<MachineDescription, String> {
-        let mut description = MachineDescription::new(name, num_ports, front_end);
-        for (inst, row) in rows {
-            if inst.index() >= insts.len() {
-                return Err(format!(
-                    "row references {inst} but the instruction set has {} entries",
-                    insts.len()
-                ));
-            }
-            if row.is_empty() {
-                return Err(format!("row for {inst} has no µOPs"));
-            }
-            let mut uops = Vec::with_capacity(row.len());
-            for &(mask, inverse_throughput) in row {
-                if mask == 0 || (num_ports < 32 && mask >= (1u32 << num_ports)) {
-                    return Err(format!(
-                        "µOP mask {mask:#b} of {inst} is empty or exceeds {num_ports} ports"
-                    ));
-                }
-                if !inverse_throughput.is_finite() || inverse_throughput <= 0.0 {
-                    return Err(format!(
-                        "µOP inverse throughput {inverse_throughput} of {inst} is not finite \
-                         and positive"
-                    ));
-                }
-                uops.push(MicroOp { ports: PortSet::from_mask(mask), inverse_throughput });
-            }
-            let class = insts.desc(*inst).class;
-            match description.class_map.get(&class) {
-                Some(existing) if *existing != uops => {
-                    return Err(format!(
-                        "instructions of class {class} disagree on their µOPs \
-                         (the class map is keyed by class)"
-                    ));
-                }
-                Some(_) => {}
-                None => {
-                    description.class_map.insert(class, uops);
-                }
-            }
-        }
-        Ok(description)
-    }
-
     /// Binds this description to an instruction set, producing the resolved
     /// per-instruction mapping.
     ///
@@ -240,25 +174,6 @@ impl DisjunctiveMapping {
     pub fn kernel_uop_count(&self, kernel: &Microkernel) -> f64 {
         kernel.iter().map(|(inst, count)| count as f64 * self.uop_count(inst) as f64).sum()
     }
-
-    /// Flattens the resolved mapping into per-instruction µOP rows —
-    /// `(port mask, inverse throughput)` pairs per instruction, the
-    /// interchange form disjunctive artifacts persist.  One row per
-    /// instruction of the set, in instruction order; the inverse of
-    /// [`MachineDescription::from_uop_rows`] up to class-level sharing.
-    pub fn uop_rows(&self) -> Vec<(InstId, Vec<(u32, f64)>)> {
-        self.insts
-            .ids()
-            .map(|inst| {
-                let row = self
-                    .uops(inst)
-                    .iter()
-                    .map(|u| (u.ports.mask(), u.inverse_throughput))
-                    .collect();
-                (inst, row)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -330,68 +245,6 @@ mod tests {
     fn defining_class_checks_port_range() {
         let mut m = MachineDescription::new("bad", 2, FrontEnd::unlimited());
         m.define_class(ExecClass::IntAlu, vec![MicroOp::pipelined(PortSet::from_ports([5]))]);
-    }
-
-    #[test]
-    fn uop_rows_round_trip_through_from_uop_rows() {
-        let m = tiny_machine();
-        let insts = tiny_insts();
-        let map = m.bind(Arc::clone(&insts));
-        let rows = map.uop_rows();
-        assert_eq!(rows.len(), insts.len());
-        let rebuilt = MachineDescription::from_uop_rows(
-            "tiny-rebuilt",
-            m.num_ports,
-            m.front_end,
-            &insts,
-            &rows,
-        )
-        .unwrap();
-        assert_eq!(rebuilt.class_map, m.class_map);
-        let rebound = Arc::new(rebuilt).bind(Arc::clone(&insts));
-        for id in insts.ids() {
-            assert_eq!(rebound.uops(id), map.uops(id), "{id}");
-        }
-        assert_eq!(rebound.uop_rows(), rows);
-    }
-
-    #[test]
-    fn from_uop_rows_rejects_inconsistent_and_invalid_rows() {
-        let insts = tiny_insts();
-        let fe = FrontEnd::unlimited();
-        let ok = |rows: &[(InstId, Vec<(u32, f64)>)]| {
-            MachineDescription::from_uop_rows("t", 2, fe, &insts, rows)
-        };
-        assert!(ok(&[(InstId(0), vec![(0b01, 1.0)])]).is_ok());
-        assert!(ok(&[(InstId(9), vec![(0b01, 1.0)])]).is_err(), "unknown instruction");
-        assert!(ok(&[(InstId(0), vec![])]).is_err(), "empty row");
-        assert!(ok(&[(InstId(0), vec![(0, 1.0)])]).is_err(), "empty mask");
-        assert!(ok(&[(InstId(0), vec![(0b100, 1.0)])]).is_err(), "mask beyond ports");
-        assert!(ok(&[(InstId(0), vec![(0b01, 0.0)])]).is_err(), "zero throughput");
-        assert!(ok(&[(InstId(0), vec![(0b01, f64::INFINITY)])]).is_err(), "infinite");
-        // Two IntAlu-class instructions disagreeing on µOPs: the class map
-        // cannot represent that.
-        let more = Arc::new(InstructionSet::from_descs([
-            InstDesc::new("ADD", ExecClass::IntAlu),
-            InstDesc::new("SUB", ExecClass::IntAlu),
-        ]));
-        assert!(MachineDescription::from_uop_rows(
-            "t",
-            2,
-            fe,
-            &more,
-            &[(InstId(0), vec![(0b01, 1.0)]), (InstId(1), vec![(0b10, 1.0)])],
-        )
-        .is_err());
-        // Agreement is fine.
-        assert!(MachineDescription::from_uop_rows(
-            "t",
-            2,
-            fe,
-            &more,
-            &[(InstId(0), vec![(0b01, 1.0)]), (InstId(1), vec![(0b01, 1.0)])],
-        )
-        .is_ok());
     }
 
     #[test]

@@ -78,9 +78,8 @@ pub enum ArtifactError {
         /// Human-readable description of the violation.
         reason: String,
     },
-    /// The buffer holds a valid artifact of a different kind than the
-    /// caller can load (e.g. a disjunctive `PALMED-DISJ v1` buffer handed
-    /// to the conjunctive codec).
+    /// The buffer holds an artifact of a different kind than the caller
+    /// can load (e.g. a `v2b` buffer handed to the v1-to-v2b migration).
     WrongKind {
         /// The kind the caller expected.
         expected: ModelKind,
@@ -466,8 +465,7 @@ impl ModelArtifact {
     /// Renders the artifact in the binary `PALMED-MODEL v2b` format (see the
     /// crate docs for the layout), checksum trailer included.
     pub fn render_v2(&self) -> Vec<u8> {
-        use crate::codec::ArtifactCodec;
-        crate::binfmt::V2bCodec::encode(self)
+        crate::binfmt::encode(self)
     }
 
     /// Parses a binary `v2b` artifact, verifying the checksum.
@@ -477,8 +475,7 @@ impl ModelArtifact {
     /// Returns an [`ArtifactError`] on any layout violation, truncation or
     /// checksum mismatch; never panics on untrusted input.
     pub fn parse_v2(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        use crate::codec::ArtifactCodec;
-        crate::binfmt::V2bCodec::decode(bytes)
+        crate::binfmt::decode(bytes)
     }
 
     /// Parses an artifact in either conjunctive format, sniffing the version
@@ -489,16 +486,16 @@ impl ModelArtifact {
     ///
     /// Returns an [`ArtifactError`] from the selected codec; non-UTF-8 input
     /// without a binary magic is reported as
-    /// [`ArtifactError::MissingHeader`], and a disjunctive-family buffer as
-    /// [`ArtifactError::WrongKind`] (load those through
-    /// [`DisjArtifact`](crate::DisjArtifact) or the registry).
+    /// [`ArtifactError::MissingHeader`], and a buffer in the retired
+    /// `PALMED-DISJ v1` format as [`ArtifactError::MalformedBinary`] at
+    /// offset 0.
     pub fn parse_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
         match ModelKind::sniff(bytes) {
             ModelKind::ConjunctiveV2b => Self::parse_v2(bytes),
             ModelKind::ConjunctiveV1 => {
+                crate::codec::reject_retired_format(bytes)?;
                 Self::parse(std::str::from_utf8(bytes).map_err(|_| ArtifactError::MissingHeader)?)
             }
-            found => Err(ArtifactError::WrongKind { expected: ModelKind::ConjunctiveV1, found }),
         }
     }
 
@@ -539,7 +536,6 @@ impl ModelArtifact {
     /// way of loading the same model — v1 text, v2b bytes, migrated —
     /// produces the same value.
     pub fn fingerprint(&self) -> u64 {
-        use crate::compiled::KernelLoad;
         self.compile().fingerprint(self.instructions.len())
     }
 
@@ -597,7 +593,6 @@ pub(crate) mod tests_support {
 mod tests {
     use super::tests_support::example;
     use super::*;
-    use crate::compiled::KernelLoad;
     use palmed_isa::Microkernel;
 
     #[test]

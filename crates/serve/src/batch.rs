@@ -21,13 +21,12 @@
 //!   thousand distinct kernels a request carries, worker threads cost more
 //!   CPU than they save and win no wall time.
 //!
-//! [`BatchPredictor`] is generic over [`KernelLoad`], so the same engine
-//! serves a [`CompiledModel`] (owned, or borrowed from a
-//! [`ServedModel`](crate::ServedModel)) or a disjunctive model.
+//! [`BatchPredictor`] borrows a [`CompiledModel`] (standalone, or the one a
+//! [`ServedModel`](crate::ServedModel) holds).
 //! [`BatchPredictor::predict`] chains ingest and serve for one-shot use,
 //! deduplicating by reference so distinct kernels are never cloned.
 
-use crate::compiled::{CompiledModel, KernelLoad};
+use crate::compiled::CompiledModel;
 use crate::corpus::Corpus;
 use palmed_isa::{KernelSet, Microkernel};
 use std::borrow::Borrow;
@@ -226,21 +225,21 @@ impl BatchScatter {
     }
 }
 
-/// A batch front-end over any [`KernelLoad`] model, owned or borrowed.
+/// A batch front-end over a borrowed [`CompiledModel`].
 #[derive(Debug, Clone, Copy)]
-pub struct BatchPredictor<M = CompiledModel> {
-    model: M,
+pub struct BatchPredictor<'m> {
+    model: &'m CompiledModel,
 }
 
-impl<M: KernelLoad> BatchPredictor<M> {
-    /// Wraps a model.  `M` is typically a reference (`&CompiledModel`).
-    pub fn new(model: M) -> Self {
+impl<'m> BatchPredictor<'m> {
+    /// Wraps a model.
+    pub fn new(model: &'m CompiledModel) -> Self {
         BatchPredictor { model }
     }
 
     /// The model this predictor serves.
-    pub fn model(&self) -> &M {
-        &self.model
+    pub fn model(&self) -> &'m CompiledModel {
+        self.model
     }
 
     /// One-shot convenience: ingest and serve in a single call.  The dedup

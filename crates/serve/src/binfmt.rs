@@ -34,30 +34,11 @@
 //! ```
 
 use crate::artifact::{token, ArtifactError, ModelArtifact};
-use crate::codec::{
-    finish_trailer, push_f64, push_str, push_u32, ArtifactCodec, Cursor, ModelKind, V2B_MAGIC,
-};
+use crate::codec::{finish_trailer, push_f64, push_str, push_u32, Cursor, V2B_MAGIC};
 use crate::compiled::CompiledModel;
 use crate::registry::ServedModel;
 use palmed_core::ThroughputPredictor;
 use palmed_isa::InstId;
-
-/// The `PALMED-MODEL v2b` codec, as the registry's sniff table sees it.
-pub(crate) struct V2bCodec;
-
-impl ArtifactCodec for V2bCodec {
-    const KIND: ModelKind = ModelKind::ConjunctiveV2b;
-    const MAGIC: &'static [u8] = V2B_MAGIC;
-    type Artifact = ModelArtifact;
-
-    fn encode(artifact: &ModelArtifact) -> Vec<u8> {
-        encode(artifact)
-    }
-
-    fn decode(bytes: &[u8]) -> Result<ModelArtifact, ArtifactError> {
-        decode(bytes)
-    }
-}
 
 /// Serialises an artifact into the v2b binary form, checksum included.  The
 /// CSR section is the compiled model's sparse rows ([`CompiledModel::row`]).
@@ -107,7 +88,7 @@ pub(crate) fn encode(artifact: &ModelArtifact) -> Vec<u8> {
 /// and migrated — so corruption, truncation and crafted structural
 /// violations are rejected identically everywhere.
 pub(crate) fn validate(bytes: &[u8]) -> Result<ServedModel, ArtifactError> {
-    let body = crate::codec::verify_for::<V2bCodec>(bytes)?;
+    let body = crate::codec::verify_trailer(bytes, V2B_MAGIC)?;
 
     let mut cur = Cursor::after_magic(body, V2B_MAGIC);
     let machine = cur.token("machine name")?.to_string();

@@ -1,15 +1,16 @@
 //! The FNV-1a-64 integrity checksum shared by every artifact codec.
 //!
-//! Both artifact families trail their bytes with an FNV-1a 64-bit hash, in
-//! one of two stridings:
+//! Both artifact forms trail their bytes with an FNV-1a 64-bit hash, in one
+//! of two stridings:
 //!
 //! * [`fnv1a64`] — the classic byte-at-a-time variant, used by the
 //!   `PALMED-MODEL v1` text trailer, where the integrity sweep is a rounding
 //!   error next to the float parsing it protects.
 //! * [`fnv1a64_words`] — the same hash strided over zero-padded 8-byte
-//!   little-endian words, used by the binary codecs (`PALMED-MODEL v2b`,
-//!   `PALMED-DISJ v1`): 8× fewer multiplies, because the dominant cost of a
-//!   validate-and-copy load would otherwise be the integrity sweep itself.
+//!   little-endian words, used by the binary `PALMED-MODEL v2b` codec and
+//!   the `PALMED-WIRE v1` frames: 8× fewer multiplies, because the dominant
+//!   cost of a validate-and-copy load would otherwise be the integrity sweep
+//!   itself.
 //!
 //! The checksum is **integrity, not authentication**: an attacker can always
 //! re-hash a crafted body, so every codec's structural validation must hold

@@ -1,20 +1,19 @@
 //! Shared codec machinery: tagged model kinds, format sniffing, and the
-//! byte-level plumbing every binary artifact codec is built from.
+//! byte-level plumbing the binary artifact codec is built from.
 //!
-//! The serve crate persists two model *families* — the conjunctive resource
-//! mapping Palmed infers ([`ModelArtifact`](crate::ModelArtifact)) and the
-//! disjunctive port mapping PMEvo evolves
-//! ([`DisjArtifact`](crate::DisjArtifact)) — across three concrete formats.
-//! [`ModelKind`] is the tag that names one (family, format) pair; sniffing a
-//! buffer ([`ModelKind::sniff`]) keys on the magic first bytes, with the v1
-//! text form as the magic-less fallback.
+//! The serve crate persists one model *family*, the conjunctive resource
+//! mapping Palmed infers ([`ModelArtifact`](crate::ModelArtifact)), in two
+//! on-disk forms.  [`ModelKind`] is the tag that names one form; sniffing a
+//! buffer ([`ModelKind::sniff`]) keys on the `v2b` magic, with the v1 text
+//! form as the magic-less fallback.  Buffers that start with the magic of
+//! the retired `PALMED-DISJ v1` format are rejected by name, with a
+//! structured [`ArtifactError::MalformedBinary`] at offset 0.
 //!
-//! Every binary codec shares the same skeleton, factored here.  The framing
-//! primitives — [`finish_trailer`]/[`verify_trailer`], the `push_*` writers
-//! and the [`Cursor`] validate-pass reader — are public so out-of-crate
-//! binary formats (notably the `palmed-wire` network frames) get the exact
-//! same discipline; the family-specific section readers stay
-//! crate-internal:
+//! The binary codec's skeleton is factored here.  The framing primitives —
+//! [`finish_trailer`]/[`verify_trailer`], the `push_*` writers and the
+//! [`Cursor`] validate-pass reader — are public so out-of-crate binary
+//! formats (notably the `palmed-wire` network frames) get the exact same
+//! discipline; the section readers stay crate-internal:
 //!
 //! * a magic line, then length-prefixed little-endian sections;
 //! * an FNV-1a-64 trailer over 8-byte words ([`crate::checksum`]), appended
@@ -22,12 +21,7 @@
 //!   structural read;
 //! * a validate pass over a `Cursor` with offset-tagged errors and
 //!   allocation-capping reads, which checks every structural invariant
-//!   before the family's owned form is built.
-//!
-//! Concrete codecs implement the `ArtifactCodec` trait, which ties a magic
-//! and a [`ModelKind`] to the family's encode/decode entry points; the
-//! registry dispatches on [`ModelKind::sniff`] instead of hard-wiring one
-//! format.
+//!   before the owned form is built.
 
 use crate::artifact::ArtifactError;
 use crate::checksum::fnv1a64_words;
@@ -38,54 +32,40 @@ use std::ops::Range;
 /// First bytes of every `PALMED-MODEL v2b` artifact.
 pub(crate) const V2B_MAGIC: &[u8] = b"PALMED-MODEL v2b\n";
 
-/// First bytes of every `PALMED-DISJ v1` artifact.
-pub(crate) const DISJ_MAGIC: &[u8] = b"PALMED-DISJ v1\n";
+/// First bytes of a `PALMED-DISJ v1` artifact, a disjunctive port-mapping
+/// format this crate does not read; see [`reject_retired_format`].
+const RETIRED_DISJ_MAGIC: &[u8] = b"PALMED-DISJ v1\n";
 
-/// The tagged (family, format) pair of a persisted model: what a buffer
-/// sniffs as, and what every registry entry reports.
+/// The on-disk form of a persisted model: what a buffer sniffs as, and what
+/// every registry entry reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ModelKind {
-    /// Conjunctive resource mapping, `PALMED-MODEL v1` text (the
-    /// interchange/debug form).
+    /// `PALMED-MODEL v1` text (the interchange/debug form).
     ConjunctiveV1,
-    /// Conjunctive resource mapping, `PALMED-MODEL v2b` binary (the fast
-    /// load path: its usages are raw `f64` bits, not parsed decimals).
+    /// `PALMED-MODEL v2b` binary (the fast load path: its usages are raw
+    /// `f64` bits, not parsed decimals).
     ConjunctiveV2b,
-    /// Disjunctive port mapping (port sets + inverse throughputs),
-    /// `PALMED-DISJ v1` binary — the family PMEvo-style baselines persist.
-    DisjunctiveV1,
 }
 
 impl ModelKind {
     /// All kinds, in sniffing order.
-    pub const ALL: [ModelKind; 3] =
-        [ModelKind::ConjunctiveV2b, ModelKind::DisjunctiveV1, ModelKind::ConjunctiveV1];
+    pub const ALL: [ModelKind; 2] = [ModelKind::ConjunctiveV2b, ModelKind::ConjunctiveV1];
 
-    /// Decides the kind of a buffer from its first bytes.  The two binary
-    /// magics are authoritative; anything else must be the magic-less v1
-    /// text form (whose own parser rejects non-artifacts).
+    /// Decides the kind of a buffer from its first bytes.  The binary magic
+    /// is authoritative; anything else must be the magic-less v1 text form
+    /// (whose own parser rejects non-artifacts).
     pub fn sniff(bytes: &[u8]) -> ModelKind {
         if bytes.starts_with(V2B_MAGIC) {
             ModelKind::ConjunctiveV2b
-        } else if bytes.starts_with(DISJ_MAGIC) {
-            ModelKind::DisjunctiveV1
         } else {
             ModelKind::ConjunctiveV1
-        }
-    }
-
-    /// The model family (`"conjunctive"` / `"disjunctive"`).
-    pub fn family(self) -> &'static str {
-        match self {
-            ModelKind::ConjunctiveV1 | ModelKind::ConjunctiveV2b => "conjunctive",
-            ModelKind::DisjunctiveV1 => "disjunctive",
         }
     }
 
     /// The on-disk format version tag (`"v1"` / `"v2b"`).
     pub fn version(self) -> &'static str {
         match self {
-            ModelKind::ConjunctiveV1 | ModelKind::DisjunctiveV1 => "v1",
+            ModelKind::ConjunctiveV1 => "v1",
             ModelKind::ConjunctiveV2b => "v2b",
         }
     }
@@ -96,33 +76,24 @@ impl fmt::Display for ModelKind {
         match self {
             ModelKind::ConjunctiveV1 => f.write_str("PALMED-MODEL v1"),
             ModelKind::ConjunctiveV2b => f.write_str("PALMED-MODEL v2b"),
-            ModelKind::DisjunctiveV1 => f.write_str("PALMED-DISJ v1"),
         }
     }
 }
 
-/// A concrete artifact codec: one magic, one [`ModelKind`], one in-memory
-/// artifact family.  The registry and the migration helpers dispatch through
-/// [`ModelKind::sniff`] to one of these.
-pub(crate) trait ArtifactCodec {
-    /// The kind this codec reads and writes.
-    const KIND: ModelKind;
-    /// The magic first bytes of the format (empty for magic-less text).
-    const MAGIC: &'static [u8];
-    /// The in-memory artifact type.
-    type Artifact;
-
-    /// Serialises an artifact, integrity trailer included.
-    fn encode(artifact: &Self::Artifact) -> Vec<u8>;
-
-    /// Validates and materialises an artifact.
-    fn decode(bytes: &[u8]) -> Result<Self::Artifact, ArtifactError>;
-}
-
-/// [`verify_trailer`] keyed by a codec's magic — the first step of every
-/// binary decode.
-pub(crate) fn verify_for<C: ArtifactCodec>(bytes: &[u8]) -> Result<&[u8], ArtifactError> {
-    verify_trailer(bytes, C::MAGIC)
+/// Rejects a buffer in a format this crate no longer reads, naming it:
+/// `PALMED-DISJ v1` bytes fail with a structured
+/// [`ArtifactError::MalformedBinary`] at offset 0 instead of falling through
+/// to the v1 text parser's generic missing-header error.
+pub(crate) fn reject_retired_format(bytes: &[u8]) -> Result<(), ArtifactError> {
+    if bytes.starts_with(RETIRED_DISJ_MAGIC) {
+        return Err(ArtifactError::MalformedBinary {
+            offset: 0,
+            reason: "unknown artifact format `PALMED-DISJ v1`: disjunctive models are no \
+                     longer served"
+                .to_string(),
+        });
+    }
+    Ok(())
 }
 
 /// Appends the strided-word FNV trailer to a finished binary body.
@@ -169,7 +140,7 @@ pub fn push_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-/// Writes the instruction inventory section shared by the binary codecs:
+/// Writes the instruction inventory section of the binary codec:
 /// a `u32` count, then per instruction a token name plus class/extension
 /// codes indexing [`ExecClass::ALL`] / [`Extension::ALL`].
 pub(crate) fn write_instruction_table(out: &mut Vec<u8>, instructions: &InstructionSet) {
@@ -253,7 +224,7 @@ pub(crate) fn check_dense_cells(
     Ok(())
 }
 
-/// Reads and validates a CSR pointer array shared by the binary codecs: a
+/// Reads and validates the binary codec's CSR pointer array: a
 /// `(slots + 1)`-entry little-endian `u32` run followed by its `u32` entry
 /// count, with the endpoints pinned to `0 .. total` and full monotonicity
 /// checked up front — so no later row walk can index
@@ -291,13 +262,6 @@ pub(crate) fn read_csr_ptr(
 pub(crate) fn u32_at(bytes: &[u8], range: &Range<usize>, i: usize) -> u32 {
     let at = range.start + 4 * i;
     u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
-}
-
-/// Reads the `i`-th little-endian `f64` bit pattern of a validated range.
-#[inline]
-pub(crate) fn f64_at(bytes: &[u8], range: &Range<usize>, i: usize) -> f64 {
-    let at = range.start + 8 * i;
-    f64::from_bits(u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes")))
 }
 
 /// Byte cursor with offset-tagged errors and allocation-capping reads — the
@@ -419,15 +383,12 @@ fn utf8_at<'a>(bytes: &'a [u8], start: usize, what: &str) -> Result<&'a str, Art
 ///
 /// # Errors
 ///
-/// Rejects buffers that are not v1 text (a v2b buffer is already migrated;
-/// a `PALMED-DISJ v1` buffer is a different model family) with
-/// [`ArtifactError::WrongKind`], and propagates every v1 parse failure.
+/// Rejects a v2b buffer (it is already migrated) with
+/// [`ArtifactError::WrongKind`], and propagates every v1 parse failure of
+/// [`ModelArtifact::parse_bytes`](crate::ModelArtifact::parse_bytes).
 pub fn migrate_v1_to_v2b(bytes: &[u8]) -> Result<Vec<u8>, ArtifactError> {
     match ModelKind::sniff(bytes) {
-        ModelKind::ConjunctiveV1 => {
-            let text = std::str::from_utf8(bytes).map_err(|_| ArtifactError::MissingHeader)?;
-            Ok(crate::ModelArtifact::parse(text)?.render_v2())
-        }
+        ModelKind::ConjunctiveV1 => Ok(crate::ModelArtifact::parse_bytes(bytes)?.render_v2()),
         found => Err(ArtifactError::WrongKind { expected: ModelKind::ConjunctiveV1, found }),
     }
 }
@@ -439,20 +400,28 @@ mod tests {
     #[test]
     fn sniffing_keys_on_the_magic_bytes() {
         assert_eq!(ModelKind::sniff(b"PALMED-MODEL v2b\nrest"), ModelKind::ConjunctiveV2b);
-        assert_eq!(ModelKind::sniff(b"PALMED-DISJ v1\nrest"), ModelKind::DisjunctiveV1);
         assert_eq!(ModelKind::sniff(b"PALMED-MODEL v1\n"), ModelKind::ConjunctiveV1);
         assert_eq!(ModelKind::sniff(b""), ModelKind::ConjunctiveV1);
     }
 
     #[test]
-    fn kind_reports_family_and_version() {
-        assert_eq!(ModelKind::ConjunctiveV1.family(), "conjunctive");
+    fn kind_reports_its_version() {
+        assert_eq!(ModelKind::ConjunctiveV1.version(), "v1");
         assert_eq!(ModelKind::ConjunctiveV2b.version(), "v2b");
-        assert_eq!(ModelKind::DisjunctiveV1.family(), "disjunctive");
-        assert_eq!(ModelKind::DisjunctiveV1.version(), "v1");
         for kind in ModelKind::ALL {
             assert!(!kind.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn retired_disj_bytes_are_rejected_by_name_at_offset_zero() {
+        let error = reject_retired_format(b"PALMED-DISJ v1\nrest").unwrap_err();
+        assert_eq!(error.class(), "malformed-binary");
+        assert_eq!(error.offset(), Some(0));
+        assert!(error.to_string().contains("PALMED-DISJ v1"), "{error}");
+        assert!(reject_retired_format(b"PALMED-MODEL v1\n").is_ok());
+        assert!(reject_retired_format(V2B_MAGIC).is_ok());
+        assert!(reject_retired_format(b"").is_ok());
     }
 
     #[test]
@@ -488,7 +457,7 @@ mod tests {
         let sealed = finish_trailer(body.clone());
         assert_eq!(verify_trailer(&sealed, V2B_MAGIC).unwrap(), &body[..]);
         // Wrong magic.
-        assert!(matches!(verify_trailer(&sealed, DISJ_MAGIC), Err(ArtifactError::MissingHeader)));
+        assert!(matches!(verify_trailer(&sealed, b"OTHER\n"), Err(ArtifactError::MissingHeader)));
         // Too short for a trailer.
         assert!(matches!(
             verify_trailer(V2B_MAGIC, V2B_MAGIC),

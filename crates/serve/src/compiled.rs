@@ -18,11 +18,11 @@
 //! skip the few zeros, while the dense loop streams whole rows (71 KB
 //! against ≈88 KB of CSR arrays).
 //!
-//! [`CompiledModel`] is the one form a conjunctive model serves from: a
-//! registered artifact compiles into it, and a `v2b` load scatters its
-//! validated CSR section into it.  Its [`KernelLoad`] impl holds the single
-//! dense hot loop; [`KernelLoad`] is the allocation-free serving interface
-//! the batch engine is generic over.  [`CompiledModel::to_mapping`] inverts
+//! [`CompiledModel`] is the one form a model serves from: a registered
+//! artifact compiles into it, and a `v2b` load scatters its validated CSR
+//! section into it.  [`CompiledModel::load_into`] holds the single dense hot
+//! loop, and the `_with` methods around it are the allocation-free serving
+//! interface the batch engine calls.  [`CompiledModel::to_mapping`] inverts
 //! [`CompiledModel::compile`] exactly, so a served model can always hand
 //! back the artifact it came from.
 //!
@@ -44,10 +44,9 @@ use std::cell::RefCell;
 
 thread_local! {
     /// Reusable load buffer for the borrow-free [`ThroughputPredictor`]
-    /// entry points (shared with the disjunctive family in [`crate::disj`]),
-    /// so trait-object consumers (e.g. the evaluation campaign) stay
-    /// allocation-free per call like the scratch-based API.
-    pub(crate) static LOAD_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    /// entry points, so trait-object consumers (e.g. the evaluation
+    /// campaign) stay allocation-free per call like the scratch-based API.
+    static LOAD_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A conjunctive mapping compiled into dense rows for allocation-free
@@ -163,16 +162,13 @@ impl CompiledModel {
         });
         ConjunctiveMapping::from_rows(self.resource_names.clone(), rows)
     }
-}
 
-impl KernelLoad for CompiledModel {
-    fn num_resources(&self) -> usize {
-        self.resource_names.len()
-    }
-
-    /// The dense hot loop — the only one in the crate.
+    /// Writes the per-resource load of one kernel iteration into `scratch`
+    /// (cleared and resized as needed).  Allocation-free once the buffer has
+    /// the right capacity.  This is the dense hot loop, the only one in the
+    /// crate.
     #[inline]
-    fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) {
+    pub fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) {
         scratch.clear();
         scratch.resize(self.resource_names.len(), 0.0);
         for &(inst, count) in kernel.as_slice() {
@@ -183,62 +179,21 @@ impl KernelLoad for CompiledModel {
             }
         }
     }
-}
-
-impl ThroughputPredictor for CompiledModel {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn supports(&self, inst: InstId) -> bool {
-        self.mapped.get(inst.index()).is_some_and(|&m| m != 0)
-    }
-
-    /// Trait-object entry point, backed by a thread-local scratch buffer so
-    /// it stays allocation-free per call.  Explicit hot paths should still
-    /// prefer [`KernelLoad::ipc_with`] or a [`BatchPredictor`] (see
-    /// [`crate::batch`]).
-    ///
-    /// [`BatchPredictor`]: crate::BatchPredictor
-    fn predict_ipc(&self, kernel: &Microkernel) -> Option<f64> {
-        LOAD_SCRATCH.with_borrow_mut(|scratch| self.ipc_with(kernel, scratch))
-    }
-}
-
-/// The allocation-free serving interface, shared by the conjunctive
-/// [`CompiledModel`] and the disjunctive
-/// [`CompiledDisjModel`](crate::CompiledDisjModel).  The batch engine
-/// ([`BatchPredictor`](crate::BatchPredictor)) is generic over it, so the
-/// whole post-inference data plane serves every model family through one
-/// code path.
-///
-/// The provided combinators reproduce the exact arithmetic of
-/// [`ConjunctiveMapping::ipc`] and friends, so any implementor whose
-/// [`load_into`](KernelLoad::load_into) accumulates the same additions in
-/// the same order predicts bit-identically.
-pub trait KernelLoad {
-    /// Number of abstract resources (the scratch width).
-    fn num_resources(&self) -> usize;
-
-    /// Writes the per-resource load of one kernel iteration into `scratch`
-    /// (cleared and resized as needed).  Allocation-free once the buffer has
-    /// the right capacity.
-    fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>);
 
     /// A scratch buffer sized for this model, for the `_with` entry points.
-    fn scratch(&self) -> Vec<f64> {
+    pub fn scratch(&self) -> Vec<f64> {
         vec![0.0; self.num_resources()]
     }
 
     /// Execution time `t(K)` of one loop iteration (Def. IV.2).
-    fn execution_time_with(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) -> f64 {
+    pub fn execution_time_with(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) -> f64 {
         self.load_into(kernel, scratch);
         scratch.iter().copied().fold(0.0, f64::max)
     }
 
     /// Throughput (IPC) of a microkernel (Def. IV.3), bit-identical to
     /// [`ConjunctiveMapping::ipc`].
-    fn ipc_with(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) -> Option<f64> {
+    pub fn ipc_with(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) -> Option<f64> {
         let t = self.execution_time_with(kernel, scratch);
         if t <= 0.0 {
             None
@@ -248,7 +203,7 @@ pub trait KernelLoad {
     }
 
     /// The resource that bottlenecks `kernel`, together with its load.
-    fn bottleneck_with(
+    pub fn bottleneck_with(
         &self,
         kernel: &Microkernel,
         scratch: &mut Vec<f64>,
@@ -267,22 +222,32 @@ pub trait KernelLoad {
 
     /// The model's determinism fingerprint over the pinned probe corpus for
     /// `num_slots` instruction slots (use the artifact's instruction-set
-    /// length).  Any two implementors that predict bit-identically — compiled
-    /// from an artifact, copied from `v2b` bytes, migrated — fingerprint
+    /// length).  Every way of installing one model (compiled from an
+    /// artifact, scattered from `v2b` bytes, migrated) fingerprints
     /// identically; see
     /// [`model_fingerprint`](crate::fingerprint::model_fingerprint).
-    fn fingerprint(&self, num_slots: usize) -> u64 {
+    pub fn fingerprint(&self, num_slots: usize) -> u64 {
         crate::fingerprint::model_fingerprint(self, num_slots)
     }
 }
 
-impl<M: KernelLoad + ?Sized> KernelLoad for &M {
-    fn num_resources(&self) -> usize {
-        (**self).num_resources()
+impl ThroughputPredictor for CompiledModel {
+    fn name(&self) -> &str {
+        &self.name
     }
 
-    fn load_into(&self, kernel: &Microkernel, scratch: &mut Vec<f64>) {
-        (**self).load_into(kernel, scratch)
+    fn supports(&self, inst: InstId) -> bool {
+        self.mapped.get(inst.index()).is_some_and(|&m| m != 0)
+    }
+
+    /// Trait-object entry point, backed by a thread-local scratch buffer so
+    /// it stays allocation-free per call.  Explicit hot paths should still
+    /// prefer [`CompiledModel::ipc_with`] or a [`BatchPredictor`] (see
+    /// [`crate::batch`]).
+    ///
+    /// [`BatchPredictor`]: crate::BatchPredictor
+    fn predict_ipc(&self, kernel: &Microkernel) -> Option<f64> {
+        LOAD_SCRATCH.with_borrow_mut(|scratch| self.ipc_with(kernel, scratch))
     }
 }
 

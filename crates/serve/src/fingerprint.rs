@@ -2,7 +2,7 @@
 //!
 //! The codecs' checksums prove the **bytes** arrived intact; they say nothing
 //! about whether two differently-encoded artifacts — a v1 text file and its
-//! v2b migration, a [`CompiledModel`](crate::CompiledModel) compiled from an
+//! v2b migration, a [`CompiledModel`] compiled from an
 //! artifact and one copied from v2b bytes — are the *same model*.  A fingerprint closes that gap: it is an FNV-1a-64 hash over
 //! the bit patterns of the model's IPC predictions on a pinned, deterministic
 //! probe corpus, so any two loads that predict bit-identically fingerprint
@@ -36,7 +36,7 @@
 
 use crate::artifact::ArtifactError;
 use crate::checksum::fnv1a64;
-use crate::compiled::KernelLoad;
+use crate::compiled::CompiledModel;
 use crate::io::ArtifactIo;
 use crate::sign;
 use palmed_isa::{InstId, Microkernel};
@@ -112,7 +112,7 @@ pub fn probe_corpus(num_slots: usize) -> Vec<Microkernel> {
 /// Two models fingerprint identically iff they predict bit-identically on
 /// the probe corpus — which, for the serving plane's ways in, the codec
 /// round-trip tests extend to *all* kernels.
-pub fn model_fingerprint<M: KernelLoad + ?Sized>(model: &M, num_slots: usize) -> u64 {
+pub fn model_fingerprint(model: &CompiledModel, num_slots: usize) -> u64 {
     let mut buffer = Vec::with_capacity(8 * (PROBE_MIXES + num_slots.min(12) + 4));
     buffer.extend_from_slice(&(num_slots as u64).to_le_bytes());
     let mut scratch = model.scratch();

@@ -13,9 +13,9 @@
 //!   parsers — no serde; loading sniffs the format from the first bytes.
 //! * [`compiled`] — [`CompiledModel`]: the mapping flattened into dense
 //!   row-major usage rows (one `resources`-wide row per instruction slot,
-//!   `+0.0` for no usage) that hold the one hot loop, and [`KernelLoad`],
-//!   the serving interface, predicting through a caller-provided scratch
-//!   buffer.
+//!   `+0.0` for no usage) that hold the one hot loop
+//!   ([`CompiledModel::load_into`]), predicting through a caller-provided
+//!   scratch buffer ([`CompiledModel::ipc_with`] and friends).
 //!   Predictions are **bit-identical** to
 //!   [`ConjunctiveMapping::ipc`](palmed_core::ConjunctiveMapping::ipc).
 //! * [`batch`] — [`BatchPredictor`]: dedupes identical microkernels into a
@@ -27,13 +27,7 @@
 //! * [`corpus`] — a text format for basic-block workloads ([`Corpus`]) that
 //!   interns kernels at parse time, so prediction traffic can come from files
 //!   instead of in-process generators and ingest is index bookkeeping.
-//! * [`disj`] — the second model *family*: [`DisjArtifact`] persists a
-//!   disjunctive port mapping (per-instruction µOP rows of port sets +
-//!   inverse throughputs — what PMEvo-style baselines learn) as
-//!   `PALMED-DISJ v1`, and [`CompiledDisjModel`] serves it through the same
-//!   [`KernelLoad`] interface, so baselines load pre-built tables instead
-//!   of re-training every campaign.
-//! * [`checksum`] / [`codec`] — the machinery every codec shares: one
+//! * [`checksum`] / [`codec`] — the machinery the codecs share: one
 //!   FNV-1a-64 implementation (bytewise for the v1 text trailer, strided
 //!   over 8-byte words for the binary trailers), the tagged [`ModelKind`]
 //!   with format sniffing, length-prefixed section plumbing, and the
@@ -48,17 +42,21 @@
 //!
 //! # Serving representations
 //!
-//! One conjunctive entry shape, [`ServedModel`], which serves from an owned
-//! [`CompiledModel`] whatever the input, plus the disjunctive family:
+//! One model family, the conjunctive resource mapping Palmed infers, in two
+//! on-disk forms.  One entry shape, [`ServedModel`], serves it from an owned
+//! [`CompiledModel`] whatever the input:
 //!
 //! | input | entry points | cost at load |
 //! |-------|--------------|--------------|
 //! | in-memory artifact, **v1 text** | [`ModelRegistry::register`], [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`], [`ServedModel::from_artifact`] | (parse every decimal, build rows,) compile |
 //! | **v2b** bytes | [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`], [`ServedModel::from_v2b`] | validate the CSR section and scatter it into dense rows, one pass |
-//! | **disj** | [`ModelRegistry::register_disj`], [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`] | validate, copy µOP rows into an owned [`CompiledDisjModel`] (disjunctive models are tiny) |
 //!
-//! There is one hot loop, [`CompiledModel`]'s [`KernelLoad`] impl, so every
-//! way in predicts bit-identically.  A served entry keeps no
+//! Bytes in the retired `PALMED-DISJ v1` format (a disjunctive port mapping,
+//! the model class of the PMEvo and uops.info baselines) are rejected by
+//! name, with a structured [`ArtifactError::MalformedBinary`] at offset 0.
+//!
+//! There is one hot loop, [`CompiledModel::load_into`], so every way in
+//! predicts bit-identically.  A served entry keeps no
 //! [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping), which serving
 //! never reads: [`ServedModel::to_artifact`] rebuilds it on request through
 //! [`CompiledModel::to_mapping`], the exact inverse of
@@ -73,23 +71,19 @@
 //!
 //! # Versions and migration
 //!
-//! Every registry entry reports its sniffed [`ModelKind`] (family +
-//! format version).  Which conversions are lossless:
+//! Every registry entry reports its sniffed [`ModelKind`] (format version).
+//! The two forms convert losslessly into each other:
 //!
-//! | from \ to | v1 text | v2b | disj |
-//! |-----------|---------|-----|------|
-//! | **v1 text** | — | [`migrate_v1_to_v2b`] / [`ModelArtifact::render_v2`], lossless | ✗ different family |
-//! | **v2b** | [`ModelArtifact::render`] after [`ModelArtifact::parse_v2`], lossless | — | ✗ different family |
-//! | **disj** | ✗ | ✗ | — |
+//! | from \ to | v1 text | v2b |
+//! |-----------|---------|-----|
+//! | **v1 text** | — | [`migrate_v1_to_v2b`] / [`ModelArtifact::render_v2`] |
+//! | **v2b** | [`ModelArtifact::render`] after [`ModelArtifact::parse_v2`] | — |
 //!
-//! The two conjunctive forms are mutually lossless: migrating in either
-//! direction reproduces the artifact bit for bit (round trips are asserted
-//! by the codec property tests).  Crossing families is **not** a migration:
-//! a conjunctive mapping has collapsed the port choice away and cannot
-//! recover port sets, and flattening a disjunctive mapping into conjunctive
-//! resources changes the model class (that flattening is the inference
-//! problem Palmed itself solves).  The registry therefore keeps both
-//! families as first-class kinds instead of converting between them.
+//! Migrating in either direction reproduces the artifact bit for bit (round
+//! trips are asserted by the codec property tests).  There is no migration
+//! from `PALMED-DISJ v1`: a disjunctive port mapping is a different model
+//! class, and flattening it into conjunctive resources is the inference
+//! problem Palmed itself solves.
 //!
 //! # Model artifact format (`PALMED-MODEL v1`)
 //!
@@ -180,7 +174,7 @@
 //! * **Validation promises decodability, not provenance.**  A buffer that
 //!   validates is a well-formed model; nothing says it is the model you
 //!   deployed.  Fingerprints ([`fingerprint::model_fingerprint`],
-//!   [`KernelLoad::fingerprint`]) pin *which* model is served — recorded in
+//!   [`CompiledModel::fingerprint`]) pin *which* model is served — recorded in
 //!   a `.fp` sidecar at save time
 //!   ([`ModelArtifact::save_v2_with_fingerprint`]) and verified by the
 //!   registry at load and refresh time; every way of installing one model —
@@ -296,7 +290,6 @@ pub mod checksum;
 pub mod codec;
 pub mod compiled;
 pub mod corpus;
-pub mod disj;
 pub mod fingerprint;
 pub mod io;
 pub mod registry;
@@ -305,15 +298,14 @@ pub mod sign;
 pub use artifact::{ArtifactError, ModelArtifact};
 pub use batch::{BatchMerge, BatchPredictor, BatchResult, BatchScatter, PreparedBatch};
 pub use codec::{migrate_v1_to_v2b, ModelKind};
-pub use compiled::{CompiledModel, KernelLoad};
+pub use compiled::CompiledModel;
 pub use corpus::{Corpus, CorpusBlock, CorpusError};
-pub use disj::{CompiledDisjModel, DisjArtifact, DisjUop};
 pub use fingerprint::{
     model_fingerprint, probe_corpus, read_sidecar, read_sidecar_with, sidecar_path, write_sidecar,
     write_signed_sidecar, Sidecar,
 };
 pub use io::{ArtifactIo, FileMeta, RealIo};
 pub use registry::{
-    EntryHealth, ModelEntry, ModelRegistry, RefreshOutcome, RefreshStatus, RegistryEntry,
-    RegistrySnapshot, ServedDisjModel, ServedModel,
+    EntryHealth, ModelRegistry, RefreshOutcome, RefreshStatus, RegistryEntry, RegistrySnapshot,
+    ServedModel,
 };

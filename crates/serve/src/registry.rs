@@ -6,17 +6,14 @@
 //! one — while operators push updated artifacts underneath it.
 //! [`ModelRegistry`] is built for that shape:
 //!
-//! * **Polymorphic entries.**  Every entry is a [`RegistryEntry`] tagging a
-//!   [`ModelKind`] (family + format, reported per entry) around one of two
-//!   model payloads: a conjunctive [`ServedModel`] (provenance, instruction
-//!   set and the [`CompiledModel`] it serves from — compiled for in-memory
-//!   and v1 text installs, scattered from the validated CSR section for
-//!   `v2b` ones)
-//!   or a disjunctive [`ServedDisjModel`] (a PMEvo-style port mapping,
-//!   loaded from a `PALMED-DISJ v1` artifact instead of re-evolved per
-//!   campaign).
-//!   [`ModelRegistry::load_file`] and [`ModelRegistry::swap_bytes`] sniff
-//!   the format.
+//! * **One family, two on-disk forms.**  Every entry is a [`RegistryEntry`]
+//!   around one [`ServedModel`] (provenance, instruction set and the
+//!   [`CompiledModel`] it serves from), tagged with the [`ModelKind`] it was
+//!   installed from: v1 text (and in-memory installs) is parsed and
+//!   compiled, `v2b` bytes are validated and scattered from their CSR
+//!   section in one pass.  [`ModelRegistry::load_file`] and
+//!   [`ModelRegistry::swap_bytes`] sniff the form, and reject bytes in the
+//!   retired `PALMED-DISJ v1` format by name.
 //! * **Atomic generation swap.**  The registry state is one immutable
 //!   snapshot behind `RwLock<Arc<_>>`: readers take the lock only long
 //!   enough to clone an `Arc` ([`ModelRegistry::snapshot`] /
@@ -41,17 +38,16 @@
 //!   keeps serving — until [`ModelRegistry::readmit`] clears it.
 //!   [`ModelRegistry::health`] reports all of this per entry.
 //! * **Version/migration story.**  Each entry reports its sniffed
-//!   [`ModelKind`] (family + on-disk version);
+//!   [`ModelKind`] (on-disk version);
 //!   [`migrate_v1_to_v2b`](crate::migrate_v1_to_v2b) converts the
 //!   conjunctive text form to the binary form losslessly.  See the crate
 //!   docs for the full migration matrix.
 
 use crate::artifact::{ArtifactError, ModelArtifact};
-use crate::batch::{BatchPredictor, BatchResult, PreparedBatch};
+use crate::batch::BatchPredictor;
 use crate::binfmt;
 use crate::codec::ModelKind;
-use crate::compiled::{CompiledModel, KernelLoad};
-use crate::disj::{CompiledDisjModel, DisjArtifact};
+use crate::compiled::CompiledModel;
 use crate::io::{ArtifactIo, RealIo};
 use palmed_isa::InstructionSet;
 use std::collections::BTreeMap;
@@ -133,70 +129,15 @@ impl ServedModel {
     }
 
     /// A batch predictor over the compiled model.
-    pub fn batch(&self) -> BatchPredictor<&CompiledModel> {
+    pub fn batch(&self) -> BatchPredictor<'_> {
         BatchPredictor::new(&self.model)
-    }
-}
-
-/// A registered disjunctive model: the `PALMED-DISJ v1` artifact plus its
-/// compiled serving form — the entry a PMEvo-style baseline loads instead
-/// of re-evolving its mapping every campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServedDisjModel {
-    /// The self-describing artifact (instruction set, µOP rows, provenance).
-    pub artifact: DisjArtifact,
-    /// The compiled predictor built from the artifact.
-    pub compiled: CompiledDisjModel,
-}
-
-impl ServedDisjModel {
-    /// Compiles a disjunctive artifact into a servable entry.
-    pub fn from_artifact(artifact: DisjArtifact) -> Self {
-        let compiled = artifact.compile();
-        ServedDisjModel { artifact, compiled }
-    }
-
-    /// A batch predictor over the compiled model.
-    pub fn batch(&self) -> BatchPredictor<&CompiledDisjModel> {
-        BatchPredictor::new(&self.compiled)
-    }
-}
-
-/// The model payload of one registry entry, one variant per family.
-#[derive(Debug)]
-pub enum ModelEntry {
-    /// Conjunctive entry (provenance + compiled dense rows).
-    Conjunctive(ServedModel),
-    /// Disjunctive entry (artifact + compiled port-mapping form).
-    Disjunctive(ServedDisjModel),
-}
-
-impl ModelEntry {
-    /// The instruction set the model's kernels index into.
-    pub fn instructions(&self) -> &InstructionSet {
-        match self {
-            ModelEntry::Conjunctive(m) => &m.instructions,
-            ModelEntry::Disjunctive(m) => &m.artifact.instructions,
-        }
-    }
-
-    /// Serves a prepared batch through whichever family the entry holds.
-    pub fn predict_prepared(&self, batch: &PreparedBatch) -> BatchResult {
-        match self {
-            ModelEntry::Conjunctive(m) => m.batch().predict_prepared(batch),
-            ModelEntry::Disjunctive(m) => m.batch().predict_prepared(batch),
-        }
     }
 
     /// The determinism fingerprint over the artifact's instruction count —
     /// so every way of loading one model agrees (see
     /// [`model_fingerprint`](crate::fingerprint::model_fingerprint)).
     fn fingerprint(&self) -> u64 {
-        let slots = self.instructions().len();
-        match self {
-            ModelEntry::Conjunctive(m) => m.model.fingerprint(slots),
-            ModelEntry::Disjunctive(m) => m.compiled.fingerprint(slots),
-        }
+        self.model.fingerprint(self.instructions.len())
     }
 }
 
@@ -244,7 +185,7 @@ pub struct RegistryEntry {
     generation: u64,
     fingerprint: u64,
     source: Option<SourceFile>,
-    model: ModelEntry,
+    model: ServedModel,
 }
 
 impl RegistryEntry {
@@ -253,10 +194,9 @@ impl RegistryEntry {
         &self.name
     }
 
-    /// The model kind (family + format version): sniffed from the bytes
-    /// for loads and swaps, the family's canonical form
-    /// ([`ModelKind::ConjunctiveV1`] / [`ModelKind::DisjunctiveV1`]) for
-    /// memory-registered artifacts.
+    /// The model kind (format version): sniffed from the bytes for loads
+    /// and swaps, the canonical interchange form
+    /// ([`ModelKind::ConjunctiveV1`]) for memory-registered artifacts.
     pub fn kind(&self) -> ModelKind {
         self.kind
     }
@@ -280,25 +220,9 @@ impl RegistryEntry {
         self.source.as_ref().map(|s| s.path.as_path())
     }
 
-    /// The model payload.
-    pub fn model(&self) -> &ModelEntry {
+    /// The served model.
+    pub fn model(&self) -> &ServedModel {
         &self.model
-    }
-
-    /// The conjunctive model, when this entry holds one.
-    pub fn served(&self) -> Option<&ServedModel> {
-        match &self.model {
-            ModelEntry::Conjunctive(model) => Some(model),
-            _ => None,
-        }
-    }
-
-    /// The disjunctive model, when this entry holds one.
-    pub fn disjunctive(&self) -> Option<&ServedDisjModel> {
-        match &self.model {
-            ModelEntry::Disjunctive(model) => Some(model),
-            _ => None,
-        }
     }
 }
 
@@ -635,7 +559,7 @@ impl ModelRegistry {
         name: String,
         kind: ModelKind,
         source: Option<SourceFile>,
-        model: ModelEntry,
+        model: ServedModel,
     ) -> Arc<RegistryEntry> {
         let fingerprint = model.fingerprint();
         self.install_with(name, kind, source, model, fingerprint)
@@ -648,7 +572,7 @@ impl ModelRegistry {
         name: String,
         kind: ModelKind,
         source: Option<SourceFile>,
-        model: ModelEntry,
+        model: ServedModel,
         fingerprint: u64,
     ) -> Arc<RegistryEntry> {
         let entry = self.write(|entries, generation| {
@@ -672,53 +596,29 @@ impl ModelRegistry {
         entry
     }
 
-    /// Registers a conjunctive artifact under its own machine name,
-    /// compiling it; replaces any previous model of that name and returns
-    /// the installed entry.  Memory-registered conjunctive entries report
-    /// [`ModelKind::ConjunctiveV1`] — the family's canonical interchange
-    /// form — since no on-disk format was involved.
+    /// Registers an artifact under its own machine name, compiling it;
+    /// replaces any previous model of that name and returns the installed
+    /// entry.  Memory-registered entries report
+    /// [`ModelKind::ConjunctiveV1`] — the canonical interchange form —
+    /// since no on-disk format was involved.
     pub fn register(&self, artifact: ModelArtifact) -> Arc<RegistryEntry> {
         let name = artifact.machine.clone();
-        self.install(
-            name,
-            ModelKind::ConjunctiveV1,
-            None,
-            ModelEntry::Conjunctive(ServedModel::from_artifact(artifact)),
-        )
+        self.install(name, ModelKind::ConjunctiveV1, None, ServedModel::from_artifact(artifact))
     }
 
-    /// Registers a disjunctive artifact under its own machine name,
-    /// compiling it; replaces any previous model of that name.
-    pub fn register_disj(&self, artifact: DisjArtifact) -> Arc<RegistryEntry> {
-        let name = artifact.machine.clone();
-        self.install(
-            name,
-            ModelKind::DisjunctiveV1,
-            None,
-            ModelEntry::Disjunctive(ServedDisjModel::from_artifact(artifact)),
-        )
-    }
-
-    /// Builds the model entry for a buffer, sniffing the kind: `v2b` bytes
-    /// are validated and copied ([`ServedModel::from_v2b`]), v1 text is parsed
-    /// and compiled, and `PALMED-DISJ v1` becomes a [`ServedDisjModel`].
-    /// Returns the machine name stored in the artifact with the entry.
-    fn decode_entry(bytes: &[u8]) -> Result<(String, ModelKind, ModelEntry), ArtifactError> {
+    /// Builds the served model for a buffer, sniffing the kind: `v2b` bytes
+    /// are validated and copied ([`ServedModel::from_v2b`]), and v1 text is
+    /// parsed and compiled ([`ModelArtifact::parse_bytes`], which rejects
+    /// the retired `PALMED-DISJ v1` format by name).
+    fn decode_entry(bytes: &[u8]) -> Result<(ModelKind, ServedModel), ArtifactError> {
         let kind = ModelKind::sniff(bytes);
         let model = match kind {
-            ModelKind::ConjunctiveV2b => ModelEntry::Conjunctive(ServedModel::from_v2b(bytes)?),
-            ModelKind::ConjunctiveV1 => ModelEntry::Conjunctive(ServedModel::from_artifact(
-                ModelArtifact::parse_bytes(bytes)?,
-            )),
-            ModelKind::DisjunctiveV1 => {
-                ModelEntry::Disjunctive(ServedDisjModel::from_artifact(DisjArtifact::parse(bytes)?))
+            ModelKind::ConjunctiveV2b => ServedModel::from_v2b(bytes)?,
+            ModelKind::ConjunctiveV1 => {
+                ServedModel::from_artifact(ModelArtifact::parse_bytes(bytes)?)
             }
         };
-        let name = match &model {
-            ModelEntry::Conjunctive(m) => m.machine.clone(),
-            ModelEntry::Disjunctive(m) => m.artifact.machine.clone(),
-        };
-        Ok((name, kind, model))
+        Ok((kind, model))
     }
 
     /// Loads a model entry from a file — the shared core of first loads and
@@ -733,7 +633,7 @@ impl ModelRegistry {
     fn load_path(&self, path: &Path) -> Result<Loaded, ArtifactError> {
         let io = self.io.as_ref();
         let (source, bytes) = read_stable(io, path)?;
-        let (name, kind, model) = Self::decode_entry(&bytes)?;
+        let (kind, model) = Self::decode_entry(&bytes)?;
         let fingerprint = model.fingerprint();
         let sidecar = crate::fingerprint::read_sidecar_with(io, path)?;
         let keys = self.signing_keys.lock().expect("signing key lock").clone();
@@ -754,27 +654,28 @@ impl ModelRegistry {
                 });
             }
         }
-        Ok(Loaded { source, name, kind, fingerprint, model })
+        Ok(Loaded { source, kind, fingerprint, model })
     }
 
     /// Installs the product of a [`ModelRegistry::load_path`].
     fn install_loaded(&self, loaded: Loaded) -> Arc<RegistryEntry> {
-        let Loaded { source, name, kind, fingerprint, model } = loaded;
+        let Loaded { source, kind, fingerprint, model } = loaded;
+        let name = model.machine.clone();
         self.install_with(name, kind, Some(source), model, fingerprint)
     }
 
     /// Loads, verifies and registers an artifact file under the machine
     /// name stored in the file.  The format is sniffed from the first
-    /// bytes: v1 text artifacts are compiled after parsing, v2b binary
-    /// artifacts are validated and copied without building dense rows
-    /// ([`ServedModel::from_v2b`]), and `PALMED-DISJ v1` artifacts become
-    /// disjunctive entries.  The entry records the file's
+    /// bytes: v1 text artifacts are compiled after parsing, and v2b binary
+    /// artifacts are validated and scattered into dense rows in one pass
+    /// ([`ServedModel::from_v2b`]).  The entry records the file's
     /// mtime/length, so [`ModelRegistry::refresh`] picks up later rewrites.
     ///
     /// # Errors
     ///
-    /// Propagates I/O and codec failures; the registry is left unchanged on
-    /// error.
+    /// Propagates I/O and codec failures; a file in the retired
+    /// `PALMED-DISJ v1` format fails with [`ArtifactError::MalformedBinary`]
+    /// at offset 0.  The registry is left unchanged on error.
     pub fn load_file(&self, path: impl AsRef<Path>) -> Result<Arc<RegistryEntry>, ArtifactError> {
         Ok(self.install_loaded(self.load_path(path.as_ref())?))
     }
@@ -784,12 +685,12 @@ impl ModelRegistry {
     /// snapshot; the old entry stays valid until the last `Arc` drops).
     ///
     /// The buffer decodes exactly like a [`ModelRegistry::load_file`] body
-    /// (format sniffed; `v2b` validated and copied, v1 text compiled,
-    /// `PALMED-DISJ v1` disjunctive), so the decision never reads the
-    /// current entry and all decoding runs before the brief snapshot-swap
-    /// lock.  The new entry is keyed under `name` regardless of the machine
-    /// name inside the buffer, and no source file is watched afterwards
-    /// (the bytes came from the caller, not disk).
+    /// (format sniffed; `v2b` validated and copied, v1 text compiled), so
+    /// the decision never reads the current entry and all decoding runs
+    /// before the brief snapshot-swap lock.  The new entry is keyed under
+    /// `name` regardless of the machine name inside the buffer, and no
+    /// source file is watched afterwards (the bytes came from the caller,
+    /// not disk).
     ///
     /// # Errors
     ///
@@ -799,7 +700,7 @@ impl ModelRegistry {
         name: impl Into<String>,
         bytes: Vec<u8>,
     ) -> Result<Arc<RegistryEntry>, ArtifactError> {
-        let (_, kind, model) = Self::decode_entry(&bytes)?;
+        let (kind, model) = Self::decode_entry(&bytes)?;
         let entry = self.install(name.into(), kind, None, model);
         palmed_obs::counter!("serve.registry.swaps").inc();
         palmed_obs::event!("registry.swap", key = entry.name(), generation = entry.generation());
@@ -1087,10 +988,9 @@ fn not_found(name: &str, reason: &str) -> ArtifactError {
 /// Everything a file load produced, ready to install as one entry.
 struct Loaded {
     source: SourceFile,
-    name: String,
     kind: ModelKind,
     fingerprint: u64,
-    model: ModelEntry,
+    model: ServedModel,
 }
 
 /// Reads a watched file *stably*: stat, read, re-stat, and accept only when
@@ -1134,7 +1034,7 @@ fn read_stable_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::KernelLoad;
+    use crate::batch::PreparedBatch;
     use palmed_core::ConjunctiveMapping;
     use palmed_isa::{InstId, InstructionSet, Microkernel};
 
@@ -1145,7 +1045,13 @@ mod tests {
     }
 
     fn ipc_of(entry: &RegistryEntry, k: &Microkernel) -> Option<f64> {
-        entry.model().predict_prepared(&PreparedBatch::from_kernels([k])).ipcs[0]
+        entry.model().batch().predict_prepared(&PreparedBatch::from_kernels([k])).ipcs[0]
+    }
+
+    /// A sealed buffer in the retired `PALMED-DISJ v1` format: its magic,
+    /// some body bytes and a valid trailer.
+    fn retired_disj_bytes() -> Vec<u8> {
+        crate::codec::finish_trailer(b"PALMED-DISJ v1\n\x05\0\0\0skl-d".to_vec())
     }
 
     #[test]
@@ -1161,7 +1067,7 @@ mod tests {
         let skl = registry.get("skl").unwrap();
         assert_eq!(skl.kind(), ModelKind::ConjunctiveV1);
         assert_eq!(skl.name(), "skl");
-        assert_eq!(skl.served().unwrap().model.num_instructions(), 1);
+        assert_eq!(skl.model().model.num_instructions(), 1);
         assert!(registry.get("m1").is_none());
     }
 
@@ -1239,29 +1145,32 @@ mod tests {
     }
 
     #[test]
-    fn load_file_sniffs_all_three_artifact_formats() {
+    fn load_file_sniffs_both_forms_and_rejects_retired_disj_files() {
         let dir = std::env::temp_dir();
         let v1 = dir.join("palmed-serve-registry-v1.palmed");
         let v2 = dir.join("palmed-serve-registry-v2.palmed");
         let dj = dir.join("palmed-serve-registry-dj.palmed");
         artifact("text-machine", 0.5).save(&v1).unwrap();
         artifact("bin-machine", 0.5).save_v2(&v2).unwrap();
-        crate::disj::tests_support::example().save(&dj).unwrap();
+        std::fs::write(&dj, retired_disj_bytes()).unwrap();
         let registry = ModelRegistry::new();
         registry.load_file(&v1).unwrap();
         let served = registry.load_file(&v2).unwrap();
-        let disj = registry.load_file(&dj).unwrap();
         // The binary load serves the arrays compiling yields.
-        assert_eq!(served.served().unwrap().model, artifact("bin-machine", 0.5).compile());
+        assert_eq!(served.model().model, artifact("bin-machine", 0.5).compile());
         assert_eq!(served.kind(), ModelKind::ConjunctiveV2b);
         assert_eq!(registry.get("text-machine").unwrap().kind(), ModelKind::ConjunctiveV1);
-        assert_eq!(disj.kind(), ModelKind::DisjunctiveV1);
-        assert_eq!(disj.name(), "skl-disj");
-        assert_eq!(disj.disjunctive().unwrap().compiled.num_instructions(), 3);
+        // A disj file is refused by name, at offset 0, and installs nothing.
+        let generation = registry.generation();
+        let error = registry.load_file(&dj).unwrap_err();
+        assert_eq!(error.class(), "malformed-binary");
+        assert_eq!(error.offset(), Some(0));
+        assert!(error.to_string().contains("PALMED-DISJ v1"), "{error}");
+        assert_eq!(registry.generation(), generation);
         std::fs::remove_file(&v1).ok();
         std::fs::remove_file(&v2).ok();
         std::fs::remove_file(&dj).ok();
-        assert_eq!(registry.len(), 3);
+        assert_eq!(registry.len(), 2);
         let k = Microkernel::single(InstId(2));
         let text = registry.get("text-machine").unwrap();
         let a = ipc_of(&text, &k);
@@ -1275,7 +1184,7 @@ mod tests {
         artifact("disk-machine", 0.5).save(&path).unwrap();
         let registry = ModelRegistry::new();
         let served = registry.load_file(&path).unwrap();
-        assert_eq!(served.served().unwrap().machine, "disk-machine");
+        assert_eq!(served.model().machine, "disk-machine");
         assert_eq!(served.source_path(), Some(path.as_path()));
         std::fs::remove_file(&path).ok();
         assert!(registry.get("disk-machine").is_some());
@@ -1292,7 +1201,7 @@ mod tests {
         original.save_v2(&path).unwrap();
         let registry = ModelRegistry::new();
         let entry = registry.load_file(&path).unwrap();
-        let served = entry.served().unwrap();
+        let served = entry.model();
         assert_eq!(entry.kind(), ModelKind::ConjunctiveV2b);
         let owned = original.compile();
         assert_eq!(served.model, owned);
@@ -1332,18 +1241,20 @@ mod tests {
         assert_eq!(registry.len(), 1);
         assert!(swapped.generation() > old.generation());
         // A v2b swap hands back the artifact it was rendered from.
-        assert_eq!(swapped.served().unwrap().to_artifact(), artifact("hot", 0.25));
+        assert_eq!(swapped.model().to_artifact(), artifact("hot", 0.25));
         let k = Microkernel::single(InstId(2));
         assert!((ipc_of(&swapped, &k).unwrap() - 4.0).abs() < 1e-12);
         assert!((ipc_of(&old, &k).unwrap() - 2.0).abs() < 1e-12, "old generation stays valid");
         // A corrupt swap leaves the installed entry untouched.
         assert!(registry.swap_bytes("hot", vec![1, 2, 3]).is_err());
         assert_eq!(registry.get("hot").unwrap().generation(), swapped.generation());
-        // Swapping a disjunctive buffer over it changes the entry kind.
-        let dj =
-            registry.swap_bytes("hot", crate::disj::tests_support::example().render()).unwrap();
-        assert_eq!(dj.kind(), ModelKind::DisjunctiveV1);
-        assert!(dj.disjunctive().is_some());
+        // So does a buffer in the retired disj format, refused by name.
+        let error = registry.swap_bytes("hot", retired_disj_bytes()).unwrap_err();
+        assert_eq!(error.offset(), Some(0));
+        assert!(error.to_string().contains("PALMED-DISJ v1"), "{error}");
+        let kept = registry.get("hot").unwrap();
+        assert_eq!(kept.generation(), swapped.generation());
+        assert!((ipc_of(&kept, &k).unwrap() - 4.0).abs() < 1e-12, "last good model serves");
     }
 
     #[test]
@@ -1371,7 +1282,7 @@ mod tests {
         assert!(outcome.errors.is_empty());
         let after = registry.get("watched").unwrap();
         assert!(after.generation() > before.generation());
-        assert_eq!(after.served().unwrap().source, "retrained-model");
+        assert_eq!(after.model().source, "retrained-model");
         let k = Microkernel::single(InstId(2));
         assert!((ipc_of(&after, &k).unwrap() - 4.0).abs() < 1e-12);
         assert!((ipc_of(&before, &k).unwrap() - 2.0).abs() < 1e-12);
@@ -1462,8 +1373,7 @@ mod tests {
 
         // Restoring the file and readmitting recovers immediately.
         artifact("watched-health", 0.25).save_v2(&watched).unwrap();
-        let readmitted = registry.readmit("watched-health").unwrap();
-        assert!(readmitted.served().is_some());
+        registry.readmit("watched-health").unwrap();
         let entry = registry.health().into_iter().find(|h| h.name == "watched-health").unwrap();
         assert_eq!(entry.status, RefreshStatus::Reloaded);
         assert_eq!(entry.consecutive_failures, 0);

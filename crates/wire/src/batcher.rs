@@ -259,7 +259,7 @@ impl SharedBatcher {
         let generation = group.entry.generation();
         let corpus = match self.cache.get(model, generation, hash, corpus_text) {
             Some(corpus) => corpus,
-            None => match Corpus::parse(corpus_text, group.entry.model().instructions()) {
+            None => match Corpus::parse(corpus_text, &group.entry.model().instructions) {
                 Ok(corpus) => {
                     let corpus = Arc::new(corpus);
                     self.cache.insert(
@@ -326,7 +326,7 @@ fn serve_group(group: &EntryGroup) -> (BatchResult, Vec<(usize, usize)>) {
     if let [corpus] = group.corpora.as_slice() {
         let batch = PreparedBatch::from_corpus(corpus);
         let len = batch.len();
-        (group.entry.model().predict_prepared(&batch), vec![(0, len)])
+        (group.entry.model().batch().predict_prepared(&batch), vec![(0, len)])
     } else {
         let mut merge = BatchMerge::new();
         let mut ranges = Vec::with_capacity(group.corpora.len());
@@ -337,7 +337,7 @@ fn serve_group(group: &EntryGroup) -> (BatchResult, Vec<(usize, usize)>) {
             at += corpus.len();
         }
         let (batch, _) = merge.finish();
-        (group.entry.model().predict_prepared(&batch), ranges)
+        (group.entry.model().batch().predict_prepared(&batch), ranges)
     }
 }
 

@@ -14,7 +14,7 @@
 //!
 //! The trailer is [`palmed_serve::codec::finish_trailer`]'s strided-word
 //! FNV checksum over everything before it — byte-for-byte the discipline
-//! of the `v2b`/`DISJ` artifact codecs, so torn or corrupted frames are
+//! of the `v2b` artifact codec, so torn or corrupted frames are
 //! rejected identically on disk and on the wire.  All integers are
 //! little-endian; strings are `u32` byte length + UTF-8
 //! ([`palmed_serve::codec::push_str`]).

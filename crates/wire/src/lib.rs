@@ -16,7 +16,7 @@
 //!
 //! * [`frame`] — the byte grammar.  Length-prefixed binary frames with
 //!   the same magic-line + little-endian sections + strided-FNV trailer
-//!   discipline as the `v2b`/`DISJ` artifact codecs, built from the very
+//!   discipline as the `v2b` artifact codec, built from the very
 //!   same [`palmed_serve::codec`] primitives.  Requests carry
 //!   `PALMED-CORPUS v1` workloads in; responses carry bit-exact IPC rows
 //!   out; error frames carry a kebab-case class plus a byte offset; admin

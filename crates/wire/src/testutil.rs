@@ -34,7 +34,7 @@ pub(crate) fn request(req_id: u32, corpus: &str) -> Frame {
 pub(crate) fn expected_rows(corpus_text: &str) -> Vec<Option<f64>> {
     let art = artifact("skl", 0.5);
     let corpus = Corpus::parse(corpus_text, &art.instructions).unwrap();
-    BatchPredictor::new(art.compile()).predict_corpus(&corpus).ipcs
+    BatchPredictor::new(&art.compile()).predict_corpus(&corpus).ipcs
 }
 
 /// One round over the single connection `conn` at tick `now`: gather,

@@ -44,7 +44,7 @@ fn main() {
     registry.load_file(&model_path).expect("checksum verifies, artifact parses");
     println!("registry serves: {:?}", registry.names());
     let entry = registry.get(machine.name()).expect("registered under its machine name");
-    let served = entry.served().expect("conjunctive entry");
+    let served = entry.model();
     assert_eq!(served.to_artifact(), artifact, "round trip is lossless");
 
     // 4. A workload corpus: weighted basic blocks in a text file.  Names are
@@ -87,7 +87,7 @@ fn main() {
     artifact.save_v2(&v2_path).expect("v2b artifact saves");
     let binary = ModelRegistry::new();
     let v2_entry = binary.load_file(&v2_path).expect("v2b load validates");
-    let v2_served = v2_entry.served().expect("conjunctive entry");
+    let v2_served = v2_entry.model();
     assert_eq!(v2_served.model, served.model, "both loads serve the same arrays");
     let reloaded = v2_served.batch().predict_prepared(&prepared);
     for (a, b) in result.ipcs.iter().zip(&reloaded.ipcs) {

@@ -91,7 +91,8 @@ pub mod incident {
         /// `kernel` — the "serving never degrades" witness.
         pub fn served_bits(&self, registry: &ModelRegistry, kernel: &Microkernel) -> u64 {
             let entry = registry.get(&self.name).expect("entry never disappears");
-            let ipcs = entry.model().predict_prepared(&PreparedBatch::from_kernels([kernel])).ipcs;
+            let ipcs =
+                entry.model().batch().predict_prepared(&PreparedBatch::from_kernels([kernel])).ipcs;
             ipcs[0].expect("probe kernel is covered").to_bits()
         }
     }

@@ -6,8 +6,8 @@
 use palmed_integration_tests::artifact_prop::{build_artifact, inventory};
 use palmed_isa::{InstId, Microkernel};
 use palmed_serve::{
-    migrate_v1_to_v2b, BatchPredictor, KernelLoad, ModelArtifact, ModelRegistry, PreparedBatch,
-    RegistryEntry, ServedModel,
+    migrate_v1_to_v2b, BatchPredictor, ModelArtifact, ModelRegistry, PreparedBatch, RegistryEntry,
+    ServedModel,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -21,7 +21,7 @@ struct Installed {
 
 impl Installed {
     fn from_entry(entry: Arc<RegistryEntry>) -> Installed {
-        let served = entry.served().expect("conjunctive input installs a conjunctive entry");
+        let served = entry.model();
         Installed { served: served.clone(), entry_fingerprint: Some(entry.fingerprint()) }
     }
 }

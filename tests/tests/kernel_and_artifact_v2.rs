@@ -11,7 +11,7 @@
 
 use palmed_integration_tests::artifact_prop::{build_artifact, inventory, MAX_RESOURCES};
 use palmed_isa::{FxBuildHasher, InstId, KernelSet, Microkernel};
-use palmed_serve::{KernelLoad, ModelArtifact};
+use palmed_serve::ModelArtifact;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::hash::BuildHasher;

@@ -5,7 +5,7 @@
 
 use palmed_core::ConjunctiveMapping;
 use palmed_isa::{InstId, InstructionSet, Microkernel};
-use palmed_serve::{KernelLoad, ModelArtifact, ModelEntry, ModelRegistry, PreparedBatch};
+use palmed_serve::{ModelArtifact, ModelRegistry, PreparedBatch, ServedModel};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -22,8 +22,8 @@ fn expected_bits(artifact: &ModelArtifact, kernel: &Microkernel) -> u64 {
     compiled.ipc_with(kernel, &mut scratch).expect("probe kernel is covered").to_bits()
 }
 
-fn entry_bits(entry: &ModelEntry, kernel: &Microkernel) -> u64 {
-    let ipcs = entry.predict_prepared(&PreparedBatch::from_kernels([kernel])).ipcs;
+fn entry_bits(entry: &ServedModel, kernel: &Microkernel) -> u64 {
+    let ipcs = entry.batch().predict_prepared(&PreparedBatch::from_kernels([kernel])).ipcs;
     ipcs[0].expect("probe kernel is covered").to_bits()
 }
 
@@ -116,7 +116,7 @@ fn old_generation_stays_valid_until_dropped() {
     registry.remove("hot");
     assert!(registry.get("hot").is_none());
 
-    let served = held.served().expect("conjunctive entry");
+    let served = held.model();
     assert_eq!(entry_bits(held.model(), &kernel), expected_bits(&original, &kernel));
     // The held arrays are intact too: they rebuild the original artifact
     // bit for bit.

@@ -8,7 +8,7 @@
 
 use palmed_core::ConjunctiveMapping;
 use palmed_isa::{InstId, InstructionSet, Microkernel};
-use palmed_serve::{KernelLoad, ModelArtifact, ModelRegistry};
+use palmed_serve::{ModelArtifact, ModelRegistry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,8 +40,8 @@ fn building_the_view_allocates_nothing_for_either_backing() {
     let registry = ModelRegistry::new();
     let registered = registry.register(artifact.clone());
     let swapped = registry.swap_bytes("alloc-v2b", artifact.render_v2()).unwrap();
-    let compiled = registered.served().unwrap();
-    let copied = swapped.served().unwrap();
+    let compiled = registered.model();
+    let copied = swapped.model();
     assert_eq!(compiled.model, copied.model, "both ways in serve the same arrays");
 
     let kernel = Microkernel::pair(InstId(0), 2, InstId(2), 1);

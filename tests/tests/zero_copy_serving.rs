@@ -10,7 +10,7 @@
 use palmed_core::ThroughputPredictor;
 use palmed_integration_tests::artifact_prop::{build_artifact, inventory, MAX_RESOURCES};
 use palmed_isa::{InstId, InstructionSet, Microkernel};
-use palmed_serve::{KernelLoad, ModelRegistry, PreparedBatch, ServedModel};
+use palmed_serve::{ModelRegistry, PreparedBatch, ServedModel};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -132,7 +132,7 @@ proptest! {
 
         let registry = ModelRegistry::new();
         let entry = registry.swap_bytes("lazy", bin).expect("v2b swap validates");
-        let serving = entry.served().expect("v2b swaps install conjunctive entries");
+        let serving = entry.model();
         prop_assert_eq!(&serving.machine, &artifact.machine);
         prop_assert_eq!(&serving.instructions, &artifact.instructions);
 
