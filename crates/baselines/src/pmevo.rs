@@ -22,7 +22,7 @@
 
 use palmed_core::ThroughputPredictor;
 use palmed_isa::{InstId, Microkernel};
-use palmed_machine::Measurer;
+use palmed_machine::{throughput, Measurer, PortSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -122,31 +122,26 @@ fn random_nonempty_mask(rng: &mut StdRng, num_ports: usize) -> u32 {
     }
 }
 
-/// Predicted execution time of a kernel under a genome (optimal fractional
-/// port assignment over the abstract ports, via the subset bound).  Every
-/// instruction of `kernel` must be in `index_of`.
+/// Predicted execution time of a kernel under a genome: the optimal
+/// fractional port assignment over the abstract ports
+/// ([`throughput::port_bound`]).  Every instruction of `kernel` must be in
+/// `index_of`.
 fn genome_execution_time(
     genome: &Genome,
     index_of: &BTreeMap<InstId, usize>,
     kernel: &Microkernel,
 ) -> f64 {
-    let mut loads: Vec<(u32, f64)> = Vec::new();
+    let mut loads: Vec<(PortSet, f64)> = Vec::new();
     for (inst, count) in kernel.iter() {
         let gene = genome.genes[index_of[&inst]];
+        let ports = PortSet::from_mask(gene.port_mask);
         let load = count as f64 * gene.uops as f64;
-        match loads.iter_mut().find(|(m, _)| *m == gene.port_mask) {
+        match loads.iter_mut().find(|(p, _)| *p == ports) {
             Some((_, l)) => *l += load,
-            None => loads.push((gene.port_mask, load)),
+            None => loads.push((ports, load)),
         }
     }
-    let mut t: f64 = 0.0;
-    for subset in 1u32..(1 << NUM_PORTS) {
-        let confined: f64 = loads.iter().filter(|(m, _)| m & !subset == 0).map(|&(_, l)| l).sum();
-        if confined > 0.0 {
-            t = t.max(confined / subset.count_ones() as f64);
-        }
-    }
-    t
+    throughput::port_bound(&loads)
 }
 
 /// The PMEvo trainer.

@@ -21,61 +21,14 @@
 //! ground-truth machine description (the analogue of Intel's internal
 //! documentation) rather than measuring anything.
 
+use crate::port_model_ipc;
 use palmed_core::ThroughputPredictor;
 use palmed_isa::{InstId, Microkernel};
-use palmed_machine::{DisjunctiveMapping, MicroOp, PortSet};
+use palmed_machine::DisjunctiveMapping;
 use std::sync::Arc;
 
-fn optimal_ipc_with(
-    mapping: &DisjunctiveMapping,
-    kernel: &Microkernel,
-    transform: impl Fn(usize, &MicroOp) -> Option<MicroOp>,
-    front_end: Option<f64>,
-    supports: impl Fn(InstId) -> bool,
-) -> Option<f64> {
-    let num_ports = mapping.machine().num_ports;
-    // Aggregate transformed µOP loads by port set.
-    let mut loads: Vec<(PortSet, f64)> = Vec::new();
-    let mut any = false;
-    let mut counted_instructions = 0u32;
-    for (inst, count) in kernel.iter() {
-        counted_instructions += count;
-        if !supports(inst) {
-            continue;
-        }
-        any = true;
-        for (idx, uop) in mapping.uops(inst).iter().enumerate() {
-            let Some(uop) = transform(idx, uop) else { continue };
-            match loads.iter_mut().find(|(p, _)| *p == uop.ports) {
-                Some((_, l)) => *l += count as f64 * uop.inverse_throughput,
-                None => loads.push((uop.ports, count as f64 * uop.inverse_throughput)),
-            }
-        }
-    }
-    if !any || counted_instructions == 0 {
-        return None;
-    }
-    let mut t: f64 = 0.0;
-    for mask in 1u32..(1 << num_ports) {
-        let subset = PortSet::from_mask(mask);
-        let confined: f64 =
-            loads.iter().filter(|(p, _)| p.is_subset_of(subset)).map(|&(_, l)| l).sum();
-        if confined > 0.0 {
-            t = t.max(confined / subset.len() as f64);
-        }
-    }
-    if let Some(width) = front_end {
-        t = t.max(counted_instructions as f64 / width);
-    }
-    if t <= 0.0 {
-        None
-    } else {
-        Some(counted_instructions as f64 / t)
-    }
-}
-
-/// IACA-like analyser: oracle port map + front-end, everything assumed
-/// pipelined.
+/// IACA-like analyser: oracle port map with every µOP at its reciprocal
+/// throughput, plus the front-end width.
 #[derive(Debug, Clone)]
 pub struct IacaLikePredictor {
     mapping: Arc<DisjunctiveMapping>,
@@ -98,13 +51,7 @@ impl ThroughputPredictor for IacaLikePredictor {
     }
 
     fn predict_ipc(&self, kernel: &Microkernel) -> Option<f64> {
-        optimal_ipc_with(
-            &self.mapping,
-            kernel,
-            |_, uop| Some(*uop),
-            Some(self.mapping.machine().front_end.instructions_per_cycle),
-            |i| self.supports(i),
-        )
+        port_model_ipc(&self.mapping, kernel, |_| true, true)
     }
 }
 
@@ -132,13 +79,7 @@ impl ThroughputPredictor for McaLikePredictor {
     }
 
     fn predict_ipc(&self, kernel: &Microkernel) -> Option<f64> {
-        optimal_ipc_with(
-            &self.mapping,
-            kernel,
-            |idx, uop| (idx == 0).then_some(*uop),
-            Some(self.mapping.machine().front_end.instructions_per_cycle),
-            |i| self.supports(i),
-        )
+        port_model_ipc(&self.mapping, kernel, |idx| idx == 0, true)
     }
 }
 

@@ -11,10 +11,10 @@
 //! systematically *over-estimates* the IPC of kernels bottlenecked elsewhere
 //! (the over-approximation visible in Fig. 4a).
 
+use crate::port_model_ipc;
 use palmed_core::ThroughputPredictor;
 use palmed_isa::{InstId, Microkernel};
-use palmed_machine::{DisjunctiveMapping, PortSet};
-use std::collections::BTreeSet;
+use palmed_machine::DisjunctiveMapping;
 use std::sync::Arc;
 
 /// Throughput predictor built from a published (oracle) port mapping,
@@ -22,47 +22,12 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct UopsStylePredictor {
     mapping: Arc<DisjunctiveMapping>,
-    /// Pre-built table of candidate bottleneck port sets: the closure under
-    /// union of every µOP port set of the machine.  The Hall bound is always
-    /// attained on a union of loaded port sets (shrinking a subset to the
-    /// union of the port sets it contains keeps the confined load while
-    /// reducing the divisor), so enumerating this table is exact while being
-    /// far smaller than the `2^P - 1` power set walked otherwise — the same
-    /// argument as `optimal_execution_time` in `palmed-machine`.
-    candidate_sets: Vec<PortSet>,
 }
 
 impl UopsStylePredictor {
-    /// Builds the predictor from the ground-truth mapping, pre-computing the
-    /// union-closure table of candidate bottleneck port sets.
+    /// Builds the predictor from the ground-truth mapping.
     pub fn new(mapping: Arc<DisjunctiveMapping>) -> Self {
-        let mut generators: Vec<u32> = Vec::new();
-        for inst in mapping.instructions().ids() {
-            for uop in mapping.uops(inst) {
-                let mask = uop.ports.mask();
-                if mask != 0 && !generators.contains(&mask) {
-                    generators.push(mask);
-                }
-            }
-        }
-        let mut closure: BTreeSet<u32> = generators.iter().copied().collect();
-        let mut frontier: Vec<u32> = generators.clone();
-        while let Some(m) = frontier.pop() {
-            for &g in &generators {
-                if closure.insert(m | g) {
-                    frontier.push(m | g);
-                }
-            }
-        }
-        UopsStylePredictor {
-            mapping,
-            candidate_sets: closure.into_iter().map(PortSet::from_mask).collect(),
-        }
-    }
-
-    /// Number of ports of the underlying machine.
-    pub fn num_ports(&self) -> usize {
-        self.mapping.machine().num_ports
+        UopsStylePredictor { mapping }
     }
 }
 
@@ -75,60 +40,10 @@ impl ThroughputPredictor for UopsStylePredictor {
         inst.index() < self.mapping.instructions().len()
     }
 
+    /// Every µOP, optimally assigned over ports only (no front-end): the
+    /// most loaded port under the best schedule sets the execution time.
     fn predict_ipc(&self, kernel: &Microkernel) -> Option<f64> {
-        // Aggregate µOP loads of the supported instructions by port set.
-        let mut loads: Vec<(PortSet, f64)> = Vec::new();
-        let mut any = false;
-        for &(inst, count) in kernel.as_slice() {
-            if !self.supports(inst) {
-                continue; // unsupported instructions take no resource at all
-            }
-            any = true;
-            for uop in self.mapping.uops(inst) {
-                let load = count as f64 * uop.inverse_throughput;
-                match loads.iter_mut().find(|(p, _)| *p == uop.ports) {
-                    Some((_, l)) => *l += load,
-                    None => loads.push((uop.ports, load)),
-                }
-            }
-        }
-        if !any {
-            return None;
-        }
-        // Optimal assignment over ports only (no front-end): the most loaded
-        // port under the best schedule determines the execution time.  Only
-        // the pre-built union-closure table needs to be scanned (see
-        // `candidate_sets`).
-        let confined_ratio = |subset: PortSet| -> f64 {
-            let confined: f64 =
-                loads.iter().filter(|(p, _)| p.is_subset_of(subset)).map(|&(_, l)| l).sum();
-            confined / subset.len() as f64
-        };
-        let mut t: f64 = 0.0;
-        for &subset in &self.candidate_sets {
-            t = t.max(confined_ratio(subset));
-        }
-
-        // Cross-check against the exhaustive power-set enumeration on
-        // machines small enough to afford it.
-        #[cfg(debug_assertions)]
-        if self.num_ports() <= 12 {
-            let num_ports = self.num_ports();
-            let mut exhaustive: f64 = 0.0;
-            for mask in 1u32..(1 << num_ports) {
-                exhaustive = exhaustive.max(confined_ratio(PortSet::from_mask(mask)));
-            }
-            debug_assert!(
-                (t - exhaustive).abs() <= 1e-9 * exhaustive.max(1.0),
-                "union-closure bound {t} disagrees with power-set bound {exhaustive}"
-            );
-        }
-
-        if t <= 0.0 {
-            None
-        } else {
-            Some(kernel.total_instructions() as f64 / t)
-        }
+        port_model_ipc(&self.mapping, kernel, |_| true, false)
     }
 }
 

@@ -13,7 +13,7 @@ use palmed_machine::{presets, AnalyticMeasurer, MemoizingMeasurer};
 fn bench_prediction(c: &mut Criterion) {
     let preset = presets::skl_sp(&InventoryConfig::small());
     let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
-    let palmed = Palmed::new(PalmedConfig::evaluation()).infer(&measurer).predictor();
+    let palmed = Palmed::new(PalmedConfig::evaluation()).infer(&measurer).mapping;
     let uops = UopsStylePredictor::new(preset.mapping_arc());
     let iaca = IacaLikePredictor::new(preset.mapping_arc());
     let mca = McaLikePredictor::new(preset.mapping_arc());

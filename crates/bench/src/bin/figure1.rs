@@ -44,7 +44,7 @@ fn main() {
     let inference = MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
     let result = Palmed::new(PalmedConfig::small()).infer(&inference);
     print!("{}", result.mapping.render(insts));
-    let predictor = result.predictor();
+    let predictor = &result.mapping;
     for (label, kernel) in [
         ("ADDSS^2 BSR", Microkernel::pair(addss, 2, bsr, 1)),
         ("ADDSS BSR^2", Microkernel::pair(addss, 1, bsr, 2)),

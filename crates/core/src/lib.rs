@@ -29,8 +29,9 @@
 //!   Its LP separates per usage, so each usage is computed as the LP's
 //!   optimum in closed form, with no simplex.
 //! * [`pipeline`] — the end-to-end driver of Fig. 3 ([`Palmed`]).
-//! * [`predict`] — the [`ThroughputPredictor`] trait and Palmed's
-//!   implementation of it, shared with the baseline tools.
+//! * [`predict`] — the [`ThroughputPredictor`] trait, shared with the
+//!   baseline tools, and Palmed's implementation of it: the inferred
+//!   [`ConjunctiveMapping`] itself.
 //! * [`report`] — mapping statistics (the data behind Table II).
 //!
 //! # Parameters
@@ -80,7 +81,7 @@
 //!
 //! // Infer the resource mapping from IPC measurements only.
 //! let result = Palmed::new(PalmedConfig::small()).infer(&measurer);
-//! let predictor = result.predictor();
+//! let predictor = &result.mapping;
 //!
 //! // Predict the throughput of an unseen instruction mix.
 //! let addss = machine.instructions.find("ADDSS").unwrap();
@@ -104,5 +105,5 @@ pub mod select;
 
 pub use conjunctive::{ConjunctiveMapping, ResourceId};
 pub use pipeline::{Palmed, PalmedConfig, PalmedResult};
-pub use predict::{PalmedPredictor, ThroughputPredictor};
+pub use predict::ThroughputPredictor;
 pub use report::MappingReport;

@@ -26,7 +26,6 @@ use crate::conjunctive::ConjunctiveMapping;
 use crate::lp1::shape_via_cliques;
 use crate::lp2::solve_bwp;
 use crate::lpaux::{complete_mapping, CompletionOutcome};
-use crate::predict::PalmedPredictor;
 use crate::quadratic::QuadraticCampaign;
 use crate::report::MappingReport;
 use crate::saturate::{select_saturating_kernels, SaturatingKernels};
@@ -74,11 +73,6 @@ pub struct PalmedResult {
 }
 
 impl PalmedResult {
-    /// Wraps the mapping into a [`PalmedPredictor`].
-    pub fn predictor(&self) -> PalmedPredictor {
-        PalmedPredictor::new(self.mapping.clone())
-    }
-
     /// The combined basic-instruction set used for the core mapping.
     pub fn basic_instructions(&self) -> Vec<InstId> {
         self.selections.iter().flat_map(|(_, s)| s.basic.iter().copied()).collect()
@@ -283,7 +277,7 @@ mod tests {
         assert!(result.report.resources_found >= 3);
         assert!(result.report.benchmarks_generated > 10);
 
-        let predictor = result.predictor();
+        let predictor = &result.mapping;
         let native = AnalyticMeasurer::new(preset.mapping_arc());
         let find = |n: &str| preset.instructions.find(n).unwrap();
         let kernels = [

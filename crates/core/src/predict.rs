@@ -39,36 +39,19 @@ pub trait ThroughputPredictor {
     }
 }
 
-/// Palmed's predictor: a conjunctive resource mapping evaluated with the
-/// closed-form throughput formula of Def. IV.3.
-#[derive(Debug, Clone)]
-pub struct PalmedPredictor {
-    mapping: ConjunctiveMapping,
-}
-
-impl PalmedPredictor {
-    /// Wraps an inferred mapping.
-    pub fn new(mapping: ConjunctiveMapping) -> Self {
-        PalmedPredictor { mapping }
-    }
-
-    /// The underlying mapping.
-    pub fn mapping(&self) -> &ConjunctiveMapping {
-        &self.mapping
-    }
-}
-
-impl ThroughputPredictor for PalmedPredictor {
+/// Palmed's predictor: the inferred conjunctive resource mapping itself,
+/// evaluated with the closed-form throughput formula of Def. IV.3.
+impl ThroughputPredictor for ConjunctiveMapping {
     fn name(&self) -> &str {
         "palmed"
     }
 
     fn supports(&self, inst: InstId) -> bool {
-        self.mapping.supports(inst)
+        ConjunctiveMapping::supports(self, inst)
     }
 
     fn predict_ipc(&self, kernel: &Microkernel) -> Option<f64> {
-        self.mapping.ipc(kernel)
+        self.ipc(kernel)
     }
 }
 
@@ -85,15 +68,15 @@ mod tests {
 
     #[test]
     fn predictor_exposes_mapping_support() {
-        let p = PalmedPredictor::new(mapping());
+        let p = mapping();
         assert_eq!(p.name(), "palmed");
-        assert!(p.supports(InstId(0)));
-        assert!(!p.supports(InstId(9)));
+        assert!(ThroughputPredictor::supports(&p, InstId(0)));
+        assert!(!ThroughputPredictor::supports(&p, InstId(9)));
     }
 
     #[test]
     fn prediction_uses_the_conjunctive_formula() {
-        let p = PalmedPredictor::new(mapping());
+        let p = mapping();
         let k = Microkernel::pair(InstId(0), 1, InstId(1), 1);
         // loads: r0 = 1, r1 = 1 -> t = 1 -> IPC 2.
         assert!((p.predict_ipc(&k).unwrap() - 2.0).abs() < 1e-12);
@@ -101,13 +84,13 @@ mod tests {
 
     #[test]
     fn unsupported_only_kernel_has_no_prediction() {
-        let p = PalmedPredictor::new(mapping());
+        let p = mapping();
         assert!(p.predict_ipc(&Microkernel::single(InstId(9))).is_none());
     }
 
     #[test]
     fn support_fraction_counts_instructions() {
-        let p = PalmedPredictor::new(mapping());
+        let p = mapping();
         let k = Microkernel::pair(InstId(0), 1, InstId(9), 3);
         assert!((p.support_fraction(&k) - 0.25).abs() < 1e-12);
         assert_eq!(p.support_fraction(&Microkernel::new()), 0.0);
@@ -115,7 +98,7 @@ mod tests {
 
     #[test]
     fn predictor_is_object_safe() {
-        let p = PalmedPredictor::new(mapping());
+        let p = mapping();
         let as_dyn: &dyn ThroughputPredictor = &p;
         assert_eq!(as_dyn.name(), "palmed");
     }

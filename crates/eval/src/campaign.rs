@@ -166,8 +166,8 @@ impl Campaign {
         report.benchmarks_generated = inference_measurer.distinct_kernels();
         // The campaign serves heavy prediction traffic (every tool × suite ×
         // block), so Palmed is evaluated through its compiled serving form —
-        // bit-identical to `PalmedResult::predictor()`, without the per-call
-        // BTreeMap walks.
+        // bit-identical to predicting with the inferred `ConjunctiveMapping`,
+        // without its per-call BTreeMap walks.
         let palmed_predictor = CompiledModel::compile("palmed", &palmed_result.mapping);
 
         // ---- Baselines. ----

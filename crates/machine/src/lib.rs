@@ -12,7 +12,8 @@
 //! * [`disjunctive`] — machine descriptions and the resolved
 //!   [`DisjunctiveMapping`] for an instruction set.
 //! * [`throughput`] — exact optimal steady-state throughput of a microkernel
-//!   on a disjunctive mapping (subset/Hall formula, cross-checked by an LP).
+//!   on a disjunctive mapping: the Hall bound of Appendix A, computed by
+//!   [`throughput::port_bound`], which the port-model baselines share.
 //! * [`cycle_sim`] — a cycle-level greedy issue simulator with a finite
 //!   scheduler window, used as the "really executed" alternative back-end.
 //! * [`noise`] — measurement perturbation so that inference sees realistic,

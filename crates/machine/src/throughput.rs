@@ -12,88 +12,104 @@
 //! ```
 //!
 //! (a Hall-type condition: work that can only go to `J` must fit in `|J|`
-//! slots per cycle), further lowered-bounded by the front-end width.  The
-//! subset enumeration is exponential in the number of ports, which is fine
-//! for the ≤ 16 ports of real cores; an LP formulation is provided as a
-//! cross-check and for machines with many ports.
+//! slots per cycle), further lower-bounded by the front-end width.
+//! [`port_bound`] is the one implementation of that port bound: the ground
+//! truth ([`optimal_execution_time`]) and every port-model baseline
+//! (uops.info-style, IACA-like, llvm-mca-like, PMEvo) call it.  It takes the
+//! maximum over the union closure of the loaded port sets, which is exact
+//! and independent of the machine's port count.
 
 use crate::disjunctive::DisjunctiveMapping;
 use crate::port::PortSet;
 use palmed_isa::Microkernel;
-use palmed_lp::{Problem, Sense};
-use std::collections::BTreeSet;
+
+/// The optimal port-assignment bound of a list of `(port set, load)` pairs:
+/// the maximum over port sets `J` of the load confined to `J` (the loads
+/// whose port set is a subset of `J`) divided by `|J|`, in cycles.
+///
+/// Returns 0 when no port set carries a positive load.
+///
+/// The maximum is taken not over all `2^P - 1` port subsets but over the
+/// **closure under union of the loaded port sets**.  This is exact to the
+/// last bit: for any subset `J`, the union `J' ⊆ J` of the loaded sets
+/// inside `J` confines the same loads, summed in the same order, over a
+/// divisor `|J'| ≤ |J|`, so the maximising subset can always be taken to be
+/// a union of loaded sets.  Real kernels use a handful of distinct port
+/// sets, so the closure is tiny compared to the power set.
+pub fn port_bound(loads: &[(PortSet, f64)]) -> f64 {
+    // Distinct loaded port sets (the generators), then their closure under
+    // union: every member is joined with every generator once.
+    let mut closure: Vec<PortSet> = Vec::new();
+    for &(ports, load) in loads {
+        if load > 0.0 && !ports.is_empty() && !closure.contains(&ports) {
+            closure.push(ports);
+        }
+    }
+    let generators = closure.len();
+    let mut next = 0;
+    while next < closure.len() {
+        let member = closure[next];
+        next += 1;
+        for g in 0..generators {
+            let union = member.union(closure[g]);
+            if !closure.contains(&union) {
+                closure.push(union);
+            }
+        }
+    }
+
+    let t = closure.iter().fold(0.0, |t: f64, &subset| t.max(confined_ratio(loads, subset)));
+
+    // Cross-check against every subset of the loaded ports, when there are
+    // few enough of them to afford it.
+    #[cfg(debug_assertions)]
+    {
+        let loaded = closure.iter().fold(PortSet::EMPTY, |u, &s| u.union(s));
+        if loaded.len() <= 12 {
+            let exhaustive = power_set_bound(loads, loaded);
+            debug_assert!(
+                t.to_bits() == exhaustive.to_bits(),
+                "union-closure bound {t} differs from power-set bound {exhaustive}"
+            );
+        }
+    }
+    t
+}
+
+/// Load confined to `subset`, summed in list order, divided by `|subset|`.
+fn confined_ratio(loads: &[(PortSet, f64)], subset: PortSet) -> f64 {
+    let mut confined = 0.0;
+    for &(ports, load) in loads {
+        if ports.is_subset_of(subset) {
+            confined += load;
+        }
+    }
+    confined / subset.len() as f64
+}
+
+/// The bound maximised over every non-empty subset of `ports`.
+#[cfg(any(test, debug_assertions))]
+fn power_set_bound(loads: &[(PortSet, f64)], ports: PortSet) -> f64 {
+    let all = ports.mask();
+    let mut t: f64 = 0.0;
+    let mut mask = all;
+    while mask != 0 {
+        t = t.max(confined_ratio(loads, PortSet::from_mask(mask)));
+        mask = (mask - 1) & all;
+    }
+    t
+}
 
 /// Minimal number of cycles needed to execute one iteration of `kernel` on
-/// the mapping, assuming an optimal (fractional) port assignment.
+/// the mapping, assuming an optimal (fractional) port assignment: the
+/// [`port_bound`] of the kernel's load, lower-bounded by the front-end.
 ///
 /// Returns 0 for an empty kernel.
-///
-/// The Hall bound is maximised not over all `2^P - 1` port subsets but over
-/// the **closure under union of the distinct µOP port sets** occurring in the
-/// kernel.  This is exact: for any subset `J`, replacing `J` by the union
-/// `J' ⊆ J` of the µOP port sets contained in `J` keeps the confined load
-/// identical while only shrinking the divisor `|J|`, so the maximising subset
-/// can always be taken to be a union of µOP port sets.  Real kernels use a
-/// handful of distinct port sets, so the closure is tiny compared to the
-/// power set (and, unlike the power set, independent of the machine's port
-/// count).
 pub fn optimal_execution_time(mapping: &DisjunctiveMapping, kernel: &Microkernel) -> f64 {
     if kernel.is_empty() {
         return 0.0;
     }
-    let loads = mapping.kernel_load(kernel);
-    let num_ports = mapping.machine().num_ports;
-    assert!(num_ports <= 32, "port-set masks are 32-bit, got {num_ports} ports");
-
-    // Distinct loaded port sets, then their closure under union (worklist).
-    let mut generators: Vec<u32> = Vec::new();
-    for &(ports, load) in &loads {
-        let mask = ports.mask();
-        if load > 0.0 && mask != 0 && !generators.contains(&mask) {
-            generators.push(mask);
-        }
-    }
-    let mut closure: BTreeSet<u32> = generators.iter().copied().collect();
-    let mut frontier: Vec<u32> = generators.clone();
-    while let Some(m) = frontier.pop() {
-        for &g in &generators {
-            let union = m | g;
-            if closure.insert(union) {
-                frontier.push(union);
-            }
-        }
-    }
-
-    let confined_ratio = |subset: PortSet| -> f64 {
-        let mut confined = 0.0;
-        for &(ports, load) in &loads {
-            if ports.is_subset_of(subset) {
-                confined += load;
-            }
-        }
-        confined / subset.len() as f64
-    };
-
-    let mut t: f64 = 0.0;
-    for &mask in &closure {
-        t = t.max(confined_ratio(PortSet::from_mask(mask)));
-    }
-
-    // Cross-check against the exhaustive power-set enumeration on machines
-    // small enough to afford it.
-    #[cfg(debug_assertions)]
-    if num_ports <= 12 {
-        let mut exhaustive: f64 = 0.0;
-        for subset_mask in 1u32..(1u32 << num_ports) {
-            exhaustive = exhaustive.max(confined_ratio(PortSet::from_mask(subset_mask)));
-        }
-        debug_assert!(
-            (t - exhaustive).abs() <= 1e-9 * exhaustive.max(1.0),
-            "union-closure bound {t} disagrees with power-set bound {exhaustive}"
-        );
-    }
-
-    // Front-end bounds.
+    let mut t = port_bound(&mapping.kernel_load(kernel));
     let fe = mapping.machine().front_end;
     t = t.max(kernel.total_instructions() as f64 / fe.instructions_per_cycle);
     if fe.uops_per_cycle.is_finite() {
@@ -115,61 +131,14 @@ pub fn ipc(mapping: &DisjunctiveMapping, kernel: &Microkernel) -> f64 {
     }
 }
 
-/// Same bound computed with an explicit linear program over fractional port
-/// assignments; exponential subset enumeration is avoided, at the price of an
-/// LP solve.  Used to cross-validate [`optimal_execution_time`] in tests and
-/// available for hypothetical many-port machines.
-///
-/// # Errors
-///
-/// Propagates LP solver failures (they indicate a bug: the scheduling LP is
-/// always feasible and bounded).
-pub fn optimal_execution_time_lp(
-    mapping: &DisjunctiveMapping,
-    kernel: &Microkernel,
-) -> Result<f64, palmed_lp::LpError> {
-    if kernel.is_empty() {
-        return Ok(0.0);
-    }
-    let loads = mapping.kernel_load(kernel);
-    let num_ports = mapping.machine().num_ports;
-
-    let mut p = Problem::new(Sense::Minimize);
-    let t = p.add_var("t", 0.0, f64::INFINITY);
-    // x[u][port]: cycles of work of µOP-group u assigned to port.
-    let mut port_load_exprs = vec![p.expr(); num_ports];
-    for (u, &(ports, load)) in loads.iter().enumerate() {
-        let mut total = p.expr();
-        for port in ports.iter() {
-            let x = p.add_var(format!("x_{u}_{port}"), 0.0, f64::INFINITY);
-            total.add_term(1.0, x);
-            port_load_exprs[port.index()].add_term(1.0, x);
-        }
-        p.add_eq(total, load);
-    }
-    for expr in port_load_exprs {
-        // port load <= t
-        let mut c = expr;
-        c.add_term(-1.0, t);
-        p.add_le(c, 0.0);
-    }
-    // Front-end lower bounds on t.
-    let fe = mapping.machine().front_end;
-    let mut lower = kernel.total_instructions() as f64 / fe.instructions_per_cycle;
-    if fe.uops_per_cycle.is_finite() {
-        lower = lower.max(mapping.kernel_uop_count(kernel) / fe.uops_per_cycle);
-    }
-    p.add_ge(p.expr().term(1.0, t), lower);
-    p.set_objective(p.expr().term(1.0, t));
-    Ok(p.solve()?.objective)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::disjunctive::{FrontEnd, MachineDescription};
     use crate::port::MicroOp;
     use palmed_isa::{ExecClass, InstDesc, InstructionSet};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::Arc;
 
     /// The 3-port machine of the paper's Sec. III (ports 0, 1, 6).
@@ -280,61 +249,33 @@ mod tests {
     }
 
     #[test]
-    fn union_closure_matches_lp_on_a_many_port_machine() {
-        // 20 ports: the old power-set enumeration would visit ~10^6 subsets;
-        // the union closure visits a handful.  The LP formulation provides an
-        // independent exact reference.
-        let insts = Arc::new(InstructionSet::from_descs([
-            InstDesc::new("A", ExecClass::FpAddSse),
-            InstDesc::new("B", ExecClass::IntAluRestricted),
-            InstDesc::new("C", ExecClass::Branch),
-        ]));
-        let mut m = MachineDescription::new("wide", 20, FrontEnd::instructions_only(16.0));
-        m.define_class(
-            ExecClass::FpAddSse,
-            vec![MicroOp::pipelined(PortSet::from_ports([0, 1, 2, 3]))],
-        );
-        m.define_class(
-            ExecClass::IntAluRestricted,
-            vec![MicroOp::pipelined(PortSet::from_ports([2, 3, 4]))],
-        );
-        m.define_class(
-            ExecClass::Branch,
-            vec![MicroOp::pipelined(PortSet::from_ports([17, 18, 19]))],
-        );
-        let map = Arc::new(m).bind(Arc::clone(&insts));
-        let a = insts.find("A").unwrap();
-        let b = insts.find("B").unwrap();
-        let c = insts.find("C").unwrap();
-        for k in [
-            Microkernel::from_counts([(a, 7), (b, 3), (c, 2)]),
-            Microkernel::from_counts([(a, 1), (b, 9)]),
-            Microkernel::single(c).scaled(5),
-        ] {
-            let closure = optimal_execution_time(&map, &k);
-            let lp = optimal_execution_time_lp(&map, &k).unwrap();
-            assert!((closure - lp).abs() < 1e-6, "mismatch for {k}: {closure} vs {lp}");
-        }
-    }
-
-    #[test]
-    fn lp_formulation_agrees_with_subset_enumeration() {
-        let (map, insts) = paper_machine();
-        let addss = insts.find("ADDSS").unwrap();
-        let bsr = insts.find("BSR").unwrap();
-        let vcvtt = insts.find("VCVTT").unwrap();
-        let jnle = insts.find("JNLE").unwrap();
-        let kernels = [
-            Microkernel::single(addss),
-            Microkernel::pair(addss, 2, bsr, 1),
-            Microkernel::pair(addss, 1, bsr, 2),
-            Microkernel::from_counts([(vcvtt, 1), (addss, 2), (jnle, 3)]),
-            Microkernel::from_counts([(vcvtt, 2), (bsr, 1), (jnle, 1), (addss, 1)]),
-        ];
-        for k in kernels {
-            let subset = optimal_execution_time(&map, &k);
-            let lp = optimal_execution_time_lp(&map, &k).unwrap();
-            assert!((subset - lp).abs() < 1e-6, "mismatch for {k}: {subset} vs {lp}");
+    fn port_bound_equals_the_power_set_bound_bit_for_bit() {
+        // Release builds compile the debug cross-check out; this pins the
+        // closure's exactness there too.  Random load lists over up to 12
+        // ports, with repeated port sets, zero loads, loads that round (1/3)
+        // and a non-pipelined unit's 5 cycles, against every port subset.
+        let every_port = PortSet::from_mask((1 << 12) - 1);
+        let values = [0.0, 1.0, 2.0, 0.5, 1.0 / 3.0, 2.0 / 3.0, 0.1, 5.0];
+        let mut rng = StdRng::seed_from_u64(0x5eed_9017);
+        for _ in 0..1_000 {
+            let num_ports = rng.gen_range(1..=12u32);
+            let mut loads: Vec<(PortSet, f64)> = Vec::new();
+            for _ in 0..rng.gen_range(1..=6usize) {
+                let ports = if !loads.is_empty() && rng.gen::<f64>() < 0.25 {
+                    loads[rng.gen_range(0..loads.len())].0
+                } else {
+                    PortSet::from_mask(rng.gen_range(1..(1u32 << num_ports)))
+                };
+                let load = values[rng.gen_range(0..values.len())] * rng.gen_range(1..=3u32) as f64;
+                loads.push((ports, load));
+            }
+            let bound = port_bound(&loads);
+            let exhaustive = power_set_bound(&loads, every_port);
+            assert_eq!(
+                bound.to_bits(),
+                exhaustive.to_bits(),
+                "closure {bound} vs power set {exhaustive} for {loads:?}"
+            );
         }
     }
 }

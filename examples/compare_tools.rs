@@ -18,7 +18,7 @@ fn main() {
     let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(machine.mapping_arc()));
     println!("machine: {} — inferring the Palmed mapping...", machine.name());
 
-    let palmed = Palmed::new(PalmedConfig::evaluation()).infer(&measurer).predictor();
+    let palmed = Palmed::new(PalmedConfig::evaluation()).infer(&measurer).mapping;
     let uops = UopsStylePredictor::new(machine.mapping_arc());
     let iaca = IacaLikePredictor::new(machine.mapping_arc());
     let mca = McaLikePredictor::new(machine.mapping_arc());

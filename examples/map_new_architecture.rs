@@ -43,7 +43,7 @@ fn main() {
     }
 
     // Spot-check the accuracy of the inferred model against native runs.
-    let predictor = result.predictor();
+    let predictor = &result.mapping;
     let native = AnalyticMeasurer::new(machine.mapping_arc());
     let find = |name: &str| machine.instructions.find(name).expect("known instruction");
     println!("\n== spot checks (predicted vs native IPC)");

@@ -24,7 +24,7 @@ fn main() {
     println!("{}", result.report);
 
     // 4. Use the mapping as a throughput predictor on unseen mixes.
-    let predictor = result.predictor();
+    let predictor = &result.mapping;
     let native = AnalyticMeasurer::new(machine.mapping_arc());
     let find = |name: &str| machine.instructions.find(name).expect("known instruction");
     let examples = [

@@ -19,7 +19,7 @@ fn accuracy_on_random_mixes(
 ) -> (f64, f64) {
     let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
     let result = Palmed::new(PalmedConfig::evaluation()).infer(&measurer);
-    let predictor = result.predictor();
+    let predictor = &result.mapping;
     let native = AnalyticMeasurer::new(preset.mapping_arc());
 
     let ids: Vec<InstId> = preset.instructions.ids().collect();
@@ -76,7 +76,7 @@ fn inference_is_robust_to_measurement_noise() {
         MeasurementNoise::realistic(3),
     ));
     let result = Palmed::new(PalmedConfig::small()).infer(&noisy);
-    let predictor = result.predictor();
+    let predictor = &result.mapping;
     let native = AnalyticMeasurer::new(preset.mapping_arc());
     let ids: Vec<InstId> = preset.instructions.ids().collect();
     let mut r = rng(21);
