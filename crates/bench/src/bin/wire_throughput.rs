@@ -31,13 +31,13 @@
 //!     [--smoke] [--out FILE]`
 //!
 //! `--smoke` runs a reduced matrix in well under a second and writes no
-//! file — it is the CI gate.  It asserts, within the one run, that the
-//! median wall time per request at 4 clients stays below the median
-//! in-process `parse_and_predict` floor, both sampled in alternating blocks
-//! so a transient load spike lands on both sides of the comparison, and
-//! that the readiness loop pumps fewer than a quarter of the idle
-//! connections per wakeup.  The default (full) run
-//! writes `BENCH_wire.json` to the working directory (or `--out`).
+//! file — it is the CI gate.  It asserts that the shared batcher parses
+//! each scenario's corpus once: every scenario starts a fresh server, so
+//! its `wire.batch.corpus_cache_hits` delta must be its request count minus
+//! one.  It also asserts that the readiness loop pumps fewer than a quarter
+//! of the idle connections per wakeup.  Both are counts, so CPU contention
+//! cannot fail the gate.  The default (full) run writes `BENCH_wire.json`
+//! to the working directory (or `--out`).
 
 use std::process::ExitCode;
 
@@ -103,16 +103,6 @@ mod linux {
 
     const MODEL: &str = "wire-bench";
 
-    /// Alternating floor / 4-client sample blocks the smoke gate compares
-    /// by their medians.
-    const SMOKE_BLOCKS: usize = 9;
-
-    /// The median of a non-empty sample.
-    fn median(mut samples: Vec<f64>) -> f64 {
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2]
-    }
-
     /// A mapping covering all six paper-inventory mnemonics, so every
     /// served row is `Some`.
     fn bench_artifact() -> ModelArtifact {
@@ -162,9 +152,16 @@ mod linux {
     }
 
     struct Measured {
+        requests: u64,
         ns_per_request: f64,
         p50_ns: u64,
         p99_ns: u64,
+        /// Requests answered from the batcher's corpus cache.
+        cache_hits: u64,
+    }
+
+    fn corpus_cache_hits() -> u64 {
+        palmed_obs::snapshot().counter("wire.batch.corpus_cache_hits").unwrap_or(0)
     }
 
     /// The `wire.request_ns` delta between two snapshots, as a quantile
@@ -211,6 +208,7 @@ mod linux {
         let server_thread = std::thread::spawn(move || server.run());
 
         let before = request_histogram();
+        let hits_before = corpus_cache_hits();
         let start = Instant::now();
         let mut workers = Vec::new();
         for worker in 0..clients {
@@ -258,6 +256,7 @@ mod linux {
         }
         let elapsed = start.elapsed();
         let after = request_histogram();
+        let cache_hits = corpus_cache_hits() - hits_before;
 
         stop.store(true, Ordering::SeqCst);
         server_thread.join().expect("bench server thread").expect("bench serve loop");
@@ -266,9 +265,11 @@ mod linux {
         let delta = histogram_delta(&before, &after);
         assert_eq!(delta.count, total as u64, "every request lands in wire.request_ns");
         Measured {
+            requests: total as u64,
             ns_per_request: elapsed.as_nanos() as f64 / total,
             p50_ns: delta.quantile_bound(0.50),
             p99_ns: delta.quantile_bound(0.99),
+            cache_hits,
         }
     }
 
@@ -349,16 +350,13 @@ mod linux {
         let reference = Arc::new(batch.predict_prepared(&prepared).ipcs);
 
         let floor_iters = if smoke { 5 } else { 50 };
-        let parse_and_predict = || {
-            let start = Instant::now();
-            for _ in 0..floor_iters {
-                let parsed = Corpus::parse(&corpus, instructions).expect("bench corpus parses");
-                let prepared = PreparedBatch::from_corpus(&parsed);
-                let _ = batch.predict_prepared(&prepared);
-            }
-            start.elapsed().as_nanos() as f64 / floor_iters as f64
-        };
-        let parse_and_predict_ns = parse_and_predict();
+        let start = Instant::now();
+        for _ in 0..floor_iters {
+            let parsed = Corpus::parse(&corpus, instructions).expect("bench corpus parses");
+            let prepared = PreparedBatch::from_corpus(&parsed);
+            let _ = batch.predict_prepared(&prepared);
+        }
+        let parse_and_predict_ns = start.elapsed().as_nanos() as f64 / floor_iters as f64;
         let start = Instant::now();
         for _ in 0..floor_iters {
             let _ = batch.predict_prepared(&prepared);
@@ -383,15 +381,23 @@ mod linux {
             params.blocks
         );
 
-        // The wire matrix.
+        // The wire matrix.  Each scenario's server is fresh, so only its
+        // first request may parse the corpus.
+        let mut reparsed = Vec::new();
         for &clients in params.clients {
             let measured = run_scenario(clients, &registry, &corpus, params.iters, &reference);
             println!(
-                "wire_throughput: c{clients}: {:.0} req/s, round bound p50 {:.0}µs, p99 {:.0}µs",
+                "wire_throughput: c{clients}: {:.0} req/s, round bound p50 {:.0}µs, p99 {:.0}µs, \
+                 {} of {} requests from the corpus cache",
                 1e9 / measured.ns_per_request,
                 measured.p50_ns as f64 / 1e3,
-                measured.p99_ns as f64 / 1e3
+                measured.p99_ns as f64 / 1e3,
+                measured.cache_hits,
+                measured.requests
             );
+            if measured.cache_hits != measured.requests - 1 {
+                reparsed.push((clients, measured.cache_hits, measured.requests));
+            }
             rows.push(Row {
                 bench: format!("wire_throughput/c{clients}"),
                 ns_per_iter: measured.ns_per_request,
@@ -415,21 +421,12 @@ mod linux {
         rows.push(Row { bench: "wire_frontend/pumps_per_wakeup".to_string(), ns_per_iter: scan });
 
         if smoke {
-            // Floor and 4-client samples alternate, so a load spike slows
-            // both sides of the comparison instead of one.
-            let (mut floors, mut wires) = (Vec::new(), Vec::new());
-            for _ in 0..SMOKE_BLOCKS {
-                floors.push(parse_and_predict());
-                wires.push(
-                    run_scenario(4, &registry, &corpus, params.iters, &reference).ns_per_request,
-                );
-            }
-            let (floor, at_4) = (median(floors), median(wires));
-            if at_4 >= floor {
+            if let Some(&(clients, hits, requests)) = reparsed.first() {
                 eprintln!(
-                    "wire_throughput: FAIL: the median {at_4:.0} ns/req over the wire at 4 \
-                     clients is not below the median in-process parse_and_predict floor \
-                     ({floor:.0} ns) — the shared batcher must not pay a parse per request"
+                    "wire_throughput: FAIL: the {clients}-client scenario answered {hits} of \
+                     {requests} requests from the corpus cache (want {}) — the shared batcher \
+                     must not pay a parse per request",
+                    requests - 1
                 );
                 return ExitCode::FAILURE;
             }
@@ -444,11 +441,9 @@ mod linux {
                 return ExitCode::FAILURE;
             }
             println!(
-                "wire_throughput: OK (smoke): c4 wire {:.2}x the parse_and_predict floor \
-                 (medians of {SMOKE_BLOCKS} alternating blocks); {scan:.1} conns/wakeup with {} \
-                 idle (cap {scan_cap:.0})",
-                at_4 / floor,
-                params.idle_conns
+                "wire_throughput: OK (smoke): one corpus parse per scenario at {:?} clients; \
+                 {scan:.1} conns/wakeup with {} idle (cap {scan_cap:.0})",
+                params.clients, params.idle_conns
             );
         } else {
             std::fs::write(out, render_rows(&rows)).expect("bench output writes");

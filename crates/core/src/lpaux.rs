@@ -32,11 +32,10 @@
 //! PMEvo's global evolutionary search takes days.
 
 use crate::conjunctive::ConjunctiveMapping;
-use crate::quadratic::MIN_IPC;
+use crate::quadratic::{measure_all, MIN_IPC};
 use crate::saturate::SaturatingKernels;
 use palmed_isa::{InstId, Microkernel};
 use palmed_machine::Measurer;
-use palmed_par::par_map;
 
 /// The `L` of `K_sat(i, r) = i i sat[r]^L sat[r]` (paper: 4).
 pub const SATURATING_REPEAT: u32 = 4;
@@ -134,9 +133,12 @@ pub fn map_instruction<M: Measurer>(
 ///
 /// Every kernel the sweep measures depends only on its instruction and the
 /// frozen saturating kernels, never on another instruction's usage, so they
-/// are all measured up front, in parallel; the sweep then reads them back.
-/// Pass a memoizing measurer, as the pipeline does, or each kernel is
-/// measured twice.
+/// are all measured up front, in two fan-outs over the cores: first the
+/// single-instruction kernels, then the `K_sat` kernels of the instructions
+/// at or above [`MIN_IPC`].  Each fan-out cuts its kernels into contiguous
+/// blocks, one [`Measurer::ipc_many`] batch each.  The sweep then reads
+/// them back.  Pass a memoizing measurer, as the pipeline does, or each
+/// kernel is measured twice.
 pub fn complete_mapping<M: Measurer + Sync>(
     measurer: &M,
     mapping: &mut ConjunctiveMapping,
@@ -145,13 +147,17 @@ pub fn complete_mapping<M: Measurer + Sync>(
 ) -> Vec<(InstId, CompletionOutcome)> {
     let unsupported: Vec<InstId> =
         instructions.iter().copied().filter(|&inst| !mapping.supports(inst)).collect();
-    par_map(&unsupported, |&inst| {
-        let inst_ipc = measurer.ipc(&Microkernel::single(inst));
-        if inst_ipc >= MIN_IPC {
-            for sat in saturating.kernels.iter().flatten() {
-                measurer.ipc(&completion_kernel(inst, inst_ipc, sat));
-            }
-        }
+    let singles = measure_all(measurer, &unsupported, |&inst| Microkernel::single(inst));
+    let completions: Vec<(InstId, f64, &Microkernel)> = unsupported
+        .iter()
+        .zip(singles)
+        .filter(|&(_, inst_ipc)| inst_ipc >= MIN_IPC)
+        .flat_map(|(&inst, inst_ipc)| {
+            saturating.kernels.iter().flatten().map(move |sat| (inst, inst_ipc, sat))
+        })
+        .collect();
+    measure_all(measurer, &completions, |&(inst, inst_ipc, sat)| {
+        completion_kernel(inst, inst_ipc, sat)
     });
     instructions
         .iter()

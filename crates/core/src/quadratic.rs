@@ -17,6 +17,7 @@
 use palmed_isa::{InstId, Microkernel};
 use palmed_machine::Measurer;
 use palmed_par::par_map;
+use std::sync::Mutex;
 
 /// Instructions with an individual IPC below this value are not
 /// benchmarked further, neither in pairs nor by LPAUX (paper: 0.05).
@@ -37,6 +38,39 @@ pub const DISJOINT_TOLERANCE: f64 = 0.05;
 
 /// Position of an instruction that is not in the campaign.
 const ABSENT: u32 = u32::MAX;
+
+/// Most blocks [`measure_all`] cuts a job list into.  A fixed block count,
+/// not a fixed block size: enough blocks for the workers to balance uneven
+/// measurement costs, few enough that each batch amortises the measurer's
+/// per-batch overhead over many kernels.
+const MEASURE_BLOCKS: usize = 64;
+
+/// Measures the kernel `kernel(job)` of every job, returning the IPCs in
+/// job order.  The jobs are cut into at most [`MEASURE_BLOCKS`] contiguous
+/// blocks that fan out over the cores; each block builds its kernels and
+/// measures them with one [`Measurer::ipc_many`] batch.
+///
+/// Each block copies its IPCs into its own slice of the returned buffer, so
+/// the batch's result is freed on the worker that allocated it.  Returning
+/// the per-block vectors to the caller instead left about 1 MB more of
+/// free memory resident in the workers' glibc malloc arenas once training
+/// had dropped its memo (the serve workloads of `palbench` train first).
+pub(crate) fn measure_all<T: Sync, M: Measurer + Sync>(
+    measurer: &M,
+    jobs: &[T],
+    kernel: impl Fn(&T) -> Microkernel + Sync,
+) -> Vec<f64> {
+    let block_len = jobs.len().div_ceil(MEASURE_BLOCKS).max(1);
+    let mut ipcs = vec![f64::NAN; jobs.len()];
+    let blocks: Vec<(&[T], Mutex<&mut [f64]>)> =
+        jobs.chunks(block_len).zip(ipcs.chunks_mut(block_len).map(Mutex::new)).collect();
+    par_map(&blocks, |(block, out)| {
+        let block_ipcs = measurer.ipc_many(block.iter().map(&kernel).collect());
+        out.lock().expect("a block panicked while writing its IPCs").copy_from_slice(&block_ipcs);
+    });
+    drop(blocks);
+    ipcs
+}
 
 /// Results of a quadratic campaign over a set of instructions.
 ///
@@ -68,9 +102,11 @@ impl QuadraticCampaign {
     /// instructions may share a benchmark (the extension-mixing rule); it is
     /// always called with `a <= b`.
     ///
-    /// The per-benchmark measurements are embarrassingly parallel and fan
-    /// out over the available cores; results are recorded in the same
-    /// deterministic order as the sequential loop would produce.
+    /// The singles, then the pairs, are each measured by [`measure_all`]:
+    /// at most [`MEASURE_BLOCKS`] contiguous blocks fan out over the
+    /// available cores, each block one [`Measurer::ipc_many`] batch.  The
+    /// results come back in job order, so they are recorded exactly as the
+    /// sequential loop would record them.
     pub fn run<M: Measurer + Sync>(
         measurer: &M,
         instructions: &[InstId],
@@ -85,7 +121,7 @@ impl QuadraticCampaign {
         }
 
         // Individual IPCs and the low-IPC filter.
-        let singles = par_map(instructions, |&a| measurer.ipc(&Microkernel::single(a)));
+        let singles = measure_all(measurer, instructions, |&a| Microkernel::single(a));
         let mut campaign = QuadraticCampaign {
             positions,
             singles,
@@ -110,7 +146,7 @@ impl QuadraticCampaign {
             }
         }
         let pair_ipcs =
-            par_map(&pair_jobs, |&(lo, hi)| measurer.ipc(&campaign.pair_kernel(id(lo), id(hi))));
+            measure_all(measurer, &pair_jobs, |&(lo, hi)| campaign.pair_kernel(id(lo), id(hi)));
         campaign.num_benchmarks += pair_jobs.len();
         for ((p, q), ipc) in pair_jobs.into_iter().zip(pair_ipcs) {
             debug_assert!(!ipc.is_nan(), "NaN marks a pair that was not run");

@@ -12,6 +12,14 @@
 //! re-measures the same kernels across phases — and its
 //! [`distinct_kernels`](MemoizingMeasurer::distinct_kernels) is the
 //! "Gen. microbenchmarks" column of Table II.
+//!
+//! Kernels are measured one at a time ([`Measurer::ipc`]) or in batches
+//! ([`Measurer::ipc_many`]).  A batch returns exactly the values the
+//! per-kernel calls would, in input order; it exists so a layer with
+//! per-call overhead pays it once per batch.  The trainer's bulk
+//! measurements (the quadratic campaigns and LPAUX's prefetch) go through
+//! batches, so the memo takes each of its shard locks once per batch
+//! instead of twice per kernel.
 
 use crate::cycle_sim::{simulate_ipc, SimulationConfig};
 use crate::disjunctive::DisjunctiveMapping;
@@ -30,6 +38,14 @@ pub trait Measurer {
     /// Steady-state instructions-per-cycle of the kernel.
     fn ipc(&self, kernel: &Microkernel) -> f64;
 
+    /// Steady-state IPC of every kernel of a batch, in input order: the
+    /// values [`ipc`](Measurer::ipc) returns for each.  The default measures
+    /// them one by one; a layer with per-call overhead overrides it to pay
+    /// that overhead once per batch.
+    fn ipc_many(&self, kernels: Vec<Microkernel>) -> Vec<f64> {
+        kernels.iter().map(|kernel| self.ipc(kernel)).collect()
+    }
+
     /// The instruction set this measurer can benchmark.
     fn instructions(&self) -> &InstructionSet;
 
@@ -42,6 +58,9 @@ pub trait Measurer {
 impl<M: Measurer + ?Sized> Measurer for &M {
     fn ipc(&self, kernel: &Microkernel) -> f64 {
         (**self).ipc(kernel)
+    }
+    fn ipc_many(&self, kernels: Vec<Microkernel>) -> Vec<f64> {
+        (**self).ipc_many(kernels)
     }
     fn instructions(&self) -> &InstructionSet {
         (**self).instructions()
@@ -235,6 +254,22 @@ fn lock(shard: &MemoShard) -> MutexGuard<'_, HashMap<Microkernel, f64, FxBuildHa
 /// deterministic, so the values agree anyway).  Hashing here only indexes
 /// the cache: the noise model's [`MeasurementNoise::fingerprint`] keeps its
 /// own SipHash, which defines the measured values.
+///
+/// [`ipc`](Measurer::ipc) takes its kernel's shard lock twice: once to look
+/// up, once to insert a miss (cloning the kernel as the key).
+/// [`ipc_many`](Measurer::ipc_many) amortises both over a batch, in three
+/// passes:
+///
+/// 1. dedupe the batch ([`KernelSet::dedup_refs`]), group its distinct
+///    kernels by shard and look each group up under one lock;
+/// 2. measure each distinct missing kernel once, with no lock held;
+/// 3. insert each group's misses under one lock, first value wins, moving
+///    the batch's own kernels into the map as keys (no clone).
+///
+/// No lock is held while the inner measurer runs and at most one is held at
+/// a time, so batches and single lookups from any number of threads never
+/// deadlock, and the distinct-kernel count is the same whichever entry point
+/// measured a kernel.
 #[derive(Debug)]
 pub struct MemoizingMeasurer<M> {
     inner: M,
@@ -256,23 +291,67 @@ impl<M: Measurer> MemoizingMeasurer<M> {
     pub fn into_inner(self) -> M {
         self.inner
     }
+}
 
-    /// The shard caching `kernel`, picked by bits 48–51 of its hash: an Fx
-    /// hash mixes best into its high bits, and the top 7 are left to the
-    /// map's own control bytes.
-    fn shard(&self, kernel: &Microkernel) -> &MemoShard {
-        &self.shards[(KernelSet::hash_kernel(kernel) >> 48) as usize % MEMO_SHARDS]
-    }
+/// Index of the shard caching `kernel`, picked by bits 48–51 of its hash: an
+/// Fx hash mixes best into its high bits, and the top 7 are left to the
+/// map's own control bytes.
+fn shard_index(kernel: &Microkernel) -> usize {
+    (KernelSet::hash_kernel(kernel) >> 48) as usize % MEMO_SHARDS
 }
 
 impl<M: Measurer> Measurer for MemoizingMeasurer<M> {
     fn ipc(&self, kernel: &Microkernel) -> f64 {
-        let shard = self.shard(kernel);
+        let shard = &self.shards[shard_index(kernel)];
         if let Some(&v) = lock(shard).get(kernel) {
             return v;
         }
         let v = self.inner.ipc(kernel);
         *lock(shard).entry(kernel.clone()).or_insert(v)
+    }
+
+    fn ipc_many(&self, mut kernels: Vec<Microkernel>) -> Vec<f64> {
+        // Pass 1: dedupe the batch, group its distinct kernels by shard and
+        // look each group up under one lock; each group keeps its misses.
+        let (distinct, slots) = KernelSet::dedup_refs(&kernels);
+        let mut values = vec![f64::NAN; distinct.len()];
+        let mut groups: [Vec<usize>; MEMO_SHARDS] = Default::default();
+        for (d, kernel) in distinct.iter().enumerate() {
+            groups[shard_index(kernel)].push(d);
+        }
+        for (shard, group) in self.shards.iter().zip(&mut groups) {
+            let cache = lock(shard);
+            group.retain(|&d| match cache.get(distinct[d]) {
+                Some(&v) => {
+                    values[d] = v;
+                    false
+                }
+                None => true,
+            });
+        }
+
+        // Pass 2: measure the misses with no lock held.
+        for &d in groups.iter().flatten() {
+            values[d] = self.inner.ipc(distinct[d]);
+        }
+
+        // Pass 3: insert each group under one lock, keyed by the batch's own
+        // kernel (its first occurrence); a value another thread inserted
+        // meanwhile wins.
+        let mut first = Vec::with_capacity(distinct.len());
+        for (i, &d) in slots.iter().enumerate() {
+            if d as usize == first.len() {
+                first.push(i);
+            }
+        }
+        for (shard, group) in self.shards.iter().zip(&groups) {
+            let mut cache = lock(shard);
+            for &d in group {
+                let kernel = std::mem::take(&mut kernels[first[d]]);
+                values[d] = *cache.entry(kernel).or_insert(values[d]);
+            }
+        }
+        slots.into_iter().map(|d| values[d as usize]).collect()
     }
 
     fn instructions(&self) -> &InstructionSet {
@@ -338,34 +417,127 @@ mod tests {
         assert_eq!(m.measurement_count(), 2);
     }
 
-    #[test]
-    fn parallel_memo_lookups_count_each_kernel_once_and_return_inner_values() {
+    /// A noisy analytic measurer on the small skl-sp-like inventory and
+    /// `len` pair kernels over a few hundred distinct ones, each kernel
+    /// recurring every 331 positions.
+    fn repeating_kernels(len: usize) -> (AnalyticMeasurer, Vec<Microkernel>) {
         let preset = presets::skl_sp(&palmed_isa::InventoryConfig::small());
         let ids: Vec<_> = preset.instructions.ids().collect();
         let inner =
             AnalyticMeasurer::with_noise(preset.mapping_arc(), MeasurementNoise::realistic(5));
-        // 4,000 lookups over a few hundred distinct kernels, in an order that
-        // spreads the repeats over both halves of the parallel map.
-        let kernels: Vec<Microkernel> = (0..4000usize)
+        let kernels = (0..len)
             .map(|i| {
                 let j = i * 7919 % 331;
                 let (a, b) = (ids[j % ids.len()], ids[j * 31 % ids.len()]);
                 Microkernel::pair(a, 1 + (j % 3) as u32, b, 1)
             })
             .collect();
+        (inner, kernels)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// An inner measurer that counts how often it measures each kernel.
+    struct Counting<'a> {
+        inner: &'a AnalyticMeasurer,
+        calls: Mutex<HashMap<Microkernel, usize>>,
+    }
+
+    impl Measurer for Counting<'_> {
+        fn ipc(&self, kernel: &Microkernel) -> f64 {
+            *self.calls.lock().unwrap().entry(kernel.clone()).or_default() += 1;
+            self.inner.ipc(kernel)
+        }
+
+        fn instructions(&self) -> &InstructionSet {
+            self.inner.instructions()
+        }
+    }
+
+    /// Measures every third kernel one by one, so a later batch of all of
+    /// them mixes hits, misses and misses repeated inside the batch.
+    fn warmed_batch<M: Measurer>(memo: &MemoizingMeasurer<M>, kernels: &[Microkernel]) {
+        for kernel in kernels.iter().step_by(3) {
+            memo.ipc(kernel);
+        }
+    }
+
+    #[test]
+    fn batches_return_the_per_kernel_values_on_hits_misses_and_repeats() {
+        let (inner, batch) = repeating_kernels(600);
+        let expected: Vec<u64> = batch.iter().map(|k| inner.ipc(k).to_bits()).collect();
+        let distinct: std::collections::HashSet<&Microkernel> = batch.iter().collect();
+
+        assert_eq!(bits(&inner.ipc_many(batch.clone())), expected, "the default ipc_many");
+
+        let memo = MemoizingMeasurer::new(&inner);
+        warmed_batch(&memo, &batch);
+        let warmed: std::collections::HashSet<&Microkernel> = batch.iter().step_by(3).collect();
+        assert!(warmed.len() < distinct.len(), "the batch must miss");
+        let repeated_miss = batch
+            .iter()
+            .enumerate()
+            .any(|(i, k)| !warmed.contains(k) && batch[i + 1..].contains(k));
+        assert!(repeated_miss, "some missed kernel must recur inside the batch");
+
+        assert_eq!(bits(&memo.ipc_many(batch.clone())), expected, "the memo's ipc_many");
+        assert_eq!(memo.distinct_kernels(), distinct.len());
+        // All hits now: the same values, nothing new cached.
+        assert_eq!(bits(&memo.ipc_many(batch.clone())), expected);
+        assert_eq!(memo.distinct_kernels(), distinct.len());
+        assert!(memo.ipc_many(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn batches_measure_each_distinct_missed_kernel_once() {
+        let (inner, batch) = repeating_kernels(600);
+        let distinct: std::collections::HashSet<&Microkernel> = batch.iter().collect();
+        let counting = Counting { inner: &inner, calls: Mutex::default() };
+        let memo = MemoizingMeasurer::new(&counting);
+        warmed_batch(&memo, &batch);
+        memo.ipc_many(batch.clone());
+        memo.ipc_many(batch.clone());
+        let calls = counting.calls.lock().unwrap();
+        assert_eq!(calls.len(), distinct.len());
+        assert!(calls.values().all(|&n| n == 1), "a kernel was measured twice");
+    }
+
+    #[test]
+    fn parallel_memo_lookups_count_each_kernel_once_and_return_inner_values() {
+        // 4,000 lookups over a few hundred distinct kernels, in an order that
+        // spreads the repeats over both halves of the parallel map.
+        let (inner, kernels) = repeating_kernels(4000);
         let distinct: std::collections::HashSet<&Microkernel> = kernels.iter().collect();
         assert!(distinct.len() < kernels.len() / 10, "the list must repeat heavily");
+        let expected: Vec<u64> = kernels.iter().map(|k| inner.ipc(k).to_bits()).collect();
 
         let memo = MemoizingMeasurer::new(&inner);
         let got = palmed_par::par_map(&kernels, |k| memo.ipc(k));
         assert_eq!(memo.distinct_kernels(), distinct.len());
         assert_eq!(memo.measurement_count(), distinct.len());
+        assert_eq!(bits(&got), expected);
         for (k, v) in kernels.iter().zip(got) {
-            assert_eq!(v.to_bits(), inner.ipc(k).to_bits(), "{k:?}");
             assert_eq!(memo.ipc(k).to_bits(), v.to_bits());
         }
         // Cached lookups measure nothing new.
         assert_eq!(memo.measurement_count(), distinct.len());
+
+        // Per-kernel lookups and batches racing through the same kernels on
+        // two threads.
+        let memo = MemoizingMeasurer::new(&inner);
+        let (per_kernel, batched) = std::thread::scope(|scope| {
+            let per_kernel = scope.spawn(|| kernels.iter().map(|k| memo.ipc(k)).collect());
+            let batched = scope.spawn(|| {
+                kernels.chunks(97).flat_map(|chunk| memo.ipc_many(chunk.to_vec())).collect()
+            });
+            let join = |h: std::thread::ScopedJoinHandle<'_, Vec<f64>>| h.join().unwrap();
+            (join(per_kernel), join(batched))
+        });
+        assert_eq!(memo.distinct_kernels(), distinct.len());
+        assert_eq!(bits(&per_kernel), expected);
+        assert_eq!(bits(&batched), expected);
     }
 
     #[test]
@@ -377,6 +549,7 @@ mod tests {
         let as_dyn: &dyn Measurer = &analytic;
         let addss = insts.find("ADDSS").unwrap();
         assert!(as_dyn.ipc(&Microkernel::single(addss)) > 0.0);
+        assert_eq!(as_dyn.ipc_many(vec![Microkernel::single(addss)]).len(), 1);
         fn generic<M: Measurer>(m: &M, k: &Microkernel) -> f64 {
             m.ipc(k)
         }
