@@ -357,8 +357,17 @@ fn main() {
         }
         value
     };
-    // Trainer: the inference in step 1 ran campaigns and LP solves.
+    // Trainer: the inference in step 1 ran campaigns and LP solves, and
+    // counted each distinct kernel its memo measured, once.
     let benchmarks = check("trainer.benchmarks");
+    let measured = measurer.distinct_kernels() as u64;
+    if benchmarks != measured {
+        eprintln!(
+            "FATAL: trainer.benchmarks counts {benchmarks} benchmarks, but the memo measured \
+             {measured} distinct kernels"
+        );
+        std::process::exit(1);
+    }
     let pivots = check("lp.simplex.iterations");
     // Serving: batches were served, the duplicated batch deduped.
     let serves = check("serve.batch.requests");

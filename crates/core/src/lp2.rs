@@ -143,11 +143,6 @@ pub fn solve_bwp(
             // vertices, and the alternating heuristic interprets the
             // returned one (it re-selects each kernel's saturating resource
             // from the weights), so the starting basis changes the mapping.
-            // Starting each resource's LP from its previous round's basis
-            // (`palmed_lp::solve_with_warm_start`) lands on better mappings:
-            // it lowers Palmed's Fig. 4b RMS error on every suite at both
-            // campaign scales.  It also re-pins every trained output, so it
-            // waits for a change that means to move accuracy.
             let solution = problem.solve()?;
             for (&inst, &v) in &vars {
                 weights.insert((inst, r), solution[v].max(0.0));

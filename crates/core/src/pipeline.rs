@@ -111,7 +111,6 @@ impl Palmed {
 
         let mut bench_time = std::time::Duration::ZERO;
         let mut lp_time = std::time::Duration::ZERO;
-        let mut benchmarks = 0usize;
 
         // ---- Phase 1: per-extension quadratic campaigns and selection. ----
         let start = Instant::now();
@@ -127,7 +126,6 @@ impl Palmed {
                 continue;
             }
             let campaign = QuadraticCampaign::run(measurer, &candidates, compatible);
-            benchmarks += campaign.num_benchmarks();
             let selection =
                 select_basic_instructions(&campaign, &candidates, self.config.target_count);
             selections.push((extension, selection));
@@ -154,7 +152,6 @@ impl Palmed {
         // ---- Phase 2: core mapping (LP1 shape + LP2 weights). ----
         let start = Instant::now();
         let basic_campaign = QuadraticCampaign::run(measurer, &combined_basic, compatible);
-        benchmarks += basic_campaign.num_benchmarks();
         // A combined selection view over the union of the per-extension sets:
         // the very-basic / greedy split is preserved per extension.
         let combined_selection = Selection {
@@ -174,7 +171,6 @@ impl Palmed {
         let lp1_span = palmed_obs::span("trainer.lp1");
         let shape = shape_via_cliques(measurer, &basic_campaign, &combined_selection);
         drop(lp1_span);
-        benchmarks += shape.kernels.len();
         let lp2_span = palmed_obs::span("trainer.lp2");
         let bwp = solve_bwp(&shape, &shape.kernels).expect("the BWP relaxation is always feasible");
         drop(lp2_span);
@@ -188,7 +184,6 @@ impl Palmed {
         let remaining: Vec<InstId> =
             instructions.iter().copied().filter(|i| !mapping.supports(*i)).collect();
         let outcomes = complete_mapping(measurer, &mut mapping, &saturating, &remaining);
-        benchmarks += remaining.len() * saturating.num_saturated();
         let mut skipped = Vec::new();
         for (inst, outcome) in outcomes {
             if let CompletionOutcome::SkippedLowIpc(ipc) = outcome {
@@ -205,7 +200,7 @@ impl Palmed {
             instructions_skipped: skipped.len(),
             basic_instructions: combined_basic.len(),
             resources_found: mapping.num_resources(),
-            benchmarks_generated: benchmarks.max(measurer.measurement_count()),
+            benchmarks_generated: measurer.measurement_count(),
             benchmarking_time: bench_time,
             lp_time,
         };

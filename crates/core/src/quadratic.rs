@@ -102,8 +102,8 @@ impl QuadraticCampaign {
     /// instructions may share a benchmark (the extension-mixing rule); it is
     /// always called with `a <= b`.
     ///
-    /// The singles, then the pairs, are each measured by [`measure_all`]:
-    /// at most [`MEASURE_BLOCKS`] contiguous blocks fan out over the
+    /// The singles, then the pairs, are each measured by `measure_all`:
+    /// at most `MEASURE_BLOCKS` contiguous blocks fan out over the
     /// available cores, each block one [`Measurer::ipc_many`] batch.  The
     /// results come back in job order, so they are recorded exactly as the
     /// sequential loop would record them.

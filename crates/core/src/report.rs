@@ -24,7 +24,10 @@ pub struct MappingReport {
     pub basic_instructions: usize,
     /// Number of abstract resources in the final mapping.
     pub resources_found: usize,
-    /// Number of distinct microbenchmarks generated and measured.
+    /// Number of distinct microbenchmarks generated and measured: the
+    /// measurer's [`measurement_count`](palmed_machine::Measurer::measurement_count)
+    /// once inference is done.  A measurer that does not count (the bare
+    /// back-ends; wrap one in a `MemoizingMeasurer` to count) reports 0.
     pub benchmarks_generated: usize,
     /// Wall-clock time spent generating and measuring benchmarks.
     pub benchmarking_time: Duration,

@@ -163,7 +163,6 @@ impl Campaign {
         let palmed_result = Palmed::new(PalmedConfig::evaluation()).infer(&inference_measurer);
         let mut report = palmed_result.report.clone();
         report.machine = preset.name().to_string();
-        report.benchmarks_generated = inference_measurer.distinct_kernels();
         // The campaign serves heavy prediction traffic (every tool × suite ×
         // block), so Palmed is evaluated through its compiled serving form —
         // bit-identical to predicting with the inferred `ConjunctiveMapping`,

@@ -9,11 +9,11 @@
 //!
 //! * [`model`] — a tiny modelling layer: variables with bounds, linear
 //!   expressions, constraints and an objective ([`Problem`]).
-//! * [`revised`] — the one LP solver: a **sparse revised simplex** over
-//!   column-major (CSC) storage with implicit lower/upper variable bounds
-//!   (no bound rows, no free-variable splitting), a sparse-LU + product-form
-//!   eta factorised basis, and **warm starting** via a reusable [`Basis`]
-//!   handle ([`solve_with_warm_start`]).
+//! * `revised` (crate-private) — the one LP solver behind
+//!   [`Problem::solve`]: a **sparse revised simplex** over column-major
+//!   (CSC) storage with implicit lower/upper variable bounds (no bound rows,
+//!   no free-variable splitting) and a sparse-LU + product-form eta
+//!   factorised basis, started cold from the all-slack basis.
 //! * `certify` (crate-private) — the solver's proof obligations.  Every
 //!   outcome is checked against the [`Problem`] in `O(nnz)` with no code
 //!   shared with pivoting: an optimum by its row duals (primal residual,
@@ -24,9 +24,7 @@
 //!
 //! The solver is exact (up to floating-point tolerance) and geared towards
 //! the problem sizes LP2 generates: tens to a few hundred variables and
-//! constraints per solve.  Warm starts pay off on sequences of solves that
-//! are small perturbations of each other; LP2's rounds solve cold, and the
-//! `lp_solver` benchmark and the certificate tests exercise the warm path.
+//! constraints per solve.
 //!
 //! # Example
 //!
@@ -45,31 +43,11 @@
 //! assert!((sol[x] - 2.0).abs() < 1e-6);
 //! assert!((sol[y] - 2.0).abs() < 1e-6);
 //! ```
-//!
-//! # Warm starting
-//!
-//! ```
-//! use palmed_lp::{revised, Problem, Sense};
-//!
-//! let build = |rhs: f64| {
-//!     let mut p = Problem::new(Sense::Maximize);
-//!     let x = p.add_var("x", 0.0, 3.0);
-//!     let y = p.add_var("y", 0.0, 3.0);
-//!     p.add_le(p.expr().term(1.0, x).term(1.0, y), rhs);
-//!     p.set_objective(p.expr().term(2.0, x).term(1.0, y));
-//!     p
-//! };
-//! let first = revised::solve_with_warm_start(&build(4.0), None).unwrap();
-//! // Perturb the right-hand side and restart from the previous basis.
-//! let again = revised::solve_with_warm_start(&build(4.5), Some(&first.basis)).unwrap();
-//! assert!(again.iterations <= first.iterations);
-//! ```
 
 mod certify;
 pub mod error;
 pub mod model;
-pub mod revised;
+mod revised;
 
 pub use error::{LpError, LpResult};
 pub use model::{Constraint, ConstraintOp, LinExpr, Problem, Sense, Solution, VarId};
-pub use revised::{solve_with_warm_start, Basis, SolveInfo};

@@ -1,8 +1,9 @@
-//! Sparse revised simplex with implicit variable bounds, warm starts and
-//! self-certified results.
+//! Sparse revised simplex with implicit variable bounds and self-certified
+//! results.
 //!
 //! This is the crate's only LP solver.  Three structural choices fit it to
-//! the thousands of small sparse LPs the Palmed pipeline generates:
+//! the small sparse LPs the Palmed pipeline generates, LP2's tens to
+//! hundreds per run:
 //!
 //! * **Sparse storage.**  The standard form is held column-major (CSC); an
 //!   iteration touches `O(nnz + m²)` numbers instead of a full
@@ -16,12 +17,8 @@
 //!   periodically.  Pivots never rewrite the constraint data.
 //!
 //! Feasibility is reached with an **artificial-free phase 1** that minimises
-//! the total bound violation of the basic variables from whatever basis it
-//! starts with — the all-slack basis on a cold start, or a caller-provided
-//! [`Basis`] on a warm start.  Because phase 1 works from any basis, warm
-//! starting after a right-hand-side or bound perturbation (a sweep of
-//! related LPs) usually costs a handful of pivots instead of a full
-//! two-phase solve.
+//! the total bound violation of the basic variables, starting from the
+//! all-slack basis.
 //!
 //! Pricing is Dantzig with a switch to Bland's rule after
 //! `BLAND_THRESHOLD` pivots.
@@ -52,7 +49,7 @@ const PIVOT_TOL: f64 = 1e-9;
 /// Status of one standard-form column (structural variables first, then one
 /// slack per row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ColStatus {
+enum ColStatus {
     /// In the basis.
     Basic,
     /// Nonbasic at its lower bound.
@@ -61,31 +58,6 @@ pub enum ColStatus {
     AtUpper,
     /// Nonbasic free variable, resting at zero.
     Free,
-}
-
-/// A snapshot of the simplex basis, reusable across related solves.
-///
-/// A basis is valid for any problem with the same number of variables and
-/// constraints; the matrix values, bounds, right-hand sides and objective may
-/// all differ.  [`solve_with_warm_start`] falls back to a cold start when the
-/// dimensions do not match or the proposed basis is singular, so stale
-/// handles are safe to pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Basis {
-    status: Vec<ColStatus>,
-    num_vars: usize,
-    num_constraints: usize,
-}
-
-/// Result of [`solve_with_warm_start`]: the solution plus restart metadata.
-#[derive(Debug, Clone)]
-pub struct SolveInfo {
-    /// The optimal solution, mapped back onto the problem variables.
-    pub solution: Solution,
-    /// The final basis, reusable to warm-start a related solve.
-    pub basis: Basis,
-    /// Number of simplex iterations (pivots and bound flips) performed.
-    pub iterations: usize,
 }
 
 /// Sparse left-looking LU factorisation with partial pivoting
@@ -255,7 +227,8 @@ impl SparseLu {
 struct BasisFactors {
     /// `(basis position, row, value)` of every singleton basic column.
     singletons: Vec<(usize, usize, f64)>,
-    /// Basis positions of the kernel (non-singleton) columns, in LU order.
+    /// Positions in the basis of the kernel (non-singleton) columns, in LU
+    /// order.
     kernel_pos: Vec<usize>,
     /// Original row of each compressed kernel row.
     kernel_rows: Vec<usize>,
@@ -404,9 +377,6 @@ struct Solver {
     etas: Vec<Eta>,
     iterations: usize,
     refactorizations: usize,
-    /// True when a caller-supplied warm basis was adopted (vs falling back
-    /// to a cold all-slack start).
-    warm_adopted: bool,
 }
 
 enum PhaseOutcome {
@@ -424,7 +394,8 @@ enum PhaseOutcome {
 }
 
 impl Solver {
-    fn build(problem: &Problem, warm: Option<&Basis>) -> LpResult<Solver> {
+    /// Assembles the standard form and factorises the all-slack basis.
+    fn build(problem: &Problem) -> Solver {
         let n = problem.num_vars();
         let m = problem.num_constraints();
         let n_total = n + m;
@@ -485,6 +456,10 @@ impl Solver {
             cost[v.index()] += if maximize { -coefficient } else { coefficient };
         }
 
+        // All-slack starting basis: each structural column rests at a bound.
+        let mut status: Vec<ColStatus> =
+            (0..n).map(|j| Self::resting_status(lower[j], upper[j])).collect();
+        status.resize(n_total, ColStatus::Basic);
         let mut solver = Solver {
             m,
             n_total,
@@ -496,50 +471,17 @@ impl Solver {
             upper,
             cost,
             b,
-            status: Vec::new(),
-            basis_cols: Vec::new(),
+            status,
+            basis_cols: (n..n_total).collect(),
             x_basic: vec![0.0; m],
             factors: BasisFactors::factorize(0, &[]).expect("the empty basis factorises"),
             etas: Vec::new(),
             iterations: 0,
             refactorizations: 0,
-            warm_adopted: false,
         };
-
-        if let Some(basis) = warm {
-            if basis.num_vars == n && basis.num_constraints == m {
-                solver.status = basis.status.clone();
-                solver.normalize_nonbasic_statuses();
-                let basic: Vec<usize> =
-                    (0..n_total).filter(|&j| solver.status[j] == ColStatus::Basic).collect();
-                if basic.len() == m {
-                    solver.basis_cols = basic;
-                    if solver.refactorize() {
-                        solver.warm_adopted = true;
-                        return Ok(solver);
-                    }
-                }
-            }
-        }
-        solver.cold_start();
-        Ok(solver)
-    }
-
-    /// All-slack starting basis.
-    fn cold_start(&mut self) {
-        let n = self.n_struct;
-        self.status = (0..self.n_total)
-            .map(|j| {
-                if j >= n {
-                    ColStatus::Basic
-                } else {
-                    Self::resting_status(self.lower[j], self.upper[j])
-                }
-            })
-            .collect();
-        self.basis_cols = (n..self.n_total).collect();
-        let ok = self.refactorize();
+        let ok = solver.refactorize();
         debug_assert!(ok, "the all-slack basis is the identity and always factorises");
+        solver
     }
 
     fn resting_status(lower: f64, upper: f64) -> ColStatus {
@@ -549,23 +491,6 @@ impl Solver {
             ColStatus::AtUpper
         } else {
             ColStatus::Free
-        }
-    }
-
-    /// Repairs nonbasic statuses pointing at bounds that no longer exist
-    /// (bounds may have changed since the basis was captured).
-    fn normalize_nonbasic_statuses(&mut self) {
-        for j in 0..self.n_total.min(self.status.len()) {
-            let status = self.status[j];
-            let fixed = match status {
-                ColStatus::AtLower if !self.lower[j].is_finite() => true,
-                ColStatus::AtUpper if !self.upper[j].is_finite() => true,
-                ColStatus::Free if self.lower[j].is_finite() || self.upper[j].is_finite() => true,
-                _ => false,
-            };
-            if fixed {
-                self.status[j] = Self::resting_status(self.lower[j], self.upper[j]);
-            }
         }
     }
 
@@ -897,10 +822,6 @@ impl Solver {
         }
     }
 
-    fn capture_basis(&self) -> Basis {
-        Basis { status: self.status.clone(), num_vars: self.n_struct, num_constraints: self.m }
-    }
-
     /// Current values of the structural variables.
     fn values(&self) -> Vec<f64> {
         let mut values: Vec<f64> = (0..self.n_struct)
@@ -915,24 +836,8 @@ impl Solver {
     }
 }
 
-/// Solves the continuous LP with the sparse revised simplex (cold start).
-///
-/// # Errors
-///
-/// Returns [`LpError::Infeasible`], [`LpError::Unbounded`] or
-/// [`LpError::IterationLimit`] as appropriate, and the model-validation
-/// errors of [`Problem::validate`] for malformed problems.
-pub fn solve(problem: &Problem) -> LpResult<Solution> {
-    solve_with_warm_start(problem, None).map(|info| info.solution)
-}
-
-/// Solves the continuous LP, optionally seeding the simplex with a [`Basis`]
-/// captured from a related solve.
-///
-/// Warm starting never changes the optimal objective, only the number of
-/// iterations and, when the optimum is not unique, which optimal vertex is
-/// returned.  A mismatched or singular basis silently degrades to a cold
-/// start.
+/// Solves the continuous LP with the sparse revised simplex, from the
+/// all-slack basis.  [`Problem::solve`] is the public way in.
 ///
 /// # Errors
 ///
@@ -941,45 +846,25 @@ pub fn solve(problem: &Problem) -> LpResult<Solution> {
 /// errors of [`Problem::validate`] for malformed problems.  This is the one
 /// place a problem is validated; the check is O(nnz) and negligible next to
 /// a solve.
-pub fn solve_with_warm_start(problem: &Problem, warm: Option<&Basis>) -> LpResult<SolveInfo> {
-    let result = solve_instrumented(problem, warm);
-    if result.is_err() {
-        palmed_obs::counter!("lp.simplex.failures").inc();
-    }
-    result
-}
-
-fn solve_instrumented(problem: &Problem, warm: Option<&Basis>) -> LpResult<SolveInfo> {
-    problem.validate()?;
-    let mut solver = Solver::build(problem, warm)?;
-    palmed_obs::counter!("lp.simplex.solves").inc();
-    if warm.is_some() {
-        if solver.warm_adopted {
-            palmed_obs::counter!("lp.simplex.warm_start.hits").inc();
-        } else {
-            palmed_obs::counter!("lp.simplex.warm_start.misses").inc();
-        }
-    }
-    if !solver.warm_adopted {
-        palmed_obs::counter!("lp.simplex.cold_starts").inc();
-    }
-
-    let duals = run_phases(&mut solver, problem);
-    // Pivot and refactorization totals are recorded even when the solve
-    // errors out — iteration-limit blowups are exactly what the counters
-    // exist to surface.
-    palmed_obs::counter!("lp.simplex.iterations").add(solver.iterations as u64);
-    palmed_obs::counter!("lp.simplex.refactorizations").add(solver.refactorizations as u64);
-    let duals = duals?;
-
-    let values = solver.values();
-    record(certify::optimal(problem, &values, &duals));
-    let objective = problem.objective().evaluate(&values);
-    Ok(SolveInfo {
-        solution: Solution { values, objective },
-        basis: solver.capture_basis(),
-        iterations: solver.iterations,
-    })
+pub(crate) fn solve(problem: &Problem) -> LpResult<Solution> {
+    problem
+        .validate()
+        .and_then(|()| {
+            let mut solver = Solver::build(problem);
+            palmed_obs::counter!("lp.simplex.solves").inc();
+            let duals = run_phases(&mut solver, problem);
+            // Pivot and refactorization totals are recorded even when the
+            // solve errors out — iteration-limit blowups are exactly what the
+            // counters exist to surface.
+            palmed_obs::counter!("lp.simplex.iterations").add(solver.iterations as u64);
+            palmed_obs::counter!("lp.simplex.refactorizations").add(solver.refactorizations as u64);
+            let duals = duals?;
+            let values = solver.values();
+            record(certify::optimal(problem, &values, &duals));
+            let objective = problem.objective().evaluate(&values);
+            Ok(Solution { values, objective })
+        })
+        .inspect_err(|_| palmed_obs::counter!("lp.simplex.failures").inc())
 }
 
 /// Runs both phases and returns the optimal basis's row duals; an infeasible
@@ -1101,8 +986,8 @@ mod tests {
 
     #[test]
     fn malformed_problems_error_instead_of_panicking() {
-        // A VarId from another problem must surface as UnknownVariable even
-        // through the direct (non-`Problem::solve`) entry points.
+        // A VarId from another problem must surface as UnknownVariable, not
+        // as an out-of-bounds panic inside the solver.
         let mut other = Problem::new(Sense::Minimize);
         let _ = other.add_var("f", 0.0, 1.0);
         // Index 1: out of range for the 1-variable problem below.
@@ -1116,7 +1001,7 @@ mod tests {
         let mut q = Problem::new(Sense::Minimize);
         let y = q.add_var("y", 0.0, 1.0);
         q.add_le(q.expr().term(f64::NAN, y), 1.0);
-        let nan_err = solve_with_warm_start(&q, None);
+        let nan_err = solve(&q);
         assert!(matches!(nan_err, Err(LpError::NonFiniteCoefficient { .. })));
     }
 
@@ -1155,59 +1040,6 @@ mod tests {
         assert_close(sol.objective, 9.0);
     }
 
-    fn band_lp(n: usize, rhs_bump: f64) -> Problem {
-        let mut p = Problem::new(Sense::Maximize);
-        let vars: Vec<_> = (0..n).map(|i| p.add_var(format!("x{i}"), 0.0, 2.0)).collect();
-        for i in 0..n.saturating_sub(2) {
-            let row = p.expr().term(1.0, vars[i]).term(1.0, vars[i + 1]).term(1.0, vars[i + 2]);
-            p.add_le(row, 2.5 + (i % 3) as f64 + rhs_bump);
-        }
-        let mut obj = p.expr();
-        for (i, &v) in vars.iter().enumerate() {
-            obj.add_term(1.0 + (i % 5) as f64 * 0.25, v);
-        }
-        p.set_objective(obj);
-        p
-    }
-
-    #[test]
-    fn warm_start_on_perturbed_rhs_pivots_less() {
-        let cold_problem = band_lp(40, 0.0);
-        let cold = solve_with_warm_start(&cold_problem, None).unwrap();
-        assert!(cold.iterations > 0);
-
-        let perturbed = band_lp(40, 0.125);
-        let warm = solve_with_warm_start(&perturbed, Some(&cold.basis)).unwrap();
-        let re_cold = solve_with_warm_start(&perturbed, None).unwrap();
-        assert_close(warm.solution.objective, re_cold.solution.objective);
-        assert!(
-            warm.iterations < re_cold.iterations,
-            "warm start must pivot less: warm {} vs cold {}",
-            warm.iterations,
-            re_cold.iterations
-        );
-    }
-
-    #[test]
-    fn warm_start_on_identical_problem_is_nearly_free() {
-        let problem = band_lp(32, 0.0);
-        let first = solve_with_warm_start(&problem, None).unwrap();
-        let again = solve_with_warm_start(&problem, Some(&first.basis)).unwrap();
-        assert_close(first.solution.objective, again.solution.objective);
-        assert!(again.iterations <= 2, "re-solve took {} iterations", again.iterations);
-    }
-
-    #[test]
-    fn stale_basis_falls_back_to_cold_start() {
-        let small = band_lp(8, 0.0);
-        let info = solve_with_warm_start(&small, None).unwrap();
-        let bigger = band_lp(16, 0.0);
-        // Mismatched dimensions: must still solve correctly.
-        let warm = solve_with_warm_start(&bigger, Some(&info.basis)).unwrap();
-        let cold = solve_with_warm_start(&bigger, None).unwrap();
-        assert_close(warm.solution.objective, cold.solution.objective);
-    }
-
     #[test]
     fn textbook_problems_certify_with_their_known_duals() {
         // (problem, optimum, row duals in minimisation form).  First: max
@@ -1226,7 +1058,7 @@ mod tests {
         for (p, optimum, duals) in
             [(max, vec![2.0, 2.0], vec![-1.0]), (min, vec![1.6, 1.2], vec![0.4, 0.2])]
         {
-            let mut solver = Solver::build(&p, None).unwrap();
+            let mut solver = Solver::build(&p);
             let y = run_phases(&mut solver, &p).unwrap();
             let values = solver.values();
             for (got, want) in values.iter().zip(&optimum).chain(y.iter().zip(&duals)) {
@@ -1234,6 +1066,50 @@ mod tests {
             }
             assert_eq!(certify::optimal(&p, &values, &y), Ok(()));
         }
+    }
+
+    #[test]
+    fn long_solves_refactorise_periodically_and_certify() {
+        // A 12 × 12 transportation LP: every source ships its whole supply
+        // (equality rows) and every sink receives at least its demand.  The
+        // solve chains more than `REFACTOR_INTERVAL` eta updates, so the
+        // basis is refactorised mid-solve as well as at the start.
+        let n = 12usize;
+        let mut p = Problem::new(Sense::Minimize);
+        let vars: Vec<_> =
+            (0..n * n).map(|k| p.add_var(format!("x{k}"), 0.0, f64::INFINITY)).collect();
+        for i in 0..n {
+            let mut row = p.expr();
+            for j in 0..n {
+                row.add_term(1.0, vars[i * n + j]);
+            }
+            p.add_eq(row, 1.25 + i as f64);
+        }
+        for j in 0..n {
+            let mut col = p.expr();
+            for i in 0..n {
+                col.add_term(1.0, vars[i * n + j]);
+            }
+            p.add_ge(col, 0.5 + j as f64 * 0.5);
+        }
+        let mut obj = p.expr();
+        for (k, &v) in vars.iter().enumerate() {
+            obj.add_term(1.0 + (k % 7) as f64, v);
+        }
+        p.set_objective(obj);
+
+        let mut solver = Solver::build(&p);
+        let y = run_phases(&mut solver, &p).unwrap();
+        assert!(
+            solver.refactorizations >= 2,
+            "only {} refactorisation(s) in {} iterations",
+            solver.refactorizations,
+            solver.iterations
+        );
+        let values = solver.values();
+        assert_eq!(certify::optimal(&p, &values, &y), Ok(()));
+        // A min-cost-flow formulation of the same instance gives 82.25 too.
+        assert_close(p.objective().evaluate(&values), 82.25);
     }
 
     /// Knuth's MMIX LCG (high bits), a seeded stream for the property test.
@@ -1246,7 +1122,8 @@ mod tests {
     #[test]
     fn sparse_lu_solves_random_bases_to_roundoff() {
         // Small integer entries make exact cancellation common: a work value
-        // that cancels to 0.0 and fills in again must not list its row twice.
+        // that cancels to 0.0 and fills in again must not list its row twice,
+        // or the factorisation stores that row's L entry twice.
         let mut state = 0x5EED_0F1D_u64;
         let mut nonsingular = 0usize;
         for case in 0..10_000 {

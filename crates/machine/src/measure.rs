@@ -50,6 +50,8 @@ pub trait Measurer {
     fn instructions(&self) -> &InstructionSet;
 
     /// Number of measurements performed so far (distinct benchmark runs).
+    /// The default, kept by every measurer that does not count, is 0;
+    /// [`MemoizingMeasurer`] reports its distinct kernels.
     fn measurement_count(&self) -> usize {
         0
     }

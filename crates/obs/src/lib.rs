@@ -45,12 +45,9 @@
 //! | `lp.simplex.failures` | C | solves that returned an error |
 //! | `lp.simplex.iterations` | C | simplex pivots across all solves |
 //! | `lp.simplex.refactorizations` | C | basis refactorizations |
-//! | `lp.simplex.warm_start.hits` | C | warm bases adopted successfully |
-//! | `lp.simplex.warm_start.misses` | C | warm bases rejected (fell back cold) |
-//! | `lp.simplex.cold_starts` | C | solves started from a cold basis |
 //! | `lp.certify.checked` | C | simplex outcomes (optimal, infeasible, unbounded) checked against their duality certificate |
 //! | `lp.certify.failed` | C | outcomes whose certificate failed (a solver defect; debug builds panic instead) |
-//! | `trainer.benchmarks` | C | benchmark instances fed to the pipeline |
+//! | `trainer.benchmarks` | C | distinct kernels measured |
 //! | `trainer.lp2.rounds` | C | LP2 alternation rounds executed |
 //! | `span.trainer.select` | H | Phase 1 campaign/selection duration |
 //! | `span.trainer.lp1` | H | LP1 shape-discovery duration |

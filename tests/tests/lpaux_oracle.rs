@@ -13,7 +13,7 @@ use palmed_core::lpaux::{completion_kernel, map_instruction, CompletionOutcome};
 use palmed_core::saturate::{select_saturating_kernels, SaturatingKernels};
 use palmed_core::{Palmed, PalmedConfig};
 use palmed_isa::{InstId, InventoryConfig, Microkernel};
-use palmed_lp::{revised, LinExpr, Problem, Sense, VarId};
+use palmed_lp::{LinExpr, Problem, Sense, VarId};
 use palmed_machine::{
     presets, AnalyticMeasurer, BackendKind, BackendMeasurer, MeasurementNoise, Measurer,
     MemoizingMeasurer, SimulationConfig,
@@ -95,7 +95,7 @@ fn assert_matches_the_lp<M: Measurer>(
 ) {
     let (problem, rho) =
         completion_lp(measurer, core, saturating, inst).expect("a saturating benchmark");
-    let solution = revised::solve(&problem).expect("the completion LP is feasible");
+    let solution = problem.solve().expect("the completion LP is feasible");
     for (r, (&v, &got)) in rho.iter().zip(closed).enumerate() {
         let want = solution[v].max(0.0);
         assert!(
