@@ -9,14 +9,26 @@
 //! * `lp_revised/transportation/*` — dense-objective, sparse-matrix
 //!   assignment LPs (2n equality/inequality rows over n² variables);
 //! * `lp_revised/band/*` — band-structured LPs with finite upper bounds on
-//!   every variable, the shape the bounded-variable rule is built for.
+//!   every variable, the shape the bounded-variable rule is built for;
+//! * `lp2/solve_bwp/train_sim` — one whole LP2 alternation
+//!   (`palmed_core::lp2::solve_bwp`: its per-resource solves and the round
+//!   bookkeeping around them) on the shape of palbench's `train_sim`
+//!   training: skl-sp-like, small inventory, cycle simulator at 100 + 1000
+//!   cycles, noise seed 2022.
 //!
-//! The committed `BENCH_lp.json` at the repository root records a baseline
-//! of these numbers (`CRITERION_JSON=BENCH_lp.json cargo bench -p
-//! palmed-bench --bench lp_solver`); it holds exactly the group above.
+//! The committed `BENCH_lp.json` at the repository root records these
+//! numbers for two builds measured back to back on one machine, each run
+//! dumped by `CRITERION_JSON=<path> cargo bench -p palmed-bench --bench
+//! lp_solver`; it holds exactly the groups above.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use palmed_core::lp2::solve_bwp;
+use palmed_core::{Palmed, PalmedConfig};
+use palmed_isa::{InstId, InventoryConfig};
 use palmed_lp::{Problem, Sense};
+use palmed_machine::{
+    presets, BackendKind, BackendMeasurer, MeasurementNoise, MemoizingMeasurer, SimulationConfig,
+};
 
 /// A dense transportation-style LP with `n` sources and `n` sinks.
 fn transportation_lp(n: usize) -> Problem {
@@ -83,5 +95,21 @@ fn bench_revised(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_revised);
+fn bench_lp2(c: &mut Criterion) {
+    let preset = presets::skl_sp(&InventoryConfig::small());
+    let measurer = MemoizingMeasurer::new(BackendMeasurer::new(
+        BackendKind::Simulation(SimulationConfig { warmup_cycles: 100, measured_cycles: 1_000 }),
+        preset.mapping_arc(),
+        MeasurementNoise::realistic(2022),
+    ));
+    let all: Vec<InstId> = preset.instructions.ids().collect();
+    let shape = Palmed::new(PalmedConfig::evaluation()).core_shape(&measurer, &all);
+    let mut group = c.benchmark_group("lp2");
+    group.bench_function("solve_bwp/train_sim", |b| {
+        b.iter(|| solve_bwp(&shape, &shape.kernels).expect("the BWP is always feasible"))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_revised, bench_lp2);
 criterion_main!(benches);

@@ -23,12 +23,18 @@
 //! block-coordinate treatment of minimax objectives, which converges in a
 //! handful of rounds on Palmed's instances.  It reaches a local optimum of
 //! the total slack, not a proven global one.
+//!
+//! The rounds run on dense arrays.  Before the first round, every basic
+//! instruction gets a position and every benchmark its list of
+//! `(position, count, count·(1/|K|))` entries; a round then holds the
+//! weights as one `positions × resources` vector, builds each resource's LP
+//! from the entries, and evaluates each `(kernel, resource)` usage exactly
+//! once.  No map is looked up inside the alternation.
 
 use crate::conjunctive::ConjunctiveMapping;
 use crate::lp1::ShapeMapping;
 use palmed_isa::{InstId, Microkernel};
 use palmed_lp::{LinExpr, LpError, Problem, Sense, VarId};
-use std::collections::BTreeMap;
 
 /// Maximum number of alternating rounds of [`solve_bwp`].
 pub const MAX_ROUNDS: usize = 8;
@@ -48,7 +54,40 @@ pub struct BwpSolution {
     pub total_slack: f64,
 }
 
+/// One instruction of a benchmark, as the rounds read it.
+struct Entry {
+    /// Position of the instruction in `shape.allowed` order; the position
+    /// one past the last basic instruction stands for every instruction
+    /// outside the shape, whose weights are always zero.
+    pos: usize,
+    /// Multiplicity `σ_{K,i}`.
+    count: u32,
+    /// `σ_{K,i} · (1/|K|)`: the instruction's LP coefficient before the
+    /// IPC scale.
+    share: f64,
+}
+
+/// A benchmark, precomputed once before the rounds.
+struct Bench {
+    /// Its instructions, in kernel order.
+    entries: Vec<Entry>,
+    /// Measured IPC.
+    ipc: f64,
+    /// `ipc / |K|`, the scale of its usage evaluation.
+    scale: f64,
+}
+
 /// Solves the BWP with the alternating (argmax re-selection) strategy.
+///
+/// Every basic instruction gets a position in `shape.allowed` order, and
+/// every benchmark its `(position, count, count·(1/|K|))` entries, once
+/// before the rounds.  A round then keeps its state in dense arrays: the
+/// weights are one `positions × resources` row-major vector, reset to zero,
+/// and each resource's LP maps a position to its variable through a dense
+/// table.  The usage `ρ_{K,r}` of every benchmark and resource is evaluated
+/// exactly once per round, one benchmark at a time into a single
+/// `num_resources` scratch row, which yields both `S_K` and the next
+/// saturating-resource choice.
 ///
 /// # Errors
 ///
@@ -67,31 +106,60 @@ pub fn solve_bwp(
         });
     }
 
+    // Positions in `shape.allowed` order (sorted by id); `outside` is the
+    // zero row.
+    let insts: Vec<InstId> = shape.allowed.keys().copied().collect();
+    let outside = insts.len();
+    let mut users: Vec<Vec<usize>> = vec![Vec::new(); num_resources];
+    for (p, allowed) in shape.allowed.values().enumerate() {
+        for &r in allowed {
+            users[r].push(p);
+        }
+    }
+    let benches: Vec<Bench> = kernels
+        .iter()
+        .map(|(kernel, ipc)| {
+            let total = kernel.total_instructions() as f64;
+            let inverse = 1.0 / total;
+            let entries = kernel
+                .iter()
+                .map(|(inst, count)| Entry {
+                    pos: insts.binary_search(&inst).unwrap_or(outside),
+                    count,
+                    share: count as f64 * inverse,
+                })
+                .collect();
+            Bench { entries, ipc: *ipc, scale: ipc / total }
+        })
+        .collect();
+
     // Initial saturating-resource guess for every kernel: the allowed
     // resource covering the largest share of the kernel, preferring *more
     // private* resources (fewer users in the shape) on ties.  The private
     // preference matters for single-instruction benchmarks: an instruction
     // saturates its own resource, and starting from the widely shared one
     // can trap the alternation in a poor local optimum.
-    let users_per_resource: Vec<usize> =
-        (0..num_resources).map(|r| shape.users_of(r).len()).collect();
-    let mut chosen: Vec<usize> = kernels
+    let allowed: Vec<_> = shape.allowed.values().collect();
+    let mut coverage = vec![0u64; num_resources];
+    let mut chosen: Vec<usize> = benches
         .iter()
-        .map(|(kernel, _)| {
+        .map(|bench| {
+            coverage.fill(0);
+            for e in bench.entries.iter().filter(|e| e.pos != outside) {
+                for &r in allowed[e.pos] {
+                    coverage[r] += u64::from(e.count);
+                }
+            }
+            // privacy bonus: fewer users ranks higher on equal coverage
             (0..num_resources)
-                .max_by_key(|&r| {
-                    let coverage: u64 = kernel
-                        .iter()
-                        .filter(|&(i, _)| shape.allowed.get(&i).is_some_and(|s| s.contains(&r)))
-                        .map(|(_, c)| c as u64)
-                        .sum();
-                    // privacy bonus: fewer users ranks higher on equal coverage
-                    (coverage, usize::MAX - users_per_resource[r])
-                })
+                .max_by_key(|&r| (coverage[r], usize::MAX - users[r].len()))
                 .unwrap_or(0)
         })
         .collect();
 
+    let mut weights = vec![0.0; (outside + 1) * num_resources];
+    let mut var_of: Vec<Option<VarId>> = vec![None; outside + 1];
+    let mut usage = vec![0.0; num_resources];
     let mut best: Option<BwpSolution> = None;
     for _ in 0..MAX_ROUNDS {
         palmed_obs::counter!("trainer.lp2.rounds").inc();
@@ -101,41 +169,33 @@ pub fn solve_bwp(
         // and in the objective terms of the kernels whose chosen resource is
         // `r`.  Solving one small LP per resource is therefore exact and
         // avoids building one tableau with |K|·|R| rows.
-        let mut weights: BTreeMap<(InstId, usize), f64> = BTreeMap::new();
-        for r in 0..num_resources {
-            let users = shape.users_of(r);
+        weights.fill(0.0);
+        for (r, users) in users.iter().enumerate() {
             if users.is_empty() {
                 continue;
             }
             let mut problem = Problem::new(Sense::Maximize);
-            let vars: BTreeMap<InstId, VarId> = users
-                .iter()
-                .map(|&i| (i, problem.add_var(format!("rho_{i}_{r}"), 0.0, 1.0)))
-                .collect();
-            let usage_expr = |kernel: &Microkernel| {
-                let scale = 1.0 / kernel.total_instructions() as f64;
-                let mut usage = LinExpr::new();
-                for (inst, count) in kernel.iter() {
-                    if let Some(&v) = vars.get(&inst) {
-                        usage.add_term(count as f64 * scale, v);
+            for &p in users {
+                var_of[p] = Some(problem.add_var(format!("rho_{}_{r}", insts[p]), 0.0, 1.0));
+            }
+            // Row `ρ_{K,r} ≤ 1` of every kernel touching a user of `r`, and
+            // its terms once more in the objective when `r` is its choice.
+            let mut objective = LinExpr::new();
+            for (bench, &choice) in benches.iter().zip(&chosen) {
+                let mut row = LinExpr::new();
+                let mut touched = false;
+                for e in &bench.entries {
+                    if let Some(v) = var_of[e.pos] {
+                        touched = true;
+                        let coefficient = bench.ipc * e.share;
+                        row.add_term(coefficient, v);
+                        if choice == r {
+                            objective.add_term(coefficient, v);
+                        }
                     }
                 }
-                usage
-            };
-            let mut objective = LinExpr::new();
-            for (k, (kernel, ipc)) in kernels.iter().enumerate() {
-                let mut usage = usage_expr(kernel);
-                if usage.is_constant() {
-                    continue;
-                }
-                usage = {
-                    let mut scaled = LinExpr::new();
-                    scaled.add_scaled(*ipc, &usage);
-                    scaled
-                };
-                problem.add_le(usage.clone(), 1.0);
-                if chosen[k] == r {
-                    objective.add_scaled(1.0, &usage);
+                if touched {
+                    problem.add_le(row, 1.0);
                 }
             }
             problem.set_objective(objective);
@@ -144,51 +204,38 @@ pub fn solve_bwp(
             // returned one (it re-selects each kernel's saturating resource
             // from the weights), so the starting basis changes the mapping.
             let solution = problem.solve()?;
-            for (&inst, &v) in &vars {
-                weights.insert((inst, r), solution[v].max(0.0));
+            for &p in users {
+                let v = var_of[p].take().expect("every user has a variable");
+                weights[p * num_resources + r] = solution[v].max(0.0);
             }
         }
 
         // Evaluate the true saturation of every kernel under the new weights
-        // and re-select each kernel's saturating resource.
-        let usage_of = |kernel: &Microkernel, ipc: f64, r: usize| -> f64 {
-            let scale = ipc / kernel.total_instructions() as f64;
-            kernel
-                .iter()
-                .map(|(inst, count)| {
-                    count as f64 * scale * weights.get(&(inst, r)).copied().unwrap_or(0.0)
-                })
-                .sum()
-        };
-        let saturation: Vec<f64> = kernels
-            .iter()
-            .map(|(kernel, ipc)| {
-                (0..num_resources).map(|r| usage_of(kernel, *ipc, r)).fold(0.0, f64::max)
-            })
-            .collect();
-        let total_slack: f64 = saturation.iter().map(|&s| 1.0 - s).sum();
-        let mut mapping = ConjunctiveMapping::with_resources(num_resources);
-        for (&inst, allowed) in &shape.allowed {
-            let mut usage = vec![0.0; num_resources];
-            for &r in allowed {
-                usage[r] = weights.get(&(inst, r)).copied().unwrap_or(0.0);
+        // and re-select each kernel's saturating resource (the last maximum
+        // wins a tie).
+        let mut saturation = Vec::with_capacity(benches.len());
+        let mut next_chosen = Vec::with_capacity(benches.len());
+        for bench in &benches {
+            for (r, u) in usage.iter_mut().enumerate() {
+                *u = bench
+                    .entries
+                    .iter()
+                    .map(|e| e.count as f64 * bench.scale * weights[e.pos * num_resources + r])
+                    .sum();
             }
-            mapping.set_usage(inst, usage);
-        }
-        let improved = best.as_ref().is_none_or(|b| total_slack < b.total_slack - SLACK_TOLERANCE);
-        let next_chosen: Vec<usize> = kernels
-            .iter()
-            .map(|(kernel, ipc)| {
+            saturation.push(usage.iter().copied().fold(0.0, f64::max));
+            next_chosen.push(
                 (0..num_resources)
-                    .max_by(|&a, &b| {
-                        usage_of(kernel, *ipc, a)
-                            .partial_cmp(&usage_of(kernel, *ipc, b))
-                            .expect("finite usage")
-                    })
-                    .unwrap_or(0)
-            })
-            .collect();
-        if improved {
+                    .max_by(|&a, &b| usage[a].partial_cmp(&usage[b]).expect("finite usage"))
+                    .unwrap_or(0),
+            );
+        }
+        let total_slack: f64 = saturation.iter().map(|&s| 1.0 - s).sum();
+        if best.as_ref().is_none_or(|b| total_slack < b.total_slack - SLACK_TOLERANCE) {
+            let mut mapping = ConjunctiveMapping::with_resources(num_resources);
+            for (&inst, row) in insts.iter().zip(weights.chunks_exact(num_resources)) {
+                mapping.set_usage(inst, row.to_vec());
+            }
             best = Some(BwpSolution { mapping, saturation, total_slack });
         }
         if next_chosen == chosen {

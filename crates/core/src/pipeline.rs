@@ -23,7 +23,7 @@
 //! no hardware counters — which is the paper's central constraint.
 
 use crate::conjunctive::ConjunctiveMapping;
-use crate::lp1::shape_via_cliques;
+use crate::lp1::{shape_via_cliques, ShapeMapping};
 use crate::lp2::solve_bwp;
 use crate::lpaux::{complete_mapping, CompletionOutcome};
 use crate::quadratic::QuadraticCampaign;
@@ -98,23 +98,26 @@ impl Palmed {
         self.infer_subset(measurer, &all)
     }
 
-    /// Runs the full pipeline for a subset of instructions (useful for
-    /// partial / incremental mappings and for tests).
-    pub fn infer_subset<M: Measurer + Sync>(
+    /// The shape LP2 solves when [`infer_subset`](Self::infer_subset) maps
+    /// `instructions`: the same campaigns and selection, then LP1.
+    pub fn core_shape<M: Measurer + Sync>(
         &self,
         measurer: &M,
         instructions: &[InstId],
-    ) -> PalmedResult {
+    ) -> ShapeMapping {
+        let selections = self.select_per_extension(measurer, instructions);
+        let (campaign, selection) = basic_campaign(measurer, &selections);
+        shape_via_cliques(measurer, &campaign, &selection)
+    }
+
+    /// Phase 1: one quadratic campaign and basic-instruction selection per
+    /// ISA extension present in `instructions`.
+    fn select_per_extension<M: Measurer + Sync>(
+        &self,
+        measurer: &M,
+        instructions: &[InstId],
+    ) -> Vec<(Extension, Selection)> {
         let insts = measurer.instructions();
-        let compatible =
-            |a: InstId, b: InstId| insts.desc(a).extension.compatible_with(insts.desc(b).extension);
-
-        let mut bench_time = std::time::Duration::ZERO;
-        let mut lp_time = std::time::Duration::ZERO;
-
-        // ---- Phase 1: per-extension quadratic campaigns and selection. ----
-        let start = Instant::now();
-        let select_span = palmed_obs::span("trainer.select");
         let mut selections: Vec<(Extension, Selection)> = Vec::new();
         for extension in Extension::ALL {
             let candidates: Vec<InstId> = instructions
@@ -125,17 +128,32 @@ impl Palmed {
             if candidates.is_empty() {
                 continue;
             }
-            let campaign = QuadraticCampaign::run(measurer, &candidates, compatible);
+            let campaign = QuadraticCampaign::run(measurer, &candidates, compatible(measurer));
             let selection =
                 select_basic_instructions(&campaign, &candidates, self.config.target_count);
             selections.push((extension, selection));
         }
-        let combined_basic: Vec<InstId> =
-            selections.iter().flat_map(|(_, s)| s.basic.iter().copied()).collect();
+        selections
+    }
+
+    /// Runs the full pipeline for a subset of instructions (useful for
+    /// partial / incremental mappings and for tests).
+    pub fn infer_subset<M: Measurer + Sync>(
+        &self,
+        measurer: &M,
+        instructions: &[InstId],
+    ) -> PalmedResult {
+        let mut bench_time = std::time::Duration::ZERO;
+        let mut lp_time = std::time::Duration::ZERO;
+
+        // ---- Phase 1: per-extension quadratic campaigns and selection. ----
+        let start = Instant::now();
+        let select_span = palmed_obs::span("trainer.select");
+        let selections = self.select_per_extension(measurer, instructions);
         drop(select_span);
         bench_time += start.elapsed();
 
-        if combined_basic.is_empty() {
+        if selections.iter().all(|(_, s)| s.basic.is_empty()) {
             return PalmedResult {
                 mapping: ConjunctiveMapping::with_resources(0),
                 selections,
@@ -151,20 +169,7 @@ impl Palmed {
 
         // ---- Phase 2: core mapping (LP1 shape + LP2 weights). ----
         let start = Instant::now();
-        let basic_campaign = QuadraticCampaign::run(measurer, &combined_basic, compatible);
-        // A combined selection view over the union of the per-extension sets:
-        // the very-basic / greedy split is preserved per extension.
-        let combined_selection = Selection {
-            basic: combined_basic.clone(),
-            very_basic: selections.iter().flat_map(|(_, s)| s.very_basic.iter().copied()).collect(),
-            most_greedy: selections
-                .iter()
-                .flat_map(|(_, s)| s.most_greedy.iter().copied())
-                .collect(),
-            representatives: combined_basic.clone(),
-            classes: combined_basic.iter().map(|&i| vec![i]).collect(),
-            low_ipc: selections.iter().flat_map(|(_, s)| s.low_ipc.iter().copied()).collect(),
-        };
+        let (basic_campaign, combined_selection) = basic_campaign(measurer, &selections);
         bench_time += start.elapsed();
 
         let start = Instant::now();
@@ -198,7 +203,7 @@ impl Palmed {
             instructions_total: instructions.len(),
             instructions_mapped: mapping.num_instructions(),
             instructions_skipped: skipped.len(),
-            basic_instructions: combined_basic.len(),
+            basic_instructions: combined_selection.basic.len(),
             resources_found: mapping.num_resources(),
             benchmarks_generated: measurer.measurement_count(),
             benchmarking_time: bench_time,
@@ -220,6 +225,33 @@ impl Palmed {
 
         PalmedResult { mapping, selections, saturating, skipped, report }
     }
+}
+
+/// The extension-mixing rule of every campaign: two instructions may share
+/// a benchmark when their extensions are compatible.
+fn compatible<M: Measurer>(measurer: &M) -> impl Fn(InstId, InstId) -> bool + Sync + '_ {
+    let insts = measurer.instructions();
+    |a: InstId, b: InstId| insts.desc(a).extension.compatible_with(insts.desc(b).extension)
+}
+
+/// Phase 2's campaign over the union of the per-extension basic sets, and
+/// a combined selection view of them: the very-basic / greedy split is
+/// preserved per extension.
+fn basic_campaign<M: Measurer + Sync>(
+    measurer: &M,
+    selections: &[(Extension, Selection)],
+) -> (QuadraticCampaign, Selection) {
+    let basic: Vec<InstId> = selections.iter().flat_map(|(_, s)| s.basic.iter().copied()).collect();
+    let campaign = QuadraticCampaign::run(measurer, &basic, compatible(measurer));
+    let selection = Selection {
+        basic: basic.clone(),
+        very_basic: selections.iter().flat_map(|(_, s)| s.very_basic.iter().copied()).collect(),
+        most_greedy: selections.iter().flat_map(|(_, s)| s.most_greedy.iter().copied()).collect(),
+        representatives: basic.clone(),
+        classes: basic.iter().map(|&i| vec![i]).collect(),
+        low_ipc: selections.iter().flat_map(|(_, s)| s.low_ipc.iter().copied()).collect(),
+    };
+    (campaign, selection)
 }
 
 /// Names each abstract resource after its main user: the instruction with

@@ -91,8 +91,6 @@ pub struct QuadraticCampaign {
     singles: Vec<f64>,
     /// `aabb` IPC of every pair of positions, row-major, NaN when not run.
     pairs: Vec<f64>,
-    /// Number of benchmarks generated (singles plus measured pairs).
-    num_benchmarks: usize,
 }
 
 impl QuadraticCampaign {
@@ -122,12 +120,7 @@ impl QuadraticCampaign {
 
         // Individual IPCs and the low-IPC filter.
         let singles = measure_all(measurer, instructions, |&a| Microkernel::single(a));
-        let mut campaign = QuadraticCampaign {
-            positions,
-            singles,
-            pairs: vec![f64::NAN; n * n],
-            num_benchmarks: n,
-        };
+        let mut campaign = QuadraticCampaign { positions, singles, pairs: vec![f64::NAN; n * n] };
         let usable: Vec<u32> =
             (0..n as u32).filter(|&p| campaign.singles[p as usize] >= MIN_IPC).collect();
 
@@ -147,7 +140,6 @@ impl QuadraticCampaign {
         }
         let pair_ipcs =
             measure_all(measurer, &pair_jobs, |&(lo, hi)| campaign.pair_kernel(id(lo), id(hi)));
-        campaign.num_benchmarks += pair_jobs.len();
         for ((p, q), ipc) in pair_jobs.into_iter().zip(pair_ipcs) {
             debug_assert!(!ipc.is_nan(), "NaN marks a pair that was not run");
             let (p, q) = (p as usize, q as usize);
@@ -227,17 +219,12 @@ impl QuadraticCampaign {
         let expected = ia + ib;
         (iab - expected).abs() <= DISJOINT_TOLERANCE * expected
     }
-
-    /// Number of benchmarks generated by the campaign.
-    pub fn num_benchmarks(&self) -> usize {
-        self.num_benchmarks
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use palmed_machine::{presets, AnalyticMeasurer, MeasurementNoise};
+    use palmed_machine::{presets, AnalyticMeasurer, MeasurementNoise, MemoizingMeasurer};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
@@ -259,11 +246,23 @@ mod tests {
         assert!((c.single_ipc(find("JNLE")).unwrap() - 2.0).abs() < 1e-9);
     }
 
+    /// Number of pairs of `ids` with a measured `aabb` IPC.
+    fn measured_pairs(c: &QuadraticCampaign, ids: &[InstId]) -> usize {
+        ids.iter()
+            .enumerate()
+            .map(|(i, &a)| ids[i + 1..].iter().filter(|&&b| c.pair_ipc(a, b).is_some()).count())
+            .sum()
+    }
+
     #[test]
     fn pair_benchmark_count_is_quadratic() {
-        let (c, insts) = campaign();
-        let n = insts.len();
-        assert_eq!(c.num_benchmarks(), n + n * (n - 1) / 2);
+        let preset = presets::paper_ports016();
+        let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
+        let ids: Vec<InstId> = preset.instructions.ids().collect();
+        let c = QuadraticCampaign::run(&measurer, &ids, |_, _| true);
+        let n = ids.len();
+        assert_eq!(measured_pairs(&c, &ids), n * (n - 1) / 2);
+        assert_eq!(measurer.distinct_kernels(), n + n * (n - 1) / 2);
     }
 
     #[test]
@@ -289,12 +288,12 @@ mod tests {
     #[test]
     fn incompatible_pairs_are_skipped() {
         let preset = presets::paper_ports016();
-        let measurer = AnalyticMeasurer::new(preset.mapping_arc());
+        let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
         let ids: Vec<InstId> = preset.instructions.ids().collect();
         // Declare everything incompatible: only singles are measured.
         let c = QuadraticCampaign::run(&measurer, &ids, |_, _| false);
-        assert_eq!(c.num_benchmarks(), ids.len());
-        assert!(c.pair_ipc(ids[0], ids[1]).is_none());
+        assert_eq!(measured_pairs(&c, &ids), 0);
+        assert_eq!(measurer.distinct_kernels(), ids.len());
     }
 
     #[test]
@@ -353,7 +352,7 @@ mod tests {
             assert!(c.pair_ipc(div, o).is_none() && c.pair_ipc(o, div).is_none());
         }
         let n = others.len();
-        assert_eq!(c.num_benchmarks(), ids.len() + n * (n - 1) / 2);
+        assert_eq!(measured_pairs(&c, &ids), n * (n - 1) / 2);
 
         // The pipeline leaves DIV unmapped, skipped for its IPC.
         let result = crate::Palmed::new(crate::PalmedConfig::small()).infer(&measurer);
@@ -371,7 +370,6 @@ mod tests {
     struct HashCampaign {
         singles: HashMap<InstId, f64>,
         pairs: HashMap<(InstId, InstId), f64>,
-        num_benchmarks: usize,
     }
 
     impl HashCampaign {
@@ -380,13 +378,11 @@ mod tests {
             instructions: &[InstId],
             compatible: impl Fn(InstId, InstId) -> bool,
         ) -> Self {
-            let mut campaign =
-                HashCampaign { singles: HashMap::new(), pairs: HashMap::new(), num_benchmarks: 0 };
+            let mut campaign = HashCampaign { singles: HashMap::new(), pairs: HashMap::new() };
             let mut usable = Vec::new();
             for &a in instructions {
                 let ipc = measurer.ipc(&Microkernel::single(a));
                 campaign.singles.insert(a, ipc);
-                campaign.num_benchmarks += 1;
                 if ipc >= MIN_IPC {
                     usable.push(a);
                 }
@@ -397,7 +393,6 @@ mod tests {
                     if compatible(lo, hi) {
                         let ipc = measurer.ipc(&campaign.pair_kernel(lo, hi));
                         campaign.pairs.insert((lo, hi), ipc);
-                        campaign.num_benchmarks += 1;
                     }
                 }
             }
@@ -503,7 +498,7 @@ mod tests {
             };
             let dense = QuadraticCampaign::run(&measurer, &candidates, compatible);
             let reference = HashCampaign::run(&measurer, &candidates, compatible);
-            assert_eq!(dense.num_benchmarks(), reference.num_benchmarks, "round {round}");
+            assert_eq!(measured_pairs(&dense, &candidates), reference.pairs.len(), "round {round}");
             filtered += candidates.iter().filter(|&&a| dense.single_ipc(a) < Some(MIN_IPC)).count();
 
             // Queries range over the whole inventory, most of it outside the

@@ -43,7 +43,8 @@ const BLAND_THRESHOLD: usize = 5_000;
 const TOLERANCE: f64 = 1e-8;
 /// Refactorise the basis after this many eta updates.
 const REFACTOR_INTERVAL: usize = 64;
-/// Smallest pivot magnitude accepted without attempting a refactorisation.
+/// Smallest pivot magnitude the ratio test lets block: rows whose entry in
+/// the entering column is at most this are never chosen to leave.
 const PIVOT_TOL: f64 = 1e-9;
 
 /// Status of one standard-form column (structural variables first, then one
@@ -807,15 +808,15 @@ impl Solver {
                     self.status[q] = ColStatus::Basic;
                     self.basis_cols[p] = q;
                     self.x_basic[p] = entering_value;
-                    if w[p].abs() < PIVOT_TOL {
-                        // Too small to update stably: rebuild the factors
-                        // around the new basis instead of chaining an eta.
-                        if !self.refactorize() {
-                            return Err(LpError::IterationLimit { iterations: self.iterations });
-                        }
-                    } else {
-                        self.etas.push(Eta::from_spike(p, &w));
-                    }
+                    // The ratio test skips every row with `|w[p]| ≤
+                    // PIVOT_TOL`, so a blocking row's pivot is large enough
+                    // to chain an eta (or NaN, which the test lets through).
+                    debug_assert!(
+                        w[p].abs() > PIVOT_TOL || w[p].is_nan(),
+                        "blocking pivot {} at or below PIVOT_TOL",
+                        w[p]
+                    );
+                    self.etas.push(Eta::from_spike(p, &w));
                 }
             }
             self.iterations += 1;
