@@ -24,8 +24,8 @@
 //! string that still trips the invariant.
 
 use crate::{
-    check_all, coverage_key, generate_case, inventory, rehash_binary, walk_v2b, CaseOutcome,
-    Format, FuzzSummary, Violation,
+    check_all, coverage_key, generate_case, inventory, rehash_binary, u32_at, walk_v2b,
+    CaseOutcome, Format, FuzzSummary, Violation, V2B_MAGIC,
 };
 use proptest::test_runner::TestRng;
 use std::collections::BTreeMap;
@@ -207,6 +207,33 @@ fn mutate_blind(bytes: &[u8], rng: &mut TestRng) -> (Vec<u8>, Vec<String>) {
     (out, log)
 }
 
+/// The length prefix a v2b name must be rewritten to for the parse to fail
+/// at ≈`at`, when `at` falls inside the machine or source name: returns the
+/// prefix's offset and the new length (at least 1: an empty name is
+/// rejected at its start).
+///
+/// A rejection never lands inside a name on its own (a bad name is reported
+/// at its first byte), so the buckets covering the name bytes stay empty
+/// under truncation and corruption alike.  Shortening a name makes the
+/// decoder read the next field from inside it: after the machine name the
+/// source name's length prefix, whose ASCII value overruns the buffer four
+/// bytes later; after the source name the instruction count, then the first
+/// instruction name's length prefix, which overruns eight bytes later.
+fn v2b_name_shift(bytes: &[u8], at: usize) -> Option<(usize, u32)> {
+    if !bytes.starts_with(V2B_MAGIC) {
+        return None;
+    }
+    let machine = V2B_MAGIC.len();
+    let source = machine + 4 + u32_at(bytes, machine)? as usize;
+    for (prefix, overrun) in [(machine, 4), (source, 8)] {
+        let name = prefix + 4..prefix + 4 + u32_at(bytes, prefix)? as usize;
+        if name.contains(&at) {
+            return Some((prefix, at.saturating_sub(name.start + overrun).max(1) as u32));
+        }
+    }
+    None
+}
+
 /// Coverage-**directed** mutation: truncate the buffer at an offset inside
 /// an offset bucket ([`crate::offset_bucket`]) no rejection has landed in
 /// yet, re-hashing the trailer so the structural validators (not the
@@ -214,8 +241,9 @@ fn mutate_blind(bytes: &[u8], rng: &mut TestRng) -> (Vec<u8>, Vec<String>) {
 /// rejection at ≈`at`, so sweeping uncovered buckets this way reaches
 /// `(class, bucket)` pairs a uniform scheduler only ever samples by luck —
 /// the mechanism behind the guided scheduler's strictly-greater coverage.
-/// Returns `None` when every bucket reachable within this buffer is
-/// already covered.
+/// An offset inside a v2b machine or source name is aimed at by shortening
+/// the name instead ([`v2b_name_shift`]).  Returns `None` when every bucket
+/// reachable within this buffer is already covered.
 fn mutate_directed(
     bytes: &[u8],
     covered: &std::collections::BTreeSet<(&'static str, u32)>,
@@ -249,6 +277,12 @@ fn mutate_directed(
         return None;
     }
     let at = targets[rng.usize_in(0, targets.len() - 1)];
+    if let Some((prefix, len)) = v2b_name_shift(bytes, at) {
+        let mut out = bytes.to_vec();
+        out[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
+        rehash_binary(&mut out);
+        return Some((out, vec![format!("name-len@{prefix}={len}(directed)"), "rehash".into()]));
+    }
     // Two ways to plant an error near `at`: cut the buffer there (the
     // rejection lands at the start of the field the cut falls in), or
     // corrupt the byte in place (the rejection lands at the field itself
@@ -486,6 +520,36 @@ mod tests {
         assert!(result.final_queue > 0, "interesting mutants must be admitted");
         assert!(result.admitted_total >= result.admitted_warmup);
         assert!(!result.summary.coverage.is_empty());
+    }
+
+    #[test]
+    fn shortened_v2b_names_are_rejected_inside_the_names() {
+        let insts = inventory();
+        let (seed, _, _) = generate_case(Format::ModelV2b, 7, &insts);
+        let machine = V2B_MAGIC.len();
+        let source = machine + 4 + u32_at(&seed, machine).unwrap() as usize;
+        let mut aimed = 0;
+        for (prefix, overrun) in [(machine, 4), (source, 8)] {
+            let start = prefix + 4;
+            let end = start + u32_at(&seed, prefix).unwrap() as usize;
+            for at in start..end {
+                let (shifted_prefix, len) = v2b_name_shift(&seed, at).expect("inside a name");
+                assert_eq!(shifted_prefix, prefix);
+                let mut mutant = seed.clone();
+                mutant[prefix..prefix + 4].copy_from_slice(&len.to_le_bytes());
+                rehash_binary(&mut mutant);
+                let mut outcome = CaseOutcome::default();
+                check_all(&mutant, &insts, &mut outcome, |d| panic!("violation: {d}"));
+                let offsets: Vec<_> = outcome.rejections.iter().map(|r| r.offset).collect();
+                if at > start + overrun {
+                    assert!(offsets.contains(&Some(at)), "aimed at {at}, rejected at {offsets:?}");
+                    aimed += 1;
+                }
+            }
+        }
+        assert!(aimed >= 5, "the seed's names must leave room to aim ({aimed} offsets)");
+        assert_eq!(v2b_name_shift(&seed, machine), None, "a length prefix is not a name");
+        assert_eq!(v2b_name_shift(b"PALMED-MODEL v1\n", 20), None);
     }
 
     #[test]

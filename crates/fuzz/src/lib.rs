@@ -76,7 +76,7 @@ pub mod wire_fuzz;
 
 /// Magic prefix of the binary format, mirrored here (it is crate private
 /// in `palmed-serve`; the fuzzer needs it to walk and re-hash seeds).
-const V2B_MAGIC: &[u8] = b"PALMED-MODEL v2b\n";
+pub(crate) const V2B_MAGIC: &[u8] = b"PALMED-MODEL v2b\n";
 
 /// The three input formats under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -327,7 +327,7 @@ struct BinLayout {
 }
 
 /// Bounds-checked little-endian `u32` read used by the layout walkers.
-fn u32_at(bytes: &[u8], at: usize) -> Option<u32> {
+pub(crate) fn u32_at(bytes: &[u8], at: usize) -> Option<u32> {
     Some(u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?))
 }
 

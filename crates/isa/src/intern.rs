@@ -223,12 +223,24 @@ impl KernelSet {
     pub fn dedup_refs<'k>(
         kernels: impl IntoIterator<Item = &'k Microkernel>,
     ) -> (Vec<&'k Microkernel>, Vec<u32>) {
-        let mut table: HashMap<u64, u32, FxBuildHasher> = HashMap::default();
+        Self::dedup_hashed(kernels.into_iter().map(|kernel| (Self::hash_kernel(kernel), kernel)))
+    }
+
+    /// [`dedup_refs`](Self::dedup_refs) over kernels paired with their
+    /// [`hash_kernel`](Self::hash_kernel) hashes, for a caller that keeps
+    /// the hashes for later use and so hashes each kernel once.
+    pub fn dedup_hashed<'k>(
+        kernels: impl IntoIterator<Item = (u64, &'k Microkernel)>,
+    ) -> (Vec<&'k Microkernel>, Vec<u32>) {
+        let kernels = kernels.into_iter();
+        let len = kernels.size_hint().0;
+        let mut table: HashMap<u64, u32, FxBuildHasher> =
+            HashMap::with_capacity_and_hasher(len, FxBuildHasher::default());
         let mut overflow: Vec<u32> = Vec::new();
-        let mut distinct: Vec<&'k Microkernel> = Vec::new();
-        let mut slots: Vec<u32> = Vec::new();
-        for kernel in kernels {
-            let hash = Self::hash_kernel(kernel);
+        let mut distinct: Vec<&'k Microkernel> = Vec::with_capacity(len);
+        let mut slots: Vec<u32> = Vec::with_capacity(len);
+        for (hash, kernel) in kernels {
+            debug_assert_eq!(hash, Self::hash_kernel(kernel), "a kernel paired with another hash");
             let id = distinct.len() as u32;
             let index = match table.entry(hash) {
                 std::collections::hash_map::Entry::Vacant(e) => {

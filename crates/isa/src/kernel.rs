@@ -3,8 +3,8 @@
 //! A microkernel `K = I1^σ1 I2^σ2 … Im^σm` (Def. IV.1) is an infinite loop
 //! repeating a finite multiset of instructions with no dependencies between
 //! them.  Because there are no dependencies, the order of instructions does
-//! not matter, so a multiset (here a sorted count map) is the right
-//! representation.  Palmed builds a handful of benchmark *shapes* from
+//! not matter, so a multiset (here sorted `(instruction, count)` pairs) is
+//! the right representation.  Palmed builds a handful of benchmark *shapes* from
 //! instructions, all provided as constructors here:
 //!
 //! * `a` — a single instruction repeated,
@@ -16,6 +16,7 @@
 use crate::inst::InstId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A multiset of instructions executed as an infinite dependency-free loop.
 ///
@@ -33,17 +34,70 @@ use std::fmt;
 /// The measurers of `palmed-machine` model that loop directly from the
 /// multiset, so no assembly is generated here.
 ///
-/// Internally the multiset is a flat vector of `(instruction, multiplicity)`
-/// pairs, sorted by instruction id with strictly positive multiplicities —
-/// kernels are tiny (a handful of distinct instructions), so a sorted vector
-/// beats a tree map on every hot operation: hashing and equality walk one
-/// contiguous slice, lookups are a branchless binary search, and iteration is
-/// a pointer bump.  The derived `Eq`/`Hash`/`Ord` on the sorted vector are
-/// exactly the multiset semantics the old `BTreeMap` representation had.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+/// Internally the multiset is a run of `(instruction, multiplicity)` pairs,
+/// sorted by instruction id with strictly positive multiplicities, exposed
+/// as one contiguous slice by [`as_slice`](Self::as_slice).  Up to two pairs
+/// live inline in the 24-byte value; a third distinct instruction spills
+/// the run to a heap vector.  Two is what pays off: the quadratic campaign
+/// that opens the pipeline measures one `a`, `aabb` or `a^M b` kernel per
+/// instruction or pair of instructions (most of the 418,381 kernels one
+/// inference measures on the 1,444-instruction inventory), so nearly every
+/// kernel is built, hashed, cached and dropped without touching the
+/// allocator, while the rare larger kernel (LP1 enrichment, `K_sat`, a
+/// served basic block) keeps the sorted vector.  `Eq`, `Hash` and `Ord` go
+/// through the slice, so they are the multiset semantics whichever layout
+/// holds the pairs, and a kernel hashes to the same bytes as a sorted `Vec`
+/// of its pairs.
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Microkernel {
-    /// Sorted by instruction id; every multiplicity is > 0.
-    counts: Vec<(InstId, u32)>,
+    counts: Counts,
+}
+
+/// Number of `(instruction, multiplicity)` pairs a kernel holds inline.
+const INLINE: usize = 2;
+
+/// An unused inline slot: a multiplicity of 0 marks it.
+const EMPTY_SLOT: (InstId, u32) = (InstId(0), 0);
+
+/// The storage behind a [`Microkernel`].  The layout is canonical: a kernel
+/// of at most [`INLINE`] distinct instructions is `Inline`, a larger one
+/// `Heap`.
+#[derive(Clone)]
+enum Counts {
+    /// Occupied slots first, sorted by instruction id; a multiplicity of 0
+    /// marks an empty slot (every trailing one).
+    Inline([(InstId, u32); INLINE]),
+    /// More than [`INLINE`] pairs, sorted by instruction id.
+    Heap(Vec<(InstId, u32)>),
+}
+
+impl Default for Counts {
+    fn default() -> Self {
+        Counts::Inline([EMPTY_SLOT; INLINE])
+    }
+}
+
+// The inline pairs share the vector's 24 bytes (the enum tag hides in the
+// vector's non-null pointer), so a kernel is no larger than the flat vector
+// it replaces.
+const _: () = assert!(std::mem::size_of::<Microkernel>() == 24);
+
+impl Counts {
+    /// The canonical storage of sorted, strictly positive pairs.
+    fn from_sorted(pairs: Vec<(InstId, u32)>) -> Self {
+        if pairs.len() > INLINE {
+            return Counts::Heap(pairs);
+        }
+        let mut slots = [EMPTY_SLOT; INLINE];
+        slots[..pairs.len()].copy_from_slice(&pairs);
+        Counts::Inline(slots)
+    }
+}
+
+/// Number of occupied slots of an inline kernel.
+#[inline]
+fn inline_len(slots: &[(InstId, u32); INLINE]) -> usize {
+    slots.iter().filter(|&&(_, count)| count > 0).count()
 }
 
 /// Adds two multiplicities: saturates at `u32::MAX` in release builds (and
@@ -70,18 +124,34 @@ impl Microkernel {
 
     /// Kernel made of an explicit list of `(instruction, multiplicity)`
     /// pairs; zero multiplicities are ignored, duplicates are accumulated.
+    ///
+    /// Pairs over at most two distinct instructions are placed inline one by
+    /// one.  The third distinct instruction moves everything into one vector
+    /// sized for the whole input, which is then sorted and coalesced once.
     pub fn from_counts(pairs: impl IntoIterator<Item = (InstId, u32)>) -> Self {
-        let mut counts: Vec<(InstId, u32)> = pairs.into_iter().filter(|&(_, c)| c > 0).collect();
-        counts.sort_unstable_by_key(|&(inst, _)| inst);
-        counts.dedup_by(|cur, kept| {
-            if cur.0 == kept.0 {
-                kept.1 = add_counts(kept.1, cur.1);
-                true
-            } else {
-                false
+        let mut pairs = pairs.into_iter();
+        let mut kernel = Self::new();
+        while let Some((inst, count)) = pairs.next() {
+            if count == 0 || kernel.num_distinct() < INLINE || kernel.contains(inst) {
+                kernel.add(inst, count);
+                continue;
             }
-        });
-        Self { counts }
+            let mut counts = Vec::with_capacity(INLINE + 1 + pairs.size_hint().0);
+            counts.extend_from_slice(kernel.as_slice());
+            counts.push((inst, count));
+            counts.extend(pairs.filter(|&(_, c)| c > 0));
+            counts.sort_unstable_by_key(|&(inst, _)| inst);
+            counts.dedup_by(|cur, kept| {
+                if cur.0 == kept.0 {
+                    kept.1 = add_counts(kept.1, cur.1);
+                    true
+                } else {
+                    false
+                }
+            });
+            return Self { counts: Counts::Heap(counts) };
+        }
+        kernel
     }
 
     /// The `a^na b^nb` pair-benchmark shape.
@@ -97,26 +167,31 @@ impl Microkernel {
     /// This mirrors the paper's 5 % coefficient rounding: a benchmark `aabb`
     /// with `a = 0.06`, `b = 1` becomes `a^1 b^20` (paper, Sec. VI-A).
     ///
-    /// Entries with a proportion of zero (or negative) are dropped.
-    pub fn from_proportions(
-        proportions: impl IntoIterator<Item = (InstId, f64)>,
-        tolerance: f64,
-        max_total: u32,
-    ) -> Self {
-        let props: Vec<(InstId, f64)> = proportions.into_iter().filter(|&(_, p)| p > 0.0).collect();
-        if props.is_empty() {
+    /// Entries with a proportion of zero (or negative) are dropped.  The
+    /// proportions are walked once per candidate scale (the iterator is
+    /// cloned, never collected), and only the accepted rounding is built.
+    pub fn from_proportions<I>(proportions: I, tolerance: f64, max_total: u32) -> Self
+    where
+        I: IntoIterator<Item = (InstId, f64)>,
+        I::IntoIter: Clone,
+    {
+        let props = proportions.into_iter().filter(|&(_, p)| p > 0.0);
+        if props.clone().next().is_none() {
             return Self::new();
         }
-        let min_prop = props.iter().map(|&(_, p)| p).fold(f64::INFINITY, f64::min);
+        let min_prop = props.clone().map(|(_, p)| p).fold(f64::INFINITY, f64::min);
+        let rounded_at = |scale: f64| {
+            Self::from_counts(
+                props.clone().map(move |(inst, p)| (inst, (p * scale).round().max(1.0) as u32)),
+            )
+        };
         // Try increasing scales until every rounded count is within the
         // relative tolerance of the ideal value.
-        let mut best: Option<Self> = None;
         for scale_steps in 1..=max_total {
             let scale = scale_steps as f64 / min_prop;
             let mut ok = true;
             let mut total = 0u64;
-            let mut counts = Vec::with_capacity(props.len());
-            for &(inst, p) in &props {
+            for (_, p) in props.clone() {
                 let ideal = p * scale;
                 let rounded = ideal.round().max(1.0);
                 if (rounded - ideal).abs() / ideal > tolerance {
@@ -124,48 +199,61 @@ impl Microkernel {
                     break;
                 }
                 total += rounded as u64;
-                counts.push((inst, rounded as u32));
             }
             if total > max_total as u64 {
                 break;
             }
             if ok {
-                best = Some(Self::from_counts(counts));
-                break;
+                return rounded_at(scale);
             }
         }
-        best.unwrap_or_else(|| {
-            // Fall back to the coarsest rounding if the tolerance cannot be
-            // met within the size cap.
-            let scale = 1.0 / min_prop;
-            Self::from_counts(
-                props.iter().map(|&(inst, p)| (inst, (p * scale).round().max(1.0) as u32)),
-            )
-        })
+        // Fall back to the coarsest rounding if the tolerance cannot be met
+        // within the size cap.
+        rounded_at(1.0 / min_prop)
     }
 
     /// Adds `count` repetitions of `inst` to the kernel.
     pub fn add(&mut self, inst: InstId, count: u32) {
-        if count > 0 {
-            match self.counts.binary_search_by_key(&inst, |&(i, _)| i) {
-                Ok(pos) => self.counts[pos].1 = add_counts(self.counts[pos].1, count),
-                Err(pos) => self.counts.insert(pos, (inst, count)),
+        if count == 0 {
+            return;
+        }
+        match &mut self.counts {
+            Counts::Inline(slots) => {
+                let len = inline_len(slots);
+                match slots[..len].binary_search_by_key(&inst, |&(i, _)| i) {
+                    Ok(pos) => slots[pos].1 = add_counts(slots[pos].1, count),
+                    Err(pos) if len < INLINE => {
+                        slots.copy_within(pos..len, pos + 1);
+                        slots[pos] = (inst, count);
+                    }
+                    Err(pos) => {
+                        let mut spilled = Vec::with_capacity(INLINE + 1);
+                        spilled.extend_from_slice(slots);
+                        spilled.insert(pos, (inst, count));
+                        self.counts = Counts::Heap(spilled);
+                    }
+                }
             }
+            Counts::Heap(counts) => match counts.binary_search_by_key(&inst, |&(i, _)| i) {
+                Ok(pos) => counts[pos].1 = add_counts(counts[pos].1, count),
+                Err(pos) => counts.insert(pos, (inst, count)),
+            },
         }
     }
 
     /// Merges another kernel into this one (multiset union with addition).
     pub fn merge(&mut self, other: &Microkernel) {
-        if other.counts.is_empty() {
+        let (ours, theirs) = (self.as_slice(), other.as_slice());
+        if theirs.is_empty() {
             return;
         }
-        if self.counts.is_empty() {
-            self.counts.clone_from(&other.counts);
+        if ours.is_empty() {
+            *self = other.clone();
             return;
         }
         // Merge-join of the two sorted slices.
-        let mut merged = Vec::with_capacity(self.counts.len() + other.counts.len());
-        let (mut a, mut b) = (self.counts.iter().peekable(), other.counts.iter().peekable());
+        let mut merged = Vec::with_capacity(ours.len() + theirs.len());
+        let (mut a, mut b) = (ours.iter().peekable(), theirs.iter().peekable());
         loop {
             match (a.peek(), b.peek()) {
                 (Some(&&(ia, ca)), Some(&&(ib, cb))) => match ia.cmp(&ib) {
@@ -194,7 +282,7 @@ impl Microkernel {
                 (None, None) => break,
             }
         }
-        self.counts = merged;
+        self.counts = Counts::from_sorted(merged);
     }
 
     /// Returns a new kernel equal to this one repeated `factor` times.
@@ -207,64 +295,71 @@ impl Microkernel {
         if factor == 0 {
             return Self::new();
         }
-        let counts = self
-            .counts
-            .iter()
-            .map(|&(inst, count)| {
-                let scaled = count.checked_mul(factor);
-                debug_assert!(
-                    scaled.is_some(),
-                    "multiplicity overflow scaling {count} copies of {inst} by {factor}"
-                );
-                (inst, scaled.unwrap_or(u32::MAX))
-            })
-            .collect();
-        Self { counts }
+        let mut scaled = self.clone();
+        let pairs = match &mut scaled.counts {
+            Counts::Inline(slots) => &mut slots[..],
+            Counts::Heap(counts) => &mut counts[..],
+        };
+        // An empty inline slot stays empty: 0 × factor is 0.
+        for (inst, count) in pairs.iter_mut() {
+            let product = count.checked_mul(factor);
+            debug_assert!(
+                product.is_some(),
+                "multiplicity overflow scaling {count} copies of {inst} by {factor}"
+            );
+            *count = product.unwrap_or(u32::MAX);
+        }
+        scaled
     }
 
     /// Multiplicity of an instruction in the kernel (0 if absent).
     pub fn multiplicity(&self, inst: InstId) -> u32 {
-        match self.counts.binary_search_by_key(&inst, |&(i, _)| i) {
-            Ok(pos) => self.counts[pos].1,
+        let counts = self.as_slice();
+        match counts.binary_search_by_key(&inst, |&(i, _)| i) {
+            Ok(pos) => counts[pos].1,
             Err(_) => 0,
         }
     }
 
     /// Number of *distinct* instructions.
     pub fn num_distinct(&self) -> usize {
-        self.counts.len()
+        self.as_slice().len()
     }
 
     /// Total number of instructions executed per loop iteration, `|K|`.
     pub fn total_instructions(&self) -> u32 {
-        self.counts.iter().map(|&(_, c)| c).sum()
+        self.as_slice().iter().map(|&(_, c)| c).sum()
     }
 
     /// True when the kernel contains no instructions.
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// True when the kernel contains the given instruction.
     pub fn contains(&self, inst: InstId) -> bool {
-        self.counts.binary_search_by_key(&inst, |&(i, _)| i).is_ok()
+        self.as_slice().binary_search_by_key(&inst, |&(i, _)| i).is_ok()
     }
 
     /// The `(instruction, multiplicity)` pairs as one contiguous slice,
     /// sorted by instruction id.  This is the zero-cost view hot loops
     /// (prediction microkernels, hashing, interning) should iterate.
+    #[inline]
     pub fn as_slice(&self) -> &[(InstId, u32)] {
-        &self.counts
+        match &self.counts {
+            Counts::Inline(slots) => &slots[..inline_len(slots)],
+            Counts::Heap(counts) => counts,
+        }
     }
 
     /// Iterates over `(instruction, multiplicity)` pairs in instruction order.
     pub fn iter(&self) -> impl Iterator<Item = (InstId, u32)> + '_ {
-        self.counts.iter().copied()
+        self.as_slice().iter().copied()
     }
 
     /// Iterates over the distinct instructions of the kernel.
     pub fn instructions(&self) -> impl Iterator<Item = InstId> + '_ {
-        self.counts.iter().map(|&(i, _)| i)
+        self.as_slice().iter().map(|&(i, _)| i)
     }
 
     /// Renders the kernel with instruction names resolved through `resolve`.
@@ -300,6 +395,38 @@ impl Microkernel {
 impl fmt::Display for Microkernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.display_with(|i| i.to_string()))
+    }
+}
+
+impl fmt::Debug for Microkernel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Microkernel").field("counts", &self.as_slice()).finish()
+    }
+}
+
+impl PartialEq for Microkernel {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Microkernel {}
+
+impl Hash for Microkernel {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl PartialOrd for Microkernel {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Microkernel {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_slice().cmp(other.as_slice())
     }
 }
 

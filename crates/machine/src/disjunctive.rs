@@ -160,14 +160,26 @@ impl DisjunctiveMapping {
     /// Aggregated µOP load of a microkernel: for every distinct µOP port-set
     /// and inverse throughput, the total occupancy (count × multiplicity ×
     /// inverse throughput) generated by one loop iteration.
+    ///
+    /// The result is sorted by port set.  It is accumulated in place, in a
+    /// vector kept in that order: a kernel touches a handful of port sets,
+    /// so a binary search over a few entries beats a tree map, and each port
+    /// set still sums its occupancies in kernel order, starting from 0.0.
     pub fn kernel_load(&self, kernel: &Microkernel) -> Vec<(PortSet, f64)> {
-        let mut by_ports: BTreeMap<PortSet, f64> = BTreeMap::new();
+        let mut load: Vec<(PortSet, f64)> = Vec::new();
         for (inst, count) in kernel.iter() {
             for u in self.uops(inst) {
-                *by_ports.entry(u.ports).or_insert(0.0) += count as f64 * u.inverse_throughput;
+                let at = match load.binary_search_by_key(&u.ports, |&(ports, _)| ports) {
+                    Ok(at) => at,
+                    Err(at) => {
+                        load.insert(at, (u.ports, 0.0));
+                        at
+                    }
+                };
+                load[at].1 += count as f64 * u.inverse_throughput;
             }
         }
-        by_ports.into_iter().collect()
+        load
     }
 
     /// Total number of µOPs of one kernel iteration (front-end pressure).

@@ -26,6 +26,7 @@ use crate::disjunctive::DisjunctiveMapping;
 use crate::noise::MeasurementNoise;
 use crate::throughput;
 use palmed_isa::{FxBuildHasher, InstructionSet, KernelSet, Microkernel};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -229,11 +230,70 @@ impl Measurer for BackendMeasurer {
 /// Number of independently locked shards of a [`MemoizingMeasurer`].
 const MEMO_SHARDS: usize = 16;
 
-/// One shard of a [`MemoizingMeasurer`]'s cache.
-type MemoShard = Mutex<HashMap<Microkernel, f64, FxBuildHasher>>;
+/// One shard of a [`MemoizingMeasurer`]'s cache: the kernels and their
+/// values in insertion order, indexed by their Fx hash.
+#[derive(Debug, Default)]
+struct MemoShard {
+    /// [`KernelSet::hash_kernel`] → the first entry with that hash.  The
+    /// keys are already well-mixed hashes, so the map hashes them with the
+    /// one-round Fx hasher.
+    index: HashMap<u64, u32, FxBuildHasher>,
+    /// Entries whose hash collided with an earlier, different kernel;
+    /// scanned linearly (empty in practice), as in [`KernelSet`].
+    overflow: Vec<u32>,
+    /// The distinct kernels, in insertion order.
+    kernels: Vec<Microkernel>,
+    /// Each kernel's measured IPC, same indexing.
+    values: Vec<f64>,
+}
+
+impl MemoShard {
+    /// The entry holding `kernel`, given the index's entry for its hash:
+    /// that one, else a later one with the same hash.
+    fn scan(&self, primary: u32, kernel: &Microkernel) -> Option<usize> {
+        std::iter::once(primary)
+            .chain(self.overflow.iter().copied())
+            .map(|i| i as usize)
+            .find(|&i| self.kernels[i] == *kernel)
+    }
+
+    /// The cached value of `kernel`, whose hash is `hash`.
+    fn get(&self, hash: u64, kernel: &Microkernel) -> Option<f64> {
+        let entry = self.scan(*self.index.get(&hash)?, kernel)?;
+        Some(self.values[entry])
+    }
+
+    /// Caches `value` for `kernel` unless the kernel is already cached, and
+    /// returns the cached value: the first value inserted wins.
+    fn get_or_insert(&mut self, hash: u64, kernel: Microkernel, value: f64) -> f64 {
+        let fresh = self.kernels.len() as u32;
+        match self.index.entry(hash) {
+            Entry::Vacant(e) => {
+                e.insert(fresh);
+            }
+            Entry::Occupied(e) => {
+                let primary = *e.get();
+                if let Some(entry) = self.scan(primary, &kernel) {
+                    return self.values[entry];
+                }
+                self.overflow.push(fresh);
+            }
+        }
+        self.kernels.push(kernel);
+        self.values.push(value);
+        value
+    }
+
+    /// Makes room for `additional` more kernels.
+    fn reserve(&mut self, additional: usize) {
+        self.index.reserve(additional);
+        self.kernels.reserve(additional);
+        self.values.reserve(additional);
+    }
+}
 
 /// Locks a shard; it is poisoned only if an insert panicked.
-fn lock(shard: &MemoShard) -> MutexGuard<'_, HashMap<Microkernel, f64, FxBuildHasher>> {
+fn lock(shard: &Mutex<MemoShard>) -> MutexGuard<'_, MemoShard> {
     shard.lock().expect("a measurer panicked while caching")
 }
 
@@ -245,28 +305,36 @@ fn lock(shard: &MemoShard) -> MutexGuard<'_, HashMap<Microkernel, f64, FxBuildHa
 /// measurement count only grows for *distinct* kernels, which matches the
 /// paper's "generated microbenchmarks" statistic.
 ///
-/// The cache is split into a fixed number of shards, each a `Mutex` around
-/// a `HashMap` keyed by kernel, so the wrapper stays [`Sync`] and the
-/// parallel measurement loops rarely wait on each other.  A kernel's shard
-/// is picked by bits of its [`KernelSet::hash_kernel`] Fx hash, and the
-/// shards hash with Fx too: kernels are short runs of small integers, for
-/// which SipHash is pure overhead.  The lock is released while the inner
-/// measurer runs, so two threads may measure the same kernel at once; the
-/// first value inserted wins and both callers return it (measurers are
-/// deterministic, so the values agree anyway).  Hashing here only indexes
-/// the cache: the noise model's [`MeasurementNoise::fingerprint`] keeps its
-/// own SipHash, which defines the measured values.
+/// The cache is split into a fixed number of shards, each behind a `Mutex`,
+/// so the wrapper stays [`Sync`] and the parallel measurement loops rarely
+/// wait on each other.  A shard is dense: its kernels and their values sit
+/// in two vectors in insertion order, and a `HashMap<u64, u32>` maps each
+/// kernel's [`KernelSet::hash_kernel`] Fx hash to its entry.  A true 64-bit
+/// collision follows [`KernelSet`]'s overflow rule: the index keeps the
+/// first kernel with that hash, and every later, different kernel with the
+/// same hash is listed in the shard's overflow vector, which lookups scan
+/// by equality.  The hash is computed once per kernel and call: it picks
+/// the shard (by bits 48–51, where an Fx hash mixes best), keys the index,
+/// and in a batch also dedupes the batch.  Fx suits kernels, short runs of small integers, for which
+/// SipHash is pure overhead.  Hashing here only indexes the cache: the
+/// noise model's [`MeasurementNoise::fingerprint`] keeps its own SipHash,
+/// which defines the measured values.
 ///
-/// [`ipc`](Measurer::ipc) takes its kernel's shard lock twice: once to look
-/// up, once to insert a miss (cloning the kernel as the key).
-/// [`ipc_many`](Measurer::ipc_many) amortises both over a batch, in three
-/// passes:
+/// The lock is released while the inner measurer runs, so two threads may
+/// measure the same kernel at once; the first value inserted wins and both
+/// callers return it (measurers are deterministic, so the values agree
+/// anyway).  [`ipc`](Measurer::ipc) takes its kernel's shard lock twice:
+/// once to look up, once to insert a miss (cloning the kernel, which for a
+/// campaign kernel of at most two instructions allocates nothing).
+/// [`ipc_many`](Measurer::ipc_many) hashes every kernel of the batch once
+/// and amortises the locks over the batch, in three passes:
 ///
-/// 1. dedupe the batch ([`KernelSet::dedup_refs`]), group its distinct
+/// 1. dedupe the batch ([`KernelSet::dedup_hashed`]), group its distinct
 ///    kernels by shard and look each group up under one lock;
 /// 2. measure each distinct missing kernel once, with no lock held;
-/// 3. insert each group's misses under one lock, first value wins, moving
-///    the batch's own kernels into the map as keys (no clone).
+/// 3. insert each group's misses under one lock, after reserving room for
+///    all of them, first value wins, moving the batch's own kernels into
+///    the shard (no clone).
 ///
 /// No lock is held while the inner measurer runs and at most one is held at
 /// a time, so batches and single lookups from any number of threads never
@@ -275,7 +343,7 @@ fn lock(shard: &MemoShard) -> MutexGuard<'_, HashMap<Microkernel, f64, FxBuildHa
 #[derive(Debug)]
 pub struct MemoizingMeasurer<M> {
     inner: M,
-    shards: [MemoShard; MEMO_SHARDS],
+    shards: [Mutex<MemoShard>; MEMO_SHARDS],
 }
 
 impl<M: Measurer> MemoizingMeasurer<M> {
@@ -286,7 +354,7 @@ impl<M: Measurer> MemoizingMeasurer<M> {
 
     /// Number of distinct kernels measured.
     pub fn distinct_kernels(&self) -> usize {
-        self.shards.iter().map(|shard| lock(shard).len()).sum()
+        self.shards.iter().map(|shard| lock(shard).kernels.len()).sum()
     }
 
     /// Consumes the wrapper and returns the inner measurer.
@@ -295,36 +363,47 @@ impl<M: Measurer> MemoizingMeasurer<M> {
     }
 }
 
-/// Index of the shard caching `kernel`, picked by bits 48–51 of its hash: an
-/// Fx hash mixes best into its high bits, and the top 7 are left to the
-/// map's own control bytes.
-fn shard_index(kernel: &Microkernel) -> usize {
-    (KernelSet::hash_kernel(kernel) >> 48) as usize % MEMO_SHARDS
+/// Index of the shard caching kernels of hash `hash`, picked by its bits
+/// 48–51: an Fx hash mixes best into its high bits.
+fn shard_index(hash: u64) -> usize {
+    (hash >> 48) as usize % MEMO_SHARDS
 }
 
 impl<M: Measurer> Measurer for MemoizingMeasurer<M> {
     fn ipc(&self, kernel: &Microkernel) -> f64 {
-        let shard = &self.shards[shard_index(kernel)];
-        if let Some(&v) = lock(shard).get(kernel) {
+        let hash = KernelSet::hash_kernel(kernel);
+        let shard = &self.shards[shard_index(hash)];
+        if let Some(v) = lock(shard).get(hash, kernel) {
             return v;
         }
         let v = self.inner.ipc(kernel);
-        *lock(shard).entry(kernel.clone()).or_insert(v)
+        lock(shard).get_or_insert(hash, kernel.clone(), v)
     }
 
     fn ipc_many(&self, mut kernels: Vec<Microkernel>) -> Vec<f64> {
-        // Pass 1: dedupe the batch, group its distinct kernels by shard and
-        // look each group up under one lock; each group keeps its misses.
-        let (distinct, slots) = KernelSet::dedup_refs(&kernels);
+        // Pass 1: hash every kernel once, dedupe the batch, group its
+        // distinct kernels by shard and look each group up under one lock;
+        // each group keeps its misses.
+        let hashes: Vec<u64> = kernels.iter().map(KernelSet::hash_kernel).collect();
+        let (distinct, slots) = KernelSet::dedup_hashed(hashes.iter().copied().zip(&kernels));
+        let mut first = Vec::with_capacity(distinct.len());
+        for (i, &d) in slots.iter().enumerate() {
+            if d as usize == first.len() {
+                first.push(i);
+            }
+        }
         let mut values = vec![f64::NAN; distinct.len()];
         let mut groups: [Vec<usize>; MEMO_SHARDS] = Default::default();
-        for (d, kernel) in distinct.iter().enumerate() {
-            groups[shard_index(kernel)].push(d);
+        for (d, &i) in first.iter().enumerate() {
+            groups[shard_index(hashes[i])].push(d);
         }
         for (shard, group) in self.shards.iter().zip(&mut groups) {
+            if group.is_empty() {
+                continue;
+            }
             let cache = lock(shard);
-            group.retain(|&d| match cache.get(distinct[d]) {
-                Some(&v) => {
+            group.retain(|&d| match cache.get(hashes[first[d]], distinct[d]) {
+                Some(v) => {
                     values[d] = v;
                     false
                 }
@@ -337,20 +416,18 @@ impl<M: Measurer> Measurer for MemoizingMeasurer<M> {
             values[d] = self.inner.ipc(distinct[d]);
         }
 
-        // Pass 3: insert each group under one lock, keyed by the batch's own
-        // kernel (its first occurrence); a value another thread inserted
+        // Pass 3: insert each group under one lock, moving in the batch's
+        // own kernel (its first occurrence); a value another thread inserted
         // meanwhile wins.
-        let mut first = Vec::with_capacity(distinct.len());
-        for (i, &d) in slots.iter().enumerate() {
-            if d as usize == first.len() {
-                first.push(i);
-            }
-        }
         for (shard, group) in self.shards.iter().zip(&groups) {
+            if group.is_empty() {
+                continue;
+            }
             let mut cache = lock(shard);
+            cache.reserve(group.len());
             for &d in group {
                 let kernel = std::mem::take(&mut kernels[first[d]]);
-                values[d] = *cache.entry(kernel).or_insert(values[d]);
+                values[d] = cache.get_or_insert(hashes[first[d]], kernel, values[d]);
             }
         }
         slots.into_iter().map(|d| values[d as usize]).collect()

@@ -206,6 +206,9 @@ impl Corpus {
         let malformed = |line: usize, reason: String| CorpusError::Malformed { line, reason };
 
         let mut corpus = Corpus::new();
+        // One line's `(instruction, count)` entries, drained into its kernel
+        // and reused by the next line.
+        let mut entries = Vec::new();
         for (line, l) in lines {
             if l.is_empty() || l.starts_with('#') {
                 continue;
@@ -217,7 +220,6 @@ impl Corpus {
                 .and_then(|w| w.parse::<f64>().ok())
                 .filter(|w| w.is_finite() && *w >= 0.0)
                 .ok_or_else(|| malformed(line, format!("invalid weight in `{l}`")))?;
-            let mut kernel = Microkernel::new();
             let mut total: u32 = 0;
             for entry in parts {
                 let (inst, count) = entry
@@ -240,9 +242,9 @@ impl Corpus {
                 total = total.checked_add(count).ok_or_else(|| {
                     malformed(line, format!("instruction count overflow at `{entry}` in `{l}`"))
                 })?;
-                kernel.add(inst, count);
+                entries.push((inst, count));
             }
-            corpus.push(name, weight, kernel);
+            corpus.push(name, weight, Microkernel::from_counts(entries.drain(..)));
         }
         Ok(corpus)
     }
