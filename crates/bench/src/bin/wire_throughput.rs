@@ -4,13 +4,16 @@
 //! The matrix is concurrency only — {1, 4, 16} clients over a loopback
 //! UNIX socket against the one serve path (epoll readiness loop plus the
 //! shared batcher), each client synchronously round-tripping the same
-//! `PALMED-CORPUS v1` request.  Two in-process rows pin the floor the wire
-//! numbers are judged against: `parse_and_predict` (a parse plus a
-//! predict per request, the cost of serving without the batcher's corpus
-//! cache) and `predict_prepared` (the steady-state predictor alone).  A
-//! final scenario holds 32 *idle* connections open next to one active
-//! client and reports connection pumps per wakeup — the readiness loop
-//! must pump only the ready connections, not re-walk the idle ones.
+//! `PALMED-CORPUS v1` request.  Two in-process rows put the wire numbers
+//! in scale: `parse_and_predict` (a parse plus a predict per request, the
+//! cost of serving without the batcher's corpus cache) and
+//! `predict_prepared` (the predictor alone, the cost of the one round per
+//! scenario that predicts).  Neither bounds a resent request from below:
+//! the batcher answers it from the rows its corpus-cache slot kept, so a
+//! steady-state request runs no predictor at all.  A final scenario holds
+//! 32 *idle* connections open next to one active client and reports
+//! connection pumps per wakeup — the readiness loop must pump only the
+//! ready connections, not re-walk the idle ones.
 //!
 //! Every scenario's first reply is checked bit-identical to the in-process
 //! predictions, so the numbers can never come from serving wrong rows.
@@ -34,10 +37,15 @@
 //! file — it is the CI gate.  It asserts that the shared batcher parses
 //! each scenario's corpus once: every scenario starts a fresh server, so
 //! its `wire.batch.corpus_cache_hits` delta must be its request count minus
-//! one.  It also asserts that the readiness loop pumps fewer than a quarter
-//! of the idle connections per wakeup.  Both are counts, so CPU contention
-//! cannot fail the gate.  The default (full) run writes `BENCH_wire.json`
-//! to the working directory (or `--out`).
+//! one.  It asserts that only the first round holding the corpus predicts
+//! it: that round holds at most one request per synchronous client, so the
+//! `wire.batch.row_cache_hits` delta lies in `[requests − clients,
+//! requests − 1]`.  Both are exact counts, so CPU contention cannot fail
+//! them.  It also asserts that the readiness loop pumps fewer than a
+//! quarter of the idle connections per wakeup; that ratio rises when a
+//! slow window spans the loop's periodic timeout sweeps, which pump every
+//! connection.  The default (full) run writes `BENCH_wire.json` to the
+//! working directory (or `--out`).
 
 use std::process::ExitCode;
 
@@ -158,10 +166,12 @@ mod linux {
         p99_ns: u64,
         /// Requests answered from the batcher's corpus cache.
         cache_hits: u64,
+        /// Requests answered from the rows a corpus-cache slot kept.
+        row_hits: u64,
     }
 
-    fn corpus_cache_hits() -> u64 {
-        palmed_obs::snapshot().counter("wire.batch.corpus_cache_hits").unwrap_or(0)
+    fn counter(name: &str) -> u64 {
+        palmed_obs::snapshot().counter(name).unwrap_or(0)
     }
 
     /// The `wire.request_ns` delta between two snapshots, as a quantile
@@ -208,7 +218,8 @@ mod linux {
         let server_thread = std::thread::spawn(move || server.run());
 
         let before = request_histogram();
-        let hits_before = corpus_cache_hits();
+        let hits_before = counter("wire.batch.corpus_cache_hits");
+        let row_hits_before = counter("wire.batch.row_cache_hits");
         let start = Instant::now();
         let mut workers = Vec::new();
         for worker in 0..clients {
@@ -256,7 +267,8 @@ mod linux {
         }
         let elapsed = start.elapsed();
         let after = request_histogram();
-        let cache_hits = corpus_cache_hits() - hits_before;
+        let cache_hits = counter("wire.batch.corpus_cache_hits") - hits_before;
+        let row_hits = counter("wire.batch.row_cache_hits") - row_hits_before;
 
         stop.store(true, Ordering::SeqCst);
         server_thread.join().expect("bench server thread").expect("bench serve loop");
@@ -270,6 +282,7 @@ mod linux {
             p50_ns: delta.quantile_bound(0.50),
             p99_ns: delta.quantile_bound(0.99),
             cache_hits,
+            row_hits,
         }
     }
 
@@ -382,21 +395,28 @@ mod linux {
         );
 
         // The wire matrix.  Each scenario's server is fresh, so only its
-        // first request may parse the corpus.
+        // first request may parse the corpus, and only the first round
+        // holding it (at most one request per client) may predict it.
         let mut reparsed = Vec::new();
+        let mut repredicted = Vec::new();
         for &clients in params.clients {
             let measured = run_scenario(clients, &registry, &corpus, params.iters, &reference);
             println!(
                 "wire_throughput: c{clients}: {:.0} req/s, round bound p50 {:.0}µs, p99 {:.0}µs, \
-                 {} of {} requests from the corpus cache",
+                 {} of {} requests from the corpus cache, {} from cached rows",
                 1e9 / measured.ns_per_request,
                 measured.p50_ns as f64 / 1e3,
                 measured.p99_ns as f64 / 1e3,
                 measured.cache_hits,
-                measured.requests
+                measured.requests,
+                measured.row_hits
             );
             if measured.cache_hits != measured.requests - 1 {
                 reparsed.push((clients, measured.cache_hits, measured.requests));
+            }
+            let rows_from = measured.requests - clients as u64;
+            if !(rows_from..measured.requests).contains(&measured.row_hits) {
+                repredicted.push((clients, measured.row_hits, measured.requests));
             }
             rows.push(Row {
                 bench: format!("wire_throughput/c{clients}"),
@@ -430,6 +450,16 @@ mod linux {
                 );
                 return ExitCode::FAILURE;
             }
+            if let Some(&(clients, hits, requests)) = repredicted.first() {
+                eprintln!(
+                    "wire_throughput: FAIL: the {clients}-client scenario answered {hits} of \
+                     {requests} requests from cached rows (want {} to {}) — only the first \
+                     round holding the corpus may predict it",
+                    requests - clients as u64,
+                    requests - 1
+                );
+                return ExitCode::FAILURE;
+            }
             let scan_cap = params.idle_conns as f64 / 4.0;
             if scan >= scan_cap {
                 eprintln!(
@@ -441,8 +471,8 @@ mod linux {
                 return ExitCode::FAILURE;
             }
             println!(
-                "wire_throughput: OK (smoke): one corpus parse per scenario at {:?} clients; \
-                 {scan:.1} conns/wakeup with {} idle (cap {scan_cap:.0})",
+                "wire_throughput: OK (smoke): one corpus parse and one predicting round per \
+                 scenario at {:?} clients; {scan:.1} conns/wakeup with {} idle (cap {scan_cap:.0})",
                 params.clients, params.idle_conns
             );
         } else {

@@ -9,12 +9,14 @@
 //! serves it.  Each schedule registers 1–2 models and scripts hostile peer
 //! behaviour — split and coalesced frames, stalls, short reads and writes,
 //! bursts past the in-flight cap, malformed frames, registry swaps between
-//! rounds, slow-loris partials and idle gaps (single-connection only),
-//! half-closes and mid-frame disconnects — asserting after every round
-//! that no panic escapes, every rejection is a structured error frame,
-//! shedding is exact, a poisoned or shed connection never disturbs
-//! another, accepted requests serve bit-identically to the in-process
-//! predictor, and every connection drains.  Finally `--decoder-iters`
+//! rounds, resends of an earlier corpus (answered from the batcher's
+//! cached rows unless a swap came in between), slow-loris partials and idle
+//! gaps (single-connection only), half-closes and mid-frame disconnects —
+//! asserting after every round that no panic escapes, every rejection is a
+//! structured error frame, shedding is exact, a poisoned or shed connection
+//! never disturbs another, accepted requests serve bit-identically to the
+//! in-process predictor, and every connection drains.  The summary counts
+//! the requests answered from cached rows.  Finally `--decoder-iters`
 //! (default 2000) coverage-guided mutation cases run against
 //! [`palmed_wire::decode_frame`] itself.  Exits non-zero on any violation.
 //! CI runs this on every push.

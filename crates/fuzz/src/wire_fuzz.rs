@@ -10,10 +10,12 @@
 //! ones ([`Fleet::Multi`]) through [`FaultyConn`]s: requests split across
 //! chunks and stalls, bursts coalesced past the in-flight cap, short and
 //! stalled writes, guaranteed malformed frames, application-level errors,
-//! registry swaps and refreshes between rounds, half-closes and mid-frame
-//! disconnects — plus, for a lone connection, slow-loris partial frames and
-//! idle gaps.  After every round it asserts the guarantees the connection
-//! and the batcher document:
+//! registry swaps and refreshes between rounds, resends of an earlier
+//! `(model, corpus)` (answered from the batcher's cached rows unless a swap
+//! came in between), half-closes and mid-frame disconnects — plus, for a
+//! lone connection, slow-loris partial frames and idle gaps.  After every
+//! round it asserts the guarantees the connection and the batcher
+//! document:
 //!
 //! - **no panic escapes** any schedule (panics are caught per schedule and
 //!   reported as violations);
@@ -91,6 +93,9 @@ pub struct WireFuzzSummary {
     pub poisons: u64,
     /// Transport faults injected (stalls, short reads/writes, disconnects).
     pub injected_faults: u64,
+    /// Prediction requests the batcher answered from cached rows
+    /// ([`palmed_wire::RoundStats::row_cache_hits`]).
+    pub row_cache_hits: u64,
     /// Schedule op kinds drawn at least once (`request`, `burst`, …).
     pub ops: BTreeSet<&'static str>,
     /// Invariant violations (empty on a healthy wire plane).
@@ -102,13 +107,14 @@ impl fmt::Display for WireFuzzSummary {
         write!(
             f,
             "{} schedules, {} steps, {} faults injected: {} requests, {} sheds, \
-             {} poisons, {} violations",
+             {} poisons, {} row-cache hits, {} violations",
             self.schedules,
             self.steps,
             self.injected_faults,
             self.requests,
             self.sheds,
             self.poisons,
+            self.row_cache_hits,
             self.violations.len()
         )
     }
@@ -134,6 +140,7 @@ struct ScheduleStats {
     sheds: u64,
     poisons: u64,
     injected: u64,
+    row_cache_hits: u64,
     ops: BTreeSet<&'static str>,
     violations: Vec<String>,
     /// Verbose per-step trace, populated only under `--replay`.
@@ -267,6 +274,9 @@ struct Sched<'a> {
     models: Vec<SimModel>,
     limits: Limits,
     members: Vec<Member>,
+    /// Every `(model index, corpus text)` sent as a prediction request so
+    /// far — the pool [`Sched::op_resend`] draws from.
+    sent: Vec<(usize, String)>,
     now: u64,
     next_req: u32,
     stats: &'a mut ScheduleStats,
@@ -328,6 +338,7 @@ impl<'a> Sched<'a> {
             models,
             limits,
             members,
+            sent: Vec::new(),
             now: start,
             next_req: 1,
             stats,
@@ -346,7 +357,8 @@ impl<'a> Sched<'a> {
         for member in &mut self.members {
             member.conn.pump_gather(self.now, &mut member.stream);
         }
-        self.batcher.serve_round(self.members.iter_mut().map(|m| &mut m.conn));
+        let round = self.batcher.serve_round(self.members.iter_mut().map(|m| &mut m.conn));
+        self.stats.row_cache_hits += round.row_cache_hits as u64;
         for member in &mut self.members {
             member.conn.pump_flush(self.now, &mut member.stream);
         }
@@ -443,6 +455,26 @@ impl<'a> Sched<'a> {
     fn op_request(&mut self, at: usize) {
         let model = self.rng.usize_in(0, self.models.len() - 1);
         let corpus_text = crate::seed_corpus(&self.insts, &mut self.rng).render(&self.insts);
+        self.sent.push((model, corpus_text.clone()));
+        self.send_request(at, model, corpus_text);
+    }
+
+    /// An earlier `(model, corpus)` resent on member `at`, sometimes after
+    /// a hot swap of that model.  Without the swap the batcher answers from
+    /// the rows its cache slot kept; after it, the new generation must miss
+    /// that slot and predict afresh — the byte-exact oracle checks both.
+    fn op_resend(&mut self, at: usize) {
+        let (model, corpus_text) = self.sent[self.rng.usize_in(0, self.sent.len() - 1)].clone();
+        self.stats.note(|| format!("conn {at}: resend of an earlier wm-{model} corpus"));
+        if self.rng.next_f64() < 0.3 {
+            self.swap(model);
+        }
+        self.send_request(at, model, corpus_text);
+    }
+
+    /// Feeds one prediction request for `corpus_text` against `model` to
+    /// member `at`, split across chunks and stalls.
+    fn send_request(&mut self, at: usize, model: usize, corpus_text: String) {
         let req_id = self.next_req;
         self.next_req += 1;
         let expected = expected_response_for(&self.models[model].artifact, req_id, &corpus_text);
@@ -464,6 +496,7 @@ impl<'a> Sched<'a> {
     fn op_burst(&mut self, at: usize) {
         let model = self.rng.usize_in(0, self.models.len() - 1);
         let corpus_text = crate::seed_corpus(&self.insts, &mut self.rng).render(&self.insts);
+        self.sent.push((model, corpus_text.clone()));
         let cap = self.limits.max_in_flight;
         let total = cap + self.rng.usize_in(1, 3);
         let mut chunk = Vec::new();
@@ -558,13 +591,18 @@ impl<'a> Sched<'a> {
             let _ = self.registry.refresh();
         } else {
             let at = self.rng.usize_in(0, self.models.len() - 1);
-            let name = self.models[at].name.clone();
-            let mut artifact = crate::seed_model(&self.insts, &mut self.rng);
-            artifact.machine = name;
-            self.stats.note(|| format!("hot swap of wm-{at} between rounds"));
-            self.registry.register(artifact.clone());
-            self.models[at].artifact = artifact;
+            self.swap(at);
         }
+    }
+
+    /// Hot-swaps model `at` for a fresh seeded artifact between rounds.
+    fn swap(&mut self, at: usize) {
+        let name = self.models[at].name.clone();
+        let mut artifact = crate::seed_model(&self.insts, &mut self.rng);
+        artifact.machine = name;
+        self.stats.note(|| format!("hot swap of wm-{at} between rounds"));
+        self.registry.register(artifact.clone());
+        self.models[at].artifact = artifact;
     }
 
     /// Short and stalled writes on member `at` from here on (cleared by
@@ -745,8 +783,12 @@ fn run_schedule(case: u32, fleet: Fleet, stats: &mut ScheduleStats) {
             .collect();
         let Some(&at) = live.get(s.rng.usize_in(0, live.len().max(1) - 1)) else { break };
         let before = s.stats.violations.len();
-        let op = match s.rng.usize_in(0, 9) {
-            0..=2 => {
+        let op = match s.rng.usize_in(0, 10) {
+            9 if !s.sent.is_empty() => {
+                s.op_resend(at);
+                "resend"
+            }
+            0..=2 | 9 => {
                 s.op_request(at);
                 "request"
             }
@@ -826,6 +868,7 @@ pub fn run_schedules(n: u32, seed: u32, fleet: Fleet) -> WireFuzzSummary {
         summary.sheds += stats.sheds;
         summary.poisons += stats.poisons;
         summary.injected_faults += stats.injected;
+        summary.row_cache_hits += stats.row_cache_hits;
         summary.ops.extend(stats.ops);
         for detail in stats.violations {
             summary.violations.push(WireViolation { case, detail });
@@ -1098,6 +1141,7 @@ mod tests {
                 "garbage",
                 "idle-gap",
                 "request",
+                "resend",
                 "swap-or-refresh",
                 "write-faults"
             ],
@@ -1125,6 +1169,7 @@ mod tests {
         assert_eq!(first.sheds, second.sheds);
         assert_eq!(first.poisons, second.poisons);
         assert_eq!(first.injected_faults, second.injected_faults);
+        assert_eq!(first.row_cache_hits, second.row_cache_hits);
         assert_eq!(first.violations.len(), second.violations.len());
     }
 
@@ -1136,6 +1181,18 @@ mod tests {
     #[test]
     fn wire_schedules_are_deterministic() {
         assert_deterministic(Fleet::Single, 8, 77);
+    }
+
+    #[test]
+    fn resent_corpora_reach_the_cached_rows() {
+        // Cases 1.. are the prefix the CI smoke (`fuzz_wire --seed 1`) runs,
+        // so its byte-exact oracle provably checks replies served from rows.
+        for fleet in [Fleet::Single, Fleet::Multi] {
+            let summary = run_schedules(20, 1, fleet);
+            assert!(summary.violations.is_empty(), "{:?}", summary.violations);
+            assert!(summary.ops.contains("resend"), "{fleet:?} schedules must resend");
+            assert!(summary.row_cache_hits > 0, "{fleet:?} resends must hit the cached rows");
+        }
     }
 
     #[test]

@@ -86,6 +86,7 @@
 //! | `wire.batch.distinct_kernels` | C | distinct kernels evaluated across batch serves |
 //! | `wire.batch.snapshot_pins` | C | registry entries pinned (one resolve per model per round) |
 //! | `wire.batch.corpus_cache_hits` | C | request corpora answered from the parse cache |
+//! | `wire.batch.row_cache_hits` | C | prediction requests answered from rows their corpus-cache slot already held (no predict) |
 //! | `wire.batch.batch_ns` | H | wall time of each entry group's batch serve |
 //! | `wire.frontend.wakeups` | C | readiness-loop wakeups (`epoll_wait` returns) |
 //! | `wire.frontend.pumps` | C | connection pumps run — the ready ones per wakeup, every one per timeout sweep |

@@ -9,14 +9,15 @@
 //!    the in-flight cap;
 //! 2. the batcher drains every connection's decoded requests
 //!    ([`Connection::take_requests`]), pins one immutable registry entry
-//!    per model named this round, parses each distinct corpus text once
-//!    (with a bounded cache keyed on `(entry name, generation, text)`, so
-//!    steady-state repeat workloads skip the parse entirely), merges the
-//!    distinct corpora of each pinned entry into **one**
-//!    [`PreparedBatch`] over a shared kernel
-//!    set, serves it once via `predict_prepared`, and scatters bit-exact
-//!    IPC rows back to each request in its connection's own wire order
-//!    ([`Connection::push_reply`]);
+//!    per model named this round and looks each request's corpus up in a
+//!    bounded cache keyed on `(entry name, generation, text)`.  A slot
+//!    that already holds predicted rows answers its requests from them: a
+//!    resent corpus runs neither the parse nor the predictor.  The
+//!    remaining corpora are parsed once per distinct text; those of each
+//!    pinned entry merge into **one** [`PreparedBatch`] over a shared
+//!    kernel set, served once via `predict_prepared`, and their rows fill
+//!    their slots.  Bit-exact IPC rows are scattered back to each request
+//!    in its connection's own wire order ([`Connection::push_reply`]);
 //! 3. every connection runs its flush back half
 //!    ([`Connection::pump_flush`]).
 //!
@@ -31,6 +32,13 @@
 //! of once per connection), never *what* it evaluates to — the property the
 //! `fuzz_wire` schedules assert byte-for-byte against an in-process
 //! [`BatchPredictor`](palmed_serve::BatchPredictor) per request.
+//!
+//! The same argument covers the cached rows: a slot's rows are those its
+//! corpus was served with under the slot's `(name, generation)`, and a
+//! registry entry is immutable, so re-predicting them would give the same
+//! bits.  A swap or a reloading refresh installs a new generation, which
+//! misses every old slot; LRU eviction drops a slot's rows together with
+//! its corpus.
 //!
 //! # Snapshot pinning
 //!
@@ -49,14 +57,15 @@
 
 use crate::conn::{Connection, Engine};
 use crate::frame::Frame;
-use palmed_serve::checksum::fnv1a64;
+use palmed_serve::checksum::fnv1a64_words;
 use palmed_serve::corpus::Corpus;
 use palmed_serve::registry::RegistryEntry;
 use palmed_serve::{BatchMerge, BatchResult, PreparedBatch};
 use std::sync::Arc;
 
-/// Parsed corpora kept between rounds, keyed on `(entry name, entry
-/// generation, corpus text)`.  Bounded; least-recently-used slot evicted.
+/// Parsed corpora and their predicted rows kept between rounds, keyed on
+/// `(entry name, entry generation, corpus text)`.  Bounded;
+/// least-recently-used slot evicted.
 const CORPUS_CACHE_CAP: usize = 64;
 
 struct CachedCorpus {
@@ -67,8 +76,15 @@ struct CachedCorpus {
     /// 64-bit collision can never serve the wrong workload.
     text: String,
     corpus: Arc<Corpus>,
+    /// The IPC rows `corpus` was served with under this slot's entry;
+    /// `None` until the first round that predicts it.
+    rows: Option<Rows>,
     stamp: u64,
 }
+
+/// One corpus's predicted IPC rows, shared between its cache slot and the
+/// round that answers from them.
+type Rows = Arc<[Option<f64>]>;
 
 #[derive(Default)]
 struct CorpusCache {
@@ -77,7 +93,13 @@ struct CorpusCache {
 }
 
 impl CorpusCache {
-    fn get(&mut self, name: &str, generation: u64, hash: u64, text: &str) -> Option<Arc<Corpus>> {
+    fn get(
+        &mut self,
+        name: &str,
+        generation: u64,
+        hash: u64,
+        text: &str,
+    ) -> Option<(Arc<Corpus>, Option<Rows>)> {
         self.clock += 1;
         let clock = self.clock;
         let slot = self.slots.iter_mut().find(|s| {
@@ -85,7 +107,7 @@ impl CorpusCache {
         })?;
         slot.stamp = clock;
         palmed_obs::counter!("wire.batch.corpus_cache_hits").inc();
-        Some(Arc::clone(&slot.corpus))
+        Some((Arc::clone(&slot.corpus), slot.rows.clone()))
     }
 
     fn insert(
@@ -104,7 +126,24 @@ impl CorpusCache {
                 self.slots.swap_remove(oldest);
             }
         }
-        self.slots.push(CachedCorpus { name, generation, hash, text, corpus, stamp: self.clock });
+        self.slots.push(CachedCorpus {
+            name,
+            generation,
+            hash,
+            text,
+            corpus,
+            rows: None,
+            stamp: self.clock,
+        });
+    }
+
+    /// Stores `rows` in the slot holding `corpus` (found by `Arc`
+    /// identity, so the slot key is the one the corpus was looked up
+    /// under).  A slot evicted since the lookup is simply not filled.
+    fn fill(&mut self, corpus: &Arc<Corpus>, rows: &Rows) {
+        if let Some(slot) = self.slots.iter_mut().find(|s| Arc::ptr_eq(&s.corpus, corpus)) {
+            slot.rows = Some(Arc::clone(rows));
+        }
     }
 }
 
@@ -116,11 +155,14 @@ pub struct RoundStats {
     pub requests: usize,
     /// Prediction requests answered with IPC rows.
     pub predictions: usize,
-    /// Prediction requests that shared a batch serve with at least one
-    /// other request (same pinned entry) — the cross-connection win.
+    /// Prediction requests that shared their pinned entry's group with at
+    /// least one other request — the cross-connection win.
     pub coalesced: usize,
-    /// Distinct kernels actually evaluated across all batch serves.
+    /// Distinct kernels actually evaluated across all batch serves; rows
+    /// answered from the corpus cache evaluate none.
     pub distinct_kernels: usize,
+    /// Prediction requests answered from rows a cache slot already held.
+    pub row_cache_hits: usize,
     /// Registry entries pinned (one resolve per model name per round).
     pub snapshot_pins: usize,
 }
@@ -137,9 +179,16 @@ struct PendingPrediction {
 struct EntryGroup {
     entry: Arc<RegistryEntry>,
     /// Distinct corpora (by `Arc` identity — the cache collapses repeated
-    /// texts onto one `Arc`), each with the requests it answers.
-    corpora: Vec<Arc<Corpus>>,
+    /// texts onto one `Arc`), each with its rows once known.
+    corpora: Vec<GroupCorpus>,
     requests: Vec<PendingPrediction>,
+}
+
+/// One distinct corpus of an entry group: rows from its cache slot, or
+/// `None` until this round's batch serve predicts them.
+struct GroupCorpus {
+    corpus: Arc<Corpus>,
+    rows: Option<Rows>,
 }
 
 /// The shared serve core: owns the [`Engine`] and the corpus cache, and
@@ -210,16 +259,28 @@ impl SharedBatcher {
                 stats.coalesced += group.requests.len();
             }
             palmed_obs::counter!("wire.batch.coalesced_requests").add(group.requests.len() as u64);
-            let serve_timer = palmed_obs::start_timer();
-            let (result, ranges) = serve_group(&group);
-            palmed_obs::histogram!("wire.batch.batch_ns").record_elapsed(serve_timer);
-            stats.distinct_kernels += result.distinct;
-            palmed_obs::counter!("wire.batch.distinct_kernels").add(result.distinct as u64);
-            for pending in &group.requests {
-                let (start, end) = ranges[pending.corpus_index];
-                let rows = result.ipcs[start..end].to_vec();
+            let EntryGroup { entry, mut corpora, requests } = group;
+            let hits = requests.iter().filter(|p| corpora[p.corpus_index].rows.is_some()).count();
+            stats.row_cache_hits += hits;
+            palmed_obs::counter!("wire.batch.row_cache_hits").add(hits as u64);
+            let uncached: Vec<&mut GroupCorpus> =
+                corpora.iter_mut().filter(|c| c.rows.is_none()).collect();
+            if !uncached.is_empty() {
+                let serve_timer = palmed_obs::start_timer();
+                let (result, ranges) = serve_group(&entry, &uncached);
+                palmed_obs::histogram!("wire.batch.batch_ns").record_elapsed(serve_timer);
+                stats.distinct_kernels += result.distinct;
+                palmed_obs::counter!("wire.batch.distinct_kernels").add(result.distinct as u64);
+                for (corpus, (start, end)) in uncached.into_iter().zip(ranges) {
+                    let rows: Rows = Arc::from(&result.ipcs[start..end]);
+                    self.cache.fill(&corpus.corpus, &rows);
+                    corpus.rows = Some(rows);
+                }
+            }
+            for pending in &requests {
+                let rows = corpora[pending.corpus_index].rows.as_deref().expect("rows served");
                 replies[pending.member][pending.slot] =
-                    Some(Frame::Response { req_id: pending.req_id, rows });
+                    Some(Frame::Response { req_id: pending.req_id, rows: rows.to_vec() });
             }
         }
 
@@ -257,8 +318,8 @@ impl SharedBatcher {
         let group = &mut groups[group_index];
 
         let generation = group.entry.generation();
-        let corpus = match self.cache.get(model, generation, hash, corpus_text) {
-            Some(corpus) => corpus,
+        let (corpus, rows) = match self.cache.get(model, generation, hash, corpus_text) {
+            Some(hit) => hit,
             None => match Corpus::parse(corpus_text, &group.entry.model().instructions) {
                 Ok(corpus) => {
                     let corpus = Arc::new(corpus);
@@ -269,16 +330,17 @@ impl SharedBatcher {
                         corpus_text.to_string(),
                         Arc::clone(&corpus),
                     );
-                    corpus
+                    (corpus, None)
                 }
                 Err(e) => return Some(corpus_error_frame(req_id, &e)),
             },
         };
 
-        let corpus_index = match group.corpora.iter().position(|c| Arc::ptr_eq(c, &corpus)) {
+        let corpus_index = match group.corpora.iter().position(|c| Arc::ptr_eq(&c.corpus, &corpus))
+        {
             Some(i) => i,
             None => {
-                group.corpora.push(corpus);
+                group.corpora.push(GroupCorpus { corpus, rows });
                 group.corpora.len() - 1
             }
         };
@@ -302,42 +364,45 @@ fn corpus_error_frame(req_id: u32, err: &palmed_serve::CorpusError) -> Frame {
     Frame::Error { req_id, class: err.class().to_string(), offset: None, message: err.to_string() }
 }
 
-/// The cache's prefilter hash: length plus FNV over the first and last
-/// KiB of the request text.  Purely a filter — a slot hit is always
-/// confirmed by the byte-exact `text` compare, so sampling can never serve
-/// the wrong corpus; it only keeps the steady-state hit path from paying a
-/// full byte-serial hash pass over every large repeated request.
+/// The cache's prefilter hash: length plus word-strided FNV over the first
+/// and last KiB of the request text.  Purely a filter — a slot hit is
+/// always confirmed by the byte-exact `text` compare, so sampling can never
+/// serve the wrong corpus; it only keeps the steady-state hit path from
+/// paying a full hash pass over every large repeated request.
 fn cache_key_hash(text: &str) -> u64 {
     const SAMPLE: usize = 1024;
     let bytes = text.as_bytes();
     let head = &bytes[..bytes.len().min(SAMPLE)];
     let tail = &bytes[bytes.len().saturating_sub(SAMPLE)..];
-    fnv1a64(head)
-        ^ fnv1a64(tail).rotate_left(1)
+    fnv1a64_words(head)
+        ^ fnv1a64_words(tail).rotate_left(1)
         ^ (bytes.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Serves one entry group: a single corpus goes straight through the
-/// zero-cost [`PreparedBatch::from_corpus`] ingest; several distinct
-/// corpora merge onto one shared kernel set first, so kernels they share
-/// are predicted once.  Returns the merged result plus each corpus's
-/// half-open row range.
-fn serve_group(group: &EntryGroup) -> (BatchResult, Vec<(usize, usize)>) {
-    if let [corpus] = group.corpora.as_slice() {
-        let batch = PreparedBatch::from_corpus(corpus);
+/// Serves an entry group's uncached corpora: a single corpus goes straight
+/// through the zero-cost [`PreparedBatch::from_corpus`] ingest; several
+/// distinct corpora merge onto one shared kernel set first, so kernels
+/// they share are predicted once.  Returns the merged result plus each
+/// corpus's half-open row range.
+fn serve_group(
+    entry: &RegistryEntry,
+    corpora: &[&mut GroupCorpus],
+) -> (BatchResult, Vec<(usize, usize)>) {
+    if let [only] = corpora {
+        let batch = PreparedBatch::from_corpus(&only.corpus);
         let len = batch.len();
-        (group.entry.model().batch().predict_prepared(&batch), vec![(0, len)])
+        (entry.model().batch().predict_prepared(&batch), vec![(0, len)])
     } else {
         let mut merge = BatchMerge::new();
-        let mut ranges = Vec::with_capacity(group.corpora.len());
+        let mut ranges = Vec::with_capacity(corpora.len());
         let mut at = 0;
-        for corpus in &group.corpora {
-            merge.push_corpus(corpus);
-            ranges.push((at, at + corpus.len()));
-            at += corpus.len();
+        for group_corpus in corpora {
+            merge.push_corpus(&group_corpus.corpus);
+            ranges.push((at, at + group_corpus.corpus.len()));
+            at += group_corpus.corpus.len();
         }
         let (batch, _) = merge.finish();
-        (group.entry.model().batch().predict_prepared(&batch), ranges)
+        (entry.model().batch().predict_prepared(&batch), ranges)
     }
 }
 
@@ -345,16 +410,23 @@ fn serve_group(group: &EntryGroup) -> (BatchResult, Vec<(usize, usize)>) {
 mod tests {
     use super::*;
     use crate::conn::Limits;
-    use crate::testutil::{artifact, batcher, decode_all, expected_rows, pump, request, Loopback};
+    use crate::testutil::{
+        artifact, batcher, decode_all, expected_rows, request, rows_of, Loopback,
+    };
     use palmed_serve::ModelRegistry;
 
     const CORPUS_A: &str = "PALMED-CORPUS v1\nb0 1 DIVPS×1\nb1 2 ADDSS×3 DIVPS×1\n";
     const CORPUS_B: &str = "PALMED-CORPUS v1\nb0 1 ADDSS×2\nb1 1 DIVPS×1\nb2 1 JNLE×1\n";
 
-    /// One shared round over `inboxes` (one connection each); returns the
-    /// per-connection outbox bytes and the round stats.
+    /// One shared round over `inboxes` (one connection each) on a fresh
+    /// batcher; returns the per-connection outbox bytes and the round stats.
     fn shared_round(inboxes: &[Vec<u8>]) -> (Vec<Vec<u8>>, RoundStats) {
-        let mut batcher = batcher();
+        round_on(&mut batcher(), inboxes)
+    }
+
+    /// One round of `batcher` over `inboxes` (one new connection each), so
+    /// the batcher's corpus cache carries over between calls.
+    fn round_on(batcher: &mut SharedBatcher, inboxes: &[Vec<u8>]) -> (Vec<Vec<u8>>, RoundStats) {
         let mut conns: Vec<(Connection, Loopback)> = inboxes
             .iter()
             .map(|inbox| {
@@ -372,6 +444,18 @@ mod tests {
             conn.pump_flush(0, stream);
         }
         (conns.into_iter().map(|(_, stream)| stream.outbox).collect(), stats)
+    }
+
+    /// The rows of the single response in `bytes`, as bit patterns.
+    fn response_bits(bytes: &[u8]) -> Vec<Option<u64>> {
+        match &decode_all(bytes)[..] {
+            [Frame::Response { rows, .. }] => bits(rows),
+            other => panic!("expected one response, got {other:?}"),
+        }
+    }
+
+    fn bits(rows: &[Option<f64>]) -> Vec<Option<u64>> {
+        rows.iter().map(|row| row.map(f64::to_bits)).collect()
     }
 
     /// The encoded reply the in-process `BatchPredictor` gives `req_id`.
@@ -480,25 +564,58 @@ mod tests {
     }
 
     #[test]
+    fn a_resent_corpus_answers_from_cached_rows() {
+        let mut batcher = batcher();
+        let (_, stats) = round_on(&mut batcher, &[request(1, CORPUS_A).encode()]);
+        assert_eq!(stats.distinct_kernels, 2, "the first round predicts the corpus");
+        assert_eq!(stats.row_cache_hits, 0);
+        let (again, stats) = round_on(&mut batcher, &[request(2, CORPUS_A).encode()]);
+        assert_eq!(again[0], reference(2, CORPUS_A), "cached rows are bit-identical");
+        assert_eq!(stats.distinct_kernels, 0, "a resent corpus evaluates no kernel");
+        assert_eq!(stats.row_cache_hits, 1);
+        assert_eq!((stats.predictions, stats.snapshot_pins), (1, 1), "cached rounds still count");
+    }
+
+    #[test]
+    fn a_mixed_round_predicts_only_its_uncached_corpus() {
+        let mut batcher = batcher();
+        round_on(&mut batcher, &[request(1, CORPUS_A).encode()]);
+        let (outs, stats) =
+            round_on(&mut batcher, &[request(2, CORPUS_A).encode(), request(3, CORPUS_B).encode()]);
+        assert_eq!(outs[0], reference(2, CORPUS_A));
+        assert_eq!(outs[1], reference(3, CORPUS_B));
+        // CORPUS_B alone holds {ADDSS×2, DIVPS×1, JNLE×1}; merged with
+        // CORPUS_A it would be 4.
+        assert_eq!(stats.distinct_kernels, 3, "only the new corpus's kernels are evaluated");
+        assert_eq!(stats.row_cache_hits, 1);
+        assert_eq!(stats.coalesced, 2, "both requests still share one pinned entry");
+        let (outs, stats) = round_on(&mut batcher, &[request(4, CORPUS_B).encode()]);
+        assert_eq!(outs[0], reference(4, CORPUS_B), "the mixed round filled the new slot");
+        assert_eq!((stats.distinct_kernels, stats.row_cache_hits), (0, 1));
+    }
+
+    #[test]
     fn a_registry_swap_lands_between_rounds_not_inside_one() {
         let registry = Arc::new(ModelRegistry::new());
         registry.register(artifact("skl", 0.5));
         let mut batcher = SharedBatcher::new(Engine::new(Arc::clone(&registry)));
-        let round = |batcher: &mut SharedBatcher| {
-            let mut conn = Connection::new(Limits::default(), 0);
-            let mut stream =
-                Loopback { inbox: request(1, CORPUS_A).encode(), ..Loopback::default() };
-            pump(batcher, 0, &mut conn, &mut stream);
-            match &decode_all(&stream.outbox)[..] {
-                [Frame::Response { rows, .. }] => rows.clone(),
-                other => panic!("expected one response, got {other:?}"),
-            }
+        let mut round = |req_id: u32| {
+            let (outs, stats) = round_on(&mut batcher, &[request(req_id, CORPUS_A).encode()]);
+            (response_bits(&outs[0]), stats)
         };
-        let before = round(&mut batcher);
-        let again = round(&mut batcher);
+        let (before, _) = round(1);
+        let (again, stats) = round(2);
         assert_eq!(before, again, "the cached corpus serves identically");
+        assert_eq!(stats.row_cache_hits, 1);
         registry.register(artifact("skl", 0.9)); // hot swap between rounds
-        let after = round(&mut batcher);
-        assert_ne!(before, after, "the next round pins the swapped entry (stale cache bypassed)");
+        let (after, stats) = round(3);
+        assert_ne!(before, after);
+        assert_eq!(
+            after,
+            bits(&rows_of(&artifact("skl", 0.9), CORPUS_A)),
+            "the next round pins the swapped entry"
+        );
+        assert_eq!(stats.row_cache_hits, 0, "the previous generation's rows are never served");
+        assert_eq!(stats.distinct_kernels, 2);
     }
 }

@@ -32,7 +32,11 @@ pub(crate) fn request(req_id: u32, corpus: &str) -> Frame {
 
 /// The in-process `BatchPredictor` rows of `corpus_text` against `skl`.
 pub(crate) fn expected_rows(corpus_text: &str) -> Vec<Option<f64>> {
-    let art = artifact("skl", 0.5);
+    rows_of(&artifact("skl", 0.5), corpus_text)
+}
+
+/// The in-process `BatchPredictor` rows of `corpus_text` against `art`.
+pub(crate) fn rows_of(art: &ModelArtifact, corpus_text: &str) -> Vec<Option<f64>> {
     let corpus = Corpus::parse(corpus_text, &art.instructions).unwrap();
     BatchPredictor::new(&art.compile()).predict_corpus(&corpus).ipcs
 }
