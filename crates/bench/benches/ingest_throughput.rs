@@ -17,11 +17,11 @@
 //!   hands its interner over by `Arc`, so ingest is a slot-table copy plus a
 //!   reference-count bump;
 //! * `model_parse_v1` / `model_load_v2b` / `model_swap_v2b` — the text
-//!   artifact parse vs the eager binary decode (dense mapping rebuilt) vs
-//!   the registry's v2b install (validate and copy the CSR arrays, no
-//!   dense rows) of the same model; the last goes through
-//!   `ModelRegistry::swap_bytes` (including the handed-over buffer and the
-//!   install's fingerprint), the whole cost a pushed update pays.
+//!   artifact parse vs the binary decode (the CSR arrays scattered into
+//!   dense rows) vs the registry's v2b install of the same model; the last
+//!   goes through `ModelRegistry::swap_bytes` (including the handed-over
+//!   buffer and the install's fingerprint), the whole cost a pushed update
+//!   pays.
 //!
 //! Record with `CRITERION_JSON=BENCH_ingest.json cargo bench --bench
 //! ingest_throughput`.

@@ -1,12 +1,10 @@
 //! Criterion bench: serving-path prediction throughput on a 10k-block
 //! dynamic basic-block stream.
 //!
-//! Four paths answer the same queries:
+//! Three paths answer the same queries:
 //!
-//! * `cold_map` — per-call [`ConjunctiveMapping::ipc`]: `BTreeMap` lookups
-//!   per instruction plus a dense sweep over every resource;
-//! * `compiled` — per-call [`CompiledModel::ipc_with`] with a reused scratch
-//!   buffer: dense usage rows, no allocation;
+//! * `per_call` — per-call [`ConjunctiveMapping::ipc_with`] with a reused
+//!   scratch buffer: dense usage rows, no allocation;
 //! * `batched_oneshot` — [`BatchPredictor::predict`]: ingest (hash-dedup of
 //!   the stream's repeated blocks) plus serve, in one call;
 //! * `batched_prepared` — [`BatchPredictor::predict_prepared`] over a
@@ -19,8 +17,7 @@
 //! count — hot blocks repeat, as in any real trace, which is exactly the
 //! redundancy the batch path exploits.
 //!
-//! [`ConjunctiveMapping::ipc`]: palmed_core::ConjunctiveMapping::ipc
-//! [`CompiledModel::ipc_with`]: palmed_serve::CompiledModel::ipc_with
+//! [`ConjunctiveMapping::ipc_with`]: palmed_core::ConjunctiveMapping::ipc_with
 //! [`BatchPredictor::predict`]: palmed_serve::BatchPredictor::predict
 //! [`BatchPredictor::predict_prepared`]: palmed_serve::BatchPredictor::predict_prepared
 //! [`PreparedBatch`]: palmed_serve::PreparedBatch
@@ -30,7 +27,7 @@ use palmed_core::{Palmed, PalmedConfig};
 use palmed_eval::suite::{generate_suite, SuiteConfig, SuiteKind};
 use palmed_isa::{InventoryConfig, Microkernel};
 use palmed_machine::{presets, AnalyticMeasurer, MemoizingMeasurer};
-use palmed_serve::{BatchPredictor, CompiledModel, PreparedBatch};
+use palmed_serve::{BatchPredictor, PreparedBatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,7 +38,6 @@ fn bench_predict_throughput(c: &mut Criterion) {
     let preset = presets::skl_sp(&InventoryConfig::small());
     let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(preset.mapping_arc()));
     let mapping = Palmed::new(PalmedConfig::evaluation()).infer(&measurer).mapping;
-    let compiled = CompiledModel::compile("palmed", &mapping);
 
     // Weighted draw: the probability of observing a block is proportional to
     // its dynamic execution weight.
@@ -71,18 +67,15 @@ fn bench_predict_throughput(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("predict_throughput");
     group.sample_size(10);
-    group.bench_with_input(BenchmarkId::new("cold_map", STREAM_LEN), &kernels, |b, kernels| {
-        b.iter(|| kernels.iter().filter_map(|k| mapping.ipc(k)).sum::<f64>())
-    });
-    group.bench_with_input(BenchmarkId::new("compiled", STREAM_LEN), &kernels, |b, kernels| {
-        let mut scratch = compiled.scratch();
-        b.iter(|| kernels.iter().filter_map(|k| compiled.ipc_with(k, &mut scratch)).sum::<f64>())
+    group.bench_with_input(BenchmarkId::new("per_call", STREAM_LEN), &kernels, |b, kernels| {
+        let mut scratch = Vec::new();
+        b.iter(|| kernels.iter().filter_map(|k| mapping.ipc_with(k, &mut scratch)).sum::<f64>())
     });
     group.bench_with_input(
         BenchmarkId::new("batched_oneshot", STREAM_LEN),
         &kernels,
         |b, kernels| {
-            let batch = BatchPredictor::new(&compiled);
+            let batch = BatchPredictor::new(&mapping);
             b.iter(|| batch.predict(kernels).ipcs.iter().flatten().sum::<f64>())
         },
     );
@@ -90,7 +83,7 @@ fn bench_predict_throughput(c: &mut Criterion) {
         BenchmarkId::new("batched_prepared", STREAM_LEN),
         &prepared,
         |b, prepared| {
-            let batch = BatchPredictor::new(&compiled);
+            let batch = BatchPredictor::new(&mapping);
             b.iter(|| batch.predict_prepared(prepared).ipcs.iter().flatten().sum::<f64>())
         },
     );
@@ -107,7 +100,7 @@ fn bench_predict_throughput(c: &mut Criterion) {
     // by position), so disarmed and armed batches alternate and each
     // configuration keeps its best batch — drift hits both arms equally
     // instead of aliasing into the comparison.
-    let batch = BatchPredictor::new(&compiled);
+    let batch = BatchPredictor::new(&mapping);
     const ROUNDS: usize = 12;
     const PAIR_BATCH: u32 = 16;
     for _ in 0..PAIR_BATCH {

@@ -6,10 +6,10 @@
 //! paper-sized synthetic inventory, for both conjunctive formats:
 //!
 //! * `cold_load_v1` — `ModelRegistry::load_file` on a v1 text artifact:
-//!   parse every decimal, rebuild the rows, compile the CSR arrays;
+//!   parse every decimal into the mapping's dense rows;
 //! * `cold_load_v2b` — `ModelRegistry::load_file` on a `v2b` artifact:
-//!   validate and copy the CSR arrays into the served model in one pass (no
-//!   dense rows are built);
+//!   validate the CSR arrays and scatter them into the dense rows in one
+//!   pass;
 //! * `generation_swap` — `ModelRegistry::swap_bytes` over a loaded
 //!   registry: validate the new bytes and atomically install the next
 //!   generation (the in-flight-reader guarantee is what's being priced);
@@ -64,14 +64,14 @@ fn bench_registry_reload(c: &mut Criterion) {
         b.iter(|| {
             let registry = ModelRegistry::new();
             let entry = registry.load_file(path).unwrap();
-            entry.model().model.num_entries()
+            entry.model().mapping().num_instructions()
         })
     });
     group.bench_with_input(BenchmarkId::new("cold_load_v2b", bin.len()), &path, |b, path| {
         b.iter(|| {
             let registry = ModelRegistry::new();
             let entry = registry.load_file(path).unwrap();
-            entry.model().model.num_entries()
+            entry.model().mapping().num_instructions()
         })
     });
 

@@ -23,9 +23,9 @@
 //!    reader (old generation keeps serving), and replace the artifact file
 //!    atomically so `refresh()`'s mtime/length poll picks it up;
 //! 7. prove determinism across every way in: the v1 text load, the v2b
-//!    file load, [`ServedModel::from_v2b`] and the v1-to-v2b migration must
-//!    all hash to the same prediction fingerprint, which the `.fp` sidecar
-//!    records and the registry verifies on load;
+//!    file load and the v1-to-v2b migration must all hash to the same
+//!    prediction fingerprint, which the `.fp` sidecar records and the
+//!    registry verifies on load;
 //! 8. assert the `palmed-obs` snapshot (the walk runs with observability
 //!    enabled) covers all three subsystems: trainer counters, serving
 //!    dedup hits and latency histogram, registry install/swap/refresh
@@ -53,7 +53,6 @@ use palmed_isa::InventoryConfig;
 use palmed_machine::{presets, AnalyticMeasurer, Measurer, MemoizingMeasurer};
 use palmed_serve::{
     migrate_v1_to_v2b, read_sidecar, Corpus, ModelArtifact, ModelRegistry, PreparedBatch,
-    ServedModel,
 };
 use std::path::PathBuf;
 use std::time::Instant;
@@ -119,7 +118,7 @@ fn main() {
     let registry = ModelRegistry::new();
     let entry = registry.load_file(&model_path).expect("artifact reloads with a valid checksum");
     let served = entry.model();
-    if served.to_artifact() != artifact {
+    if *served != artifact {
         eprintln!("FATAL: reloaded artifact differs from the saved one");
         std::process::exit(1);
     }
@@ -138,7 +137,7 @@ fn main() {
     let v2_registry = ModelRegistry::new();
     let v2_entry = v2_registry.load_file(&v2_path).expect("registry sniffs the v2 format");
     let v2_served = v2_entry.model();
-    if v2_served.to_artifact().render_v2() != std::fs::read(&v2_path).expect("v2 file reads") {
+    if v2_served.render_v2() != std::fs::read(&v2_path).expect("v2 file reads") {
         eprintln!("FATAL: the v2b entry does not re-render the exact file bytes");
         std::process::exit(1);
     }
@@ -184,25 +183,18 @@ fn main() {
         served_in,
         corpus.len() as f64 / served_in.as_secs_f64()
     );
-    let start = Instant::now();
-    let mut mismatches = 0usize;
-    for ((_, kernel), served_ipc) in corpus.iter().zip(&result.ipcs) {
-        let reference = inferred.mapping.ipc(kernel);
-        if reference.map(f64::to_bits) != served_ipc.map(f64::to_bits) {
-            mismatches += 1;
-        }
-    }
-    let cold = start.elapsed();
+    let mismatches = corpus
+        .iter()
+        .zip(&result.ipcs)
+        .filter(|((_, kernel), served_ipc)| {
+            inferred.mapping.ipc(kernel).map(f64::to_bits) != served_ipc.map(f64::to_bits)
+        })
+        .count();
     if mismatches > 0 {
         eprintln!("FATAL: {mismatches} served predictions differ from the in-memory mapping");
         std::process::exit(1);
     }
-    println!(
-        "      every prediction bit-identical to the in-memory mapping \
-         (per-call legacy sweep of the same corpus: {:.2?}, {:.1}x the served path)",
-        cold,
-        cold.as_secs_f64() / served_in.as_secs_f64()
-    );
+    println!("      every prediction bit-identical to the in-memory mapping");
 
     // Same corpus through the v2b entry: every prediction must be
     // bit-identical to the v1 entry.
@@ -229,7 +221,7 @@ fn main() {
     let native = AnalyticMeasurer::new(preset.mapping_arc());
     let eval_blocks = corpus_to_blocks(&corpus);
     let native_ipcs: Vec<f64> = eval_blocks.iter().map(|b| native.ipc(&b.kernel)).collect();
-    let palmed = evaluate_tool(&served.model, &eval_blocks, &native_ipcs);
+    let palmed = evaluate_tool(served.mapping(), &eval_blocks, &native_ipcs);
     let uops = palmed_baselines::UopsStylePredictor::new(preset.mapping_arc());
     let uops_metrics = evaluate_tool(&uops, &eval_blocks, &native_ipcs);
     println!("[5/9] accuracy vs the native machine:");
@@ -254,7 +246,7 @@ fn main() {
         .swap_bytes(preset.name(), retrained.render_v2())
         .expect("hot swap installs a new generation");
     assert!(swapped.generation() > old_entry.generation(), "swap must bump the generation");
-    assert_eq!(swapped.model().to_artifact(), retrained, "a v2b swap serves the retrained model");
+    assert_eq!(*swapped.model(), retrained, "a v2b swap serves the retrained model");
     let old_still_serves = old_entry.model().batch().predict_prepared(&prepared);
     let stale_mismatches = result
         .ipcs
@@ -295,19 +287,16 @@ fn main() {
 
     // ---- 7. Determinism fingerprints across every way in. ----
     // The same model must hash to the same prediction fingerprint no matter
-    // how it was loaded: compiled from v1 text, copied from a v2b file or
-    // buffer, or migrated from v1 to v2b.  The `.fp` sidecar pins
-    // that value on disk and the registry re-verifies it on every load.
-    let n = artifact.instructions.len();
+    // how it was loaded: parsed from v1 text, decoded from a v2b file, or
+    // migrated from v1 to v2b.  The `.fp` sidecar pins that value on disk
+    // and the registry re-verifies it on every load.
     let reference = artifact.fingerprint();
-    let from_v2b = ServedModel::from_v2b(&artifact.render_v2()).expect("rendered v2b validates");
     let migrated = migrate_v1_to_v2b(artifact.render().as_bytes()).expect("v1 render migrates");
-    let migrated = ServedModel::from_v2b(&migrated).expect("migrated bytes validate");
+    let migrated = ModelArtifact::parse_v2(&migrated).expect("migrated bytes validate");
     let modes = [
-        ("v1 text load", served.model.fingerprint(n)),
-        ("v2b file load", v2_served.model.fingerprint(n)),
-        ("from_v2b", from_v2b.model.fingerprint(n)),
-        ("v1->v2b migration", migrated.model.fingerprint(n)),
+        ("v1 text load", served.fingerprint()),
+        ("v2b file load", v2_served.fingerprint()),
+        ("v1->v2b migration", migrated.fingerprint()),
     ];
     for (mode, fingerprint) in modes {
         if fingerprint != reference {

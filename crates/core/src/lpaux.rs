@@ -80,7 +80,7 @@ pub fn map_instruction<M: Measurer>(
     // variable box, 1.5·max(1/ipc, 1), lies above this for any ipc below
     // 5·10⁵, so it never binds.)
     let mut usage = vec![1.0 / inst_ipc + 1e-6; num_resources];
-    let mut fixed = vec![0.0; num_resources];
+    let mut fixed = Vec::with_capacity(num_resources);
     let mut any_kernel = false;
     for sat_kernel in saturating.kernels.iter().flatten() {
         let kernel = completion_kernel(inst, inst_ipc, sat_kernel);
@@ -91,16 +91,9 @@ pub fn map_instruction<M: Measurer>(
         any_kernel = true;
         let scale = ipc / kernel.total_instructions() as f64;
         let inst_count = kernel.multiplicity(inst) as f64;
-        // Fixed core load of every resource in this benchmark, summed in
-        // kernel order.
-        fixed.fill(0.0);
-        for (i, c) in kernel.iter().filter(|&(i, _)| i != inst) {
-            if let Some(row) = mapping.usage_vector(i) {
-                for (f, &u) in fixed.iter_mut().zip(row) {
-                    *f += c as f64 * u;
-                }
-            }
-        }
+        // Fixed core load of every resource in this benchmark: `inst` is
+        // still unmapped, so it contributes nothing.
+        mapping.kernel_load_into(&kernel, &mut fixed);
         // Usage of every resource r in this benchmark:
         //   (inst_count * rho_r + fixed_r) * scale  <= 1
         // Real measurements (greedy scheduling, quantisation, noise) can make

@@ -28,7 +28,6 @@ use palmed_machine::{
     MemoizingMeasurer, SimulationConfig,
 };
 use palmed_par::par_map;
-use palmed_serve::CompiledModel;
 use std::sync::Arc;
 
 /// Configuration of a full evaluation campaign.
@@ -163,11 +162,6 @@ impl Campaign {
         let palmed_result = Palmed::new(PalmedConfig::evaluation()).infer(&inference_measurer);
         let mut report = palmed_result.report.clone();
         report.machine = preset.name().to_string();
-        // The campaign serves heavy prediction traffic (every tool × suite ×
-        // block), so Palmed is evaluated through its compiled serving form —
-        // bit-identical to predicting with the inferred `ConjunctiveMapping`,
-        // without its per-call BTreeMap walks.
-        let palmed_predictor = CompiledModel::compile("palmed", &palmed_result.mapping);
 
         // ---- Baselines. ----
         // PMEvo is evolved on one representative per execution class plus
@@ -202,7 +196,7 @@ impl Campaign {
             // never supported AMD processors and uops.info's port tables
             // cover Intel only, so those rows read "N/A" on the Zen target.
             let tools: [(&dyn ThroughputPredictor, bool); 5] = [
-                (&palmed_predictor, true),
+                (&palmed_result.mapping, true),
                 (&uops, is_intel_like),
                 (&pmevo, true),
                 (&iaca, is_intel_like),

@@ -10,10 +10,10 @@
 //!    violations a line number.
 //! 3. **Canonical accept.**  An accepted buffer re-encodes bit-identically
 //!    (binary formats are canonical) or reaches a one-step fixed point
-//!    (text formats, whose comments/whitespace are not preserved), and the
-//!    served v2b load ([`ServedModel::from_v2b`]) agrees with the eager
-//!    decoder — accept/reject, [fingerprint](palmed_serve::model_fingerprint)
-//!    and the artifact it hands back alike.
+//!    (text formats, whose comments/whitespace are not preserved).  There
+//!    is one v2b decoder ([`ModelArtifact::parse_v2`], behind
+//!    [`ModelArtifact::parse_bytes`] and every registry load), so no second
+//!    load path has to be cross-checked against it.
 //!
 //! This crate checks those invariants the way an attacker would probe them:
 //! each case starts from a **valid** input in one of three formats — the
@@ -22,7 +22,7 @@
 //! shuffles, CSR pointer permutation, section splices, truncation,
 //! extension, trailer re-hash after body edits — and feeds the result to
 //! **every** decoder entry point ([`ModelArtifact::parse_bytes`],
-//! [`ServedModel::from_v2b`], [`Corpus::parse`], [`migrate_v1_to_v2b`]), not
+//! [`Corpus::parse`], [`migrate_v1_to_v2b`]), not
 //! just the format's own.  Everything is
 //! deterministic: case `n` replays the same bytes forever (the RNG is the
 //! vendored proptest engine's), so any finding becomes a regression test by
@@ -59,9 +59,7 @@
 use palmed_core::ConjunctiveMapping;
 use palmed_isa::{InstId, InstructionSet, InventoryConfig, Microkernel};
 use palmed_serve::checksum::{fnv1a64, fnv1a64_words};
-use palmed_serve::{
-    migrate_v1_to_v2b, ArtifactError, Corpus, ModelArtifact, ModelKind, ServedModel,
-};
+use palmed_serve::{migrate_v1_to_v2b, ArtifactError, Corpus, ModelArtifact, ModelKind};
 use proptest::test_runner::TestRng;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -141,8 +139,8 @@ impl fmt::Display for Violation {
 /// rejected, with what [`ArtifactError::class`] label, at what byte offset.
 #[derive(Debug, Clone)]
 pub struct RejectionRecord {
-    /// The decoder entry point that rejected (`parse_bytes`, `view`,
-    /// `migrate`, `corpus`).
+    /// The decoder entry point that rejected (`parse_bytes`, `migrate`,
+    /// `corpus`).
     pub entry: &'static str,
     /// The rejection-class label ([`ArtifactError::class`]).
     pub class: &'static str,
@@ -648,38 +646,7 @@ pub fn check_all(
         report(detail);
     }
 
-    // 2. The served v2b load must agree with the eager decoder.  Its entry
-    // point keeps the label "view" so guided coverage keys stay stable.
-    if kind == ModelKind::ConjunctiveV2b {
-        if let Some(detail) = guard("view", || match ServedModel::from_v2b(bytes) {
-            Ok(served) => {
-                outcome.accepted += 1;
-                outcome.accepts.push("view");
-                match &parsed_conjunctive {
-                    None => Some("from_v2b accepts what parse_bytes rejects".into()),
-                    Some(artifact) => {
-                        let n = artifact.instructions.len();
-                        if served.model.fingerprint(n) != artifact.compile().fingerprint(n) {
-                            Some("from_v2b and eager load fingerprint differently".into())
-                        } else {
-                            (served.to_artifact() != *artifact)
-                                .then(|| "from_v2b does not hand back the eager artifact".into())
-                        }
-                    }
-                }
-            }
-            Err(error) => {
-                if parsed_conjunctive.is_some() {
-                    return Some("from_v2b rejects what parse_bytes accepts".into());
-                }
-                tally_rejection(outcome, "view", &error)
-            }
-        }) {
-            report(detail);
-        }
-    }
-
-    // 3. Migration must accept exactly the valid v1 inputs and produce a
+    // 2. Migration must accept exactly the valid v1 inputs and produce a
     //    byte-equal v2b encoding of the same model.
     if let Some(detail) = guard("migrate", || match migrate_v1_to_v2b(bytes) {
         Ok(migrated) => {
@@ -697,7 +664,7 @@ pub fn check_all(
         report(detail);
     }
 
-    // 4. The corpus loader sees every UTF-8 buffer.
+    // 3. The corpus loader sees every UTF-8 buffer.
     if let Ok(text) = std::str::from_utf8(bytes) {
         if let Some(detail) = guard("corpus", || match Corpus::parse(text, insts) {
             Ok(corpus) => {

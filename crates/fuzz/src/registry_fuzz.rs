@@ -14,7 +14,7 @@
 //! - **last good generation keeps serving**: every entry resolves after
 //!   every step, its fingerprint is the last *verified* body's, and a v2b
 //!   entry re-renders that body byte for byte
-//!   ([`ServedModel::to_artifact`](palmed_serve::ServedModel::to_artifact));
+//!   ([`RegistryEntry::model`](palmed_serve::RegistryEntry::model));
 //! - **no reload without verification**: a name appears in
 //!   [`RefreshOutcome::reloaded`] only when the settled on-disk body is
 //!   valid *and* its sidecar (if any) verifies under the registry's key;
@@ -264,7 +264,7 @@ fn check_step(
                 sim.good_fp
             ));
         }
-        if sim.wire == Wire::V2b && entry.model().to_artifact().render_v2() != sim.good_bytes {
+        if sim.wire == Wire::V2b && entry.model().render_v2() != sim.good_bytes {
             stats
                 .violations
                 .push(format!("`{}` re-renders differently from the last good body", sim.name));
@@ -327,7 +327,7 @@ fn run_schedule(case: u32, stats: &mut ScheduleStats) {
     } else {
         None
     };
-    registry.set_signing_key(key.clone());
+    registry.set_signing_keys(key.clone().into_iter().collect());
     let keyed = key.is_some();
     stats.note(|| {
         format!("schedule: {}", if keyed { "signing key armed" } else { "unkeyed registry" })

@@ -241,7 +241,7 @@ pub enum Fleet {
 fn expected_response_for(artifact: &ModelArtifact, req_id: u32, corpus_text: &str) -> Vec<u8> {
     let corpus = Corpus::parse(corpus_text, &artifact.instructions)
         .expect("fuzzer-rendered corpora re-parse");
-    let rows = BatchPredictor::new(&artifact.compile()).predict_corpus(&corpus).ipcs;
+    let rows = BatchPredictor::new(artifact.mapping()).predict_corpus(&corpus).ipcs;
     Frame::Response { req_id, rows }.encode()
 }
 

@@ -23,7 +23,6 @@
 //!   re-hash are rejected at load time instead of silently mis-predicting.
 
 use crate::codec::ModelKind;
-use crate::compiled::CompiledModel;
 use palmed_core::ConjunctiveMapping;
 use palmed_isa::{ExecClass, Extension, InstDesc, InstId, InstructionSet};
 use std::fmt;
@@ -31,9 +30,9 @@ use std::path::{Path, PathBuf};
 
 /// A persistable inferred model: provenance, instruction set and mapping.
 ///
-/// Serving does not keep one: a registry entry holds the compiled arrays
-/// ([`ServedModel`](crate::ServedModel)) and rebuilds an artifact only on
-/// request ([`ServedModel::to_artifact`](crate::ServedModel::to_artifact)).
+/// It is also what serving holds: a registry entry keeps the artifact it
+/// installed ([`RegistryEntry::model`](crate::RegistryEntry::model)) and
+/// predicts straight from its [`ConjunctiveMapping`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelArtifact {
     /// Architecture / machine preset this model serves (e.g. `"skl-sp-like"`).
@@ -254,10 +253,9 @@ impl ModelArtifact {
         &self.mapping
     }
 
-    /// Flattens the artifact's mapping into a [`CompiledModel`] named after
-    /// the machine.
-    pub fn compile(&self) -> CompiledModel {
-        CompiledModel::compile(self.machine.clone(), self.mapping())
+    /// A batch predictor over the artifact's mapping.
+    pub fn batch(&self) -> crate::BatchPredictor<'_> {
+        crate::BatchPredictor::new(&self.mapping)
     }
 
     /// Renders the artifact in the `PALMED-MODEL v1` text format, checksum
@@ -475,7 +473,7 @@ impl ModelArtifact {
     /// Returns an [`ArtifactError`] on any layout violation, truncation or
     /// checksum mismatch; never panics on untrusted input.
     pub fn parse_v2(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        crate::binfmt::decode(bytes)
+        crate::binfmt::validate(bytes)
     }
 
     /// Parses an artifact in either conjunctive format, sniffing the version
@@ -531,12 +529,12 @@ impl ModelArtifact {
     }
 
     /// The artifact's determinism fingerprint: a canonical FNV-1a-64 hash
-    /// over the compiled model's predictions on the pinned probe corpus (see
+    /// over the mapping's predictions on the pinned probe corpus (see
     /// [`model_fingerprint`](crate::fingerprint::model_fingerprint)).  Every
     /// way of loading the same model — v1 text, v2b bytes, migrated —
     /// produces the same value.
     pub fn fingerprint(&self) -> u64 {
-        self.compile().fingerprint(self.instructions.len())
+        crate::fingerprint::model_fingerprint(&self.mapping, self.instructions.len())
     }
 
     /// Saves the binary v2b artifact plus a fingerprint sidecar
@@ -609,12 +607,10 @@ mod tests {
     fn reloaded_model_predicts_bit_identically() {
         let artifact = example();
         let reloaded = ModelArtifact::parse(&artifact.render()).unwrap();
-        let compiled = reloaded.compile();
-        let mut scratch = compiled.scratch();
         let k = Microkernel::pair(InstId(2), 2, InstId(3), 1);
         assert_eq!(
             artifact.mapping().ipc(&k).map(f64::to_bits),
-            compiled.ipc_with(&k, &mut scratch).map(f64::to_bits)
+            reloaded.mapping().ipc(&k).map(f64::to_bits)
         );
     }
 

@@ -21,13 +21,13 @@
 //!   thousand distinct kernels a request carries, worker threads cost more
 //!   CPU than they save and win no wall time.
 //!
-//! [`BatchPredictor`] borrows a [`CompiledModel`] (standalone, or the one a
-//! [`ServedModel`](crate::ServedModel) holds).
+//! [`BatchPredictor`] borrows a [`ConjunctiveMapping`] (standalone, or the
+//! one a registry entry's [`ModelArtifact`](crate::ModelArtifact) holds).
 //! [`BatchPredictor::predict`] chains ingest and serve for one-shot use,
 //! deduplicating by reference so distinct kernels are never cloned.
 
-use crate::compiled::CompiledModel;
 use crate::corpus::Corpus;
+use palmed_core::ConjunctiveMapping;
 use palmed_isa::{KernelSet, Microkernel};
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -225,20 +225,20 @@ impl BatchScatter {
     }
 }
 
-/// A batch front-end over a borrowed [`CompiledModel`].
+/// A batch front-end over a borrowed [`ConjunctiveMapping`].
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPredictor<'m> {
-    model: &'m CompiledModel,
+    model: &'m ConjunctiveMapping,
 }
 
 impl<'m> BatchPredictor<'m> {
     /// Wraps a model.
-    pub fn new(model: &'m CompiledModel) -> Self {
+    pub fn new(model: &'m ConjunctiveMapping) -> Self {
         BatchPredictor { model }
     }
 
     /// The model this predictor serves.
-    pub fn model(&self) -> &'m CompiledModel {
+    pub fn model(&self) -> &'m ConjunctiveMapping {
         self.model
     }
 
@@ -267,7 +267,7 @@ impl<'m> BatchPredictor<'m> {
     /// Shared serving core over an already-deduplicated kernel list.
     fn serve<K: Borrow<Microkernel>>(&self, distinct: &[K], slots: &[u32]) -> BatchResult {
         let timer = palmed_obs::start_timer();
-        let mut scratch = self.model.scratch();
+        let mut scratch = Vec::with_capacity(self.model.num_resources());
         let unique: Vec<Option<f64>> = distinct
             .iter()
             .map(|kernel| self.model.ipc_with(kernel.borrow(), &mut scratch))
@@ -288,14 +288,13 @@ impl<'m> BatchPredictor<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use palmed_core::ConjunctiveMapping;
     use palmed_isa::InstId;
 
-    fn model() -> CompiledModel {
+    fn model() -> ConjunctiveMapping {
         let mut m = ConjunctiveMapping::with_resources(2);
         m.set_usage(InstId(0), vec![1.0, 0.5]);
         m.set_usage(InstId(1), vec![0.0, 0.5]);
-        CompiledModel::compile("palmed", &m)
+        m
     }
 
     #[test]
@@ -309,11 +308,10 @@ mod tests {
         let batch = BatchPredictor::new(&model).predict(&kernels);
         assert_eq!(batch.ipcs.len(), kernels.len());
         assert_eq!(batch.distinct, 300); // 20 × 15 distinct (na, nb) combinations
-        let mut scratch = model.scratch();
         for (kernel, ipc) in kernels.iter().zip(&batch.ipcs) {
             assert_eq!(
                 ipc.map(f64::to_bits),
-                model.ipc_with(kernel, &mut scratch).map(f64::to_bits),
+                model.ipc(kernel).map(f64::to_bits),
                 "kernel {kernel}"
             );
         }

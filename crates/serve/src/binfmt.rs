@@ -1,16 +1,15 @@
 //! The `PALMED-MODEL v2b` binary codec: length-prefixed little-endian layout
-//! storing a [`CompiledModel`]'s non-zero usages as a CSR section.
+//! storing a [`ConjunctiveMapping`]'s non-zero usages as a CSR section.
 //!
 //! The v1 text format stays the interchange/debug form; v2b exists because a
 //! full XED-sized inventory makes float parsing the dominant load cost.  In
 //! v2b every `f64` is its raw bit pattern and every array is a contiguous
-//! little-endian run, so a load is one pass: [`validate`] checks the
-//! checksum and every structural invariant while it scatters the CSR entries
-//! into the dense rows of an owned [`CompiledModel`] — what a served load
-//! keeps.  The eager [`decode`] then rebuilds the
-//! [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping) rows with
-//! [`CompiledModel::to_mapping`], the exact inverse of
-//! [`CompiledModel::compile`], so a v1↔v2 round trip is bit-identical.
+//! little-endian run, so a load is one pass: [`validate`], the one v2b
+//! decoder, checks the checksum and every structural invariant while it
+//! scatters the CSR entries into the dense rows of the artifact's
+//! [`ConjunctiveMapping`] — what a served load keeps.  The CSR section
+//! drops zero usages and the mapping stores them as zeros, so a v1↔v2 round
+//! trip is bit-identical.
 //!
 //! The byte-level plumbing (magic + FNV trailer, length-prefixed sections,
 //! the offset-tagged [`Cursor`]) is the shared machinery of
@@ -35,34 +34,37 @@
 
 use crate::artifact::{token, ArtifactError, ModelArtifact};
 use crate::codec::{finish_trailer, push_f64, push_str, push_u32, Cursor, V2B_MAGIC};
-use crate::compiled::CompiledModel;
-use crate::registry::ServedModel;
-use palmed_core::ThroughputPredictor;
+use palmed_core::ConjunctiveMapping;
 use palmed_isa::InstId;
 
 /// Serialises an artifact into the v2b binary form, checksum included.  The
-/// CSR section is the compiled model's sparse rows ([`CompiledModel::row`]).
+/// CSR section holds each slot's non-zero usages in ascending resource
+/// order, up to the last mapped slot.
 pub(crate) fn encode(artifact: &ModelArtifact) -> Vec<u8> {
-    let machine = token(&artifact.machine);
     let mapping = artifact.mapping();
-    let compiled = CompiledModel::compile(machine.clone(), mapping);
-    let slots = compiled.num_slots();
-    let rows = || (0..slots as u32).map(|i| compiled.row(InstId(i)));
+    let slots = mapping.instructions().last().map_or(0, |i| i.index() + 1);
+    // `-0.0 != 0.0` is false: a negative zero is dropped like `+0.0`.
+    let rows = || {
+        (0..slots as u32).map(|i| {
+            let row = mapping.usage_vector(InstId(i)).unwrap_or_default();
+            row.iter().enumerate().filter(|&(_, &value)| value != 0.0).map(|(c, &v)| (c as u32, v))
+        })
+    };
 
-    let mut out = Vec::with_capacity(64 + 16 * compiled.num_entries());
+    let mut out = Vec::with_capacity(64 + 16 * rows().flatten().count());
     out.extend_from_slice(V2B_MAGIC);
-    push_str(&mut out, &machine);
+    push_str(&mut out, &token(&artifact.machine));
     push_str(&mut out, &token(&artifact.source));
 
     crate::codec::write_instruction_table(&mut out, &artifact.instructions);
 
-    push_u32(&mut out, compiled.num_resources() as u32);
+    push_u32(&mut out, mapping.num_resources() as u32);
     for r in mapping.resources() {
         push_str(&mut out, &token(mapping.resource_name(r)));
     }
 
     push_u32(&mut out, slots as u32);
-    out.extend((0..slots as u32).map(|i| u8::from(compiled.supports(InstId(i)))));
+    out.extend((0..slots as u32).map(|i| u8::from(mapping.supports(InstId(i)))));
     let mut nnz = 0u32;
     push_u32(&mut out, nnz);
     for row in rows() {
@@ -82,12 +84,13 @@ pub(crate) fn encode(artifact: &ModelArtifact) -> Vec<u8> {
 
 /// Walks a v2b artifact once, verifying the checksum and every structural
 /// invariant, and scatters the CSR entries on the way into the dense rows of
-/// a served model whose [`CompiledModel`] is named after the machine.
+/// the artifact's mapping.
 ///
-/// This is the single validator behind every v2b load path — served, eager
-/// and migrated — so corruption, truncation and crafted structural
-/// violations are rejected identically everywhere.
-pub(crate) fn validate(bytes: &[u8]) -> Result<ServedModel, ArtifactError> {
+/// This is the single decoder behind every v2b load path — registry loads,
+/// [`ModelArtifact::parse_v2`] and migration checks — so corruption,
+/// truncation and crafted structural violations are rejected identically
+/// everywhere.
+pub(crate) fn validate(bytes: &[u8]) -> Result<ModelArtifact, ArtifactError> {
     let body = crate::codec::verify_trailer(bytes, V2B_MAGIC)?;
 
     let mut cur = Cursor::after_magic(body, V2B_MAGIC);
@@ -145,9 +148,15 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<ServedModel, ArtifactError> {
     // (endpoints pinned, monotone), so the row ranges cover every entry
     // exactly once: unmapped slots must have empty rows, columns must be
     // strictly ascending and in range, and every stored f64 must be finite
-    // and positive.  Each checked entry is scattered into its dense row,
-    // whose size `check_dense_cells` has bounded by the input length.
-    let mut usage = vec![0.0; slots * n_resources];
+    // and positive.  Each checked entry is scattered into its dense row;
+    // the table runs to the last (mapped) slot, a size `check_dense_cells`
+    // has bounded by the input length.
+    let mut mapping = ConjunctiveMapping::new(resource_names);
+    if slots > 0 {
+        // Size the table once: the last slot is mapped, and its real row
+        // overwrites this one below.
+        mapping.set_usage(InstId(slots as u32 - 1), vec![0.0; n_resources]);
+    }
     for (i, &flag) in mapped.iter().enumerate() {
         let row = row_ptr[i] as usize..row_ptr[i + 1] as usize;
         if flag == 0 {
@@ -156,6 +165,7 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<ServedModel, ArtifactError> {
             }
             continue;
         }
+        let mut usage = vec![0.0; n_resources];
         let mut previous: Option<u32> = None;
         for (&col, &val) in cols[row.clone()].iter().zip(&vals[row]) {
             if col as usize >= n_resources {
@@ -168,13 +178,12 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<ServedModel, ArtifactError> {
             if !val.is_finite() || val <= 0.0 {
                 return Err(cur.bad(format!("usage value {val} is not finite and positive")));
             }
-            usage[i * n_resources + col as usize] = val;
+            usage[col as usize] = val;
         }
+        mapping.set_usage(InstId(i as u32), usage);
     }
 
-    let model =
-        CompiledModel::from_dense_rows(machine.clone(), resource_names, mapped.to_vec(), usage);
-    Ok(ServedModel { machine, source, instructions, model })
+    Ok(ModelArtifact::new(machine, source, instructions, mapping))
 }
 
 /// The little-endian `u32` words of a validated byte run.
@@ -183,13 +192,6 @@ fn words(bytes: &[u8]) -> Vec<u32> {
         .chunks_exact(4)
         .map(|word| u32::from_le_bytes(word.try_into().expect("4 bytes")))
         .collect()
-}
-
-/// Parses and verifies a v2b artifact into the self-describing artifact,
-/// mapping rebuilt from the validated dense rows.
-pub(crate) fn decode(bytes: &[u8]) -> Result<ModelArtifact, ArtifactError> {
-    let ServedModel { machine, source, instructions, model } = validate(bytes)?;
-    Ok(ModelArtifact::new(machine, source, instructions, model.to_mapping()))
 }
 
 #[cfg(test)]
@@ -223,7 +225,7 @@ mod tests {
         push_u32(&mut body, 0); // cols
         push_f64(&mut body, 1.0); // vals
         let body = finish_trailer(body);
-        match decode(&body) {
+        match validate(&body) {
             Err(ArtifactError::MalformedBinary { reason, .. }) => {
                 assert!(reason.contains("row_ptr"), "unexpected reason: {reason}");
             }
@@ -255,7 +257,7 @@ mod tests {
         let bin = artifact.render_v2();
         let trailer = u64::from_le_bytes(bin[bin.len() - 8..].try_into().unwrap());
         assert_eq!((bin.len(), trailer), (340, 0xf9a6_5b8f_41c4_3ea5));
-        assert_eq!(decode(&bin).unwrap(), artifact);
+        assert_eq!(validate(&bin).unwrap(), artifact);
     }
 
     /// The strided-word checksum helper and the trailer the encoder writes

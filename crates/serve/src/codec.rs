@@ -184,13 +184,13 @@ pub(crate) fn read_instruction_table(
 /// The most dense usage cells (`row slots × resources`) a conjunctive model
 /// may declare per byte of its artifact.
 ///
-/// A [`CompiledModel`](crate::CompiledModel) holds one `f64` per cell, and
-/// both conjunctive formats can declare many cells in few bytes: a resource
-/// name costs a few bytes, and one mapped slot far down the instruction
-/// table makes every slot before it a row.  Without a bound, a 47 KB v2b
+/// A [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping) holds one
+/// `f64` per cell, and both conjunctive formats can declare many cells in
+/// few bytes: a resource name costs a few bytes, and one mapped slot far
+/// down the instruction table makes every slot before it a row.  Without a bound, a 47 KB v2b
 /// with 423 instructions, 4,000 resources and one usage per row expands to
-/// 13.5 MB of rows (36 cells per byte).  With it, a load allocates at most
-/// 8 bytes of rows per input byte.  The largest models the repository
+/// 13.5 MB of rows (36 cells per byte).  With it, the rows a load builds
+/// take at most 8 bytes per input byte.  The largest models the repository
 /// trains sit far below the bound (cells per byte of each artifact):
 ///
 /// | model | slots × resources | v2b | v1 text |

@@ -2,11 +2,12 @@
 //!
 //! The codecs' checksums prove the **bytes** arrived intact; they say nothing
 //! about whether two differently-encoded artifacts — a v1 text file and its
-//! v2b migration, a [`CompiledModel`] compiled from an
-//! artifact and one copied from v2b bytes — are the *same model*.  A fingerprint closes that gap: it is an FNV-1a-64 hash over
-//! the bit patterns of the model's IPC predictions on a pinned, deterministic
-//! probe corpus, so any two loads that predict bit-identically fingerprint
-//! identically, across formats, backings, refactors and replicas.
+//! v2b migration, a registered artifact and one decoded from v2b bytes —
+//! are the *same model*.  A fingerprint closes that gap: it is an
+//! FNV-1a-64 hash over the bit patterns of the model's IPC predictions on a
+//! pinned, deterministic probe corpus, so any two loads that predict
+//! bit-identically fingerprint identically, across formats, backings,
+//! refactors and replicas.
 //!
 //! Fingerprints are recorded in a **sidecar** file next to saved artifacts
 //! (`model.palmed2` → `model.palmed2.fp`, see [`sidecar_path`]) and verified
@@ -20,7 +21,7 @@
 //! an HMAC-SHA256 tag over the sidecar body under a deployment key
 //! ([`crate::sign`]), upgrading the sidecar to *provenance* evidence: a
 //! registry configured with the key
-//! ([`ModelRegistry::set_signing_key`](crate::ModelRegistry::set_signing_key))
+//! ([`ModelRegistry::set_signing_keys`](crate::ModelRegistry::set_signing_keys))
 //! rejects v2 sidecars whose tag does not verify
 //! ([`ArtifactError::SignatureMismatch`]) through the same
 //! quarantine-feeding reload path as any other structured failure.  Unkeyed
@@ -36,9 +37,9 @@
 
 use crate::artifact::ArtifactError;
 use crate::checksum::fnv1a64;
-use crate::compiled::CompiledModel;
 use crate::io::ArtifactIo;
 use crate::sign;
+use palmed_core::ConjunctiveMapping;
 use palmed_isa::{InstId, Microkernel};
 use std::ffi::OsString;
 use std::path::{Path, PathBuf};
@@ -112,10 +113,10 @@ pub fn probe_corpus(num_slots: usize) -> Vec<Microkernel> {
 /// Two models fingerprint identically iff they predict bit-identically on
 /// the probe corpus — which, for the serving plane's ways in, the codec
 /// round-trip tests extend to *all* kernels.
-pub fn model_fingerprint(model: &CompiledModel, num_slots: usize) -> u64 {
+pub fn model_fingerprint(model: &ConjunctiveMapping, num_slots: usize) -> u64 {
     let mut buffer = Vec::with_capacity(8 * (PROBE_MIXES + num_slots.min(12) + 4));
     buffer.extend_from_slice(&(num_slots as u64).to_le_bytes());
-    let mut scratch = model.scratch();
+    let mut scratch = Vec::with_capacity(model.num_resources());
     for kernel in probe_corpus(num_slots) {
         let bits = model.ipc_with(&kernel, &mut scratch).map_or(u64::MAX, f64::to_bits);
         buffer.extend_from_slice(&bits.to_le_bytes());
@@ -335,8 +336,8 @@ mod tests {
             assert_eq!(x.as_slice(), y.as_slice());
         }
         // Different slot counts reseed the mixes: corpora differ.
-        assert_ne!(model_fingerprint(&example().compile(), 6), {
-            model_fingerprint(&example().compile(), 7)
+        assert_ne!(model_fingerprint(example().mapping(), 6), {
+            model_fingerprint(example().mapping(), 7)
         });
         // Degenerate inventories still produce a corpus (empty + boundary).
         assert!(!probe_corpus(0).is_empty());
@@ -350,13 +351,14 @@ mod tests {
         // v1 text round trip.
         let from_v1 = crate::ModelArtifact::parse(&artifact.render()).unwrap();
         assert_eq!(from_v1.fingerprint(), expected);
-        // v2b eager round trip.
+        // v2b round trip.
         let bytes = artifact.render_v2();
         let from_v2 = crate::ModelArtifact::parse_v2(&bytes).unwrap();
         assert_eq!(from_v2.fingerprint(), expected);
         // Served from the same bytes.
-        let served = crate::ServedModel::from_v2b(&bytes).unwrap();
-        assert_eq!(served.model.fingerprint(n), expected);
+        let served = crate::ModelRegistry::new().swap_bytes("served", bytes).unwrap();
+        assert_eq!(served.fingerprint(), expected);
+        assert_eq!(model_fingerprint(served.model().mapping(), n), expected);
         // A different model fingerprints differently.
         let mut other = artifact.clone();
         other.machine = "other".into();

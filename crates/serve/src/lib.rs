@@ -11,13 +11,11 @@
 //!   integrity checksum, in a text form (v1, the interchange/debug format)
 //!   and a binary form (v2b, the fast load path).  Hand-rolled writers and
 //!   parsers — no serde; loading sniffs the format from the first bytes.
-//! * [`compiled`] — [`CompiledModel`]: the mapping flattened into dense
-//!   row-major usage rows (one `resources`-wide row per instruction slot,
-//!   `+0.0` for no usage) that hold the one hot loop
-//!   ([`CompiledModel::load_into`]), predicting through a caller-provided
-//!   scratch buffer ([`CompiledModel::ipc_with`] and friends).
-//!   Predictions are **bit-identical** to
-//!   [`ConjunctiveMapping::ipc`](palmed_core::ConjunctiveMapping::ipc).
+//!   The artifact's [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping)
+//!   is already the dense serving layout, so an artifact is what serving
+//!   predicts from.
+//! * [`compiled`] — [`CompiledModel`]: a mapping under a display name, kept
+//!   for the benchmark package; it derefs to the mapping.
 //! * [`batch`] — [`BatchPredictor`]: dedupes identical microkernels into a
 //!   reusable [`PreparedBatch`] backed by a shared
 //!   `Arc<`[`KernelSet`](palmed_isa::KernelSet)`>` interner with cached
@@ -43,24 +41,25 @@
 //! # Serving representations
 //!
 //! One model family, the conjunctive resource mapping Palmed infers, in two
-//! on-disk forms.  One entry shape, [`ServedModel`], serves it from an owned
-//! [`CompiledModel`] whatever the input:
+//! on-disk forms.  One in-memory form serves it whatever the input: a
+//! registry entry holds the [`ModelArtifact`], whose
+//! [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping) is the dense
+//! table the trainer built.
 //!
 //! | input | entry points | cost at load |
 //! |-------|--------------|--------------|
-//! | in-memory artifact, **v1 text** | [`ModelRegistry::register`], [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`], [`ServedModel::from_artifact`] | (parse every decimal, build rows,) compile |
-//! | **v2b** bytes | [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`], [`ServedModel::from_v2b`] | validate the CSR section and scatter it into dense rows, one pass |
+//! | in-memory artifact | [`ModelRegistry::register`] | none |
+//! | **v1 text** | [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`], [`ModelArtifact::parse`] | parse every decimal into dense rows |
+//! | **v2b** bytes | [`ModelRegistry::load_file`], [`ModelRegistry::swap_bytes`], [`ModelArtifact::parse_v2`] | validate the CSR section and scatter it into dense rows, one pass |
 //!
 //! Bytes in the retired `PALMED-DISJ v1` format (a disjunctive port mapping,
 //! the model class of the PMEvo and uops.info baselines) are rejected by
 //! name, with a structured [`ArtifactError::MalformedBinary`] at offset 0.
 //!
-//! There is one hot loop, [`CompiledModel::load_into`], so every way in
-//! predicts bit-identically.  A served entry keeps no
-//! [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping), which serving
-//! never reads: [`ServedModel::to_artifact`] rebuilds it on request through
-//! [`CompiledModel::to_mapping`], the exact inverse of
-//! [`CompiledModel::compile`].
+//! There is one prediction loop,
+//! [`ConjunctiveMapping::kernel_load_into`](palmed_core::ConjunctiveMapping::kernel_load_into),
+//! so every way in predicts bit-identically, and an entry hands back the
+//! exact artifact it installed ([`RegistryEntry::model`]).
 //!
 //! Every stat and read behind these loads goes through the [`ArtifactIo`]
 //! seam ([`io`]): [`RealIo`] (the default) forwards to `std::fs`, while
@@ -111,7 +110,7 @@
 //!
 //! Length-prefixed little-endian binary; the same model as v1, laid out so a
 //! load is one validate pass that scatters a CSR section (the non-zero
-//! usages of each row) into the [`CompiledModel`]'s dense rows (every `f64`
+//! usages of each row) into the mapping's dense rows (every `f64`
 //! is its raw bit pattern — no float parsing, no re-derivation).  On disk
 //! the rows stay sparse, so an artifact's size follows its non-zero
 //! usages; a model may declare at most one dense usage cell (`s × m`) per
@@ -174,7 +173,7 @@
 //! * **Validation promises decodability, not provenance.**  A buffer that
 //!   validates is a well-formed model; nothing says it is the model you
 //!   deployed.  Fingerprints ([`fingerprint::model_fingerprint`],
-//!   [`CompiledModel::fingerprint`]) pin *which* model is served — recorded in
+//!   [`ModelArtifact::fingerprint`]) pin *which* model is served — recorded in
 //!   a `.fp` sidecar at save time
 //!   ([`ModelArtifact::save_v2_with_fingerprint`]) and verified by the
 //!   registry at load and refresh time; every way of installing one model —
@@ -183,7 +182,7 @@
 //!   **Signed sidecars** ([`ModelArtifact::save_v2_with_signed_fingerprint`],
 //!   [`write_signed_sidecar`]) add the missing key: the v2 sidecar carries
 //!   an HMAC-SHA256 tag over its header and fingerprint lines, and a
-//!   registry configured with [`ModelRegistry::set_signing_key`] rejects any
+//!   registry configured with [`ModelRegistry::set_signing_keys`] rejects any
 //!   sidecar whose tag does not verify
 //!   ([`ArtifactError::SignatureMismatch`]) — a structured failure that
 //!   feeds the same backoff/quarantine machinery as any other load error.
@@ -266,7 +265,7 @@
 //! let measurer = MemoizingMeasurer::new(AnalyticMeasurer::new(machine.mapping_arc()));
 //! let result = Palmed::new(PalmedConfig::small()).infer(&measurer);
 //!
-//! // Persist, reload, compile, serve.
+//! // Persist, reload, serve.
 //! let artifact = ModelArtifact::new(
 //!     machine.name(),
 //!     machine.description.name.clone(),
@@ -274,11 +273,10 @@
 //!     result.mapping.clone(),
 //! );
 //! let reloaded = ModelArtifact::parse(&artifact.render()).unwrap();
-//! let model = reloaded.compile();
 //! let addss = reloaded.instructions.find("ADDSS").unwrap();
 //! let bsr = reloaded.instructions.find("BSR").unwrap();
 //! let kernels = vec![Microkernel::pair(addss, 2, bsr, 1); 1000];
-//! let served = BatchPredictor::new(&model).predict(&kernels);
+//! let served = BatchPredictor::new(reloaded.mapping()).predict(&kernels);
 //! assert_eq!(served.distinct, 1); // 1000 identical blocks, 1 evaluation
 //! assert_eq!(served.ipcs.len(), 1000);
 //! ```
@@ -307,5 +305,4 @@ pub use fingerprint::{
 pub use io::{ArtifactIo, FileMeta, RealIo};
 pub use registry::{
     EntryHealth, ModelRegistry, RefreshOutcome, RefreshStatus, RegistryEntry, RegistrySnapshot,
-    ServedModel,
 };

@@ -7,13 +7,15 @@
 //! [`ModelRegistry`] is built for that shape:
 //!
 //! * **One family, two on-disk forms.**  Every entry is a [`RegistryEntry`]
-//!   around one [`ServedModel`] (provenance, instruction set and the
-//!   [`CompiledModel`] it serves from), tagged with the [`ModelKind`] it was
-//!   installed from: v1 text (and in-memory installs) is parsed and
-//!   compiled, `v2b` bytes are validated and scattered from their CSR
-//!   section in one pass.  [`ModelRegistry::load_file`] and
-//!   [`ModelRegistry::swap_bytes`] sniff the form, and reject bytes in the
-//!   retired `PALMED-DISJ v1` format by name.
+//!   around the [`ModelArtifact`] it installed (provenance, instruction set
+//!   and the [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping) it
+//!   predicts from), tagged with the [`ModelKind`] it was installed from:
+//!   v1 text is parsed, `v2b` bytes are validated and scattered from their
+//!   CSR section in one pass ([`ModelArtifact::parse_bytes`] either way),
+//!   and in-memory artifacts install as they are.
+//!   [`ModelRegistry::load_file`] and [`ModelRegistry::swap_bytes`] sniff
+//!   the form, and reject bytes in the retired `PALMED-DISJ v1` format by
+//!   name.
 //! * **Atomic generation swap.**  The registry state is one immutable
 //!   snapshot behind `RwLock<Arc<_>>`: readers take the lock only long
 //!   enough to clone an `Arc` ([`ModelRegistry::snapshot`] /
@@ -44,12 +46,8 @@
 //!   docs for the full migration matrix.
 
 use crate::artifact::{ArtifactError, ModelArtifact};
-use crate::batch::BatchPredictor;
-use crate::binfmt;
 use crate::codec::ModelKind;
-use crate::compiled::CompiledModel;
 use crate::io::{ArtifactIo, RealIo};
-use palmed_isa::InstructionSet;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -69,77 +67,6 @@ pub const MAX_BACKOFF_POLLS: u32 = 16;
 /// Attempts a stable read makes (stat, read, re-stat) before giving up with
 /// [`ArtifactError::TornRead`].
 const TORN_READ_RETRIES: u32 = 3;
-
-/// A registered conjunctive model: provenance, the instruction set its
-/// kernels index into, and the [`CompiledModel`] it serves from.
-///
-/// Every way in ends in the same owned dense rows: in-memory artifacts
-/// ([`ServedModel::from_artifact`], v1 text) are compiled, and `v2b` bytes
-/// ([`ServedModel::from_v2b`]) are validated and scattered into rows in one
-/// pass.  No [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping) is
-/// kept; [`ServedModel::to_artifact`] rebuilds the artifact on request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServedModel {
-    /// Architecture / machine preset the model serves.
-    pub machine: String,
-    /// Provenance: the machine description the model was inferred against.
-    pub source: String,
-    /// The instruction inventory the model's [`InstId`](palmed_isa::InstId)s
-    /// index into.
-    pub instructions: InstructionSet,
-    /// The compiled dense usage rows every prediction runs through.
-    pub model: CompiledModel,
-}
-
-impl ServedModel {
-    /// Compiles an artifact into a servable entry.
-    pub fn from_artifact(artifact: ModelArtifact) -> Self {
-        let model = artifact.compile();
-        let ModelArtifact { machine, source, instructions, .. } = artifact;
-        ServedModel { machine, source, instructions, model }
-    }
-
-    /// Validates a `PALMED-MODEL v2b` buffer and scatters its CSR section
-    /// into the served model's dense rows in the same pass; no
-    /// [`ConjunctiveMapping`](palmed_core::ConjunctiveMapping) is built.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ArtifactError`] on any layout violation, truncation or
-    /// checksum mismatch, exactly like
-    /// [`ModelArtifact::parse_v2`]; never panics on untrusted input.
-    pub fn from_v2b(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        binfmt::validate(bytes)
-    }
-
-    /// Rebuilds the artifact the model was installed from, dense mapping
-    /// included ([`CompiledModel::to_mapping`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics, like [`ModelArtifact::new`], if `instructions` was replaced
-    /// by a set that no longer covers the model's rows.
-    pub fn to_artifact(&self) -> ModelArtifact {
-        ModelArtifact::new(
-            self.machine.clone(),
-            self.source.clone(),
-            self.instructions.clone(),
-            self.model.to_mapping(),
-        )
-    }
-
-    /// A batch predictor over the compiled model.
-    pub fn batch(&self) -> BatchPredictor<'_> {
-        BatchPredictor::new(&self.model)
-    }
-
-    /// The determinism fingerprint over the artifact's instruction count —
-    /// so every way of loading one model agrees (see
-    /// [`model_fingerprint`](crate::fingerprint::model_fingerprint)).
-    fn fingerprint(&self) -> u64 {
-        self.model.fingerprint(self.instructions.len())
-    }
-}
 
 /// The source file a registry entry watches: path plus the metadata
 /// observed at load time, compared by [`ModelRegistry::refresh`].
@@ -185,7 +112,7 @@ pub struct RegistryEntry {
     generation: u64,
     fingerprint: u64,
     source: Option<SourceFile>,
-    model: ServedModel,
+    model: ModelArtifact,
 }
 
 impl RegistryEntry {
@@ -220,8 +147,10 @@ impl RegistryEntry {
         self.source.as_ref().map(|s| s.path.as_path())
     }
 
-    /// The served model.
-    pub fn model(&self) -> &ServedModel {
+    /// The served model: the artifact this entry installed, whatever form
+    /// it arrived in.  Predictions run on its mapping
+    /// ([`ModelArtifact::batch`]).
+    pub fn model(&self) -> &ModelArtifact {
         &self.model
     }
 }
@@ -457,25 +386,19 @@ impl ModelRegistry {
         }
     }
 
-    /// Configures (or clears, with `None`) the HMAC key signed
-    /// `PALMED-FPRINT v2` sidecars are verified against.  With a key set,
+    /// Configures the *rotation set* of trusted HMAC keys signed
+    /// `PALMED-FPRINT v2` sidecars are verified against.  With keys set,
     /// every file load whose sidecar is v2 must carry a tag that verifies
-    /// ([`ArtifactError::SignatureMismatch`] otherwise — a structured
-    /// reject feeding the same backoff/quarantine path as any other reload
-    /// failure).  Unkeyed v1 sidecars (and missing ones) are accepted with
-    /// fingerprint-only verification unless [`ModelRegistry::require_signed`]
-    /// is on, which refuses them with [`ArtifactError::UnsignedArtifact`];
-    /// without a key a v2 sidecar degrades to fingerprint-only
-    /// verification.  Takes effect on the next load; already-installed
-    /// entries are not re-verified.  One-key convenience wrapper around
-    /// [`ModelRegistry::set_signing_keys`].
-    pub fn set_signing_key(&self, key: Option<Vec<u8>>) {
-        self.set_signing_keys(key.into_iter().collect());
-    }
-
-    /// Configures the full *rotation set* of trusted sidecar keys.  The
-    /// first key is the primary — the one new sidecars are signed with and
-    /// the one whose mismatch is reported when nothing verifies — while
+    /// under one of them ([`ArtifactError::SignatureMismatch`] otherwise —
+    /// a structured reject feeding the same backoff/quarantine path as any
+    /// other reload failure).  Unkeyed v1 sidecars (and missing ones) are
+    /// accepted with fingerprint-only verification unless
+    /// [`ModelRegistry::require_signed`] is on, which refuses them with
+    /// [`ArtifactError::UnsignedArtifact`]; without keys a v2 sidecar
+    /// degrades to fingerprint-only verification.
+    ///
+    /// The first key is the primary — the one new sidecars are signed with
+    /// and the one whose mismatch is reported when nothing verifies — while
     /// the rest are still-trusted older keys kept through a rotation
     /// window, so artifacts signed before a key roll keep admitting until
     /// they are re-signed.  Dropping a key from the set retires it:
@@ -532,7 +455,7 @@ impl ModelRegistry {
     /// absent name go through here).  Writers serialise against each other;
     /// readers only wait for the final snapshot swap, never for a
     /// prediction, so mutations should do their expensive work (decode,
-    /// compile) before entering.
+    /// fingerprint) before entering.
     fn try_write<R, E>(
         &self,
         mutate: impl FnOnce(&mut BTreeMap<String, Arc<RegistryEntry>>, u64) -> Result<R, E>,
@@ -559,7 +482,7 @@ impl ModelRegistry {
         name: String,
         kind: ModelKind,
         source: Option<SourceFile>,
-        model: ServedModel,
+        model: ModelArtifact,
     ) -> Arc<RegistryEntry> {
         let fingerprint = model.fingerprint();
         self.install_with(name, kind, source, model, fingerprint)
@@ -572,7 +495,7 @@ impl ModelRegistry {
         name: String,
         kind: ModelKind,
         source: Option<SourceFile>,
-        model: ServedModel,
+        model: ModelArtifact,
         fingerprint: u64,
     ) -> Arc<RegistryEntry> {
         let entry = self.write(|entries, generation| {
@@ -596,29 +519,20 @@ impl ModelRegistry {
         entry
     }
 
-    /// Registers an artifact under its own machine name, compiling it;
-    /// replaces any previous model of that name and returns the installed
-    /// entry.  Memory-registered entries report
-    /// [`ModelKind::ConjunctiveV1`] — the canonical interchange form —
-    /// since no on-disk format was involved.
+    /// Registers an artifact under its own machine name; replaces any
+    /// previous model of that name and returns the installed entry.
+    /// Memory-registered entries report [`ModelKind::ConjunctiveV1`] — the
+    /// canonical interchange form — since no on-disk format was involved.
     pub fn register(&self, artifact: ModelArtifact) -> Arc<RegistryEntry> {
         let name = artifact.machine.clone();
-        self.install(name, ModelKind::ConjunctiveV1, None, ServedModel::from_artifact(artifact))
+        self.install(name, ModelKind::ConjunctiveV1, None, artifact)
     }
 
-    /// Builds the served model for a buffer, sniffing the kind: `v2b` bytes
-    /// are validated and copied ([`ServedModel::from_v2b`]), and v1 text is
-    /// parsed and compiled ([`ModelArtifact::parse_bytes`], which rejects
-    /// the retired `PALMED-DISJ v1` format by name).
-    fn decode_entry(bytes: &[u8]) -> Result<(ModelKind, ServedModel), ArtifactError> {
-        let kind = ModelKind::sniff(bytes);
-        let model = match kind {
-            ModelKind::ConjunctiveV2b => ServedModel::from_v2b(bytes)?,
-            ModelKind::ConjunctiveV1 => {
-                ServedModel::from_artifact(ModelArtifact::parse_bytes(bytes)?)
-            }
-        };
-        Ok((kind, model))
+    /// Decodes a buffer into the model an entry serves, with its sniffed
+    /// kind ([`ModelArtifact::parse_bytes`], which rejects the retired
+    /// `PALMED-DISJ v1` format by name).
+    fn decode_entry(bytes: &[u8]) -> Result<(ModelKind, ModelArtifact), ArtifactError> {
+        Ok((ModelKind::sniff(bytes), ModelArtifact::parse_bytes(bytes)?))
     }
 
     /// Loads a model entry from a file — the shared core of first loads and
@@ -666,9 +580,9 @@ impl ModelRegistry {
 
     /// Loads, verifies and registers an artifact file under the machine
     /// name stored in the file.  The format is sniffed from the first
-    /// bytes: v1 text artifacts are compiled after parsing, and v2b binary
-    /// artifacts are validated and scattered into dense rows in one pass
-    /// ([`ServedModel::from_v2b`]).  The entry records the file's
+    /// bytes: v1 text artifacts are parsed, and v2b binary artifacts are
+    /// validated and scattered into dense rows in one pass
+    /// ([`ModelArtifact::parse_bytes`]).  The entry records the file's
     /// mtime/length, so [`ModelRegistry::refresh`] picks up later rewrites.
     ///
     /// # Errors
@@ -685,7 +599,7 @@ impl ModelRegistry {
     /// snapshot; the old entry stays valid until the last `Arc` drops).
     ///
     /// The buffer decodes exactly like a [`ModelRegistry::load_file`] body
-    /// (format sniffed; `v2b` validated and copied, v1 text compiled), so
+    /// (format sniffed; `v2b` validated and scattered, v1 text parsed), so
     /// the decision never reads the current entry and all decoding runs
     /// before the brief snapshot-swap lock.  The new entry is keyed under
     /// `name` regardless of the machine name inside the buffer, and no
@@ -990,7 +904,7 @@ struct Loaded {
     source: SourceFile,
     kind: ModelKind,
     fingerprint: u64,
-    model: ServedModel,
+    model: ModelArtifact,
 }
 
 /// Reads a watched file *stably*: stat, read, re-stat, and accept only when
@@ -1067,7 +981,7 @@ mod tests {
         let skl = registry.get("skl").unwrap();
         assert_eq!(skl.kind(), ModelKind::ConjunctiveV1);
         assert_eq!(skl.name(), "skl");
-        assert_eq!(skl.model().model.num_instructions(), 1);
+        assert_eq!(skl.model().mapping().num_instructions(), 1);
         assert!(registry.get("m1").is_none());
     }
 
@@ -1116,7 +1030,7 @@ mod tests {
             + instructions.iter().map(|(_, d)| 4 + d.name.len() + 2).sum::<usize>();
         let rejections = [
             ModelArtifact::parse_bytes(&bin).unwrap_err(),
-            ServedModel::from_v2b(&bin).unwrap_err(),
+            ModelArtifact::parse_v2(&bin).unwrap_err(),
             ModelRegistry::new().swap_bytes("wide", bin.clone()).unwrap_err(),
         ];
         for e in &rejections {
@@ -1156,8 +1070,8 @@ mod tests {
         let registry = ModelRegistry::new();
         registry.load_file(&v1).unwrap();
         let served = registry.load_file(&v2).unwrap();
-        // The binary load serves the arrays compiling yields.
-        assert_eq!(served.model().model, artifact("bin-machine", 0.5).compile());
+        // The binary load serves the artifact it was saved from.
+        assert_eq!(*served.model(), artifact("bin-machine", 0.5));
         assert_eq!(served.kind(), ModelKind::ConjunctiveV2b);
         assert_eq!(registry.get("text-machine").unwrap().kind(), ModelKind::ConjunctiveV1);
         // A disj file is refused by name, at offset 0, and installs nothing.
@@ -1194,8 +1108,8 @@ mod tests {
 
     #[test]
     fn mapped_load_serves_bit_identically_to_the_heap_load() {
-        // The arrays a v2b file load copies against the ones compiling the
-        // same artifact on the heap yields.
+        // The rows a v2b file load scatters against the in-memory artifact
+        // they were saved from.
         let path = std::env::temp_dir().join("palmed-serve-registry-mapped.palmed2");
         let original = artifact("mapped-machine", 0.5);
         original.save_v2(&path).unwrap();
@@ -1203,30 +1117,25 @@ mod tests {
         let entry = registry.load_file(&path).unwrap();
         let served = entry.model();
         assert_eq!(entry.kind(), ModelKind::ConjunctiveV2b);
-        let owned = original.compile();
-        assert_eq!(served.model, owned);
         let k = Microkernel::pair(InstId(2), 2, InstId(3), 1);
-        let mut scratch = owned.scratch();
-        let want = owned.ipc_with(&k, &mut scratch).map(f64::to_bits);
-        assert_eq!(served.model.ipc_with(&k, &mut scratch).map(f64::to_bits), want);
-        // The entry owns its arrays; it keeps serving after the file is
-        // gone, and still hands back the artifact it was loaded from.
+        let want = original.mapping().ipc(&k).map(f64::to_bits);
+        assert_eq!(served.mapping().ipc(&k).map(f64::to_bits), want);
+        // The entry owns its rows; it keeps serving after the file is gone,
+        // and holds the artifact it was loaded from.
         std::fs::remove_file(&path).ok();
         assert_eq!(ipc_of(&entry, &k).map(f64::to_bits), want);
-        assert_eq!(served.machine, "mapped-machine");
-        assert_eq!(served.source, "test");
-        assert_eq!(served.to_artifact(), original);
+        assert_eq!(*served, original);
     }
 
     #[test]
     fn serve_only_load_rejects_v1_text_and_corruption() {
         let registry = ModelRegistry::new();
         let text = artifact("t", 0.5).render().into_bytes();
-        assert!(matches!(ServedModel::from_v2b(&text), Err(ArtifactError::MissingHeader)));
+        assert!(matches!(ModelArtifact::parse_v2(&text), Err(ArtifactError::MissingHeader)));
         let mut bin = artifact("t", 0.5).render_v2();
         let mid = bin.len() / 2;
         bin[mid] ^= 0x10;
-        assert!(ServedModel::from_v2b(&bin).is_err());
+        assert!(ModelArtifact::parse_v2(&bin).is_err());
         assert!(registry.swap_bytes("t", bin).is_err());
         assert!(registry.is_empty(), "failed loads must not disturb the registry");
         assert_eq!(registry.generation(), 0, "failed loads must not burn generations");
@@ -1241,7 +1150,7 @@ mod tests {
         assert_eq!(registry.len(), 1);
         assert!(swapped.generation() > old.generation());
         // A v2b swap hands back the artifact it was rendered from.
-        assert_eq!(swapped.model().to_artifact(), artifact("hot", 0.25));
+        assert_eq!(*swapped.model(), artifact("hot", 0.25));
         let k = Microkernel::single(InstId(2));
         assert!((ipc_of(&swapped, &k).unwrap() - 4.0).abs() < 1e-12);
         assert!((ipc_of(&old, &k).unwrap() - 2.0).abs() < 1e-12, "old generation stays valid");

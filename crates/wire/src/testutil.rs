@@ -38,7 +38,7 @@ pub(crate) fn expected_rows(corpus_text: &str) -> Vec<Option<f64>> {
 /// The in-process `BatchPredictor` rows of `corpus_text` against `art`.
 pub(crate) fn rows_of(art: &ModelArtifact, corpus_text: &str) -> Vec<Option<f64>> {
     let corpus = Corpus::parse(corpus_text, &art.instructions).unwrap();
-    BatchPredictor::new(&art.compile()).predict_corpus(&corpus).ipcs
+    BatchPredictor::new(art.mapping()).predict_corpus(&corpus).ipcs
 }
 
 /// One round over the single connection `conn` at tick `now`: gather,

@@ -1,6 +1,6 @@
 //! Walkthrough of the `palmed-serve` lifecycle: infer a model once, persist
 //! it as a text artifact, reload it into a registry, and serve a basic-block
-//! corpus through the compiled batch path.
+//! corpus through the batch path.
 //!
 //! Run with: `cargo run --release -p palmed-examples --example save_load_serve`
 
@@ -45,7 +45,7 @@ fn main() {
     println!("registry serves: {:?}", registry.names());
     let entry = registry.get(machine.name()).expect("registered under its machine name");
     let served = entry.model();
-    assert_eq!(served.to_artifact(), artifact, "round trip is lossless");
+    assert_eq!(*served, artifact, "round trip is lossless");
 
     // 4. A workload corpus: weighted basic blocks in a text file.  Names are
     //    resolved against the *artifact's own* instruction set — the serving
@@ -65,8 +65,8 @@ fn main() {
     corpus.save(&corpus_path, insts).expect("corpus saves");
     let corpus = Corpus::load(&corpus_path, insts).expect("corpus reloads");
 
-    // 5. Serve: ingest (dedupe) once, then predict through the compiled
-    //    model — allocation-free, results in corpus order.  The prepared
+    // 5. Serve: ingest (dedupe) once, then predict through the mapping's
+    //    dense rows — allocation-free, results in corpus order.  The prepared
     //    batch shares the corpus's interned kernel set by `Arc`, so
     //    re-preparing the same corpus costs a slot-table copy, not a clone.
     let prepared = PreparedBatch::from_corpus(&corpus);
@@ -81,14 +81,14 @@ fn main() {
     }
 
     // 6. The binary v2b artifact: the registry validates the bytes and
-    //    copies the stored CSR arrays into the same compiled form in one
-    //    pass — no float parsing, no dense rows.
+    //    scatters the stored CSR arrays into the same dense rows in one
+    //    pass — no float parsing.
     let v2_path = dir.join("model.palmed2");
     artifact.save_v2(&v2_path).expect("v2b artifact saves");
     let binary = ModelRegistry::new();
     let v2_entry = binary.load_file(&v2_path).expect("v2b load validates");
     let v2_served = v2_entry.model();
-    assert_eq!(v2_served.model, served.model, "both loads serve the same arrays");
+    assert_eq!(v2_served.mapping(), served.mapping(), "both loads serve the same rows");
     let reloaded = v2_served.batch().predict_prepared(&prepared);
     for (a, b) in result.ipcs.iter().zip(&reloaded.ipcs) {
         assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "v2b == v1, bit for bit");

@@ -14,7 +14,6 @@ use palmed_machine::{
     SimulationConfig,
 };
 use palmed_serve::fingerprint::model_fingerprint;
-use palmed_serve::CompiledModel;
 
 /// Forwards `ipc` alone, so batches take the trait's per-kernel default.
 struct PerKernel<M>(M);
@@ -37,8 +36,7 @@ impl<M: Measurer> Measurer for PerKernel<M> {
 /// of one evaluation-configuration inference.
 fn train<M: Measurer + Sync>(measurer: &M, distinct: impl Fn() -> usize) -> (u64, usize, usize) {
     let result = Palmed::new(PalmedConfig::evaluation()).infer(measurer);
-    let model = CompiledModel::compile("batched", &result.mapping);
-    let fingerprint = model_fingerprint(&model, measurer.instructions().len());
+    let fingerprint = model_fingerprint(&result.mapping, measurer.instructions().len());
     (fingerprint, distinct(), result.report.benchmarks_generated)
 }
 

@@ -12,7 +12,7 @@ use palmed_core::ConjunctiveMapping;
 use palmed_fuzz::{run_case, run_many, Format};
 use palmed_isa::{InstId, InstructionSet, Microkernel};
 use palmed_serve::checksum::{fnv1a64, fnv1a64_words};
-use palmed_serve::{migrate_v1_to_v2b, ArtifactError, Corpus, ModelArtifact, ServedModel};
+use palmed_serve::{migrate_v1_to_v2b, ArtifactError, Corpus, ModelArtifact};
 
 fn v2b_artifact() -> ModelArtifact {
     let mut mapping = ConjunctiveMapping::with_resources(3);
@@ -79,9 +79,6 @@ fn v2b_truncation_at_every_boundary_is_rejected() {
             .err()
             .unwrap_or_else(|| panic!("truncation at {cut} was accepted"));
         assert!(!error.to_string().is_empty(), "truncation at {cut} renders empty");
-        // The served load must agree.
-        let served = ServedModel::from_v2b(&bytes[..cut]);
-        assert!(served.is_err(), "from_v2b accepted truncation at {cut}");
     }
 }
 

@@ -1,21 +1,18 @@
 //! One conjunctive model, installed through every way into the serving
-//! plane, must be the same model everywhere: the same compiled arrays,
-//! equal fingerprints, bit-identical `predict_prepared` rows, and the
-//! original artifact handed back by `ServedModel::to_artifact`.
+//! plane, must be the same model everywhere: the same dense rows, equal
+//! fingerprints, bit-identical `predict_prepared` rows, and the original
+//! artifact held by the entry.
 
 use palmed_integration_tests::artifact_prop::{build_artifact, inventory};
 use palmed_isa::{InstId, Microkernel};
-use palmed_serve::{
-    migrate_v1_to_v2b, BatchPredictor, ModelArtifact, ModelRegistry, PreparedBatch, RegistryEntry,
-    ServedModel,
-};
+use palmed_serve::{migrate_v1_to_v2b, ModelArtifact, ModelRegistry, PreparedBatch, RegistryEntry};
 use std::path::Path;
 use std::sync::Arc;
 
 /// What one way in produced: the served model, plus the registry's own
 /// fingerprint when the way in goes through a registry.
 struct Installed {
-    served: ServedModel,
+    served: ModelArtifact,
     entry_fingerprint: Option<u64>,
 }
 
@@ -46,8 +43,8 @@ const WAYS_IN: [(&str, WayIn); 7] = [
     ("swap_bytes v2b", |a, _| {
         Installed::from_entry(ModelRegistry::new().swap_bytes("m", a.render_v2()).unwrap())
     }),
-    ("from_v2b", |a, _| Installed {
-        served: ServedModel::from_v2b(&a.render_v2()).unwrap(),
+    ("parse_v2", |a, _| Installed {
+        served: ModelArtifact::parse_v2(&a.render_v2()).unwrap(),
         entry_fingerprint: None,
     }),
     ("migrate_v1_to_v2b then load_file", |a, path| {
@@ -69,16 +66,15 @@ fn every_way_in_serves_the_same_model() {
         .map(|i| Microkernel::pair(InstId(i % n as u32), 1 + i % 3, InstId(i * 11 % n as u32), 2))
         .collect();
     let batch = PreparedBatch::from_kernels(&kernels);
-    let compiled = artifact.compile();
-    let reference = BatchPredictor::new(&compiled).predict_prepared(&batch);
+    let reference = artifact.batch().predict_prepared(&batch);
     assert!(reference.ipcs.iter().any(Option::is_some), "the probe batch hits mapped rows");
 
     let path = std::env::temp_dir().join(format!("palmed-it-ways-in-{}", std::process::id()));
     for (name, install) in WAYS_IN {
         let Installed { served, entry_fingerprint } = install(&artifact, &path);
         std::fs::remove_file(&path).ok();
-        assert_eq!(served.model, compiled, "{name}: compiled arrays");
-        assert_eq!(served.model.fingerprint(n), reference_fp, "{name}: model fingerprint");
+        assert_eq!(served.mapping(), artifact.mapping(), "{name}: dense rows");
+        assert_eq!(served.fingerprint(), reference_fp, "{name}: model fingerprint");
         if let Some(fp) = entry_fingerprint {
             assert_eq!(fp, reference_fp, "{name}: registry fingerprint");
         }
@@ -89,9 +85,9 @@ fn every_way_in_serves_the_same_model() {
         }
         for r in artifact.mapping().resources() {
             let want = artifact.mapping().resource_name(r);
-            assert_eq!(served.model.resource_name(r), want, "{name}: resource {r:?}");
+            assert_eq!(served.mapping().resource_name(r), want, "{name}: resource {r:?}");
         }
-        // The rebuilt artifact is the original, bit for bit.
-        assert_eq!(served.to_artifact(), artifact, "{name}: artifact");
+        // The served artifact is the original, bit for bit.
+        assert_eq!(served, artifact, "{name}: artifact");
     }
 }

@@ -10,7 +10,6 @@ use palmed_machine::{
     MemoizingMeasurer, SimulationConfig,
 };
 use palmed_serve::fingerprint::model_fingerprint;
-use palmed_serve::CompiledModel;
 use palmed_stats::weighted_rms_relative_error;
 
 fn accuracy_on_random_mixes(
@@ -118,8 +117,7 @@ fn simulated_training_reproduces_the_pinned_mapping() {
     let result = Palmed::new(PalmedConfig::evaluation()).infer(&measurer);
     assert_eq!(measurer.distinct_kernels(), 5040);
     assert_eq!(result.report.benchmarks_generated, 5040);
-    let model = CompiledModel::compile("pinned", &result.mapping);
-    let fingerprint = model_fingerprint(&model, preset.instructions.len());
+    let fingerprint = model_fingerprint(&result.mapping, preset.instructions.len());
     assert_eq!(fingerprint, 0x2c5f_ab51_0756_7993, "mapping fingerprint {fingerprint:#018x}");
 }
 
@@ -134,7 +132,6 @@ fn analytic_training_reproduces_the_pinned_mapping() {
     let result = Palmed::new(PalmedConfig::evaluation()).infer(&measurer);
     assert_eq!(measurer.distinct_kernels(), 4857);
     assert_eq!(result.report.benchmarks_generated, 4857);
-    let model = CompiledModel::compile("pinned", &result.mapping);
-    let fingerprint = model_fingerprint(&model, preset.instructions.len());
+    let fingerprint = model_fingerprint(&result.mapping, preset.instructions.len());
     assert_eq!(fingerprint, 0xbab8_3227_3468_d28b, "mapping fingerprint {fingerprint:#018x}");
 }

@@ -111,7 +111,7 @@ fn v2b_loads_through_the_io_seam_serve_the_exact_on_disk_bytes() {
     assert_eq!(entry.name(), "in-place");
     assert_eq!(entry.fingerprint(), art.fingerprint());
     assert_eq!(
-        entry.model().to_artifact().render_v2(),
+        entry.model().render_v2(),
         io.contents(path).unwrap(),
         "the entry serves the exact on-disk bytes"
     );
@@ -173,7 +173,7 @@ fn transient_and_torn_faults_never_degrade_serving_and_always_recover() {
         );
     }
     assert_eq!(
-        registry.get("faulted").unwrap().model().to_artifact().render_v2(),
+        registry.get("faulted").unwrap().model().render_v2(),
         io.contents(path).unwrap(),
         "the settled body serves bit-identically"
     );

@@ -1,12 +1,12 @@
 //! Round-trip properties of the serving layer: random inferred-shaped
-//! mappings survive save → load bit-for-bit, the compiled path predicts
-//! identically to the in-memory mapping, and damaged artifacts are rejected.
+//! mappings survive save → load bit-for-bit, the reloaded mapping predicts
+//! identically to the in-memory one, and damaged artifacts are rejected.
 
 use palmed_core::{Palmed, PalmedConfig};
 use palmed_integration_tests::artifact_prop::{build_artifact, inventory, MAX_RESOURCES};
 use palmed_isa::{InstId, Microkernel};
 use palmed_machine::{presets, AnalyticMeasurer, MemoizingMeasurer};
-use palmed_serve::{ArtifactError, BatchPredictor, CompiledModel, ModelArtifact};
+use palmed_serve::{ArtifactError, BatchPredictor, ModelArtifact};
 use proptest::prelude::*;
 
 proptest! {
@@ -33,10 +33,10 @@ proptest! {
         prop_assert_eq!(&reloaded, &artifact);
         prop_assert_eq!(reloaded.render(), text);
 
-        // Semantic round trip: the compiled reloaded model predicts exactly
-        // like the never-persisted in-memory mapping, bit for bit.
-        let compiled = reloaded.compile();
-        let mut scratch = compiled.scratch();
+        // Semantic round trip: the reloaded model predicts exactly like the
+        // never-persisted in-memory mapping, bit for bit.
+        let served = reloaded.mapping();
+        let mut scratch = Vec::new();
         let kernels: Vec<Microkernel> = kernels
             .into_iter()
             .map(|pairs| {
@@ -47,15 +47,15 @@ proptest! {
             .collect();
         for kernel in &kernels {
             let in_memory = artifact.mapping().ipc(kernel);
-            let served = compiled.ipc_with(kernel, &mut scratch);
-            prop_assert_eq!(in_memory.map(f64::to_bits), served.map(f64::to_bits));
+            let reloaded_ipc = served.ipc_with(kernel, &mut scratch);
+            prop_assert_eq!(in_memory.map(f64::to_bits), reloaded_ipc.map(f64::to_bits));
             prop_assert_eq!(
                 artifact.mapping().execution_time(kernel).to_bits(),
-                compiled.execution_time_with(kernel, &mut scratch).to_bits()
+                served.execution_time_with(kernel, &mut scratch).to_bits()
             );
         }
         // The batch engine agrees with the per-call path on the same stream.
-        let batch = BatchPredictor::new(&compiled).predict(&kernels);
+        let batch = BatchPredictor::new(served).predict(&kernels);
         for (kernel, ipc) in kernels.iter().zip(&batch.ipcs) {
             prop_assert_eq!(
                 ipc.map(f64::to_bits),
@@ -133,8 +133,7 @@ fn a_real_inferred_model_survives_the_full_save_load_serve_cycle() {
     let reloaded = ModelArtifact::parse(&artifact.render()).expect("inferred model round-trips");
     assert_eq!(reloaded, artifact);
 
-    let compiled = CompiledModel::compile("palmed", reloaded.mapping());
-    let mut scratch = compiled.scratch();
+    let served = reloaded.batch();
     let find = |n: &str| preset.instructions.find(n).unwrap();
     for kernel in [
         Microkernel::single(find("ADDSS")).scaled(4),
@@ -143,7 +142,7 @@ fn a_real_inferred_model_survives_the_full_save_load_serve_cycle() {
     ] {
         assert_eq!(
             result.mapping.ipc(&kernel).map(f64::to_bits),
-            compiled.ipc_with(&kernel, &mut scratch).map(f64::to_bits),
+            served.predict(std::slice::from_ref(&kernel)).ipcs[0].map(f64::to_bits),
             "served prediction differs for {kernel}"
         );
     }

@@ -33,7 +33,7 @@ fn a_keyed_registry_round_trips_a_signed_sidecar() {
     let watched = signed_watched("signed-ok", "palmed-it-signed-ok.palmed2", KEY);
 
     let registry = ModelRegistry::new();
-    registry.set_signing_key(Some(KEY.to_vec()));
+    registry.set_signing_keys(vec![KEY.to_vec()]);
     let entry = registry.load_file(&watched.path).unwrap();
     assert_eq!(
         entry.fingerprint(),
@@ -53,7 +53,7 @@ fn a_wrong_key_sidecar_is_rejected_as_a_signature_mismatch() {
     let watched = signed_watched("signed-wrong", "palmed-it-signed-wrong.palmed2", WRONG_KEY);
 
     let registry = ModelRegistry::new();
-    registry.set_signing_key(Some(KEY.to_vec()));
+    registry.set_signing_keys(vec![KEY.to_vec()]);
     let error = registry.load_file(&watched.path).unwrap_err();
     assert_eq!(error.class(), "signature-mismatch");
     assert!(registry.is_empty(), "a forged artifact never installs");
@@ -63,7 +63,7 @@ fn a_wrong_key_sidecar_is_rejected_as_a_signature_mismatch() {
 fn a_forged_redeploy_feeds_the_backoff_and_quarantine_ladder() {
     let watched = signed_watched("signed-forge", "palmed-it-signed-forge.palmed2", KEY);
     let registry = ModelRegistry::new();
-    registry.set_signing_key(Some(KEY.to_vec()));
+    registry.set_signing_keys(vec![KEY.to_vec()]);
     let entry = registry.load_file(&watched.path).unwrap();
     let pinned = entry.generation();
 
@@ -143,7 +143,7 @@ fn a_keyed_registry_still_accepts_an_unkeyed_v1_sidecar() {
     let watched = WatchedArtifact::save("signed-v1", "palmed-it-signed-v1.palmed2", 0.5);
 
     let registry = ModelRegistry::new();
-    registry.set_signing_key(Some(KEY.to_vec()));
+    registry.set_signing_keys(vec![KEY.to_vec()]);
     let entry = registry.load_file(&watched.path).unwrap();
     assert_eq!(
         entry.fingerprint(),
@@ -181,7 +181,7 @@ fn a_strict_registry_refuses_missing_and_unkeyed_sidecars() {
 
     // With keys configured the same v1 sidecar is a structured refusal.
     let strict = ModelRegistry::new();
-    strict.set_signing_key(Some(KEY.to_vec()));
+    strict.set_signing_keys(vec![KEY.to_vec()]);
     strict.require_signed(true);
     let error = strict.load_file(&unkeyed.path).unwrap_err();
     assert_eq!(error.class(), "unsigned-artifact");
@@ -211,7 +211,7 @@ fn a_strict_registry_refuses_missing_and_unkeyed_sidecars() {
 fn an_unsigned_redeploy_feeds_the_backoff_and_quarantine_ladder() {
     let watched = signed_watched("strict-forge", "palmed-it-strict-redeploy.palmed2", KEY);
     let registry = ModelRegistry::new();
-    registry.set_signing_key(Some(KEY.to_vec()));
+    registry.set_signing_keys(vec![KEY.to_vec()]);
     registry.require_signed(true);
     let entry = registry.load_file(&watched.path).unwrap();
     let pinned = entry.generation();
@@ -257,7 +257,7 @@ fn signed_saves_round_trip_through_the_artifact_helper() {
     assert_eq!(fp, watched.recorded_fp, "signing does not change the recorded fingerprint");
 
     let registry = ModelRegistry::new();
-    registry.set_signing_key(Some(KEY.to_vec()));
+    registry.set_signing_keys(vec![KEY.to_vec()]);
     let entry = registry.load_file(&path).unwrap();
     assert_eq!(entry.fingerprint(), fp);
 

@@ -1,7 +1,7 @@
-//! Guard: taking a `ServedModel`'s batch predictor allocates nothing, for
-//! either way in — a registered artifact compiled on the heap and the
-//! arrays a `v2b` install copied — so the wire batcher can take one per
-//! entry per round for free.  Serving a kernel through it with a warm
+//! Guard: taking a registry entry's batch predictor allocates nothing, for
+//! either way in — a registered artifact and the rows a `v2b` install
+//! scattered — so the wire batcher can take one per entry per round for
+//! free.  Serving a kernel through it with a warm
 //! scratch buffer allocates nothing either.  Verified with a counting
 //! global allocator, which is why this is a single-test binary: the
 //! measurement window must not race another test's allocations.
@@ -40,13 +40,13 @@ fn building_the_view_allocates_nothing_for_either_backing() {
     let registry = ModelRegistry::new();
     let registered = registry.register(artifact.clone());
     let swapped = registry.swap_bytes("alloc-v2b", artifact.render_v2()).unwrap();
-    let compiled = registered.model();
+    let registered = registered.model();
     let copied = swapped.model();
-    assert_eq!(compiled.model, copied.model, "both ways in serve the same arrays");
+    assert_eq!(registered.mapping(), copied.mapping(), "both ways in serve the same rows");
 
     let kernel = Microkernel::pair(InstId(0), 2, InstId(2), 1);
-    let mut scratch = compiled.model.scratch();
-    for served in [compiled, copied] {
+    let mut scratch = Vec::with_capacity(registered.mapping().num_resources());
+    for served in [registered, copied] {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let mut total = 0.0;
         for _ in 0..1_000 {

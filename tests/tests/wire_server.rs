@@ -55,7 +55,7 @@ fn request(req_id: u32) -> Frame {
 fn expected_rows() -> Vec<Option<f64>> {
     let art = artifact("skl", 0.5);
     let corpus = Corpus::parse(CORPUS, &art.instructions).unwrap();
-    BatchPredictor::new(&art.compile()).predict_corpus(&corpus).ipcs
+    BatchPredictor::new(art.mapping()).predict_corpus(&corpus).ipcs
 }
 
 fn shed_counter() -> u64 {

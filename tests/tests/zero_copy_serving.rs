@@ -1,16 +1,16 @@
-//! Properties of the `v2b` serving path: a [`ServedModel`] built from raw
-//! `v2b` artifact bytes copies the stored CSR arrays into its
-//! [`CompiledModel`](palmed_serve::CompiledModel), and that model must be
-//! observably identical to compiling the same artifact — bit-identical
-//! predictions on random inferred-shaped mappings whatever offset the arrays
-//! sit at in the file, round trips back to the exact artifact and bytes, and
-//! the same rejection behaviour for every truncation and byte flip, since
-//! every v2b load shares one validator.
+//! Properties of the `v2b` serving path: [`ModelArtifact::parse_v2`]
+//! scatters the stored CSR arrays of raw `v2b` bytes into the dense rows of
+//! the artifact's mapping, and that mapping must be observably identical to
+//! the in-memory one it was rendered from — bit-identical predictions on
+//! random inferred-shaped mappings whatever offset the arrays sit at in the
+//! file, round trips back to the exact artifact and bytes, and the same
+//! rejection behaviour for every truncation and byte flip, since every v2b
+//! load shares one validator.
 
 use palmed_core::ThroughputPredictor;
 use palmed_integration_tests::artifact_prop::{build_artifact, inventory, MAX_RESOURCES};
 use palmed_isa::{InstId, InstructionSet, Microkernel};
-use palmed_serve::{ModelRegistry, PreparedBatch, ServedModel};
+use palmed_serve::{ModelArtifact, ModelRegistry, PreparedBatch};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -41,20 +41,20 @@ proptest! {
     ) {
         let insts = inventory();
         let mut artifact = build_artifact(num_resources, &rows, &insts);
-        let owned = artifact.compile();
+        let owned = artifact.mapping().clone();
         let kernels = kernels_from(&raw_kernels, &insts);
 
         // Machine names of 1..=8 bytes move every array by one byte each
         // time, so the arrays land at every offset mod 8 in the file; the
-        // copied arrays must serve all of them bit-identically to the
-        // compiled artifact.
+        // scattered rows must serve all of them bit-identically to the
+        // in-memory mapping.
         for name_len in 1..=8usize {
             artifact.machine = "m".repeat(name_len);
             let bin = artifact.render_v2();
-            let served = ServedModel::from_v2b(&bin).expect("valid artifact parses");
-            let copied = &served.model;
-            let mut scratch = copied.scratch();
-            let mut owned_scratch = owned.scratch();
+            let decoded = ModelArtifact::parse_v2(&bin).expect("valid artifact parses");
+            let copied = decoded.mapping();
+            let mut scratch = Vec::new();
+            let mut owned_scratch = Vec::new();
             for kernel in &kernels {
                 prop_assert_eq!(
                     copied.ipc_with(kernel, &mut scratch).map(f64::to_bits),
@@ -64,10 +64,7 @@ proptest! {
                     copied.execution_time_with(kernel, &mut scratch).to_bits(),
                     owned.execution_time_with(kernel, &mut owned_scratch).to_bits()
                 );
-                prop_assert_eq!(
-                    copied.bottleneck_with(kernel, &mut scratch),
-                    owned.bottleneck_with(kernel, &mut owned_scratch)
-                );
+                prop_assert_eq!(copied.kernel_load(kernel), owned.kernel_load(kernel));
                 // The trait-object entry point agrees too.
                 prop_assert_eq!(
                     copied.predict_ipc(kernel).map(f64::to_bits),
@@ -75,14 +72,10 @@ proptest! {
                 );
                 for (inst, _) in kernel.iter() {
                     prop_assert_eq!(copied.supports(inst), owned.supports(inst));
-                    prop_assert_eq!(
-                        copied.row(inst).collect::<Vec<_>>(),
-                        owned.row(inst).collect::<Vec<_>>()
-                    );
+                    prop_assert_eq!(copied.usage_vector(inst), owned.usage_vector(inst));
                 }
             }
-            prop_assert_eq!(copied.num_entries(), owned.num_entries());
-            prop_assert_eq!(copied.num_instructions(), owned.num_instructions());
+            prop_assert_eq!(copied, &owned);
         }
     }
 
@@ -104,11 +97,11 @@ proptest! {
         let target = ((position * bin.len() as f64) as usize).min(bin.len() - 1);
         let mut corrupted = bin.clone();
         corrupted[target] ^= flip;
-        prop_assert!(ServedModel::from_v2b(&corrupted).is_err());
+        prop_assert!(ModelArtifact::parse_v2(&corrupted).is_err());
         // So is truncation at an arbitrary proportional cut — and through
         // a registry swap, which must leave the registry untouched on error.
         let cut = ((position * bin.len() as f64) as usize).min(bin.len() - 1);
-        prop_assert!(ServedModel::from_v2b(&bin[..cut]).is_err());
+        prop_assert!(ModelArtifact::parse_v2(&bin[..cut]).is_err());
         let registry = ModelRegistry::new();
         prop_assert!(registry.swap_bytes("cut", bin[..cut].to_vec()).is_err());
         prop_assert!(registry.is_empty());
@@ -136,20 +129,18 @@ proptest! {
         prop_assert_eq!(&serving.machine, &artifact.machine);
         prop_assert_eq!(&serving.instructions, &artifact.instructions);
 
-        // Batch predictions through the registry entry equal the compiled
+        // Batch predictions through the registry entry equal the in-memory
         // artifact's.
         let kernels = kernels_from(&raw_kernels, &insts);
-        let owned = artifact.compile();
         let via_entry = serving.batch().predict(&kernels);
-        let via_owned = palmed_serve::BatchPredictor::new(&owned).predict(&kernels);
+        let via_owned = artifact.batch().predict(&kernels);
         prop_assert_eq!(via_entry.distinct, via_owned.distinct);
         for (a, b) in via_entry.ipcs.iter().zip(&via_owned.ipcs) {
             prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
         }
 
-        // The entry hands back the artifact it was swapped in from, dense
-        // rows rebuilt bit for bit.
-        prop_assert_eq!(&serving.to_artifact(), &artifact);
+        // The entry holds the artifact it was swapped in from.
+        prop_assert_eq!(serving, &artifact);
     }
 
     #[test]
@@ -163,13 +154,15 @@ proptest! {
         let artifact = build_artifact(num_resources, &rows, &inventory());
         let bin = artifact.render_v2();
         // v2b bytes in, the same bytes out.
-        let from_bytes = ServedModel::from_v2b(&bin).expect("valid artifact parses");
-        prop_assert_eq!(from_bytes.to_artifact().render_v2(), bin);
+        let registry = ModelRegistry::new();
+        let from_bytes = registry.swap_bytes("bytes", bin.clone()).expect("valid artifact parses");
+        prop_assert_eq!(from_bytes.model().render_v2(), bin);
         // An artifact in, the same artifact out.
-        let from_artifact = ServedModel::from_artifact(artifact.clone());
-        prop_assert_eq!(&from_artifact.to_artifact(), &artifact);
-        // Both ways in serve the same arrays.
-        prop_assert_eq!(&from_bytes, &from_artifact);
+        let from_artifact = registry.register(artifact.clone());
+        prop_assert_eq!(from_artifact.model(), &artifact);
+        // Both ways in serve the same model.
+        prop_assert_eq!(from_bytes.model(), from_artifact.model());
+        prop_assert_eq!(from_bytes.fingerprint(), from_artifact.fingerprint());
     }
 }
 
@@ -180,11 +173,11 @@ fn borrowed_validator_rejects_every_truncation_length() {
     let bin = artifact.render_v2();
     for cut in 0..bin.len() {
         assert!(
-            ServedModel::from_v2b(&bin[..cut]).is_err(),
-            "truncation at byte {cut} must not parse through the served load"
+            ModelArtifact::parse_v2(&bin[..cut]).is_err(),
+            "truncation at byte {cut} must not parse through the v2b decoder"
         );
     }
-    assert!(ServedModel::from_v2b(&bin).is_ok());
+    assert!(ModelArtifact::parse_v2(&bin).is_ok());
 }
 
 #[test]
