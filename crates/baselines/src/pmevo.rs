@@ -259,11 +259,6 @@ impl PmEvoPredictor {
     pub fn training_error(&self) -> f64 {
         self.training_error
     }
-
-    /// Number of instructions the model supports.
-    pub fn num_trained(&self) -> usize {
-        self.index_of.len()
-    }
 }
 
 impl ThroughputPredictor for PmEvoPredictor {
@@ -322,7 +317,6 @@ mod tests {
         let predictor = PmEvo::new(PmEvoConfig::fast()).train(&measurer, &[addss, bsr]);
         assert!(predictor.supports(addss));
         assert!(!predictor.supports(jmp));
-        assert_eq!(predictor.num_trained(), 2);
         assert!(predictor.predict_ipc(&Microkernel::single(jmp)).is_none());
     }
 

@@ -125,13 +125,16 @@ impl ConjunctiveMapping {
         self.resource_names[r.index()] = name.into();
     }
 
-    /// Registers (or replaces) the usage vector of an instruction.
+    /// Registers (or replaces) the usage vector of an instruction.  The
+    /// row is copied in, so a caller may pass an owned `Vec` or reuse one
+    /// scratch slice for every row.
     ///
     /// # Panics
     ///
     /// Panics if the vector length differs from the number of resources, or
     /// if any usage is negative or non-finite.
-    pub fn set_usage(&mut self, inst: InstId, usage: Vec<f64>) {
+    pub fn set_usage(&mut self, inst: InstId, usage: impl AsRef<[f64]>) {
+        let usage = usage.as_ref();
         assert_eq!(
             usage.len(),
             self.num_resources(),
@@ -149,7 +152,7 @@ impl ConjunctiveMapping {
             self.usage.resize((slot + 1) * self.num_resources(), 0.0);
         }
         self.mapped[slot] = 1;
-        self.row_mut(slot).copy_from_slice(&usage);
+        self.row_mut(slot).copy_from_slice(usage);
     }
 
     /// Whether the instruction has a mapping.

@@ -234,7 +234,7 @@ pub fn solve_bwp(
         if best.as_ref().is_none_or(|b| total_slack < b.total_slack - SLACK_TOLERANCE) {
             let mut mapping = ConjunctiveMapping::with_resources(num_resources);
             for (&inst, row) in insts.iter().zip(weights.chunks_exact(num_resources)) {
-                mapping.set_usage(inst, row.to_vec());
+                mapping.set_usage(inst, row);
             }
             best = Some(BwpSolution { mapping, saturation, total_slack });
         }

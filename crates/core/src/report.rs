@@ -41,15 +41,6 @@ impl MappingReport {
         self.benchmarking_time + self.lp_time
     }
 
-    /// Fraction of offered instructions that were mapped.
-    pub fn mapped_fraction(&self) -> f64 {
-        if self.instructions_total == 0 {
-            0.0
-        } else {
-            self.instructions_mapped as f64 / self.instructions_total as f64
-        }
-    }
-
     /// Renders the report as one column of Table II.
     pub fn table_rows(&self) -> Vec<(String, String)> {
         vec![
@@ -100,8 +91,6 @@ mod tests {
     fn totals_and_fractions() {
         let r = sample();
         assert_eq!(r.overall_time(), Duration::from_secs_f64(15.75));
-        assert!((r.mapped_fraction() - 0.975).abs() < 1e-12);
-        assert_eq!(MappingReport::default().mapped_fraction(), 0.0);
     }
 
     #[test]

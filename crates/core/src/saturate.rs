@@ -10,7 +10,7 @@
 //! completion a sequence of tiny independent LPs (and what Theorem A.3
 //! proves correct).
 
-use crate::conjunctive::{ConjunctiveMapping, ResourceId};
+use crate::conjunctive::ConjunctiveMapping;
 use crate::lp1::ShapeMapping;
 use crate::quadratic::{COEFFICIENT_TOLERANCE, MAX_KERNEL_SIZE};
 use palmed_isa::Microkernel;
@@ -27,13 +27,6 @@ pub struct SaturatingKernels {
     /// `None` when no benchmark loads the resource at all — an unused
     /// resource that will be pruned).
     pub kernels: Vec<Option<Microkernel>>,
-}
-
-impl SaturatingKernels {
-    /// The saturating kernel of a resource, if any.
-    pub fn kernel_for(&self, r: ResourceId) -> Option<&Microkernel> {
-        self.kernels.get(r.index()).and_then(Option::as_ref)
-    }
 }
 
 /// Total consumption of a kernel under a mapping: `Σ_i σ_i Σ_r ρ_{i,r}`,
@@ -142,10 +135,10 @@ mod tests {
         let sat = select_saturating_kernels(&mapping, &shape);
         // r1 is BSR's private resource: the lowest-consumption saturating
         // benchmark is BSR alone (cons 1.5), not the BSR+IMUL pair (cons 2.25... /2).
-        let k1 = sat.kernel_for(ResourceId(1)).unwrap();
+        let k1 = sat.kernels[1].as_ref().unwrap();
         assert!(k1.contains(bsr));
         assert_eq!(k1.num_distinct(), 1);
-        let k0 = sat.kernel_for(ResourceId(0)).unwrap();
+        let k0 = sat.kernels[0].as_ref().unwrap();
         assert!(k0.contains(imul));
         assert_eq!(k0.num_distinct(), 1);
     }
@@ -156,7 +149,7 @@ mod tests {
         let sat = select_saturating_kernels(&mapping, &shape);
         // r2 is saturated by `ADD` alone (usage 0.5 * IPC 2 = 1, cons 0.5) —
         // cheaper than any pair.
-        let k2 = sat.kernel_for(ResourceId(2)).unwrap();
+        let k2 = sat.kernels[2].as_ref().unwrap();
         assert!(k2.contains(add));
         assert_eq!(k2.num_distinct(), 1);
     }

@@ -187,6 +187,15 @@ mod tests {
     use palmed_machine::{presets, AnalyticMeasurer};
     use std::collections::BTreeSet;
 
+    /// The base-ISA instructions of an inventory, in id order.
+    fn base_isa(insts: &palmed_isa::InstructionSet) -> Vec<InstId> {
+        insts
+            .iter()
+            .filter(|(_, d)| d.extension == palmed_isa::Extension::BaseIsa)
+            .map(|(i, _)| i)
+            .collect()
+    }
+
     fn paper_selection(target: usize) -> (Selection, std::sync::Arc<palmed_isa::InstructionSet>) {
         let preset = presets::paper_ports016();
         let measurer = AnalyticMeasurer::new(preset.mapping_arc());
@@ -227,8 +236,7 @@ mod tests {
     fn low_ipc_instructions_are_deferred() {
         let preset = presets::skl_sp(&palmed_isa::InventoryConfig::small());
         let measurer = AnalyticMeasurer::new(preset.mapping_arc());
-        let ids: Vec<InstId> =
-            preset.instructions.ids_with_extension(palmed_isa::Extension::BaseIsa);
+        let ids = base_isa(&preset.instructions);
         let campaign = QuadraticCampaign::run(&measurer, &ids, |_, _| true);
         let sel = select_basic_instructions(&campaign, &ids, 8);
         let idiv = preset.instructions.find("IDIV").unwrap();
@@ -326,8 +334,7 @@ mod tests {
         // of several members.  Noise seeds and subset offsets vary the
         // disjoint sets; the clique must span words in some run.
         let preset = presets::skl_sp(&palmed_isa::InventoryConfig::large());
-        let base: Vec<InstId> =
-            preset.instructions.ids_with_extension(palmed_isa::Extension::BaseIsa);
+        let base = base_isa(&preset.instructions);
         let mut spans_words = false;
         for (seed, offset) in [(3, 0), (11, 2), (29, 4)] {
             let measurer = AnalyticMeasurer::with_noise(

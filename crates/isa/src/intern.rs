@@ -4,9 +4,16 @@
 //! up thousands of times — and a serving pipeline wants to pay hashing and
 //! equality once per *distinct* kernel, not once per occurrence.
 //! [`KernelSet`] is an insert-only interner: [`KernelSet::intern`] maps a
-//! [`Microkernel`] to a dense [`KernelId`] (first-occurrence order), caching
-//! the kernel's 64-bit hash so later lookups and re-interning never walk the
-//! kernel again unless the hashes collide.
+//! [`Microkernel`] to a dense [`KernelId`] (first-occurrence order).  Callers
+//! that already hold a kernel's hash (the measurement memo, a batch dedup)
+//! pass it in through the `*_hashed` entry points, so each kernel is hashed
+//! once per call.
+//!
+//! Every hash table of this kind in the workspace (instruction names,
+//! interned kernels, the batch dedup, the measurement memo's shards) stays
+//! exact under a true 64-bit collision through one rule, written once in
+//! `HashIndex`: the first id keeps the hash's slot, and later distinct keys
+//! with the same hash go to an overflow list scanned by equality.
 //!
 //! The hasher is [`FxLikeHasher`], a multiply-xor hasher in the FxHash
 //! family: kernels hash as short sequences of small integers, for which a
@@ -15,7 +22,7 @@
 //! cost an extra equality check.
 
 use crate::kernel::Microkernel;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A multiply-xor hasher in the FxHash family: one round per written word.
@@ -86,19 +93,88 @@ impl std::fmt::Display for KernelId {
     }
 }
 
-/// The collision scan of the interning scheme: ids land in the overflow
-/// list only when their hash already belonged to a *different* kernel, so
-/// the list is empty in practice and equality is the only check needed.
-#[inline]
-fn find_collision<K: std::borrow::Borrow<Microkernel>>(
-    kernels: &[K],
-    overflow: &[u32],
-    kernel: &Microkernel,
-) -> Option<u32> {
-    overflow.iter().copied().find(|&i| kernels[i as usize].borrow() == kernel)
+/// A hash index with the workspace's one collision rule: the map from a
+/// 64-bit hash to the first id filed under it, plus an overflow list of the
+/// later ids whose keys are different but hash the same (a true 64-bit
+/// collision, empty in practice).  The caller owns the keys, indexed by id,
+/// and decides equality, so one index serves instruction names, interned
+/// kernels and the measurement memo alike.
+///
+/// One flat slot per hash instead of a bucket `Vec`: buckets would mean one
+/// heap allocation per key (and per clone).  Keys are already well-mixed
+/// hashes, so the map itself uses the cheap one-round hasher.
+///
+/// `find`, `find_or_insert` and the [`KernelSet`] entry points over them
+/// are `#[inline]`: the measurement memo in `palmed-machine` calls them
+/// once per kernel, and left as calls they cost `palbench`'s
+/// `train_analytic` about 3 % more CPU (2-core x86-64 container, paired
+/// runs).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HashIndex {
+    /// Hash → the first id filed under it.
+    table: HashMap<u64, u32, FxBuildHasher>,
+    /// Ids whose hash already belonged to a different key; scanned by
+    /// equality.
+    overflow: Vec<u32>,
 }
 
-/// An insert-only interner of microkernels with cached 64-bit hashes.
+impl HashIndex {
+    /// An empty index with room for `capacity` hashes.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        HashIndex {
+            table: HashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
+            overflow: Vec::new(),
+        }
+    }
+
+    /// Makes room for `additional` more hashes.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.table.reserve(additional);
+    }
+
+    /// The id of the key hashing to `hash` that `is_equal` accepts.  An
+    /// overflow id of another hash is never equal (equal keys hash
+    /// equally), so the scan needs no hash check.
+    #[inline]
+    pub(crate) fn find(&self, hash: u64, mut is_equal: impl FnMut(u32) -> bool) -> Option<u32> {
+        let first = *self.table.get(&hash)?;
+        if is_equal(first) {
+            return Some(first);
+        }
+        self.overflow.iter().copied().find(|&id| is_equal(id))
+    }
+
+    /// [`find`](Self::find), else files `fresh_id` for the key (in the
+    /// table when the hash is new, else in the overflow list) and returns
+    /// it: the key is new exactly when the result is `fresh_id`.
+    #[inline]
+    pub(crate) fn find_or_insert(
+        &mut self,
+        hash: u64,
+        fresh_id: u32,
+        mut is_equal: impl FnMut(u32) -> bool,
+    ) -> u32 {
+        match self.table.entry(hash) {
+            // A vacant slot proves the key is new (equal keys hash equally).
+            Entry::Vacant(e) => {
+                e.insert(fresh_id);
+            }
+            Entry::Occupied(e) => {
+                let first = *e.get();
+                if is_equal(first) {
+                    return first;
+                }
+                if let Some(id) = self.overflow.iter().copied().find(|&id| is_equal(id)) {
+                    return id;
+                }
+                self.overflow.push(fresh_id);
+            }
+        }
+        fresh_id
+    }
+}
+
+/// An insert-only interner of microkernels.
 ///
 /// # Sharing contract
 ///
@@ -114,17 +190,8 @@ fn find_collision<K: std::borrow::Borrow<Microkernel>>(
 pub struct KernelSet {
     /// The distinct kernels, indexed by [`KernelId`].
     kernels: Vec<Microkernel>,
-    /// Cached [`KernelSet::hash_kernel`] of every kernel, same indexing.
-    hashes: Vec<u64>,
-    /// Hash → first id with that hash.  One flat slot instead of a bucket
-    /// `Vec` per entry: buckets would mean one heap allocation per distinct
-    /// kernel (and per clone of the set); true 64-bit collisions go to the
-    /// shared `overflow` list instead.  Keys are already well-mixed hashes,
-    /// so the map itself uses the cheap one-round hasher too.
-    table: HashMap<u64, u32, FxBuildHasher>,
-    /// Ids whose hash collided with an earlier, different kernel; scanned
-    /// linearly (empty in practice).
-    overflow: Vec<u32>,
+    /// [`KernelSet::hash_kernel`] → id.
+    index: HashIndex,
 }
 
 impl KernelSet {
@@ -143,7 +210,13 @@ impl KernelSet {
         self.kernels.is_empty()
     }
 
-    /// The 64-bit Fx hash of a kernel — the value cached per entry.
+    /// Makes room for `additional` more kernels.
+    pub fn reserve(&mut self, additional: usize) {
+        self.kernels.reserve(additional);
+        self.index.reserve(additional);
+    }
+
+    /// The 64-bit Fx hash of a kernel, the key of the index.
     pub fn hash_kernel(kernel: &Microkernel) -> u64 {
         let mut hasher = FxLikeHasher::default();
         kernel.hash(&mut hasher);
@@ -152,67 +225,52 @@ impl KernelSet {
 
     /// Looks a kernel up without inserting it.
     pub fn lookup(&self, kernel: &Microkernel) -> Option<KernelId> {
-        let hash = Self::hash_kernel(kernel);
-        let primary = *self.table.get(&hash)?;
-        if self.kernels[primary as usize] == *kernel {
-            return Some(KernelId(primary));
-        }
-        find_collision(&self.kernels, &self.overflow, kernel).map(KernelId)
+        self.lookup_hashed(Self::hash_kernel(kernel), kernel)
     }
 
-    /// The shared interning core: finds the kernel by its hash, or registers
-    /// the next fresh id in the index (primary slot or overflow list) and
-    /// returns `Err` — the caller then pushes the kernel itself, which is
-    /// what lets [`intern`](Self::intern) clone only on a miss while
-    /// [`intern_owned`](Self::intern_owned) moves.
-    fn locate_or_reserve(&mut self, hash: u64, kernel: &Microkernel) -> Result<u32, u32> {
-        let id = self.kernels.len() as u32;
-        match self.table.entry(hash) {
-            // A vacant hash slot proves the kernel is new (equal kernels
-            // hash equally).
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(id);
-                Err(id)
-            }
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let primary = *e.get();
-                if self.kernels[primary as usize] == *kernel {
-                    return Ok(primary);
-                }
-                if let Some(i) = find_collision(&self.kernels, &self.overflow, kernel) {
-                    return Ok(i);
-                }
-                self.overflow.push(id);
-                Err(id)
-            }
-        }
+    /// [`lookup`](Self::lookup) of a kernel whose
+    /// [`hash_kernel`](Self::hash_kernel) hash the caller already has.
+    #[inline]
+    pub fn lookup_hashed(&self, hash: u64, kernel: &Microkernel) -> Option<KernelId> {
+        debug_assert_eq!(hash, Self::hash_kernel(kernel), "a kernel paired with another hash");
+        self.index.find(hash, |id| self.kernels[id as usize] == *kernel).map(KernelId)
+    }
+
+    /// The id `kernel` has or, when it is new, the id it is about to get
+    /// (the caller pushes it): clone-on-miss and move interning share this.
+    #[inline]
+    fn locate(&mut self, hash: u64, kernel: &Microkernel) -> u32 {
+        let kernels = &self.kernels;
+        self.index.find_or_insert(hash, kernels.len() as u32, |id| kernels[id as usize] == *kernel)
     }
 
     /// Interns a kernel: returns the existing id when an equal kernel is
     /// already present, otherwise clones it in and returns the fresh id.
     pub fn intern(&mut self, kernel: &Microkernel) -> KernelId {
-        let hash = Self::hash_kernel(kernel);
-        match self.locate_or_reserve(hash, kernel) {
-            Ok(existing) => KernelId(existing),
-            Err(fresh) => {
-                self.kernels.push(kernel.clone());
-                self.hashes.push(hash);
-                KernelId(fresh)
-            }
+        let id = self.locate(Self::hash_kernel(kernel), kernel);
+        if id as usize == self.kernels.len() {
+            self.kernels.push(kernel.clone());
         }
+        KernelId(id)
     }
 
     /// Interns an owned kernel without cloning when it is new.
     pub fn intern_owned(&mut self, kernel: Microkernel) -> KernelId {
-        let hash = Self::hash_kernel(&kernel);
-        match self.locate_or_reserve(hash, &kernel) {
-            Ok(existing) => KernelId(existing),
-            Err(fresh) => {
-                self.kernels.push(kernel);
-                self.hashes.push(hash);
-                KernelId(fresh)
-            }
+        self.intern_hashed(Self::hash_kernel(&kernel), kernel)
+    }
+
+    /// [`intern_owned`](Self::intern_owned) of a kernel whose
+    /// [`hash_kernel`](Self::hash_kernel) hash the caller already has.  The
+    /// kernel is new exactly when the returned id is the set's former
+    /// length.
+    #[inline]
+    pub fn intern_hashed(&mut self, hash: u64, kernel: Microkernel) -> KernelId {
+        debug_assert_eq!(hash, Self::hash_kernel(&kernel), "a kernel paired with another hash");
+        let id = self.locate(hash, &kernel);
+        if id as usize == self.kernels.len() {
+            self.kernels.push(kernel);
         }
+        KernelId(id)
     }
 
     /// Dedupes a sequence of kernels *by reference*, without building a set:
@@ -234,34 +292,17 @@ impl KernelSet {
     ) -> (Vec<&'k Microkernel>, Vec<u32>) {
         let kernels = kernels.into_iter();
         let len = kernels.size_hint().0;
-        let mut table: HashMap<u64, u32, FxBuildHasher> =
-            HashMap::with_capacity_and_hasher(len, FxBuildHasher::default());
-        let mut overflow: Vec<u32> = Vec::new();
+        let mut index = HashIndex::with_capacity(len);
         let mut distinct: Vec<&'k Microkernel> = Vec::with_capacity(len);
         let mut slots: Vec<u32> = Vec::with_capacity(len);
         for (hash, kernel) in kernels {
             debug_assert_eq!(hash, Self::hash_kernel(kernel), "a kernel paired with another hash");
-            let id = distinct.len() as u32;
-            let index = match table.entry(hash) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(id);
-                    distinct.push(kernel);
-                    id
-                }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let primary = *e.get();
-                    if distinct[primary as usize] == kernel {
-                        primary
-                    } else if let Some(i) = find_collision(&distinct, &overflow, kernel) {
-                        i
-                    } else {
-                        overflow.push(id);
-                        distinct.push(kernel);
-                        id
-                    }
-                }
-            };
-            slots.push(index);
+            let fresh = distinct.len() as u32;
+            let id = index.find_or_insert(hash, fresh, |id| distinct[id as usize] == kernel);
+            if id == fresh {
+                distinct.push(kernel);
+            }
+            slots.push(id);
         }
         (distinct, slots)
     }
@@ -273,15 +314,6 @@ impl KernelSet {
     /// Panics if the id does not belong to this set.
     pub fn get(&self, id: KernelId) -> &Microkernel {
         &self.kernels[id.index()]
-    }
-
-    /// The cached hash of an interned kernel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id does not belong to this set.
-    pub fn hash_of(&self, id: KernelId) -> u64 {
-        self.hashes[id.index()]
     }
 
     /// The distinct kernels as a slice, indexed by [`KernelId::index`] —
@@ -297,7 +329,7 @@ impl KernelSet {
 }
 
 /// Two sets are equal when they interned the same kernels in the same order
-/// (the table and hash cache are derived state).
+/// (the index is derived state).
 impl PartialEq for KernelSet {
     fn eq(&self, other: &Self) -> bool {
         self.kernels == other.kernels
@@ -341,13 +373,45 @@ mod tests {
     }
 
     #[test]
-    fn cached_hashes_match_fresh_hashes() {
+    fn hashed_entry_points_agree_with_the_plain_ones() {
         let mut set = KernelSet::new();
         for n in 0..20u32 {
             let kernel = k(&[(n % 5, 1 + n), (n, 2)]);
-            let id = set.intern(&kernel);
-            assert_eq!(set.hash_of(id), KernelSet::hash_kernel(&kernel));
+            let hash = KernelSet::hash_kernel(&kernel);
+            assert_eq!(set.lookup_hashed(hash, &kernel), None);
+            let id = set.intern_hashed(hash, kernel.clone());
+            assert_eq!(id.index(), set.len() - 1, "a new kernel gets the next id");
+            assert_eq!(set.intern_hashed(hash, kernel.clone()), id);
+            assert_eq!(set.lookup_hashed(hash, &kernel), Some(id));
+            assert_eq!(set.intern(&kernel), id);
         }
+        assert_eq!(set.len(), 20);
+    }
+
+    /// Ids 0, 1 and 2 name the keys "a", "b" and "c", all filed under one
+    /// injected hash.
+    #[test]
+    fn hash_index_keeps_colliding_keys_apart() {
+        const HASH: u64 = 7;
+        let keys = ["a", "b", "c"];
+        let is = |key: &'static str| move |id: u32| keys[id as usize] == key;
+        let mut index = HashIndex::default();
+        for (fresh, &key) in keys.iter().enumerate() {
+            assert_eq!(index.find_or_insert(HASH, fresh as u32, is(key)), fresh as u32);
+        }
+        // The first id keeps the slot; the later distinct keys overflow.
+        assert_eq!(index.table.len(), 1);
+        assert_eq!(index.table[&HASH], 0);
+        assert_eq!(index.overflow, [1, 2]);
+        for (id, &key) in keys.iter().enumerate() {
+            assert_eq!(index.find(HASH, is(key)), Some(id as u32));
+            // A repeat returns its existing id and files nothing.
+            assert_eq!(index.find_or_insert(HASH, 3, is(key)), id as u32);
+        }
+        assert_eq!(index.overflow, [1, 2]);
+        // An absent key under a used hash, and any key under an unused one.
+        assert_eq!(index.find(HASH, is("d")), None);
+        assert_eq!(index.find(HASH + 1, |_| true), None);
     }
 
     #[test]

@@ -11,25 +11,23 @@
 //! instruction list with realistic redundancy.
 
 use crate::inst::{ExecClass, Extension, InstDesc, InstId};
-use crate::intern::FxBuildHasher;
+use crate::intern::HashIndex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// An ordered collection of instruction descriptors.
 ///
 /// The name index maps the Fx hash of a name to its id instead of keying by
 /// owned `String`s: inserting never clones the name, and lookups are one
 /// cheap hash plus one name comparison.  Names whose hashes collide (never
-/// observed in practice) go to a small overflow list scanned linearly.
-/// SipHash resistance buys nothing here — names are short trusted mnemonics
-/// inserted once at build time, and collisions only cost extra comparisons.
+/// observed in practice) follow the workspace's one collision rule, kept in
+/// the crate's `HashIndex` (see [`crate::intern`]).  SipHash resistance
+/// buys nothing here — names are short trusted mnemonics inserted once at
+/// build time, and collisions only cost extra comparisons.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct InstructionSet {
     descs: Vec<InstDesc>,
     #[serde(skip)]
-    by_name: HashMap<u64, InstId, FxBuildHasher>,
-    #[serde(skip)]
-    name_overflow: Vec<InstId>,
+    by_name: HashIndex,
 }
 
 /// Two sets are equal when they hold the same descriptors in the same order
@@ -85,25 +83,16 @@ impl InstructionSet {
     /// Adds a descriptor, handing it back instead of panicking when the name
     /// is already present (the codec path for untrusted artifacts).
     pub fn try_push(&mut self, desc: InstDesc) -> Result<InstId, InstDesc> {
-        let id = InstId(self.descs.len() as u32);
-        match self.by_name.entry(name_hash(&desc.name)) {
-            // A vacant hash slot proves the name is new (equal names hash
-            // equally), so the duplicate scan only runs on a hash hit.
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(id);
-            }
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let candidate = *e.get();
-                if self.descs[candidate.index()].name == desc.name
-                    || self.name_overflow.iter().any(|&i| self.descs[i.index()].name == desc.name)
-                {
-                    return Err(desc);
-                }
-                self.name_overflow.push(id);
-            }
+        let fresh = self.descs.len() as u32;
+        let descs = &self.descs;
+        let id = self.by_name.find_or_insert(name_hash(&desc.name), fresh, |id| {
+            descs[id as usize].name == desc.name
+        });
+        if id != fresh {
+            return Err(desc);
         }
         self.descs.push(desc);
-        Ok(id)
+        Ok(InstId(id))
     }
 
     /// Reserves room for `additional` more instructions in the descriptor
@@ -139,13 +128,7 @@ impl InstructionSet {
 
     /// Looks an instruction up by name.
     pub fn find(&self, name: &str) -> Option<InstId> {
-        let id = *self.by_name.get(&name_hash(name))?;
-        if self.descs[id.index()].name == name {
-            return Some(id);
-        }
-        // Hash hit on a different name: the target, if present, collided its
-        // way into the overflow list.
-        self.name_overflow.iter().copied().find(|&i| self.descs[i.index()].name == name)
+        self.by_name.find(name_hash(name), |id| self.descs[id as usize].name == name).map(InstId)
     }
 
     /// Iterates over all instruction ids in order.
@@ -158,29 +141,9 @@ impl InstructionSet {
         self.descs.iter().enumerate().map(|(i, d)| (InstId(i as u32), d))
     }
 
-    /// Ids of all instructions belonging to the given extension.
-    pub fn ids_with_extension(&self, extension: Extension) -> Vec<InstId> {
-        self.iter().filter(|(_, d)| d.extension == extension).map(|(i, _)| i).collect()
-    }
-
     /// Ids of all instructions with the given ground-truth class.
     pub fn ids_with_class(&self, class: ExecClass) -> Vec<InstId> {
         self.iter().filter(|(_, d)| d.class == class).map(|(i, _)| i).collect()
-    }
-
-    /// Rebuilds the name index (needed after deserialisation).
-    pub fn rebuild_index(&mut self) {
-        self.by_name = HashMap::with_capacity_and_hasher(self.descs.len(), Default::default());
-        self.name_overflow.clear();
-        for (i, desc) in self.descs.iter().enumerate() {
-            let id = InstId(i as u32);
-            match self.by_name.entry(name_hash(&desc.name)) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(id);
-                }
-                std::collections::hash_map::Entry::Occupied(_) => self.name_overflow.push(id),
-            }
-        }
     }
 
     /// Builds a synthetic x86-flavoured inventory according to `config`.
@@ -362,35 +325,10 @@ mod tests {
     }
 
     #[test]
-    fn extension_filter_is_consistent() {
-        let set = InstructionSet::synthetic(&InventoryConfig::default());
-        let base = set.ids_with_extension(Extension::BaseIsa);
-        let sse = set.ids_with_extension(Extension::Sse);
-        let avx = set.ids_with_extension(Extension::Avx);
-        assert_eq!(base.len() + sse.len() + avx.len(), set.len());
-        for id in base {
-            assert_eq!(set[id].extension, Extension::BaseIsa);
-        }
-    }
-
-    #[test]
     fn paper_example_has_six_instructions() {
         let set = InstructionSet::paper_example();
         assert_eq!(set.len(), 6);
         assert!(set.find("ADDSS").is_some());
         assert!(set.find("DIVPS").is_some());
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let set = InstructionSet::synthetic(&InventoryConfig::small());
-        let mut clone = InstructionSet {
-            descs: set.descs.clone(),
-            by_name: HashMap::default(),
-            name_overflow: Vec::new(),
-        };
-        assert_eq!(clone.find("ADD"), None);
-        clone.rebuild_index();
-        assert_eq!(clone.find("ADD"), set.find("ADD"));
     }
 }

@@ -17,8 +17,13 @@
 //!   inventory that mirrors the statistical structure of the real ISA
 //!   (thousands of mnemonics collapsing onto a handful of behaviours).
 //! * [`intern`] — [`KernelSet`], an insert-only interner giving every
-//!   distinct microkernel a dense [`KernelId`] with a cached 64-bit hash, so
-//!   serving-layer dedup is index bookkeeping instead of repeated hashing.
+//!   distinct microkernel a dense [`KernelId`], so serving-layer dedup is
+//!   index bookkeeping instead of repeated hashing.  Its crate-private
+//!   `HashIndex` holds the one rule that keeps every 64-bit-hash table of
+//!   the workspace exact under a collision (the first id keeps the slot,
+//!   later distinct keys overflow to a list scanned by equality): the
+//!   instruction-name index, the interner and the measurement memo all
+//!   use it.
 
 pub mod inst;
 pub mod intern;

@@ -29,11 +29,6 @@ impl FrontEnd {
     pub fn instructions_only(width: f64) -> Self {
         FrontEnd { instructions_per_cycle: width, uops_per_cycle: f64::INFINITY }
     }
-
-    /// No front-end limitation at all (useful for unit tests).
-    pub fn unlimited() -> Self {
-        FrontEnd { instructions_per_cycle: f64::INFINITY, uops_per_cycle: f64::INFINITY }
-    }
 }
 
 /// Ground-truth description of a machine, keyed by execution class.
@@ -152,11 +147,6 @@ impl DisjunctiveMapping {
         self.uops[inst.index()].len()
     }
 
-    /// Union of the ports used by an instruction's µOPs.
-    pub fn port_footprint(&self, inst: InstId) -> PortSet {
-        self.uops(inst).iter().fold(PortSet::EMPTY, |acc, u| acc.union(u.ports))
-    }
-
     /// Aggregated µOP load of a microkernel: for every distinct µOP port-set
     /// and inverse throughput, the total occupancy (count × multiplicity ×
     /// inverse throughput) generated by one loop iteration.
@@ -224,7 +214,6 @@ mod tests {
         let store = insts.find("STORE").unwrap();
         assert_eq!(map.uop_count(add), 1);
         assert_eq!(map.uop_count(store), 2);
-        assert_eq!(map.port_footprint(add), PortSet::from_ports([0, 1]));
     }
 
     #[test]
@@ -255,7 +244,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "references port")]
     fn defining_class_checks_port_range() {
-        let mut m = MachineDescription::new("bad", 2, FrontEnd::unlimited());
+        let mut m = MachineDescription::new("bad", 2, FrontEnd::instructions_only(4.0));
         m.define_class(ExecClass::IntAlu, vec![MicroOp::pipelined(PortSet::from_ports([5]))]);
     }
 

@@ -25,9 +25,7 @@ use crate::cycle_sim::{simulate_ipc, SimulationConfig};
 use crate::disjunctive::DisjunctiveMapping;
 use crate::noise::MeasurementNoise;
 use crate::throughput;
-use palmed_isa::{FxBuildHasher, InstructionSet, KernelSet, Microkernel};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use palmed_isa::{InstructionSet, KernelSet, Microkernel};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A device able to report the steady-state IPC of a microkernel.
@@ -230,63 +228,33 @@ impl Measurer for BackendMeasurer {
 /// Number of independently locked shards of a [`MemoizingMeasurer`].
 const MEMO_SHARDS: usize = 16;
 
-/// One shard of a [`MemoizingMeasurer`]'s cache: the kernels and their
-/// values in insertion order, indexed by their Fx hash.
+/// One shard of a [`MemoizingMeasurer`]'s cache: the distinct kernels,
+/// interned in insertion order, and their values, same indexing.
 #[derive(Debug, Default)]
 struct MemoShard {
-    /// [`KernelSet::hash_kernel`] → the first entry with that hash.  The
-    /// keys are already well-mixed hashes, so the map hashes them with the
-    /// one-round Fx hasher.
-    index: HashMap<u64, u32, FxBuildHasher>,
-    /// Entries whose hash collided with an earlier, different kernel;
-    /// scanned linearly (empty in practice), as in [`KernelSet`].
-    overflow: Vec<u32>,
-    /// The distinct kernels, in insertion order.
-    kernels: Vec<Microkernel>,
-    /// Each kernel's measured IPC, same indexing.
+    kernels: KernelSet,
     values: Vec<f64>,
 }
 
 impl MemoShard {
-    /// The entry holding `kernel`, given the index's entry for its hash:
-    /// that one, else a later one with the same hash.
-    fn scan(&self, primary: u32, kernel: &Microkernel) -> Option<usize> {
-        std::iter::once(primary)
-            .chain(self.overflow.iter().copied())
-            .map(|i| i as usize)
-            .find(|&i| self.kernels[i] == *kernel)
-    }
-
     /// The cached value of `kernel`, whose hash is `hash`.
     fn get(&self, hash: u64, kernel: &Microkernel) -> Option<f64> {
-        let entry = self.scan(*self.index.get(&hash)?, kernel)?;
-        Some(self.values[entry])
+        Some(self.values[self.kernels.lookup_hashed(hash, kernel)?.index()])
     }
 
     /// Caches `value` for `kernel` unless the kernel is already cached, and
-    /// returns the cached value: the first value inserted wins.
+    /// returns the cached value: the first value inserted wins.  A new
+    /// kernel gets the set's next id, which is where its value goes.
     fn get_or_insert(&mut self, hash: u64, kernel: Microkernel, value: f64) -> f64 {
-        let fresh = self.kernels.len() as u32;
-        match self.index.entry(hash) {
-            Entry::Vacant(e) => {
-                e.insert(fresh);
-            }
-            Entry::Occupied(e) => {
-                let primary = *e.get();
-                if let Some(entry) = self.scan(primary, &kernel) {
-                    return self.values[entry];
-                }
-                self.overflow.push(fresh);
-            }
+        let id = self.kernels.intern_hashed(hash, kernel).index();
+        if id == self.values.len() {
+            self.values.push(value);
         }
-        self.kernels.push(kernel);
-        self.values.push(value);
-        value
+        self.values[id]
     }
 
     /// Makes room for `additional` more kernels.
     fn reserve(&mut self, additional: usize) {
-        self.index.reserve(additional);
         self.kernels.reserve(additional);
         self.values.reserve(additional);
     }
@@ -307,18 +275,19 @@ fn lock(shard: &Mutex<MemoShard>) -> MutexGuard<'_, MemoShard> {
 ///
 /// The cache is split into a fixed number of shards, each behind a `Mutex`,
 /// so the wrapper stays [`Sync`] and the parallel measurement loops rarely
-/// wait on each other.  A shard is dense: its kernels and their values sit
-/// in two vectors in insertion order, and a `HashMap<u64, u32>` maps each
-/// kernel's [`KernelSet::hash_kernel`] Fx hash to its entry.  A true 64-bit
-/// collision follows [`KernelSet`]'s overflow rule: the index keeps the
-/// first kernel with that hash, and every later, different kernel with the
-/// same hash is listed in the shard's overflow vector, which lookups scan
-/// by equality.  The hash is computed once per kernel and call: it picks
-/// the shard (by bits 48–51, where an Fx hash mixes best), keys the index,
-/// and in a batch also dedupes the batch.  Fx suits kernels, short runs of small integers, for which
-/// SipHash is pure overhead.  Hashing here only indexes the cache: the
-/// noise model's [`MeasurementNoise::fingerprint`] keeps its own SipHash,
-/// which defines the measured values.
+/// wait on each other.  A shard is dense: a [`KernelSet`] interns its
+/// kernels in insertion order, and a vector holds their values, same
+/// indexing.  The set's index keys each kernel by its
+/// [`KernelSet::hash_kernel`] Fx hash and stays exact under a true 64-bit
+/// collision through the one rule `palmed-isa`'s `HashIndex` keeps (the
+/// first kernel keeps the hash's slot, later different ones overflow to a
+/// list scanned by equality).  The hash is computed once per kernel and
+/// call, and handed to the set's `*_hashed` entry points: it picks the
+/// shard (by bits 48–51, where an Fx hash mixes best), keys the index, and
+/// in a batch also dedupes the batch.  Fx suits kernels, short runs of
+/// small integers, for which SipHash is pure overhead.  Hashing here only
+/// indexes the cache: the noise model's [`MeasurementNoise::fingerprint`]
+/// keeps its own SipHash, which defines the measured values.
 ///
 /// The lock is released while the inner measurer runs, so two threads may
 /// measure the same kernel at once; the first value inserted wins and both
@@ -446,6 +415,7 @@ impl<M: Measurer> Measurer for MemoizingMeasurer<M> {
 mod tests {
     use super::*;
     use crate::presets;
+    use std::collections::HashMap;
 
     #[test]
     fn analytic_and_simulation_agree_on_simple_kernels() {

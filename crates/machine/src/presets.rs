@@ -229,11 +229,6 @@ pub fn toy_two_port() -> PresetMachine {
     PresetMachine { description: Arc::new(m), instructions: Arc::new(insts) }
 }
 
-/// All "real" evaluation targets, matching the two platforms of the paper.
-pub fn evaluation_targets(config: &InventoryConfig) -> Vec<PresetMachine> {
-    vec![skl_sp(config), zen1(config)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,12 +311,5 @@ mod tests {
         let bsr = preset.instructions.find("BSR").unwrap();
         assert!((ipc(&map, &Microkernel::single(add).scaled(2)) - 2.0).abs() < 1e-9);
         assert!((ipc(&map, &Microkernel::single(bsr).scaled(2)) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn evaluation_targets_returns_both_machines() {
-        let targets = evaluation_targets(&InventoryConfig::small());
-        let names: Vec<&str> = targets.iter().map(|t| t.name()).collect();
-        assert_eq!(names, vec!["skl-sp-like", "zen1-like"]);
     }
 }

@@ -90,6 +90,7 @@
 //! | `wire.batch.batch_ns` | H | wall time of each entry group's batch serve |
 //! | `wire.frontend.wakeups` | C | readiness-loop wakeups (`epoll_wait` returns) |
 //! | `wire.frontend.pumps` | C | connection pumps run — the ready ones per wakeup, every one per timeout sweep |
+//! | `wire.frontend.sweep_pumps` | C | the pumps of `wire.frontend.pumps` run by timeout sweeps (every connection, ready or not) |
 //! | `eval.machines` | C | campaign machines evaluated |
 //! | `eval.suites` | C | benchmark suites scored |
 //! | `eval.blocks` | C | basic blocks scored across suites |

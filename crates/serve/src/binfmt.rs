@@ -150,12 +150,14 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<ModelArtifact, ArtifactError> {
     // strictly ascending and in range, and every stored f64 must be finite
     // and positive.  Each checked entry is scattered into its dense row;
     // the table runs to the last (mapped) slot, a size `check_dense_cells`
-    // has bounded by the input length.
+    // has bounded by the input length.  Every row is assembled in one
+    // scratch row, zeroed again after each copy.
     let mut mapping = ConjunctiveMapping::new(resource_names);
+    let mut usage = vec![0.0; n_resources];
     if slots > 0 {
         // Size the table once: the last slot is mapped, and its real row
         // overwrites this one below.
-        mapping.set_usage(InstId(slots as u32 - 1), vec![0.0; n_resources]);
+        mapping.set_usage(InstId(slots as u32 - 1), &usage);
     }
     for (i, &flag) in mapped.iter().enumerate() {
         let row = row_ptr[i] as usize..row_ptr[i + 1] as usize;
@@ -165,9 +167,9 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<ModelArtifact, ArtifactError> {
             }
             continue;
         }
-        let mut usage = vec![0.0; n_resources];
+        let row_cols = &cols[row.clone()];
         let mut previous: Option<u32> = None;
-        for (&col, &val) in cols[row.clone()].iter().zip(&vals[row]) {
+        for (&col, &val) in row_cols.iter().zip(&vals[row]) {
             if col as usize >= n_resources {
                 return Err(cur.bad(format!("slot {i} references resource {col} >= {n_resources}")));
             }
@@ -180,7 +182,10 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<ModelArtifact, ArtifactError> {
             }
             usage[col as usize] = val;
         }
-        mapping.set_usage(InstId(i as u32), usage);
+        mapping.set_usage(InstId(i as u32), &usage);
+        for &col in row_cols {
+            usage[col as usize] = 0.0;
+        }
     }
 
     Ok(ModelArtifact::new(machine, source, instructions, mapping))

@@ -294,7 +294,7 @@ pub mod registry;
 pub mod sign;
 
 pub use artifact::{ArtifactError, ModelArtifact};
-pub use batch::{BatchMerge, BatchPredictor, BatchResult, BatchScatter, PreparedBatch};
+pub use batch::{BatchMerge, BatchPredictor, BatchResult, PreparedBatch};
 pub use codec::{migrate_v1_to_v2b, ModelKind};
 pub use compiled::CompiledModel;
 pub use corpus::{Corpus, CorpusBlock, CorpusError};

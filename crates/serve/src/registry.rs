@@ -142,11 +142,6 @@ impl RegistryEntry {
         self.fingerprint
     }
 
-    /// The source file this entry watches, when file-loaded.
-    pub fn source_path(&self) -> Option<&Path> {
-        self.source.as_ref().map(|s| s.path.as_path())
-    }
-
     /// The served model: the artifact this entry installed, whatever form
     /// it arrived in.  Predictions run on its mapping
     /// ([`ModelArtifact::batch`]).
@@ -1099,7 +1094,6 @@ mod tests {
         let registry = ModelRegistry::new();
         let served = registry.load_file(&path).unwrap();
         assert_eq!(served.model().machine, "disk-machine");
-        assert_eq!(served.source_path(), Some(path.as_path()));
         std::fs::remove_file(&path).ok();
         assert!(registry.get("disk-machine").is_some());
         assert!(registry.load_file(&path).is_err());

@@ -61,6 +61,7 @@ use palmed_serve::checksum::fnv1a64_words;
 use palmed_serve::corpus::Corpus;
 use palmed_serve::registry::RegistryEntry;
 use palmed_serve::{BatchMerge, BatchResult, PreparedBatch};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Parsed corpora and their predicted rows kept between rounds, keyed on
@@ -271,8 +272,8 @@ impl SharedBatcher {
                 palmed_obs::histogram!("wire.batch.batch_ns").record_elapsed(serve_timer);
                 stats.distinct_kernels += result.distinct;
                 palmed_obs::counter!("wire.batch.distinct_kernels").add(result.distinct as u64);
-                for (corpus, (start, end)) in uncached.into_iter().zip(ranges) {
-                    let rows: Rows = Arc::from(&result.ipcs[start..end]);
+                for (corpus, range) in uncached.into_iter().zip(ranges) {
+                    let rows: Rows = Arc::from(&result.ipcs[range]);
                     self.cache.fill(&corpus.corpus, &rows);
                     corpus.rows = Some(rows);
                 }
@@ -387,21 +388,15 @@ fn cache_key_hash(text: &str) -> u64 {
 fn serve_group(
     entry: &RegistryEntry,
     corpora: &[&mut GroupCorpus],
-) -> (BatchResult, Vec<(usize, usize)>) {
+) -> (BatchResult, Vec<Range<usize>>) {
     if let [only] = corpora {
         let batch = PreparedBatch::from_corpus(&only.corpus);
-        let len = batch.len();
-        (entry.model().batch().predict_prepared(&batch), vec![(0, len)])
+        let rows = 0..batch.len();
+        (entry.model().batch().predict_prepared(&batch), vec![rows])
     } else {
         let mut merge = BatchMerge::new();
-        let mut ranges = Vec::with_capacity(corpora.len());
-        let mut at = 0;
-        for group_corpus in corpora {
-            merge.push_corpus(&group_corpus.corpus);
-            ranges.push((at, at + group_corpus.corpus.len()));
-            at += group_corpus.corpus.len();
-        }
-        let (batch, _) = merge.finish();
+        let ranges = corpora.iter().map(|c| merge.push_corpus(&c.corpus)).collect();
+        let (batch,) = merge.finish();
         (entry.model().batch().predict_prepared(&batch), ranges)
     }
 }

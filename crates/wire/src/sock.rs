@@ -532,6 +532,7 @@ impl WireServer {
             if draining || now.saturating_sub(last_sweep) >= EPOLL_SWEEP_TICKS {
                 last_sweep = now;
                 tokens = conns.keys().copied().collect();
+                palmed_obs::counter!("wire.frontend.sweep_pumps").add(tokens.len() as u64);
             } else {
                 tokens.sort_unstable();
                 tokens.dedup();

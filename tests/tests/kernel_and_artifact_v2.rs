@@ -110,7 +110,7 @@ proptest! {
         let a = set.intern(&kernel);
         let b = set.intern(&from_reversed);
         prop_assert_eq!(a, b);
-        prop_assert_eq!(set.hash_of(a), KernelSet::hash_kernel(&kernel));
+        prop_assert_eq!(set.lookup_hashed(KernelSet::hash_kernel(&kernel), &kernel), Some(a));
     }
 }
 

@@ -171,7 +171,7 @@ fn closed_form_matches_the_lp_on_the_simulated_pipeline() {
     let names = result.mapping.resources().map(|r| result.mapping.resource_name(r).to_string());
     let mut core = ConjunctiveMapping::new(names.collect());
     for &inst in &basic {
-        core.set_usage(inst, result.mapping.usage_vector(inst).unwrap().to_vec());
+        core.set_usage(inst, result.mapping.usage_vector(inst).unwrap());
     }
 
     let mut compared = 0;
